@@ -28,7 +28,6 @@ from .errors import (
 )
 from .grading import (
     GradingData,
-    monomial_weight,
     pair,
     weight_of,
 )
@@ -283,31 +282,40 @@ def d_element_from_normal(L: LevelData, a: Polynomial) -> DElement:
     return d
 
 
-def _monomials_up_to_degree(nvars: int, bound: int):
-    yield Monomial(())
-    for deg in range(1, bound + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), deg):
-            exps: dict[int, int] = {}
-            for i in combo:
-                exps[i] = exps.get(i, 0) + 1
-            yield Monomial.make(exps)
+def _weight_matched_monomials(weights, bound: int, target) -> list[Monomial]:
+    """Monomials of degree <= bound in len(weights) variables whose weight
+    is target: by ascending degree, then in the order of
+    `itertools.combinations_with_replacement`, which fixes which solution
+    the ansatz solve returns.  A branch is pruned once some coordinate of the
+    missing weight is out of reach of the remaining degree and variables."""
+    n = len(weights)
+    lo = [tuple(map(min, zip(*weights[i:]))) for i in range(n)]
+    hi = [tuple(map(max, zip(*weights[i:]))) for i in range(n)]
+
+    def fill(i, r, rest):
+        # exponents of the variables i.. of total degree r and weight rest
+        if r == 0:
+            if not any(rest):
+                yield ()
+            return
+        if i == n or not all(r * a <= x <= r * b for a, x, b in zip(lo[i], rest, hi[i])):
+            return
+        for e in range(r, -1, -1):
+            left = [x - e * w for x, w in zip(rest, weights[i])]
+            for tail in fill(i + 1, r - e, left):
+                yield ((i, e),) + tail if e else tail
+
+    return [Monomial(exps) for deg in range(bound + 1) for exps in fill(0, deg, target)]
 
 
-def _normal_atoms(L: LevelData, Q: Ideal, extra_normals=()):
-    """Poisson-normal homogeneous elements of A/Q usable as denominator
-    atoms: the generator variables plus any previously found normal
-    elements handed down by the enumeration."""
-    ctx_A = L.pres_A.ctx
+def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
+    """The candidates that are Poisson-normal homogeneous elements of A/Q,
+    usable as denominator atoms.  Zero candidates, those in Q and those
+    already in `seen` are skipped; every other one is added to `seen`."""
     G_A = L.pres_R.grading.restrict(L.k - 1)
     modulo = None if Q.is_zero() else Q
-    atoms = []
-    for j in range(len(ctx_A)):
-        atoms.append(Polynomial.variable(ctx_A, j))
-    for e in extra_normals:
-        atoms.append(Q.normal_form(re_context(e, ctx_A)))
     out = []
-    seen = set()
-    for a in atoms:
+    for a in candidates:
         if a.is_zero() or a in seen or Q.member(a)[0]:
             continue
         seen.add(a)
@@ -350,11 +358,9 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
     w_c = weight_of(G_A, c)
     w_b = tuple(a + b for a, b in zip(w_x, w_c))
     n_A = len(ctx_A)
-    ansatz = [
-        m
-        for m in _monomials_up_to_degree(n_A, degree_bound + c.total_degree())
-        if monomial_weight(G_A, m) == w_b
-    ]
+    ansatz = _weight_matched_monomials(
+        G_A.weights, degree_bound + c.total_degree(), w_b
+    )
     table_A = L.pres_A.table
     # linear system rows: coefficient of every monomial in the reduced
     # residual, one block per generator of A
@@ -421,7 +427,9 @@ def d_element_search(
     """
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
-    var_atoms = _normal_atoms(L, Q)
+    seen = set()
+    variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
+    var_atoms = _normal_atoms(L, Q, variables, seen)
     tried = set()
     for c in _denominator_candidates(ctx_A, var_atoms, degree_bound):
         tried.add(c)
@@ -429,7 +437,8 @@ def d_element_search(
         if d is not None:
             return d
     if extra_normals:
-        atoms = _normal_atoms(L, Q, extra_normals)
+        pooled = [Q.normal_form(re_context(e, ctx_A)) for e in extra_normals]
+        atoms = var_atoms + _normal_atoms(L, Q, pooled, seen)
         for c in _denominator_candidates(ctx_A, atoms, degree_bound):
             if c in tried:
                 continue
@@ -493,9 +502,6 @@ class HPrimeTree:
     root: HPrimeNode
     levels: list[list[HPrimeNode]]
     degree_bound: int
-
-    def nodes_at(self, k: int) -> list[HPrimeNode]:
-        return self.levels[k]
 
     def leaves(self) -> list[HPrimeNode]:
         return self.levels[-1]

@@ -52,8 +52,8 @@ class PreconditionError(PcglError):
 class StepBudgetExceeded(PcglError):
     """Groebner computation exceeded its reduction-step budget.
 
-    Carries the partial basis so the computation can be resumed with a
-    larger budget.
+    Carries the partial basis reached when the budget ran out, for
+    diagnostics.
     """
 
     def __init__(self, message, partial_basis=()):

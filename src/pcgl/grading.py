@@ -56,10 +56,6 @@ def homogeneous_components(G: GradingData, f: Polynomial) -> dict[tuple[int, ...
     return {w: Polynomial(f.ctx, t) for w, t in sorted(buckets.items())}
 
 
-def is_homogeneous(G: GradingData, f: Polynomial) -> bool:
-    return len(homogeneous_components(G, f)) <= 1
-
-
 def weight_of(G: GradingData, f: Polynomial) -> tuple[int, ...] | None:
     """The weight of a nonzero homogeneous polynomial, else None."""
     comps = homogeneous_components(G, f)

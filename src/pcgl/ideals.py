@@ -230,25 +230,25 @@ def reduce_basis(basis, order):
 # ---------------------------------------------------------------------------
 
 
-def lift_through_ideal(generators, f: Polynomial, order=None):
-    """Cofactors q with f = sum q[i]*generators[i], or None if f is outside.
+def lift_through_ideal(generators, targets):
+    """For each target f, cofactors q with f = sum q[i]*generators[i], or
+    None if f is outside the ideal.
 
-    Runs a representation-tracked Buchberger so the returned cofactors are
-    exact, suitable as divisibility certificates.
+    One representation-tracked Buchberger run on the generators serves all
+    the targets; the cofactors are exact divisibility certificates.
     """
-    ctx = f.ctx
-    if order is None:
-        order = Grevlex(ctx)
     gens = list(generators)
     items = []  # (poly, representation in terms of gens)
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        rep = [Polynomial.zero(ctx) for _ in gens]
-        rep[i] = Polynomial.constant(ctx, 1)
+        rep = [Polynomial.zero(g.ctx) for _ in gens]
+        rep[i] = Polynomial.constant(g.ctx, 1)
         items.append((g, rep))
     if not items:
-        return [Polynomial.zero(ctx) for _ in gens] if f.is_zero() else None
+        return [[f] * len(gens) if f.is_zero() else None for f in targets]
+    ctx = items[0][0].ctx
+    order = Grevlex(ctx)
 
     def tracked_reduce(p, rep):
         # maintains (p + remainder - sum rep[i]*gens[i]) constant
@@ -297,10 +297,11 @@ def lift_through_ideal(generators, f: Polynomial, order=None):
             new = len(items) - 1
             pair_queue.extend((new, k) for k in range(new))
     zero_rep = [Polynomial.zero(ctx) for _ in gens]
-    rem, rep = tracked_reduce(f, zero_rep)
-    if not rem.is_zero():
-        return None
-    return [-r for r in rep]
+    lifts = []
+    for f in targets:
+        rem, rep = tracked_reduce(f, zero_rep)
+        lifts.append([-r for r in rep] if rem.is_zero() else None)
+    return lifts
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +368,6 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     if I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     return set(I.groebner()) == set(J.groebner())
-
-
-def extend_to(I: Ideal, ctx: VarTable) -> Ideal:
-    return Ideal(ctx, [re_context(g, ctx) for g in I.generators])
 
 
 def contract_to_prefix(I: Ideal, k: int) -> Ideal:

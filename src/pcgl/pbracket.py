@@ -29,6 +29,7 @@ class BracketTable:
                 raise ContextMismatch("bracket entry over wrong variable table")
             if not p.is_zero():
                 self._entries[(i, j)] = p
+        self._pairs = tuple(sorted(self._entries.items()))
 
     def entry(self, i: int, j: int) -> Polynomial:
         """{x_i, x_j} for any i, j, derived by antisymmetry where needed."""
@@ -39,7 +40,7 @@ class BracketTable:
         return -self._entries.get((j, i), Polynomial.zero(self.ctx))
 
     def pairs(self):
-        return sorted(self._entries.items())
+        return self._pairs
 
     def re_context(self, ctx: VarTable) -> "BracketTable":
         from .qpoly import re_context
@@ -76,8 +77,12 @@ def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
             dg[i] = g.partial(i)
         return dg[i]
 
+    sf, sg = f.support(), g.support()
     result = Polynomial.zero(B.ctx)
     for (i, j), p in B.pairs():
+        # the term vanishes unless one operand involves x_i and the other x_j
+        if not (i in sf and j in sg or j in sf and i in sg):
+            continue
         term = pf(i) * pg(j) - pf(j) * pg(i)
         if not term.is_zero():
             result = result + p * term
@@ -147,12 +152,12 @@ class NormalityCertificate:
 def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityCertificate:
     """Check {c, x_i} in (c) + modulo for every generator, with quotients.
 
-    Without a modulus this is exact polynomial division; in a quotient ring
-    the membership is certified through a cofactor-tracked Groebner basis of
-    (c) + modulo, so each success carries a quotient s_i with
-    {c, x_i} = s_i * c modulo the given ideal.
+    One cofactor-tracked Groebner basis of (c) + modulo serves every
+    generator; without a modulus the lift is exact division by c.  Each
+    success carries a quotient s_i with {c, x_i} = s_i * c modulo the
+    ideal, checked in a quotient ring against the modulus's cached basis.
     """
-    from .ideals import Ideal, lift_through_ideal
+    from .ideals import lift_through_ideal
 
     if c.ctx != B.ctx:
         raise ContextMismatch("element over wrong variable table")
@@ -163,20 +168,19 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
         if inside:
             raise PreconditionError("element lies in the modulus ideal")
     mod_gens = list(modulo.generators) if modulo is not None else []
+    brackets = [
+        bracket(B, c, Polynomial.variable(B.ctx, i)) for i in range(len(B.ctx))
+    ]
+    lifts = lift_through_ideal([c] + mod_gens, brackets)
     quotients = {}
     failures = {}
-    for i in range(len(B.ctx)):
-        xi = Polynomial.variable(B.ctx, i)
-        br = bracket(B, c, xi)
-        cofactors = lift_through_ideal([c] + mod_gens, br)
-        if cofactors is not None:
-            quotients[i] = cofactors[0]
-            if mod_gens:
-                residual = br - cofactors[0] * c
-                if not Ideal(B.ctx, mod_gens).member(residual)[0]:
-                    raise PcglError("certificate validation failed")
-        else:
+    for i, (br, cofactors) in enumerate(zip(brackets, lifts)):
+        if cofactors is None:
             failures[i] = br
+            continue
+        quotients[i] = cofactors[0]
+        if mod_gens and not modulo.member(br - cofactors[0] * c)[0]:
+            raise PcglError("certificate validation failed")
     return NormalityCertificate(ok=not failures, quotients=quotients, failures=failures)
 
 

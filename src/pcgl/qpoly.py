@@ -281,9 +281,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m == MONO_ONE for m in self.terms)
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get(MONO_ONE, Fraction(0))
-
     def total_degree(self) -> int:
         """Max total degree over terms; -1 for the zero polynomial."""
         if not self.terms:

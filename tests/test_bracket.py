@@ -238,7 +238,7 @@ class TestInvariants:
             de = d(e)
             from pcgl.ideals import lift_through_ideal
 
-            cof = lift_through_ideal([e], de)
+            (cof,) = lift_through_ideal([e], [de])
             if cof is None:
                 continue
             f = cof[0]

@@ -98,13 +98,40 @@ class TestMember:
     def test_lift_certificates(self):
         gens = [p3("x - y"), p3("y^2 - z")]
         f = p3("x^2 - z")
-        cof = lift_through_ideal(gens, f)
+        (cof,) = lift_through_ideal(gens, [f])
         assert cof is not None
         total = Polynomial.zero(CTX3)
         for q, g in zip(cof, gens):
             total = total + q * g
         assert total == f
-        assert lift_through_ideal(gens, p3("x + 1")) is None
+        assert lift_through_ideal(gens, [p3("x + 1")]) == [None]
+
+    def test_lift_many_targets(self):
+        # one shared basis: every cofactor list is an exact certificate, the
+        # targets outside the ideal give None, and each entry matches a
+        # single-target lift
+        rng = random.Random(11)
+        gens = [p3("x*y - z"), p3("y^2 - x"), p3("0"), p3("x*z - y")]
+        I = Ideal(CTX3, gens)
+        targets = [p3("0"), p3("1"), p3("x + 1"), p3("z^3 - y")]
+        for _ in range(6):
+            f = Polynomial.zero(CTX3)
+            for g in gens:
+                f = f + random_polynomial(rng, CTX3, max_degree=2, max_terms=3) * g
+            targets.append(f)
+        lifts = lift_through_ideal(gens, targets)
+        assert len(lifts) == len(targets)
+        for f, cof in zip(targets, lifts):
+            assert (cof is not None) == I.member(f)[0]
+            assert lift_through_ideal(gens, [f]) == [cof]
+            if cof is not None:
+                assert len(cof) == len(gens)
+                assert sum((q * g for q, g in zip(cof, gens)), p3("0")) == f
+        assert lifts[0] is not None and lifts[1] is None and lifts[2] is None
+
+    def test_lift_without_generators(self):
+        assert lift_through_ideal([], [p3("0"), p3("x")]) == [[], None]
+        assert lift_through_ideal([p3("0")], [p3("0"), p3("x")]) == [[p3("0")], None]
 
 
 class TestSaturate:

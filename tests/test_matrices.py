@@ -6,7 +6,10 @@ poly-Bernoulli number), which gives an independent oracle for the whole
 enumeration pipeline well beyond the shipped fixtures.
 """
 
+import hashlib
+import json
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +85,13 @@ def test_matrix_counts(m, n):
     assert not tree.inconclusive
 
 
+def test_two_by_three_golden():
+    # the whole tree, byte for byte, as first recorded
+    tree = enumerate_hprimes(matrix_presentation(2, 3))
+    text = json.dumps(tree.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert text == (Path(__file__).parent / "golden" / "hprimes_2x3.json").read_text()
+
+
 def test_two_by_three_minor_lifts():
     P = matrix_presentation(2, 3)
     tree = enumerate_hprimes(P)
@@ -124,6 +134,11 @@ def test_three_by_three():
     tree = enumerate_hprimes(P)
     assert len(tree.leaves()) == poly_bernoulli_neg(3, 3) == 230
     assert not tree.inconclusive
+    # the whole tree, as first recorded
+    digest = hashlib.sha256(json.dumps(tree.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "d48843d5c1c9deaddc73ce729384338a7052f35f39919f37d17680af2eba8d2d"
+    )
     deep = [
         node
         for node in tree.levels[9]
