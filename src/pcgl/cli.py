@@ -38,18 +38,47 @@ def fixture_path(name: str) -> str:
     return str(resources.files("pcgl").joinpath(f"fixtures/{name}.json"))
 
 
+_JSON_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer",
+               bool: "true or false"}
+
+
+def _expect(value, kind, what: str):
+    """`value` if it is of the JSON kind `kind` (a key of _JSON_KINDS), else
+    a SchemaError naming `what`; booleans are not integers here."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(f"{what} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(f"{what} must be a rational number, not {value!r}") from None
+
+
 def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
+    """The presentation and the `bounds` of a parsed presentation file.
+
+    Every malformed field raises SchemaError (exit code 2 on the command
+    line); a bracket entry of the wrong Ore shape raises TriangularityError.
+    """
     if data.get("field", "QQ") != "QQ":
         raise SchemaError("only field QQ is supported")
+    if "vars" not in data:
+        raise SchemaError("missing 'vars'")
+    names = tuple(_expect(x, str, "each variable") for x in _expect(data["vars"], list, "'vars'"))
+    laurent = tuple(
+        _expect(x, bool, "each 'laurent' flag")
+        for x in _expect(data.get("laurent", [False] * len(names)), list, "'laurent'")
+    )
     try:
-        names = tuple(data["vars"])
-    except KeyError:
-        raise SchemaError("missing 'vars'") from None
-    laurent = tuple(bool(x) for x in data.get("laurent", [False] * len(names)))
-    ctx = VarTable(names, laurent)
+        ctx = VarTable(names, laurent)
+    except PcglError as exc:
+        raise SchemaError(str(exc)) from None
     n = len(ctx)
     entries = {}
-    for key, text in data.get("brackets", {}).items():
+    for key, text in _expect(data.get("brackets", {}), dict, "'brackets'").items():
         try:
             i_s, j_s = key.split(",")
             i, j = int(i_s), int(j_s)
@@ -57,31 +86,39 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
             raise SchemaError(f"bad bracket key {key!r}; expected 'i,j'") from None
         if not (1 <= j < i <= n):
             raise SchemaError(f"bracket key {key!r} out of range (need i > j, 1-based)")
-        entries[(i - 1, j - 1)] = parse(text, ctx)
-    rows = data.get("grading", [])
+        entries[(i - 1, j - 1)] = parse(_expect(text, str, f"bracket {key!r}"), ctx)
+    rows = _expect(data.get("grading", []), list, "'grading'")
     for row in rows:
-        if len(row) != n:
+        if len(_expect(row, list, "each grading row")) != n:
             raise SchemaError("grading rows must have one entry per generator")
-    weights = tuple(tuple(int(row[i]) for row in rows) for i in range(n))
+        for x in row:
+            _expect(x, int, "each grading entry")
+    weights = tuple(tuple(row[i] for row in rows) for i in range(n))
     grading = GradingData(len(rows), weights)
     h = None
     if data.get("h") is not None:
-        h = tuple(tuple(Fraction(str(x)) for x in vec) for vec in data["h"])
-    bounds = dict(data.get("bounds", {}))
+        h = tuple(
+            tuple(_rational(x, "each 'h' entry") for x in _expect(vec, list, "each 'h' vector"))
+            for vec in _expect(data["h"], list, "'h'")
+        )
+    bounds = dict(_expect(data.get("bounds", {}), dict, "'bounds'"))
+    for name in ("nilpotency", "degree", "groebner_steps"):
+        if name in bounds and _expect(bounds[name], int, f"bounds.{name}") < 1:
+            raise SchemaError(f"bounds.{name} must be positive")
     try:
         pres = PoissonPresentation(
             ctx=ctx,
             table=BracketTable(ctx, entries),
             grading=grading,
             h=h,
-            nilpotency_bound=int(bounds.get("nilpotency", 25)),
+            nilpotency_bound=bounds.get("nilpotency", 25),
         )
     except TriangularityError:
         raise
     except PcglError as exc:
         raise SchemaError(str(exc)) from None
     if "groebner_steps" in bounds:
-        ideals.set_default_step_budget(int(bounds["groebner_steps"]))
+        ideals.set_default_step_budget(bounds["groebner_steps"])
     return pres, bounds
 
 
@@ -94,7 +131,7 @@ def load_presentation(path: str) -> tuple[PoissonPresentation, dict]:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError("presentation file must be a JSON object")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
-from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, grevlex_key, re_context
+from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, _trusted, grevlex_key, re_context
 
 DEFAULT_STEP_BUDGET = 10 ** 6
 
@@ -64,24 +64,22 @@ class Elim:
         self.front_order = tuple(sorted(self.front))
         self.tag = ("elim", tuple(sorted(self.front)))
 
-    def _block_key(self, m: Monomial, block: tuple[int, ...]):
-        e = [m.exponent(i) for i in block]
-        return (sum(e), tuple(-x for x in reversed(e)))
-
     def key(self, m: Monomial):
-        return (self._block_key(m, self.front_order), self._block_key(m, self.back))
+        d = dict(m.exps)
+        keys = []
+        for block in (self.front_order, self.back):
+            e = [d.get(i, 0) for i in reversed(block)]
+            keys.append((sum(e), tuple([-x for x in e])))
+        return tuple(keys)
 
 
 def leading_monomial(f: Polynomial, order) -> Monomial:
     return max(f.terms, key=order.key)
 
 
-def leading_coefficient(f: Polynomial, order) -> Fraction:
-    return f.terms[leading_monomial(f, order)]
-
-
 def _times_term(f: Polynomial, m: Monomial, c: Fraction) -> Polynomial:
-    return Polynomial(f.ctx, {mm * m: cc * c for mm, cc in f.terms.items()})
+    """f * c*m for a nonzero c."""
+    return _trusted(f.ctx, {mm * m: cc * c for mm, cc in f.terms.items()})
 
 
 def make_primitive(f: Polynomial, order) -> Polynomial:
@@ -122,31 +120,61 @@ class _Budget:
             )
 
 
-def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None):
-    """Multivariate division: f = sum quotients[i]*basis[i] + remainder."""
-    quotients = [Polynomial.zero(f.ctx) for _ in basis]
-    remainder = Polynomial.zero(f.ctx)
-    p = f
-    lms = [leading_monomial(g, order) for g in basis]
-    lcs = [g.terms[m] for g, m in zip(basis, lms)]
-    while not p.is_zero():
+def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=None):
+    """Multivariate division: f = sum quotients[i]*basis[i] + remainder.
+
+    This is the one exact division kernel: Groebner bases, normal forms
+    and the cofactor-tracked lifts of `lift_through_ideal` all divide
+    here.  Each step cancels the leading term of the dividend by the first
+    basis element whose leading monomial divides it, or moves that term to
+    the remainder, and ticks the budget once.  The dividend is a term dict
+    updated in place; the order keys of its monomials are cached for the
+    call only.  `lms` are the basis's leading monomials, when the caller
+    already has them.
+    """
+    if lms is None:
+        lms = [leading_monomial(g, order) for g in basis]
+    divisors = [(lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
+    quotients = {}
+    remainder = {}
+    p = dict(f.terms)
+    order_key = order.key
+    keys = {m: order_key(m) for m in p}
+    key_of = keys.__getitem__
+    while p:
         if budget is not None:
             budget.tick(basis)
-        lm = leading_monomial(p, order)
-        lc = p.terms[lm]
-        for idx, g in enumerate(basis):
-            if lms[idx].divides(lm):
-                t_mono = lm.divide(lms[idx])
-                t_coeff = lc / lcs[idx]
-                quotients[idx] = quotients[idx] + Polynomial(
-                    f.ctx, {t_mono: t_coeff}
-                )
-                p = p - _times_term(g, t_mono, t_coeff)
+        lm = max(p, key=key_of)
+        lc = p[lm]
+        exps = dict(lm.exps)
+        for idx, (g_exps, g_lm, g_lc, g_terms) in enumerate(divisors):
+            for i, e in g_exps:
+                if e > exps.get(i, 0):
+                    break
+            else:
+                t_mono = lm.divide(g_lm)
+                t_coeff = lc / g_lc
+                quotients.setdefault(idx, {})[t_mono] = t_coeff
+                for mm, cc in g_terms.items():
+                    m = mm * t_mono
+                    c = p.get(m)
+                    if c is None:
+                        p[m] = -(cc * t_coeff)
+                        if m not in keys:
+                            keys[m] = order_key(m)
+                    else:
+                        c -= cc * t_coeff
+                        if c:
+                            p[m] = c
+                        else:
+                            del p[m]
                 break
         else:
-            remainder = remainder + Polynomial(f.ctx, {lm: lc})
-            p = p - Polynomial(f.ctx, {lm: lc})
-    return quotients, remainder
+            remainder[lm] = lc
+            del p[lm]
+    zero = _trusted(f.ctx, {})
+    qs = [_trusted(f.ctx, quotients[i]) if i in quotients else zero for i in range(len(basis))]
+    return qs, _trusted(f.ctx, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
@@ -159,7 +187,11 @@ def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
 
 
 def buchberger(generators, order, step_budget=None):
-    """Groebner basis by Buchberger's algorithm with the sugar strategy."""
+    """Groebner basis by Buchberger's algorithm with the sugar strategy.
+
+    Leading monomials are taken once per basis element, and each pair
+    stores (sugar, order key of its lcm), the key it is selected by.
+    """
     budget = _Budget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET)
     basis = []
     sugars = []
@@ -167,62 +199,62 @@ def buchberger(generators, order, step_budget=None):
         if not g.is_zero():
             basis.append(make_primitive(g, order))
             sugars.append(g.total_degree())
+    lms = [leading_monomial(g, order) for g in basis]
     pairs = {}
     for i in range(len(basis)):
         for j in range(i):
-            _add_pair(pairs, basis, sugars, i, j, order)
+            _add_pair(pairs, lms, sugars, i, j, order)
     while pairs:
-        (i, j) = min(pairs, key=lambda ij: (pairs[ij][0], order.key(pairs[ij][1])))
-        sugar, lcm_m = pairs.pop((i, j))
-        lmi = leading_monomial(basis[i], order)
-        lmj = leading_monomial(basis[j], order)
-        if lmi.is_coprime(lmj):
+        i, j = min(pairs, key=pairs.__getitem__)
+        sugar, _ = pairs.pop((i, j))
+        if lms[i].is_coprime(lms[j]):
             continue
         s = s_polynomial(basis[i], basis[j], order)
-        _, rem = reduce_poly(s, basis, order, budget)
+        _, rem = reduce_poly(s, basis, order, budget, lms)
         if not rem.is_zero():
             basis.append(make_primitive(rem, order))
+            lms.append(leading_monomial(basis[-1], order))
             sugars.append(sugar)
             new = len(basis) - 1
             for k in range(new):
-                _add_pair(pairs, basis, sugars, new, k, order)
+                _add_pair(pairs, lms, sugars, new, k, order)
     return reduce_basis(basis, order)
 
 
-def _add_pair(pairs, basis, sugars, i, j, order):
-    lmi = leading_monomial(basis[i], order)
-    lmj = leading_monomial(basis[j], order)
+def _add_pair(pairs, lms, sugars, i, j, order):
+    lmi, lmj = lms[i], lms[j]
     l = lmi.lcm(lmj)
     sugar = max(
         sugars[i] + l.degree() - lmi.degree(), sugars[j] + l.degree() - lmj.degree()
     )
-    pairs[(i, j)] = (sugar, l)
+    pairs[(i, j)] = (sugar, order.key(l))
 
 
 def reduce_basis(basis, order):
     """Minimal, tail-reduced, monic basis (the unique reduced GB)."""
-    basis = sorted(
-        (g for g in basis if not g.is_zero()),
-        key=lambda g: order.key(leading_monomial(g, order)),
-    )
+    keyed = []  # (order key of the leading monomial, leading monomial, element)
+    for g in basis:
+        if not g.is_zero():
+            lm = leading_monomial(g, order)
+            keyed.append((order.key(lm), lm, g))
+    keyed.sort(key=lambda t: t[0])
     # minimalize: a leading monomial divisible by an earlier one is redundant
     kept = []
-    kept_lms = []
-    for g in basis:
-        lm = leading_monomial(g, order)
-        if not any(k.divides(lm) for k in kept_lms):
-            kept.append(g)
-            kept_lms.append(lm)
+    for k, lm, g in keyed:
+        if not any(other.divides(lm) for _, other, _ in kept):
+            kept.append((k, lm, g))
     # tail-reduce each element by the others and normalize to monic
     reduced = []
-    for i, g in enumerate(kept):
+    for i, (k, lm, g) in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         if others:
-            _, g = reduce_poly(g, others, order)
+            _, g = reduce_poly(
+                g, [o[2] for o in others], order, lms=[o[1] for o in others]
+            )
         if not g.is_zero():
-            reduced.append(g * (1 / leading_coefficient(g, order)))
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return tuple(reduced)
+            reduced.append((k, g * (1 / g.terms[lm])))
+    reduced.sort(key=lambda t: t[0])
+    return tuple(g for _, g in reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -235,66 +267,58 @@ def lift_through_ideal(generators, targets):
     None if f is outside the ideal.
 
     One representation-tracked Buchberger run on the generators serves all
-    the targets; the cofactors are exact divisibility certificates.
+    the targets; the cofactors are exact divisibility certificates.  Every
+    reduction is a call of the division kernel `reduce_poly` on the current
+    basis, whose quotients q_k then carry the representations along:
+    rep = rep0 - sum_k q_k * rep_k.
     """
     gens = list(generators)
-    items = []  # (poly, representation in terms of gens)
+    basis, reps = [], []  # the basis, and each element in terms of gens
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
         rep = [Polynomial.zero(g.ctx) for _ in gens]
         rep[i] = Polynomial.constant(g.ctx, 1)
-        items.append((g, rep))
-    if not items:
+        basis.append(g)
+        reps.append(rep)
+    if not basis:
         return [[f] * len(gens) if f.is_zero() else None for f in targets]
-    ctx = items[0][0].ctx
+    ctx = basis[0].ctx
     order = Grevlex(ctx)
+    lms = [leading_monomial(g, order) for g in basis]
 
-    def tracked_reduce(p, rep):
-        # maintains (p + remainder - sum rep[i]*gens[i]) constant
-        rep = list(rep)
-        remainder = Polynomial.zero(ctx)
-        while not p.is_zero():
-            lm = leading_monomial(p, order)
-            lc = p.terms[lm]
-            for g, grep in items:
-                lmg = leading_monomial(g, order)
-                if lmg.divides(lm):
-                    t_m = lm.divide(lmg)
-                    t_c = lc / g.terms[lmg]
-                    p = p - _times_term(g, t_m, t_c)
-                    rep = [
-                        r - _times_term(gr, t_m, t_c) if not gr.is_zero() else r
-                        for r, gr in zip(rep, grep)
-                    ]
-                    break
-            else:
-                head = Polynomial(ctx, {lm: lc})
-                remainder = remainder + head
-                p = p - head
+    def tracked_reduce(p, rep0):
+        # p - remainder = sum q_k*basis[k] and basis[k] = sum reps[k][i]*gens[i]
+        qs, remainder = reduce_poly(p, basis, order, lms=lms)
+        rep = list(rep0)
+        for q, grep in zip(qs, reps):
+            if q:
+                for i, gr in enumerate(grep):
+                    if gr:
+                        rep[i] = rep[i] - q * gr
         return remainder, rep
 
-    pair_queue = [(i, j) for i in range(len(items)) for j in range(i)]
+    pair_queue = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pair_queue:
         i, j = pair_queue.pop(0)
-        gi, ri = items[i]
-        gj, rj = items[j]
-        lmi = leading_monomial(gi, order)
-        lmj = leading_monomial(gj, order)
+        lmi, lmj = lms[i], lms[j]
         if lmi.is_coprime(lmj):
             continue
         l = lmi.lcm(lmj)
-        ti, ci = l.divide(lmi), 1 / gi.terms[lmi]
-        tj, cj = l.divide(lmj), 1 / gj.terms[lmj]
-        s = _times_term(gi, ti, ci) - _times_term(gj, tj, cj)
+        ti, ci = l.divide(lmi), 1 / basis[i].terms[lmi]
+        tj, cj = l.divide(lmj), 1 / basis[j].terms[lmj]
+        s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
         srep = [
-            _times_term(a, ti, ci) - _times_term(b, tj, cj) for a, b in zip(ri, rj)
+            _times_term(a, ti, ci) - _times_term(b, tj, cj)
+            for a, b in zip(reps[i], reps[j])
         ]
         # started from rep0 = srep, the remainder's rep is the end value
         rem, rrep = tracked_reduce(s, srep)
         if not rem.is_zero():
-            items.append((rem, rrep))
-            new = len(items) - 1
+            basis.append(rem)
+            reps.append(rrep)
+            lms.append(leading_monomial(rem, order))
+            new = len(basis) - 1
             pair_queue.extend((new, k) for k in range(new))
     zero_rep = [Polynomial.zero(ctx) for _ in gens]
     lifts = []
@@ -324,6 +348,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb: dict = {}
+        self._lms: dict = {}  # leading monomials of each cached basis
 
     @classmethod
     def zero(cls, ctx: VarTable) -> "Ideal":
@@ -342,7 +367,10 @@ class Ideal:
         gb = self.groebner(order)
         if not gb:
             return f
-        _, rem = reduce_poly(f, gb, order)
+        lms = self._lms.get(order.tag)
+        if lms is None:
+            lms = self._lms[order.tag] = [leading_monomial(g, order) for g in gb]
+        _, rem = reduce_poly(f, gb, order, lms=lms)
         return rem
 
     def member(self, f: Polynomial):

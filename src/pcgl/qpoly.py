@@ -4,6 +4,14 @@ Coefficients are `fractions.Fraction` throughout; there is no floating
 point anywhere in the package.  Polynomials are immutable after
 construction and hashable, so two equal polynomials always have identical
 term maps (canonical form).
+
+The public `Polynomial(ctx, terms)` copies its input, coerces every
+coefficient to a Fraction and drops zeros.  Results that are canonical by
+construction (sums, products, derivatives, division results) go through
+the private `_trusted(ctx, terms)` instead, which takes ownership of a
+dict of distinct monomials to nonzero Fractions without copying it.  The
+caller builds that dict for the new polynomial only, and nobody mutates
+it after the handover.
 """
 
 from __future__ import annotations
@@ -73,11 +81,35 @@ class VarTable:
         return VarTable(self.names + tuple(extra), self.laurent + tuple(flags))
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Sparse exponent vector; zero exponents are never stored."""
+    """Sparse exponent vector; zero exponents are never stored.
 
-    exps: tuple[tuple[int, int], ...]
+    `exps` is the tuple of (variable index, exponent) pairs in increasing
+    index order.  Monomials are immutable and hash their exponents once.
+    """
+
+    __slots__ = ("exps", "_hash")
+
+    def __init__(self, exps: tuple[tuple[int, int], ...]):
+        _set_exps(self, exps)
+        _set_mono_hash(self, hash((exps,)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Monomial is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Monomial(exps={self.exps!r})"
+
+    def __reduce__(self):
+        return (Monomial, (self.exps,))
 
     @classmethod
     def make(cls, data) -> "Monomial":
@@ -100,10 +132,26 @@ class Monomial:
         return tuple(i for i, _ in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for i, e in other.exps:
-            d[i] = d.get(i, 0) + e
-        return Monomial.make(d)
+        # a merge of the two sorted exponent tuples, zero sums dropped
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        j, nb = 0, len(b)
+        for i, e in a:
+            while j < nb and b[j][0] < i:
+                out.append(b[j])
+                j += 1
+            if j < nb and b[j][0] == i:
+                e += b[j][1]
+                j += 1
+                if not e:
+                    continue
+            out.append((i, e))
+        out.extend(b[j:])
+        return Monomial(tuple(out))
 
     def __pow__(self, k: int) -> "Monomial":
         return Monomial.make({i: e * k for i, e in self.exps})
@@ -133,6 +181,10 @@ class Monomial:
         return not any(i in other_support for i, _ in self.exps)
 
 
+_set_exps = Monomial.exps.__set__
+_set_mono_hash = Monomial._hash.__set__
+
+
 MONO_ONE = Monomial(())
 
 
@@ -141,7 +193,8 @@ def grevlex_key(m: Monomial, nvars: int):
     e = [0] * nvars
     for i, x in m.exps:
         e[i] = x
-    return (sum(e), tuple(-e[i] for i in range(nvars - 1, -1, -1)))
+    e.reverse()
+    return (sum(e), tuple([-x for x in e]))
 
 
 class Polynomial:
@@ -167,7 +220,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, ctx: VarTable) -> "Polynomial":
-        return cls(ctx)
+        return _trusted(ctx, {})
 
     @classmethod
     def constant(cls, ctx: VarTable, c) -> "Polynomial":
@@ -175,7 +228,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, ctx: VarTable, i: int) -> "Polynomial":
-        return cls(ctx, {Monomial.make({i: 1}): Fraction(1)})
+        return _trusted(ctx, {Monomial(((i, 1),)): Fraction(1)})
 
     @classmethod
     def monomial(cls, ctx: VarTable, m: Monomial, c=1) -> "Polynomial":
@@ -189,58 +242,61 @@ class Polynomial:
     # -- ring operations -------------------------------------------------
 
     def _check(self, other: "Polynomial"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("polynomials live over different variable tables")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ctx, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+    def _operand(self, other):
+        """`other` as a polynomial over this table; None if it is no ring element."""
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return None
+            return Polynomial.constant(self.ctx, other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Polynomial(self.ctx, terms)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return _trusted(self.ctx, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ctx, {m: -c for m, c in self.terms.items()})
+        return _trusted(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ctx, other)
-        if not isinstance(other, Polynomial):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
+        return _trusted(self.ctx, _add_into(dict(self.terms), other.terms, negate=True))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if other == 0:
                 return Polynomial(self.ctx)
             q = Fraction(other)
-            return Polynomial(self.ctx, {m: c * q for m, c in self.terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+            return _trusted(self.ctx, {m: c * q for m, c in self.terms.items()})
         self._check(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
+                s = terms.get(m)
+                if s is None:
+                    terms[m] = c1 * c2
                 else:
-                    terms.pop(m, None)
-        return Polynomial(self.ctx, terms)
+                    s += c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
+        return _trusted(self.ctx, terms)
 
     __rmul__ = __mul__
 
@@ -257,11 +313,11 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.constant(self.ctx, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.terms == other.terms
 
     def __hash__(self):
         h = self._hash
@@ -313,7 +369,7 @@ class Polynomial:
                 d = dict(m.exps)
                 d[i] = e - 1
                 terms[Monomial.make(d)] = c * e
-        return Polynomial(self.ctx, terms)
+        return _trusted(self.ctx, terms)
 
     def split_by_degree_in(self, i: int) -> dict[int, "Polynomial"]:
         """Group terms by their exponent in variable i (as polynomials with
@@ -324,7 +380,7 @@ class Polynomial:
             d = dict(m.exps)
             d.pop(i, None)
             parts.setdefault(e, {})[Monomial.make(d)] = c
-        return {e: Polynomial(self.ctx, t) for e, t in parts.items()}
+        return {e: _trusted(self.ctx, t) for e, t in parts.items()}
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         n = len(self.ctx)
@@ -348,6 +404,36 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+_set_ctx = Polynomial.ctx.__set__
+_set_terms = Polynomial.terms.__set__
+_set_poly_hash = Polynomial._hash.__set__
+
+
+def _add_into(terms: dict, other: dict, negate: bool = False) -> dict:
+    """Add the terms `other` to, or subtract them from, the dict `terms`."""
+    for m, c in other.items():
+        s = terms.get(m)
+        if s is None:
+            terms[m] = -c if negate else c
+        else:
+            s = s - c if negate else s + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    return terms
+
+
+def _trusted(ctx: VarTable, terms: dict) -> Polynomial:
+    """The private constructor: wraps `terms` as it is, with no copy, no
+    coercion and no zero filter (see the module docstring)."""
+    p = object.__new__(Polynomial)
+    _set_ctx(p, ctx)
+    _set_terms(p, terms)
+    _set_poly_hash(p, None)
+    return p
 
 
 def _term_string(ctx: VarTable, m: Monomial, c: Fraction) -> str:
@@ -377,7 +463,7 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
                     f"{ctx.names[mapping[i]]!r}"
                 )
         terms[Monomial.make({mapping[i]: e for i, e in m.exps})] = c
-    return Polynomial(ctx, terms)
+    return _trusted(ctx, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +189,27 @@ def test_fixture_loader_roundtrip():
     pres, bounds = load_presentation(M2)
     assert pres.nvars == 4
     assert pres.grading.rank == 4
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+# The README commands; tests/golden/cli/<name>.out holds each one's stdout.
+README_COMMANDS = {
+    "check_weyl": ("check", WEYL),
+    "theta_weyl": ("theta", WEYL, "--level", "2", "a"),
+    "normal_weyl": ("normal", WEYL, "--level", "2", "a"),
+    "d_weyl": ("d", WEYL, "--level", "2"),
+    "hprimes_m2": ("hprimes", M2),
+    "hprimes_m2_dot": ("hprimes", M2, "--format", "dot"),
+    "closure_bellsig": ("closure", BELLSIG, "-g", "x"),
+    "hcore_weyl": ("hcore", WEYL, "-g", "a + X^2"),
+    "chain_bellsig": ("chain", BELLSIG, "--ideal", "0", "--ideal", "x;y", "--ideal", "x;y;z"),
+    "center_pplane": ("center", PPLANE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_golden_stdout(capsys, name):
+    code, out, _ = run(capsys, *README_COMMANDS[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()

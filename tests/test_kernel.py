@@ -1,0 +1,222 @@
+"""Oracles for the exact division kernel and the Groebner engine.
+
+Property tests check what division and cofactor lifts promise, and that
+every ring operation returns canonical polynomials.  The differential tests
+compare Groebner bases, elimination, saturation and membership with
+sympy's independent implementation on small random ideals.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcgl.ideals import (
+    Elim,
+    Grevlex,
+    Ideal,
+    Lex,
+    eliminate,
+    leading_monomial,
+    lift_through_ideal,
+    reduce_poly,
+    saturate,
+)
+from pcgl.qpoly import Monomial, Polynomial, VarTable
+
+CTX = VarTable(("x", "y", "z"))
+LAURENT = VarTable(("x", "y", "z"), (False, True, False))
+ORDERS = {"grevlex": Grevlex(CTX), "lex": Lex(CTX), "elim": Elim(CTX, {0})}
+
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+def polynomials(ctx=CTX, max_exp=2, max_terms=4, min_exp=0):
+    exps = st.tuples(*[st.integers(min_exp, max_exp)] * len(ctx))
+    terms = st.dictionaries(exps, coefficients, max_size=max_terms)
+    return terms.map(
+        lambda d: Polynomial(ctx, {Monomial.make(enumerate(e)): c for e, c in d.items()})
+    )
+
+
+nonzero = polynomials(max_terms=3).filter(bool)
+laurent = polynomials(LAURENT, min_exp=-2)
+
+
+def assert_canonical(f: Polynomial):
+    for m, c in f.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(m) is Monomial and all(e != 0 for _, e in m.exps)
+        assert list(m.exps) == sorted(m.exps) and len({i for i, _ in m.exps}) == len(m.exps)
+    assert Polynomial(f.ctx, f.terms) == f
+
+
+# ---------------------------------------------------------------------------
+# Properties of the kernel
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=laurent, g=laurent, i=st.integers(0, 2), c=st.integers(-3, 3))
+def test_ring_operations_are_canonical(f, g, i, c):
+    for h in (f + g, f - g, f * g, -f, f.partial(i), f * c, f + c, f - f, f * g - g * f):
+        assert_canonical(h)
+    for part in f.split_by_degree_in(i).values():
+        assert_canonical(part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f=polynomials(max_exp=3, max_terms=6),
+    basis=st.lists(nonzero, min_size=1, max_size=3),
+    order=st.sampled_from(sorted(ORDERS)),
+)
+def test_reduce_poly_is_a_division(f, basis, order):
+    order = ORDERS[order]
+    quotients, r = reduce_poly(f, basis, order)
+    assert len(quotients) == len(basis)
+    total = r
+    for q, g in zip(quotients, basis):
+        total = total + q * g
+    assert total == f
+    lms = [leading_monomial(g, order) for g in basis]
+    assert not any(lm.divides(m) for m in r.terms for lm in lms)
+    for h in quotients + [r]:
+        assert_canonical(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(polynomials(max_terms=3), min_size=1, max_size=3),
+    cofs=st.lists(polynomials(max_exp=1, max_terms=2), min_size=3, max_size=3),
+    extra=polynomials(max_terms=3),
+)
+def test_lift_cofactors_are_exact(gens, cofs, extra):
+    inside = Polynomial.zero(CTX)
+    for a, g in zip(cofs, gens):
+        inside = inside + a * g
+    lifts = lift_through_ideal(gens, [inside, extra])
+    I = Ideal(CTX, gens)
+    for target, lift in zip([inside, extra], lifts):
+        if lift is None:
+            assert not I.member(target)[0]
+            continue
+        assert len(lift) == len(gens)
+        total = Polynomial.zero(CTX)
+        for q, g in zip(lift, gens):
+            total = total + q * g
+        assert total == target
+    assert lifts[0] is not None
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy
+# ---------------------------------------------------------------------------
+
+ideals = st.lists(polynomials(max_terms=3), min_size=1, max_size=3).filter(
+    lambda gens: any(gens)
+)
+
+
+@pytest.fixture(scope="module")
+def sp():
+    """sympy, which is needed only by these tests: they skip without it."""
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sp, f: Polynomial):
+    syms = sp.symbols("x y z")
+    expr = sp.Integer(0)
+    for m, c in f.terms.items():
+        term = sp.Rational(c.numerator, c.denominator)
+        for i, e in m.exps:
+            term *= syms[i] ** e
+        expr += term
+    return expr
+
+
+def normalized(polys):
+    """Each polynomial as a dense term dict scaled by its coefficient on the
+    largest exponent vector: equal up to scalars means equal here."""
+    out = set()
+    for terms in polys:
+        top = terms[max(terms)]
+        out.add(frozenset((e, c / top) for e, c in terms.items()))
+    return out
+
+
+def ours(gb):
+    return normalized(
+        {tuple(m.exponent(i) for i in range(3)): c for m, c in g.terms.items()} for g in gb
+    )
+
+
+def theirs(sp, exprs, order):
+    """sympy's reduced basis of `exprs` in `order`, normalized like `ours`."""
+    exprs = [e for e in exprs if e != 0]
+    if not exprs:
+        return set()
+    syms = sp.symbols("x y z")
+    gb = sp.groebner(exprs, *syms, order=order, domain="QQ")
+    dense = []
+    for g in gb.exprs:
+        poly = sp.Poly(g, *syms, domain="QQ")
+        dense.append(
+            {e: Fraction(int(c.p), int(c.q)) for e, c in zip(poly.monoms(), poly.coeffs())}
+        )
+    return normalized(dense)
+
+
+def lex_free_of(sp, exprs, drop, rest):
+    """The elements free of `drop` in a lex basis of `exprs` that ranks
+    `drop` first: generators of the ideal intersected with K[rest]."""
+    gb = sp.groebner(exprs, *drop, *rest, order="lex", domain="QQ")
+    return [g for g in gb.exprs if not g.free_symbols & set(drop)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=ideals, order=st.sampled_from(["grevlex", "lex"]))
+def test_groebner_matches_sympy(sp, gens, order):
+    I = Ideal(CTX, gens)
+    expected = theirs(sp, [to_sympy(sp, g) for g in gens], order)
+    assert ours(I.groebner(ORDERS[order])) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=ideals, front=st.sampled_from([(0,), (0, 1), (1,), (2,)]))
+def test_eliminate_matches_sympy(sp, gens, front):
+    syms = sp.symbols("x y z")
+    keep = [i for i in range(3) if i not in front]
+    J = eliminate(Ideal(CTX, gens), keep)
+    expected = lex_free_of(
+        sp, [to_sympy(sp, g) for g in gens], [syms[i] for i in front], [syms[i] for i in keep]
+    )
+    assert ours(J.groebner()) == theirs(sp, expected, "grevlex")
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=ideals, f=nonzero)
+def test_saturate_matches_sympy(sp, gens, f):
+    t = sp.Symbol("t")
+    exprs = [to_sympy(sp, g) for g in gens] + [1 - t * to_sympy(sp, f)]
+    expected = lex_free_of(sp, exprs, [t], sp.symbols("x y z"))
+    assert ours(saturate(Ideal(CTX, gens), f).groebner()) == theirs(sp, expected, "grevlex")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gens=ideals,
+    cofs=st.lists(polynomials(max_exp=1, max_terms=2), min_size=3, max_size=3),
+    other=polynomials(max_terms=3),
+)
+def test_membership_matches_sympy(sp, gens, cofs, other):
+    I = Ideal(CTX, gens)
+    inside = Polynomial.zero(CTX)
+    for a, g in zip(cofs, gens):
+        inside = inside + a * g
+    gb = sp.groebner(
+        [to_sympy(sp, g) for g in gens if g], *sp.symbols("x y z"), order="grevlex", domain="QQ"
+    )
+    for h in (inside, other, other * gens[0]):
+        assert I.member(h)[0] == gb.contains(to_sympy(sp, h))

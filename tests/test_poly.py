@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -156,6 +157,31 @@ class TestIterate:
         # second iterate is 2yz + 2y(x + y^2) != 0 and degrees strictly grow
         assert powers[2] == poly("2*y*z + 2*x*y + 2*y^3")
         assert all(a < b for a, b in zip(degs[1:], degs[2:]))
+
+
+class TestMonomial:
+    def test_value_semantics(self):
+        exps = ((0, 3), (2, 1))
+        m = Monomial.make({2: 1, 0: 3, 1: 0})
+        assert m.exps == exps and m == Monomial(exps) and m != exps
+        # the hash of the former frozen dataclass, so set orders stay as they were
+        assert hash(m) == hash((exps,))
+        assert repr(m) == "Monomial(exps=((0, 3), (2, 1)))"
+        assert pickle.loads(pickle.dumps(m)) == m
+
+    def test_immutable(self):
+        m = Monomial(((0, 1),))
+        with pytest.raises(AttributeError):
+            m.exps = ()
+        assert not hasattr(m, "__dict__")
+
+    def test_arithmetic_with_laurent_exponents(self):
+        a, b = Monomial(((0, 2), (1, -1))), Monomial(((1, 1), (3, 2)))
+        assert a * b == Monomial(((0, 2), (3, 2)))
+        assert a.divide(b) == Monomial(((0, 2), (1, -2), (3, -2)))
+        assert (a * b).divide(b) == a and b * Monomial(()) is b
+        assert a.lcm(b) == Monomial(((0, 2), (1, 1), (3, 2)))
+        assert Monomial(((1, -1),)).divides(Monomial(((0, 1),)))
 
 
 class TestInvariants:
