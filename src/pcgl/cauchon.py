@@ -310,8 +310,9 @@ def _weight_matched_monomials(weights, bound: int, target) -> list[Monomial]:
 
 def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
     """The candidates that are Poisson-normal homogeneous elements of A/Q,
-    usable as denominator atoms.  Zero candidates, those in Q and those
-    already in `seen` are skipped; every other one is added to `seen`."""
+    in their given order (denominator atoms, or normal candidates).  Zero
+    candidates, those in Q and those already in `seen` are skipped; every
+    other one is added to `seen`."""
     G_A = L.pres_R.grading.restrict(L.k - 1)
     modulo = None if Q.is_zero() else Q
     out = []
@@ -587,8 +588,7 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
         next_level = []
         for node in levels[k - 1]:
             Q = node.ideal
-            stable = all(Q.member(L.delta(g))[0] for g in Q.groebner())
-            if not stable:
+            if not _delta_stable(Q, L.delta):
                 node.notes.append(f"not delta-stable at level {k}; no lifts")
                 continue
             induced = Ideal(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()])
@@ -757,16 +757,7 @@ def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal 
         if prod.total_degree() <= degree_bound:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
-    out = []
-    for cand in candidates:
-        if modulo is not None and modulo.member(cand)[0]:
-            continue
-        try:
-            if is_poisson_normal(L.pres_A.table, cand, modulo=modulo).ok:
-                out.append(cand)
-        except PreconditionError:
-            continue
-    return out
+    return _normal_atoms(L, modulo or Ideal.zero(L.pres_A.ctx), candidates, set())
 
 
 def _delta_stable(P0: Ideal, delta) -> bool:

@@ -117,8 +117,6 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
         raise
     except PcglError as exc:
         raise SchemaError(str(exc)) from None
-    if "groebner_steps" in bounds:
-        ideals.set_default_step_budget(bounds["groebner_steps"])
     return pres, bounds
 
 
@@ -146,15 +144,13 @@ def _parse_gens(texts, ctx) -> list[Polynomial]:
     return [parse(t, ctx) for t in texts]
 
 
-def cmd_check(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_check(args, pres, bounds) -> int:
     report = verify_cgl(pres)
     _emit(report.to_json_dict())
     return 0 if report.ok else 1
 
 
-def cmd_theta(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_theta(args, pres, bounds) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     a = parse(args.expr, L.pres_A.ctx)
@@ -162,8 +158,7 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def cmd_normal(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_normal(args, pres, bounds) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     a = parse(args.expr, L.pres_A.ctx)
@@ -174,8 +169,7 @@ def cmd_normal(args) -> int:
     return 0
 
 
-def cmd_d(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_d(args, pres, bounds) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     modulo = None
@@ -191,8 +185,7 @@ def cmd_d(args) -> int:
     return 0
 
 
-def cmd_hprimes(args) -> int:
-    pres, bounds = load_presentation(args.file)
+def cmd_hprimes(args, pres, bounds) -> int:
     report = verify_cgl(pres)
     if not report.ok:
         print("presentation fails the tower axioms; run 'check' for details", file=sys.stderr)
@@ -206,24 +199,21 @@ def cmd_hprimes(args) -> int:
     return 0
 
 
-def cmd_closure(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_closure(args, pres, bounds) -> int:
     I = Ideal(pres.ctx, _parse_gens(args.gen, pres.ctx))
     result = poisson_closure(pres.table, I)
     _emit({"generators": result.generator_strings()})
     return 0
 
 
-def cmd_hcore(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_hcore(args, pres, bounds) -> int:
     I = Ideal(pres.ctx, _parse_gens(args.gen, pres.ctx))
     result = h_core(pres.grading, I)
     _emit({"generators": result.generator_strings()})
     return 0
 
 
-def cmd_chain(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_chain(args, pres, bounds) -> int:
     chain = [
         Ideal(pres.ctx, _parse_gens(spec.split(";"), pres.ctx)) for spec in args.ideal
     ]
@@ -232,8 +222,7 @@ def cmd_chain(args) -> int:
     return 0
 
 
-def cmd_center(args) -> int:
-    pres, _ = load_presentation(args.file)
+def cmd_center(args, pres, bounds) -> int:
     M = extract_log_matrix(pres)
     _emit(poisson_center_torus(M).to_json_dict())
     return 0
@@ -303,9 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on its presentation file; the file's
+    `bounds.groebner_steps` is the default step budget for that command only."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        pres, bounds = load_presentation(args.file)
+        budget = ideals.DEFAULT_STEP_BUDGET
+        ideals.set_default_step_budget(bounds.get("groebner_steps", budget))
+        try:
+            return args.func(args, pres, bounds)
+        finally:
+            ideals.set_default_step_budget(budget)
     except (SchemaError, ParseError, TriangularityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

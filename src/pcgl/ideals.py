@@ -1,8 +1,12 @@
 """Groebner bases over the rationals and the ideal operations built on them.
 
-Buchberger's algorithm with the sugar selection strategy; polynomials are
-normalized to content-free integer coefficients internally for predictable
-arithmetic.  A reduction-step budget guards against runaway computations.
+One Groebner engine: a single Buchberger loop with the sugar selection
+strategy and the coprime criterion serves both reduced bases
+(`buchberger`) and cofactor-tracked lifts (`lift_through_ideal`).  Only
+the elements of bases that will be reduced are normalized to content-free
+integer coefficients; tracked elements keep their scale, so their
+cofactors need no rescaling.  A reduction-step budget guards both kinds of
+call against runaway computations.
 """
 
 from __future__ import annotations
@@ -186,19 +190,29 @@ def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
     )
 
 
-def buchberger(generators, order, step_budget=None):
-    """Groebner basis by Buchberger's algorithm with the sugar strategy.
+def _buchberger_loop(generators, order, budget: _Budget, track=False):
+    """The one Buchberger loop: a Groebner basis of the generators, not
+    reduced, with its leading monomials and, with `track`, each element as
+    a list of cofactors over the generators (else no lists).
 
-    Leading monomials are taken once per basis element, and each pair
-    stores (sugar, order key of its lcm), the key it is selected by.
+    Pairs are selected by the sugar strategy and keyed by (sugar, order key
+    of the lcm); pairs with coprime leading monomials are skipped; every
+    division step ticks the budget.  Untracked elements are made primitive;
+    tracked ones stay unscaled, so their cofactors need no rescaling.
     """
-    budget = _Budget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET)
-    basis = []
-    sugars = []
-    for g in generators:
-        if not g.is_zero():
+    gens = list(generators)
+    basis, sugars, reps = [], [], []
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        sugars.append(g.total_degree())
+        if track:
+            rep = [Polynomial.zero(g.ctx)] * len(gens)
+            rep[i] = Polynomial.constant(g.ctx, 1)
+            reps.append(rep)
+            basis.append(g)
+        else:
             basis.append(make_primitive(g, order))
-            sugars.append(g.total_degree())
     lms = [leading_monomial(g, order) for g in basis]
     pairs = {}
     for i in range(len(basis)):
@@ -207,17 +221,49 @@ def buchberger(generators, order, step_budget=None):
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
         sugar, _ = pairs.pop((i, j))
-        if lms[i].is_coprime(lms[j]):
+        lmi, lmj = lms[i], lms[j]
+        if lmi.is_coprime(lmj):
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        _, rem = reduce_poly(s, basis, order, budget, lms)
-        if not rem.is_zero():
-            basis.append(make_primitive(rem, order))
-            lms.append(leading_monomial(basis[-1], order))
-            sugars.append(sugar)
-            new = len(basis) - 1
-            for k in range(new):
-                _add_pair(pairs, lms, sugars, new, k, order)
+        l = lmi.lcm(lmj)
+        ti, ci = l.divide(lmi), 1 / basis[i].terms[lmi]
+        tj, cj = l.divide(lmj), 1 / basis[j].terms[lmj]
+        s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
+        qs, rem = reduce_poly(s, basis, order, budget, lms)
+        if rem.is_zero():
+            continue
+        if track:
+            # rem = s - sum_k q_k*basis[k], and basis[k] = sum_i reps[k][i]*gens[i]
+            srep = [
+                _times_term(a, ti, ci) - _times_term(b, tj, cj)
+                for a, b in zip(reps[i], reps[j])
+            ]
+            reps.append(_minus_combination(srep, qs, reps))
+        else:
+            rem = make_primitive(rem, order)
+        basis.append(rem)
+        lms.append(leading_monomial(rem, order))
+        sugars.append(sugar)
+        new = len(basis) - 1
+        for k in range(new):
+            _add_pair(pairs, lms, sugars, new, k, order)
+    return basis, lms, reps
+
+
+def _minus_combination(rep, qs, reps):
+    """rep - sum_k qs[k]*reps[k], entry by entry."""
+    rep = list(rep)
+    for q, grep in zip(qs, reps):
+        if q:
+            for i, gr in enumerate(grep):
+                if gr:
+                    rep[i] = rep[i] - q * gr
+    return rep
+
+
+def buchberger(generators, order, step_budget=None):
+    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
+    budget = _Budget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET)
+    basis, _, _ = _buchberger_loop(generators, order, budget)
     return reduce_basis(basis, order)
 
 
@@ -266,65 +312,25 @@ def lift_through_ideal(generators, targets):
     """For each target f, cofactors q with f = sum q[i]*generators[i], or
     None if f is outside the ideal.
 
-    One representation-tracked Buchberger run on the generators serves all
-    the targets; the cofactors are exact divisibility certificates.  Every
-    reduction is a call of the division kernel `reduce_poly` on the current
-    basis, whose quotients q_k then carry the representations along:
-    rep = rep0 - sum_k q_k * rep_k.
+    One cofactor-tracked run of the Buchberger loop on the generators (in
+    grevlex, with the sugar strategy, not made primitive) serves all the
+    targets; each target is then divided once by that basis, and the
+    quotients q_k carry its cofactors: sum_k q_k * rep_k.  The cofactors
+    are exact divisibility certificates.  The default step budget covers
+    the whole lift, so a lift past it raises StepBudgetExceeded.
     """
     gens = list(generators)
-    basis, reps = [], []  # the basis, and each element in terms of gens
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        rep = [Polynomial.zero(g.ctx) for _ in gens]
-        rep[i] = Polynomial.constant(g.ctx, 1)
-        basis.append(g)
-        reps.append(rep)
-    if not basis:
+    nonzero = [g for g in gens if not g.is_zero()]
+    if not nonzero:
         return [[f] * len(gens) if f.is_zero() else None for f in targets]
-    ctx = basis[0].ctx
-    order = Grevlex(ctx)
-    lms = [leading_monomial(g, order) for g in basis]
-
-    def tracked_reduce(p, rep0):
-        # p - remainder = sum q_k*basis[k] and basis[k] = sum reps[k][i]*gens[i]
-        qs, remainder = reduce_poly(p, basis, order, lms=lms)
-        rep = list(rep0)
-        for q, grep in zip(qs, reps):
-            if q:
-                for i, gr in enumerate(grep):
-                    if gr:
-                        rep[i] = rep[i] - q * gr
-        return remainder, rep
-
-    pair_queue = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pair_queue:
-        i, j = pair_queue.pop(0)
-        lmi, lmj = lms[i], lms[j]
-        if lmi.is_coprime(lmj):
-            continue
-        l = lmi.lcm(lmj)
-        ti, ci = l.divide(lmi), 1 / basis[i].terms[lmi]
-        tj, cj = l.divide(lmj), 1 / basis[j].terms[lmj]
-        s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
-        srep = [
-            _times_term(a, ti, ci) - _times_term(b, tj, cj)
-            for a, b in zip(reps[i], reps[j])
-        ]
-        # started from rep0 = srep, the remainder's rep is the end value
-        rem, rrep = tracked_reduce(s, srep)
-        if not rem.is_zero():
-            basis.append(rem)
-            reps.append(rrep)
-            lms.append(leading_monomial(rem, order))
-            new = len(basis) - 1
-            pair_queue.extend((new, k) for k in range(new))
-    zero_rep = [Polynomial.zero(ctx) for _ in gens]
+    order = Grevlex(nonzero[0].ctx)
+    budget = _Budget(DEFAULT_STEP_BUDGET)
+    basis, lms, reps = _buchberger_loop(gens, order, budget, track=True)
+    zero_rep = [Polynomial.zero(nonzero[0].ctx)] * len(gens)
     lifts = []
     for f in targets:
-        rem, rep = tracked_reduce(f, zero_rep)
-        lifts.append([-r for r in rep] if rem.is_zero() else None)
+        qs, rem = reduce_poly(f, basis, order, budget, lms)
+        lifts.append(None if rem else [-r for r in _minus_combination(zero_rep, qs, reps)])
     return lifts
 
 

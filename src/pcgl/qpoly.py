@@ -216,6 +216,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return (Polynomial, (self.ctx, self.terms))
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

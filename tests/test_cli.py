@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from pcgl.cli import fixture_path, load_presentation, main
+from pcgl import ideals
+from pcgl.cli import fixture_path, load_presentation, load_presentation_data, main
+from pcgl.ideals import Ideal
+from pcgl.qpoly import VarTable, parse
 
 
 def run(capsys, *argv):
@@ -189,6 +192,28 @@ def test_fixture_loader_roundtrip():
     pres, bounds = load_presentation(M2)
     assert pres.nvars == 4
     assert pres.grading.rank == 4
+
+
+def test_file_step_budget_is_scoped_to_its_command(capsys, tmp_path):
+    # groebner_steps bounds the command that loads the file, and no later call
+    ctx = VarTable(("x", "y", "z"))
+
+    def basis_size():
+        return len(Ideal(ctx, [parse("x^2 - y", ctx), parse("x*y - z", ctx)]).groebner())
+
+    data = json.loads(Path(WEYL).read_text())
+    data["bounds"] = {"groebner_steps": 1}
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(data))
+    budget = ideals.DEFAULT_STEP_BUDGET
+    try:
+        load_presentation_data(data)
+        assert basis_size() == 3
+        code, out, err = run(capsys, "hcore", str(tight), "-g", "a + X^2")
+        assert code == 1 and not out and "budget of 1 exceeded" in err
+        assert basis_size() == 3
+    finally:
+        ideals.set_default_step_budget(budget)
 
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"

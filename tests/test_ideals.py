@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pcgl import linalg
+from pcgl import ideals, linalg
 from pcgl.errors import PcglError, StepBudgetExceeded, UnitIdeal
 from pcgl.grading import monomial_weight
 from pcgl.ideals import (
@@ -128,6 +128,16 @@ class TestMember:
                 assert len(cof) == len(gens)
                 assert sum((q * g for q, g in zip(cof, gens)), p3("0")) == f
         assert lifts[0] is not None and lifts[1] is None and lifts[2] is None
+
+    def test_lift_step_budget(self):
+        # lifts run in the budgeted Buchberger loop, under the default budget
+        budget = ideals.DEFAULT_STEP_BUDGET
+        ideals.set_default_step_budget(1)
+        try:
+            with pytest.raises(StepBudgetExceeded):
+                lift_through_ideal([p3("x^2 - y"), p3("x*y - z")], [p3("x*z - y^2")])
+        finally:
+            ideals.set_default_step_budget(budget)
 
     def test_lift_without_generators(self):
         assert lift_through_ideal([], [p3("0"), p3("x")]) == [[], None]

@@ -2,8 +2,8 @@
 
 Property tests check what division and cofactor lifts promise, and that
 every ring operation returns canonical polynomials.  The differential tests
-compare Groebner bases, elimination, saturation and membership with
-sympy's independent implementation on small random ideals.
+compare Groebner bases, elimination, saturation, intersection and
+membership with sympy's independent implementation on small random ideals.
 """
 
 from fractions import Fraction
@@ -18,6 +18,7 @@ from pcgl.ideals import (
     Ideal,
     Lex,
     eliminate,
+    intersect,
     leading_monomial,
     lift_through_ideal,
     reduce_poly,
@@ -202,6 +203,21 @@ def test_saturate_matches_sympy(sp, gens, f):
     exprs = [to_sympy(sp, g) for g in gens] + [1 - t * to_sympy(sp, f)]
     expected = lex_free_of(sp, exprs, [t], sp.symbols("x y z"))
     assert ours(saturate(Ideal(CTX, gens), f).groebner()) == theirs(sp, expected, "grevlex")
+
+
+small_ideals = st.lists(polynomials(max_terms=2), min_size=1, max_size=2).filter(
+    lambda gens: any(gens)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens_i=small_ideals, gens_j=small_ideals)
+def test_intersect_matches_sympy(sp, gens_i, gens_j):
+    t = sp.Symbol("t")
+    exprs = [t * to_sympy(sp, g) for g in gens_i] + [(1 - t) * to_sympy(sp, g) for g in gens_j]
+    expected = lex_free_of(sp, exprs, [t], sp.symbols("x y z"))
+    K = intersect(Ideal(CTX, gens_i), Ideal(CTX, gens_j))
+    assert ours(K.groebner()) == theirs(sp, expected, "grevlex")
 
 
 @settings(max_examples=40, deadline=None)

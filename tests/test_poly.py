@@ -249,3 +249,17 @@ def test_printing_conventions():
     assert str(parse("a - X^-1", LCTX)) == "a - X^-1"
     assert str(poly("5/3")) == "5/3"
     assert str(poly("x*y^2 - 2*z")) == "x*y^2 - 2*z"
+
+
+def test_pickle_round_trip(m2):
+    from pcgl.cauchon import enumerate_hprimes
+    from pcgl.ideals import Ideal
+
+    f = poly("x*y^2 - 2/3*z + 1")
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and hash(g) == hash(f)
+    I = Ideal(CTX, [poly("x^2 - y"), poly("x*y - z")])
+    basis = I.groebner()
+    assert pickle.loads(pickle.dumps(I)).groebner() == basis
+    tree = enumerate_hprimes(m2)
+    assert pickle.loads(pickle.dumps(tree)).to_json_dict() == tree.to_json_dict()
