@@ -44,7 +44,7 @@ from .ideals import (
     primality,
     saturate,
 )
-from .pbracket import BracketTable, bracket, is_poisson_normal
+from .pbracket import BracketTable, bracket, generator_brackets, is_poisson_normal
 from .qpoly import (
     Monomial,
     Polynomial,
@@ -309,13 +309,14 @@ def _weight_matched_monomials(weights, bound: int, target) -> list[Monomial]:
 
 
 def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
-    """The candidates that are Poisson-normal homogeneous elements of A/Q,
-    in their given order (denominator atoms, or normal candidates).  Zero
-    candidates, those in Q and those already in `seen` are skipped; every
-    other one is added to `seen`."""
+    """Yield the candidates that are Poisson-normal homogeneous elements of
+    A/Q, in their given order (denominator atoms, or normal candidates).
+    Zero candidates, those in Q and those already in `seen` are skipped;
+    every other one is added to `seen` when it is reached.  The check is
+    lazy: a caller that stops at an accepted atom never examines the
+    candidates after it."""
     G_A = L.pres_R.grading.restrict(L.k - 1)
     modulo = None if Q.is_zero() else Q
-    out = []
     for a in candidates:
         if a.is_zero() or a in seen or Q.member(a)[0]:
             continue
@@ -324,16 +325,20 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
             continue
         try:
             if is_poisson_normal(L.pres_A.table, a, modulo=modulo).ok:
-                out.append(a)
+                yield a
         except PreconditionError:
             continue
-    return out
 
 
 def _denominator_candidates(ctx, atoms, degree_bound: int):
-    """Bounded-degree products of the atoms; the constant 1 comes first."""
-    out = [Polynomial.constant(ctx, 1)]
-    seen = set(out)
+    """Yield the bounded-degree products of the atoms; the constant 1 comes
+    first, then the products of one, two, ... atoms, each batch sorted.  A
+    batch is built only after every product of the batch before it has been
+    taken, so a caller that stops at its first success multiplies no atoms
+    beyond that batch."""
+    one = Polynomial.constant(ctx, 1)
+    yield one
+    seen = {one}
     for count in range(1, degree_bound + 1):
         batch = []
         for combo in itertools.combinations_with_replacement(range(len(atoms)), count):
@@ -345,8 +350,7 @@ def _denominator_candidates(ctx, atoms, degree_bound: int):
             seen.add(c)
             batch.append(c)
         batch.sort(key=lambda p: (p.total_degree(), str(p)))
-        out.extend(batch)
-    return out
+        yield from batch
 
 
 def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
@@ -363,21 +367,21 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
         G_A.weights, degree_bound + c.total_degree(), w_b
     )
     table_A = L.pres_A.table
+    monos = [Polynomial.monomial(ctx_A, m) for m in ansatz]
+    mono_cs = [p * c for p in monos]
+    mono_brs = [generator_brackets(table_A, p) for p in monos]
+    c_brs = generator_brackets(table_A, c)
     # linear system rows: coefficient of every monomial in the reduced
     # residual, one block per generator of A
     columns = []
     rhs_parts = []
     for j in range(n_A):
         g = Polynomial.variable(ctx_A, j)
-        cg = bracket(table_A, c, g)
+        cg = c_brs[j]
         sg = L.sigma(g)
         lhs = [
-            Q.normal_form(
-                bracket(table_A, Polynomial.monomial(ctx_A, m), g) * c
-                - Polynomial.monomial(ctx_A, m) * cg
-                - sg * Polynomial.monomial(ctx_A, m) * c
-            )
-            for m in ansatz
+            Q.normal_form(brs[j] * c - p * cg - sg * pc)
+            for p, pc, brs in zip(monos, mono_cs, mono_brs)
         ]
         columns.append(lhs)
         rhs_parts.append(Q.normal_form(L.delta(g) * c * c))
@@ -430,7 +434,7 @@ def d_element_search(
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
     seen = set()
     variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
-    var_atoms = _normal_atoms(L, Q, variables, seen)
+    var_atoms = list(_normal_atoms(L, Q, variables, seen))
     tried = set()
     for c in _denominator_candidates(ctx_A, var_atoms, degree_bound):
         tried.add(c)
@@ -439,7 +443,7 @@ def d_element_search(
             return d
     if extra_normals:
         pooled = [Q.normal_form(re_context(e, ctx_A)) for e in extra_normals]
-        atoms = var_atoms + _normal_atoms(L, Q, pooled, seen)
+        atoms = var_atoms + list(_normal_atoms(L, Q, pooled, seen))
         for c in _denominator_candidates(ctx_A, atoms, degree_bound):
             if c in tried:
                 continue
@@ -462,7 +466,7 @@ def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
         I = saturate(I, c_R)
     if not I.is_proper():
         raise SecondLiftError("second lift is the unit ideal; invalid d")
-    result = Ideal(ctx_R, I.groebner())
+    result = I.reduced()
     G_k = L.pres_R.grading
     if not is_h_stable(G_k, result):
         raise SecondLiftError("second lift is not torus-stable")
@@ -591,8 +595,7 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
             if not _delta_stable(Q, L.delta):
                 node.notes.append(f"not delta-stable at level {k}; no lifts")
                 continue
-            induced = Ideal(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()])
-            induced = Ideal(ctx_k, induced.groebner())
+            induced = Ideal(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()]).reduced()
             if not is_h_stable(G_k, induced) or not is_poisson_stable(
                 L.pres_R.table, induced
             ):
@@ -745,9 +748,11 @@ def _coefficient_ideal(T: Ideal, x_index: int, ctx_A: VarTable) -> Ideal:
 
 
 def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal | None = None):
-    """Homogeneous elements of the ideal W of A that are Poisson-normal
-    (modulo the given ideal, when working over a quotient); heuristic:
-    basis elements and their bounded pairwise products."""
+    """Yield the homogeneous elements of the ideal W of A that are
+    Poisson-normal (modulo the given ideal, when working over a quotient);
+    heuristic: basis elements and their bounded pairwise products, in a
+    fixed order.  Normality is checked lazily, so the candidates after the
+    first one a caller accepts are never examined."""
     G_A = L.pres_R.grading.restrict(L.k - 1)
     gb = [g for g in W.groebner() if not g.is_zero()]
     singles = [g for g in gb if weight_of(G_A, g) is not None]
@@ -757,7 +762,7 @@ def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal 
         if prod.total_degree() <= degree_bound:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
-    return _normal_atoms(L, modulo or Ideal.zero(L.pres_A.ctx), candidates, set())
+    yield from _normal_atoms(L, modulo or Ideal.zero(L.pres_A.ctx), candidates, set())
 
 
 def _delta_stable(P0: Ideal, delta) -> bool:
@@ -932,7 +937,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
         return None
     ctx_R = P.ctx
     P0_R = Ideal(ctx_R, [re_context(g, ctx_R) for g in P0.generators])
-    p_bar_zero = ideal_equal(P_I, Ideal(ctx_R, P0_R.groebner()))
+    p_bar_zero = ideal_equal(P_I, P0_R)
     if not p_bar_zero:
         # quotient analog of the J cap Q search: candidates normal mod P0
         J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)

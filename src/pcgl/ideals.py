@@ -367,6 +367,14 @@ class Ideal:
             self._gb[order.tag] = buchberger(self.generators, order, step_budget)
         return self._gb[order.tag]
 
+    def reduced(self) -> "Ideal":
+        """This ideal with its reduced grevlex basis as generators and that
+        same basis already cached, since a reduced basis is its own."""
+        gb = self.groebner()
+        result = Ideal(self.ctx, gb)
+        result._gb[Grevlex(self.ctx).tag] = gb
+        return result
+
     def normal_form(self, f: Polynomial, order=None) -> Polynomial:
         if order is None:
             order = Grevlex(self.ctx)
@@ -523,20 +531,20 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
             break
         adjoined.extend(new)
         current = Ideal(ctx, list(gb) + new)
-    result = Ideal(ctx, current.groebner())
+    result = current.reduced()
     if trace:
         return result, adjoined
     return result
 
 
 def is_poisson_stable(B, I: Ideal) -> bool:
-    from .pbracket import bracket
+    """True iff {x_i, g} lies in I for every generator x_i and basis element
+    g, checked as {g, x_i} = -{x_i, g} from one bracket sweep per g."""
+    from .pbracket import generator_brackets
 
-    ctx = I.ctx
     for g in I.groebner():
-        for i in range(len(ctx)):
-            xi = Polynomial.variable(ctx, i)
-            if not I.member(bracket(B, xi, g))[0]:
+        for h in generator_brackets(B, g):
+            if not I.member(h)[0]:
                 return False
     return True
 

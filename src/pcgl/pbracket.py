@@ -1,9 +1,23 @@
 """Poisson bracket engine.
 
 A bracket table on generators extends uniquely to a biderivation on the
-whole polynomial ring:
+whole polynomial ring.  On one term a*m of f and one generator x_j,
 
-    {f, g} = sum_{i>j} {x_i, x_j} * (df/dx_i dg/dx_j - df/dx_j dg/dx_i)
+    {a*m, x_j} = a * sum_{i in m} e_i * (m / x_i) * {x_i, x_j},
+
+where e_i is the exponent of x_i in m (negative on Laurent variables).
+`generator_brackets(B, f)` is the one kernel: a single sweep over the
+terms of f gives every {f, x_0}, ..., {f, x_(n-1)}, accumulated term by
+term against the table rows that `BracketTable` builds once ({x_i, x_j}
+for every j, with the mirrored sign).  `bracket(B, f, g)` is built on it
+as sum_j {f, x_j} * dg/dx_j, over the terms of g.
+
+Callers that need all n brackets of one element use the kernel:
+Poisson-normality of c, the d-element ansatz ({c, x_j} and {m, x_j} for
+every ansatz monomial m) and the Poisson-stability check of an ideal.
+Callers that need one particular bracket use `bracket`: the Jacobi,
+derivation and delta checks, the theta and Cauchon checks, and the
+Poisson closure of an ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -13,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Derivation, Polynomial, VarTable, apply_derivation
+from .qpoly import Derivation, Monomial, Polynomial, VarTable, _trusted, apply_derivation
 
 
 class BracketTable:
@@ -30,6 +44,12 @@ class BracketTable:
             if not p.is_zero():
                 self._entries[(i, j)] = p
         self._pairs = tuple(sorted(self._entries.items()))
+        # row i: (j, terms of {x_i, x_j}) for every nonzero entry, both signs
+        rows = [[] for _ in range(len(ctx))]
+        for (i, j), p in self._pairs:
+            rows[i].append((j, tuple(p.terms.items())))
+            rows[j].append((i, tuple((m, -c) for m, c in p.terms.items())))
+        self._rows = tuple(tuple(r) for r in rows)
 
     def entry(self, i: int, j: int) -> Polynomial:
         """{x_i, x_j} for any i, j, derived by antisymmetry where needed."""
@@ -60,33 +80,66 @@ class BracketTable:
         return BracketTable(sub, entries)
 
 
+def _drop_one(exps, k: int) -> Monomial:
+    """m / x_i, where (i, e) = exps[k] is the exponent of x_i in m."""
+    i, e = exps[k]
+    if e == 1:
+        return Monomial(exps[:k] + exps[k + 1:])
+    return Monomial(exps[:k] + ((i, e - 1),) + exps[k + 1:])
+
+
+def _add_term(acc: dict, m: Monomial, c):
+    """Add c to the coefficient of m in the term dict acc; a zero sum is dropped."""
+    s = acc.get(m)
+    if s is None:
+        acc[m] = c
+    else:
+        s += c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+
+
+def generator_brackets(B: BracketTable, f: Polynomial) -> list[Polynomial]:
+    """[{f, x_0}, ..., {f, x_(n-1)}] from one sweep over the terms of f."""
+    if f.ctx != B.ctx:
+        raise ContextMismatch("bracket operand over wrong variable table")
+    rows = B._rows
+    out = [{} for _ in rows]
+    for m, a in f.terms.items():
+        exps = m.exps
+        for k, (i, e) in enumerate(exps):
+            row = rows[i]
+            if not row:
+                continue
+            rest = _drop_one(exps, k)
+            ae = a * e
+            for j, terms in row:
+                acc = out[j]
+                for t, c in terms:
+                    _add_term(acc, rest * t, ae * c)
+    return [_trusted(B.ctx, acc) for acc in out]
+
+
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
-    """The biderivation extension of the generator table."""
-    if f.ctx != B.ctx or g.ctx != B.ctx:
+    """The biderivation extension of the generator table:
+    {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g."""
+    if g.ctx != B.ctx:
         raise ContextMismatch("bracket operands over wrong variable table")
-    df: dict[int, Polynomial] = {}
-    dg: dict[int, Polynomial] = {}
-
-    def pf(i):
-        if i not in df:
-            df[i] = f.partial(i)
-        return df[i]
-
-    def pg(i):
-        if i not in dg:
-            dg[i] = g.partial(i)
-        return dg[i]
-
-    sf, sg = f.support(), g.support()
-    result = Polynomial.zero(B.ctx)
-    for (i, j), p in B.pairs():
-        # the term vanishes unless one operand involves x_i and the other x_j
-        if not (i in sf and j in sg or j in sf and i in sg):
-            continue
-        term = pf(i) * pg(j) - pf(j) * pg(i)
-        if not term.is_zero():
-            result = result + p * term
-    return result
+    brs = generator_brackets(B, f)
+    acc = {}
+    for m, b in g.terms.items():
+        exps = m.exps
+        for k, (j, e) in enumerate(exps):
+            h = brs[j].terms
+            if not h:
+                continue
+            rest = _drop_one(exps, k)
+            be = b * e
+            for t, c in h.items():
+                _add_term(acc, t * rest, be * c)
+    return _trusted(B.ctx, acc)
 
 
 @dataclass
@@ -168,9 +221,7 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
         if inside:
             raise PreconditionError("element lies in the modulus ideal")
     mod_gens = list(modulo.generators) if modulo is not None else []
-    brackets = [
-        bracket(B, c, Polynomial.variable(B.ctx, i)) for i in range(len(B.ctx))
-    ]
+    brackets = generator_brackets(B, c)
     lifts = lift_through_ideal([c] + mod_gens, brackets)
     quotients = {}
     failures = {}
