@@ -8,12 +8,12 @@ negative verdict, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import ideals
 from .cauchon import (
     d_element_search,
     enumerate_hprimes,
@@ -23,7 +23,7 @@ from .cauchon import (
 from .cgl import PoissonPresentation, level_data, verify_cgl
 from .errors import ParseError, PcglError, TriangularityError
 from .grading import GradingData
-from .ideals import Ideal, chain_report, h_core, poisson_closure
+from .ideals import Ideal, chain_report, h_core, poisson_closure, step_limit
 from .pbracket import BracketTable
 from .qpoly import Polynomial, VarTable, parse
 from .strata import extract_log_matrix, poisson_center_torus
@@ -169,13 +169,18 @@ def cmd_normal(args, pres, bounds) -> int:
     return 0
 
 
+def _degree_bound(args, bounds) -> int:
+    """--degree-bound, else the file's bounds.degree, else 4."""
+    return args.degree_bound or int(bounds.get("degree", 4))
+
+
 def cmd_d(args, pres, bounds) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     modulo = None
     if args.modulo:
         modulo = Ideal(L.pres_A.ctx, _parse_gens(args.modulo.split(";"), L.pres_A.ctx))
-    d = d_element_search(L, modulo=modulo, degree_bound=args.degree_bound)
+    d = d_element_search(L, modulo=modulo, degree_bound=_degree_bound(args, bounds))
     if d is None:
         print("no d-element found within the degree bound (inconclusive)", file=sys.stderr)
         return 1
@@ -190,8 +195,7 @@ def cmd_hprimes(args, pres, bounds) -> int:
     if not report.ok:
         print("presentation fails the tower axioms; run 'check' for details", file=sys.stderr)
         return 1
-    bound = args.degree_bound or int(bounds.get("degree", 4))
-    tree = enumerate_hprimes(pres, degree_bound=bound)
+    tree = enumerate_hprimes(pres, degree_bound=_degree_bound(args, bounds))
     if args.format == "dot":
         sys.stdout.write(tree.to_dot())
     else:
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--modulo", help="semicolon-separated generators of the base ideal")
-    sp.add_argument("--degree-bound", type=int, default=4)
+    sp.add_argument("--degree-bound", type=int, default=None)
     sp.set_defaults(func=cmd_d)
 
     sp = sub.add_parser("hprimes", help="enumerate torus-stable Poisson primes")
@@ -293,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command on its presentation file; the file's
-    `bounds.groebner_steps` is the default step budget for that command only."""
+    `bounds.groebner_steps` is the step limit for that command only."""
     args = build_parser().parse_args(argv)
     try:
         pres, bounds = load_presentation(args.file)
-        budget = ideals.DEFAULT_STEP_BUDGET
-        ideals.set_default_step_budget(bounds.get("groebner_steps", budget))
-        try:
+        if "groebner_steps" in bounds:
+            limit = step_limit(bounds["groebner_steps"])
+        else:
+            limit = contextlib.nullcontext()
+        with limit:
             return args.func(args, pres, bounds)
-        finally:
-            ideals.set_default_step_budget(budget)
     except (SchemaError, ParseError, TriangularityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

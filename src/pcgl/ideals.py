@@ -6,11 +6,13 @@ strategy and the coprime criterion serves both reduced bases
 the elements of bases that will be reduced are normalized to content-free
 integer coefficients; tracked elements keep their scale, so their
 cofactors need no rescaling.  A reduction-step budget guards both kinds of
-call against runaway computations.
+call against runaway computations; `step_limit` scopes it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,12 +20,19 @@ from fractions import Fraction
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, _trusted, grevlex_key, re_context
 
-DEFAULT_STEP_BUDGET = 10 ** 6
+_STEP_LIMIT = contextvars.ContextVar("pcgl_step_limit", default=10 ** 6)
 
 
-def set_default_step_budget(n: int):
-    global DEFAULT_STEP_BUDGET
-    DEFAULT_STEP_BUDGET = int(n)
+@contextlib.contextmanager
+def step_limit(n: int):
+    """Bound each Groebner basis or lift started inside the `with` body to n
+    reduction steps; the enclosing limit (10**6 at the top) comes back when
+    the body exits, by an exception too."""
+    token = _STEP_LIMIT.set(int(n))
+    try:
+        yield
+    finally:
+        _STEP_LIMIT.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +121,10 @@ def _gcd(a: int, b: int) -> int:
 
 
 class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
+    """The reduction steps of one computation, under the limit in scope at its start."""
+
+    def __init__(self):
+        self.limit = _STEP_LIMIT.get()
         self.steps = 0
 
     def tick(self, basis=()):
@@ -260,10 +271,9 @@ def _minus_combination(rep, qs, reps):
     return rep
 
 
-def buchberger(generators, order, step_budget=None):
+def buchberger(generators, order):
     """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
-    budget = _Budget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET)
-    basis, _, _ = _buchberger_loop(generators, order, budget)
+    basis, _, _ = _buchberger_loop(generators, order, _Budget())
     return reduce_basis(basis, order)
 
 
@@ -316,15 +326,15 @@ def lift_through_ideal(generators, targets):
     grevlex, with the sugar strategy, not made primitive) serves all the
     targets; each target is then divided once by that basis, and the
     quotients q_k carry its cofactors: sum_k q_k * rep_k.  The cofactors
-    are exact divisibility certificates.  The default step budget covers
-    the whole lift, so a lift past it raises StepBudgetExceeded.
+    are exact divisibility certificates.  One step budget covers the whole
+    lift, so a lift past the limit in scope raises StepBudgetExceeded.
     """
     gens = list(generators)
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return [[f] * len(gens) if f.is_zero() else None for f in targets]
     order = Grevlex(nonzero[0].ctx)
-    budget = _Budget(DEFAULT_STEP_BUDGET)
+    budget = _Budget()
     basis, lms, reps = _buchberger_loop(gens, order, budget, track=True)
     zero_rep = [Polynomial.zero(nonzero[0].ctx)] * len(gens)
     lifts = []
@@ -360,11 +370,11 @@ class Ideal:
     def zero(cls, ctx: VarTable) -> "Ideal":
         return cls(ctx, [])
 
-    def groebner(self, order=None, step_budget=None):
+    def groebner(self, order=None):
         if order is None:
             order = Grevlex(self.ctx)
         if order.tag not in self._gb:
-            self._gb[order.tag] = buchberger(self.generators, order, step_budget)
+            self._gb[order.tag] = buchberger(self.generators, order)
         return self._gb[order.tag]
 
     def reduced(self) -> "Ideal":
@@ -432,7 +442,7 @@ def _fresh_names(ctx: VarTable, base_names):
     return tuple(result)
 
 
-def saturate(I: Ideal, f: Polynomial, step_budget=None) -> Ideal:
+def saturate(I: Ideal, f: Polynomial) -> Ideal:
     """(I : f^infinity) via the Rabinowitsch trick with one auxiliary variable."""
     if f.ctx != I.ctx:
         raise ContextMismatch("saturation element over wrong variable table")
@@ -447,22 +457,22 @@ def saturate(I: Ideal, f: Polynomial, step_budget=None) -> Ideal:
     t = Polynomial.variable(up, n)
     gens.append(Polynomial.constant(up, 1) - t * re_context(f, up))
     J = Ideal(up, gens)
-    gb = J.groebner(Elim(up, {n}), step_budget)
+    gb = J.groebner(Elim(up, {n}))
     down = [re_context(g, I.ctx) for g in gb if n not in g.support()]
     return Ideal(I.ctx, down)
 
 
-def eliminate(I: Ideal, keep, step_budget=None) -> Ideal:
+def eliminate(I: Ideal, keep) -> Ideal:
     """I intersect K[keep], as an ideal over the same variable table."""
     keep = set(keep)
     front = {i for i in range(len(I.ctx)) if i not in keep}
     if not front:
         return Ideal(I.ctx, I.generators)
-    gb = I.groebner(Elim(I.ctx, front), step_budget)
+    gb = I.groebner(Elim(I.ctx, front))
     return Ideal(I.ctx, [g for g in gb if g.support() <= keep])
 
 
-def intersect(I: Ideal, J: Ideal, step_budget=None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J, via elimination of one homogenizing parameter."""
     if I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
@@ -476,7 +486,7 @@ def intersect(I: Ideal, J: Ideal, step_budget=None) -> Ideal:
     gens = [t * re_context(g, up) for g in I.generators]
     gens += [one_minus_t * re_context(g, up) for g in J.generators]
     K = Ideal(up, gens)
-    gb = K.groebner(Elim(up, {n}), step_budget)
+    gb = K.groebner(Elim(up, {n}))
     down = [re_context(g, I.ctx) for g in gb if n not in g.support()]
     return Ideal(I.ctx, down)
 
@@ -564,7 +574,7 @@ def is_h_stable(G, I: Ideal) -> bool:
     return True
 
 
-def h_core(G, I: Ideal, step_budget=None) -> Ideal:
+def h_core(G, I: Ideal) -> Ideal:
     """Largest graded (torus-stable) ideal contained in I.
 
     Adjoins one Laurent parameter per grading row, twists the generators by
@@ -601,8 +611,8 @@ def h_core(G, I: Ideal, step_budget=None) -> Ideal:
     tprod = Polynomial.constant(up, 1)
     for k in range(r):
         tprod = tprod * Polynomial.variable(up, n + k)
-    J = saturate(J, tprod, step_budget)
-    J = eliminate(J, set(range(n)), step_budget)
+    J = saturate(J, tprod)
+    J = eliminate(J, set(range(n)))
     core = Ideal(I.ctx, [re_context(g, I.ctx) for g in J.generators])
     for g in core.groebner():
         if not I.member(g)[0]:

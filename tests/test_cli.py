@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from pcgl import ideals
 from pcgl.cli import fixture_path, load_presentation, load_presentation_data, main
 from pcgl.ideals import Ideal
 from pcgl.qpoly import VarTable, parse
@@ -205,15 +204,29 @@ def test_file_step_budget_is_scoped_to_its_command(capsys, tmp_path):
     data["bounds"] = {"groebner_steps": 1}
     tight = tmp_path / "tight.json"
     tight.write_text(json.dumps(data))
-    budget = ideals.DEFAULT_STEP_BUDGET
-    try:
-        load_presentation_data(data)
-        assert basis_size() == 3
-        code, out, err = run(capsys, "hcore", str(tight), "-g", "a + X^2")
-        assert code == 1 and not out and "budget of 1 exceeded" in err
-        assert basis_size() == 3
-    finally:
-        ideals.set_default_step_budget(budget)
+    load_presentation_data(data)
+    assert basis_size() == 3
+    # main runs the command in a `with step_limit(1):` block
+    code, out, err = run(capsys, "hcore", str(tight), "-g", "a + X^2")
+    assert code == 1 and not out and "budget of 1 exceeded" in err
+    assert basis_size() == 3
+
+
+def test_d_honours_file_degree_bound(capsys, tmp_path, monkeypatch):
+    # without --degree-bound, `d` searches up to the file's bounds.degree
+    seen = []
+
+    def fake_search(L, modulo=None, degree_bound=None):
+        seen.append(degree_bound)
+        return None
+
+    monkeypatch.setattr("pcgl.cli.d_element_search", fake_search)
+    data = json.loads(Path(WEYL).read_text())
+    data["bounds"] = {"degree": 2}
+    path = tmp_path / "degree2.json"
+    path.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "d", str(path), "--level", "2")
+    assert code == 1 and seen == [2]
 
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcgl import ideals
 from pcgl.cli import SchemaError, load_presentation_data, main
 
 BASE = {
@@ -51,12 +50,8 @@ def run_check(tmp_path, data):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
-    budget = ideals.DEFAULT_STEP_BUDGET
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", str(path)])
-    finally:
-        ideals.set_default_step_budget(budget)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(path)])
     return code, out.getvalue(), err.getvalue()
 
 

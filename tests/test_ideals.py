@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pcgl import ideals, linalg
+from pcgl import linalg
 from pcgl.errors import PcglError, StepBudgetExceeded, UnitIdeal
 from pcgl.grading import monomial_weight
 from pcgl.ideals import (
@@ -23,6 +23,7 @@ from pcgl.ideals import (
     reduce_poly,
     s_polynomial,
     saturate,
+    step_limit,
 )
 from pcgl.qpoly import Monomial, Polynomial, VarTable, parse, random_polynomial
 
@@ -83,8 +84,17 @@ class TestGroebner:
     def test_step_budget(self):
         gens = [p3("x^2 - y"), p3("x*y - z"), p3("y^3 - x*z^2 + x")]
         with pytest.raises(StepBudgetExceeded) as err:
-            Ideal(CTX3, gens).groebner(step_budget=1)
+            with step_limit(1):
+                Ideal(CTX3, gens).groebner()
         assert err.value.partial_basis
+
+    def test_step_limit_restored_after_exceeded(self):
+        # the limit in force before the `with` comes back when its body raises
+        gens = [p3("x^2 - y"), p3("x*y - z"), p3("y^3 - x*z^2 + x")]
+        with pytest.raises(StepBudgetExceeded):
+            with step_limit(1):
+                Ideal(CTX3, gens).groebner()
+        assert Ideal(CTX3, gens).groebner()
 
 
 class TestMember:
@@ -130,14 +140,10 @@ class TestMember:
         assert lifts[0] is not None and lifts[1] is None and lifts[2] is None
 
     def test_lift_step_budget(self):
-        # lifts run in the budgeted Buchberger loop, under the default budget
-        budget = ideals.DEFAULT_STEP_BUDGET
-        ideals.set_default_step_budget(1)
-        try:
-            with pytest.raises(StepBudgetExceeded):
+        # lifts run in the budgeted Buchberger loop, under the limit in scope
+        with pytest.raises(StepBudgetExceeded):
+            with step_limit(1):
                 lift_through_ideal([p3("x^2 - y"), p3("x*y - z")], [p3("x*z - y^2")])
-        finally:
-            ideals.set_default_step_budget(budget)
 
     def test_lift_without_generators(self):
         assert lift_through_ideal([], [p3("0"), p3("x")]) == [[], None]

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from pcgl.cauchon import enumerate_hprimes
+from pcgl.cauchon import enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, verify_cgl
+from pcgl.cli import fixture_path, load_presentation
 from pcgl.grading import GradingData
 from pcgl.ideals import ideal_equal, contract_to_prefix
 from pcgl.pbracket import BracketTable
@@ -100,31 +101,52 @@ def test_two_by_three_minor_lifts():
     assert "<x13*x22 - x12*x23>" in labels
 
 
-def test_two_by_three_separation():
-    # Poisson-normal separation across the 46-element poset, including the
-    # pairs whose smaller member contracts to a non-variable ideal (the
-    # 2x2 minor), which exercise the quotient-tower route
-    from pcgl.cauchon import separating_normal
+SEPARATION_GOLDEN = Path(__file__).parent / "golden" / "separation.json"
 
-    P = matrix_presentation(2, 3)
+
+def separation_rows(P):
+    """[P label, Q label, element, case] for every nested pair P < Q of the
+    H-primes of the presentation, in label order; element and case are None
+    where the search is inconclusive."""
     leaves = enumerate_hprimes(P).leaves()
-    pairs = []
+    rows = []
     for a in leaves:
         for b in leaves:
             if a is b:
                 continue
             nested = all(b.ideal.member(g)[0] for g in a.ideal.generators)
             proper = not all(a.ideal.member(g)[0] for g in b.ideal.generators)
-            if nested and proper:
-                pairs.append((a, b))
-    pairs.sort(key=lambda ab: (ab[0].label(), ab[1].label()))
-    minor_pairs = [ab for ab in pairs if "x11*x22" in ab[0].label()]
-    sample = pairs[::5] + minor_pairs
-    for a, b in sample:
-        res = separating_normal(P, a, b)
-        assert res is not None, (a.label(), b.label())
-        assert b.ideal.member(res.element)[0]
-        assert not a.ideal.member(res.element)[0]
+            if not (nested and proper):
+                continue
+            res = separating_normal(P, a, b)
+            if res is None:
+                rows.append([a.label(), b.label(), None, None])
+                continue
+            assert b.ideal.member(res.element)[0]
+            assert not a.ideal.member(res.element)[0]
+            rows.append([a.label(), b.label(), str(res.element), res.case])
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
+
+
+def test_two_by_three_separation():
+    # Poisson-normal separation across all 447 nested pairs of the
+    # 46-element poset, including the pairs whose smaller member contracts
+    # to a non-variable ideal (the 2x2 minor), which exercise the
+    # quotient-tower route; every element and case as in the golden file
+    rows = separation_rows(matrix_presentation(2, 3))
+    assert len(rows) == 447
+    assert all(element is not None for _, _, element, _ in rows)
+    assert rows == json.loads(SEPARATION_GOLDEN.read_text())["2x3"]
+
+
+@pytest.mark.parametrize("name", ["weyl", "pplane", "m2"])
+def test_fixture_separation(name):
+    # the same pin on every nested pair of the shipped fixtures
+    P = load_presentation(fixture_path(name))[0]
+    rows = separation_rows(P)
+    assert all(element is not None for _, _, element, _ in rows)
+    assert rows == json.loads(SEPARATION_GOLDEN.read_text())[name]
 
 
 def test_three_by_three():
