@@ -26,11 +26,7 @@ from .errors import (
     PreconditionError,
     SecondLiftError,
 )
-from .grading import (
-    GradingData,
-    pair,
-    weight_of,
-)
+from .grading import pair, weight_of
 from .ideals import (
     Elim,
     Grevlex,
@@ -363,9 +359,10 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
     w_c = weight_of(G_A, c)
     w_b = tuple(a + b for a, b in zip(w_x, w_c))
     n_A = len(ctx_A)
-    ansatz = _weight_matched_monomials(
-        G_A.weights, degree_bound + c.total_degree(), w_b
-    )
+    key = (degree_bound + c.total_degree(), w_b)
+    if key not in L.ansatz_memo:
+        L.ansatz_memo[key] = tuple(_weight_matched_monomials(G_A.weights, *key))
+    ansatz = L.ansatz_memo[key]
     table_A = L.pres_A.table
     monos = [Polynomial.monomial(ctx_A, m) for m in ansatz]
     mono_cs = [p * c for p in monos]
@@ -799,34 +796,6 @@ def _theta_clear_mod(L: LevelData, P0: Ideal, a: Polynomial) -> Polynomial | Non
     return result
 
 
-def _drop_variables(P: PoissonPresentation, gone: set[int]):
-    """Quotient presentation by the Poisson-stable variable ideal <gone>."""
-    keep = [i for i in range(P.nvars) if i not in gone]
-    sub = VarTable(tuple(P.ctx.names[i] for i in keep))
-
-    def down(f: Polynomial) -> Polynomial:
-        kept_terms = {
-            m: c for m, c in f.terms.items() if not (set(m.support()) & gone)
-        }
-        return re_context(Polynomial(f.ctx, kept_terms), sub)
-
-    entries = {}
-    for (i, j), p in P.table.pairs():
-        if i in gone or j in gone:
-            continue
-        q = down(p)
-        if not q.is_zero():
-            entries[(keep.index(i), keep.index(j))] = q
-    quotient = PoissonPresentation(
-        ctx=sub,
-        table=BracketTable(sub, entries),
-        grading=GradingData(P.grading.rank, tuple(P.grading.weights[i] for i in keep)),
-        h=tuple(P.h[i] for i in keep) if P.h is not None else None,
-        nilpotency_bound=P.nilpotency_bound,
-    )
-    return quotient, down
-
-
 def separating_normal(
     P: PoissonPresentation,
     P_ideal,
@@ -853,10 +822,12 @@ def separating_normal(
     result = _separating_normal_inner(P, P_I, Q_I, degree_bound)
     if result is None:
         return None
-    u, case = result
-    cert = is_poisson_normal(
-        P.table, u, modulo=P_I if not P_I.is_zero() else None
-    )
+    u, case, cert = result
+    if cert is None:
+        # certified in a quotient presentation, not yet in R
+        cert = is_poisson_normal(
+            P.table, u, modulo=P_I if not P_I.is_zero() else None
+        )
     if not cert.ok:
         raise PcglError("separating element failed the normality check")
     if not Q_I.member(u)[0] or P_I.member(u)[0]:
@@ -865,6 +836,9 @@ def separating_normal(
 
 
 def _separating_normal_inner(P, P_I, Q_I, degree_bound):
+    """(element, case, certificate) or None.  The certificate is the
+    normality check of the element in P, or None when the element was
+    certified only in a quotient presentation."""
     N = P.nvars
     if N == 0:
         return None
@@ -875,14 +849,14 @@ def _separating_normal_inner(P, P_I, Q_I, degree_bound):
     ):
         return _separating_normal_mod(P, P_I, Q_I, P0, degree_bound)
     gone = {next(iter(g.terms)).support()[0] for g in gb}
-    quotient, down = _drop_variables(P, gone)
+    quotient, down = P.drop_variables(gone)
     P_down = Ideal(quotient.ctx, [down(g) for g in P_I.generators])
     Q_down = Ideal(quotient.ctx, [down(g) for g in Q_I.generators])
     result = _separating_normal_inner(quotient, P_down, Q_down, degree_bound)
     if result is None:
         return None
-    u_down, case = result
-    return re_context(u_down, P.ctx), case + " (in quotient)"
+    u_down, case, _ = result
+    return re_context(u_down, P.ctx), case + " (in quotient)", None
 
 
 def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
@@ -902,9 +876,10 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
     A contraction generated by variables could come here too, with the same
     elements, but `_separating_normal_inner` passes it to the quotient
     presentation instead: that route serves 321 of the 508 nested pairs of
-    weyl, pplane, m2 and the 2x3 tower, and sending it here made the sweep
-    over the 447 pairs of the 2x3 tower 30-45 % slower (2.1-2.3 s against
-    2.9-3.2 s, Python 3.11 on a shared 2-core VM).
+    weyl, pplane, m2 and the 2x3 tower.  With the level data and quotients
+    cached per presentation, sending it here made the sweep over the 447
+    pairs of the 2x3 tower 14-33 % slower (1.4-1.6 s against 1.6-2.1 s,
+    six runs each, same elements; Python 3.11 on a shared 2-core VM).
     """
     N = P.nvars
     L = level_data(P, N)
@@ -919,8 +894,9 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
         for cand in _normal_candidates(L, W, degree_bound, modulo=P0):
             u = re_context(cand, ctx_R)
             if Q_I.member(u)[0] and not P_I.member(u)[0]:
-                if is_poisson_normal(P.table, u, modulo=P_I).ok:
-                    return u, "normal element of J cap Q" + suffix
+                cert = is_poisson_normal(P.table, u, modulo=P_I)
+                if cert.ok:
+                    return u, "normal element of J cap Q" + suffix, cert
         return None
     Q0 = contract_to_prefix(Q_I, N - 1)
     if ideal_equal(Q0, P0):
@@ -942,11 +918,12 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
             u, case = X, "x_N (delta = 0)"
         if not Q_I.member(u)[0] or P_I.member(u)[0]:
             continue
-        if not is_poisson_normal(P.table, u, modulo=P_I).ok:
+        cert = is_poisson_normal(P.table, u, modulo=P_I)
+        if not cert.ok:
             continue
         if case == route:
             eta = pair(L.h_k, weight_of(G_A, cand))
             if not P_I.member(bracket(P.table, u, X) + eta * u * X)[0]:
                 raise PcglError("constructed element failed {x, x_k} = -eta x x_k")
-        return u, case + suffix
+        return u, case + suffix, cert
     return None

@@ -5,12 +5,18 @@ torus grading and an optional Lie vector per level.  Triangularity
 ({x_k, x_j} lies in R_{k-1} + R_{k-1} x_k for j < k) is validated at
 construction; the nilpotency, grading and realizability axioms are checked
 by `verify_cgl` and reported rather than raised.
+
+A presentation is immutable, so the tower data derived from it is computed
+once per presentation object: `level_data` keeps each level's Ore data, and
+`drop_variables` each quotient by a set of variables, in a private cache
+that lives and dies with the object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import NonDiagonalSigma, PcglError, TriangularityError
 from .grading import (
@@ -42,6 +48,8 @@ class PoissonPresentation:
     grading: GradingData
     h: tuple[LieVector, ...] | None = None
     nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
+    # level data and variable quotients, computed once per object
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ctx)
@@ -91,6 +99,45 @@ class PoissonPresentation:
             nilpotency_bound=self.nilpotency_bound,
         )
 
+    def drop_variables(self, gone):
+        """The quotient presentation by the Poisson-stable variable ideal
+        <gone>, with the map `down` from this ring onto it.  The same set of
+        variables always gives the same (quotient, down) pair."""
+        gone = frozenset(gone)
+        key = ("drop", gone)
+        if key not in self._cache:
+            self._cache[key] = self._build_quotient(gone)
+        return self._cache[key]
+
+    def _build_quotient(self, gone: frozenset):
+        keep = tuple(i for i in range(self.nvars) if i not in gone)
+        sub = VarTable(tuple(self.ctx.names[i] for i in keep))
+        down = partial(_keep_terms, frozenset(keep), sub)
+        entries = {}
+        for (i, j), p in self.table.pairs():
+            if i in gone or j in gone:
+                continue
+            q = down(p)
+            if not q.is_zero():
+                entries[(keep.index(i), keep.index(j))] = q
+        quotient = PoissonPresentation(
+            ctx=sub,
+            table=BracketTable(sub, entries),
+            grading=GradingData(
+                self.grading.rank, tuple(self.grading.weights[i] for i in keep)
+            ),
+            h=tuple(self.h[i] for i in keep) if self.h is not None else None,
+            nilpotency_bound=self.nilpotency_bound,
+        )
+        return quotient, down
+
+
+def _keep_terms(keep: frozenset, sub: VarTable, f: Polynomial) -> Polynomial:
+    """The image of f in the quotient on the variables `keep`: the terms
+    that involve a dropped variable vanish."""
+    kept = {m: c for m, c in f.terms.items() if keep.issuperset(m.support())}
+    return re_context(Polynomial(f.ctx, kept), sub)
+
 
 def split_bracket(P: PoissonPresentation, k: int):
     """Write {x_k, x_j} = sigma(x_j) x_k + delta(x_j) for all j < k.
@@ -136,9 +183,13 @@ def sigma_eigenvalues(sigma_images: dict[int, Polynomial], sub: VarTable):
     return mus
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelData:
-    """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p."""
+    """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p.
+
+    Shared by every caller of `level_data` on the same presentation.
+    `ansatz_memo` holds the weight-matched monomial tuples of the level's
+    d-element ansatz, keyed by (degree bound, target weight)."""
 
     k: int
     pres_R: PoissonPresentation
@@ -150,6 +201,7 @@ class LevelData:
     lambda_k: Fraction
     hat_ctx: VarTable
     hat_table: BracketTable
+    ansatz_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def x_index(self) -> int:
@@ -160,7 +212,15 @@ class LevelData:
 
 
 def level_data(P: PoissonPresentation, k: int) -> LevelData:
-    """Assemble the level-k Ore data, solving for h_k when not supplied."""
+    """The level-k Ore data, solving for h_k when not supplied; assembled
+    and checked once per presentation object and level."""
+    key = ("level", k)
+    if key not in P._cache:
+        P._cache[key] = _build_level_data(P, k)
+    return P._cache[key]
+
+
+def _build_level_data(P: PoissonPresentation, k: int) -> LevelData:
     pres_R = P.restrict(k)
     pres_A = P.restrict(k - 1)
     sigma_images, delta_images = split_bracket(P, k)

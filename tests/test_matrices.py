@@ -6,20 +6,23 @@ poly-Bernoulli number), which gives an independent oracle for the whole
 enumeration pipeline well beyond the shipped fixtures.
 """
 
+import dataclasses
 import hashlib
 import json
+import pickle
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+import pcgl.cauchon
 from pcgl.cauchon import enumerate_hprimes, separating_normal
-from pcgl.cgl import PoissonPresentation, verify_cgl
+from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.grading import GradingData
 from pcgl.ideals import ideal_equal, contract_to_prefix
 from pcgl.pbracket import BracketTable
-from pcgl.qpoly import VarTable, parse
+from pcgl.qpoly import Derivation, VarTable, parse
 
 
 def matrix_presentation(m: int, n: int) -> PoissonPresentation:
@@ -178,3 +181,108 @@ def test_three_by_three():
     # contractions stay consistent down the lineage
     for node in tree.leaves():
         assert ideal_equal(contract_to_prefix(node.ideal, 8), node.parent.ideal)
+
+
+# ---------------------------------------------------------------------------
+# Tower data computed once per presentation object
+# ---------------------------------------------------------------------------
+
+
+def plain(value):
+    """A presentation, table or derivation as comparable plain data, field
+    by field; polynomials as strings, tables by their pairs()."""
+    if isinstance(value, BracketTable):
+        return [(key, str(p)) for key, p in value.pairs()]
+    if isinstance(value, Derivation):
+        return {j: str(p) for j, p in value.images.items()}
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.compare
+        }
+    return value
+
+
+def tower(name):
+    if name == "2x3":
+        return matrix_presentation(2, 3)
+    return load_presentation(fixture_path(name))[0]
+
+
+@pytest.mark.parametrize("name", ["weyl", "pplane", "m2", "2x3"])
+def test_level_data_is_cached_per_presentation(name):
+    P = tower(name)
+    # warm the cache top down, so a level keyed wrongly would show
+    cached = {k: level_data(P, k) for k in range(P.nvars, 0, -1)}
+    for k, L in cached.items():
+        assert level_data(P, k) is L
+        fresh = dataclasses.replace(P)
+        L_fresh = level_data(fresh, k)
+        assert L_fresh is not L
+        assert plain(L) == plain(L_fresh)
+        assert plain(L)["pres_R"] == plain(P.restrict(k))
+
+
+def test_variable_quotient_is_cached_per_presentation():
+    P = matrix_presentation(2, 3)
+    quotient, down = P.drop_variables({2, 5})
+    assert P.drop_variables([5, 2])[0] is quotient
+    assert plain(quotient) == plain(dataclasses.replace(P).drop_variables({2, 5})[0])
+    # 2x3 modulo <x13, x23> is the 2x2 matrix algebra, with the weights of
+    # the kept generators in the rank-5 grading
+    square = matrix_presentation(2, 2)
+    assert quotient.ctx == square.ctx
+    assert plain(quotient.table) == plain(square.table)
+    assert quotient.grading == GradingData(5, tuple(P.grading.weights[i] for i in (0, 1, 3, 4)))
+    f = parse("x13*x22 - x12*x23 + x11*x22 - x12*x21", P.ctx)
+    assert down(f) == parse("x11*x22 - x12*x21", quotient.ctx)
+    # the quotient's own level data is cached on the quotient
+    assert level_data(quotient, 4) is level_data(P.drop_variables({5, 2})[0], 4)
+
+
+def nested_pairs(leaves):
+    return [
+        (a, b)
+        for a in leaves
+        for b in leaves
+        if a is not b
+        and all(b.ideal.member(g)[0] for g in a.ideal.generators)
+        and not all(a.ideal.member(g)[0] for g in b.ideal.generators)
+    ]
+
+
+def test_warm_presentation_pickles():
+    # after a full separation sweep every cache is warm; the presentation
+    # still pickles, and the copy separates exactly as the original
+    P = matrix_presentation(2, 3)
+    assert len(separation_rows(P)) == 447
+    copy = pickle.loads(pickle.dumps(P))
+    pairs = nested_pairs(enumerate_hprimes(P).leaves())[:10]
+    for a, b in pairs:
+        want = separating_normal(P, a, b)
+        got = separating_normal(copy, a, b)
+        assert (str(got.element), got.case) == (str(want.element), want.case)
+
+
+@pytest.mark.parametrize("label_P,route", [
+    ("<x12*x21 - x11*x22>", " (mod contraction)"),
+    ("<x13, x12, x11>", " (in quotient)"),
+])
+def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
+    P = matrix_presentation(2, 3)
+    leaves = enumerate_hprimes(P).leaves()
+    small = next(node for node in leaves if node.label() == label_P)
+    big = next(b for a, b in nested_pairs(leaves) if a is small)
+    calls = []
+    original = pcgl.cauchon.is_poisson_normal
+
+    def counting(B, c, modulo=None):
+        calls.append((B, c))
+        return original(B, c, modulo=modulo)
+
+    monkeypatch.setattr(pcgl.cauchon, "is_poisson_normal", counting)
+    res = separating_normal(P, small, big)
+    assert res.case.endswith(route)
+    assert sum(1 for B, c in calls if B is P.table and c == res.element) == 1
+    assert res.normality.ok
