@@ -592,7 +592,8 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
             if not _delta_stable(Q, L.delta):
                 node.notes.append(f"not delta-stable at level {k}; no lifts")
                 continue
-            induced = Ideal(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()]).reduced()
+            # grevlex on R_k restricted to A's monomials is grevlex on A
+            induced = Ideal._with_basis(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()])
             if not is_h_stable(G_k, induced) or not is_poisson_stable(
                 L.pres_R.table, induced
             ):
@@ -849,14 +850,30 @@ def _separating_normal_inner(P, P_I, Q_I, degree_bound):
     ):
         return _separating_normal_mod(P, P_I, Q_I, P0, degree_bound)
     gone = {next(iter(g.terms)).support()[0] for g in gb}
-    quotient, down = P.drop_variables(gone)
-    P_down = Ideal(quotient.ctx, [down(g) for g in P_I.generators])
-    Q_down = Ideal(quotient.ctx, [down(g) for g in Q_I.generators])
+    quotient, _ = P.drop_variables(gone)
+    P_down = _project(P_I, gone, quotient.ctx)
+    Q_down = _project(Q_I, gone, quotient.ctx)
     result = _separating_normal_inner(quotient, P_down, Q_down, degree_bound)
     if result is None:
         return None
     u_down, case, _ = result
     return re_context(u_down, P.ctx), case + " (in quotient)", None
+
+
+def _project(I: Ideal, gone, ctx: VarTable) -> Ideal:
+    """The image of I, which contains the variables `gone`, in the quotient
+    presentation on the other variables.  A reduced basis of I holds each
+    dropped x_g itself and its other elements are free of them, so those
+    others are the reduced basis of the image, in grevlex and, when I has
+    it cached, in the order eliminating the top variable."""
+
+    def project(basis):
+        return [re_context(g, ctx) for g in basis if gone.isdisjoint(g.support())]
+
+    top_elim = I._gb.get(Elim(I.ctx, {len(I.ctx) - 1}).tag)
+    return Ideal._with_basis(
+        ctx, project(I.groebner()), None if top_elim is None else project(top_elim)
+    )
 
 
 def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
@@ -876,10 +893,11 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
     A contraction generated by variables could come here too, with the same
     elements, but `_separating_normal_inner` passes it to the quotient
     presentation instead: that route serves 321 of the 508 nested pairs of
-    weyl, pplane, m2 and the 2x3 tower.  With the level data and quotients
-    cached per presentation, sending it here made the sweep over the 447
-    pairs of the 2x3 tower 14-33 % slower (1.4-1.6 s against 1.6-2.1 s,
-    six runs each, same elements; Python 3.11 on a shared 2-core VM).
+    weyl, pplane, m2 and the 2x3 tower.  With the projections handing over
+    their reduced bases, sending it here made the sweep over the 447 pairs
+    of the 2x3 tower about 25 % slower (medians 0.86 s against 1.01 s, ten
+    alternating runs, per-run ratio 0.92-1.46, same elements; Python 3.11
+    on a shared 2-core VM).
     """
     N = P.nvars
     L = level_data(P, N)
@@ -887,7 +905,8 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
         return None
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
-    P0_R = Ideal(ctx_R, [re_context(g, ctx_R) for g in P0.generators])
+    # grevlex on R restricted to A's monomials is grevlex on A
+    P0_R = Ideal._with_basis(ctx_R, [re_context(g, ctx_R) for g in P0.groebner()])
     if not ideal_equal(P_I, P0_R):
         J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)
         W = intersect(J, contract_to_prefix(Q_I, N - 1))

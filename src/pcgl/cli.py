@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -232,7 +233,10 @@ def cmd_center(args, pres, bounds) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every `main` call reuses it."""
     p = argparse.ArgumentParser(
         prog="pcgl",
         description="Exact computations on Poisson polynomial algebras with torus actions.",

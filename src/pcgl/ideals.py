@@ -7,6 +7,12 @@ the elements of bases that will be reduced are normalized to content-free
 integer coefficients; tracked elements keep their scale, so their
 cofactors need no rescaling.  A reduction-step budget guards both kinds of
 call against runaway computations; `step_limit` scopes it.
+
+An elimination of trailing variables returns its reduced basis: the
+elements of a reduced elimination basis free of the eliminated variables
+are the reduced grevlex basis of the elimination ideal (Elimination
+Theorem, Cox-Little-O'Shea §3.1), handed over by `Ideal._with_basis`.
+Contractions, saturations, intersections and torus cores all end in one.
 """
 
 from __future__ import annotations
@@ -370,6 +376,18 @@ class Ideal:
     def zero(cls, ctx: VarTable) -> "Ideal":
         return cls(ctx, [])
 
+    @classmethod
+    def _with_basis(cls, ctx: VarTable, basis, top_elim=None) -> "Ideal":
+        """The ideal generated by `basis`, which the caller knows to be its
+        reduced grevlex basis, in order: the generators and the cached basis
+        are the same tuple.  `top_elim`, when given, is its reduced basis for
+        the elimination of the last variable, cached too."""
+        ideal = cls(ctx, basis)
+        ideal._gb[Grevlex(ctx).tag] = ideal.generators
+        if top_elim is not None:
+            ideal._gb[Elim(ctx, {len(ctx) - 1}).tag] = tuple(top_elim)
+        return ideal
+
     def groebner(self, order=None):
         if order is None:
             order = Grevlex(self.ctx)
@@ -380,10 +398,7 @@ class Ideal:
     def reduced(self) -> "Ideal":
         """This ideal with its reduced grevlex basis as generators and that
         same basis already cached, since a reduced basis is its own."""
-        gb = self.groebner()
-        result = Ideal(self.ctx, gb)
-        result._gb[Grevlex(self.ctx).tag] = gb
-        return result
+        return Ideal._with_basis(self.ctx, self.groebner())
 
     def normal_form(self, f: Polynomial, order=None) -> Polynomial:
         if order is None:
@@ -423,11 +438,13 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def contract_to_prefix(I: Ideal, k: int) -> Ideal:
-    """I intersect K[x_1..x_k], returned over the prefix variable table."""
+    """I intersect K[x_1..x_k], returned over the prefix variable table with
+    its reduced basis: the variables eliminated are the trailing ones, and
+    grevlex on the prefix is grevlex restricted to it."""
     keep = set(range(k))
     J = eliminate(I, keep)
     sub = I.ctx.restrict(k)
-    return Ideal(sub, [re_context(g, sub) for g in J.generators])
+    return Ideal._with_basis(sub, [re_context(g, sub) for g in J.generators])
 
 
 def _fresh_names(ctx: VarTable, base_names):
@@ -443,7 +460,8 @@ def _fresh_names(ctx: VarTable, base_names):
 
 
 def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^infinity) via the Rabinowitsch trick with one auxiliary variable."""
+    """(I : f^infinity) via the Rabinowitsch trick with one auxiliary variable,
+    appended last, so the result comes with its reduced basis."""
     if f.ctx != I.ctx:
         raise ContextMismatch("saturation element over wrong variable table")
     if f.is_zero():
@@ -456,24 +474,26 @@ def saturate(I: Ideal, f: Polynomial) -> Ideal:
     gens = [re_context(g, up) for g in I.generators]
     t = Polynomial.variable(up, n)
     gens.append(Polynomial.constant(up, 1) - t * re_context(f, up))
-    J = Ideal(up, gens)
-    gb = J.groebner(Elim(up, {n}))
-    down = [re_context(g, I.ctx) for g in gb if n not in g.support()]
-    return Ideal(I.ctx, down)
+    return contract_to_prefix(Ideal(up, gens), n)
 
 
 def eliminate(I: Ideal, keep) -> Ideal:
-    """I intersect K[keep], as an ideal over the same variable table."""
+    """I intersect K[keep], as an ideal over the same variable table, with
+    its reduced basis when the eliminated variables are the trailing ones."""
     keep = set(keep)
     front = {i for i in range(len(I.ctx)) if i not in keep}
     if not front:
         return Ideal(I.ctx, I.generators)
     gb = I.groebner(Elim(I.ctx, front))
-    return Ideal(I.ctx, [g for g in gb if g.support() <= keep])
+    kept = [g for g in gb if g.support() <= keep]
+    if min(front) == len(I.ctx) - len(front):
+        return Ideal._with_basis(I.ctx, kept)
+    return Ideal(I.ctx, kept)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J, via elimination of one homogenizing parameter."""
+    """I cap J, via elimination of one homogenizing parameter, appended
+    last, so the result comes with its reduced basis."""
     if I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     if I.is_zero() or J.is_zero():
@@ -485,10 +505,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     one_minus_t = Polynomial.constant(up, 1) - t
     gens = [t * re_context(g, up) for g in I.generators]
     gens += [one_minus_t * re_context(g, up) for g in J.generators]
-    K = Ideal(up, gens)
-    gb = K.groebner(Elim(up, {n}))
-    down = [re_context(g, I.ctx) for g in gb if n not in g.support()]
-    return Ideal(I.ctx, down)
+    return contract_to_prefix(Ideal(up, gens), n)
 
 
 def dimension(I: Ideal) -> int:
@@ -611,9 +628,7 @@ def h_core(G, I: Ideal) -> Ideal:
     tprod = Polynomial.constant(up, 1)
     for k in range(r):
         tprod = tprod * Polynomial.variable(up, n + k)
-    J = saturate(J, tprod)
-    J = eliminate(J, set(range(n)))
-    core = Ideal(I.ctx, [re_context(g, I.ctx) for g in J.generators])
+    core = contract_to_prefix(saturate(J, tprod), n)
     for g in core.groebner():
         if not I.member(g)[0]:
             raise PcglError("h_core post-condition failed: result not inside ideal")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from pcgl.cli import fixture_path, load_presentation, load_presentation_data, main
+from pcgl.cli import build_parser, fixture_path, load_presentation, load_presentation_data, main
 from pcgl.ideals import Ideal
 from pcgl.qpoly import VarTable, parse
 
@@ -185,6 +185,11 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+def test_parser_built_once():
+    # every main call in a process parses with the same parser object
+    assert build_parser() is build_parser()
 
 
 def test_fixture_loader_roundtrip():

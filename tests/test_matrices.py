@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+from collections import Counter
 from math import factorial
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from pcgl.cauchon import enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.grading import GradingData
-from pcgl.ideals import ideal_equal, contract_to_prefix
+from pcgl.ideals import contract_to_prefix, dimension, ideal_equal
 from pcgl.pbracket import BracketTable
 from pcgl.qpoly import Derivation, VarTable, parse
 
@@ -96,12 +97,29 @@ def test_two_by_three_golden():
     assert text == (Path(__file__).parent / "golden" / "hprimes_2x3.json").read_text()
 
 
+def dimension_profile(tree):
+    """The number of H-primes J with dim R/J = 0, 1, ..., after checking
+    that each dim R/J is the number of induced lifts in J's lineage: an
+    induced lift adds one, a second lift none."""
+    counts = Counter()
+    for leaf in tree.leaves():
+        induced = 0
+        node = leaf
+        while node.parent is not None:
+            induced += node.branch == "induced"
+            node = node.parent
+        assert dimension(leaf.ideal) == induced, leaf.label()
+        counts[induced] += 1
+    return [counts[d] for d in range(max(counts) + 1)]
+
+
 def test_two_by_three_minor_lifts():
     P = matrix_presentation(2, 3)
     tree = enumerate_hprimes(P)
     labels = {node.label() for node in tree.leaves()}
     assert "<x12*x21 - x11*x22>" in labels
     assert "<x13*x22 - x12*x23>" in labels
+    assert dimension_profile(tree) == [1, 6, 12, 13, 9, 4, 1]
 
 
 SEPARATION_GOLDEN = Path(__file__).parent / "golden" / "separation.json"
@@ -181,6 +199,7 @@ def test_three_by_three():
     # contractions stay consistent down the lineage
     for node in tree.leaves():
         assert ideal_equal(contract_to_prefix(node.ideal, 8), node.parent.ideal)
+    assert dimension_profile(tree) == [1, 9, 27, 46, 53, 45, 29, 14, 5, 1]
 
 
 # ---------------------------------------------------------------------------
