@@ -45,6 +45,7 @@ from .qpoly import (
     Monomial,
     Polynomial,
     VarTable,
+    _qdiv,
     iterate_derivation,
     random_polynomial,
     re_context,
@@ -230,8 +231,8 @@ def _normalize_fraction(b: Polynomial, c: Polynomial) -> DElement:
         b = Polynomial(b.ctx, {m.divide(g): x for m, x in b.terms.items()})
         c = Polynomial(c.ctx, {m.divide(g): x for m, x in c.terms.items()})
     order = Grevlex(c.ctx)
-    lc = c.terms[leading_monomial(c, order)]
-    return DElement(b * (1 / lc), c * (1 / lc))
+    inv = _qdiv(1, c.terms[leading_monomial(c, order)])
+    return DElement(b * inv, c * inv)
 
 
 def validate_d_element(L: LevelData, d: DElement, modulo: Ideal | None = None) -> bool:
@@ -850,7 +851,7 @@ def _separating_normal_inner(P, P_I, Q_I, degree_bound):
     ):
         return _separating_normal_mod(P, P_I, Q_I, P0, degree_bound)
     gone = {next(iter(g.terms)).support()[0] for g in gb}
-    quotient, _ = P.drop_variables(gone)
+    quotient = P.drop_variables(gone)
     P_down = _project(P_I, gone, quotient.ctx)
     Q_down = _project(Q_I, gone, quotient.ctx)
     result = _separating_normal_inner(quotient, P_down, Q_down, degree_bound)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .errors import NonDiagonalSigma, PcglError, TriangularityError
 from .grading import (
@@ -101,8 +100,7 @@ class PoissonPresentation:
 
     def drop_variables(self, gone):
         """The quotient presentation by the Poisson-stable variable ideal
-        <gone>, with the map `down` from this ring onto it.  The same set of
-        variables always gives the same (quotient, down) pair."""
+        <gone>.  The same set of variables always gives the same object."""
         gone = frozenset(gone)
         key = ("drop", gone)
         if key not in self._cache:
@@ -112,15 +110,15 @@ class PoissonPresentation:
     def _build_quotient(self, gone: frozenset):
         keep = tuple(i for i in range(self.nvars) if i not in gone)
         sub = VarTable(tuple(self.ctx.names[i] for i in keep))
-        down = partial(_keep_terms, frozenset(keep), sub)
+        kept = frozenset(keep)
         entries = {}
         for (i, j), p in self.table.pairs():
             if i in gone or j in gone:
                 continue
-            q = down(p)
+            q = _keep_terms(kept, sub, p)
             if not q.is_zero():
                 entries[(keep.index(i), keep.index(j))] = q
-        quotient = PoissonPresentation(
+        return PoissonPresentation(
             ctx=sub,
             table=BracketTable(sub, entries),
             grading=GradingData(
@@ -129,7 +127,6 @@ class PoissonPresentation:
             h=tuple(self.h[i] for i in keep) if self.h is not None else None,
             nilpotency_bound=self.nilpotency_bound,
         )
-        return quotient, down
 
 
 def _keep_terms(keep: frozenset, sub: VarTable, f: Polynomial) -> Polynomial:
@@ -175,7 +172,7 @@ def sigma_eigenvalues(sigma_images: dict[int, Polynomial], sub: VarTable):
         if len(img.terms) == 1:
             m, c = next(iter(img.terms.items()))
             if Polynomial.monomial(sub, m) == xj:
-                mus.append(c)
+                mus.append(Fraction(c))
                 continue
         raise NonDiagonalSigma(
             f"sigma(x_{j+1}) = {img} is not a scalar multiple of x_{j+1}"

@@ -21,10 +21,10 @@ import contextlib
 import contextvars
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
-from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, _trusted, grevlex_key, re_context
+from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, grevlex_key, re_context
+from .qpoly import _canon, _qdiv, _trusted
 
 _STEP_LIMIT = contextvars.ContextVar("pcgl_step_limit", default=10 ** 6)
 
@@ -96,9 +96,15 @@ def leading_monomial(f: Polynomial, order) -> Monomial:
     return max(f.terms, key=order.key)
 
 
-def _times_term(f: Polynomial, m: Monomial, c: Fraction) -> Polynomial:
-    """f * c*m for a nonzero c."""
-    return _trusted(f.ctx, {mm * m: cc * c for mm, cc in f.terms.items()})
+def _times_term(f: Polynomial, m: Monomial, c) -> Polynomial:
+    """f * c*m for a nonzero rational c in canonical form."""
+    terms = {}
+    for mm, cc in f.terms.items():
+        cc = cc * c
+        if cc.__class__ is not int:
+            cc = _canon(cc)
+        terms[mm * m] = cc
+    return _trusted(f.ctx, terms)
 
 
 def make_primitive(f: Polynomial, order) -> Polynomial:
@@ -114,7 +120,7 @@ def make_primitive(f: Polynomial, order) -> Polynomial:
     content = 0
     for x in nums:
         content = _gcd(content, abs(x))
-    scale = Fraction(denom_lcm, content)
+    scale = _qdiv(denom_lcm, content)
     if f.terms[leading_monomial(f, order)] < 0:
         scale = -scale
     return f * scale
@@ -174,21 +180,23 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
                     break
             else:
                 t_mono = lm.divide(g_lm)
-                t_coeff = lc / g_lc
+                t_coeff = _qdiv(lc, g_lc)
                 quotients.setdefault(idx, {})[t_mono] = t_coeff
                 for mm, cc in g_terms.items():
                     m = mm * t_mono
                     c = p.get(m)
                     if c is None:
-                        p[m] = -(cc * t_coeff)
+                        c = -cc * t_coeff
                         if m not in keys:
                             keys[m] = order_key(m)
                     else:
                         c -= cc * t_coeff
-                        if c:
-                            p[m] = c
-                        else:
+                        if not c:
                             del p[m]
+                            continue
+                    if c.__class__ is not int:
+                        c = _canon(c)
+                    p[m] = c
                 break
         else:
             remainder[lm] = lc
@@ -202,12 +210,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
     lmf = leading_monomial(f, order)
     lmg = leading_monomial(g, order)
     l = lmf.lcm(lmg)
-    return _times_term(f, l.divide(lmf), 1 / f.terms[lmf]) - _times_term(
-        g, l.divide(lmg), 1 / g.terms[lmg]
+    return _times_term(f, l.divide(lmf), _qdiv(1, f.terms[lmf])) - _times_term(
+        g, l.divide(lmg), _qdiv(1, g.terms[lmg])
     )
 
 
-def _buchberger_loop(generators, order, budget: _Budget, track=False):
+def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     """The one Buchberger loop: a Groebner basis of the generators, not
     reduced, with its leading monomials and, with `track`, each element as
     a list of cofactors over the generators (else no lists).
@@ -216,9 +224,17 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False):
     of the lcm); pairs with coprime leading monomials are skipped; every
     division step ticks the budget.  Untracked elements are made primitive;
     tracked ones stay unscaled, so their cofactors need no rescaling.
+
+    `start` is a Groebner basis (in `order`) of an ideal the loop adds the
+    generators to.  Its elements come first, with zero cofactors, and the
+    pairs among them are never formed: their S-polynomials already have
+    standard representations by `start` alone.
     """
     gens = list(generators)
-    basis, sugars, reps = [], [], []
+    basis = list(start)
+    sugars = [g.total_degree() for g in basis]
+    reps = [[Polynomial.zero(g.ctx)] * len(gens) for g in basis] if track else []
+    first = len(basis)
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
@@ -232,7 +248,7 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False):
             basis.append(make_primitive(g, order))
     lms = [leading_monomial(g, order) for g in basis]
     pairs = {}
-    for i in range(len(basis)):
+    for i in range(first, len(basis)):
         for j in range(i):
             _add_pair(pairs, lms, sugars, i, j, order)
     while pairs:
@@ -242,8 +258,8 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False):
         if lmi.is_coprime(lmj):
             continue
         l = lmi.lcm(lmj)
-        ti, ci = l.divide(lmi), 1 / basis[i].terms[lmi]
-        tj, cj = l.divide(lmj), 1 / basis[j].terms[lmj]
+        ti, ci = l.divide(lmi), _qdiv(1, basis[i].terms[lmi])
+        tj, cj = l.divide(lmj), _qdiv(1, basis[j].terms[lmj])
         s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
         qs, rem = reduce_poly(s, basis, order, budget, lms)
         if rem.is_zero():
@@ -314,7 +330,7 @@ def reduce_basis(basis, order):
                 g, [o[2] for o in others], order, lms=[o[1] for o in others]
             )
         if not g.is_zero():
-            reduced.append((k, g * (1 / g.terms[lm])))
+            reduced.append((k, g * _qdiv(1, g.terms[lm])))
     reduced.sort(key=lambda t: t[0])
     return tuple(g for _, g in reduced)
 
@@ -324,25 +340,31 @@ def reduce_basis(basis, order):
 # ---------------------------------------------------------------------------
 
 
-def lift_through_ideal(generators, targets):
-    """For each target f, cofactors q with f = sum q[i]*generators[i], or
-    None if f is outside the ideal.
+def lift_through_ideal(generators, targets, modulo: Ideal | None = None):
+    """For each target f, cofactors q with f - sum q[i]*generators[i] in
+    `modulo` (equal to 0 without one), or None if f is outside the ideal
+    generated by both.
 
-    One cofactor-tracked run of the Buchberger loop on the generators (in
-    grevlex, with the sugar strategy, not made primitive) serves all the
-    targets; each target is then divided once by that basis, and the
-    quotients q_k carry its cofactors: sum_k q_k * rep_k.  The cofactors
-    are exact divisibility certificates.  One step budget covers the whole
-    lift, so a lift past the limit in scope raises StepBudgetExceeded.
+    One cofactor-tracked run of the Buchberger loop (in grevlex, with the
+    sugar strategy, not made primitive) serves all the targets; each target
+    is then divided once by that basis, and the quotients q_k carry its
+    cofactors: sum_k q_k * rep_k.  The loop starts from the cached reduced
+    basis of `modulo`, whose elements carry zero cofactors, and adds the
+    generators to it; cofactors are tracked over the generators only.  The
+    cofactors are exact divisibility certificates modulo `modulo`.  One
+    step budget covers the whole lift, so a lift past the limit in scope
+    raises StepBudgetExceeded.
     """
     gens = list(generators)
+    start = modulo.groebner() if modulo is not None else ()
     nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
+    if not nonzero and not start:
         return [[f] * len(gens) if f.is_zero() else None for f in targets]
-    order = Grevlex(nonzero[0].ctx)
+    ctx = modulo.ctx if modulo is not None else nonzero[0].ctx
+    order = Grevlex(ctx)
     budget = _Budget()
-    basis, lms, reps = _buchberger_loop(gens, order, budget, track=True)
-    zero_rep = [Polynomial.zero(nonzero[0].ctx)] * len(gens)
+    basis, lms, reps = _buchberger_loop(gens, order, budget, track=True, start=start)
+    zero_rep = [Polynomial.zero(ctx)] * len(gens)
     lifts = []
     for f in targets:
         qs, rem = reduce_poly(f, basis, order, budget, lms)

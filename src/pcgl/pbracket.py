@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Derivation, Monomial, Polynomial, VarTable, _trusted, apply_derivation
+from .qpoly import Derivation, Monomial, Polynomial, VarTable, _add_term, _trusted, apply_derivation
 
 
 class BracketTable:
@@ -86,19 +86,6 @@ def _drop_one(exps, k: int) -> Monomial:
     if e == 1:
         return Monomial(exps[:k] + exps[k + 1:])
     return Monomial(exps[:k] + ((i, e - 1),) + exps[k + 1:])
-
-
-def _add_term(acc: dict, m: Monomial, c):
-    """Add c to the coefficient of m in the term dict acc; a zero sum is dropped."""
-    s = acc.get(m)
-    if s is None:
-        acc[m] = c
-    else:
-        s += c
-        if s:
-            acc[m] = s
-        else:
-            del acc[m]
 
 
 def generator_brackets(B: BracketTable, f: Polynomial) -> list[Polynomial]:
@@ -206,9 +193,11 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
     """Check {c, x_i} in (c) + modulo for every generator, with quotients.
 
     One cofactor-tracked Groebner basis of (c) + modulo serves every
-    generator; without a modulus the lift is exact division by c.  Each
-    success carries a quotient s_i with {c, x_i} = s_i * c modulo the
-    ideal, checked in a quotient ring against the modulus's cached basis.
+    generator: the lift starts from the modulus's cached reduced basis and
+    tracks the cofactor of c alone; without a modulus it is exact division
+    by c.  Each success carries a quotient s_i with {c, x_i} = s_i * c
+    modulo the ideal, checked in a quotient ring against the modulus's
+    cached basis.
     """
     from .ideals import lift_through_ideal
 
@@ -220,9 +209,8 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
         inside, _ = modulo.member(c)
         if inside:
             raise PreconditionError("element lies in the modulus ideal")
-    mod_gens = list(modulo.generators) if modulo is not None else []
     brackets = generator_brackets(B, c)
-    lifts = lift_through_ideal([c] + mod_gens, brackets)
+    lifts = lift_through_ideal([c], brackets, modulo=modulo)
     quotients = {}
     failures = {}
     for i, (br, cofactors) in enumerate(zip(brackets, lifts)):
@@ -230,7 +218,7 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
             failures[i] = br
             continue
         quotients[i] = cofactors[0]
-        if mod_gens and not modulo.member(br - cofactors[0] * c)[0]:
+        if modulo is not None and not modulo.member(br - cofactors[0] * c)[0]:
             raise PcglError("certificate validation failed")
     return NormalityCertificate(ok=not failures, quotients=quotients, failures=failures)
 

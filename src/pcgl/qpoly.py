@@ -1,17 +1,23 @@
 """Exact sparse multivariate Laurent polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating
-point anywhere in the package.  Polynomials are immutable after
-construction and hashable, so two equal polynomials always have identical
-term maps (canonical form).
+A coefficient is a rational held in canonical form: an `int` when it is
+integral, and a `fractions.Fraction` with denominator > 1 otherwise.  It
+is never zero and never a float; there is no floating point anywhere in
+the package.  Values, `==`, `hash` and `str` are those of the rationals
+(`hash(3) == hash(Fraction(3))`), so the representation never shows in
+an output.  Arithmetic on two ints stays in ints; only a result on the
+`Fraction` path is checked for integrality.  Coefficients are divided
+by `_qdiv` alone, since `/` on two ints gives a float.
 
-The public `Polynomial(ctx, terms)` copies its input, coerces every
-coefficient to a Fraction and drops zeros.  Results that are canonical by
-construction (sums, products, derivatives, division results) go through
-the private `_trusted(ctx, terms)` instead, which takes ownership of a
-dict of distinct monomials to nonzero Fractions without copying it.  The
-caller builds that dict for the new polynomial only, and nobody mutates
-it after the handover.
+Polynomials are immutable after construction and hashable, so two equal
+polynomials always have identical term maps (canonical form).  The
+public `Polynomial(ctx, terms)` copies its input, brings every
+coefficient to canonical form and drops zeros.  Results that are
+canonical by construction (sums, products, derivatives, division
+results) go through the private `_trusted(ctx, terms)` instead, which
+takes ownership of a dict of distinct monomials to nonzero canonical
+coefficients without copying it.  The caller builds that dict for the
+new polynomial only, and nobody mutates it after the handover.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from .errors import (
     PcglError,
     UnknownVariable,
 )
-
-Rat = Fraction
 
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
@@ -198,7 +202,8 @@ def grevlex_key(m: Monomial, nvars: int):
 
 
 class Polynomial:
-    """Sparse polynomial with Fraction coefficients over a fixed VarTable."""
+    """Sparse polynomial with rational coefficients over a fixed VarTable:
+    ints where integral, Fractions elsewhere (see the module docstring)."""
 
     __slots__ = ("ctx", "terms", "_hash")
 
@@ -207,8 +212,9 @@ class Polynomial:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if c.__class__ is not int:
+                    c = _canon(Fraction(c))
+                if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -227,11 +233,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ctx: VarTable, c) -> "Polynomial":
-        return cls(ctx, {MONO_ONE: Fraction(c)})
+        return cls(ctx, {MONO_ONE: c})
 
     @classmethod
     def variable(cls, ctx: VarTable, i: int) -> "Polynomial":
-        return _trusted(ctx, {Monomial(((i, 1),)): Fraction(1)})
+        return _trusted(ctx, {Monomial(((i, 1),)): 1})
 
     @classmethod
     def monomial(cls, ctx: VarTable, m: Monomial, c=1) -> "Polynomial":
@@ -240,7 +246,7 @@ class Polynomial:
                 raise PcglError(
                     f"negative exponent on non-Laurent variable {ctx.names[i]!r}"
                 )
-        return cls(ctx, {m: Fraction(c)})
+        return cls(ctx, {m: c})
 
     # -- ring operations -------------------------------------------------
 
@@ -282,23 +288,30 @@ class Polynomial:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if other == 0:
-                return Polynomial(self.ctx)
-            q = Fraction(other)
-            return _trusted(self.ctx, {m: c * q for m, c in self.terms.items()})
+                return _trusted(self.ctx, {})
+            q = _canon(other)
+            terms = {}
+            for m, c in self.terms.items():
+                c = c * q
+                if c.__class__ is not int:
+                    c = _canon(c)
+                terms[m] = c
+            return _trusted(self.ctx, terms)
         self._check(other)
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
+                c = c1 * c2
                 s = terms.get(m)
-                if s is None:
-                    terms[m] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        terms[m] = s
-                    else:
+                if s is not None:
+                    c += s
+                    if not c:
                         del terms[m]
+                        continue
+                if c.__class__ is not int:
+                    c = _canon(c)
+                terms[m] = c
         return _trusted(self.ctx, terms)
 
     __rmul__ = __mul__
@@ -360,8 +373,8 @@ class Polynomial:
     def has_negative_exponent(self) -> bool:
         return any(e < 0 for m in self.terms for _, e in m.exps)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> int | Fraction:
+        return self.terms.get(m, 0)
 
     def partial(self, i: int) -> "Polynomial":
         """Partial derivative; valid on Laurent exponents as well."""
@@ -371,7 +384,10 @@ class Polynomial:
             if e:
                 d = dict(m.exps)
                 d[i] = e - 1
-                terms[Monomial.make(d)] = c * e
+                c = c * e
+                if c.__class__ is not int:
+                    c = _canon(c)
+                terms[Monomial.make(d)] = c
         return _trusted(self.ctx, terms)
 
     def split_by_degree_in(self, i: int) -> dict[int, "Polynomial"]:
@@ -385,7 +401,7 @@ class Polynomial:
             parts.setdefault(e, {})[Monomial.make(d)] = c
         return {e: _trusted(self.ctx, t) for e, t in parts.items()}
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
         n = len(self.ctx)
         return sorted(
             self.terms.items(), key=lambda t: grevlex_key(t[0], n), reverse=True
@@ -414,24 +430,45 @@ _set_terms = Polynomial.terms.__set__
 _set_poly_hash = Polynomial._hash.__set__
 
 
+def _canon(c):
+    """The rational c in canonical form: an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _qdiv(a, b):
+    """The exact quotient a / b of two rationals, in canonical form.  Every
+    coefficient division goes through here: `/` on two ints is a float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canon(a / b)
+
+
+def _add_term(acc: dict, m: Monomial, c):
+    """Add the rational c to the coefficient of m in the term dict acc, in
+    canonical form; a zero sum is dropped."""
+    s = acc.get(m)
+    if s is not None:
+        c += s
+        if not c:
+            del acc[m]
+            return
+    if c.__class__ is not int:
+        c = _canon(c)
+    acc[m] = c
+
+
 def _add_into(terms: dict, other: dict, negate: bool = False) -> dict:
     """Add the terms `other` to, or subtract them from, the dict `terms`."""
     for m, c in other.items():
-        s = terms.get(m)
-        if s is None:
-            terms[m] = -c if negate else c
-        else:
-            s = s - c if negate else s + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
+        _add_term(terms, m, -c if negate else c)
     return terms
 
 
 def _trusted(ctx: VarTable, terms: dict) -> Polynomial:
     """The private constructor: wraps `terms` as it is, with no copy, no
-    coercion and no zero filter (see the module docstring)."""
+    coercion and no zero filter; its values must be canonical coefficients
+    (see the module docstring)."""
     p = object.__new__(Polynomial)
     _set_ctx(p, ctx)
     _set_terms(p, terms)
@@ -439,7 +476,7 @@ def _trusted(ctx: VarTable, terms: dict) -> Polynomial:
     return p
 
 
-def _term_string(ctx: VarTable, m: Monomial, c: Fraction) -> str:
+def _term_string(ctx: VarTable, m: Monomial, c) -> str:
     if m == MONO_ONE:
         return str(c)
     vars_part = "*".join(
@@ -551,7 +588,7 @@ class _Parser:
                         "negative exponent allowed only on Laurent variables", pos
                     )
                 m = Monomial.make({var_index: exp})
-                return Polynomial(self.ctx, {m: Fraction(1)})
+                return Polynomial(self.ctx, {m: 1})
             return base ** exp
         return base
 

@@ -29,7 +29,12 @@ TABLES = {name: P.table for name, P in PRES.items()}
 TABLES["m2-hat"] = level_data(PRES["m2"], 4).hat_table
 TABLES["weyl-hat"] = level_data(PRES["weyl"], 2).hat_table
 
-coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+# canonical or not: plain ints and integral Fractions such as Fraction(4, 2) too
+coefficients = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(lambda n: Fraction(2 * n, 2)),
+).filter(bool)
 
 
 def reference_bracket(B, f, g):
@@ -52,7 +57,9 @@ def polynomials(ctx, max_terms=4):
 def assert_canonical(h: Polynomial, ctx: VarTable):
     assert h.ctx == ctx
     for m, c in h.terms.items():
-        assert type(c) is Fraction and c != 0
+        # an int when integral, else a Fraction that is not; never zero
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
         assert all(e != 0 for _, e in m.exps)
         assert list(m.exps) == sorted(m.exps)
 

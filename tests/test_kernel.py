@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcgl.cauchon import enumerate_hprimes
+from pcgl.cli import fixture_path, load_presentation
 from pcgl.ideals import (
     Elim,
     Grevlex,
@@ -24,13 +26,19 @@ from pcgl.ideals import (
     reduce_poly,
     saturate,
 )
+from pcgl.pbracket import generator_brackets
 from pcgl.qpoly import Monomial, Polynomial, VarTable
 
 CTX = VarTable(("x", "y", "z"))
 LAURENT = VarTable(("x", "y", "z"), (False, True, False))
 ORDERS = {"grevlex": Grevlex(CTX), "lex": Lex(CTX), "elim": Elim(CTX, {0})}
 
-coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+# canonical or not: plain ints and integral Fractions such as Fraction(4, 2) too
+coefficients = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(lambda n: Fraction(2 * n, 2)),
+).filter(bool)
 
 
 def polynomials(ctx=CTX, max_exp=2, max_terms=4, min_exp=0):
@@ -47,7 +55,9 @@ laurent = polynomials(LAURENT, min_exp=-2)
 
 def assert_canonical(f: Polynomial):
     for m, c in f.terms.items():
-        assert type(c) is Fraction and c != 0
+        # an int when integral, else a Fraction that is not; never zero
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
         assert type(m) is Monomial and all(e != 0 for _, e in m.exps)
         assert list(m.exps) == sorted(m.exps) and len({i for i, _ in m.exps}) == len(m.exps)
     assert Polynomial(f.ctx, f.terms) == f
@@ -111,6 +121,58 @@ def test_lift_cofactors_are_exact(gens, cofs, extra):
     assert lifts[0] is not None
 
 
+def check_lift_modulo(gens, targets, Q):
+    """The lift modulo Q answers as the full lift of gens + the generators
+    of Q, and each of its cofactor lists leaves a rest inside Q."""
+    lifts = lift_through_ideal(gens, targets, modulo=Q)
+    full = lift_through_ideal(list(gens) + list(Q.generators), targets)
+    for target, lift, want in zip(targets, lifts, full):
+        assert (lift is None) == (want is None)
+        if lift is not None:
+            assert len(lift) == len(gens)
+            rest = target
+            for q, g in zip(lift, gens):
+                rest = rest - q * g
+            assert Q.member(rest)[0]
+    return lifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(polynomials(max_terms=3), min_size=1, max_size=2),
+    mod_gens=st.lists(polynomials(max_terms=3), min_size=1, max_size=2),
+    cofs=st.lists(polynomials(max_exp=1, max_terms=2), min_size=4, max_size=4),
+    extra=polynomials(max_terms=3),
+)
+def test_lift_modulo_matches_the_full_lift(gens, mod_gens, cofs, extra):
+    Q = Ideal(CTX, mod_gens)
+    inside = Polynomial.zero(CTX)
+    for a, g in zip(cofs, gens + mod_gens):
+        inside = inside + a * g
+    lifts = check_lift_modulo(gens, [inside, extra, extra * mod_gens[0]], Q)
+    assert lifts[0] is not None and lifts[2] is not None
+
+
+def test_lift_modulo_on_the_nested_pairs_of_m2():
+    # every element of the larger H-prime's basis outside the smaller one,
+    # with its generator brackets as targets: the lifts of the normality
+    # checks that the separating-element search makes
+    P = load_presentation(fixture_path("m2"))[0]
+    leaves = enumerate_hprimes(P).leaves()
+    checks = lifted = 0
+    for a in leaves:
+        for b in leaves:
+            if a is b or not all(b.ideal.member(g)[0] for g in a.ideal.generators):
+                continue
+            for c in b.ideal.groebner():
+                if a.ideal.member(c)[0]:
+                    continue
+                lifts = check_lift_modulo([c], generator_brackets(P.table, c), a.ideal)
+                checks += 1
+                lifted += all(lift is not None for lift in lifts)
+    assert (checks, lifted) == (101, 89)
+
+
 # ---------------------------------------------------------------------------
 # Differential tests against sympy
 # ---------------------------------------------------------------------------
@@ -143,7 +205,7 @@ def normalized(polys):
     out = set()
     for terms in polys:
         top = terms[max(terms)]
-        out.add(frozenset((e, c / top) for e, c in terms.items()))
+        out.add(frozenset((e, Fraction(c) / top) for e, c in terms.items()))
     return out
 
 

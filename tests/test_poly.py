@@ -1,3 +1,5 @@
+import ast
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -12,11 +14,16 @@ from pcgl.errors import (
     PcglError,
     UnknownVariable,
 )
+import pcgl.ideals
+import pcgl.pbracket
+import pcgl.qpoly
 from pcgl.qpoly import (
+    MONO_ONE,
     Derivation,
     Monomial,
     Polynomial,
     VarTable,
+    _qdiv,
     iterate_derivation,
     parse,
     random_polynomial,
@@ -182,6 +189,44 @@ class TestMonomial:
         assert (a * b).divide(b) == a and b * Monomial(()) is b
         assert a.lcm(b) == Monomial(((0, 2), (1, 1), (3, 2)))
         assert Monomial(((1, -1),)).divides(Monomial(((0, 1),)))
+
+
+class TestCoefficients:
+    """An int where a coefficient is integral, a Fraction elsewhere."""
+
+    def test_integral_values_are_ints(self):
+        x = Monomial(((0, 1),))
+        f = Polynomial(CTX, {x: Fraction(4, 2), MONO_ONE: Fraction(1, 2)})
+        assert type(f.terms[x]) is int and type(f.terms[MONO_ONE]) is Fraction
+        assert f == poly("2*x + 1/2") and hash(f) == hash(poly("2*x + 1/2"))
+        assert str(f) == "2*x + 1/2"
+        results = (f * 2, f + f, f - poly("1/2"), f * Fraction(2, 3), f.partial(0))
+        for g in results + (Polynomial.constant(CTX, Fraction(3)), parse("6/3*x", CTX)):
+            assert all(type(c) is int or c.denominator != 1 for c in g.terms.values())
+        assert type((f * 2).coefficient(MONO_ONE)) is int
+        assert poly("x").coefficient(MONO_ONE) == 0
+
+    def test_exact_division(self):
+        half = Fraction(1, 2)
+        cases = [(4, 2, 2), (1, 2, half), (-3, -1, 3), (half, half, 1),
+                 (3, Fraction(3, 2), 2), (Fraction(3, 2), 3, half)]
+        for a, b, want in cases:
+            q = _qdiv(a, b)
+            assert q == want and type(q) is type(want)
+
+    def test_kernel_modules_divide_only_through_qdiv(self):
+        # `/` on two ints is a float; the polynomial kernels never use it
+        for module in (pcgl.qpoly, pcgl.ideals, pcgl.pbracket):
+            tree = ast.parse(inspect.getsource(module))
+            helper = next(
+                f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_qdiv"
+            ) if module is pcgl.qpoly else None
+            exempt = {id(n) for n in ast.walk(helper)} if helper else set()
+            divisions = [
+                n for n in ast.walk(tree)
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div) and id(n) not in exempt
+            ]
+            assert not divisions, module.__name__
 
 
 class TestInvariants:
