@@ -31,6 +31,7 @@ from .ideals import (
     Elim,
     Grevlex,
     Ideal,
+    buchberger,
     contract_to_prefix,
     ideal_equal,
     intersect,
@@ -311,7 +312,8 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
     Zero candidates, those in Q and those already in `seen` are skipped;
     every other one is added to `seen` when it is reached.  The check is
     lazy: a caller that stops at an accepted atom never examines the
-    candidates after it."""
+    candidates after it, and `d_element_search` asks for its variable atoms
+    only once its constant denominator has failed."""
     G_A = L.pres_R.grading.restrict(L.k - 1)
     modulo = None if Q.is_zero() else Q
     for a in candidates:
@@ -332,9 +334,12 @@ def _denominator_candidates(ctx, atoms, degree_bound: int):
     first, then the products of one, two, ... atoms, each batch sorted.  A
     batch is built only after every product of the batch before it has been
     taken, so a caller that stops at its first success multiplies no atoms
-    beyond that batch."""
+    beyond that batch.  `atoms` is an iterable, read to its end only when
+    the candidate after 1 is asked for: a caller that succeeds with c = 1
+    never computes them."""
     one = Polynomial.constant(ctx, 1)
     yield one
+    atoms = list(atoms)
     seen = {one}
     for count in range(1, degree_bound + 1):
         batch = []
@@ -427,14 +432,25 @@ def d_element_search(
     `validate_d_element` and is the unique d by the eigencondition; None
     means the search was inconclusive within the bound, never that no d
     exists.
+
+    The denominator c = 1 is tried first, before any atom is checked: the
+    normality checks of the variable atoms run only once a non-constant
+    denominator is needed, and those of the extra normals only after every
+    product of the variable atoms has failed.  The candidates tried, and so
+    the d found, are the same as with every atom checked up front.
     """
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
     seen = set()
     variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
-    var_atoms = list(_normal_atoms(L, Q, variables, seen))
+    var_atoms = []
+
+    def checked_variables():
+        var_atoms.extend(_normal_atoms(L, Q, variables, seen))
+        yield from var_atoms
+
     tried = set()
-    for c in _denominator_candidates(ctx_A, var_atoms, degree_bound):
+    for c in _denominator_candidates(ctx_A, checked_variables(), degree_bound):
         tried.add(c)
         d = _try_denominator(L, Q, c, degree_bound)
         if d is not None:
@@ -453,25 +469,39 @@ def d_element_search(
 
 def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
     """The second Poisson H-prime over P0: the contraction of (X - d),
-    computed as the saturation ((c x_k - b) + P0 R : c^infinity)."""
+    computed as the saturation ((c x_k - b) + P0 R : c^infinity).
+
+    P0 is a Poisson ideal of A, by an earlier exact check.  The result
+    contains P0 R by construction, and P0's reduced basis is a Groebner
+    basis of P0 R for the order eliminating x_k (its elements are free of
+    x_k).  So the result's elimination basis is computed from that start,
+    adding the result's basis elements outside P0 R, and carried with the
+    result; the contraction check reads it.  The contraction is checked
+    before Poisson stability, which then tests only the brackets that the
+    check of P0 in A does not already cover (`is_poisson_stable`, base=).
+    """
     ctx_R = L.pres_R.ctx
     X = L.x()
     c_R = re_context(d.denominator, ctx_R)
     b_R = re_context(d.numerator, ctx_R)
-    gens = [c_R * X - b_R] + [re_context(g, ctx_R) for g in P0.generators]
-    I = Ideal(ctx_R, gens)
+    P0_R = [re_context(g, ctx_R) for g in P0.groebner()]
+    I = Ideal(ctx_R, [c_R * X - b_R] + P0_R)
     if not d.denominator.is_constant():
         I = saturate(I, c_R)
     if not I.is_proper():
         raise SecondLiftError("second lift is the unit ideal; invalid d")
-    result = I.reduced()
+    # grevlex on R_k restricted to A's monomials is grevlex on A
+    below = Ideal._with_basis(ctx_R, P0_R)
+    outside = [g for g in I.groebner() if not below.member(g)[0]]
+    top_elim = buchberger(outside, Elim(ctx_R, {L.x_index}), start=P0_R)
+    result = Ideal._with_basis(ctx_R, I.groebner(), top_elim)
     G_k = L.pres_R.grading
     if not is_h_stable(G_k, result):
         raise SecondLiftError("second lift is not torus-stable")
-    if not is_poisson_stable(L.pres_R.table, result):
-        raise SecondLiftError("second lift is not Poisson-stable")
     if not ideal_equal(contract_to_prefix(result, L.k - 1), P0):
         raise SecondLiftError("second lift does not contract to the base ideal")
+    if not is_poisson_stable(L.pres_R.table, result, base=P0):
+        raise SecondLiftError("second lift is not Poisson-stable")
     return result
 
 
@@ -595,8 +625,9 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
                 continue
             # grevlex on R_k restricted to A's monomials is grevlex on A
             induced = Ideal._with_basis(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()])
+            # Q is the contraction of its induced lift, and Poisson in A
             if not is_h_stable(G_k, induced) or not is_poisson_stable(
-                L.pres_R.table, induced
+                L.pres_R.table, induced, base=Q
             ):
                 raise PcglError("induced lift failed stability checks")
             pool_up = tuple(re_context(p, ctx_k) for p in node.normal_pool)

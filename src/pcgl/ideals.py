@@ -151,18 +151,35 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
     """Multivariate division: f = sum quotients[i]*basis[i] + remainder.
 
     This is the one exact division kernel: Groebner bases, normal forms
-    and the cofactor-tracked lifts of `lift_through_ideal` all divide
-    here.  Each step cancels the leading term of the dividend by the first
-    basis element whose leading monomial divides it, or moves that term to
-    the remainder, and ticks the budget once.  The dividend is a term dict
-    updated in place; the order keys of its monomials are cached for the
-    call only.  `lms` are the basis's leading monomials, when the caller
-    already has them.
+    and the cofactor-tracked lifts of `lift_through_ideal` all divide in
+    its loop, `_divide`.  Each step cancels the leading term of the
+    dividend by the first basis element whose leading monomial divides it,
+    or moves that term to the remainder, and ticks the budget once.  The
+    dividend is a term dict updated in place; the order keys of its
+    monomials are cached for the call only.  `lms` are the basis's leading
+    monomials, when the caller already has them.  Callers that want the
+    remainder alone (`Ideal.normal_form`, `reduce_basis`) call `_divide`
+    without a quotient record.
     """
     if lms is None:
         lms = [leading_monomial(g, order) for g in basis]
-    divisors = [(lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
     quotients = {}
+    rem = _divide(f, _divisor_table(basis, lms), order, budget, basis, quotients)
+    zero = _trusted(f.ctx, {})
+    qs = [_trusted(f.ctx, quotients[i]) if i in quotients else zero for i in range(len(basis))]
+    return qs, rem
+
+
+def _divisor_table(basis, lms):
+    """(exponents, leading monomial, leading coefficient, terms) per divisor."""
+    return [(lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
+
+
+def _divide(f: Polynomial, divisors, order, budget=None, basis=(), quotients=None):
+    """The division loop of `reduce_poly` on a divisor table; returns the
+    remainder.  The quotient terms are recorded, per divisor index, only
+    into a `quotients` dict the caller passes; `basis` goes with a budget
+    overrun."""
     remainder = {}
     p = dict(f.terms)
     order_key = order.key
@@ -181,7 +198,8 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
             else:
                 t_mono = lm.divide(g_lm)
                 t_coeff = _qdiv(lc, g_lc)
-                quotients.setdefault(idx, {})[t_mono] = t_coeff
+                if quotients is not None:
+                    quotients.setdefault(idx, {})[t_mono] = t_coeff
                 for mm, cc in g_terms.items():
                     m = mm * t_mono
                     c = p.get(m)
@@ -201,9 +219,7 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
         else:
             remainder[lm] = lc
             del p[lm]
-    zero = _trusted(f.ctx, {})
-    qs = [_trusted(f.ctx, quotients[i]) if i in quotients else zero for i in range(len(basis))]
-    return qs, _trusted(f.ctx, remainder)
+    return _trusted(f.ctx, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
@@ -293,9 +309,16 @@ def _minus_combination(rep, qs, reps):
     return rep
 
 
-def buchberger(generators, order):
-    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
-    basis, _, _ = _buchberger_loop(generators, order, _Budget())
+def buchberger(generators, order, start=()):
+    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy.
+
+    `start`, when given, must be a Groebner basis in `order` of an ideal
+    contained in the result: the basis is then that of `start` plus the
+    generators, and the pairs inside `start` are never formed (see
+    `_buchberger_loop`).  The caller vouches for the premise; nothing here
+    checks it.
+    """
+    basis, _, _ = _buchberger_loop(generators, order, _Budget(), start=start)
     return reduce_basis(basis, order)
 
 
@@ -326,9 +349,8 @@ def reduce_basis(basis, order):
     for i, (k, lm, g) in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
         if others:
-            _, g = reduce_poly(
-                g, [o[2] for o in others], order, lms=[o[1] for o in others]
-            )
+            divisors = _divisor_table([o[2] for o in others], [o[1] for o in others])
+            g = _divide(g, divisors, order)
         if not g.is_zero():
             reduced.append((k, g * _qdiv(1, g.terms[lm])))
     reduced.sort(key=lambda t: t[0])
@@ -392,7 +414,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb: dict = {}
-        self._lms: dict = {}  # leading monomials of each cached basis
+        self._divisors: dict = {}  # divisor table of each cached basis
 
     @classmethod
     def zero(cls, ctx: VarTable) -> "Ideal":
@@ -428,11 +450,11 @@ class Ideal:
         gb = self.groebner(order)
         if not gb:
             return f
-        lms = self._lms.get(order.tag)
-        if lms is None:
-            lms = self._lms[order.tag] = [leading_monomial(g, order) for g in gb]
-        _, rem = reduce_poly(f, gb, order, lms=lms)
-        return rem
+        divisors = self._divisors.get(order.tag)
+        if divisors is None:
+            lms = [leading_monomial(g, order) for g in gb]
+            divisors = self._divisors[order.tag] = _divisor_table(gb, lms)
+        return _divide(f, divisors, order)
 
     def member(self, f: Polynomial):
         nf = self.normal_form(f)
@@ -586,13 +608,29 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
     return result
 
 
-def is_poisson_stable(B, I: Ideal) -> bool:
+def is_poisson_stable(B, I: Ideal, *, base: Ideal | None = None) -> bool:
     """True iff {x_i, g} lies in I for every generator x_i and basis element
-    g, checked as {g, x_i} = -{x_i, g} from one bracket sweep per g."""
+    g, checked as {g, x_i} = -{x_i, g} from one bracket sweep per g.
+
+    `base`, when given, must be the contraction of I to the prefix
+    K[x_1..x_m] of the tower (m = the number of variables of `base`), and
+    already known to be a Poisson ideal there, by an earlier exact check.
+    A basis element g free of x_(m+1).. then lies in `base`, and its
+    brackets with x_1..x_m lie in `base`, inside I; only its brackets with
+    the new variables are tested.  A g that involves a new variable is
+    tested against every generator.  The premise is the caller's: the
+    enumeration passes the parent ideal for an induced lift, whose basis is
+    the parent's, and for a second lift once its contraction is checked.
+    """
     from .pbracket import generator_brackets
 
+    m = 0 if base is None else len(base.ctx)
+    new = frozenset(range(m, len(I.ctx)))
     for g in I.groebner():
-        for h in generator_brackets(B, g):
+        brackets = generator_brackets(B, g)
+        if m and new.isdisjoint(g.support()):
+            brackets = brackets[m:]
+        for h in brackets:
             if not I.member(h)[0]:
                 return False
     return True

@@ -1,8 +1,9 @@
 """Differential test of every reduced basis an ideal operation hands over.
 
-Contractions, saturations, intersections, torus cores, induced lifts and
-quotient projections return ideals built by `Ideal._with_basis`, which
-caches the given basis as the reduced grevlex basis without computing it.
+Contractions, saturations, intersections, torus cores, induced and second
+lifts and quotient projections return ideals built by `Ideal._with_basis`,
+which caches the given basis as the reduced grevlex basis without computing
+it.
 Here that constructor is wrapped so that every basis it receives is also
 computed by `buchberger` from scratch and must equal it element for element,
 order included; so must a carried basis for the elimination of the top
@@ -32,7 +33,13 @@ from pcgl.qpoly import VarTable, random_polynomial
 from test_cli import README_COMMANDS, run
 from test_matrices import matrix_presentation
 
-ENUMERATION_SITES = {"enumerate_hprimes", "reduced", "eliminate", "contract_to_prefix"}
+ENUMERATION_SITES = {
+    "enumerate_hprimes",
+    "second_lift",
+    "eliminate",
+    "contract_to_prefix",
+    "carried elim",
+}
 SEPARATION_SITES = {"eliminate", "contract_to_prefix", "_separating_normal_mod", "in intersect"}
 
 

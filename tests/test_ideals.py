@@ -215,6 +215,28 @@ class TestDimension:
                 assert dimension(Ideal(CTX4, gens)) == 4 - r
 
 
+class TestStabilityOverBase:
+    def test_element_in_new_variable_checked_on_every_column(self, pplane):
+        # (X - 1) contracts to 0, a Poisson ideal of K[a]; {X - 1, X} = 0 lies
+        # in it but {X - 1, a} = a*X does not, and base= must still see that
+        ctx = pplane.ctx
+        I = Ideal(ctx, [parse("X - 1", ctx)])
+        base = contract_to_prefix(I, 1)
+        assert base.is_zero()
+        assert not is_poisson_stable(pplane.table, I)
+        assert not is_poisson_stable(pplane.table, I, base=base)
+
+    def test_agrees_with_the_full_check(self, pplane):
+        # (a) and (a, X) contract to (a); (a*X - 1) contracts to 0 and is
+        # not Poisson, since {a*X - 1, X} = a*X^2
+        ctx = pplane.ctx
+        for gens, stable in ((["a"], True), (["a", "X"], True), (["a*X - 1"], False)):
+            I = Ideal(ctx, [parse(g, ctx) for g in gens])
+            base = contract_to_prefix(I, 1)
+            assert is_poisson_stable(pplane.table, I) is stable
+            assert is_poisson_stable(pplane.table, I, base=base) is stable
+
+
 class TestPoissonClosure:
     def test_single_variable_adjoins_bracket(self, bellsig):
         I = Ideal(CTX4, [p4("x")])

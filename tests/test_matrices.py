@@ -24,7 +24,7 @@ from pcgl.cauchon import enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.grading import GradingData
-from pcgl.ideals import contract_to_prefix, dimension, ideal_equal
+from pcgl.ideals import contract_to_prefix, dimension, ideal_equal, is_h_stable, is_poisson_stable
 from pcgl.pbracket import BracketTable
 from pcgl.qpoly import Derivation, Polynomial, VarTable, parse
 
@@ -139,6 +139,38 @@ def test_two_by_three_hasse_diagram():
     assert all(dims[int(i)] - dims[int(j)] == 1 for i, j in edges)
 
 
+def test_two_by_three_normality_checks(monkeypatch):
+    # the d-search checks its variable atoms only once c = 1 has failed,
+    # which it does in 27 of the 100 checks made when every atom was
+    # checked up front
+    calls = []
+    original = pcgl.cauchon.is_poisson_normal
+
+    def counting(B, c, modulo=None):
+        calls.append(c)
+        return original(B, c, modulo=modulo)
+
+    monkeypatch.setattr(pcgl.cauchon, "is_poisson_normal", counting)
+    enumerate_hprimes(matrix_presentation(2, 3))
+    assert len(calls) == 27
+
+
+def test_two_by_three_nodes_pass_the_full_checks():
+    # the enumeration tests only the brackets a node's parent does not
+    # already vouch for; every node passes the full checks at its level
+    P = matrix_presentation(2, 3)
+    tree = enumerate_hprimes(P)
+    for k, level in enumerate(tree.levels):
+        table_k, G_k = P.restrict(k).table, P.grading.restrict(k)
+        for node in level:
+            assert is_h_stable(G_k, node.ideal)
+            assert is_poisson_stable(table_k, node.ideal)
+            if node.parent is not None:
+                parent = node.parent.ideal
+                assert ideal_equal(contract_to_prefix(node.ideal, k - 1), parent)
+                assert is_poisson_stable(table_k, node.ideal, base=parent)
+
+
 def polynomials_in(obj, seen=None):
     """Every polynomial reachable from obj through containers and the
     attributes of pcgl objects (ideals with their cached bases, d-elements,
@@ -251,6 +283,11 @@ def test_three_by_three():
     for node in tree.leaves():
         assert ideal_equal(contract_to_prefix(node.ideal, 8), node.parent.ideal)
     assert dimension_profile(tree) == [1, 9, 27, 46, 53, 45, 29, 14, 5, 1]
+    # the 937 cover edges of the Hasse diagram, each dropping dim R/J by one
+    edges = re.findall(r"^  n(\d+) -> n(\d+);$", tree.to_dot(), re.M)
+    assert len(edges) == 937
+    dims = [dimension(leaf.ideal) for leaf in tree.leaves()]
+    assert all(dims[int(i)] - dims[int(j)] == 1 for i, j in edges)
 
 
 # ---------------------------------------------------------------------------
