@@ -416,6 +416,40 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
     return None
 
 
+def _denominator_screen(L: LevelData, Q: Ideal, normals):
+    """A test that a denominator c can carry the d-element over A/Q, or None.
+
+    The test is built from the first of the normal elements a (of the
+    lineage, over A) whose closed-form d* = delta(a)/(lambda s a) modulo Q,
+    with s the last index of a delta-iterate outside Q, passes
+    `validate_d_element` and the cross-multiplied identities the ansatz of
+    `_try_denominator` solves.  With d* = B/C, a denominator c passes only
+    if B c lies in (C) + Q: a d-element b/c equals d* in Frac(A/Q), so
+    b C - B c lies in Q."""
+    ctx_A = L.pres_A.ctx
+    table_A = L.pres_A.table
+    for a in normals:
+        iterates = _delta_iterates_mod(L, Q, re_context(a, ctx_A))
+        if iterates is None or len(iterates) < 3:
+            continue
+        s = len(iterates) - 2
+        d = _normalize_fraction(iterates[1], (L.lambda_k * s) * iterates[0])
+        B, C = d.numerator, d.denominator
+        if not validate_d_element(L, d, Q):
+            continue
+        B_brs, C_brs = generator_brackets(table_A, B), generator_brackets(table_A, C)
+        if all(
+            Q.member(
+                B_brs[j] * C - B * C_brs[j] - L.sigma.images[j] * B * C
+                - L.delta.images[j] * C * C
+            )[0]
+            for j in range(len(ctx_A))
+        ):
+            CQ = Ideal._with_basis(ctx_A, buchberger([C], Grevlex(ctx_A), start=Q.groebner()))
+            return lambda c: CQ.member(B * c)[0]
+    return None
+
+
 def d_element_search(
     L: LevelData,
     modulo: Ideal | None = None,
@@ -438,21 +472,42 @@ def d_element_search(
     denominator is needed, and those of the extra normals only after every
     product of the variable atoms has failed.  The candidates tried, and so
     the d found, are the same as with every atom checked up front.
+
+    With extra normals (the lineage's pool, which `enumerate_hprimes`
+    passes), the first denominator of total degree >= 2 builds a screen
+    from the closed-form d* = delta(a)/(lambda s a) of a pooled normal
+    element a (`_denominator_screen`; the recipe of Goodearl-Launois 2011,
+    taken modulo Q).  From then on a candidate c is solved for only if
+    B c lies in (C) + Q, where d* = B/C.  This rests on the uniqueness of d
+    in Frac(A/Q) for a torus-stable Poisson prime Q of a Poisson-CGL tower:
+    any b/c that passes validation equals d*, so a screened-out c is one
+    the ansatz would reject too, and the candidates that pass are solved
+    as before.  The c found, and the d returned, do not change.  When no
+    pooled element gives a validated d*, every candidate is solved.
     """
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
     seen = set()
     variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
     var_atoms = []
+    screen = []  # the denominator screen, once built
 
     def checked_variables():
         var_atoms.extend(_normal_atoms(L, Q, variables, seen))
         yield from var_atoms
 
+    def solved(c):
+        if extra_normals and c.total_degree() >= 2:
+            if not screen:
+                screen.append(_denominator_screen(L, Q, extra_normals))
+            if screen[0] is not None and not screen[0](c):
+                return None
+        return _try_denominator(L, Q, c, degree_bound)
+
     tried = set()
     for c in _denominator_candidates(ctx_A, checked_variables(), degree_bound):
         tried.add(c)
-        d = _try_denominator(L, Q, c, degree_bound)
+        d = solved(c)
         if d is not None:
             return d
     if extra_normals:
@@ -461,7 +516,7 @@ def d_element_search(
         for c in _denominator_candidates(ctx_A, atoms, degree_bound):
             if c in tried:
                 continue
-            d = _try_denominator(L, Q, c, degree_bound)
+            d = solved(c)
             if d is not None:
                 return d
     return None
@@ -799,21 +854,28 @@ def _delta_stable(P0: Ideal, delta) -> bool:
     return all(P0.member(delta(g))[0] for g in P0.groebner())
 
 
+def _delta_iterates_mod(L: LevelData, P0: Ideal, a: Polynomial):
+    """[a, delta(a), ...] reduced modulo P0 at every step, up to and
+    including the first zero one; None when a is in P0 or the iterates do
+    not vanish within the bound."""
+    iterates = [P0.normal_form(a)]
+    if iterates[0].is_zero():
+        return None
+    for _ in range(L.pres_R.nilpotency_bound):
+        iterates.append(P0.normal_form(L.delta(iterates[-1])))
+        if iterates[-1].is_zero():
+            return iterates
+    return None
+
+
 def _theta_clear_mod(L: LevelData, P0: Ideal, a: Polynomial) -> Polynomial | None:
     """theta(a) x_k^s computed over the quotient by P0: the delta-iterates
     are reduced modulo P0 at every step, and s is the last index with a
     nonzero reduced iterate.  Returns a polynomial of R representing the
     quotient-tower normal element, or None if the iterates do not vanish
     within the bound."""
-    iterates = [P0.normal_form(a)]
-    if iterates[0].is_zero():
-        return None
-    for _ in range(L.pres_R.nilpotency_bound):
-        nxt = P0.normal_form(L.delta(iterates[-1]))
-        iterates.append(nxt)
-        if nxt.is_zero():
-            break
-    else:
+    iterates = _delta_iterates_mod(L, P0, a)
+    if iterates is None:
         return None
     s = len(iterates) - 2
     ctx_R = L.pres_R.ctx

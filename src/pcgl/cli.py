@@ -34,6 +34,10 @@ class SchemaError(PcglError):
     """Presentation file violates the input schema."""
 
 
+class UsageError(PcglError):
+    """A command-line option is out of range."""
+
+
 def fixture_path(name: str) -> str:
     """Path of a packaged fixture presentation, e.g. fixture_path('weyl')."""
     return str(resources.files("pcgl").joinpath(f"fixtures/{name}.json"))
@@ -172,16 +176,21 @@ def cmd_normal(args, pres, bounds) -> int:
 
 def _degree_bound(args, bounds) -> int:
     """--degree-bound, else the file's bounds.degree, else 4."""
-    return args.degree_bound or int(bounds.get("degree", 4))
+    if args.degree_bound is None:
+        return int(bounds.get("degree", 4))
+    if args.degree_bound < 1:
+        raise UsageError("--degree-bound must be positive")
+    return args.degree_bound
 
 
 def cmd_d(args, pres, bounds) -> int:
+    degree_bound = _degree_bound(args, bounds)
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     modulo = None
     if args.modulo:
         modulo = Ideal(L.pres_A.ctx, _parse_gens(args.modulo.split(";"), L.pres_A.ctx))
-    d = d_element_search(L, modulo=modulo, degree_bound=_degree_bound(args, bounds))
+    d = d_element_search(L, modulo=modulo, degree_bound=degree_bound)
     if d is None:
         print("no d-element found within the degree bound (inconclusive)", file=sys.stderr)
         return 1
@@ -192,11 +201,12 @@ def cmd_d(args, pres, bounds) -> int:
 
 
 def cmd_hprimes(args, pres, bounds) -> int:
+    degree_bound = _degree_bound(args, bounds)
     report = verify_cgl(pres)
     if not report.ok:
         print("presentation fails the tower axioms; run 'check' for details", file=sys.stderr)
         return 1
-    tree = enumerate_hprimes(pres, degree_bound=_degree_bound(args, bounds))
+    tree = enumerate_hprimes(pres, degree_bound=degree_bound)
     if args.format == "dot":
         sys.stdout.write(tree.to_dot())
     else:
@@ -311,7 +321,7 @@ def main(argv=None) -> int:
             limit = contextlib.nullcontext()
         with limit:
             return args.func(args, pres, bounds)
-    except (SchemaError, ParseError, TriangularityError, FileNotFoundError) as exc:
+    except (SchemaError, UsageError, ParseError, TriangularityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PcglError as exc:

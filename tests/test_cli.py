@@ -234,6 +234,15 @@ def test_d_honours_file_degree_bound(capsys, tmp_path, monkeypatch):
     assert code == 1 and seen == [2]
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [("d", WEYL, "--level", "2"), ("hprimes", M2)])
+def test_degree_bound_must_be_positive(capsys, command, bound):
+    # rejected as an input error, like a non-positive bounds.degree in a file
+    code, out, err = run(capsys, *command, "--degree-bound", bound)
+    assert code == 2 and not out
+    assert err == "error: --degree-bound must be positive\n"
+
+
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 
 # The README commands; tests/golden/cli/<name>.out holds each one's stdout.

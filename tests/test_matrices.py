@@ -20,11 +20,18 @@ import pytest
 
 import pcgl.cauchon
 from pcgl import cgl
-from pcgl.cauchon import enumerate_hprimes, separating_normal
+from pcgl.cauchon import d_element_search, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.grading import GradingData
-from pcgl.ideals import contract_to_prefix, dimension, ideal_equal, is_h_stable, is_poisson_stable
+from pcgl.ideals import (
+    contract_to_prefix,
+    dimension,
+    ideal_equal,
+    is_h_stable,
+    is_poisson_stable,
+    step_limit,
+)
 from pcgl.pbracket import BracketTable
 from pcgl.qpoly import Derivation, Polynomial, VarTable, parse
 
@@ -87,13 +94,20 @@ def test_count_oracle_sanity():
     assert poly_bernoulli_neg(4, 2) == 146
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2)])
-def test_matrix_counts(m, n):
+@pytest.mark.parametrize(
+    "m,n", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+)
+def test_matrix_counts(m, n, monkeypatch):
     P = matrix_presentation(m, n)
     assert verify_cgl(P).ok
+    # every d-search on these towers ends before a denominator of degree 2,
+    # so none builds a denominator screen
+    screens = []
+    monkeypatch.setattr(pcgl.cauchon, "_denominator_screen", lambda *args: screens.append(args))
     tree = enumerate_hprimes(P)
     assert len(tree.leaves()) == poly_bernoulli_neg(n, m)
     assert not tree.inconclusive
+    assert not screens
 
 
 def test_two_by_three_golden():
@@ -253,11 +267,44 @@ def test_fixture_separation(name):
     assert rows == json.loads(SEPARATION_GOLDEN.read_text())[name]
 
 
-def test_three_by_three():
+@pytest.fixture(scope="module")
+def three_by_three():
+    """The 3x3 tower and its tree, enumerated once for the module, with the
+    screens its d-searches build: per build the level data, the ideal Q,
+    whether a screen came back and the candidates it rejected.
+
+    The enumeration runs under a step limit of 50, the least under which
+    it completes; the screens' Groebner bases run under it too, so they
+    never make a 3x3 run fail that passes without them."""
+    builds = []
+    original = pcgl.cauchon._denominator_screen
+
+    def spying(L, Q, normals):
+        screen = original(L, Q, normals)
+        build = {"L": L, "Q": Q, "built": screen is not None, "rejected": []}
+        builds.append(build)
+        if screen is None:
+            return None
+
+        def recording(c):
+            passes = screen(c)
+            if not passes:
+                build["rejected"].append(c)
+            return passes
+
+        return recording
+
+    P = matrix_presentation(3, 3)
+    with pytest.MonkeyPatch.context() as mp, step_limit(50):
+        mp.setattr(pcgl.cauchon, "_denominator_screen", spying)
+        tree = enumerate_hprimes(P)
+    return P, tree, builds
+
+
+def test_three_by_three(three_by_three):
     # the deep case: denominators of the d-elements are themselves 2x2
     # minors found earlier along the lineage
-    P = matrix_presentation(3, 3)
-    tree = enumerate_hprimes(P)
+    P, tree, _ = three_by_three
     assert len(tree.leaves()) == poly_bernoulli_neg(3, 3) == 230
     assert not tree.inconclusive
     # the whole tree, as first recorded
@@ -288,6 +335,34 @@ def test_three_by_three():
     assert len(edges) == 937
     dims = [dimension(leaf.ideal) for leaf in tree.leaves()]
     assert all(dims[int(i)] - dims[int(j)] == 1 for i, j in edges)
+
+
+def test_three_by_three_denominator_screen(three_by_three, monkeypatch):
+    # the screen is built in exactly the level-9 searches whose d has the
+    # pooled minor as denominator; every candidate it rejects fails the
+    # ansatz too, and the unscreened search finds the same d
+    P, tree, builds = three_by_three
+    minor = "x12*x21 - x11*x22"
+    screened = {id(build["Q"]): build for build in builds}
+    want = {
+        id(node.parent.ideal): node
+        for node in tree.levels[9]
+        if node.branch == "d-branch" and str(node.d.denominator) == minor
+    }
+    assert len(builds) == len(screened) == len(want) == 4
+    assert screened.keys() == want.keys()
+    assert sum(len(build["rejected"]) for build in builds) == 139
+    monkeypatch.setattr(pcgl.cauchon, "_denominator_screen", lambda L, Q, normals: None)
+    for key, build in screened.items():
+        L, Q = build["L"], build["Q"]
+        assert L.k == 9 and build["built"]
+        for c in build["rejected"]:
+            assert pcgl.cauchon._try_denominator(L, Q, c, tree.degree_bound) is None
+        node = want[key]
+        d = d_element_search(
+            L, modulo=Q, degree_bound=tree.degree_bound, extra_normals=node.parent.normal_pool
+        )
+        assert str(d) == str(node.d)
 
 
 # ---------------------------------------------------------------------------
