@@ -32,7 +32,9 @@ from .ideals import (
     Grevlex,
     Ideal,
     buchberger,
+    contains,
     contract_to_prefix,
+    extend,
     ideal_equal,
     intersect,
     is_h_stable,
@@ -40,6 +42,7 @@ from .ideals import (
     leading_monomial,
     primality,
     saturate,
+    variable_support,
 )
 from .pbracket import BracketTable, bracket, generator_brackets, is_poisson_normal
 from .qpoly import (
@@ -47,7 +50,6 @@ from .qpoly import (
     Polynomial,
     VarTable,
     _qdiv,
-    iterate_derivation,
     random_polynomial,
     re_context,
 )
@@ -62,32 +64,46 @@ def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
     return re_context(a, L.pres_A.ctx)
 
 
-def _delta_iterates(L: LevelData, a: Polynomial):
-    powers, idx = iterate_derivation(L.delta, a, L.pres_R.nilpotency_bound)
-    if idx is None:
-        raise NotWithinBound(
-            f"delta_{L.k} iterates did not terminate within bound "
-            f"{L.pres_R.nilpotency_bound}"
-        )
-    return powers, idx
+def _delta_iterates(L: LevelData, a: Polynomial, modulo: Ideal | None = None):
+    """[a, delta(a), ..., delta^s(a)] up to the last nonzero iterate, each
+    reduced modulo the given ideal at every step; empty when a is zero
+    there.  Raises NotWithinBound when the iterates do not vanish within
+    the nilpotency bound."""
+    iterates = []
+    p = a if modulo is None else modulo.normal_form(a)
+    while not p.is_zero():
+        if len(iterates) == L.pres_R.nilpotency_bound:
+            raise NotWithinBound(
+                f"delta_{L.k} iterates did not terminate within bound "
+                f"{L.pres_R.nilpotency_bound}"
+            )
+        iterates.append(p)
+        p = L.delta(p) if modulo is None else modulo.normal_form(L.delta(p))
+    return iterates
+
+
+def _theta_series(L: LevelData, iterates) -> Polynomial:
+    """theta(a) x_k^s = sum_l (1/l!) (-1/lambda)^l delta^l(a) x_k^(s-l) in R,
+    from the delta-iterates of a, with s the index of the last one."""
+    ctx_R = L.pres_R.ctx
+    s = len(iterates) - 1
+    result = Polynomial.zero(ctx_R)
+    coeff = Fraction(1)
+    for l, p in enumerate(iterates):
+        if l:
+            coeff /= -l * L.lambda_k
+        xpow = Polynomial.monomial(ctx_R, Monomial.make({L.x_index: s - l}))
+        result = result + re_context(p, ctx_R) * coeff * xpow
+    return result
 
 
 def theta(L: LevelData, a: Polynomial) -> Polynomial:
     """The Cauchon map applied to a in A, as a Laurent polynomial in x_k."""
-    a = _to_base(L, a)
-    powers, idx = _delta_iterates(L, a)
-    result = Polynomial.zero(L.hat_ctx)
-    coeff = Fraction(1)
-    factorial = 1
-    for l, p in enumerate(powers):
-        if p.is_zero():
-            break
-        if l:
-            factorial *= l
-            coeff *= Fraction(-1) / L.lambda_k
-        xpow = Polynomial.monomial(L.hat_ctx, Monomial.make({L.x_index: -l}))
-        result = result + re_context(p, L.hat_ctx) * (coeff / factorial) * xpow
-    return result
+    iterates = _delta_iterates(L, _to_base(L, a))
+    x_minus_s = Monomial.make({L.x_index: 1 - len(iterates)})
+    return re_context(_theta_series(L, iterates), L.hat_ctx) * Polynomial.monomial(
+        L.hat_ctx, x_minus_s
+    )
 
 
 def s_max(L: LevelData, a: Polynomial) -> int:
@@ -96,8 +112,7 @@ def s_max(L: LevelData, a: Polynomial) -> int:
     a = _to_base(L, a)
     if a.is_zero():
         raise PreconditionError("s_max is undefined for zero")
-    _, idx = _delta_iterates(L, a)
-    return idx - 1
+    return len(_delta_iterates(L, a)) - 1
 
 
 def _hat_x(L: LevelData) -> Polynomial:
@@ -151,6 +166,18 @@ class NormalElementResult:
         return str(self.element)
 
 
+def _normal_input(L: LevelData, a: Polynomial):
+    """The weight of a homogeneous Poisson-normal element a of A; a
+    PreconditionError otherwise."""
+    wa = weight_of(L.pres_R.grading.restrict(L.k - 1), a)
+    if wa is None:
+        raise PreconditionError("input is not homogeneous")
+    cert = is_poisson_normal(L.pres_A.table, a)
+    if not cert.ok:
+        raise PreconditionError("input is not Poisson-normal in the base ring", cert)
+    return wa
+
+
 def normal_element(L: LevelData, a: Polynomial) -> NormalElementResult:
     """Build the Poisson-normal eigenvector theta(a) x_k^s in R from a
     homogeneous Poisson-normal element a of A, and machine-verify both the
@@ -158,28 +185,16 @@ def normal_element(L: LevelData, a: Polynomial) -> NormalElementResult:
     a = _to_base(L, a)
     if a.is_zero():
         raise PreconditionError("input must be nonzero")
-    G_A = L.pres_R.grading.restrict(L.k - 1)
-    wa = weight_of(G_A, a)
-    if wa is None:
-        raise PreconditionError("input is not homogeneous")
-    cert = is_poisson_normal(L.pres_A.table, a)
-    if not cert.ok:
-        raise PreconditionError("input is not Poisson-normal in the base ring", cert)
-    s = s_max(L, a)
-    x_hat = theta(L, a) * Polynomial.monomial(
-        L.hat_ctx, Monomial.make({L.x_index: s})
-    )
-    if x_hat.has_negative_exponent():
-        raise PcglError("theta(a) x^s left the polynomial ring")
-    x = re_context(x_hat, L.pres_R.ctx)
-    eta = pair(L.h_k, wa)
+    eta = pair(L.h_k, _normal_input(L, a))
+    iterates = _delta_iterates(L, a)
+    x = _theta_series(L, iterates)
     out_cert = is_poisson_normal(L.pres_R.table, x)
     if not out_cert.ok:
         raise PcglError("constructed element failed the normality check")
     X = L.x()
     if bracket(L.pres_R.table, x, X) != -eta * x * X:
         raise PcglError("constructed element failed {x, x_k} = -eta x x_k")
-    return NormalElementResult(element=x, s=s, eta=eta, normality=out_cert)
+    return NormalElementResult(element=x, s=len(iterates) - 1, eta=eta, normality=out_cert)
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +276,22 @@ def validate_d_element(L: LevelData, d: DElement, modulo: Ideal | None = None) -
     return True
 
 
+def _closed_form_d(L: LevelData, iterates) -> DElement:
+    """d = delta(a) / (lambda s a), from the delta-iterates of a with s >= 1
+    (Goodearl-Launois 2011)."""
+    s = len(iterates) - 1
+    return _normalize_fraction(iterates[1], (L.lambda_k * s) * iterates[0])
+
+
 def d_element_from_normal(L: LevelData, a: Polynomial) -> DElement:
     """d = delta(a) / (lambda s a) from a Poisson-normal homogeneous a with
     s = s_max(a) > 0."""
     a = _to_base(L, a)
-    G_A = L.pres_R.grading.restrict(L.k - 1)
-    if weight_of(G_A, a) is None:
-        raise PreconditionError("input is not homogeneous")
-    cert = is_poisson_normal(L.pres_A.table, a)
-    if not cert.ok:
-        raise PreconditionError("input is not Poisson-normal in the base ring", cert)
-    s = s_max(L, a)
-    if s == 0:
+    _normal_input(L, a)
+    iterates = _delta_iterates(L, a)
+    if len(iterates) == 1:
         raise PreconditionError("s_max(a) = 0: no d-element from this recipe")
-    d = _normalize_fraction(L.delta(a), (L.lambda_k * s) * a)
+    d = _closed_form_d(L, iterates)
     if not validate_d_element(L, d):
         raise PcglError("d-element invariants failed")
     return d
@@ -329,30 +346,35 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
             continue
 
 
-def _denominator_candidates(ctx, atoms, degree_bound: int):
+def _denominator_candidates(ctx, groups, degree_bound: int):
     """Yield the bounded-degree products of the atoms; the constant 1 comes
-    first, then the products of one, two, ... atoms, each batch sorted.  A
-    batch is built only after every product of the batch before it has been
-    taken, so a caller that stops at its first success multiplies no atoms
-    beyond that batch.  `atoms` is an iterable, read to its end only when
-    the candidate after 1 is asked for: a caller that succeeds with c = 1
-    never computes them."""
+    first.  `groups` is an iterable of groups of atoms, each an iterable;
+    for each group in turn come the products of one, two, ... atoms of it
+    and of the groups before it, each batch sorted, that were not yielded
+    before.  A batch is built only after every product of the batch before
+    it has been taken, so a caller that stops at its first success
+    multiplies no atoms beyond that batch; a group is asked for, and read
+    to its end, only when the candidate after the last product of the
+    groups before it is: a caller that succeeds with c = 1 never computes
+    any atom."""
     one = Polynomial.constant(ctx, 1)
     yield one
-    atoms = list(atoms)
     seen = {one}
-    for count in range(1, degree_bound + 1):
-        batch = []
-        for combo in itertools.combinations_with_replacement(range(len(atoms)), count):
-            c = Polynomial.constant(ctx, 1)
-            for i in combo:
-                c = c * atoms[i]
-            if c.total_degree() > degree_bound or c in seen:
-                continue
-            seen.add(c)
-            batch.append(c)
-        batch.sort(key=lambda p: (p.total_degree(), str(p)))
-        yield from batch
+    atoms = []
+    for group in groups:
+        atoms.extend(group)
+        for count in range(1, degree_bound + 1):
+            batch = []
+            for combo in itertools.combinations_with_replacement(range(len(atoms)), count):
+                c = Polynomial.constant(ctx, 1)
+                for i in combo:
+                    c = c * atoms[i]
+                if c.total_degree() > degree_bound or c in seen:
+                    continue
+                seen.add(c)
+                batch.append(c)
+            batch.sort(key=lambda p: (p.total_degree(), str(p)))
+            yield from batch
 
 
 def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
@@ -429,11 +451,13 @@ def _denominator_screen(L: LevelData, Q: Ideal, normals):
     ctx_A = L.pres_A.ctx
     table_A = L.pres_A.table
     for a in normals:
-        iterates = _delta_iterates_mod(L, Q, re_context(a, ctx_A))
-        if iterates is None or len(iterates) < 3:
+        try:
+            iterates = _delta_iterates(L, re_context(a, ctx_A), Q)
+        except NotWithinBound:
             continue
-        s = len(iterates) - 2
-        d = _normalize_fraction(iterates[1], (L.lambda_k * s) * iterates[0])
+        if len(iterates) < 2:
+            continue
+        d = _closed_form_d(L, iterates)
         B, C = d.numerator, d.denominator
         if not validate_d_element(L, d, Q):
             continue
@@ -488,37 +512,25 @@ def d_element_search(
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
     seen = set()
-    variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
-    var_atoms = []
     screen = []  # the denominator screen, once built
 
-    def checked_variables():
-        var_atoms.extend(_normal_atoms(L, Q, variables, seen))
-        yield from var_atoms
+    def atom_groups():
+        # the variables, then the pooled elements; each checked when reached
+        variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
+        yield _normal_atoms(L, Q, variables, seen)
+        if extra_normals:
+            pooled = [Q.normal_form(re_context(e, ctx_A)) for e in extra_normals]
+            yield _normal_atoms(L, Q, pooled, seen)
 
-    def solved(c):
+    for c in _denominator_candidates(ctx_A, atom_groups(), degree_bound):
         if extra_normals and c.total_degree() >= 2:
             if not screen:
                 screen.append(_denominator_screen(L, Q, extra_normals))
             if screen[0] is not None and not screen[0](c):
-                return None
-        return _try_denominator(L, Q, c, degree_bound)
-
-    tried = set()
-    for c in _denominator_candidates(ctx_A, checked_variables(), degree_bound):
-        tried.add(c)
-        d = solved(c)
+                continue
+        d = _try_denominator(L, Q, c, degree_bound)
         if d is not None:
             return d
-    if extra_normals:
-        pooled = [Q.normal_form(re_context(e, ctx_A)) for e in extra_normals]
-        atoms = var_atoms + list(_normal_atoms(L, Q, pooled, seen))
-        for c in _denominator_candidates(ctx_A, atoms, degree_bound):
-            if c in tried:
-                continue
-            d = solved(c)
-            if d is not None:
-                return d
     return None
 
 
@@ -539,16 +551,14 @@ def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
     X = L.x()
     c_R = re_context(d.denominator, ctx_R)
     b_R = re_context(d.numerator, ctx_R)
-    P0_R = [re_context(g, ctx_R) for g in P0.groebner()]
-    I = Ideal(ctx_R, [c_R * X - b_R] + P0_R)
+    below = extend(P0, ctx_R)
+    I = Ideal(ctx_R, [c_R * X - b_R, *below.generators])
     if not d.denominator.is_constant():
         I = saturate(I, c_R)
     if not I.is_proper():
         raise SecondLiftError("second lift is the unit ideal; invalid d")
-    # grevlex on R_k restricted to A's monomials is grevlex on A
-    below = Ideal._with_basis(ctx_R, P0_R)
     outside = [g for g in I.groebner() if not below.member(g)[0]]
-    top_elim = buchberger(outside, Elim(ctx_R, {L.x_index}), start=P0_R)
+    top_elim = buchberger(outside, Elim(ctx_R, {L.x_index}), start=below.generators)
     result = Ideal._with_basis(ctx_R, I.groebner(), top_elim)
     G_k = L.pres_R.grading
     if not is_h_stable(G_k, result):
@@ -630,11 +640,7 @@ class HPrimeTree:
         leaves = self.leaves()
         names = [f"n{i}" for i in range(len(leaves))]
         below = [
-            [
-                i != j
-                and all(leaves[j].ideal.member(g)[0] for g in leaves[i].ideal.generators)
-                for j in range(len(leaves))
-            ]
+            [i != j and contains(leaves[j].ideal, leaves[i].ideal) for j in range(len(leaves))]
             for i in range(len(leaves))
         ]
         lines = ["digraph hprimes {", "  rankdir=BT;"]
@@ -678,8 +684,7 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
             if not _delta_stable(Q, L.delta):
                 node.notes.append(f"not delta-stable at level {k}; no lifts")
                 continue
-            # grevlex on R_k restricted to A's monomials is grevlex on A
-            induced = Ideal._with_basis(ctx_k, [re_context(g, ctx_k) for g in Q.groebner()])
+            induced = extend(Q, ctx_k)
             # Q is the contraction of its induced lift, and Poisson in A
             if not is_h_stable(G_k, induced) or not is_poisson_stable(
                 L.pres_R.table, induced, base=Q
@@ -854,43 +859,6 @@ def _delta_stable(P0: Ideal, delta) -> bool:
     return all(P0.member(delta(g))[0] for g in P0.groebner())
 
 
-def _delta_iterates_mod(L: LevelData, P0: Ideal, a: Polynomial):
-    """[a, delta(a), ...] reduced modulo P0 at every step, up to and
-    including the first zero one; None when a is in P0 or the iterates do
-    not vanish within the bound."""
-    iterates = [P0.normal_form(a)]
-    if iterates[0].is_zero():
-        return None
-    for _ in range(L.pres_R.nilpotency_bound):
-        iterates.append(P0.normal_form(L.delta(iterates[-1])))
-        if iterates[-1].is_zero():
-            return iterates
-    return None
-
-
-def _theta_clear_mod(L: LevelData, P0: Ideal, a: Polynomial) -> Polynomial | None:
-    """theta(a) x_k^s computed over the quotient by P0: the delta-iterates
-    are reduced modulo P0 at every step, and s is the last index with a
-    nonzero reduced iterate.  Returns a polynomial of R representing the
-    quotient-tower normal element, or None if the iterates do not vanish
-    within the bound."""
-    iterates = _delta_iterates_mod(L, P0, a)
-    if iterates is None:
-        return None
-    s = len(iterates) - 2
-    ctx_R = L.pres_R.ctx
-    result = Polynomial.zero(ctx_R)
-    coeff = Fraction(1)
-    factorial = 1
-    for l in range(s + 1):
-        if l:
-            factorial *= l
-            coeff *= Fraction(-1) / L.lambda_k
-        xpow = Polynomial.monomial(ctx_R, Monomial.make({L.x_index: s - l}))
-        result = result + re_context(iterates[l], ctx_R) * (coeff / factorial) * xpow
-    return result
-
-
 def separating_normal(
     P: PoissonPresentation,
     P_ideal,
@@ -910,9 +878,9 @@ def separating_normal(
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
-    if not all(Q_I.member(g)[0] for g in P_I.generators):
+    if not contains(Q_I, P_I):
         raise PreconditionError("ideals are not nested")
-    if all(P_I.member(g)[0] for g in Q_I.generators):
+    if contains(P_I, Q_I):
         raise PreconditionError("ideals are equal")
     result = _separating_normal_inner(P, P_I, Q_I, degree_bound)
     if result is None:
@@ -938,12 +906,9 @@ def _separating_normal_inner(P, P_I, Q_I, degree_bound):
     if N == 0:
         return None
     P0 = contract_to_prefix(P_I, N - 1)
-    gb = P0.groebner()
-    if not gb or not all(
-        len(g.terms) == 1 and next(iter(g.terms)).degree() == 1 for g in gb
-    ):
+    gone = variable_support(P0)
+    if not gone:
         return _separating_normal_mod(P, P_I, Q_I, P0, degree_bound)
-    gone = {next(iter(g.terms)).support()[0] for g in gb}
     quotient = P.drop_variables(gone)
     P_down = _project(P_I, gone, quotient.ctx)
     Q_down = _project(Q_I, gone, quotient.ctx)
@@ -987,10 +952,11 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
     A contraction generated by variables could come here too, with the same
     elements, but `_separating_normal_inner` passes it to the quotient
     presentation instead: that route serves 321 of the 508 nested pairs of
-    weyl, pplane, m2 and the 2x3 tower.  With the projections handing over
-    their reduced bases, sending it here made the sweep over the 447 pairs
-    of the 2x3 tower about 25 % slower (medians 0.86 s against 1.01 s, ten
-    alternating runs, per-run ratio 0.92-1.46, same elements; Python 3.11
+    weyl, pplane, m2 and the 2x3 tower.  Sending every contraction here
+    gives the same elements, but made the benchmark's sweep over the 447
+    pairs of the 2x3 tower (separate-2x3) about a third slower: median
+    0.899 s against 0.673 s by the quotient, slower in 10 of 10 alternating
+    pairs, almost all of it in `intersect` over more variables (Python 3.11
     on a shared 2-core VM).
     """
     N = P.nvars
@@ -999,9 +965,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
         return None
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
-    # grevlex on R restricted to A's monomials is grevlex on A
-    P0_R = Ideal._with_basis(ctx_R, [re_context(g, ctx_R) for g in P0.groebner()])
-    if not ideal_equal(P_I, P0_R):
+    if not ideal_equal(P_I, extend(P0, ctx_R)):
         J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)
         W = intersect(J, contract_to_prefix(Q_I, N - 1))
         for cand in _normal_candidates(L, W, degree_bound, modulo=P0):
@@ -1020,8 +984,11 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
     G_A = L.pres_R.grading.restrict(N - 1)
     X = L.x()
     for cand in _normal_candidates(L, source, degree_bound, modulo=P0):
-        u = _theta_clear_mod(L, P0, cand)
-        if u is None or u.is_zero():
+        try:
+            u = _theta_series(L, _delta_iterates(L, cand, P0))
+        except NotWithinBound:
+            continue
+        if u.is_zero():
             continue
         case = route
         if source is not Q0 and u == re_context(P0.normal_form(cand), ctx_R):

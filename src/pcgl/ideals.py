@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
@@ -111,25 +112,12 @@ def make_primitive(f: Polynomial, order) -> Polynomial:
     """Scale to integer coefficients with content 1 and positive leading one."""
     if f.is_zero():
         return f
-    denom_lcm = 1
-    for c in f.terms.values():
-        d = c.denominator
-        g = _gcd(denom_lcm, d)
-        denom_lcm = denom_lcm // g * d
-    nums = [int(c * denom_lcm) for c in f.terms.values()]
-    content = 0
-    for x in nums:
-        content = _gcd(content, abs(x))
+    denom_lcm = math.lcm(*(c.denominator for c in f.terms.values()))
+    content = math.gcd(*(int(c * denom_lcm) for c in f.terms.values()))
     scale = _qdiv(denom_lcm, content)
     if f.terms[leading_monomial(f, order)] < 0:
         scale = -scale
     return f * scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class _Budget:
@@ -481,6 +469,30 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
     return set(I.groebner()) == set(J.groebner())
 
 
+def contains(I: Ideal, J: Ideal) -> bool:
+    """True iff J is inside I: every generator of J is a member of I."""
+    return all(I.member(g)[0] for g in J.generators)
+
+
+def extend(I: Ideal, ctx: VarTable) -> Ideal:
+    """The ideal that I generates in a ring whose variables extend I's by
+    later ones, with I's reduced basis handed over: grevlex on the larger
+    ring, restricted to the monomials of I's ring, is grevlex there."""
+    return Ideal._with_basis(ctx, [re_context(g, ctx) for g in I.groebner()])
+
+
+def variable_support(I: Ideal):
+    """The set of variable indices that generate I when its reduced basis
+    consists of variables alone (empty for the zero ideal), else None."""
+    gone = set()
+    for g in I.groebner():
+        m = next(iter(g.terms))
+        if len(g.terms) != 1 or m.degree() != 1:
+            return None
+        gone.add(m.support()[0])
+    return gone
+
+
 def contract_to_prefix(I: Ideal, k: int) -> Ideal:
     """I intersect K[x_1..x_k], returned over the prefix variable table with
     its reduced basis: the variables eliminated are the trailing ones, and
@@ -689,9 +701,8 @@ def h_core(G, I: Ideal) -> Ideal:
     for k in range(r):
         tprod = tprod * Polynomial.variable(up, n + k)
     core = contract_to_prefix(saturate(J, tprod), n)
-    for g in core.groebner():
-        if not I.member(g)[0]:
-            raise PcglError("h_core post-condition failed: result not inside ideal")
+    if not contains(I, core):
+        raise PcglError("h_core post-condition failed: result not inside ideal")
     if not is_h_stable(G, core):
         raise PcglError("h_core post-condition failed: result not graded")
     return core
@@ -704,13 +715,14 @@ def h_core(G, I: Ideal) -> Ideal:
 
 def primality(I: Ideal) -> dict:
     """Classify primality: verified for the easy shapes, asserted otherwise."""
-    gb = I.groebner()
-    if not gb:
+    gens = variable_support(I)
+    if gens == set():
         return {"prime": True, "tag": "verified", "method": "zero ideal of a domain"}
+    if gens:
+        return {"prime": True, "tag": "verified", "method": "variable-generated"}
     if not I.is_proper():
         return {"prime": False, "tag": "verified", "method": "unit ideal"}
-    if all(len(g.terms) == 1 and next(iter(g.terms)).degree() == 1 for g in gb):
-        return {"prime": True, "tag": "verified", "method": "variable-generated"}
+    gb = I.groebner()
     if len(gb) == 1 and _principal_irreducible(gb[0]):
         return {"prime": True, "tag": "verified", "method": "principal irreducible"}
     return {"prime": True, "tag": "asserted", "method": "not verified"}
@@ -784,10 +796,9 @@ def chain_report(P, chain) -> ChainReport:
     if len(chain) < 1:
         raise PcglError("empty chain")
     for a, b in zip(chain, chain[1:]):
-        for g in a.generators:
-            if not b.member(g)[0]:
-                raise PcglError("chain is not increasing")
-        if all(a.member(g)[0] for g in b.generators):
+        if not contains(b, a):
+            raise PcglError("chain is not increasing")
+        if contains(a, b):
             raise PcglError("chain is not strictly increasing")
     entries = []
     dims = []

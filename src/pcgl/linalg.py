@@ -6,8 +6,8 @@ the torus-center kernel computation.  Matrices are lists of lists.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd
 
 
 def rref(matrix):
@@ -81,13 +81,9 @@ def nullspace(A, ncols=None):
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (first nonzero > 0)."""
     fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    lcm = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import NotAPoissonAffineSpace, PcglError
+from .ideals import variable_support
 from .qpoly import Monomial, Polynomial, VarTable
 
 
@@ -128,14 +129,9 @@ def stratum_summary(P, node) -> StratumReport:
     a Laurent polynomial ring whose rank is the stratum dimension.
     """
     ideal = node.ideal if hasattr(node, "ideal") else node
-    gone = set()
-    for g in ideal.groebner():
-        if len(g.terms) != 1:
-            raise PcglError("stratum node ideal is not variable-generated")
-        m = next(iter(g.terms))
-        if m.degree() != 1:
-            raise PcglError("stratum node ideal is not variable-generated")
-        gone.add(m.support()[0])
+    gone = variable_support(ideal)
+    if gone is None:
+        raise PcglError("stratum node ideal is not variable-generated")
     surviving = [i for i in range(P.nvars) if i not in gone]
     big = extract_log_matrix(P)
     sub_ctx = VarTable(tuple(P.ctx.names[i] for i in surviving))

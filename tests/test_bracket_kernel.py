@@ -152,9 +152,44 @@ ATOM_SETS = [
 @pytest.mark.parametrize("bound", [0, 1, 2, 4])
 def test_candidates_match_eager_list(atoms, bound):
     atoms = [parse(a, CTX3) for a in atoms]
-    assert list(_denominator_candidates(CTX3, atoms, bound)) == eager_candidates(
+    assert list(_denominator_candidates(CTX3, [atoms], bound)) == eager_candidates(
         CTX3, atoms, bound
     )
+
+
+def eager_two_group_candidates(ctx, first, second, degree_bound):
+    """The two-phase order of the d-search before its candidates became one
+    stream: the products of the first group, then every product over both
+    groups not yielded before, each batch sorted."""
+    out = eager_candidates(ctx, first, degree_bound)
+    tried = set(out)
+    return out + [
+        c for c in eager_candidates(ctx, first + second, degree_bound) if c not in tried
+    ]
+
+
+@pytest.mark.parametrize("first, second", list(itertools.product(ATOM_SETS, repeat=2)))
+@pytest.mark.parametrize("bound", range(5))
+def test_two_groups_match_the_two_phase_order(first, second, bound):
+    first = [parse(a, CTX3) for a in first]
+    second = [parse(a, CTX3) for a in second]
+    want = eager_two_group_candidates(CTX3, first, second, bound)
+    asked = []
+
+    def groups():
+        yield first
+        asked.append("second")
+        yield second
+
+    stream = _denominator_candidates(CTX3, groups(), bound)
+    # the second group is read only once every product of the first is taken
+    first_part = eager_candidates(CTX3, first, bound)
+    got = [next(stream) for _ in first_part]
+    assert got == first_part
+    assert asked == []
+    got += list(stream)
+    assert asked == ["second"]
+    assert got == want
 
 
 def test_candidates_build_one_batch_at_a_time(monkeypatch):
@@ -167,7 +202,7 @@ def test_candidates_build_one_batch_at_a_time(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
-    gen = _denominator_candidates(CTX3, atoms, 4)
+    gen = _denominator_candidates(CTX3, [atoms], 4)
     assert next(gen) == 1
     assert products == []
     singles = [next(gen) for _ in atoms]

@@ -27,7 +27,16 @@ from pcgl.errors import PreconditionError, SecondLiftError
 from pcgl.grading import GradingData, monomial_weight
 from pcgl.ideals import Ideal, contract_to_prefix, ideal_equal, is_h_stable, is_poisson_stable
 from pcgl.pbracket import BracketTable, is_poisson_normal
-from pcgl.qpoly import Monomial, Polynomial, VarTable, parse, random_polynomial, re_context
+from pcgl.qpoly import (
+    Monomial,
+    Polynomial,
+    VarTable,
+    iterate_derivation,
+    parse,
+    random_polynomial,
+    re_context,
+)
+from test_matrices import matrix_presentation
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +84,43 @@ class TestTheta:
         report = check_theta(broken, samples=20)
         assert not report.ok
         assert any(f["identity"] == "sigma-twist" for f in report.failures)
+
+
+def reference_theta(L, a):
+    """theta(a) summed term by term in the Laurent ring, each
+    delta-iterate of a times x_k^(-l), and s_max(a) from the same iterates:
+    a reference for the series that theta shares with normal_element."""
+    powers, idx = iterate_derivation(L.delta, a, L.pres_R.nilpotency_bound)
+    result = Polynomial.zero(L.hat_ctx)
+    coeff = Fraction(1)
+    factorial = 1
+    for l, p in enumerate(powers):
+        if p.is_zero():
+            break
+        if l:
+            factorial *= l
+            coeff *= Fraction(-1) / L.lambda_k
+        xpow = Polynomial.monomial(L.hat_ctx, Monomial.make({L.x_index: -l}))
+        result = result + re_context(p, L.hat_ctx) * (coeff / factorial) * xpow
+    return result, idx - 1
+
+
+@pytest.mark.parametrize("name", ["weyl", "pplane", "m2", "2x3"])
+def test_theta_matches_the_reference_series(request, name):
+    # every level, every variable of its base ring and 20 seeded random
+    # elements of it
+    P = matrix_presentation(2, 3) if name == "2x3" else request.getfixturevalue(name)
+    rng = random.Random(20)
+    for level in range(1, P.nvars + 1):
+        L = level_data(P, level)
+        ctx_A = L.pres_A.ctx
+        elements = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
+        elements += [random_polynomial(rng, ctx_A) for _ in range(20)]
+        for a in elements:
+            want, s = reference_theta(L, a)
+            assert theta(L, a) == want
+            if not a.is_zero():
+                assert s_max(L, a) == s
 
 
 class TestSMax:

@@ -108,6 +108,14 @@ class TestComputations:
         assert code == 1
         assert "inconclusive" in err
 
+    @pytest.mark.parametrize("modulo", ["1", "a;a - 1", "2;a"])
+    def test_d_modulo_must_be_proper(self, capsys, modulo):
+        # the quotient by the unit ideal is the zero ring: an input error,
+        # not an inconclusive search
+        code, out, err = run(capsys, "d", WEYL, "--level", "2", "--modulo", modulo)
+        assert code == 2 and not out
+        assert err == "error: --modulo must generate a proper ideal\n"
+
 
 class TestHPrimes:
     def test_pplane_square_poset(self, capsys):
@@ -130,8 +138,9 @@ class TestHPrimes:
         assert data["inconclusive"] is False
 
     def test_failing_presentation(self, capsys):
-        code, _, err = run(capsys, "hprimes", BELLSIG)
-        assert code == 1
+        code, out, err = run(capsys, "hprimes", BELLSIG)
+        assert code == 1 and not out
+        assert err == "error: presentation fails the tower axioms\n"
 
 
 class TestReports:

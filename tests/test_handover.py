@@ -31,16 +31,16 @@ from pcgl.ideals import (
 )
 from pcgl.qpoly import VarTable, random_polynomial
 from test_cli import README_COMMANDS, run
-from test_matrices import matrix_presentation
+from test_matrices import matrix_presentation, nested_pairs
 
 ENUMERATION_SITES = {
-    "enumerate_hprimes",
+    "extend",
     "second_lift",
     "eliminate",
     "contract_to_prefix",
     "carried elim",
 }
-SEPARATION_SITES = {"eliminate", "contract_to_prefix", "_separating_normal_mod", "in intersect"}
+SEPARATION_SITES = {"eliminate", "contract_to_prefix", "extend", "in intersect"}
 
 
 @pytest.fixture
@@ -69,21 +69,6 @@ def handovers(monkeypatch):
 
     monkeypatch.setattr(Ideal, "_with_basis", classmethod(checked))
     return sites
-
-
-def nested_pairs(leaves):
-    """The nested pairs P < Q of the leaves, in label order."""
-    pairs = []
-    for a in leaves:
-        for b in leaves:
-            if a is b:
-                continue
-            if all(b.ideal.member(g)[0] for g in a.ideal.generators) and not all(
-                a.ideal.member(g)[0] for g in b.ideal.generators
-            ):
-                pairs.append((a.label(), b.label(), a, b))
-    pairs.sort(key=lambda p: p[:2])
-    return [(a, b) for _, _, a, b in pairs]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -120,7 +105,8 @@ def test_two_by_three_enumeration_and_separation(handovers):
     leaves = enumerate_hprimes(P).leaves()
     assert ENUMERATION_SITES | {"in saturate"} <= set(handovers)
     handovers.clear()
-    for a, b in nested_pairs(leaves)[:100]:
+    pairs = sorted(nested_pairs(leaves), key=lambda pair: (pair[0].label(), pair[1].label()))
+    for a, b in pairs[:100]:
         assert separating_normal(P, a, b) is not None
     assert SEPARATION_SITES <= set(handovers)
 
