@@ -115,10 +115,6 @@ def s_max(L: LevelData, a: Polynomial) -> int:
     return len(_delta_iterates(L, a)) - 1
 
 
-def _hat_x(L: LevelData) -> Polynomial:
-    return Polynomial.variable(L.hat_ctx, L.x_index)
-
-
 @dataclass
 class ThetaReport:
     samples: int
@@ -140,7 +136,7 @@ def check_theta(L: LevelData, samples: int = 100, seed: int = 0) -> ThetaReport:
     rng = random.Random(seed)
     ctx_A = L.pres_A.ctx
     table_A = L.pres_A.table
-    X = _hat_x(L)
+    X = Polynomial.variable(L.hat_ctx, L.x_index)
     report = ThetaReport(samples=samples)
     for n in range(samples):
         a = random_polynomial(rng, ctx_A)
@@ -169,7 +165,7 @@ class NormalElementResult:
 def _normal_input(L: LevelData, a: Polynomial):
     """The weight of a homogeneous Poisson-normal element a of A; a
     PreconditionError otherwise."""
-    wa = weight_of(L.pres_R.grading.restrict(L.k - 1), a)
+    wa = weight_of(L.pres_A.grading, a)
     if wa is None:
         raise PreconditionError("input is not homogeneous")
     cert = is_poisson_normal(L.pres_A.table, a)
@@ -259,7 +255,7 @@ def validate_d_element(L: LevelData, d: DElement, modulo: Ideal | None = None) -
     b, c = d.numerator, d.denominator
     if c.is_zero() or Q.member(c)[0]:
         return False
-    G_A = L.pres_R.grading.restrict(L.k - 1)
+    G_A = L.pres_A.grading
     if not d.is_zero():
         wb, wc = weight_of(G_A, b), weight_of(G_A, c)
         if wb is None or wc is None:
@@ -331,7 +327,7 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
     lazy: a caller that stops at an accepted atom never examines the
     candidates after it, and `d_element_search` asks for its variable atoms
     only once its constant denominator has failed."""
-    G_A = L.pres_R.grading.restrict(L.k - 1)
+    G_A = L.pres_A.grading
     modulo = None if Q.is_zero() else Q
     for a in candidates:
         if a.is_zero() or a in seen or Q.member(a)[0]:
@@ -381,9 +377,8 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
     """Solve the cross-multiplied defining property for b given the
     denominator c; returns a validated DElement or None."""
     ctx_A = L.pres_A.ctx
-    G = L.pres_R.grading
-    G_A = G.restrict(L.k - 1)
-    w_x = G.weights[L.x_index]
+    G_A = L.pres_A.grading
+    w_x = L.pres_R.grading.weights[L.x_index]
     w_c = weight_of(G_A, c)
     w_b = tuple(a + b for a, b in zip(w_x, w_c))
     n_A = len(ctx_A)
@@ -790,7 +785,7 @@ def delete_all(P: PoissonPresentation) -> PoissonPresentation:
     report = verify_cgl(P)
     if not report.ok:
         raise PreconditionError("presentation fails the tower axioms", report)
-    hs = tuple(report.level(k).h for k in range(1, P.nvars + 1))
+    hs = tuple(level_data(P, k).h_k for k in range(1, P.nvars + 1))
     entries = {}
     for i in range(P.nvars):
         for j in range(i):
@@ -837,13 +832,13 @@ def _coefficient_ideal(T: Ideal, x_index: int, ctx_A: VarTable) -> Ideal:
     return Ideal(ctx_A, gens)
 
 
-def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal | None = None):
+def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal):
     """Yield the homogeneous elements of the ideal W of A that are
-    Poisson-normal (modulo the given ideal, when working over a quotient);
+    Poisson-normal modulo the ideal `modulo` of A (which may be 0);
     heuristic: basis elements and their bounded pairwise products, in a
     fixed order.  Normality is checked lazily, so the candidates after the
     first one a caller accepts are never examined."""
-    G_A = L.pres_R.grading.restrict(L.k - 1)
+    G_A = L.pres_A.grading
     gb = [g for g in W.groebner() if not g.is_zero()]
     singles = [g for g in gb if weight_of(G_A, g) is not None]
     candidates = list(singles)
@@ -852,7 +847,7 @@ def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal 
         if prod.total_degree() <= degree_bound:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
-    yield from _normal_atoms(L, modulo or Ideal.zero(L.pres_A.ctx), candidates, set())
+    yield from _normal_atoms(L, modulo, candidates, set())
 
 
 def _delta_stable(P0: Ideal, delta) -> bool:
@@ -981,7 +976,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
         route = "theta(a) x^s from J"
     else:
         source, route = Q0, "theta(a) x^s from Q cap A"
-    G_A = L.pres_R.grading.restrict(N - 1)
+    G_A = L.pres_A.grading
     X = L.x()
     for cand in _normal_candidates(L, source, degree_bound, modulo=P0):
         try:

@@ -6,10 +6,13 @@ torus grading and an optional Lie vector per level.  Triangularity
 construction; the nilpotency, grading and realizability axioms are checked
 by `verify_cgl` and reported rather than raised.
 
-A presentation is immutable, so the tower data derived from it is computed
-once per presentation object: `level_data` keeps each level's Ore data, and
-`drop_variables` each quotient by a set of variables, in a private cache
-that lives and dies with the object.
+Each level's sigma_k, delta_k and h_k are derived once, by `_level_maps`
+and `_lie_vector`: `verify_cgl` reports their problems as notes and
+`level_data` raises the first one.  A presentation is immutable, so the
+tower data derived from it is computed once per presentation object:
+`level_data` keeps each level's Ore data, and `drop_variables` each quotient
+by a set of variables, in a private cache that lives and dies with the
+object.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .grading import (
     GradingData,
     LieVector,
     graded_bracket_failures,
-    lie_act,
     pair,
     solve_h,
 )
@@ -160,24 +162,47 @@ def split_bracket(P: PoissonPresentation, k: int):
     return sigma_images, delta_images
 
 
-def sigma_eigenvalues(sigma_images: dict[int, Polynomial], sub: VarTable):
-    """Diagonal eigenvalues mu_j with sigma(x_j) = mu_j x_j; raises otherwise."""
+def _level_maps(P: PoissonPresentation, k: int):
+    """sigma_k and delta_k as derivations of A = R_{k-1}, and the eigenvalues
+    mu_j with sigma_k(x_j) = mu_j x_j; raises TriangularityError, or
+    NonDiagonalSigma when some sigma_k(x_j) is not a multiple of x_j."""
+    sigma_images, delta_images = split_bracket(P, k)
+    sub = P.ctx.restrict(k - 1)
     mus = []
-    for j in range(len(sub)):
+    for j in range(k - 1):
         img = sigma_images[j]
         if img.is_zero():
             mus.append(Fraction(0))
             continue
-        xj = Polynomial.variable(sub, j)
         if len(img.terms) == 1:
             m, c = next(iter(img.terms.items()))
-            if Polynomial.monomial(sub, m) == xj:
+            if Polynomial.monomial(sub, m) == Polynomial.variable(sub, j):
                 mus.append(Fraction(c))
                 continue
         raise NonDiagonalSigma(
             f"sigma(x_{j+1}) = {img} is not a scalar multiple of x_{j+1}"
         )
-    return mus
+    return Derivation(sub, sigma_images), Derivation(sub, delta_images), mus
+
+
+def _lie_vector(P: PoissonPresentation, k: int, mus):
+    """(h_k, lambda_k, problems): the supplied h_k, or the one `solve_h`
+    finds, its eigenvalue on x_k, and the notes on why it fails to realize
+    sigma_k (<h_k, deg x_j> = mu_j for j < k) with lambda_k != 0."""
+    if P.h is None:
+        h_k = solve_h(P.grading, k, mus)
+        if h_k is None:
+            return None, None, [f"no h_{k} with the required eigenvalues exists"]
+        name = f"h_{k}"
+    else:
+        h_k, name = P.h[k - 1], f"supplied h_{k}"
+    problems = []
+    if any(pair(h_k, P.grading.weights[j]) != mus[j] for j in range(k - 1)):
+        problems.append(f"{name} does not realize sigma_{k}")
+    lam = pair(h_k, P.grading.weights[k - 1])
+    if lam == 0:
+        problems.append(f"{name} has zero eigenvalue on x_{k}")
+    return h_k, lam, problems
 
 
 @dataclass(frozen=True)
@@ -193,7 +218,6 @@ class LevelData:
     pres_A: PoissonPresentation
     sigma: Derivation
     delta: Derivation
-    sigma_eigs: tuple[Fraction, ...]
     h_k: LieVector
     lambda_k: Fraction
     hat_ctx: VarTable
@@ -218,32 +242,18 @@ def level_data(P: PoissonPresentation, k: int) -> LevelData:
 
 
 def _build_level_data(P: PoissonPresentation, k: int) -> LevelData:
+    sigma, delta, mus = _level_maps(P, k)
+    h_k, lam, problems = _lie_vector(P, k, mus)
+    if problems:
+        raise PcglError(problems[0])
     pres_R = P.restrict(k)
-    pres_A = P.restrict(k - 1)
-    sigma_images, delta_images = split_bracket(P, k)
-    mus = sigma_eigenvalues(sigma_images, pres_A.ctx)
-    if P.h is not None:
-        h_k = P.h[k - 1]
-        for j in range(k - 1):
-            if pair(h_k, P.grading.weights[j]) != mus[j]:
-                raise PcglError(
-                    f"supplied h_{k} does not realize sigma_{k} on x_{j+1}"
-                )
-    else:
-        h_k = solve_h(P.grading, k, mus)
-        if h_k is None:
-            raise PcglError(f"no valid Lie vector h_{k} exists")
-    lam = pair(h_k, P.grading.weights[k - 1])
-    if lam == 0:
-        raise PcglError(f"h_{k}-eigenvalue of x_{k} is zero")
     hat_ctx = pres_R.ctx.with_laurent(k - 1)
     return LevelData(
         k=k,
         pres_R=pres_R,
-        pres_A=pres_A,
-        sigma=Derivation(pres_A.ctx, sigma_images),
-        delta=Derivation(pres_A.ctx, delta_images),
-        sigma_eigs=tuple(mus),
+        pres_A=P.restrict(k - 1),
+        sigma=sigma,
+        delta=delta,
         h_k=h_k,
         lambda_k=lam,
         hat_ctx=hat_ctx,
@@ -254,7 +264,6 @@ def _build_level_data(P: PoissonPresentation, k: int) -> LevelData:
 @dataclass
 class LevelReport:
     level: int
-    eigenvector_ok: bool = True
     sigma_diagonal_ok: bool = True
     nilpotency: dict[int, int | None] = field(default_factory=dict)
     nilpotency_ok: bool = True
@@ -270,8 +279,7 @@ class LevelReport:
     @property
     def ok(self) -> bool:
         return (
-            self.eigenvector_ok
-            and self.sigma_diagonal_ok
+            self.sigma_diagonal_ok
             and self.nilpotency_ok
             and self.h_ok
             and self.jacobi_ok
@@ -283,7 +291,7 @@ class LevelReport:
         return {
             "level": self.level,
             "ok": self.ok,
-            "eigenvector": self.eigenvector_ok,
+            "eigenvector": True,
             "sigma_diagonal": self.sigma_diagonal_ok,
             "delta_nilpotent": self.nilpotency_ok,
             "nilpotency_indices": {
@@ -339,29 +347,21 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
     graded_bad = set(graded_bracket_failures(P.grading, P.table))
     for k in range(1, P.nvars + 1):
         rep = LevelReport(level=k)
+        reports.append(rep)
         i = k - 1
         rep.jacobi_ok = check_jacobi(P.table, max_index=i).ok
         rep.graded_ok = not any(p[0] == i for p in graded_bad)
-        sub = P.ctx.restrict(i)
         try:
-            sigma_images, delta_images = split_bracket(P, k)
-        except TriangularityError as exc:
+            sigma, delta, mus = _level_maps(P, k)
+        except (TriangularityError, NonDiagonalSigma) as exc:
             rep.notes.append(str(exc))
             rep.sigma_diagonal_ok = False
-            reports.append(rep)
+            # no h_k realizes a non-diagonal sigma_k; a triangularity
+            # failure leaves h_k unchecked
+            rep.h_ok = isinstance(exc, TriangularityError)
             continue
-        try:
-            mus = sigma_eigenvalues(sigma_images, sub)
-        except NonDiagonalSigma as exc:
-            rep.notes.append(str(exc))
-            rep.sigma_diagonal_ok = False
-            rep.h_ok = False
-            reports.append(rep)
-            continue
-        delta = Derivation(sub, delta_images)
-        sigma = Derivation(sub, sigma_images)
         for j in range(i):
-            xj = Polynomial.variable(sub, j)
+            xj = Polynomial.variable(delta.ctx, j)
             powers, idx = iterate_derivation(delta, xj, P.nilpotency_bound)
             rep.nilpotency[j] = idx
             if idx is None:
@@ -372,36 +372,11 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
                         f"delta_{k} iterates on x_{j+1} grow in degree; "
                         "likely not nilpotent"
                     )
-        if P.h is not None:
-            h_k = P.h[i]
-            if any(pair(h_k, P.grading.weights[j]) != mus[j] for j in range(i)):
-                rep.h_ok = False
-                rep.notes.append(f"supplied h_{k} does not realize sigma_{k}")
-            lam = pair(h_k, P.grading.weights[i])
-            rep.h = h_k
-            rep.lambda_k = lam
-            if lam == 0:
-                rep.h_ok = False
-                rep.notes.append(f"supplied h_{k} has zero eigenvalue on x_{k}")
-        else:
-            h_k = solve_h(P.grading, k, mus)
-            if h_k is None:
-                rep.h_ok = False
-                rep.notes.append(
-                    f"no h_{k} with the required eigenvalues exists"
-                )
-            else:
-                rep.h = h_k
-                rep.lambda_k = pair(h_k, P.grading.weights[i])
-                # consistency: the solved h really acts as sigma on generators
-                for j in range(i):
-                    xj = Polynomial.variable(sub, j)
-                    if lie_act(P.grading.restrict(i), h_k, xj) != sigma(xj):
-                        rep.h_ok = False
-                        rep.notes.append(f"h_{k} action mismatch on x_{j+1}")
+        rep.h, rep.lambda_k, problems = _lie_vector(P, k, mus)
+        rep.h_ok = not problems
+        rep.notes.extend(problems)
         if i > 0:
             rep.delta_condition_ok = check_delta_condition(
                 P.table.restrict(i), sigma, delta
             )
-        reports.append(rep)
     return CGLReport(levels=reports)

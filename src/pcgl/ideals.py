@@ -388,9 +388,16 @@ def lift_through_ideal(generators, targets, modulo: Ideal | None = None):
 
 
 class Ideal:
-    """Finitely generated ideal with cached reduced Groebner bases."""
+    """Finitely generated ideal with cached reduced Groebner bases.
+
+    The Groebner engine treats every variable as a polynomial one, where a
+    unit such as a Laurent variable would generate a proper ideal, so a
+    variable table with a Laurent flag is refused."""
 
     def __init__(self, ctx: VarTable, generators):
+        if True in ctx.laurent:
+            name = ctx.names[ctx.laurent.index(True)]
+            raise PcglError(f"ideals over the Laurent variable {name} are not supported")
         self.ctx = ctx
         gens = []
         for g in generators:
@@ -402,7 +409,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb: dict = {}
-        self._divisors: dict = {}  # divisor table of each cached basis
+        self._divisors = None  # divisor table of the grevlex basis
 
     @classmethod
     def zero(cls, ctx: VarTable) -> "Ideal":
@@ -432,17 +439,16 @@ class Ideal:
         same basis already cached, since a reduced basis is its own."""
         return Ideal._with_basis(self.ctx, self.groebner())
 
-    def normal_form(self, f: Polynomial, order=None) -> Polynomial:
-        if order is None:
-            order = Grevlex(self.ctx)
-        gb = self.groebner(order)
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """The remainder of f on the reduced grevlex basis."""
+        gb = self.groebner()
         if not gb:
             return f
-        divisors = self._divisors.get(order.tag)
-        if divisors is None:
+        order = Grevlex(self.ctx)
+        if self._divisors is None:
             lms = [leading_monomial(g, order) for g in gb]
-            divisors = self._divisors[order.tag] = _divisor_table(gb, lms)
-        return _divide(f, divisors, order)
+            self._divisors = _divisor_table(gb, lms)
+        return _divide(f, self._divisors, order)
 
     def member(self, f: Polynomial):
         nf = self.normal_form(f)

@@ -80,9 +80,9 @@ class VarTable:
     def restrict(self, k: int) -> "VarTable":
         return VarTable(self.names[:k], self.laurent[:k])
 
-    def extend(self, extra: tuple[str, ...], laurent=None) -> "VarTable":
-        flags = laurent if laurent is not None else (False,) * len(extra)
-        return VarTable(self.names + tuple(extra), self.laurent + tuple(flags))
+    def extend(self, extra: tuple[str, ...]) -> "VarTable":
+        """This table followed by the polynomial variables `extra`."""
+        return VarTable(self.names + tuple(extra), self.laurent + (False,) * len(extra))
 
 
 class Monomial:

@@ -93,6 +93,31 @@ class TestVerify:
         assert d["levels"][1]["lambda"] == "1"
 
 
+class TestSharedDerivation:
+    """`verify_cgl` and `level_data` read one derivation of each level: the
+    report's notes are the problems, and `level_data` raises the first."""
+
+    @pytest.mark.parametrize("h2,lam,notes", [
+        ("0", "0", ["supplied h_2 does not realize sigma_2",
+                    "supplied h_2 has zero eigenvalue on x_2"]),
+        ("2", "2", ["supplied h_2 does not realize sigma_2"]),
+    ])
+    def test_wrong_supplied_h(self, weyl, h2, lam, notes):
+        P = PoissonPresentation(
+            ctx=weyl.ctx,
+            table=weyl.table,
+            grading=weyl.grading,
+            h=((Fraction(1),), (Fraction(h2),)),
+        )
+        level = verify_cgl(P).to_json_dict()["levels"][1]
+        assert level["h_exists"] is False and level["ok"] is False
+        assert level["h"] == [h2] and level["lambda"] == lam
+        assert level["notes"] == notes
+        with pytest.raises(PcglError) as exc:
+            level_data(P, 2)
+        assert str(exc.value) == notes[0]
+
+
 class TestRestrict:
     def test_full_restriction_is_identity(self, weyl):
         assert weyl.restrict(2) is weyl

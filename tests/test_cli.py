@@ -143,6 +143,54 @@ class TestHPrimes:
         assert err == "error: presentation fails the tower axioms\n"
 
 
+class TestLaurentVariables:
+    """The ideal layer computes over polynomial variables only, so the
+    commands that build ideals refuse a Laurent-flagged file; X is a unit
+    there, and (X) would be counted as a proper prime."""
+
+    DATA = {"vars": ["a", "X"], "laurent": [False, True],
+            "brackets": {"2,1": "-a*X"}, "grading": [[-1, 1]]}
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "laurent.json"
+        path.write_text(json.dumps(self.DATA))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["hprimes"],
+        ["chain", "--ideal", "0", "--ideal", "X"],
+        ["hcore", "-g", "X"],
+        ["closure", "-g", "a"],
+    ])
+    def test_ideal_commands_refuse(self, capsys, path, argv):
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Laurent variable X" in err
+
+    def test_other_commands_keep_their_output(self, capsys, path):
+        code, out, _ = run(capsys, "check", path)
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert run(capsys, "theta", path, "--level", "2", "a") == (0, "a\n", "")
+        code, out, _ = run(capsys, "center", path)
+        assert code == 0
+        assert json.loads(out) == {"center": "QQ", "kernel_basis": [], "kernel_rank": 0}
+        code, out, _ = run(capsys, "d", path, "--level", "2")
+        assert code == 0
+        assert out == (
+            "0\nsigma(d) = lambda*d: verified\ndelta(d) = -lambda*d^2: verified\n"
+        )
+
+    def test_d_refuses_a_flag_below_its_level(self, capsys, tmp_path):
+        # the ideals of d live in A = Q[a], where a is now the unit
+        path = tmp_path / "laurent_a.json"
+        path.write_text(json.dumps({**self.DATA, "laurent": [True, False]}))
+        code, out, err = run(capsys, "d", str(path), "--level", "2")
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and "Laurent variable a" in err
+
+
 class TestReports:
     def test_closure(self, capsys):
         code, out, _ = run(capsys, "closure", BELLSIG, "-g", "x")
