@@ -54,6 +54,10 @@ from .qpoly import (
     re_context,
 )
 
+# total-degree bound of the d-search denominators and of the separating
+# element candidates; the CLI's --degree-bound overrides it for the d-search
+DEFAULT_DEGREE_BOUND = 4
+
 
 def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
     """Coerce an element into the base ring A of the level."""
@@ -472,7 +476,7 @@ def _denominator_screen(L: LevelData, Q: Ideal, normals):
 def d_element_search(
     L: LevelData,
     modulo: Ideal | None = None,
-    degree_bound: int = 4,
+    degree_bound: int = DEFAULT_DEGREE_BOUND,
     extra_normals=(),
 ) -> DElement | None:
     """Bounded ansatz search for the d-element over A/modulo.
@@ -577,7 +581,6 @@ class HPrimeNode:
     parent: "HPrimeNode | None" = None
     branch: str = "root"
     d: DElement | None = None
-    children: list = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     prime: dict = field(default_factory=dict)
@@ -592,7 +595,6 @@ class HPrimeNode:
 
 @dataclass
 class HPrimeTree:
-    root: HPrimeNode
     levels: list[list[HPrimeNode]]
     degree_bound: int
 
@@ -652,7 +654,9 @@ class HPrimeTree:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTree:
+def enumerate_hprimes(
+    P: PoissonPresentation, degree_bound: int = DEFAULT_DEGREE_BOUND
+) -> HPrimeTree:
     """Level-by-level enumeration of the torus-stable Poisson primes.
 
     Starting from the zero ideal of the base field, every delta-stable node
@@ -688,7 +692,6 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
             pool_up = tuple(re_context(p, ctx_k) for p in node.normal_pool)
             child = HPrimeNode(level=k, ideal=induced, parent=node, branch="induced")
             child.prime = primality(induced)
-            node.children.append(child)
             next_level.append(child)
             d = d_element_search(
                 L, modulo=Q, degree_bound=degree_bound, extra_normals=node.normal_pool
@@ -714,10 +717,9 @@ def enumerate_hprimes(P: PoissonPresentation, degree_bound: int = 4) -> HPrimeTr
                 normal_pool=pool_up,
             )
             child2.prime = primality(lifted)
-            node.children.append(child2)
             next_level.append(child2)
         levels.append(next_level)
-    return HPrimeTree(root=root, levels=levels, degree_bound=degree_bound)
+    return HPrimeTree(levels=levels, degree_bound=degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +834,7 @@ def _coefficient_ideal(T: Ideal, x_index: int, ctx_A: VarTable) -> Ideal:
     return Ideal(ctx_A, gens)
 
 
-def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal):
+def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
     """Yield the homogeneous elements of the ideal W of A that are
     Poisson-normal modulo the ideal `modulo` of A (which may be 0);
     heuristic: basis elements and their bounded pairwise products, in a
@@ -844,7 +846,7 @@ def _normal_candidates(L: LevelData, W: Ideal, degree_bound: int, modulo: Ideal)
     candidates = list(singles)
     for a, b in itertools.combinations_with_replacement(singles, 2):
         prod = a * b
-        if prod.total_degree() <= degree_bound:
+        if prod.total_degree() <= DEFAULT_DEGREE_BOUND:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
     yield from _normal_atoms(L, modulo, candidates, set())
@@ -854,12 +856,7 @@ def _delta_stable(P0: Ideal, delta) -> bool:
     return all(P0.member(delta(g))[0] for g in P0.groebner())
 
 
-def separating_normal(
-    P: PoissonPresentation,
-    P_ideal,
-    Q_ideal,
-    degree_bound: int = 4,
-) -> SeparationResult | None:
+def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationResult | None:
     """A Poisson-normal eigenvector of R/P lying in Q/P, or None when the
     heuristic search is inconclusive (nonexistence is never claimed).
 
@@ -877,7 +874,7 @@ def separating_normal(
         raise PreconditionError("ideals are not nested")
     if contains(P_I, Q_I):
         raise PreconditionError("ideals are equal")
-    result = _separating_normal_inner(P, P_I, Q_I, degree_bound)
+    result = _separating_normal_inner(P, P_I, Q_I)
     if result is None:
         return None
     u, case, cert = result
@@ -893,7 +890,7 @@ def separating_normal(
     return SeparationResult(element=u, case=case, normality=cert)
 
 
-def _separating_normal_inner(P, P_I, Q_I, degree_bound):
+def _separating_normal_inner(P, P_I, Q_I):
     """(element, case, certificate) or None.  The certificate is the
     normality check of the element in P, or None when the element was
     certified only in a quotient presentation."""
@@ -903,11 +900,11 @@ def _separating_normal_inner(P, P_I, Q_I, degree_bound):
     P0 = contract_to_prefix(P_I, N - 1)
     gone = variable_support(P0)
     if not gone:
-        return _separating_normal_mod(P, P_I, Q_I, P0, degree_bound)
+        return _separating_normal_mod(P, P_I, Q_I, P0)
     quotient = P.drop_variables(gone)
     P_down = _project(P_I, gone, quotient.ctx)
     Q_down = _project(Q_I, gone, quotient.ctx)
-    result = _separating_normal_inner(quotient, P_down, Q_down, degree_bound)
+    result = _separating_normal_inner(quotient, P_down, Q_down)
     if result is None:
         return None
     u_down, case, _ = result
@@ -930,7 +927,7 @@ def _project(I: Ideal, gone, ctx: VarTable) -> Ideal:
     )
 
 
-def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
+def _separating_normal_mod(P, P_I, Q_I, P0):
     """The case analysis over A/P0 for a delta-stable, Poisson-stable
     contraction P0 = P cap A, which may be 0: computations in A with every
     reduction taken modulo P0 rather than a literal quotient presentation.
@@ -963,7 +960,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
     if not ideal_equal(P_I, extend(P0, ctx_R)):
         J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)
         W = intersect(J, contract_to_prefix(Q_I, N - 1))
-        for cand in _normal_candidates(L, W, degree_bound, modulo=P0):
+        for cand in _normal_candidates(L, W, modulo=P0):
             u = re_context(cand, ctx_R)
             if Q_I.member(u)[0] and not P_I.member(u)[0]:
                 cert = is_poisson_normal(P.table, u, modulo=P_I)
@@ -978,7 +975,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0, degree_bound):
         source, route = Q0, "theta(a) x^s from Q cap A"
     G_A = L.pres_A.grading
     X = L.x()
-    for cand in _normal_candidates(L, source, degree_bound, modulo=P0):
+    for cand in _normal_candidates(L, source, modulo=P0):
         try:
             u = _theta_series(L, _delta_iterates(L, cand, P0))
         except NotWithinBound:

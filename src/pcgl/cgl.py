@@ -80,9 +80,6 @@ class PoissonPresentation:
     def nvars(self) -> int:
         return len(self.ctx)
 
-    def variable(self, i: int) -> Polynomial:
-        return Polynomial.variable(self.ctx, i)
-
     def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
         return bracket(self.table, f, g)
 

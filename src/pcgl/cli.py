@@ -16,12 +16,13 @@ from fractions import Fraction
 from importlib import resources
 
 from .cauchon import (
+    DEFAULT_DEGREE_BOUND,
     d_element_search,
     enumerate_hprimes,
     normal_element,
     theta,
 )
-from .cgl import PoissonPresentation, level_data, verify_cgl
+from .cgl import DEFAULT_NILPOTENCY_BOUND, PoissonPresentation, level_data, verify_cgl
 from .errors import ParseError, PcglError, TriangularityError
 from .grading import GradingData
 from .ideals import Ideal, chain_report, h_core, poisson_closure, step_limit
@@ -116,7 +117,7 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
             table=BracketTable(ctx, entries),
             grading=grading,
             h=h,
-            nilpotency_bound=bounds.get("nilpotency", 25),
+            nilpotency_bound=bounds.get("nilpotency", DEFAULT_NILPOTENCY_BOUND),
         )
     except TriangularityError:
         raise
@@ -175,9 +176,9 @@ def cmd_normal(args, pres, bounds) -> int:
 
 
 def _degree_bound(args, bounds) -> int:
-    """--degree-bound, else the file's bounds.degree, else 4."""
+    """--degree-bound, else the file's bounds.degree, else the default."""
     if args.degree_bound is None:
-        return int(bounds.get("degree", 4))
+        return int(bounds.get("degree", DEFAULT_DEGREE_BOUND))
     if args.degree_bound < 1:
         raise UsageError("--degree-bound must be positive")
     return args.degree_bound

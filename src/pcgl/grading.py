@@ -35,9 +35,6 @@ class GradingData:
     def restrict(self, k: int) -> "GradingData":
         return GradingData(self.rank, self.weights[:k])
 
-    def weight(self, i: int) -> tuple[int, ...]:
-        return self.weights[i]
-
 
 def monomial_weight(G: GradingData, m: Monomial) -> tuple[int, ...]:
     w = [0] * G.rank

@@ -6,13 +6,15 @@ whole polynomial ring.  On one term a*m of f and one generator x_j,
     {a*m, x_j} = a * sum_{i in m} e_i * (m / x_i) * {x_i, x_j},
 
 where e_i is the exponent of x_i in m (negative on Laurent variables).
-`generator_brackets(B, f)` is the one kernel: a single sweep over the
-terms of f gives every {f, x_0}, ..., {f, x_(n-1)}, accumulated term by
-term against the table rows that `BracketTable` builds once ({x_i, x_j}
-for every j, with the mirrored sign).  `bracket(B, f, g)` is built on it
-as sum_j {f, x_j} * dg/dx_j, over the terms of g.
+That is the chain rule of `qpoly._chain_rule`, the one kernel that also
+applies every `Derivation`: `generator_brackets(B, f)` gives every
+{f, x_0}, ..., {f, x_(n-1)} from a single sweep over the terms of f,
+against the table rows that `BracketTable` builds once ({x_i, x_j} for
+every j, with the mirrored sign).  `bracket(B, f, g)` hands those n
+brackets to the same kernel as a one-row table and sweeps the terms of g:
+{f, g} = sum_j {f, x_j} * dg/dx_j.
 
-Callers that need all n brackets of one element use the kernel:
+Callers that need all n brackets of one element use `generator_brackets`:
 Poisson-normality of c, the d-element ansatz ({c, x_j} and {m, x_j} for
 every ansatz monomial m) and the Poisson-stability check of an ideal.
 Callers that need one particular bracket use `bracket`: the Jacobi,
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Derivation, Monomial, Polynomial, VarTable, _add_term, _trusted, apply_derivation
+from .qpoly import Derivation, Polynomial, VarTable, _chain_rule, apply_derivation
 
 
 class BracketTable:
@@ -80,33 +82,11 @@ class BracketTable:
         return BracketTable(sub, entries)
 
 
-def _drop_one(exps, k: int) -> Monomial:
-    """m / x_i, where (i, e) = exps[k] is the exponent of x_i in m."""
-    i, e = exps[k]
-    if e == 1:
-        return Monomial(exps[:k] + exps[k + 1:])
-    return Monomial(exps[:k] + ((i, e - 1),) + exps[k + 1:])
-
-
 def generator_brackets(B: BracketTable, f: Polynomial) -> list[Polynomial]:
     """[{f, x_0}, ..., {f, x_(n-1)}] from one sweep over the terms of f."""
     if f.ctx != B.ctx:
         raise ContextMismatch("bracket operand over wrong variable table")
-    rows = B._rows
-    out = [{} for _ in rows]
-    for m, a in f.terms.items():
-        exps = m.exps
-        for k, (i, e) in enumerate(exps):
-            row = rows[i]
-            if not row:
-                continue
-            rest = _drop_one(exps, k)
-            ae = a * e
-            for j, terms in row:
-                acc = out[j]
-                for t, c in terms:
-                    _add_term(acc, rest * t, ae * c)
-    return [_trusted(B.ctx, acc) for acc in out]
+    return _chain_rule(B._rows, f, len(B._rows))
 
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -114,19 +94,8 @@ def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
     {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g."""
     if g.ctx != B.ctx:
         raise ContextMismatch("bracket operands over wrong variable table")
-    brs = generator_brackets(B, f)
-    acc = {}
-    for m, b in g.terms.items():
-        exps = m.exps
-        for k, (j, e) in enumerate(exps):
-            h = brs[j].terms
-            if not h:
-                continue
-            rest = _drop_one(exps, k)
-            be = b * e
-            for t, c in h.items():
-                _add_term(acc, t * rest, be * c)
-    return _trusted(B.ctx, acc)
+    rows = [((0, tuple(h.terms.items())),) if h else () for h in generator_brackets(B, f)]
+    return _chain_rule(rows, g, 1)[0]
 
 
 @dataclass

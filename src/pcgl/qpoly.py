@@ -18,6 +18,11 @@ results) go through the private `_trusted(ctx, terms)` instead, which
 takes ownership of a dict of distinct monomials to nonzero canonical
 coefficients without copying it.  The caller builds that dict for the
 new polynomial only, and nobody mutates it after the handover.
+
+A derivation fixed by its values on the generators is applied by the
+chain rule D(f) = sum_i D(x_i) * df/dx_i.  `_chain_rule` is the one
+kernel for it: it serves `apply_derivation` (sigma_k, delta_k) and the
+Poisson brackets of `pbracket`, each handing it rows of generator images.
 """
 
 from __future__ import annotations
@@ -660,6 +665,11 @@ class Derivation:
         for i, img in self.images.items():
             if img.ctx != ctx:
                 raise ContextMismatch("derivation image over wrong variable table")
+        # the one-row table of `_chain_rule`: row i is D(x_i), if nonzero
+        self._rows = tuple(
+            ((0, tuple(img.terms.items())),) if (img := self.images.get(i)) else ()
+            for i in range(len(ctx))
+        )
 
     def domain(self) -> set[int]:
         return set(self.images)
@@ -667,8 +677,36 @@ class Derivation:
     def __call__(self, f: Polynomial) -> Polynomial:
         return apply_derivation(self, f)
 
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images.values())
+
+def _drop_one(exps, k: int) -> Monomial:
+    """m / x_i, where (i, e) = exps[k] is the exponent of x_i in m."""
+    i, e = exps[k]
+    if e == 1:
+        return Monomial(exps[:k] + exps[k + 1:])
+    return Monomial(exps[:k] + ((i, e - 1),) + exps[k + 1:])
+
+
+def _chain_rule(rows, f: Polynomial, width: int) -> list[Polynomial]:
+    """The chain rule for derivations fixed by their values on generators:
+    D_j(f) = sum_i D_j(x_i) * df/dx_i for j < width, in one sweep over the
+    terms of f.  Row i holds (j, terms of D_j(x_i)) for every nonzero
+    image, the terms as (monomial, coefficient) items.  On one term a*m,
+    each x_i of m contributes a * e_i * (m / x_i) * D_j(x_i), with e_i the
+    exponent of x_i in m (negative on Laurent variables)."""
+    out = [{} for _ in range(width)]
+    for m, a in f.terms.items():
+        exps = m.exps
+        for k, (i, e) in enumerate(exps):
+            row = rows[i]
+            if not row:
+                continue
+            rest = _drop_one(exps, k)
+            ae = a * e
+            for j, terms in row:
+                acc = out[j]
+                for t, c in terms:
+                    _add_term(acc, rest * t, ae * c)
+    return [_trusted(f.ctx, acc) for acc in out]
 
 
 def apply_derivation(D: Derivation, f: Polynomial) -> Polynomial:
@@ -679,13 +717,7 @@ def apply_derivation(D: Derivation, f: Polynomial) -> Polynomial:
     if missing:
         names = ", ".join(D.ctx.names[i] for i in sorted(missing))
         raise MissingImage(f"no image for variable(s) {names}")
-    result = Polynomial.zero(f.ctx)
-    for i in sorted(f.support()):
-        img = D.images[i]
-        if img.is_zero():
-            continue
-        result = result + img * f.partial(i)
-    return result
+    return _chain_rule(D._rows, f, 1)[0]
 
 
 def iterate_derivation(D: Derivation, f: Polynomial, bound: int):

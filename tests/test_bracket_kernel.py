@@ -1,9 +1,10 @@
-"""Oracles for the one-pass bracket kernel and the lazy searches around it.
+"""Oracles for the one-pass chain-rule kernel and the lazy searches around it.
 
 `generator_brackets` and `bracket` are compared with the partial-derivative
 formula {f, g} = sum_{i>j} {x_i, x_j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
-kept here as an independent reference, on random polynomials over the
-shipped tables and a Laurent table from the theta checks.  The candidate
+and `apply_derivation` with D(f) = sum_i D(x_i) df/dx_i, both kept here as
+independent references, on random polynomials over the shipped tables and
+a Laurent table from the theta checks.  The candidate
 generator of the d-element search is compared with an eager reference
 list, and `Ideal.reduced` with a recomputed basis.
 """
@@ -19,10 +20,10 @@ from pcgl import ideals
 from pcgl.cauchon import _denominator_candidates
 from pcgl.cgl import level_data
 from pcgl.cli import fixture_path, load_presentation
-from pcgl.errors import ContextMismatch
+from pcgl.errors import ContextMismatch, MissingImage
 from pcgl.ideals import Ideal
 from pcgl.pbracket import bracket, generator_brackets
-from pcgl.qpoly import Monomial, Polynomial, VarTable, parse
+from pcgl.qpoly import Derivation, Monomial, Polynomial, VarTable, apply_derivation, parse
 
 PRES = {name: load_presentation(fixture_path(name))[0] for name in ("m2", "weyl", "bellsig")}
 TABLES = {name: P.table for name, P in PRES.items()}
@@ -112,6 +113,44 @@ def test_context_mismatch():
         bracket(B, f, g)
     with pytest.raises(ContextMismatch):
         bracket(B, g, f)
+
+
+def reference_derivation(D, f):
+    """D(f) one variable at a time, by partial derivatives."""
+    result = Polynomial.zero(f.ctx)
+    for i in sorted(f.support()):
+        result = result + D.images[i] * f.partial(i)
+    return result
+
+
+@st.composite
+def derivation_and_operand(draw):
+    ctx = TABLES[draw(st.sampled_from(sorted(TABLES)))].ctx
+    images = {i: draw(polynomials(ctx, max_terms=3)) for i in range(len(ctx))}
+    return Derivation(ctx, images), draw(polynomials(ctx))
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=derivation_and_operand())
+def test_kernel_matches_partial_derivative_derivation(args):
+    D, f = args
+    Df = apply_derivation(D, f)
+    assert Df == reference_derivation(D, f)
+    assert_canonical(Df, D.ctx)
+    assert D(f) == Df
+    # an image is needed exactly for the variables of f
+    for i in range(len(D.ctx)):
+        rest = Derivation(D.ctx, {j: p for j, p in D.images.items() if j != i})
+        if i in f.support():
+            with pytest.raises(MissingImage):
+                apply_derivation(rest, f)
+        else:
+            assert apply_derivation(rest, f) == Df
+    other = VarTable(tuple(name + "_" for name in D.ctx.names), D.ctx.laurent)
+    with pytest.raises(ContextMismatch):
+        apply_derivation(D, Polynomial(other, f.terms))
+    with pytest.raises(ContextMismatch):
+        Derivation(other, D.images)
 
 
 # ---------------------------------------------------------------------------
