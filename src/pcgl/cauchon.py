@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import linalg
 from .cgl import LevelData, PoissonPresentation, level_data, verify_cgl
 from .errors import (
+    ContextMismatch,
     NotWithinBound,
     PcglError,
     PreconditionError,
@@ -867,9 +868,17 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     element a of Q cap A or of the coefficient ideal of Q, or x_N itself in
     the delta = 0 case.  A contraction generated by variables is removed by
     passing to the quotient presentation first.
+
+    The element's normality certificate in R modulo P is computed once per
+    element and ideal and kept in the presentation's cache (see
+    `_certificate`), so a sweep over many pairs with the same P certifies
+    each candidate once.  Ideals or nodes over another variable table than
+    P's raise ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
+    if P_I.ctx != P.ctx or Q_I.ctx != P.ctx:
+        raise ContextMismatch("ideals over another variable table than the presentation")
     if not contains(Q_I, P_I):
         raise PreconditionError("ideals are not nested")
     if contains(P_I, Q_I):
@@ -880,14 +889,23 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     u, case, cert = result
     if cert is None:
         # certified in a quotient presentation, not yet in R
-        cert = is_poisson_normal(
-            P.table, u, modulo=P_I if not P_I.is_zero() else None
-        )
+        cert = _certificate(P, u, P_I)
     if not cert.ok:
         raise PcglError("separating element failed the normality check")
     if not Q_I.member(u)[0] or P_I.member(u)[0]:
         raise PcglError("separating element is not in Q \\ P")
     return SeparationResult(element=u, case=case, normality=cert)
+
+
+def _certificate(P: PoissonPresentation, u: Polynomial, modulus: Ideal):
+    """is_poisson_normal(P.table, u, modulo=modulus), computed once per
+    element and ideal: memoized in P._cache under u and the reduced grevlex
+    basis of the modulus, which identifies the ideal, so that equal ideals
+    held in different objects share one entry."""
+    key = ("normal", u, modulus.groebner())
+    if key not in P._cache:
+        P._cache[key] = is_poisson_normal(P.table, u, modulo=modulus)
+    return P._cache[key]
 
 
 def _separating_normal_inner(P, P_I, Q_I):
@@ -946,10 +964,11 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     presentation instead: that route serves 321 of the 508 nested pairs of
     weyl, pplane, m2 and the 2x3 tower.  Sending every contraction here
     gives the same elements, but made the benchmark's sweep over the 447
-    pairs of the 2x3 tower (separate-2x3) about a third slower: median
-    0.899 s against 0.673 s by the quotient, slower in 10 of 10 alternating
-    pairs, almost all of it in `intersect` over more variables (Python 3.11
-    on a shared 2-core VM).
+    pairs of the 2x3 tower (separate-2x3) about a fifth slower: median
+    0.524 s against 0.421 s by the quotient, slower in 8 of 10 alternating
+    pairs (0.492 s against 0.432 s, 9 of 10, in a second set), with the
+    extra time spread over the normality checks and `intersect`, both over
+    more variables (Python 3.11 on a shared 2-core VM).
     """
     N = P.nvars
     L = level_data(P, N)
@@ -963,7 +982,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
         for cand in _normal_candidates(L, W, modulo=P0):
             u = re_context(cand, ctx_R)
             if Q_I.member(u)[0] and not P_I.member(u)[0]:
-                cert = is_poisson_normal(P.table, u, modulo=P_I)
+                cert = _certificate(P, u, P_I)
                 if cert.ok:
                     return u, "normal element of J cap Q" + suffix, cert
         return None
@@ -990,7 +1009,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
             u, case = X, "x_N (delta = 0)"
         if not Q_I.member(u)[0] or P_I.member(u)[0]:
             continue
-        cert = is_poisson_normal(P.table, u, modulo=P_I)
+        cert = _certificate(P, u, P_I)
         if not cert.ok:
             continue
         if case == route:

@@ -49,7 +49,8 @@ class PoissonPresentation:
     grading: GradingData
     h: tuple[LieVector, ...] | None = None
     nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
-    # level data and variable quotients, computed once per object
+    # level data, variable quotients and the normality certificates of
+    # separating elements, computed once per object
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

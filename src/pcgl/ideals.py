@@ -12,7 +12,9 @@ An elimination of trailing variables returns its reduced basis: the
 elements of a reduced elimination basis free of the eliminated variables
 are the reduced grevlex basis of the elimination ideal (Elimination
 Theorem, Cox-Little-O'Shea §3.1), handed over by `Ideal._with_basis`.
-Contractions, saturations, intersections and torus cores all end in one.
+Contractions, saturations and torus cores all end in one, and so does an
+intersection of two ideals neither of which contains the other; when one
+does, `intersect` returns the smaller one with its own reduced basis.
 """
 
 from __future__ import annotations
@@ -440,7 +442,10 @@ class Ideal:
         return Ideal._with_basis(self.ctx, self.groebner())
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        """The remainder of f on the reduced grevlex basis."""
+        """The remainder of f on the reduced grevlex basis; f over another
+        variable table raises ContextMismatch."""
+        if f.ctx is not self.ctx and f.ctx != self.ctx:
+            raise ContextMismatch("element over wrong variable table")
         gb = self.groebner()
         if not gb:
             return f
@@ -554,12 +559,19 @@ def eliminate(I: Ideal, keep) -> Ideal:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I cap J, via elimination of one homogenizing parameter, appended
-    last, so the result comes with its reduced basis."""
+    """I cap J, with its reduced basis.
+
+    When one input contains the other, the result is the smaller one: each
+    element of its reduced grevlex basis, computed by the zero tests, is
+    divided by the other input's basis.  Otherwise the intersection comes
+    from the elimination of one homogenizing parameter, appended last."""
     if I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     if I.is_zero() or J.is_zero():
         return Ideal.zero(I.ctx)
+    for big, small in ((I, J), (J, I)):
+        if all(big.member(g)[0] for g in small.groebner()):
+            return small.reduced()
     (tname,) = _fresh_names(I.ctx, ("t",))
     up = I.ctx.extend((tname,))
     n = len(I.ctx)

@@ -84,6 +84,11 @@ def test_eliminations_of_random_ideals(handovers, seed):
     I, J = ideal(), ideal()
     f = random_polynomial(rng, ctx, 2, 2)
     intersect(I, J)
+    # nested and equal inputs: I's own basis is handed over, by `reduced`
+    handed = handovers["reduced"]
+    assert intersect(I, Ideal(ctx, I.generators + J.generators)).generators == I.groebner()
+    assert intersect(I, I).generators == I.groebner()
+    assert handovers["reduced"] == handed + 2
     if not f.is_constant():
         saturate(I, f)
     contract_to_prefix(I, 2)

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from pcgl import linalg
-from pcgl.errors import PcglError, StepBudgetExceeded, UnitIdeal
+from pcgl.errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from pcgl.grading import monomial_weight
 from pcgl.ideals import (
     Grevlex,
     Ideal,
     chain_report,
+    contains,
     contract_to_prefix,
     dimension,
     eliminate,
@@ -104,6 +105,23 @@ class TestMember:
     def test_unit_not_in_maximal(self):
         ok, nf = Ideal(CTX3, [p3("x"), p3("y")]).member(p3("1"))
         assert not ok and nf == p3("1")
+
+    def test_other_variable_table_refused(self):
+        # b over (b, a) has the index of a in (a, b), and c over (a, b, c)
+        # an index that (a, b) does not have; an equal table built anew is
+        # the same table
+        ab = VarTable(("a", "b"))
+        I = Ideal(ab, [parse("a", ab)])
+        b = parse("b", VarTable(("b", "a")))
+        c = parse("c", VarTable(("a", "b", "c")))
+        for f in (b, c):
+            with pytest.raises(ContextMismatch):
+                I.member(f)
+            with pytest.raises(ContextMismatch):
+                I.normal_form(f)
+            with pytest.raises(ContextMismatch):
+                contains(I, Ideal(f.ctx, [f]))
+        assert I.member(parse("a*b", VarTable(("a", "b"))))[0]
 
     def test_lift_certificates(self):
         gens = [p3("x - y"), p3("y^2 - z")]

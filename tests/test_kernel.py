@@ -329,8 +329,18 @@ small_ideals = st.lists(polynomials(max_terms=2), min_size=1, max_size=2).filter
 
 
 @settings(max_examples=30, deadline=None)
-@given(gens_i=small_ideals, gens_j=small_ideals)
-def test_intersect_matches_sympy(sp, gens_i, gens_j):
+@given(
+    gens_i=small_ideals,
+    gens_j=small_ideals,
+    shape=st.sampled_from(["free", "nested", "equal"]),
+)
+def test_intersect_matches_sympy(sp, gens_i, gens_j, shape):
+    # nested draws: J's generators are I's plus more, so I is inside J and
+    # intersect returns I's own basis; equal draws intersect I with itself
+    if shape == "nested":
+        gens_j = gens_i + gens_j
+    elif shape == "equal":
+        gens_j = gens_i
     t = sp.Symbol("t")
     exprs = [t * to_sympy(sp, g) for g in gens_i] + [(1 - t) * to_sympy(sp, g) for g in gens_j]
     expected = lex_free_of(sp, exprs, [t], sp.symbols("x y z"))

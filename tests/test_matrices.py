@@ -23,8 +23,10 @@ from pcgl import cgl
 from pcgl.cauchon import d_element_search, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
+from pcgl.errors import ContextMismatch
 from pcgl.grading import GradingData
 from pcgl.ideals import (
+    Ideal,
     contains,
     contract_to_prefix,
     dimension,
@@ -304,7 +306,17 @@ def three_by_three():
     return P, tree, builds
 
 
-def test_three_by_three(three_by_three):
+@pytest.fixture(scope="module")
+def three_by_three_covers(three_by_three):
+    """The 937 cover edges of the 3x3 Hasse diagram as (P, Q) pairs of leaf
+    indices, P below Q, read once for the module from `to_dot`, which alone
+    takes about a second."""
+    _, tree, _ = three_by_three
+    edges = re.findall(r"^  n(\d+) -> n(\d+);$", tree.to_dot(), re.M)
+    return [(int(i), int(j)) for i, j in edges]
+
+
+def test_three_by_three(three_by_three, three_by_three_covers):
     # the deep case: denominators of the d-elements are themselves 2x2
     # minors found earlier along the lineage
     P, tree, _ = three_by_three
@@ -334,10 +346,28 @@ def test_three_by_three(three_by_three):
         assert ideal_equal(contract_to_prefix(node.ideal, 8), node.parent.ideal)
     assert dimension_profile(tree) == [1, 9, 27, 46, 53, 45, 29, 14, 5, 1]
     # the 937 cover edges of the Hasse diagram, each dropping dim R/J by one
-    edges = re.findall(r"^  n(\d+) -> n(\d+);$", tree.to_dot(), re.M)
-    assert len(edges) == 937
+    assert len(three_by_three_covers) == 937
     dims = [dimension(leaf.ideal) for leaf in tree.leaves()]
-    assert all(dims[int(i)] - dims[int(j)] == 1 for i, j in edges)
+    assert all(dims[i] - dims[j] == 1 for i, j in three_by_three_covers)
+
+
+def test_three_by_three_cover_separation(three_by_three, three_by_three_covers):
+    # every cover P < Q of the 3x3 H-primes is separated by a Poisson-normal
+    # element of R/P lying in Q, certified in R; the elements and cases as
+    # first recorded
+    P, tree, _ = three_by_three
+    leaves = tree.leaves()
+    rows = []
+    for i, j in three_by_three_covers:
+        small, big = leaves[i], leaves[j]
+        res = separating_normal(P, small, big)
+        assert res is not None, (small.label(), big.label())
+        rows.append([small.label(), big.label(), str(res.element), res.case])
+    rows.sort()
+    digest = hashlib.sha256(json.dumps(rows).encode())
+    assert digest.hexdigest() == (
+        "aface88cf8041c064ed5a71e6cb497aeff534aad63aee83707b3501662f06334"
+    )
 
 
 def test_three_by_three_denominator_screen(three_by_three, monkeypatch):
@@ -461,3 +491,58 @@ def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
     assert res.case.endswith(route)
     assert sum(1 for B, c in calls if B is P.table and c == res.element) == 1
     assert res.normality.ok
+
+
+def certificate_memo(P):
+    """The memoized certificates of P and of its cached variable quotients."""
+    keys = [key for key in P._cache if key[0] == "normal"]
+    for value in P._cache.values():
+        if isinstance(value, PoissonPresentation):
+            keys += certificate_memo(value)
+    return keys
+
+
+@pytest.mark.parametrize("label_P", ["<x12*x21 - x11*x22>", "<x13, x12, x11>"])
+def test_separation_certificates_are_memoized(monkeypatch, label_P):
+    # an R-side certificate is computed once per element and ideal, equal
+    # ideals held in different objects included; the enumeration stores none
+    P = matrix_presentation(2, 3)
+    leaves = enumerate_hprimes(P).leaves()
+    assert certificate_memo(P) == []
+    small = next(node for node in leaves if node.label() == label_P)
+    big = next(b for a, b in nested_pairs(leaves) if a is small)
+    first = separating_normal(P, small, big)
+    memo = certificate_memo(P)
+    assert memo
+    calls = []
+    original = pcgl.cauchon.is_poisson_normal
+
+    def counting(B, c, modulo=None):
+        calls.append(B)
+        return original(B, c, modulo=modulo)
+
+    monkeypatch.setattr(pcgl.cauchon, "is_poisson_normal", counting)
+    again = separating_normal(P, small, big)
+    copy = separating_normal(P, Ideal(P.ctx, small.ideal.generators), big)
+    assert not any(B is P.table for B in calls)
+    assert certificate_memo(P) == memo
+    for res in (again, copy):
+        assert (res.element, res.case, res.normality) == (
+            first.element,
+            first.case,
+            first.normality,
+        )
+
+
+def test_separation_refuses_nodes_of_another_tower():
+    # 3x2 has as many variables as 2x3 under other names, 2x2 fewer; run
+    # through the search instead of refused up front, a few of these pairs
+    # come back inconclusive and most fail deep inside it
+    P = matrix_presentation(2, 3)
+    ours = nested_pairs(enumerate_hprimes(P).leaves())[0]
+    for m, n in [(3, 2), (2, 2)]:
+        theirs = nested_pairs(enumerate_hprimes(matrix_presentation(m, n)).leaves())
+        mixed = [(theirs[0][0], ours[1]), (ours[0], theirs[0][1])]
+        for pair in theirs + mixed:
+            with pytest.raises(ContextMismatch):
+                separating_normal(P, *pair)
