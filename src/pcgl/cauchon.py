@@ -55,8 +55,10 @@ from .qpoly import (
     re_context,
 )
 
-# total-degree bound of the d-search denominators and of the separating
-# element candidates; the CLI's --degree-bound overrides it for the d-search
+# total-degree bound of the separating element candidates, and of the
+# d-search's numerator ansatz beyond its denominator (deg b <= bound + deg c);
+# the denominators come from closed forms and are not bounded by it.  The
+# CLI's --degree-bound overrides it for the d-search
 DEFAULT_DEGREE_BOUND = 4
 
 
@@ -324,16 +326,16 @@ def _weight_matched_monomials(weights, bound: int, target) -> list[Monomial]:
     return [Monomial(exps) for deg in range(bound + 1) for exps in fill(0, deg, target)]
 
 
-def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
+def _normal_atoms(L: LevelData, Q: Ideal, candidates):
     """Yield the candidates that are Poisson-normal homogeneous elements of
-    A/Q, in their given order (denominator atoms, or normal candidates).
-    Zero candidates, those in Q and those already in `seen` are skipped;
-    every other one is added to `seen` when it is reached.  The check is
+    A/Q, in their given order (d-search atoms, or normal candidates).
+    Zero candidates, those in Q and repeats are skipped.  The check is
     lazy: a caller that stops at an accepted atom never examines the
-    candidates after it, and `d_element_search` asks for its variable atoms
-    only once its constant denominator has failed."""
+    candidates after it, and `d_element_search` asks for its atoms only
+    once its constant denominator has failed."""
     G_A = L.pres_A.grading
     modulo = None if Q.is_zero() else Q
+    seen = set()
     for a in candidates:
         if a.is_zero() or a in seen or Q.member(a)[0]:
             continue
@@ -345,37 +347,6 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates, seen: set):
                 yield a
         except PreconditionError:
             continue
-
-
-def _denominator_candidates(ctx, groups, degree_bound: int):
-    """Yield the bounded-degree products of the atoms; the constant 1 comes
-    first.  `groups` is an iterable of groups of atoms, each an iterable;
-    for each group in turn come the products of one, two, ... atoms of it
-    and of the groups before it, each batch sorted, that were not yielded
-    before.  A batch is built only after every product of the batch before
-    it has been taken, so a caller that stops at its first success
-    multiplies no atoms beyond that batch; a group is asked for, and read
-    to its end, only when the candidate after the last product of the
-    groups before it is: a caller that succeeds with c = 1 never computes
-    any atom."""
-    one = Polynomial.constant(ctx, 1)
-    yield one
-    seen = {one}
-    atoms = []
-    for group in groups:
-        atoms.extend(group)
-        for count in range(1, degree_bound + 1):
-            batch = []
-            for combo in itertools.combinations_with_replacement(range(len(atoms)), count):
-                c = Polynomial.constant(ctx, 1)
-                for i in combo:
-                    c = c * atoms[i]
-                if c.total_degree() > degree_bound or c in seen:
-                    continue
-                seen.add(c)
-                batch.append(c)
-            batch.sort(key=lambda p: (p.total_degree(), str(p)))
-            yield from batch
 
 
 def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
@@ -438,97 +409,45 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
     return None
 
 
-def _denominator_screen(L: LevelData, Q: Ideal, normals):
-    """A test that a denominator c can carry the d-element over A/Q, or None.
-
-    The test is built from the first of the normal elements a (of the
-    lineage, over A) whose closed-form d* = delta(a)/(lambda s a) modulo Q,
-    with s the last index of a delta-iterate outside Q, passes
-    `validate_d_element` and the cross-multiplied identities the ansatz of
-    `_try_denominator` solves.  With d* = B/C, a denominator c passes only
-    if B c lies in (C) + Q: a d-element b/c equals d* in Frac(A/Q), so
-    b C - B c lies in Q."""
-    ctx_A = L.pres_A.ctx
-    table_A = L.pres_A.table
-    for a in normals:
-        try:
-            iterates = _delta_iterates(L, re_context(a, ctx_A), Q)
-        except NotWithinBound:
-            continue
-        if len(iterates) < 2:
-            continue
-        d = _closed_form_d(L, iterates)
-        B, C = d.numerator, d.denominator
-        if not validate_d_element(L, d, Q):
-            continue
-        B_brs, C_brs = generator_brackets(table_A, B), generator_brackets(table_A, C)
-        if all(
-            Q.member(
-                B_brs[j] * C - B * C_brs[j] - L.sigma.images[j] * B * C
-                - L.delta.images[j] * C * C
-            )[0]
-            for j in range(len(ctx_A))
-        ):
-            CQ = Ideal._with_basis(ctx_A, buchberger([C], Grevlex(ctx_A), start=Q.groebner()))
-            return lambda c: CQ.member(B * c)[0]
-    return None
-
-
 def d_element_search(
     L: LevelData,
     modulo: Ideal | None = None,
     degree_bound: int = DEFAULT_DEGREE_BOUND,
     extra_normals=(),
 ) -> DElement | None:
-    """Bounded ansatz search for the d-element over A/modulo.
+    """The d-element over A/modulo, by an exact solve per denominator.
 
-    For each candidate denominator c (a bounded product of Poisson-normal
-    atoms: the generator variables, plus any previously found normal
-    elements) the defining property {b/c, g} = sigma(g) b/c + delta(g)
-    becomes, after cross-multiplying, a linear system for the coefficients
-    of b over the weight-matched monomials.  A returned d always passes
-    `validate_d_element` and is the unique d by the eigencondition; None
-    means the search was inconclusive within the bound, never that no d
-    exists.
-
-    The denominator c = 1 is tried first, before any atom is checked: the
-    normality checks of the variable atoms run only once a non-constant
-    denominator is needed, and those of the extra normals only after every
-    product of the variable atoms has failed.  The candidates tried, and so
-    the d found, are the same as with every atom checked up front.
-
-    With extra normals (the lineage's pool, which `enumerate_hprimes`
-    passes), the first denominator of total degree >= 2 builds a screen
-    from the closed-form d* = delta(a)/(lambda s a) of a pooled normal
-    element a (`_denominator_screen`; the recipe of Goodearl-Launois 2011,
-    taken modulo Q).  From then on a candidate c is solved for only if
-    B c lies in (C) + Q, where d* = B/C.  This rests on the uniqueness of d
-    in Frac(A/Q) for a torus-stable Poisson prime Q of a Poisson-CGL tower:
-    any b/c that passes validation equals d*, so a screened-out c is one
-    the ansatz would reject too, and the candidates that pass are solved
-    as before.  The c found, and the d returned, do not change.  When no
-    pooled element gives a validated d*, every candidate is solved.
+    For a denominator c the defining property {b/c, g} = sigma(g) b/c +
+    delta(g) becomes, after cross-multiplying, a linear system for the
+    coefficients of b over the weight-matched monomials of degree at most
+    degree_bound + deg c (`_try_denominator`).  The denominators tried are
+    c = 1 first, then the denominator of the closed form d* = delta(a) /
+    (lambda s a) (Goodearl-Launois 2011) of each Poisson-normal homogeneous
+    atom a of A/Q in turn whose delta-iterates modulo Q reach index s >= 1:
+    the variables, then the extra normals (the lineage's pool, which
+    `enumerate_hprimes` passes).  The search stops at the first solve that
+    succeeds; a later atom is checked only when every earlier one has
+    failed.  A returned d always passes `validate_d_element` and is the
+    unique d by the eigencondition; None means the atoms ran out, never
+    that no d exists.
     """
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
-    seen = set()
-    screen = []  # the denominator screen, once built
-
-    def atom_groups():
-        # the variables, then the pooled elements; each checked when reached
-        variables = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
-        yield _normal_atoms(L, Q, variables, seen)
-        if extra_normals:
-            pooled = [Q.normal_form(re_context(e, ctx_A)) for e in extra_normals]
-            yield _normal_atoms(L, Q, pooled, seen)
-
-    for c in _denominator_candidates(ctx_A, atom_groups(), degree_bound):
-        if extra_normals and c.total_degree() >= 2:
-            if not screen:
-                screen.append(_denominator_screen(L, Q, extra_normals))
-            if screen[0] is not None and not screen[0](c):
-                continue
-        d = _try_denominator(L, Q, c, degree_bound)
+    d = _try_denominator(L, Q, Polynomial.constant(ctx_A, 1), degree_bound)
+    if d is not None:
+        return d
+    atoms = itertools.chain(
+        (Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))),
+        (Q.normal_form(re_context(e, ctx_A)) for e in extra_normals),
+    )
+    for a in _normal_atoms(L, Q, atoms):
+        try:
+            iterates = _delta_iterates(L, a, Q)
+        except NotWithinBound:
+            continue
+        if len(iterates) < 2:
+            continue
+        d = _try_denominator(L, Q, _closed_form_d(L, iterates).denominator, degree_bound)
         if d is not None:
             return d
     return None
@@ -850,7 +769,7 @@ def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
         if prod.total_degree() <= DEFAULT_DEGREE_BOUND:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
-    yield from _normal_atoms(L, modulo, candidates, set())
+    yield from _normal_atoms(L, modulo, candidates)
 
 
 def _delta_stable(P0: Ideal, delta) -> bool:

@@ -108,7 +108,11 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
             for vec in _expect(data["h"], list, "'h'")
         )
     bounds = dict(_expect(data.get("bounds", {}), dict, "'bounds'"))
-    for name in ("nilpotency", "degree", "groebner_steps"):
+    known = ("nilpotency", "degree", "groebner_steps")
+    for name in bounds:
+        if name not in known:
+            raise SchemaError(f"unknown key bounds.{name}; expected one of {', '.join(known)}")
+    for name in known:
         if name in bounds and _expect(bounds[name], int, f"bounds.{name}") < 1:
             raise SchemaError(f"bounds.{name} must be positive")
     try:

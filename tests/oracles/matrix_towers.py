@@ -3,8 +3,10 @@
 Enumerates the torus-stable Poisson primes of both towers and checks, for
 each, the count against the poly-Bernoulli closed form (1,066) and the
 SHA-256 of the tree's sorted JSON against the digest first recorded for
-it.  These are the towers where the d-search screens most of its
-denominators.  Prints one line per tower and exits 1 on any mismatch.
+it.  Their d-searches take closed-form denominators from the variables
+and from the lineage's pool; the degree bound limits only the numerator
+ansatz solved over each.  Prints one line per tower and exits 1 on any
+mismatch.
 
     PYTHONPATH=src python tests/oracles/matrix_towers.py
 """

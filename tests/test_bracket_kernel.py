@@ -1,12 +1,13 @@
-"""Oracles for the one-pass chain-rule kernel and the lazy searches around it.
+"""Oracles for the one-pass chain-rule kernel, the atom walk of the d-search
+and `Ideal.reduced`.
 
 `generator_brackets` and `bracket` are compared with the partial-derivative
 formula {f, g} = sum_{i>j} {x_i, x_j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
 and `apply_derivation` with D(f) = sum_i D(x_i) df/dx_i, both kept here as
 independent references, on random polynomials over the shipped tables and
-a Laurent table from the theta checks.  The candidate
-generator of the d-element search is compared with an eager reference
-list, and `Ideal.reduced` with a recomputed basis.
+a Laurent table from the theta checks.  The atom walk of the d-element
+search is compared with an eager reference list, and `Ideal.reduced` with a
+recomputed basis.
 """
 
 import itertools
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcgl import ideals
-from pcgl.cauchon import _denominator_candidates
+from pcgl.cauchon import _normal_atoms
 from pcgl.cgl import level_data
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.errors import ContextMismatch, MissingImage
+from pcgl.grading import weight_of
 from pcgl.ideals import Ideal
-from pcgl.pbracket import bracket, generator_brackets
+from pcgl.pbracket import bracket, generator_brackets, is_poisson_normal
 from pcgl.qpoly import Derivation, Monomial, Polynomial, VarTable, apply_derivation, parse
 
 PRES = {name: load_presentation(fixture_path(name))[0] for name in ("m2", "weyl", "bellsig")}
@@ -154,65 +156,50 @@ def test_kernel_matches_partial_derivative_derivation(args):
 
 
 # ---------------------------------------------------------------------------
-# Lazy denominator candidates
+# The atom walk of the d-element search
 # ---------------------------------------------------------------------------
 
+# A = k[a, b, c] below the top variable of m2, where {b, a} = -ab, {c, a} = -ac
+M2_LEVEL = level_data(PRES["m2"], 4)
+CTX_A = M2_LEVEL.pres_A.ctx
+ATOM_SETS = [
+    [],
+    ["a", "b", "c"],
+    ["c", "a*b", "a", "a*b"],
+    ["2*a", "a", "b - c", "1"],
+    ["a^2", "b*c - a", "3", "0"],
+]
+# monomial ideals are Poisson here
+MODULI = [[], ["a"], ["c"], ["b*c"], ["a^2", "b"]]
 
-def eager_candidates(ctx, atoms, degree_bound):
-    """The candidate list as it was built before the search became lazy."""
-    out = [Polynomial.constant(ctx, 1)]
-    seen = set(out)
-    for count in range(1, degree_bound + 1):
-        batch = []
-        for combo in itertools.combinations_with_replacement(range(len(atoms)), count):
-            c = Polynomial.constant(ctx, 1)
-            for i in combo:
-                c = c * atoms[i]
-            if c.total_degree() > degree_bound or c in seen:
-                continue
-            seen.add(c)
-            batch.append(c)
-        batch.sort(key=lambda p: (p.total_degree(), str(p)))
-        out.extend(batch)
+
+def eager_normal_atoms(L, Q, atoms):
+    """The Poisson-normal homogeneous atoms of A/Q, in order, without repeats."""
+    out = []
+    for a in atoms:
+        if a.is_zero() or a in out or Q.member(a)[0]:
+            continue
+        if weight_of(L.pres_A.grading, a) is None:
+            continue
+        modulo = None if Q.is_zero() else Q
+        if is_poisson_normal(L.pres_A.table, a, modulo=modulo).ok:
+            out.append(a)
     return out
 
 
-CTX3 = VarTable(("x", "y", "z"))
-ATOM_SETS = [
-    [],
-    ["x", "y", "z"],
-    ["z", "x*y", "x", "x*y"],
-    ["2*x", "x", "y - z", "1"],
-    ["x^2", "y*z - x", "3"],
-]
-
-
-@pytest.mark.parametrize("atoms", ATOM_SETS)
-@pytest.mark.parametrize("bound", [0, 1, 2, 4])
-def test_candidates_match_eager_list(atoms, bound):
-    atoms = [parse(a, CTX3) for a in atoms]
-    assert list(_denominator_candidates(CTX3, [atoms], bound)) == eager_candidates(
-        CTX3, atoms, bound
-    )
-
-
-def eager_two_group_candidates(ctx, first, second, degree_bound):
-    """The two-phase order of the d-search before its candidates became one
-    stream: the products of the first group, then every product over both
-    groups not yielded before, each batch sorted."""
-    out = eager_candidates(ctx, first, degree_bound)
-    tried = set(out)
-    return out + [
-        c for c in eager_candidates(ctx, first + second, degree_bound) if c not in tried
-    ]
-
-
 @pytest.mark.parametrize("first, second", list(itertools.product(ATOM_SETS, repeat=2)))
-@pytest.mark.parametrize("bound", range(5))
-def test_two_groups_match_the_two_phase_order(first, second, bound):
-    first = [parse(a, CTX3) for a in first]
-    second = [parse(a, CTX3) for a in second]
-    want = eager_two_group_candidates(CTX3, first, second, bound)
+@pytest.mark.parametrize("modulus", range(len(MODULI)))
+def test_two_groups_match_the_two_phase_order(first, second, modulus):
+    """`d_element_search` walks the variables, then the lineage's pool: the
+    normal atoms of the first group come first, then those of the second
+    not met before, and the second group is read only once the first is
+    used up."""
+    Q = Ideal(CTX_A, [parse(g, CTX_A) for g in MODULI[modulus]])
+    first = [parse(a, CTX_A) for a in first]
+    second = [parse(a, CTX_A) for a in second]
+    first_part = eager_normal_atoms(M2_LEVEL, Q, first)
+    want = eager_normal_atoms(M2_LEVEL, Q, first + second)
+    assert want[: len(first_part)] == first_part
     asked = []
 
     def groups():
@@ -220,9 +207,7 @@ def test_two_groups_match_the_two_phase_order(first, second, bound):
         asked.append("second")
         yield second
 
-    stream = _denominator_candidates(CTX3, groups(), bound)
-    # the second group is read only once every product of the first is taken
-    first_part = eager_candidates(CTX3, first, bound)
+    stream = _normal_atoms(M2_LEVEL, Q, itertools.chain.from_iterable(groups()))
     got = [next(stream) for _ in first_part]
     assert got == first_part
     assert asked == []
@@ -231,27 +216,11 @@ def test_two_groups_match_the_two_phase_order(first, second, bound):
     assert got == want
 
 
-def test_candidates_build_one_batch_at_a_time(monkeypatch):
-    atoms = [parse(a, CTX3) for a in ("x", "y", "z")]
-    products = []
-    mul = Polynomial.__mul__
-
-    def counted(self, other):
-        products.append(other)
-        return mul(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
-    gen = _denominator_candidates(CTX3, [atoms], 4)
-    assert next(gen) == 1
-    assert products == []
-    singles = [next(gen) for _ in atoms]
-    assert sorted(map(str, singles)) == ["x", "y", "z"]
-    assert len(products) == len(atoms)
-
-
 # ---------------------------------------------------------------------------
 # Ideal.reduced
 # ---------------------------------------------------------------------------
+
+CTX3 = VarTable(("x", "y", "z"))
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,7 @@ def test_fuzzed_field(scratch, path, value):
         (("bounds", "nilpotency"), "25"),
         (("laurent",), [False]),
         (("vars", 1), "a"),
+        (("bounds", "groebner_step"), 1000),
     ],
 )
 def test_schema_errors(path, value):

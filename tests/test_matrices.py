@@ -100,17 +100,12 @@ def test_count_oracle_sanity():
 @pytest.mark.parametrize(
     "m,n", [(1, 1), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
 )
-def test_matrix_counts(m, n, monkeypatch):
+def test_matrix_counts(m, n):
     P = matrix_presentation(m, n)
     assert verify_cgl(P).ok
-    # every d-search on these towers ends before a denominator of degree 2,
-    # so none builds a denominator screen
-    screens = []
-    monkeypatch.setattr(pcgl.cauchon, "_denominator_screen", lambda *args: screens.append(args))
     tree = enumerate_hprimes(P)
     assert len(tree.leaves()) == poly_bernoulli_neg(n, m)
     assert not tree.inconclusive
-    assert not screens
 
 
 def test_two_by_three_golden():
@@ -157,9 +152,8 @@ def test_two_by_three_hasse_diagram():
 
 
 def test_two_by_three_normality_checks(monkeypatch):
-    # the d-search checks its variable atoms only once c = 1 has failed,
-    # which it does in 27 of the 100 checks made when every atom was
-    # checked up front
+    # the d-search checks its atoms only once c = 1 has failed, and stops
+    # at the first atom that gives a closed form whose solve succeeds
     calls = []
     original = pcgl.cauchon.is_poisson_normal
 
@@ -169,7 +163,7 @@ def test_two_by_three_normality_checks(monkeypatch):
 
     monkeypatch.setattr(pcgl.cauchon, "is_poisson_normal", counting)
     enumerate_hprimes(matrix_presentation(2, 3))
-    assert len(calls) == 27
+    assert len(calls) == 9
 
 
 def test_two_by_three_nodes_pass_the_full_checks():
@@ -272,38 +266,33 @@ def test_fixture_separation(name):
     assert rows == json.loads(SEPARATION_GOLDEN.read_text())[name]
 
 
+def counting_searches(mp):
+    """Count the d-searches and the denominators solved for, in a Counter
+    keyed by function name, while the monkeypatch context `mp` lasts."""
+    calls = Counter()
+    for name in ("d_element_search", "_try_denominator"):
+        original = getattr(pcgl.cauchon, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        mp.setattr(pcgl.cauchon, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def three_by_three():
     """The 3x3 tower and its tree, enumerated once for the module, with the
-    screens its d-searches build: per build the level data, the ideal Q,
-    whether a screen came back and the candidates it rejected.
+    number of d-searches and of denominators they solved for.
 
     The enumeration runs under a step limit of 50, the least under which
-    it completes; the screens' Groebner bases run under it too, so they
-    never make a 3x3 run fail that passes without them."""
-    builds = []
-    original = pcgl.cauchon._denominator_screen
-
-    def spying(L, Q, normals):
-        screen = original(L, Q, normals)
-        build = {"L": L, "Q": Q, "built": screen is not None, "rejected": []}
-        builds.append(build)
-        if screen is None:
-            return None
-
-        def recording(c):
-            passes = screen(c)
-            if not passes:
-                build["rejected"].append(c)
-            return passes
-
-        return recording
-
+    it completes."""
     P = matrix_presentation(3, 3)
     with pytest.MonkeyPatch.context() as mp, step_limit(50):
-        mp.setattr(pcgl.cauchon, "_denominator_screen", spying)
+        calls = counting_searches(mp)
         tree = enumerate_hprimes(P)
-    return P, tree, builds
+    return P, tree, calls
 
 
 @pytest.fixture(scope="module")
@@ -370,32 +359,54 @@ def test_three_by_three_cover_separation(three_by_three, three_by_three_covers):
     )
 
 
-def test_three_by_three_denominator_screen(three_by_three, monkeypatch):
-    # the screen is built in exactly the level-9 searches whose d has the
-    # pooled minor as denominator; every candidate it rejects fails the
-    # ansatz too, and the unscreened search finds the same d
-    P, tree, builds = three_by_three
+def test_pooled_minor_denominators_need_the_pool(three_by_three, monkeypatch):
+    # the 4 level-9 d-elements with the pooled 2x2 minor as denominator:
+    # over the variables alone only c = 1 is solved for and the search is
+    # inconclusive; with the parent's pool the minor's closed form is the
+    # one other denominator solved for, and it gives the node's d
+    P, tree, _ = three_by_three
     minor = "x12*x21 - x11*x22"
-    screened = {id(build["Q"]): build for build in builds}
-    want = {
-        id(node.parent.ideal): node
+    nodes = [
+        node
         for node in tree.levels[9]
         if node.branch == "d-branch" and str(node.d.denominator) == minor
-    }
-    assert len(builds) == len(screened) == len(want) == 4
-    assert screened.keys() == want.keys()
-    assert sum(len(build["rejected"]) for build in builds) == 139
-    monkeypatch.setattr(pcgl.cauchon, "_denominator_screen", lambda L, Q, normals: None)
-    for key, build in screened.items():
-        L, Q = build["L"], build["Q"]
-        assert L.k == 9 and build["built"]
-        for c in build["rejected"]:
-            assert pcgl.cauchon._try_denominator(L, Q, c, tree.degree_bound) is None
-        node = want[key]
-        d = d_element_search(
-            L, modulo=Q, degree_bound=tree.degree_bound, extra_normals=node.parent.normal_pool
+    ]
+    assert len(nodes) == 4
+    L = level_data(P, 9)
+    tried = []
+    original = pcgl.cauchon._try_denominator
+
+    def recording(L, Q, c, degree_bound):
+        tried.append(str(c))
+        return original(L, Q, c, degree_bound)
+
+    monkeypatch.setattr(pcgl.cauchon, "_try_denominator", recording)
+    for node in nodes:
+        Q = node.parent.ideal
+        tried.clear()
+        assert d_element_search(L, modulo=Q) is None
+        assert tried == ["1"]
+        tried.clear()
+        d = d_element_search(L, modulo=Q, extra_normals=node.parent.normal_pool)
+        assert d == node.d
+        assert tried == ["1", minor]
+
+
+def test_one_solve_per_closed_form(three_by_three, monkeypatch):
+    # every search solves for c = 1, and for one closed-form denominator
+    # more exactly when its d has a non-constant denominator: no search
+    # solves for a denominator that fails
+    _, tree3, calls3 = three_by_three
+    calls2 = counting_searches(monkeypatch)
+    tree2 = enumerate_hprimes(matrix_presentation(2, 3))
+    for tree, calls, want in ((tree2, calls2, (52, 59)), (tree3, calls3, (289, 349))):
+        closed_forms = sum(
+            node.branch == "d-branch" and not node.d.denominator.is_constant()
+            for level in tree.levels
+            for node in level
         )
-        assert str(d) == str(node.d)
+        assert calls["_try_denominator"] == calls["d_element_search"] + closed_forms
+        assert (calls["d_element_search"], calls["_try_denominator"]) == want
 
 
 # ---------------------------------------------------------------------------
