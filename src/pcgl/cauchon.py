@@ -14,7 +14,6 @@ enumeration of torus-stable Poisson prime ideals.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from .errors import (
     PcglError,
     PreconditionError,
     SecondLiftError,
+    StepBudgetExceeded,
 )
 from .grading import pair, weight_of
 from .ideals import (
@@ -51,7 +51,6 @@ from .qpoly import (
     Polynomial,
     VarTable,
     _qdiv,
-    random_polynomial,
     re_context,
 )
 
@@ -124,36 +123,43 @@ def s_max(L: LevelData, a: Polynomial) -> int:
 
 @dataclass
 class ThetaReport:
-    samples: int
+    images: dict[int, Polynomial]  # theta(x_j) for the generators x_j of A
     failures: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self):
-        return {"samples": self.samples, "ok": self.ok, "failures": self.failures}
 
+def check_theta(L: LevelData) -> ThetaReport:
+    """Verify the identities of theta exactly on the generators x_1..x_n of A:
+    n(n+1)/2 products theta(x_i x_j) = theta(x_i) theta(x_j) (i >= j),
+    n(n-1)/2 brackets theta({x_i, x_j}) = {theta(x_i), theta(x_j)} (i > j)
+    and n twists {x_k, theta(x_i)} = theta(sigma(x_i)) x_k.
 
-def check_theta(L: LevelData, samples: int = 100, seed: int = 0) -> ThetaReport:
-    """Verify the homomorphism identities of theta on random pairs, exactly:
-    theta(ab) = theta(a)theta(b); theta({a,b}) = {theta(a),theta(b)};
-    {x_k, theta(a)} = theta(sigma(a)) x_k.
+    They then hold on all of A (Cauchon 2003; Goodearl-Launois 2011).
+    theta = exp(-(1/lambda) x_k^-1 delta) with delta a derivation of A (the
+    chain-rule kernel applies it), so theta is multiplicative by the Leibniz
+    rule; the products guard the series itself, whose wrong coefficients
+    show on a product of generators.  For a multiplicative theta the bracket
+    defect theta({a,b}) - {theta(a), theta(b)} is a biderivation along
+    theta, and the twist defect {x_k, theta(a)} - theta(sigma(a)) x_k a
+    derivation along theta (sigma is a derivation of A).  Both vanish on A
+    once they vanish on generators, and so on inverses of Laurent ones.
     """
-    rng = random.Random(seed)
     ctx_A = L.pres_A.ctx
-    table_A = L.pres_A.table
+    gens = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
+    images = {j: theta(L, g) for j, g in enumerate(gens)}
     X = Polynomial.variable(L.hat_ctx, L.x_index)
-    report = ThetaReport(samples=samples)
-    for n in range(samples):
-        a = random_polynomial(rng, ctx_A)
-        b = random_polynomial(rng, ctx_A)
-        ta, tb = theta(L, a), theta(L, b)
-        if theta(L, a * b) != ta * tb:
-            report.failures.append({"identity": "multiplicative", "a": str(a), "b": str(b)})
-        if theta(L, bracket(table_A, a, b)) != bracket(L.hat_table, ta, tb):
-            report.failures.append({"identity": "poisson", "a": str(a), "b": str(b)})
-        if bracket(L.hat_table, X, ta) != theta(L, L.sigma(a)) * X:
+    report = ThetaReport(images=images)
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens[: i + 1]):
+            ta, tb = images[i], images[j]
+            if theta(L, a * b) != ta * tb:
+                report.failures.append({"identity": "multiplicative", "a": str(a), "b": str(b)})
+            if j < i and theta(L, bracket(L.pres_A.table, a, b)) != bracket(L.hat_table, ta, tb):
+                report.failures.append({"identity": "poisson", "a": str(a), "b": str(b)})
+        if bracket(L.hat_table, X, images[i]) != theta(L, L.sigma(a)) * X:
             report.failures.append({"identity": "sigma-twist", "a": str(a)})
     return report
 
@@ -584,8 +590,10 @@ def enumerate_hprimes(
     when the d-element search succeeds; nodes that are not delta-stable have
     no lifts.  Every emitted ideal is machine-checked to be torus-stable and
     Poisson-stable; primality is asserted from the theory and verified where
-    cheap.  An inconclusive d-search annotates the node instead of halting,
-    so the output can under- but never over-count.
+    cheap.  An inconclusive d-search, or a Groebner step budget that runs
+    out while a node is lifted, annotates the node instead of halting; a
+    child whose checks did not finish is not emitted, so the output can
+    under- but never over-count.
     """
     report = verify_cgl(P)
     if not report.ok:
@@ -595,51 +603,51 @@ def enumerate_hprimes(
     levels = [[root]]
     for k in range(1, P.nvars + 1):
         L = level_data(P, k)
-        ctx_k = L.pres_R.ctx
-        G_k = L.pres_R.grading
         next_level = []
         for node in levels[k - 1]:
-            Q = node.ideal
-            if not _delta_stable(Q, L.delta):
-                node.notes.append(f"not delta-stable at level {k}; no lifts")
-                continue
-            induced = extend(Q, ctx_k)
-            # Q is the contraction of its induced lift, and Poisson in A
-            if not is_h_stable(G_k, induced) or not is_poisson_stable(
-                L.pres_R.table, induced, base=Q
-            ):
-                raise PcglError("induced lift failed stability checks")
-            pool_up = tuple(re_context(p, ctx_k) for p in node.normal_pool)
-            child = HPrimeNode(level=k, ideal=induced, parent=node, branch="induced")
-            child.prime = primality(induced)
-            next_level.append(child)
-            d = d_element_search(
-                L, modulo=Q, degree_bound=degree_bound, extra_normals=node.normal_pool
-            )
-            if d is None:
-                node.flags.append(
-                    f"d-search inconclusive at level {k}; possibly missing branch"
-                )
-                child.normal_pool = pool_up
-                continue
-            lifted = second_lift(L, Q, d)
-            x_normal = re_context(d.denominator, ctx_k) * Polynomial.variable(
-                ctx_k, k - 1
-            ) - re_context(d.numerator, ctx_k)
-            pool_up = pool_up + (x_normal,)
-            child.normal_pool = pool_up
-            child2 = HPrimeNode(
-                level=k,
-                ideal=lifted,
-                parent=node,
-                branch="d-branch",
-                d=d,
-                normal_pool=pool_up,
-            )
-            child2.prime = primality(lifted)
-            next_level.append(child2)
+            try:
+                _lift(L, node, degree_bound, next_level)
+            except StepBudgetExceeded:
+                node.flags.append(f"step budget exhausted at level {k}; possibly missing branch")
         levels.append(next_level)
     return HPrimeTree(levels=levels, degree_bound=degree_bound)
+
+
+def _lift(L: LevelData, node: HPrimeNode, degree_bound: int, out: list) -> None:
+    """Append the lifts of one node to level L.k to `out`, each once its
+    checks have finished."""
+    k = L.k
+    ctx_k = L.pres_R.ctx
+    Q = node.ideal
+    if not _delta_stable(Q, L.delta):
+        node.notes.append(f"not delta-stable at level {k}; no lifts")
+        return
+    induced = extend(Q, ctx_k)
+    # Q is the contraction of its induced lift, and Poisson in A
+    if not is_h_stable(L.pres_R.grading, induced) or not is_poisson_stable(
+        L.pres_R.table, induced, base=Q
+    ):
+        raise PcglError("induced lift failed stability checks")
+    pool_up = tuple(re_context(p, ctx_k) for p in node.normal_pool)
+    child = HPrimeNode(
+        level=k, ideal=induced, parent=node, branch="induced", normal_pool=pool_up
+    )
+    child.prime = primality(induced)
+    out.append(child)
+    d = d_element_search(
+        L, modulo=Q, degree_bound=degree_bound, extra_normals=node.normal_pool
+    )
+    if d is None:
+        node.flags.append(f"d-search inconclusive at level {k}; possibly missing branch")
+        return
+    lifted = second_lift(L, Q, d)
+    x_normal = re_context(d.denominator, ctx_k) * L.x() - re_context(d.numerator, ctx_k)
+    child.normal_pool = pool_up = pool_up + (x_normal,)
+    child2 = HPrimeNode(
+        level=k, ideal=lifted, parent=node, branch="d-branch", d=d, normal_pool=pool_up
+    )
+    child2.prime = primality(lifted)
+    out.append(child2)
 
 
 # ---------------------------------------------------------------------------
@@ -659,12 +667,13 @@ class CauchonStep:
     theta_images: dict[int, Polynomial]
 
 
-def cauchon_step(P: PoissonPresentation, k: int, samples: int = 25) -> CauchonStep:
+def cauchon_step(P: PoissonPresentation, k: int) -> CauchonStep:
     """Delete delta at level k of the restricted tower R_k.
 
     The target bracket satisfies {y_k, a} = sigma(a) y_k by construction and
-    is re-checked (Jacobi, graded); the recorded theta images are validated
-    through the homomorphism identities on random samples.
+    is re-checked (Jacobi, graded); the recorded theta images are those
+    of `check_theta`, whose exact identities on the generators of A
+    certify theta on all of A.
     """
     L = level_data(P, k)
     source = L.pres_R
@@ -691,13 +700,10 @@ def cauchon_step(P: PoissonPresentation, k: int, samples: int = 25) -> CauchonSt
         raise PcglError("deletion target fails the Jacobi identity")
     if not check_graded_bracket(target.grading, target.table):
         raise PcglError("deletion target fails the graded-bracket check")
-    report = check_theta(L, samples=samples, seed=k)
+    report = check_theta(L)
     if not report.ok:
-        raise PcglError("Cauchon map identities failed on the sampled pairs")
-    images = {
-        j: theta(L, Polynomial.variable(L.pres_A.ctx, j)) for j in range(i)
-    }
-    return CauchonStep(level=k, source=source, target=target, theta_images=images)
+        raise PcglError("Cauchon map identities failed on the generators")
+    return CauchonStep(level=k, source=source, target=target, theta_images=report.images)
 
 
 def delete_all(P: PoissonPresentation) -> PoissonPresentation:

@@ -27,7 +27,6 @@ Poisson brackets of `pbracket`, each handing it rows of generator images.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +63,8 @@ class VarTable:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "laurent", laurent)
         object.__setattr__(self, "_pos", {n: i for i, n in enumerate(names)})
+        # the tables derived by `restrict` and `extend`, one per argument
+        object.__setattr__(self, "_derived", {})
 
     def __len__(self):
         return len(self.names)
@@ -83,11 +84,26 @@ class VarTable:
         return VarTable(self.names, tuple(flags))
 
     def restrict(self, k: int) -> "VarTable":
-        return VarTable(self.names[:k], self.laurent[:k])
+        """The first k variables; the same object on every call."""
+        key = ("restrict", k)
+        if key not in self._derived:
+            self._derived[key] = VarTable(self.names[:k], self.laurent[:k])
+        return self._derived[key]
 
     def extend(self, extra: tuple[str, ...]) -> "VarTable":
-        """This table followed by the polynomial variables `extra`."""
-        return VarTable(self.names + tuple(extra), self.laurent + (False,) * len(extra))
+        """This table followed by the polynomial variables `extra`; the
+        same object on every call with the same names."""
+        extra = tuple(extra)
+        key = ("extend", extra)
+        if key not in self._derived:
+            self._derived[key] = VarTable(
+                self.names + extra, self.laurent + (False,) * len(extra)
+            )
+        return self._derived[key]
+
+    def __reduce__(self):
+        # the derived tables are a cache, not part of the value
+        return (VarTable, (self.names, self.laurent))
 
 
 class Monomial:
@@ -740,35 +756,3 @@ def iterate_derivation(D: Derivation, f: Polynomial, bound: int):
         if nxt.is_zero():
             return powers, len(powers) - 1
     return powers, None
-
-
-# ---------------------------------------------------------------------------
-# Random sampling (for the identity-check style tests)
-# ---------------------------------------------------------------------------
-
-
-def random_polynomial(
-    rng: random.Random,
-    ctx: VarTable,
-    max_degree: int = 3,
-    max_terms: int = 4,
-    coeff_bound: int = 5,
-) -> Polynomial:
-    terms = {}
-    n = len(ctx)
-    for _ in range(rng.randint(1, max_terms)):
-        exps = {}
-        if n:
-            remaining = rng.randint(0, max_degree)
-            while remaining > 0:
-                i = rng.randrange(n)
-                e = rng.randint(1, remaining)
-                exps[i] = exps.get(i, 0) + e
-                remaining -= e
-        num = rng.randint(-coeff_bound, coeff_bound)
-        den = rng.randint(1, 3)
-        if num == 0:
-            num = 1
-        m = Monomial.make(exps)
-        terms[m] = terms.get(m, Fraction(0)) + Fraction(num, den)
-    return Polynomial(ctx, terms)

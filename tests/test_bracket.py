@@ -12,7 +12,8 @@ from pcgl.pbracket import (
     check_poisson_derivation,
     is_poisson_normal,
 )
-from pcgl.qpoly import Derivation, Polynomial, VarTable, parse, random_polynomial
+from pcgl.qpoly import Derivation, Polynomial, VarTable, parse
+from random_poly import random_polynomial
 
 CTX = VarTable(("x", "y", "z", "w"))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pcgl import cauchon
 from pcgl.cauchon import (
     DElement,
     _weight_matched_monomials,
@@ -25,17 +26,25 @@ from pcgl.cauchon import (
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.errors import PreconditionError, SecondLiftError
 from pcgl.grading import GradingData, monomial_weight
-from pcgl.ideals import Ideal, contract_to_prefix, ideal_equal, is_h_stable, is_poisson_stable
+from pcgl.ideals import (
+    Ideal,
+    contract_to_prefix,
+    ideal_equal,
+    is_h_stable,
+    is_poisson_stable,
+    step_limit,
+)
 from pcgl.pbracket import BracketTable, is_poisson_normal
 from pcgl.qpoly import (
+    Derivation,
     Monomial,
     Polynomial,
     VarTable,
     iterate_derivation,
     parse,
-    random_polynomial,
     re_context,
 )
+from random_poly import random_polynomial
 from test_matrices import matrix_presentation
 
 
@@ -52,6 +61,13 @@ def pplane2(pplane):
 @pytest.fixture(scope="module")
 def m24(m2):
     return level_data(m2, 4)
+
+
+def tower(request, name):
+    """A conftest presentation by name, or the 2x3 or 3x3 matrix tower."""
+    if name in ("2x3", "3x3"):
+        return matrix_presentation(int(name[0]), int(name[2]))
+    return request.getfixturevalue(name)
 
 
 def base(L, text):
@@ -72,18 +88,70 @@ class TestTheta:
         assert theta(weyl2, a * a) == theta(weyl2, a) ** 2
         assert theta(weyl2, a * a) == parse("a^2 - 2*a*X^-1 + X^-2", weyl2.hat_ctx)
 
-    @pytest.mark.parametrize("fix,level", [("weyl", 2), ("pplane", 2), ("m2", 4)])
-    def test_identities_per_fixture(self, request, fix, level):
-        P = request.getfixturevalue(fix)
-        L = level_data(P, level)
-        report = check_theta(L, samples=100, seed=level)
+    @pytest.mark.parametrize(
+        "fix,level",
+        [
+            (fix, level)
+            for fix, nvars in [("weyl", 2), ("pplane", 2), ("m2", 4), ("2x3", 6), ("3x3", 9)]
+            for level in range(1, nvars + 1)
+        ],
+    )
+    def test_identities_per_fixture(self, request, monkeypatch, fix, level):
+        L = level_data(tower(request, fix), level)
+        report = check_theta(L)
         assert report.ok, report.failures
+        n = level - 1
+        assert report.images == {
+            j: theta(L, Polynomial.variable(L.pres_A.ctx, j)) for j in range(n)
+        }
+        # theta + 1 breaks every identity, so the failures count those
+        # checked: n(n+1)/2 products, n(n-1)/2 brackets and n twists
+        monkeypatch.setattr(cauchon, "theta", lambda L, a: theta(L, a) + 1)
+        kinds = [f["identity"] for f in check_theta(L).failures]
+        assert kinds.count("multiplicative") == n * (n + 1) // 2
+        assert kinds.count("poisson") == n * (n - 1) // 2
+        assert kinds.count("sigma-twist") == n
 
     def test_corrupted_lambda_fails(self, weyl2):
         broken = dataclasses.replace(weyl2, lambda_k=Fraction(2))
-        report = check_theta(broken, samples=20)
+        report = check_theta(broken)
         assert not report.ok
         assert any(f["identity"] == "sigma-twist" for f in report.failures)
+
+
+def series_without_factorials(L, iterates):
+    """`_theta_series` with (-1/lambda)^l in place of (1/l!) (-1/lambda)^l."""
+    ctx_R = L.pres_R.ctx
+    s = len(iterates) - 1
+    result = Polynomial.zero(ctx_R)
+    for l, p in enumerate(iterates):
+        xpow = Polynomial.monomial(ctx_R, Monomial.make({L.x_index: s - l}))
+        result = result + re_context(p, ctx_R) * (Fraction(-1) / L.lambda_k) ** l * xpow
+    return result
+
+
+def doubled_sigma_image(L):
+    """L with the first nonzero sigma image of a generator doubled."""
+    images = dict(L.sigma.images)
+    j = min(j for j, img in images.items() if not img.is_zero())
+    images[j] = images[j] * 2
+    return dataclasses.replace(L, sigma=Derivation(L.sigma.ctx, images))
+
+
+@pytest.mark.parametrize("fix,level", [("weyl", 2), ("m2", 4), ("2x3", 5)])
+@pytest.mark.parametrize("mutation", ["lambda doubled", "sigma image doubled", "no 1/l!"])
+def test_exact_check_catches_mutations(request, monkeypatch, fix, level, mutation):
+    # each mutation breaks theta, and the exact identities on generators
+    # see it at every one of these levels
+    L = level_data(tower(request, fix), level)
+    assert check_theta(L).ok
+    if mutation == "lambda doubled":
+        L = dataclasses.replace(L, lambda_k=2 * L.lambda_k)
+    elif mutation == "sigma image doubled":
+        L = doubled_sigma_image(L)
+    else:
+        monkeypatch.setattr(cauchon, "_theta_series", series_without_factorials)
+    assert not check_theta(L).ok
 
 
 def reference_theta(L, a):
@@ -358,6 +426,21 @@ class TestEnumeration:
                 table_k = m2.restrict(k).table
                 assert is_h_stable(G_k, node.ideal)
                 assert is_poisson_stable(table_k, node.ideal)
+
+    def test_step_budget_flags_nodes(self, m2):
+        # a budget that runs out flags the node being lifted; every child
+        # that is emitted finished its checks, so each leaf is a leaf of
+        # the full tree and the count can only fall
+        full = [leaf.ideal for leaf in enumerate_hprimes(m2).leaves()]
+        with step_limit(1):
+            tree = enumerate_hprimes(m2)
+        assert tree.inconclusive
+        flags = [flag for level in tree.levels for node in level for flag in node.flags]
+        assert any("step budget" in flag for flag in flags)
+        leaves = tree.leaves()
+        assert 0 < len(leaves) < len(full) == 14
+        for leaf in leaves:
+            assert sum(ideal_equal(leaf.ideal, J) for J in full) == 1
 
     def test_json_and_dot(self, pplane):
         tree = enumerate_hprimes(pplane)

@@ -181,7 +181,7 @@ class TestLevelInvariants:
         import random
 
         from pcgl.pbracket import bracket
-        from pcgl.qpoly import random_polynomial
+        from random_poly import random_polynomial
 
         rng = random.Random(53)
         for k in (3, 4):

@@ -274,6 +274,18 @@ def test_file_step_budget_is_scoped_to_its_command(capsys, tmp_path):
     assert basis_size() == 3
 
 
+def test_hprimes_out_of_budget_is_inconclusive(capsys, tmp_path):
+    # a step budget that runs out gives a flagged tree, not an error
+    data = json.loads(Path(M2).read_text())
+    data["bounds"] = {"groebner_steps": 1}
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hprimes", str(tight))
+    assert code == 0 and not err
+    tree = json.loads(out)
+    assert tree["inconclusive"] is True and 0 < tree["count"] < 14
+
+
 def test_d_honours_file_degree_bound(capsys, tmp_path, monkeypatch):
     # without --degree-bound, `d` searches up to the file's bounds.degree
     seen = []

@@ -12,7 +12,8 @@ from pcgl.grading import (
     weight_of,
 )
 from pcgl.pbracket import BracketTable, bracket
-from pcgl.qpoly import Polynomial, VarTable, parse, random_polynomial
+from pcgl.qpoly import Polynomial, VarTable, parse
+from random_poly import random_polynomial
 
 WEYL_CTX = VarTable(("a", "X"))
 WEYL_G = GradingData(1, ((-1,), (1,)))

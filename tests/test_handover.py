@@ -29,7 +29,8 @@ from pcgl.ideals import (
     intersect,
     saturate,
 )
-from pcgl.qpoly import VarTable, random_polynomial
+from pcgl.qpoly import VarTable
+from random_poly import random_polynomial
 from test_cli import README_COMMANDS, run
 from test_matrices import matrix_presentation, nested_pairs
 

@@ -26,7 +26,8 @@ from pcgl.ideals import (
     saturate,
     step_limit,
 )
-from pcgl.qpoly import Monomial, Polynomial, VarTable, parse, random_polynomial
+from pcgl.qpoly import Monomial, Polynomial, VarTable, parse
+from random_poly import random_polynomial
 
 CTX3 = VarTable(("x", "y", "z"))
 CTX4 = VarTable(("x", "y", "z", "w"))

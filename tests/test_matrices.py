@@ -287,7 +287,8 @@ def three_by_three():
     number of d-searches and of denominators they solved for.
 
     The enumeration runs under a step limit of 50, the least under which
-    it completes."""
+    no node is flagged (under 49 one second lift runs out, and the tree
+    has 229 leaves)."""
     P = matrix_presentation(3, 3)
     with pytest.MonkeyPatch.context() as mp, step_limit(50):
         calls = counting_searches(mp)

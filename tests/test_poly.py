@@ -26,9 +26,9 @@ from pcgl.qpoly import (
     _qdiv,
     iterate_derivation,
     parse,
-    random_polynomial,
     re_context,
 )
+from random_poly import random_polynomial
 
 CTX = VarTable(("x", "y", "z", "w"))
 LCTX = VarTable(("a", "X"), (False, True))
@@ -308,3 +308,16 @@ def test_pickle_round_trip(m2):
     assert pickle.loads(pickle.dumps(I)).groebner() == basis
     tree = enumerate_hprimes(m2)
     assert pickle.loads(pickle.dumps(tree)).to_json_dict() == tree.to_json_dict()
+
+
+def test_derived_tables_are_built_once():
+    # one table per (table, argument), equal to a freshly built one
+    ctx = VarTable(("x", "y", "z"), (False, True, False))
+    assert ctx.restrict(2) is ctx.restrict(2)
+    assert ctx.restrict(2) == VarTable(("x", "y"), (False, True))
+    assert ctx.extend(("t",)) is ctx.extend(["t"])
+    assert ctx.extend(("t",)) == VarTable(("x", "y", "z", "t"), (False, True, False, False))
+    assert ctx.restrict(1) is not ctx.restrict(2)
+    # the cache is not part of the value
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    assert pickle.dumps(ctx) == pickle.dumps(VarTable(ctx.names, ctx.laurent))
