@@ -54,11 +54,9 @@ from .qpoly import (
     re_context,
 )
 
-# total-degree bound of the separating element candidates, and of the
-# d-search's numerator ansatz beyond its denominator (deg b <= bound + deg c);
-# the denominators come from closed forms and are not bounded by it.  The
-# CLI's --degree-bound overrides it for the d-search
-DEFAULT_DEGREE_BOUND = 4
+# total-degree bound of the pairwise products among the separating element
+# candidates (`_normal_candidates`)
+SEPARATION_DEGREE_BOUND = 4
 
 
 def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
@@ -338,7 +336,7 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates):
     Zero candidates, those in Q and repeats are skipped.  The check is
     lazy: a caller that stops at an accepted atom never examines the
     candidates after it, and `d_element_search` asks for its atoms only
-    once its constant denominator has failed."""
+    once its zero guess has failed."""
     G_A = L.pres_A.grading
     modulo = None if Q.is_zero() else Q
     seen = set()
@@ -355,16 +353,20 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates):
             continue
 
 
-def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
-    """Solve the cross-multiplied defining property for b given the
-    denominator c; returns a validated DElement or None."""
+def _try_denominator(L: LevelData, Q: Ideal, guess: DElement):
+    """Solve the cross-multiplied defining property for b over the guess's
+    denominator c, with b spanned by the weight-matched monomials of degree
+    at most that of the guess's numerator; returns a validated DElement or
+    None.  The zero guess has no ansatz monomial, so its solve is the exact
+    test that delta(x_j) is in Q for every generator x_j of A."""
+    c = guess.denominator
     ctx_A = L.pres_A.ctx
     G_A = L.pres_A.grading
     w_x = L.pres_R.grading.weights[L.x_index]
     w_c = weight_of(G_A, c)
     w_b = tuple(a + b for a, b in zip(w_x, w_c))
     n_A = len(ctx_A)
-    key = (degree_bound + c.total_degree(), w_b)
+    key = (guess.numerator.total_degree(), w_b)
     if key not in L.ansatz_memo:
         L.ansatz_memo[key] = tuple(_weight_matched_monomials(G_A.weights, *key))
     ansatz = L.ansatz_memo[key]
@@ -415,45 +417,46 @@ def _try_denominator(L: LevelData, Q: Ideal, c: Polynomial, degree_bound: int):
     return None
 
 
-def d_element_search(
-    L: LevelData,
-    modulo: Ideal | None = None,
-    degree_bound: int = DEFAULT_DEGREE_BOUND,
-    extra_normals=(),
-) -> DElement | None:
-    """The d-element over A/modulo, by an exact solve per denominator.
-
-    For a denominator c the defining property {b/c, g} = sigma(g) b/c +
-    delta(g) becomes, after cross-multiplying, a linear system for the
-    coefficients of b over the weight-matched monomials of degree at most
-    degree_bound + deg c (`_try_denominator`).  The denominators tried are
-    c = 1 first, then the denominator of the closed form d* = delta(a) /
-    (lambda s a) (Goodearl-Launois 2011) of each Poisson-normal homogeneous
-    atom a of A/Q in turn whose delta-iterates modulo Q reach index s >= 1:
-    the variables, then the extra normals (the lineage's pool, which
-    `enumerate_hprimes` passes).  The search stops at the first solve that
-    succeeds; a later atom is checked only when every earlier one has
-    failed.  A returned d always passes `validate_d_element` and is the
-    unique d by the eigencondition; None means the atoms ran out, never
-    that no d exists.
-    """
+def _candidates(L: LevelData, Q: Ideal, atoms):
+    """The zero fraction 0/1, then the closed form d* = delta(a) / (lambda s
+    a) (Goodearl-Launois 2011) of each Poisson-normal homogeneous atom a of
+    A/Q whose delta-iterates modulo Q reach index s >= 1, in the atoms'
+    order; each atom is examined only once every earlier guess has failed."""
     ctx_A = L.pres_A.ctx
-    Q = modulo if modulo is not None else Ideal.zero(ctx_A)
-    d = _try_denominator(L, Q, Polynomial.constant(ctx_A, 1), degree_bound)
-    if d is not None:
-        return d
-    atoms = itertools.chain(
-        (Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))),
-        (Q.normal_form(re_context(e, ctx_A)) for e in extra_normals),
-    )
+    yield DElement(Polynomial.zero(ctx_A), Polynomial.constant(ctx_A, 1))
     for a in _normal_atoms(L, Q, atoms):
         try:
             iterates = _delta_iterates(L, a, Q)
         except NotWithinBound:
             continue
-        if len(iterates) < 2:
-            continue
-        d = _try_denominator(L, Q, _closed_form_d(L, iterates).denominator, degree_bound)
+        if len(iterates) > 1:
+            yield _closed_form_d(L, iterates)
+
+
+def d_element_search(
+    L: LevelData, modulo: Ideal | None = None, extra_normals=()
+) -> DElement | None:
+    """The d-element over A/modulo, by an exact solve per candidate d.
+
+    The candidates are the zero fraction, then the closed form of each
+    normal atom (`_candidates`): the variables, then the extra normals (the
+    lineage's pool, which `enumerate_hprimes` passes).  For a candidate b'/c
+    the defining property {b/c, g} = sigma(g) b/c + delta(g) becomes, after
+    cross-multiplying, a linear system for the coefficients of b over the
+    weight-matched monomials of degree at most deg b' (`_try_denominator`),
+    so the candidate itself is in its ansatz.  The search stops at the first
+    solve that succeeds.  A returned d always passes `validate_d_element`
+    and is the unique d by the eigencondition; None means the atoms ran
+    out, never that no d exists.
+    """
+    ctx_A = L.pres_A.ctx
+    Q = modulo if modulo is not None else Ideal.zero(ctx_A)
+    atoms = itertools.chain(
+        (Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))),
+        (Q.normal_form(re_context(e, ctx_A)) for e in extra_normals),
+    )
+    for guess in _candidates(L, Q, atoms):
+        d = _try_denominator(L, Q, guess)
         if d is not None:
             return d
     return None
@@ -522,7 +525,6 @@ class HPrimeNode:
 @dataclass
 class HPrimeTree:
     levels: list[list[HPrimeNode]]
-    degree_bound: int
 
     def leaves(self) -> list[HPrimeNode]:
         return self.levels[-1]
@@ -539,7 +541,6 @@ class HPrimeTree:
                 index[id(node)] = len(nodes)
                 nodes.append(node)
         return {
-            "degree_bound": self.degree_bound,
             "count": len(self.leaves()),
             "inconclusive": self.inconclusive,
             "nodes": [
@@ -580,9 +581,7 @@ class HPrimeTree:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_hprimes(
-    P: PoissonPresentation, degree_bound: int = DEFAULT_DEGREE_BOUND
-) -> HPrimeTree:
+def enumerate_hprimes(P: PoissonPresentation) -> HPrimeTree:
     """Level-by-level enumeration of the torus-stable Poisson primes.
 
     Starting from the zero ideal of the base field, every delta-stable node
@@ -606,14 +605,14 @@ def enumerate_hprimes(
         next_level = []
         for node in levels[k - 1]:
             try:
-                _lift(L, node, degree_bound, next_level)
+                _lift(L, node, next_level)
             except StepBudgetExceeded:
                 node.flags.append(f"step budget exhausted at level {k}; possibly missing branch")
         levels.append(next_level)
-    return HPrimeTree(levels=levels, degree_bound=degree_bound)
+    return HPrimeTree(levels=levels)
 
 
-def _lift(L: LevelData, node: HPrimeNode, degree_bound: int, out: list) -> None:
+def _lift(L: LevelData, node: HPrimeNode, out: list) -> None:
     """Append the lifts of one node to level L.k to `out`, each once its
     checks have finished."""
     k = L.k
@@ -634,9 +633,7 @@ def _lift(L: LevelData, node: HPrimeNode, degree_bound: int, out: list) -> None:
     )
     child.prime = primality(induced)
     out.append(child)
-    d = d_element_search(
-        L, modulo=Q, degree_bound=degree_bound, extra_normals=node.normal_pool
-    )
+    d = d_element_search(L, modulo=Q, extra_normals=node.normal_pool)
     if d is None:
         node.flags.append(f"d-search inconclusive at level {k}; possibly missing branch")
         return
@@ -772,7 +769,7 @@ def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
     candidates = list(singles)
     for a, b in itertools.combinations_with_replacement(singles, 2):
         prod = a * b
-        if prod.total_degree() <= DEFAULT_DEGREE_BOUND:
+        if prod.total_degree() <= SEPARATION_DEGREE_BOUND:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
     yield from _normal_atoms(L, modulo, candidates)

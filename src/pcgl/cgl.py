@@ -209,7 +209,8 @@ class LevelData:
 
     Shared by every caller of `level_data` on the same presentation.
     `ansatz_memo` holds the weight-matched monomial tuples of the level's
-    d-element ansatz, keyed by (degree bound, target weight)."""
+    d-element ansatz, keyed by (degree of the candidate d's numerator,
+    target weight)."""
 
     k: int
     pres_R: PoissonPresentation

@@ -15,13 +15,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .cauchon import (
-    DEFAULT_DEGREE_BOUND,
-    d_element_search,
-    enumerate_hprimes,
-    normal_element,
-    theta,
-)
+from .cauchon import d_element_search, enumerate_hprimes, normal_element, theta
 from .cgl import DEFAULT_NILPOTENCY_BOUND, PoissonPresentation, level_data, verify_cgl
 from .errors import ParseError, PcglError, TriangularityError
 from .grading import GradingData
@@ -108,7 +102,7 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
             for vec in _expect(data["h"], list, "'h'")
         )
     bounds = dict(_expect(data.get("bounds", {}), dict, "'bounds'"))
-    known = ("nilpotency", "degree", "groebner_steps")
+    known = ("nilpotency", "groebner_steps")
     for name in bounds:
         if name not in known:
             raise SchemaError(f"unknown key bounds.{name}; expected one of {', '.join(known)}")
@@ -154,13 +148,13 @@ def _parse_gens(texts, ctx) -> list[Polynomial]:
     return [parse(t, ctx) for t in texts]
 
 
-def cmd_check(args, pres, bounds) -> int:
+def cmd_check(args, pres) -> int:
     report = verify_cgl(pres)
     _emit(report.to_json_dict())
     return 0 if report.ok else 1
 
 
-def cmd_theta(args, pres, bounds) -> int:
+def cmd_theta(args, pres) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     a = parse(args.expr, L.pres_A.ctx)
@@ -168,7 +162,7 @@ def cmd_theta(args, pres, bounds) -> int:
     return 0
 
 
-def cmd_normal(args, pres, bounds) -> int:
+def cmd_normal(args, pres) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     a = parse(args.expr, L.pres_A.ctx)
@@ -179,17 +173,7 @@ def cmd_normal(args, pres, bounds) -> int:
     return 0
 
 
-def _degree_bound(args, bounds) -> int:
-    """--degree-bound, else the file's bounds.degree, else the default."""
-    if args.degree_bound is None:
-        return int(bounds.get("degree", DEFAULT_DEGREE_BOUND))
-    if args.degree_bound < 1:
-        raise UsageError("--degree-bound must be positive")
-    return args.degree_bound
-
-
-def cmd_d(args, pres, bounds) -> int:
-    degree_bound = _degree_bound(args, bounds)
+def cmd_d(args, pres) -> int:
     _check_level(pres, args.level)
     L = level_data(pres, args.level)
     modulo = None
@@ -197,9 +181,9 @@ def cmd_d(args, pres, bounds) -> int:
         modulo = Ideal(L.pres_A.ctx, _parse_gens(args.modulo.split(";"), L.pres_A.ctx))
         if not modulo.is_proper():
             raise UsageError("--modulo must generate a proper ideal")
-    d = d_element_search(L, modulo=modulo, degree_bound=degree_bound)
+    d = d_element_search(L, modulo=modulo)
     if d is None:
-        print("no d-element found within the degree bound (inconclusive)", file=sys.stderr)
+        print("no d-element found (inconclusive)", file=sys.stderr)
         return 1
     print(d)
     print("sigma(d) = lambda*d: verified")
@@ -207,9 +191,8 @@ def cmd_d(args, pres, bounds) -> int:
     return 0
 
 
-def cmd_hprimes(args, pres, bounds) -> int:
-    degree_bound = _degree_bound(args, bounds)
-    tree = enumerate_hprimes(pres, degree_bound=degree_bound)
+def cmd_hprimes(args, pres) -> int:
+    tree = enumerate_hprimes(pres)
     if args.format == "dot":
         sys.stdout.write(tree.to_dot())
     else:
@@ -217,21 +200,21 @@ def cmd_hprimes(args, pres, bounds) -> int:
     return 0
 
 
-def cmd_closure(args, pres, bounds) -> int:
+def cmd_closure(args, pres) -> int:
     I = Ideal(pres.ctx, _parse_gens(args.gen, pres.ctx))
     result = poisson_closure(pres.table, I)
     _emit({"generators": result.generator_strings()})
     return 0
 
 
-def cmd_hcore(args, pres, bounds) -> int:
+def cmd_hcore(args, pres) -> int:
     I = Ideal(pres.ctx, _parse_gens(args.gen, pres.ctx))
     result = h_core(pres.grading, I)
     _emit({"generators": result.generator_strings()})
     return 0
 
 
-def cmd_chain(args, pres, bounds) -> int:
+def cmd_chain(args, pres) -> int:
     chain = [
         Ideal(pres.ctx, _parse_gens(spec.split(";"), pres.ctx)) for spec in args.ideal
     ]
@@ -240,7 +223,7 @@ def cmd_chain(args, pres, bounds) -> int:
     return 0
 
 
-def cmd_center(args, pres, bounds) -> int:
+def cmd_center(args, pres) -> int:
     M = extract_log_matrix(pres)
     _emit(poisson_center_torus(M).to_json_dict())
     return 0
@@ -276,13 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--modulo", help="semicolon-separated generators of the base ideal")
-    sp.add_argument("--degree-bound", type=int, default=None)
     sp.set_defaults(func=cmd_d)
 
     sp = sub.add_parser("hprimes", help="enumerate torus-stable Poisson primes")
     sp.add_argument("file")
     sp.add_argument("--format", choices=("json", "dot"), default="json")
-    sp.add_argument("--degree-bound", type=int, default=None)
     sp.set_defaults(func=cmd_hprimes)
 
     sp = sub.add_parser("closure", help="smallest Poisson ideal containing the input")
@@ -323,8 +304,8 @@ def main(argv=None) -> int:
         else:
             limit = contextlib.nullcontext()
         with limit:
-            return args.func(args, pres, bounds)
-    except (SchemaError, UsageError, ParseError, TriangularityError, FileNotFoundError) as exc:
+            return args.func(args, pres)
+    except (SchemaError, UsageError, ParseError, TriangularityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PcglError as exc:

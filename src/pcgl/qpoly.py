@@ -657,10 +657,15 @@ def parse(text: str, ctx: VarTable) -> Polynomial:
     """Parse an expression with rational literals, + - * ^ and parentheses.
 
     Division appears only inside rational literals `p/q`; negative exponents
-    are accepted only on Laurent-flagged variables.
+    are accepted only on Laurent-flagged variables.  Nesting deeper than
+    the interpreter's recursion limit allows is a ParseError.
     """
     p = _Parser(text, ctx)
-    result = p.parse_sum()
+    try:
+        result = p.parse_sum()
+    except RecursionError:
+        pos = p.tokens[min(p.i, len(p.tokens) - 1)][2]
+        raise ParseError("expression nested too deeply", pos) from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing token {val!r}", pos)

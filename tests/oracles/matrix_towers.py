@@ -3,10 +3,10 @@
 Enumerates the torus-stable Poisson primes of both towers and checks, for
 each, the count against the poly-Bernoulli closed form (1,066) and the
 SHA-256 of the tree's sorted JSON against the digest first recorded for
-it.  Their d-searches take closed-form denominators from the variables
-and from the lineage's pool; the degree bound limits only the numerator
-ansatz solved over each.  Prints one line per tower and exits 1 on any
-mismatch.
+it.  Their d-searches try the zero fraction, then the closed form of each
+normal atom from the variables and the lineage's pool, and solve for a
+numerator of at most the candidate's own numerator degree.  Prints one
+line per tower and exits 1 on any mismatch.
 
     PYTHONPATH=src python tests/oracles/matrix_towers.py
 """
@@ -24,8 +24,8 @@ from test_matrices import matrix_presentation, poly_bernoulli_neg  # noqa: E402
 from pcgl.cauchon import enumerate_hprimes  # noqa: E402
 
 DIGESTS = {
-    (3, 4): "c5afd19775ee472dd1e82cf473daa17907ffb9ac09c183a31bbd03f9fa001b53",
-    (4, 3): "a4b8dac828e99f3c9d7c9d9859c916bd3c00ba2d3620ce971f12ed789da28a38",
+    (3, 4): "1c622f998261b500d2bbf2450c40f86bbbb9b07197c3cead5005b065002d85da",
+    (4, 3): "53ae334a2df46678b3a47c87ec7dacc081475fe1b6ec3d6a55c79d5e46337cbd",
 }
 
 

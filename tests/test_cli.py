@@ -286,30 +286,42 @@ def test_hprimes_out_of_budget_is_inconclusive(capsys, tmp_path):
     assert tree["inconclusive"] is True and 0 < tree["count"] < 14
 
 
-def test_d_honours_file_degree_bound(capsys, tmp_path, monkeypatch):
-    # without --degree-bound, `d` searches up to the file's bounds.degree
-    seen = []
-
-    def fake_search(L, modulo=None, degree_bound=None):
-        seen.append(degree_bound)
-        return None
-
-    monkeypatch.setattr("pcgl.cli.d_element_search", fake_search)
-    data = json.loads(Path(WEYL).read_text())
-    data["bounds"] = {"degree": 2}
-    path = tmp_path / "degree2.json"
-    path.write_text(json.dumps(data))
-    code, _, _ = run(capsys, "d", str(path), "--level", "2")
-    assert code == 1 and seen == [2]
-
-
-@pytest.mark.parametrize("bound", ["0", "-1"])
 @pytest.mark.parametrize("command", [("d", WEYL, "--level", "2"), ("hprimes", M2)])
-def test_degree_bound_must_be_positive(capsys, command, bound):
-    # rejected as an input error, like a non-positive bounds.degree in a file
-    code, out, err = run(capsys, *command, "--degree-bound", bound)
+def test_degree_bound_flag_is_gone(capsys, command):
+    # the d-search takes its ansatz degree from each candidate d
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--degree-bound", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-bound 4" in capsys.readouterr().err
+
+
+def test_file_degree_bound_is_unknown(capsys, tmp_path):
+    data = json.loads(Path(WEYL).read_text())
+    data["bounds"] = {"degree": 4}
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "d", str(path), "--level", "2")
     assert code == 2 and not out
-    assert err == "error: --degree-bound must be positive\n"
+    assert err == "error: unknown key bounds.degree; expected one of nilpotency, groebner_steps\n"
+
+
+def test_directory_as_file(capsys, tmp_path):
+    code, out, err = run(capsys, "check", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "entry", ["(" * 3000 + "a*X" + ")" * 3000, "-" * 3000 + "a*X"], ids=["parens", "minus"]
+)
+def test_deeply_nested_bracket_entry(capsys, tmp_path, entry):
+    data = json.loads(Path(WEYL).read_text())
+    data["brackets"] = {"2,1": entry}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: expression nested too deeply") and len(err.splitlines()) == 1
 
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"

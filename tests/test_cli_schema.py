@@ -25,10 +25,11 @@ BASE = {
     "brackets": {"2,1": "-a*X + 1"},
     "grading": [[-1, 1]],
     "h": [["1"], ["1"]],
-    "bounds": {"nilpotency": 25, "degree": 4, "groebner_steps": 100000},
+    "bounds": {"nilpotency": 25, "groebner_steps": 100000},
 }
 
 # Where a random value goes: a top-level field or an entry inside one.
+# ("bounds", "degree") is an unknown key, so every value there is refused.
 PATHS = [
     ("field",), ("vars",), ("vars", 0), ("laurent",), ("laurent", 1),
     ("brackets",), ("brackets", "2,1"), ("brackets", "2, 1"), ("grading",),
@@ -97,6 +98,7 @@ def test_fuzzed_field(scratch, path, value):
         (("laurent",), [False]),
         (("vars", 1), "a"),
         (("bounds", "groebner_step"), 1000),
+        (("bounds", "degree"), 4),
     ],
 )
 def test_schema_errors(path, value):

@@ -152,8 +152,8 @@ def test_two_by_three_hasse_diagram():
 
 
 def test_two_by_three_normality_checks(monkeypatch):
-    # the d-search checks its atoms only once c = 1 has failed, and stops
-    # at the first atom that gives a closed form whose solve succeeds
+    # the d-search checks its atoms only once the zero guess has failed, and
+    # stops at the first atom that gives a closed form whose solve succeeds
     calls = []
     original = pcgl.cauchon.is_poisson_normal
 
@@ -315,7 +315,7 @@ def test_three_by_three(three_by_three, three_by_three_covers):
     # the whole tree, as first recorded
     digest = hashlib.sha256(json.dumps(tree.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "d48843d5c1c9deaddc73ce729384338a7052f35f39919f37d17680af2eba8d2d"
+        "f4e55d25fd3beddffbb15ad79becb88a34e59b615e063493ba7bd133db4d87ae"
     )
     deep = [
         node
@@ -362,9 +362,9 @@ def test_three_by_three_cover_separation(three_by_three, three_by_three_covers):
 
 def test_pooled_minor_denominators_need_the_pool(three_by_three, monkeypatch):
     # the 4 level-9 d-elements with the pooled 2x2 minor as denominator:
-    # over the variables alone only c = 1 is solved for and the search is
-    # inconclusive; with the parent's pool the minor's closed form is the
-    # one other denominator solved for, and it gives the node's d
+    # over the variables alone only the zero guess 0/1 is solved for and the
+    # search is inconclusive; with the parent's pool the minor's closed form
+    # is the one other candidate solved for, and it gives the node's d
     P, tree, _ = three_by_three
     minor = "x12*x21 - x11*x22"
     nodes = [
@@ -377,9 +377,9 @@ def test_pooled_minor_denominators_need_the_pool(three_by_three, monkeypatch):
     tried = []
     original = pcgl.cauchon._try_denominator
 
-    def recording(L, Q, c, degree_bound):
-        tried.append(str(c))
-        return original(L, Q, c, degree_bound)
+    def recording(L, Q, guess):
+        tried.append(str(guess.denominator))
+        return original(L, Q, guess)
 
     monkeypatch.setattr(pcgl.cauchon, "_try_denominator", recording)
     for node in nodes:
@@ -394,9 +394,9 @@ def test_pooled_minor_denominators_need_the_pool(three_by_three, monkeypatch):
 
 
 def test_one_solve_per_closed_form(three_by_three, monkeypatch):
-    # every search solves for c = 1, and for one closed-form denominator
-    # more exactly when its d has a non-constant denominator: no search
-    # solves for a denominator that fails
+    # every search solves for the zero guess, and for one closed-form
+    # candidate more exactly when its d has a non-constant denominator: no
+    # search solves for a candidate that fails
     _, tree3, calls3 = three_by_three
     calls2 = counting_searches(monkeypatch)
     tree2 = enumerate_hprimes(matrix_presentation(2, 3))
