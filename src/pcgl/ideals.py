@@ -227,9 +227,11 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     a list of cofactors over the generators (else no lists).
 
     Pairs are selected by the sugar strategy and keyed by (sugar, order key
-    of the lcm); pairs with coprime leading monomials are skipped; every
-    division step ticks the budget.  Untracked elements are made primitive;
-    tracked ones stay unscaled, so their cofactors need no rescaling.
+    of the lcm); pairs with coprime leading monomials are never formed
+    (Buchberger's first criterion); every division step ticks the budget.
+    Untracked elements are made primitive, and their S-polynomials divided
+    without a quotient record; tracked ones stay unscaled, so their
+    cofactors need no rescaling.
 
     `start` is a Groebner basis (in `order`) of an ideal the loop adds the
     generators to.  Its elements come first, with zero cofactors, and the
@@ -253,6 +255,7 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
         else:
             basis.append(make_primitive(g, order))
     lms = [leading_monomial(g, order) for g in basis]
+    divisors = None if track else _divisor_table(basis, lms)
     pairs = {}
     for i in range(first, len(basis)):
         for j in range(i):
@@ -261,13 +264,14 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
         i, j = min(pairs, key=pairs.__getitem__)
         sugar, _ = pairs.pop((i, j))
         lmi, lmj = lms[i], lms[j]
-        if lmi.is_coprime(lmj):
-            continue
         l = lmi.lcm(lmj)
         ti, ci = l.divide(lmi), _qdiv(1, basis[i].terms[lmi])
         tj, cj = l.divide(lmj), _qdiv(1, basis[j].terms[lmj])
         s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
-        qs, rem = reduce_poly(s, basis, order, budget, lms)
+        if track:
+            qs, rem = reduce_poly(s, basis, order, budget, lms)
+        else:
+            rem = _divide(s, divisors, order, budget, basis)
         if rem.is_zero():
             continue
         if track:
@@ -281,6 +285,8 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
             rem = make_primitive(rem, order)
         basis.append(rem)
         lms.append(leading_monomial(rem, order))
+        if not track:
+            divisors += _divisor_table(basis[-1:], lms[-1:])
         sugars.append(sugar)
         new = len(basis) - 1
         for k in range(new):
@@ -314,6 +320,8 @@ def buchberger(generators, order, start=()):
 
 def _add_pair(pairs, lms, sugars, i, j, order):
     lmi, lmj = lms[i], lms[j]
+    if lmi.is_coprime(lmj):
+        return
     l = lmi.lcm(lmj)
     sugar = max(
         sugars[i] + l.degree() - lmi.degree(), sugars[j] + l.degree() - lmj.degree()
@@ -526,22 +534,29 @@ def _fresh_names(ctx: VarTable, base_names):
     return tuple(result)
 
 
-def saturate(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f^infinity) via the Rabinowitsch trick with one auxiliary variable,
-    appended last, so the result comes with its reduced basis."""
+def saturate(I: Ideal, f: Polynomial, keep: int | None = None) -> Ideal:
+    """(I : f^infinity) contracted to K[x_1..x_keep] (all n variables by
+    default; `keep` outside 0..n raises PcglError), with its reduced basis.
+    The Rabinowitsch variable t is appended last, and one elimination of t
+    and x_(keep+1).. gives (I + (1 - t*f)) cap K[x_1..x_keep], the
+    contraction of the saturation (Cox-Little-O'Shea §3.1-3.2)."""
+    n = len(I.ctx)
+    if keep is None:
+        keep = n
+    elif not 0 <= keep <= n:
+        raise PcglError(f"keep must lie in 0..{n}, got {keep}")
     if f.ctx != I.ctx:
         raise ContextMismatch("saturation element over wrong variable table")
     if f.is_zero():
         raise PcglError("cannot saturate at zero")
     if f.is_constant():
-        return Ideal(I.ctx, I.generators)
+        return Ideal(I.ctx, I.generators) if keep == n else contract_to_prefix(I, keep)
     (tname,) = _fresh_names(I.ctx, ("t",))
     up = I.ctx.extend((tname,))
-    n = len(I.ctx)
     gens = [re_context(g, up) for g in I.generators]
     t = Polynomial.variable(up, n)
     gens.append(Polynomial.constant(up, 1) - t * re_context(f, up))
-    return contract_to_prefix(Ideal(up, gens), n)
+    return contract_to_prefix(Ideal(up, gens), keep)
 
 
 def eliminate(I: Ideal, keep) -> Ideal:
@@ -610,35 +625,43 @@ def dimension(I: Ideal) -> int:
 def poisson_closure(B, I: Ideal, trace: bool = False):
     """Smallest Poisson ideal containing I.
 
-    Iteratively adjoins generator brackets of basis elements with nonzero
-    normal form until a fixpoint; terminates by noetherianity.  With
-    ``trace`` the list of adjoined elements is returned as well.
+    Adjoins the nonzero normal forms of the brackets {x_i, g} of basis
+    elements g until a fixpoint; terminates by noetherianity.  Each round
+    extends the previous basis (`buchberger` with `start`) and brackets
+    only the basis elements new to it: the brackets of an element checked
+    earlier already lie in the ideal.  With ``trace`` the list of adjoined
+    elements is returned as well.
     """
     from .pbracket import bracket
 
     ctx = I.ctx
-    current = Ideal(ctx, I.generators)
+    order = Grevlex(ctx)
+    gens = [Polynomial.variable(ctx, i) for i in range(len(ctx))]
+    current = I.reduced()
+    checked = set()
     adjoined = []
     while True:
-        gb = current.groebner()
         new = []
-        for g in gb:
-            for i in range(len(ctx)):
-                xi = Polynomial.variable(ctx, i)
+        for g in current.generators:
+            if g in checked:
+                continue
+            for xi in gens:
                 r = current.normal_form(bracket(B, xi, g))
                 if not r.is_zero():
                     new.append(r)
         if not new:
             break
+        checked.update(current.generators)
         adjoined.extend(new)
-        current = Ideal(ctx, list(gb) + new)
-    result = current.reduced()
+        current = Ideal._with_basis(ctx, buchberger(new, order, start=current.generators))
     if trace:
-        return result, adjoined
-    return result
+        return current, adjoined
+    return current
 
 
-def is_poisson_stable(B, I: Ideal, *, base: Ideal | None = None) -> bool:
+def is_poisson_stable(
+    B, I: Ideal, *, base: Ideal | None = None, lower: Ideal | None = None
+) -> bool:
     """True iff {x_i, g} lies in I for every generator x_i and basis element
     g, checked as {g, x_i} = -{x_i, g} from one bracket sweep per g.
 
@@ -651,12 +674,18 @@ def is_poisson_stable(B, I: Ideal, *, base: Ideal | None = None) -> bool:
     tested against every generator.  The premise is the caller's: the
     enumeration passes the parent ideal for an induced lift, whose basis is
     the parent's, and for a second lift once its contraction is checked.
+
+    `lower`, when given, must be an ideal inside I already known to be
+    Poisson (`chain_report` passes the previous entry of a chain).  A basis
+    element of I that lies in it has its brackets in it, and is skipped.
     """
     from .pbracket import generator_brackets
 
     m = 0 if base is None else len(base.ctx)
     new = frozenset(range(m, len(I.ctx)))
     for g in I.groebner():
+        if lower is not None and lower.member(g)[0]:
+            continue
         brackets = generator_brackets(B, g)
         if m and new.isdisjoint(g.support()):
             brackets = brackets[m:]
@@ -685,8 +714,8 @@ def h_core(G, I: Ideal) -> Ideal:
     """Largest graded (torus-stable) ideal contained in I.
 
     Adjoins one Laurent parameter per grading row, twists the generators by
-    the torus action, saturates at the product of the parameters, and
-    eliminates them again.
+    the torus action, and saturates at the product of the parameters,
+    eliminating them in the same Groebner basis (`saturate` with keep=n).
     """
     from .grading import monomial_weight
 
@@ -718,7 +747,7 @@ def h_core(G, I: Ideal) -> Ideal:
     tprod = Polynomial.constant(up, 1)
     for k in range(r):
         tprod = tprod * Polynomial.variable(up, n + k)
-    core = contract_to_prefix(saturate(J, tprod), n)
+    core = saturate(J, tprod, keep=n)
     if not contains(I, core):
         raise PcglError("h_core post-condition failed: result not inside ideal")
     if not is_h_stable(G, core):
@@ -809,24 +838,33 @@ def chain_report(P, chain) -> ChainReport:
 
     Per ideal: Poisson stability, torus stability, quotient dimension and a
     primality tag; per link: the Krull dimension drop.  A chain whose drops
-    are all 1 is saturated as a chain in Spec.
+    are all 1 is saturated as a chain in Spec.  A unit-ideal entry or a
+    link that is not a strict inclusion is refused with its 1-based index.
+    The basis elements of an entry that lie in the previous entry, once it
+    is verified Poisson, are not bracketed (`is_poisson_stable`'s `lower`).
     """
     if len(chain) < 1:
         raise PcglError("empty chain")
-    for a, b in zip(chain, chain[1:]):
+    for k, I in enumerate(chain, 1):
+        if not I.is_proper():
+            raise UnitIdeal(f"chain entry {k} is the unit ideal")
+    for k, (a, b) in enumerate(zip(chain, chain[1:]), 1):
         if not contains(b, a):
-            raise PcglError("chain is not increasing")
+            raise PcglError(f"chain is not increasing: entry {k} is not inside entry {k + 1}")
         if contains(a, b):
-            raise PcglError("chain is not strictly increasing")
+            raise PcglError(f"chain is not strictly increasing: entries {k} and {k + 1} are equal")
     entries = []
     dims = []
+    lower = None  # the previous entry, once it is verified Poisson
     for I in chain:
         dim = dimension(I)
         dims.append(dim)
+        poisson = is_poisson_stable(P.table, I, lower=lower)
+        lower = I if poisson else None
         entries.append(
             ChainEntry(
                 generators=I.generator_strings(),
-                poisson=is_poisson_stable(P.table, I),
+                poisson=poisson,
                 h_stable=is_h_stable(P.grading, I),
                 dimension=dim,
                 primality=primality(I),

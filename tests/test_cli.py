@@ -217,6 +217,19 @@ class TestReports:
         assert data["dimension_drops"] == [2, 1]
         assert data["all_drops_one"] is False
 
+    @pytest.mark.parametrize("ideals, message", [
+        # the unit ideal is refused before any link is compared
+        (["0", "x;x - 1", "x"], "chain entry 2 is the unit ideal"),
+        (["1"], "chain entry 1 is the unit ideal"),
+        (["0", "x", "y"], "chain is not increasing: entry 2 is not inside entry 3"),
+        (["0", "x", "x;x^2"], "chain is not strictly increasing: entries 2 and 3 are equal"),
+    ])
+    def test_chain_errors_name_the_entry(self, capsys, ideals, message):
+        argv = ["chain", BELLSIG]
+        for spec in ideals:
+            argv += ["--ideal", spec]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
     def test_center_pplane(self, capsys):
         code, out, _ = run(capsys, "center", PPLANE)
         assert code == 0

@@ -1,0 +1,265 @@
+"""Each shortcut of the ideal commands against the long route it replaces.
+
+- `saturate(I, f, keep=k)` eliminates the auxiliary variable and the
+  variables after x_k at once; the long route saturates, then contracts.
+- `h_core` saturates and contracts in one elimination; the long route,
+  written out here from public functions, does it in two.
+- `poisson_closure` extends the previous basis and brackets only new basis
+  elements; the naive loop here recomputes the basis from scratch and
+  brackets every element in every round.
+- `chain_report` skips the basis elements of an entry that lie in the
+  previous entry once that entry is Poisson; each flag must equal the
+  full check of the entry alone.
+- The Buchberger loop never forms a pair with coprime leading monomials,
+  and the cofactors of a lift stay as first recorded.
+"""
+
+import hashlib
+import random
+from collections import Counter
+
+import pytest
+
+from pcgl import ideals
+from pcgl.cli import fixture_path, load_presentation
+from pcgl.errors import PcglError
+from pcgl.grading import monomial_weight
+from pcgl.ideals import (
+    Grevlex,
+    Ideal,
+    buchberger,
+    chain_report,
+    contract_to_prefix,
+    h_core,
+    is_poisson_stable,
+    lift_through_ideal,
+    poisson_closure,
+    saturate,
+)
+from pcgl.pbracket import generator_brackets
+from pcgl.qpoly import Monomial, Polynomial, parse
+from random_poly import random_polynomial
+from test_matrices import matrix_presentation
+
+TOWERS = ["m2", "weyl", "pplane", "2x3"]
+
+
+def tower(name):
+    if name == "2x3":
+        return matrix_presentation(2, 3)
+    return load_presentation(fixture_path(name))[0]
+
+
+def random_element(rng, ctx):
+    """A random polynomial of degree at most 2 without a constant term,
+    so that the ideals it generates are proper; never zero."""
+    while True:
+        f = random_polynomial(rng, ctx, 2, 2)
+        f = f - Polynomial.constant(ctx, f.coefficient(Monomial.make({})))
+        if not f.is_zero():
+            return f
+
+
+def random_ideal(rng, ctx, count=2):
+    return Ideal(ctx, [random_element(rng, ctx) for _ in range(count)])
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_saturate_keep_is_saturate_then_contract(name):
+    P = tower(name)
+    rng = random.Random(name)
+    n = len(P.ctx)
+    for _ in range(3):
+        I = random_ideal(rng, P.ctx)
+        f = random_element(rng, P.ctx)
+        full = saturate(I, f)
+        for k in range(n + 1):
+            assert saturate(I, f, keep=k).generators == contract_to_prefix(full, k).generators
+    # a constant f saturates nothing, and still contracts
+    one = Polynomial.constant(P.ctx, 3)
+    assert saturate(I, one, keep=1).generators == contract_to_prefix(I, 1).generators
+
+
+def test_saturate_refuses_keep_out_of_range(m2):
+    n = len(m2.ctx)
+    I = Ideal(m2.ctx, [parse("a*d - b*c", m2.ctx)])
+    for keep in (-1, n + 1):
+        with pytest.raises(PcglError, match=f"keep must lie in 0..{n}"):
+            saturate(I, parse("a", m2.ctx), keep=keep)
+
+
+def two_step_core(G, I):
+    """h_core's torus core by the long route: twist the generators by one
+    parameter per grading row, saturate at their product, then contract."""
+    r, n = G.rank, len(I.ctx)
+    if r == 0 or not I.generators:
+        return I
+    up = I.ctx.extend(tuple(f"t{k + 1}" for k in range(r)))
+    twisted = []
+    for g in I.generators:
+        weights = {m: monomial_weight(G, m) for m in g.terms}
+        low = [min(w[k] for w in weights.values()) for k in range(r)]
+        terms = {}
+        for m, c in g.terms.items():
+            exps = dict(m.exps)
+            exps.update({n + k: weights[m][k] - low[k] for k in range(r) if weights[m][k] > low[k]})
+            terms[Monomial.make(exps)] = c
+        twisted.append(Polynomial(up, terms))
+    tprod = Polynomial.constant(up, 1)
+    for k in range(r):
+        tprod = tprod * Polynomial.variable(up, n + k)
+    return contract_to_prefix(saturate(Ideal(up, twisted), tprod), n)
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_h_core_is_the_two_step_core(name):
+    P = tower(name)
+    rng = random.Random(name)
+    names = P.ctx.names
+    for _ in range(4):
+        a, b = rng.sample(names, 2)
+        gens = [random_element(rng, P.ctx), parse(f"{a} + {rng.randint(1, 3)}*{b}", P.ctx)]
+        I = Ideal(P.ctx, gens)
+        assert h_core(P.grading, I).generators == two_step_core(P.grading, I).generators
+
+
+def naive_closure(B, I):
+    """The Poisson closure with a fresh basis each round and every basis
+    element bracketed with every generator in every round; returns the
+    basis of each round, the last one the closure's, and the adjoined
+    elements."""
+    ctx = I.ctx
+    current = Ideal(ctx, I.generators)
+    bases = []
+    adjoined = []
+    while True:
+        gb = current.groebner()
+        bases.append(gb)
+        new = []
+        for g in gb:
+            for h in generator_brackets(B, g):
+                r = current.normal_form(-h)  # {x_i, g} = -{g, x_i}
+                if not r.is_zero():
+                    new.append(r)
+        if not new:
+            return bases, adjoined
+        adjoined.extend(new)
+        current = Ideal(ctx, list(gb) + new)
+
+
+# the most rounds that adjoin something among the sampled closures; in the
+# quantum plane pplane every principal closure is done after one
+@pytest.mark.parametrize("name, rounds", [
+    ("bellsig", 2), ("m2", 2), ("weyl", 2), ("pplane", 1), ("2x3", 2),
+])
+def test_poisson_closure_matches_the_naive_loop(name, rounds):
+    P = tower(name) if name != "bellsig" else load_presentation(fixture_path(name))[0]
+    rng = random.Random(name)
+    most = 0
+    for _ in range(8):
+        I = random_ideal(rng, P.ctx, 1)
+        closed, adjoined = poisson_closure(P.table, I, trace=True)
+        bases, naive = naive_closure(P.table, I)
+        assert closed.generators == bases[-1]
+        assert adjoined == naive
+        most = max(most, len(bases) - 1)
+    # from the second round on, the elements checked earlier are skipped
+    assert most == rounds
+
+
+# closures in which a basis element checked in one round comes back with
+# the same leading monomial and a new tail in the next: that element was
+# never bracketed and must be
+CHANGED_TAILS = [
+    ("bellsig", ["x*z", "y*z - 3*w"]),
+    ("m2", ["4*a^2 - 3*a", "4*a - c"]),
+    ("pplane", ["a + 6*X", "a^2 - X"]),
+    ("2x3", ["3*x12^2 - x21", "2*x12 - 5*x21"]),
+]
+
+
+@pytest.mark.parametrize("name, texts", CHANGED_TAILS)
+def test_poisson_closure_brackets_a_changed_tail(name, texts):
+    P = tower(name) if name != "bellsig" else load_presentation(fixture_path(name))[0]
+    I = Ideal(P.ctx, [parse(t, P.ctx) for t in texts])
+    closed, adjoined = poisson_closure(P.table, I, trace=True)
+    bases, naive = naive_closure(P.table, I)
+    assert closed.generators == bases[-1]
+    assert adjoined == naive
+    order = Grevlex(P.ctx)
+    lms = [{ideals.leading_monomial(g, order): g for g in gb} for gb in bases]
+    assert any(
+        lms[k].get(lm, g) != g for k in range(len(bases) - 1) for lm, g in lms[k + 1].items()
+    )
+
+
+def test_chain_flags_are_the_full_checks(bellsig):
+    # (x) is not Poisson: its bracket with w is -2*y*z.  (x, z^2) is not
+    # Poisson either, and its only failing basis element x lies in (x), so
+    # a skip that also fired below a non-Poisson entry would call it Poisson
+    ctx = bellsig.ctx
+
+    def ideal(*texts):
+        return Ideal(ctx, [parse(t, ctx) for t in texts])
+
+    chains = [
+        [ideal(), ideal("x"), ideal("x", "z^2")],
+        [ideal(), ideal("x"), ideal("x", "y*z"), ideal("x", "y*z", "z^2")],
+        [ideal("z"), ideal("z", "x"), ideal("z", "x", "y"), ideal("z", "x", "y", "w")],
+        [ideal("y*z"), ideal("y", "z"), ideal("x", "y", "z")],
+    ]
+    seen = Counter()
+    for chain in chains:
+        report = chain_report(bellsig, chain)
+        flags = [is_poisson_stable(bellsig.table, I) for I in chain]
+        assert [e.poisson for e in report.entries] == flags
+        seen.update(zip(flags, flags[1:]))
+    assert seen[(False, False)] and seen[(True, True)] and seen[(False, True)]
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_chain_flags_on_random_chains(name):
+    P = tower(name)
+    rng = random.Random(name)
+    for _ in range(3):
+        gens = [Polynomial.variable(P.ctx, rng.randrange(len(P.ctx)))]
+        chain = [Ideal(P.ctx, gens)]
+        for _ in range(2):
+            gens = gens + [random_element(rng, P.ctx)]
+            I = Ideal(P.ctx, gens)
+            if not I.is_proper() or ideals.contains(chain[-1], I):
+                break
+            chain.append(I)
+        report = chain_report(P, chain)
+        assert [e.poisson for e in report.entries] == [is_poisson_stable(P.table, I) for I in chain]
+
+
+LIFT_DIGEST = "bbf4a6831f557733c75440c0ef18e0dbc043f0cd60bc503b47ec70be7ebf2e40"
+
+
+def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
+    P = matrix_presentation(2, 3)
+    ctx = P.ctx
+
+    def p(text):
+        return parse(text, ctx)
+
+    formed = []
+    original = ideals._add_pair
+
+    def spy(pairs, lms, sugars, i, j, order):
+        original(pairs, lms, sugars, i, j, order)
+        if (i, j) in pairs:
+            formed.append(lms[i].is_coprime(lms[j]))
+
+    monkeypatch.setattr(ideals, "_add_pair", spy)
+    gens = [p("x12*x21 - x11*x22"), p("x13*x22 - x12*x23 + x11")]
+    modulo = Ideal(ctx, [p("x13*x21 - x11*x23"), p("x23^2")])
+    targets = generator_brackets(P.table, gens[0]) + generator_brackets(P.table, gens[1])
+    targets.append(p("x11*x23*x12 - x13*x21*x12"))
+    lifts = lift_through_ideal(gens, targets, modulo=modulo)
+    buchberger(gens + list(modulo.generators), Grevlex(ctx))
+    assert formed and not any(formed)
+    assert sum(q is not None for q in lifts) == 9
+    text = repr([None if q is None else [str(c) for c in q] for q in lifts])
+    assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
