@@ -147,17 +147,21 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
     or moves that term to the remainder, and ticks the budget once.  The
     dividend is a term dict updated in place; the order keys of its
     monomials are cached for the call only.  `lms` are the basis's leading
-    monomials, when the caller already has them.  Callers that want the
-    remainder alone (`Ideal.normal_form`, `reduce_basis`) call `_divide`
-    without a quotient record.
+    monomials, when the caller already has them.  Callers that keep their
+    own divisor table (`Ideal.normal_form`, `reduce_basis`, the Buchberger
+    loop) call `_divide` directly.
     """
     if lms is None:
         lms = [leading_monomial(g, order) for g in basis]
     quotients = {}
     rem = _divide(f, _divisor_table(basis, lms), order, budget, basis, quotients)
-    zero = _trusted(f.ctx, {})
-    qs = [_trusted(f.ctx, quotients[i]) if i in quotients else zero for i in range(len(basis))]
-    return qs, rem
+    return _quotient_list(f.ctx, quotients, len(basis)), rem
+
+
+def _quotient_list(ctx, quotients, n):
+    """The n quotients of a `_divide` record, as polynomials, zero where absent."""
+    zero = _trusted(ctx, {})
+    return [_trusted(ctx, quotients[i]) if i in quotients else zero for i in range(n)]
 
 
 def _divisor_table(basis, lms):
@@ -229,9 +233,10 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     Pairs are selected by the sugar strategy and keyed by (sugar, order key
     of the lcm); pairs with coprime leading monomials are never formed
     (Buchberger's first criterion); every division step ticks the budget.
-    Untracked elements are made primitive, and their S-polynomials divided
-    without a quotient record; tracked ones stay unscaled, so their
-    cofactors need no rescaling.
+    S-polynomials are divided on a divisor table kept as the basis grows,
+    with a quotient record only when tracked.  Untracked elements are made
+    primitive; tracked ones stay unscaled, so their cofactors need no
+    rescaling.
 
     `start` is a Groebner basis (in `order`) of an ideal the loop adds the
     generators to.  Its elements come first, with zero cofactors, and the
@@ -255,7 +260,7 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
         else:
             basis.append(make_primitive(g, order))
     lms = [leading_monomial(g, order) for g in basis]
-    divisors = None if track else _divisor_table(basis, lms)
+    divisors = _divisor_table(basis, lms)
     pairs = {}
     for i in range(first, len(basis)):
         for j in range(i):
@@ -268,10 +273,8 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
         ti, ci = l.divide(lmi), _qdiv(1, basis[i].terms[lmi])
         tj, cj = l.divide(lmj), _qdiv(1, basis[j].terms[lmj])
         s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
-        if track:
-            qs, rem = reduce_poly(s, basis, order, budget, lms)
-        else:
-            rem = _divide(s, divisors, order, budget, basis)
+        quotients = {} if track else None
+        rem = _divide(s, divisors, order, budget, basis, quotients)
         if rem.is_zero():
             continue
         if track:
@@ -280,13 +283,13 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
                 _times_term(a, ti, ci) - _times_term(b, tj, cj)
                 for a, b in zip(reps[i], reps[j])
             ]
+            qs = _quotient_list(s.ctx, quotients, len(basis))
             reps.append(_minus_combination(srep, qs, reps))
         else:
             rem = make_primitive(rem, order)
         basis.append(rem)
         lms.append(leading_monomial(rem, order))
-        if not track:
-            divisors += _divisor_table(basis[-1:], lms[-1:])
+        divisors += _divisor_table(basis[-1:], lms[-1:])
         sugars.append(sugar)
         new = len(basis) - 1
         for k in range(new):

@@ -19,9 +19,7 @@ Poisson-normality of c, the d-element ansatz ({c, x_j} and {m, x_j} for
 every ansatz monomial m) and the Poisson-stability check of an ideal.
 Callers that need one particular bracket use `bracket`: the Jacobi,
 derivation and delta checks, the theta and Cauchon checks, and the
-Poisson closure of an ideal.  The closure brackets generators with basis
-elements, {x_i, g}; for a generator x_i, `bracket` takes its one-row
-table from row i of the `BracketTable` with no sweep over x_i.
+Poisson closure of an ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -93,17 +91,9 @@ def generator_brackets(B: BracketTable, f: Polynomial) -> list[Polynomial]:
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
     """The biderivation extension of the generator table:
-    {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g.  For f = x_i
-    the brackets {x_i, x_j} are row i of the table, with no sweep over f."""
+    {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g."""
     if g.ctx != B.ctx:
         raise ContextMismatch("bracket operands over wrong variable table")
-    if len(f.terms) == 1 and f.ctx == B.ctx:
-        ((m, c),) = f.terms.items()
-        if c == 1 and len(m.exps) == 1 and m.exps[0][1] == 1:  # f is x_i
-            rows = [()] * len(B._rows)
-            for j, terms in B._rows[m.exps[0][0]]:
-                rows[j] = ((0, terms),)
-            return _chain_rule(rows, g, 1)[0]
     rows = [((0, tuple(h.terms.items())),) if h else () for h in generator_brackets(B, f)]
     return _chain_rule(rows, g, 1)[0]
 

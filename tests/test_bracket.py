@@ -10,7 +10,6 @@ from pcgl.pbracket import (
     check_delta_condition,
     check_jacobi,
     check_poisson_derivation,
-    generator_brackets,
     is_poisson_normal,
 )
 from pcgl.qpoly import Derivation, Polynomial, VarTable, parse
@@ -47,21 +46,6 @@ class TestBracket:
         rhs = parse("2*y*z", CTX) * v("y") + v("x") * parse("x + y^2", CTX)
         assert lhs == rhs
         assert lhs == parse("2*y^2*z + x^2 + x*y^2", CTX)
-
-
-    def test_generator_row_matches_the_sweep(self):
-        # {x_i, g} from row i of the table equals -{g, x_i} from the sweep
-        # over g, and a scaled generator, which takes the sweep over f,
-        # scales it
-        rng = random.Random(5)
-        B = bell_table()
-        for _ in range(20):
-            g = random_polynomial(rng, CTX)
-            sweep = generator_brackets(B, g)
-            for i in range(len(CTX)):
-                xi = Polynomial.variable(CTX, i)
-                assert bracket(B, xi, g) == -sweep[i]
-                assert bracket(B, xi * 3, g) == -3 * sweep[i]
 
 
 class TestJacobi:
