@@ -330,27 +330,40 @@ def _weight_matched_monomials(weights, bound: int, target) -> list[Monomial]:
     return [Monomial(exps) for deg in range(bound + 1) for exps in fill(0, deg, target)]
 
 
-def _normal_atoms(L: LevelData, Q: Ideal, candidates):
+def _normal_atoms(L: LevelData, Q: Ideal, candidates, memo: dict | None = None):
     """Yield the candidates that are Poisson-normal homogeneous elements of
     A/Q, in their given order (d-search atoms, or normal candidates).
     Zero candidates, those in Q and repeats are skipped.  The check is
     lazy: a caller that stops at an accepted atom never examines the
     candidates after it, and `d_element_search` asks for its atoms only
-    once its zero guess has failed."""
-    G_A = L.pres_A.grading
-    modulo = None if Q.is_zero() else Q
+    once its zero guess has failed.
+
+    With a `memo` dict (the separation search passes L.pres_A._cache), each
+    candidate's verdict is kept in it under the candidate and the reduced
+    grevlex basis of Q, `_certificate`'s keying rule, so the pairs of a
+    sweep that share a contraction check each candidate once.  The
+    d-search passes none, so an enumeration stores no memo entry."""
     seen = set()
     for a in candidates:
-        if a.is_zero() or a in seen or Q.member(a)[0]:
+        if a.is_zero() or a in seen:
             continue
         seen.add(a)
-        if weight_of(G_A, a) is None:
-            continue
-        try:
-            if is_poisson_normal(L.pres_A.table, a, modulo=modulo).ok:
-                yield a
-        except PreconditionError:
-            continue
+        if memo is None:
+            ok = _is_atom(L, Q, a)
+        else:
+            ok = _memo(memo, ("atom", a, Q.groebner()), lambda: _is_atom(L, Q, a))
+        if ok:
+            yield a
+
+
+def _is_atom(L: LevelData, Q: Ideal, a: Polynomial) -> bool:
+    """Whether a is a Poisson-normal homogeneous element of A/Q outside Q."""
+    if Q.member(a)[0] or weight_of(L.pres_A.grading, a) is None:
+        return False
+    try:
+        return is_poisson_normal(L.pres_A.table, a, modulo=None if Q.is_zero() else Q).ok
+    except PreconditionError:
+        return False
 
 
 def _try_denominator(L: LevelData, Q: Ideal, guess: DElement):
@@ -743,18 +756,23 @@ class SeparationResult:
         return str(self.element)
 
 
-def _coefficient_ideal(T: Ideal, x_index: int, ctx_A: VarTable) -> Ideal:
-    """J = {a in A : a x + e in T for some e in A}, from an elimination-order
-    basis: degree <= 1 elements contribute their leading x-coefficients."""
-    gb = T.groebner(Elim(T.ctx, {x_index}))
-    gens = []
-    for g in gb:
-        dx = g.degree_in(x_index)
-        if dx == 0:
-            gens.append(re_context(g, ctx_A))
-        elif dx == 1:
-            gens.append(re_context(g.split_by_degree_in(x_index)[1], ctx_A))
-    return Ideal(ctx_A, gens)
+def _coefficient_ideal(P: PoissonPresentation, T: Ideal, ctx_A: VarTable) -> Ideal:
+    """J = {a in A : a x_N + e in T for some e in A}, from an elimination-order
+    basis: degree <= 1 elements contribute their leading x_N-coefficients.
+    Memoized in P._cache like `_contraction`."""
+
+    def compute():
+        x_index = len(ctx_A)
+        gens = []
+        for g in T.groebner(Elim(T.ctx, {x_index})):
+            dx = g.degree_in(x_index)
+            if dx == 0:
+                gens.append(re_context(g, ctx_A))
+            elif dx == 1:
+                gens.append(re_context(g.split_by_degree_in(x_index)[1], ctx_A))
+        return Ideal(ctx_A, gens)
+
+    return _memo(P._cache, ("coefficient", T.groebner()), compute)
 
 
 def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
@@ -772,7 +790,7 @@ def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
         if prod.total_degree() <= SEPARATION_DEGREE_BOUND:
             candidates.append(prod)
     candidates.sort(key=lambda p: (p.total_degree(), str(p)))
-    yield from _normal_atoms(L, modulo, candidates)
+    yield from _normal_atoms(L, modulo, candidates, memo=L.pres_A._cache)
 
 
 def _delta_stable(P0: Ideal, delta) -> bool:
@@ -791,11 +809,15 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     the delta = 0 case.  A contraction generated by variables is removed by
     passing to the quotient presentation first.
 
-    The element's normality certificate in R modulo P is computed once per
-    element and ideal and kept in the presentation's cache (see
-    `_certificate`), so a sweep over many pairs with the same P certifies
-    each candidate once.  Ideals or nodes over another variable table than
-    P's raise ContextMismatch.
+    A sweep over many pairs repeats most of the work of one pair, so each
+    piece is computed once per presentation and kept in its cache, keyed by
+    the reduced grevlex bases of the ideals involved: the certificate of an
+    element in R modulo P (`_certificate`), each candidate's verdict in A
+    (`_normal_atoms`), and each contraction and coefficient ideal
+    (`_contraction`, `_coefficient_ideal`), in the quotient presentations
+    too.  A search that raises, its step budget run out, stores nothing it
+    has not finished.  Ideals or nodes over another variable table than P's
+    raise ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -823,11 +845,26 @@ def _certificate(P: PoissonPresentation, u: Polynomial, modulus: Ideal):
     """is_poisson_normal(P.table, u, modulo=modulus), computed once per
     element and ideal: memoized in P._cache under u and the reduced grevlex
     basis of the modulus, which identifies the ideal, so that equal ideals
-    held in different objects share one entry."""
+    held in different objects share one entry.  Every memo of the
+    separation search is keyed this way."""
     key = ("normal", u, modulus.groebner())
-    if key not in P._cache:
-        P._cache[key] = is_poisson_normal(P.table, u, modulo=modulus)
-    return P._cache[key]
+    return _memo(P._cache, key, lambda: is_poisson_normal(P.table, u, modulo=modulus))
+
+
+def _contraction(P: PoissonPresentation, I: Ideal, k: int) -> Ideal:
+    """contract_to_prefix(I, k), computed once per ideal: memoized in
+    P._cache under k and the reduced grevlex basis of I, so that every pair
+    sharing the ideal gets the same object, with the bases and divisor
+    table it has cached."""
+    return _memo(P._cache, ("contract", k, I.groebner()), lambda: contract_to_prefix(I, k))
+
+
+def _memo(cache: dict, key, compute):
+    """cache[key], from compute() on the first call.  A computation that
+    raises, such as one whose step budget runs out, stores nothing."""
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 def _separating_normal_inner(P, P_I, Q_I):
@@ -837,7 +874,7 @@ def _separating_normal_inner(P, P_I, Q_I):
     N = P.nvars
     if N == 0:
         return None
-    P0 = contract_to_prefix(P_I, N - 1)
+    P0 = _contraction(P, P_I, N - 1)
     gone = variable_support(P0)
     if not gone:
         return _separating_normal_mod(P, P_I, Q_I, P0)
@@ -885,12 +922,13 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     elements, but `_separating_normal_inner` passes it to the quotient
     presentation instead: that route serves 321 of the 508 nested pairs of
     weyl, pplane, m2 and the 2x3 tower.  Sending every contraction here
-    gives the same elements, but made the benchmark's sweep over the 447
-    pairs of the 2x3 tower (separate-2x3) about a fifth slower: median
-    0.524 s against 0.421 s by the quotient, slower in 8 of 10 alternating
-    pairs (0.492 s against 0.432 s, 9 of 10, in a second set), with the
-    extra time spread over the normality checks and `intersect`, both over
-    more variables (Python 3.11 on a shared 2-core VM).
+    gives the same elements under other case labels.  With each check and
+    contraction computed once per presentation, the two routes take the
+    same time on the benchmark's sweep over the 447 pairs of the 2x3 tower
+    (separate-2x3): median 0.308 s here against 0.313 s by the quotient,
+    faster in 7 of 10 alternating pairs, with a 3 % lower memory peak
+    (Python 3.11 on a shared 2-core VM).  The quotient route stays because
+    its case labels are pinned output.
     """
     N = P.nvars
     L = level_data(P, N)
@@ -899,8 +937,8 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
     if not ideal_equal(P_I, extend(P0, ctx_R)):
-        J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)
-        W = intersect(J, contract_to_prefix(Q_I, N - 1))
+        J = _coefficient_ideal(P, P_I, L.pres_A.ctx)
+        W = intersect(J, _contraction(P, Q_I, N - 1))
         for cand in _normal_candidates(L, W, modulo=P0):
             u = re_context(cand, ctx_R)
             if Q_I.member(u)[0] and not P_I.member(u)[0]:
@@ -908,9 +946,9 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
                 if cert.ok:
                     return u, "normal element of J cap Q" + suffix, cert
         return None
-    Q0 = contract_to_prefix(Q_I, N - 1)
+    Q0 = _contraction(P, Q_I, N - 1)
     if ideal_equal(Q0, P0):
-        source = _coefficient_ideal(Q_I, N - 1, L.pres_A.ctx)
+        source = _coefficient_ideal(P, Q_I, L.pres_A.ctx)
         route = "theta(a) x^s from J"
     else:
         source, route = Q0, "theta(a) x^s from Q cap A"

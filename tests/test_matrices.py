@@ -10,7 +10,9 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import random
 import re
+import traceback
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -23,7 +25,7 @@ from pcgl import cgl
 from pcgl.cauchon import d_element_search, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
-from pcgl.errors import ContextMismatch
+from pcgl.errors import ContextMismatch, StepBudgetExceeded
 from pcgl.grading import GradingData
 from pcgl.ideals import (
     Ideal,
@@ -229,12 +231,15 @@ def nested_pairs(leaves):
     ]
 
 
-def separation_rows(P):
+def separation_rows(P, pairs=None):
     """[P label, Q label, element, case] for every nested pair P < Q of the
-    H-primes of the presentation, in label order; element and case are None
-    where the search is inconclusive."""
+    H-primes of the presentation, or for the given pairs, searched in their
+    order and listed in label order; element and case are None where the
+    search is inconclusive."""
+    if pairs is None:
+        pairs = nested_pairs(enumerate_hprimes(P).leaves())
     rows = []
-    for a, b in nested_pairs(enumerate_hprimes(P).leaves()):
+    for a, b in pairs:
         res = separating_normal(P, a, b)
         if res is None:
             rows.append([a.label(), b.label(), None, None])
@@ -505,45 +510,105 @@ def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
     assert res.normality.ok
 
 
-def certificate_memo(P):
-    """The memoized certificates of P and of its cached variable quotients."""
-    keys = [key for key in P._cache if key[0] == "normal"]
-    for value in P._cache.values():
-        if isinstance(value, PoissonPresentation):
-            keys += certificate_memo(value)
-    return keys
+# the kinds of entry the separation search memoizes: R-side certificates,
+# candidate verdicts in the ring below, contractions and coefficient ideals
+MEMO_KINDS = {"normal", "atom", "contract", "coefficient"}
+
+
+def separation_memo(P, path=()):
+    """The separation memo of P, of the ring below each of its cached levels
+    and of its cached variable quotients, keyed by the path of cache keys
+    that leads to the entry."""
+    memo = {}
+    for key, value in P._cache.items():
+        if key[0] in MEMO_KINDS:
+            memo[path + (key,)] = value
+        elif isinstance(value, PoissonPresentation):
+            memo.update(separation_memo(value, path + (key,)))
+        elif isinstance(value, cgl.LevelData):
+            memo.update(separation_memo(value.pres_A, path + (key, "A")))
+    return memo
+
+
+def plain_memo(memo):
+    """The memo with each ideal replaced by its reduced basis."""
+    return {k: v.groebner() if isinstance(v, Ideal) else v for k, v in memo.items()}
 
 
 @pytest.mark.parametrize("label_P", ["<x12*x21 - x11*x22>", "<x13, x12, x11>"])
 def test_separation_certificates_are_memoized(monkeypatch, label_P):
-    # an R-side certificate is computed once per element and ideal, equal
-    # ideals held in different objects included; the enumeration stores none
+    # a certificate, a candidate's verdict and a contraction are computed
+    # once per element and ideal, equal ideals held in different objects
+    # included: a repeated search checks no normality and contracts nothing.
+    # The enumeration stores no entry
     P = matrix_presentation(2, 3)
     leaves = enumerate_hprimes(P).leaves()
-    assert certificate_memo(P) == []
+    assert separation_memo(P) == {}
     small = next(node for node in leaves if node.label() == label_P)
     big = next(b for a, b in nested_pairs(leaves) if a is small)
     first = separating_normal(P, small, big)
-    memo = certificate_memo(P)
-    assert memo
+    memo = separation_memo(P)
+    assert {path[-1][0] for path in memo} >= {"normal", "atom", "contract"}
     calls = []
-    original = pcgl.cauchon.is_poisson_normal
+    for name in ("is_poisson_normal", "contract_to_prefix"):
+        original = getattr(pcgl.cauchon, name)
 
-    def counting(B, c, modulo=None):
-        calls.append(B)
-        return original(B, c, modulo=modulo)
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(pcgl.cauchon, "is_poisson_normal", counting)
+        monkeypatch.setattr(pcgl.cauchon, name, counting)
     again = separating_normal(P, small, big)
     copy = separating_normal(P, Ideal(P.ctx, small.ideal.generators), big)
-    assert not any(B is P.table for B in calls)
-    assert certificate_memo(P) == memo
+    assert calls == []
+    assert separation_memo(P) == memo
     for res in (again, copy):
         assert (res.element, res.case, res.normality) == (
             first.element,
             first.case,
             first.normality,
         )
+
+
+def test_separation_is_independent_of_the_pair_order():
+    # the memo built in one order serves the reverse order, and a cold memo
+    # built in the reverse order gives the same rows
+    P = matrix_presentation(2, 3)
+    pairs = nested_pairs(enumerate_hprimes(P).leaves())
+    random.Random(21).shuffle(pairs)
+    golden = json.loads(SEPARATION_GOLDEN.read_text())["2x3"]
+    assert separation_rows(P, pairs) == golden
+    assert separation_rows(P, pairs[::-1]) == golden
+    assert separation_rows(dataclasses.replace(P), pairs[::-1]) == golden
+
+
+@pytest.mark.parametrize("limit", [4, 5])
+def test_step_budget_in_a_sweep_leaves_no_memo_entry(limit):
+    # the first 60 pairs in label order; under 4 steps the budget runs out
+    # at pair 45 in a candidate's verdict, under 5 in an R-side certificate.
+    # The memo keeps nothing of the failed computation: run again without
+    # the limit, the pair gets its golden row, and after the rest of the
+    # sweep the memo equals that of an unlimited sweep
+    P = matrix_presentation(2, 3)
+    pairs = sorted(
+        nested_pairs(enumerate_hprimes(P).leaves()),
+        key=lambda pair: (pair[0].label(), pair[1].label()),
+    )[:60]
+    golden = json.loads(SEPARATION_GOLDEN.read_text())["2x3"][:60]
+    with step_limit(limit):
+        for k, (a, b) in enumerate(pairs):
+            try:
+                separating_normal(P, a, b)
+            except StepBudgetExceeded as exc:
+                frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+                break
+        else:
+            pytest.fail("the step budget never ran out")
+    assert k == 45 and "_memo" in frames
+    assert separation_rows(P, pairs[k:]) == golden[k:]
+    fresh = dataclasses.replace(P)
+    assert separation_rows(fresh, pairs) == golden
+    assert plain_memo(separation_memo(P)) == plain_memo(separation_memo(fresh))
 
 
 def test_separation_refuses_nodes_of_another_tower():
