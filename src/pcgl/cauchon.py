@@ -756,23 +756,18 @@ class SeparationResult:
         return str(self.element)
 
 
-def _coefficient_ideal(P: PoissonPresentation, T: Ideal, ctx_A: VarTable) -> Ideal:
-    """J = {a in A : a x_N + e in T for some e in A}, from an elimination-order
-    basis: degree <= 1 elements contribute their leading x_N-coefficients.
-    Memoized in P._cache like `_contraction`."""
-
-    def compute():
-        x_index = len(ctx_A)
-        gens = []
-        for g in T.groebner(Elim(T.ctx, {x_index})):
-            dx = g.degree_in(x_index)
-            if dx == 0:
-                gens.append(re_context(g, ctx_A))
-            elif dx == 1:
-                gens.append(re_context(g.split_by_degree_in(x_index)[1], ctx_A))
-        return Ideal(ctx_A, gens)
-
-    return _memo(P._cache, ("coefficient", T.groebner()), compute)
+def _coefficient_ideal(T: Ideal, x_index: int, ctx_A: VarTable) -> Ideal:
+    """J = {a in A : a x + e in T for some e in A}, from an elimination-order
+    basis: degree <= 1 elements contribute their leading x-coefficients."""
+    gb = T.groebner(Elim(T.ctx, {x_index}))
+    gens = []
+    for g in gb:
+        dx = g.degree_in(x_index)
+        if dx == 0:
+            gens.append(re_context(g, ctx_A))
+        elif dx == 1:
+            gens.append(re_context(g.split_by_degree_in(x_index)[1], ctx_A))
+    return Ideal(ctx_A, gens)
 
 
 def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
@@ -813,11 +808,10 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     piece is computed once per presentation and kept in its cache, keyed by
     the reduced grevlex bases of the ideals involved: the certificate of an
     element in R modulo P (`_certificate`), each candidate's verdict in A
-    (`_normal_atoms`), and each contraction and coefficient ideal
-    (`_contraction`, `_coefficient_ideal`), in the quotient presentations
-    too.  A search that raises, its step budget run out, stores nothing it
-    has not finished.  Ideals or nodes over another variable table than P's
-    raise ContextMismatch.
+    (`_normal_atoms`), and each contraction (`_contraction`), in the
+    quotient presentations too.  A search that raises, its step budget run
+    out, stores nothing it has not finished.  Ideals or nodes over another
+    variable table than P's raise ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -925,8 +919,8 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     gives the same elements under other case labels.  With each check and
     contraction computed once per presentation, the two routes take the
     same time on the benchmark's sweep over the 447 pairs of the 2x3 tower
-    (separate-2x3): median 0.308 s here against 0.313 s by the quotient,
-    faster in 7 of 10 alternating pairs, with a 3 % lower memory peak
+    (separate-2x3): median 0.336 s here against 0.325 s by the quotient,
+    faster in 6 of 10 alternating pairs, with a 4 % lower memory peak
     (Python 3.11 on a shared 2-core VM).  The quotient route stays because
     its case labels are pinned output.
     """
@@ -937,7 +931,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
     if not ideal_equal(P_I, extend(P0, ctx_R)):
-        J = _coefficient_ideal(P, P_I, L.pres_A.ctx)
+        J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)
         W = intersect(J, _contraction(P, Q_I, N - 1))
         for cand in _normal_candidates(L, W, modulo=P0):
             u = re_context(cand, ctx_R)
@@ -948,7 +942,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
         return None
     Q0 = _contraction(P, Q_I, N - 1)
     if ideal_equal(Q0, P0):
-        source = _coefficient_ideal(P, Q_I, L.pres_A.ctx)
+        source = _coefficient_ideal(Q_I, N - 1, L.pres_A.ctx)
         route = "theta(a) x^s from J"
     else:
         source, route = Q0, "theta(a) x^s from Q cap A"

@@ -511,8 +511,8 @@ def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
 
 
 # the kinds of entry the separation search memoizes: R-side certificates,
-# candidate verdicts in the ring below, contractions and coefficient ideals
-MEMO_KINDS = {"normal", "atom", "contract", "coefficient"}
+# candidate verdicts in the ring below and contractions
+MEMO_KINDS = {"normal", "atom", "contract"}
 
 
 def separation_memo(P, path=()):
@@ -582,13 +582,17 @@ def test_separation_is_independent_of_the_pair_order():
     assert separation_rows(dataclasses.replace(P), pairs[::-1]) == golden
 
 
-@pytest.mark.parametrize("limit", [4, 5])
-def test_step_budget_in_a_sweep_leaves_no_memo_entry(limit):
+@pytest.mark.parametrize(
+    "limit, caller, callee",
+    [(4, "_normal_atoms", "_is_atom"), (5, "_certificate", "is_poisson_normal")],
+)
+def test_step_budget_in_a_sweep_leaves_no_memo_entry(limit, caller, callee):
     # the first 60 pairs in label order; under 4 steps the budget runs out
-    # at pair 45 in a candidate's verdict, under 5 in an R-side certificate.
-    # The memo keeps nothing of the failed computation: run again without
-    # the limit, the pair gets its golden row, and after the rest of the
-    # sweep the memo equals that of an unlimited sweep
+    # inside a memoized candidate's verdict, under 5 inside a memoized
+    # R-side certificate.  The memo keeps nothing of the failed
+    # computation: run again without the limit, the pair gets its golden
+    # row, and after the rest of the sweep the memo equals that of an
+    # unlimited sweep
     P = matrix_presentation(2, 3)
     pairs = sorted(
         nested_pairs(enumerate_hprimes(P).leaves()),
@@ -604,7 +608,9 @@ def test_step_budget_in_a_sweep_leaves_no_memo_entry(limit):
                 break
         else:
             pytest.fail("the step budget never ran out")
-    assert k == 45 and "_memo" in frames
+    assert "_memo" in frames
+    inner = len(frames) - 1 - frames[::-1].index("_memo")
+    assert frames[inner - 1] == caller and callee in frames[inner + 1 :]
     assert separation_rows(P, pairs[k:]) == golden[k:]
     fresh = dataclasses.replace(P)
     assert separation_rows(fresh, pairs) == golden
