@@ -13,11 +13,11 @@ enumeration of torus-stable Poisson prime ideals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .cgl import LevelData, PoissonPresentation, level_data, verify_cgl
 from .errors import (
     ContextMismatch,
@@ -244,12 +244,7 @@ def _is_monic_term(p: Polynomial) -> bool:
 def _normalize_fraction(b: Polynomial, c: Polynomial) -> DElement:
     if b.is_zero():
         return DElement(Polynomial.zero(b.ctx), Polynomial.constant(b.ctx, 1))
-    def content(p):
-        mono = None
-        for m in p.terms:
-            mono = m if mono is None else mono.gcd(m)
-        return mono
-    g = content(b).gcd(content(c))
+    g = functools.reduce(Monomial.gcd, itertools.chain(b.terms, c.terms))
     if g.exps:
         b = Polynomial(b.ctx, {m.divide(g): x for m, x in b.terms.items()})
         c = Polynomial(c.ctx, {m.divide(g): x for m, x in c.terms.items()})
@@ -304,32 +299,6 @@ def d_element_from_normal(L: LevelData, a: Polynomial) -> DElement:
     return d
 
 
-def _weight_matched_monomials(weights, bound: int, target) -> list[Monomial]:
-    """Monomials of degree <= bound in len(weights) variables whose weight
-    is target: by ascending degree, then in the order of
-    `itertools.combinations_with_replacement`, which fixes which solution
-    the ansatz solve returns.  A branch is pruned once some coordinate of the
-    missing weight is out of reach of the remaining degree and variables."""
-    n = len(weights)
-    lo = [tuple(map(min, zip(*weights[i:]))) for i in range(n)]
-    hi = [tuple(map(max, zip(*weights[i:]))) for i in range(n)]
-
-    def fill(i, r, rest):
-        # exponents of the variables i.. of total degree r and weight rest
-        if r == 0:
-            if not any(rest):
-                yield ()
-            return
-        if i == n or not all(r * a <= x <= r * b for a, x, b in zip(lo[i], rest, hi[i])):
-            return
-        for e in range(r, -1, -1):
-            left = [x - e * w for x, w in zip(rest, weights[i])]
-            for tail in fill(i + 1, r - e, left):
-                yield ((i, e),) + tail if e else tail
-
-    return [Monomial(exps) for deg in range(bound + 1) for exps in fill(0, deg, target)]
-
-
 def _normal_atoms(L: LevelData, Q: Ideal, candidates, memo: dict | None = None):
     """Yield the candidates that are Poisson-normal homogeneous elements of
     A/Q, in their given order (d-search atoms, or normal candidates).
@@ -367,67 +336,22 @@ def _is_atom(L: LevelData, Q: Ideal, a: Polynomial) -> bool:
 
 
 def _try_denominator(L: LevelData, Q: Ideal, guess: DElement):
-    """Solve the cross-multiplied defining property for b over the guess's
-    denominator c, with b spanned by the weight-matched monomials of degree
-    at most that of the guess's numerator; returns a validated DElement or
-    None.  The zero guess has no ansatz monomial, so its solve is the exact
-    test that delta(x_j) is in Q for every generator x_j of A."""
-    c = guess.denominator
-    ctx_A = L.pres_A.ctx
-    G_A = L.pres_A.grading
-    w_x = L.pres_R.grading.weights[L.x_index]
-    w_c = weight_of(G_A, c)
-    w_b = tuple(a + b for a, b in zip(w_x, w_c))
-    n_A = len(ctx_A)
-    key = (guess.numerator.total_degree(), w_b)
-    if key not in L.ansatz_memo:
-        L.ansatz_memo[key] = tuple(_weight_matched_monomials(G_A.weights, *key))
-    ansatz = L.ansatz_memo[key]
+    """The guess b/c, b reduced modulo Q, as a validated DElement, or None.
+    Its defining property {d, x_j} = sigma(x_j) d + delta(x_j), times c^2,
+    is checked exactly on every generator x_j of A, with sigma and delta on
+    x_j their stored images: {b, x_j} c - b {c, x_j} - sigma(x_j) b c -
+    delta(x_j) c^2 in Q.  On the zero guess: delta(x_j) in Q for every x_j."""
+    b, c = Q.normal_form(guess.numerator), guess.denominator
     table_A = L.pres_A.table
-    monos = [Polynomial.monomial(ctx_A, m) for m in ansatz]
-    mono_cs = [p * c for p in monos]
-    mono_brs = [generator_brackets(table_A, p) for p in monos]
+    b_brs = generator_brackets(table_A, b)
     c_brs = generator_brackets(table_A, c)
-    # linear system rows: coefficient of every monomial in the reduced
-    # residual, one block per generator of A
-    columns = []
-    rhs_parts = []
-    # on a generator x_j, sigma and delta are their stored images
-    for j in range(n_A):
-        cg = c_brs[j]
-        sg = L.sigma.images[j]
-        lhs = [
-            Q.normal_form(brs[j] * c - p * cg - sg * pc)
-            for p, pc, brs in zip(monos, mono_cs, mono_brs)
-        ]
-        columns.append(lhs)
-        rhs_parts.append(Q.normal_form(L.delta.images[j] * c * c))
-    row_monos = sorted(
-        {m for block in columns for p in block for m in p.terms}
-        | {m for p in rhs_parts for m in p.terms},
-        key=lambda m: m.exps,
-    )
-    A_rows = []
-    b_vec = []
-    for block, rhs in zip(columns, rhs_parts):
-        for m in row_monos:
-            A_rows.append([p.coefficient(m) for p in block])
-            b_vec.append(rhs.coefficient(m))
-    if ansatz:
-        sol = linalg.solve_affine(A_rows, b_vec, ncols=len(ansatz))
-    else:
-        sol = [] if all(x == 0 for x in b_vec) else None
-    if sol is None:
-        return None
-    b = Polynomial.zero(ctx_A)
-    for coeff, m in zip(sol, ansatz):
-        if coeff:
-            b = b + Polynomial.monomial(ctx_A, m, coeff)
-    b = Q.normal_form(b)
+    bc, cc = b * c, c * c
+    for j in range(len(L.pres_A.ctx)):
+        residual = b_brs[j] * c - b * c_brs[j] - L.sigma.images[j] * bc
+        if not Q.member(residual - L.delta.images[j] * cc)[0]:
+            return None
     d = _normalize_fraction(b, c)
-    if validate_d_element(L, d, Q):
-        return d
-    return None
+    return d if validate_d_element(L, d, Q) else None
 
 
 def _candidates(L: LevelData, Q: Ideal, atoms):
@@ -449,18 +373,16 @@ def _candidates(L: LevelData, Q: Ideal, atoms):
 def d_element_search(
     L: LevelData, modulo: Ideal | None = None, extra_normals=()
 ) -> DElement | None:
-    """The d-element over A/modulo, by an exact solve per candidate d.
+    """The d-element over A/modulo, by an exact check per candidate d.
 
     The candidates are the zero fraction, then the closed form of each
     normal atom (`_candidates`): the variables, then the extra normals (the
-    lineage's pool, which `enumerate_hprimes` passes).  For a candidate b'/c
-    the defining property {b/c, g} = sigma(g) b/c + delta(g) becomes, after
-    cross-multiplying, a linear system for the coefficients of b over the
-    weight-matched monomials of degree at most deg b' (`_try_denominator`),
-    so the candidate itself is in its ansatz.  The search stops at the first
-    solve that succeeds.  A returned d always passes `validate_d_element`
-    and is the unique d by the eigencondition; None means the atoms ran
-    out, never that no d exists.
+    lineage's pool, which `enumerate_hprimes` passes).  Each candidate b/c
+    is checked against the defining property {b/c, g} = sigma(g) b/c +
+    delta(g), cross-multiplied, modulo the ideal (`_try_denominator`).  The
+    search stops at the first candidate that passes.  A returned d always
+    passes `validate_d_element` and is the unique d by the eigencondition;
+    None means the atoms ran out, never that no d exists.
     """
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
@@ -756,18 +678,24 @@ class SeparationResult:
         return str(self.element)
 
 
-def _coefficient_ideal(T: Ideal, x_index: int, ctx_A: VarTable) -> Ideal:
-    """J = {a in A : a x + e in T for some e in A}, from an elimination-order
-    basis: degree <= 1 elements contribute their leading x-coefficients."""
-    gb = T.groebner(Elim(T.ctx, {x_index}))
-    gens = []
-    for g in gb:
-        dx = g.degree_in(x_index)
-        if dx == 0:
-            gens.append(re_context(g, ctx_A))
-        elif dx == 1:
-            gens.append(re_context(g.split_by_degree_in(x_index)[1], ctx_A))
-    return Ideal(ctx_A, gens)
+def _coefficient_ideal(P: PoissonPresentation, T: Ideal, ctx_A: VarTable) -> Ideal:
+    """J = {a in A : a x_N + e in T for some e in A}, from an elimination-order
+    basis: degree <= 1 elements contribute their leading x_N-coefficients.
+    Computed once per ideal: memoized in P._cache under T's reduced
+    grevlex basis, as `_contraction` is."""
+    x = len(ctx_A)
+
+    def compute():
+        gens = []
+        for g in T.groebner(Elim(T.ctx, {x})):
+            dx = g.degree_in(x)
+            if dx == 0:
+                gens.append(re_context(g, ctx_A))
+            elif dx == 1:
+                gens.append(re_context(g.split_by_degree_in(x)[1], ctx_A))
+        return Ideal(ctx_A, gens)
+
+    return _memo(P._cache, ("coefficient", T.groebner()), compute)
 
 
 def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
@@ -775,17 +703,20 @@ def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
     Poisson-normal modulo the ideal `modulo` of A (which may be 0);
     heuristic: basis elements and their bounded pairwise products, in a
     fixed order.  Normality is checked lazily, so the candidates after the
-    first one a caller accepts are never examined."""
+    first one a caller accepts are never examined.  The sorted candidate
+    list is built once per ideal W: memoized in L.pres_A._cache under W's
+    reduced grevlex basis."""
     G_A = L.pres_A.grading
-    gb = [g for g in W.groebner() if not g.is_zero()]
-    singles = [g for g in gb if weight_of(G_A, g) is not None]
-    candidates = list(singles)
-    for a, b in itertools.combinations_with_replacement(singles, 2):
-        prod = a * b
-        if prod.total_degree() <= SEPARATION_DEGREE_BOUND:
-            candidates.append(prod)
-    candidates.sort(key=lambda p: (p.total_degree(), str(p)))
-    yield from _normal_atoms(L, modulo, candidates, memo=L.pres_A._cache)
+
+    def compute():
+        singles = [g for g in W.groebner() if weight_of(G_A, g) is not None]
+        pairs = itertools.combinations_with_replacement(singles, 2)
+        products = [p for a, b in pairs if (p := a * b).total_degree() <= SEPARATION_DEGREE_BOUND]
+        return tuple(sorted(singles + products, key=lambda p: (p.total_degree(), str(p))))
+
+    cache = L.pres_A._cache
+    candidates = _memo(cache, ("candidates", W.groebner()), compute)
+    yield from _normal_atoms(L, modulo, candidates, memo=cache)
 
 
 def _delta_stable(P0: Ideal, delta) -> bool:
@@ -808,10 +739,12 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     piece is computed once per presentation and kept in its cache, keyed by
     the reduced grevlex bases of the ideals involved: the certificate of an
     element in R modulo P (`_certificate`), each candidate's verdict in A
-    (`_normal_atoms`), and each contraction (`_contraction`), in the
-    quotient presentations too.  A search that raises, its step budget run
-    out, stores nothing it has not finished.  Ideals or nodes over another
-    variable table than P's raise ContextMismatch.
+    (`_normal_atoms`), each contraction (`_contraction`), each coefficient
+    ideal (`_coefficient_ideal`) and each sorted candidate list
+    (`_normal_candidates`), in the quotient presentations too.  A search
+    that raises, its step budget run out, stores nothing it has not
+    finished.  Ideals or nodes over another variable table than P's raise
+    ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -931,7 +864,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
     if not ideal_equal(P_I, extend(P0, ctx_R)):
-        J = _coefficient_ideal(P_I, N - 1, L.pres_A.ctx)
+        J = _coefficient_ideal(P, P_I, L.pres_A.ctx)
         W = intersect(J, _contraction(P, Q_I, N - 1))
         for cand in _normal_candidates(L, W, modulo=P0):
             u = re_context(cand, ctx_R)
@@ -942,7 +875,7 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
         return None
     Q0 = _contraction(P, Q_I, N - 1)
     if ideal_equal(Q0, P0):
-        source = _coefficient_ideal(Q_I, N - 1, L.pres_A.ctx)
+        source = _coefficient_ideal(P, Q_I, L.pres_A.ctx)
         route = "theta(a) x^s from J"
     else:
         source, route = Q0, "theta(a) x^s from Q cap A"

@@ -207,10 +207,7 @@ def _lie_vector(P: PoissonPresentation, k: int, mus):
 class LevelData:
     """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p.
 
-    Shared by every caller of `level_data` on the same presentation.
-    `ansatz_memo` holds the weight-matched monomial tuples of the level's
-    d-element ansatz, keyed by (degree of the candidate d's numerator,
-    target weight)."""
+    Shared by every caller of `level_data` on the same presentation."""
 
     k: int
     pres_R: PoissonPresentation
@@ -221,7 +218,6 @@ class LevelData:
     lambda_k: Fraction
     hat_ctx: VarTable
     hat_table: BracketTable
-    ansatz_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def x_index(self) -> int:

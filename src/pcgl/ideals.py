@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
-from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, grevlex_key, re_context
+from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, re_context
 from .qpoly import _canon, _qdiv, _trusted
 
 _STEP_LIMIT = contextvars.ContextVar("pcgl_step_limit", default=10 ** 6)
@@ -50,15 +50,19 @@ def step_limit(n: int):
 
 
 class Grevlex:
-    """Graded reverse lexicographic order on the declared variable order."""
+    """Graded reverse lexicographic order on the declared variable order.
+    Its key is the monomial's cached one, which needs no variable count, so
+    one order object serves every table; the engine sees only nonnegative
+    exponents, the premise of that key (see `qpoly`)."""
 
-    def __init__(self, ctx: VarTable):
+    tag = "grevlex"
+    key = staticmethod(Monomial.grevlex)
+
+    def __init__(self, ctx: VarTable | None = None):
         self.ctx = ctx
-        self.nvars = len(ctx)
-        self.tag = "grevlex"
 
-    def key(self, m: Monomial):
-        return grevlex_key(m, self.nvars)
+
+_GREVLEX = Grevlex()
 
 
 class Lex:
@@ -77,22 +81,26 @@ class Lex:
 
 
 class Elim:
-    """Block order eliminating a front set of variables (grevlex per block)."""
+    """Block order eliminating a front set of variables (grevlex per block).
+    Each block key is built from the sparse pairs in that block, as
+    `Monomial.grevlex` is from all of them, which it is on the back block
+    of a monomial free of the front variables."""
 
     def __init__(self, ctx: VarTable, front):
         self.ctx = ctx
         self.front = frozenset(front)
-        self.back = tuple(i for i in range(len(ctx)) if i not in self.front)
-        self.front_order = tuple(sorted(self.front))
+        self.front_mask = sum(1 << i for i in self.front)
         self.tag = ("elim", tuple(sorted(self.front)))
 
     def key(self, m: Monomial):
-        d = dict(m.exps)
-        keys = []
-        for block in (self.front_order, self.back):
-            e = [d.get(i, 0) for i in reversed(block)]
-            keys.append((sum(e), tuple([-x for x in e])))
-        return tuple(keys)
+        if not m.mask() & self.front_mask:
+            return (0, ()), m.grevlex()
+        blocks = ([0, []], [0, []])  # front, back: degree and pairs
+        for i, e in reversed(m.exps):
+            block = blocks[i not in self.front]
+            block[0] += e
+            block[1].append((-i, -e))
+        return tuple((degree, tuple(pairs)) for degree, pairs in blocks)
 
 
 def leading_monomial(f: Polynomial, order) -> Monomial:
@@ -165,8 +173,9 @@ def _quotient_list(ctx, quotients, n):
 
 
 def _divisor_table(basis, lms):
-    """(exponents, leading monomial, leading coefficient, terms) per divisor."""
-    return [(lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
+    """(support mask, exponents, leading monomial, leading coefficient,
+    terms) per divisor."""
+    return [(lm.mask(), lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
 
 
 def _divide(f: Polynomial, divisors, order, budget=None, basis=(), quotients=None):
@@ -184,10 +193,16 @@ def _divide(f: Polynomial, divisors, order, budget=None, basis=(), quotients=Non
             budget.tick(basis)
         lm = max(p, key=key_of)
         lc = p[lm]
-        exps = dict(lm.exps)
-        for idx, (g_exps, g_lm, g_lc, g_terms) in enumerate(divisors):
+        # a divisor whose support is not inside lm's is rejected by its mask
+        outside = ~lm.mask()
+        exps = None
+        for idx, (g_mask, g_exps, g_lm, g_lc, g_terms) in enumerate(divisors):
+            if g_mask & outside:
+                continue
+            if exps is None:
+                exps = dict(lm.exps)
             for i, e in g_exps:
-                if e > exps.get(i, 0):
+                if e > exps[i]:
                     break
             else:
                 t_mono = lm.divide(g_lm)
@@ -340,18 +355,20 @@ def reduce_basis(basis, order):
             lm = leading_monomial(g, order)
             keyed.append((order.key(lm), lm, g))
     keyed.sort(key=lambda t: t[0])
-    # minimalize: a leading monomial divisible by an earlier one is redundant
+    # minimalize: a leading monomial divisible by an earlier one is redundant;
+    # the masks reject most earlier ones before any exponent comparison
     kept = []
     for k, lm, g in keyed:
-        if not any(other.divides(lm) for _, other, _ in kept):
+        outside = ~lm.mask()
+        if not any(not other.mask() & outside and other.divides(lm) for _, other, _ in kept):
             kept.append((k, lm, g))
-    # tail-reduce each element by the others and normalize to monic
+    # tail-reduce each element by the others and normalize to monic, on one
+    # divisor table for all of them
+    table = _divisor_table([t[2] for t in kept], [t[1] for t in kept])
     reduced = []
     for i, (k, lm, g) in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if others:
-            divisors = _divisor_table([o[2] for o in others], [o[1] for o in others])
-            g = _divide(g, divisors, order)
+        if len(kept) > 1:
+            g = _divide(g, table[:i] + table[i + 1 :], order)
         if not g.is_zero():
             reduced.append((k, g * _qdiv(1, g.terms[lm])))
     reduced.sort(key=lambda t: t[0])
@@ -384,7 +401,7 @@ def lift_through_ideal(generators, targets, modulo: Ideal | None = None):
     if not nonzero and not start:
         return [[f] * len(gens) if f.is_zero() else None for f in targets]
     ctx = modulo.ctx if modulo is not None else nonzero[0].ctx
-    order = Grevlex(ctx)
+    order = _GREVLEX
     budget = _Budget()
     basis, lms, reps = _buchberger_loop(gens, order, budget, track=True, start=start)
     zero_rep = [Polynomial.zero(ctx)] * len(gens)
@@ -435,14 +452,14 @@ class Ideal:
         are the same tuple.  `top_elim`, when given, is its reduced basis for
         the elimination of the last variable, cached too."""
         ideal = cls(ctx, basis)
-        ideal._gb[Grevlex(ctx).tag] = ideal.generators
+        ideal._gb[Grevlex.tag] = ideal.generators
         if top_elim is not None:
             ideal._gb[Elim(ctx, {len(ctx) - 1}).tag] = tuple(top_elim)
         return ideal
 
     def groebner(self, order=None):
         if order is None:
-            order = Grevlex(self.ctx)
+            order = _GREVLEX
         if order.tag not in self._gb:
             self._gb[order.tag] = buchberger(self.generators, order)
         return self._gb[order.tag]
@@ -460,11 +477,10 @@ class Ideal:
         gb = self.groebner()
         if not gb:
             return f
-        order = Grevlex(self.ctx)
         if self._divisors is None:
-            lms = [leading_monomial(g, order) for g in gb]
+            lms = [leading_monomial(g, _GREVLEX) for g in gb]
             self._divisors = _divisor_table(gb, lms)
-        return _divide(f, self._divisors, order)
+        return _divide(f, self._divisors, _GREVLEX)
 
     def member(self, f: Polynomial):
         nf = self.normal_form(f)
@@ -610,8 +626,7 @@ def dimension(I: Ideal) -> int:
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise UnitIdeal("dimension of the unit ideal is undefined")
     n = len(I.ctx)
-    order = Grevlex(I.ctx)
-    supports = [set(leading_monomial(g, order).support()) for g in gb]
+    supports = [set(leading_monomial(g, _GREVLEX).support()) for g in gb]
     for size in range(n, -1, -1):
         for subset in itertools.combinations(range(n), size):
             s = set(subset)
@@ -638,7 +653,6 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
     from .pbracket import bracket
 
     ctx = I.ctx
-    order = Grevlex(ctx)
     gens = [Polynomial.variable(ctx, i) for i in range(len(ctx))]
     current = I.reduced()
     checked = set()
@@ -656,7 +670,7 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
             break
         checked.update(current.generators)
         adjoined.extend(new)
-        current = Ideal._with_basis(ctx, buchberger(new, order, start=current.generators))
+        current = Ideal._with_basis(ctx, buchberger(new, _GREVLEX, start=current.generators))
     if trace:
         return current, adjoined
     return current
@@ -673,7 +687,8 @@ def is_poisson_stable(
     already known to be a Poisson ideal there, by an earlier exact check.
     A basis element g free of x_(m+1).. then lies in `base`, and its
     brackets with x_1..x_m lie in `base`, inside I; only its brackets with
-    the new variables are tested.  A g that involves a new variable is
+    the new variables are computed, by a sweep over their columns alone,
+    and tested.  A g that involves a new variable is
     tested against every generator.  The premise is the caller's: the
     enumeration passes the parent ideal for an induced lift, whose basis is
     the parent's, and for a second lift once its contraction is checked.
@@ -689,10 +704,8 @@ def is_poisson_stable(
     for g in I.groebner():
         if lower is not None and lower.member(g)[0]:
             continue
-        brackets = generator_brackets(B, g)
-        if m and new.isdisjoint(g.support()):
-            brackets = brackets[m:]
-        for h in brackets:
+        start = m if m and new.isdisjoint(g.support()) else 0
+        for h in generator_brackets(B, g, start):
             if not I.member(h)[0]:
                 return False
     return True

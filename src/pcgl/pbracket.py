@@ -15,11 +15,12 @@ brackets to the same kernel as a one-row table and sweeps the terms of g:
 {f, g} = sum_j {f, x_j} * dg/dx_j.
 
 Callers that need all n brackets of one element use `generator_brackets`:
-Poisson-normality of c, the d-element ansatz ({c, x_j} and {m, x_j} for
-every ansatz monomial m) and the Poisson-stability check of an ideal.
-Callers that need one particular bracket use `bracket`: the Jacobi,
-derivation and delta checks, the theta and Cauchon checks, and the
-Poisson closure of an ideal.
+Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
+a candidate b/c).  The Poisson-stability check of an ideal sweeps, for a
+basis element free of the new variables, only the columns from the first
+new one on (`generator_brackets(B, f, start)`).  Callers that need one
+particular bracket use `bracket`: the Jacobi, derivation and delta checks,
+the theta and Cauchon checks, and the Poisson closure of an ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -52,6 +53,7 @@ class BracketTable:
             rows[i].append((j, tuple(p.terms.items())))
             rows[j].append((i, tuple((m, -c) for m, c in p.terms.items())))
         self._rows = tuple(tuple(r) for r in rows)
+        self._columns = {0: self._rows}  # start -> the rows cut to columns start..
 
     def entry(self, i: int, j: int) -> Polynomial:
         """{x_i, x_j} for any i, j, derived by antisymmetry where needed."""
@@ -82,11 +84,17 @@ class BracketTable:
         return BracketTable(sub, entries)
 
 
-def generator_brackets(B: BracketTable, f: Polynomial) -> list[Polynomial]:
-    """[{f, x_0}, ..., {f, x_(n-1)}] from one sweep over the terms of f."""
+def generator_brackets(B: BracketTable, f: Polynomial, start: int = 0) -> list[Polynomial]:
+    """[{f, x_start}, ..., {f, x_(n-1)}] from one sweep over the terms of f,
+    against the table rows cut to those columns (kept per start)."""
     if f.ctx != B.ctx:
         raise ContextMismatch("bracket operand over wrong variable table")
-    return _chain_rule(B._rows, f, len(B._rows))
+    rows = B._columns.get(start)
+    if rows is None:
+        rows = B._columns[start] = tuple(
+            tuple((j - start, terms) for j, terms in row if j >= start) for row in B._rows
+        )
+    return _chain_rule(rows, f, len(B._rows) - start)
 
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:

@@ -17,7 +17,15 @@ canonical by construction (sums, products, derivatives, division
 results) go through the private `_trusted(ctx, terms)` instead, which
 takes ownership of a dict of distinct monomials to nonzero canonical
 coefficients without copying it.  The caller builds that dict for the
-new polynomial only, and nobody mutates it after the handover.
+new polynomial only, and nobody mutates it after the handover; so two
+polynomials may share one dict, as `re_context` does between tables that
+agree on every variable in use.
+
+A monomial caches its grevlex key and support bitmask, by which the
+Groebner engine of `ideals` orders and divides.  The key is grevlex on
+nonnegative exponents only; the engine never sees a Laurent one, since an
+`Ideal` refuses Laurent tables and negative generators.  Printing, which
+does, sorts by the dense `grevlex_key`.
 
 A derivation fixed by its values on the generators is applied by the
 chain rule D(f) = sum_i D(x_i) * df/dx_i.  `_chain_rule` is the one
@@ -111,13 +119,19 @@ class Monomial:
 
     `exps` is the tuple of (variable index, exponent) pairs in increasing
     index order.  Monomials are immutable and hash their exponents once.
+    Two slots are filled on first use: the grevlex key, for nonnegative
+    exponents (see the module docstring), and the support bitmask; `hash`,
+    `==` and pickling see `exps` alone.  `*`, `divide`, `lcm`, `gcd` and
+    `divides` merge the sorted pairs; `is_coprime` compares the masks.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("exps", "_hash", "_key", "_mask")
 
     def __init__(self, exps: tuple[tuple[int, int], ...]):
         _set_exps(self, exps)
         _set_mono_hash(self, hash((exps,)))
+        _set_key(self, None)
+        _set_mask(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
@@ -138,11 +152,30 @@ class Monomial:
 
     @classmethod
     def make(cls, data) -> "Monomial":
-        if isinstance(data, dict):
-            pairs = data.items()
-        else:
-            pairs = data
+        pairs = data.items() if isinstance(data, dict) else data
         return cls(tuple(sorted((i, e) for i, e in pairs if e != 0)))
+
+    def grevlex(self):
+        """The cached grevlex key (degree, (-i, -e) from the last pair down),
+        which sorts nonnegative monomials as `grevlex_key(m, n)` for any n:
+        with equal degrees, a pair missing in one key implies more below."""
+        k = self._key
+        if k is None:
+            degree, pairs = 0, []
+            for i, e in reversed(self.exps):
+                degree += e
+                pairs.append((-i, -e))
+            k = (degree, tuple(pairs))
+            _set_key(self, k)
+        return k
+
+    def mask(self) -> int:
+        """The cached support bitmask: bit i is set when x_i occurs."""
+        k = self._mask
+        if k is None:
+            k = sum([1 << i for i, _ in self.exps])
+            _set_mask(self, k)
+        return k
 
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
@@ -178,36 +211,45 @@ class Monomial:
         out.extend(b[j:])
         return Monomial(tuple(out))
 
-    def __pow__(self, k: int) -> "Monomial":
-        return Monomial.make({i: e * k for i, e in self.exps})
-
     def divides(self, other: "Monomial") -> bool:
-        od = dict(other.exps)
-        return all(e <= od.get(i, 0) for i, e in self.exps)
+        return all(e <= f for _, e, f in _aligned(self.exps, other.exps))
 
     def divide(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for i, e in other.exps:
-            d[i] = d.get(i, 0) - e
-        return Monomial.make(d)
+        return Monomial(tuple((i, e - f) for i, e, f in _aligned(self.exps, other.exps) if e != f))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for i, e in other.exps:
-            d[i] = max(d.get(i, 0), e)
-        return Monomial.make(d)
+        return Monomial(tuple((i, max(e, f)) for i, e, f in _aligned(self.exps, other.exps)))
 
     def gcd(self, other: "Monomial") -> "Monomial":
-        od = dict(other.exps)
-        return Monomial.make({i: min(e, od.get(i, 0)) for i, e in self.exps})
+        return Monomial(
+            tuple((i, m) for i, e, f in _aligned(self.exps, other.exps) if (m := min(e, f)))
+        )
 
     def is_coprime(self, other: "Monomial") -> bool:
-        other_support = set(other.support())
-        return not any(i in other_support for i, _ in self.exps)
+        return not self.mask() & other.mask()
+
+
+def _aligned(a, b):
+    """(i, e, f) for every index i in either sorted pair tuple, in order,
+    with e and f its exponents in a and b (0 where absent)."""
+    j, nb = 0, len(b)
+    for i, e in a:
+        while j < nb and b[j][0] < i:
+            yield b[j][0], 0, b[j][1]
+            j += 1
+        if j < nb and b[j][0] == i:
+            yield i, e, b[j][1]
+            j += 1
+        else:
+            yield i, e, 0
+    for i, f in b[j:]:
+        yield i, 0, f
 
 
 _set_exps = Monomial.exps.__set__
 _set_mono_hash = Monomial._hash.__set__
+_set_key = Monomial._key.__set__
+_set_mask = Monomial._mask.__set__
 
 
 MONO_ONE = Monomial(())
@@ -401,14 +443,10 @@ class Polynomial:
         """Partial derivative; valid on Laurent exponents as well."""
         terms = {}
         for m, c in self.terms.items():
-            e = m.exponent(i)
-            if e:
-                d = dict(m.exps)
-                d[i] = e - 1
-                c = c * e
-                if c.__class__ is not int:
-                    c = _canon(c)
-                terms[Monomial.make(d)] = c
+            for k, (j, e) in enumerate(m.exps):
+                if j == i:
+                    c = c * e
+                    terms[_drop_one(m.exps, k)] = c if c.__class__ is int else _canon(c)
         return _trusted(self.ctx, terms)
 
     def split_by_degree_in(self, i: int) -> dict[int, "Polynomial"]:
@@ -509,12 +547,22 @@ def _term_string(ctx: VarTable, m: Monomial, c) -> str:
 
 
 def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
-    """Move a polynomial to another variable table, matching variables by name."""
-    if f.ctx == ctx:
+    """Move a polynomial to another variable table, matching variables by name.
+
+    When f has no negative exponent and every variable it uses keeps its
+    index (a move to a prefix or an extension of the table), the monomials
+    are the same and the new polynomial shares f's term dict, which nobody
+    mutates."""
+    src = f.ctx
+    if src is ctx or src == ctx:
         return f
-    mapping = {}
-    for i in f.support():
-        mapping[i] = ctx.index(f.ctx.names[i])
+    n = len(ctx)
+    support = f.support()
+    if not f.has_negative_exponent() and all(
+        i < n and ctx.names[i] == src.names[i] for i in support
+    ):
+        return _trusted(ctx, f.terms)
+    mapping = {i: ctx.index(src.names[i]) for i in support}
     terms = {}
     for m, c in f.terms.items():
         for i, e in m.exps:

@@ -95,6 +95,19 @@ def test_kernel_matches_partial_derivative_bracket(args):
         assert h == bracket(B, f, xj) == reference_bracket(B, f, xj)
 
 
+@settings(max_examples=100, deadline=None)
+@given(args=table_and_operands())
+def test_column_sweep_matches_the_full_sweep(args):
+    # the sweep from column s gives the same brackets as the tail of the
+    # full sweep, term dicts in the same order, on every column s
+    B, f, _ = args
+    full = generator_brackets(B, f)
+    for start in range(len(B.ctx) + 1):
+        tail = generator_brackets(B, f, start)
+        assert tail == full[start:]
+        assert [list(h.terms) for h in tail] == [list(h.terms) for h in full[start:]]
+
+
 def test_kernel_on_a_laurent_monomial():
     # weyl hat table: {X, a} = -a*X + 1 with X Laurent; f = a*X^-2
     B = TABLES["weyl-hat"]

@@ -1,16 +1,12 @@
 import dataclasses
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pcgl import cauchon
 from pcgl.cauchon import (
     DElement,
-    _weight_matched_monomials,
     check_theta,
     d_element_from_normal,
     d_element_search,
@@ -25,7 +21,7 @@ from pcgl.cauchon import (
 )
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.errors import PreconditionError, SecondLiftError
-from pcgl.grading import GradingData, monomial_weight
+from pcgl.grading import GradingData
 from pcgl.ideals import (
     Ideal,
     contract_to_prefix,
@@ -307,49 +303,6 @@ class TestDElement:
         d1 = d_element_search(m24)
         d2 = d_element_from_normal(m24, base(m24, "a"))
         assert d1.same_fraction(d2)
-
-
-@st.composite
-def ansatz_cases(draw):
-    rank = draw(st.integers(1, 3))
-    nvars = draw(st.integers(0, 5))
-    column = st.tuples(*[st.integers(-2, 2)] * rank)
-    weights = tuple(draw(st.lists(column, min_size=nvars, max_size=nvars)))
-    bound = draw(st.integers(0, 5))
-    # a reachable target (the weight of some monomial) or an arbitrary one
-    picks = draw(st.lists(st.integers(0, nvars - 1), max_size=bound + 1)) if nvars else []
-    reachable = tuple(sum(weights[i][k] for i in picks) for k in range(rank))
-    target = draw(st.one_of(st.just(reachable), st.tuples(*[st.integers(-6, 6)] * rank)))
-    return weights, bound, target
-
-
-class TestAnsatz:
-    @staticmethod
-    def brute_force(weights, bound, target):
-        # every monomial up to the bound, by degree, filtered by weight
-        G = GradingData(len(target), weights)
-        out = []
-        for deg in range(bound + 1):
-            for combo in itertools.combinations_with_replacement(range(len(weights)), deg):
-                exps = {}
-                for i in combo:
-                    exps[i] = exps.get(i, 0) + 1
-                m = Monomial.make(exps)
-                if monomial_weight(G, m) == target:
-                    out.append(m)
-        return out
-
-    @settings(max_examples=300, deadline=None)
-    @given(ansatz_cases())
-    @example((((0, 1), (0, 0), (-1, 2), (1, -1)), 5, (0, 1)))
-    @example((((-2,), (0,), (2,)), 4, (0,)))
-    @example((((1, 0), (0, 1)), 3, (0, 0)))
-    @example(((), 2, (0,)))
-    def test_matches_brute_force(self, case):
-        weights, bound, target = case
-        assert _weight_matched_monomials(weights, bound, target) == self.brute_force(
-            weights, bound, target
-        )
 
 
 class TestSecondLift:

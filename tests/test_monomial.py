@@ -1,0 +1,135 @@
+"""Oracles for the monomial layer under the division kernel.
+
+The cached grevlex key of `Monomial.grevlex` needs no variable count; it
+is compared with the dense `grevlex_key(m, n)` for several n, and the
+sparse block keys of `Elim` with the dense ones they replaced, kept here as
+a reference.  The merge-based monomial operations are compared with dict
+references, on Laurent exponents where they are defined for them.  The
+shared-dict fast path of `re_context` must still refuse what the general
+path refuses.
+"""
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcgl.errors import PcglError
+from pcgl.ideals import Elim, Grevlex
+from pcgl.qpoly import Monomial, Polynomial, VarTable, grevlex_key, parse, re_context
+
+NVARS = 6
+
+
+def monomials(min_exp=0, max_exp=3, nvars=NVARS):
+    exps = st.lists(st.integers(min_exp, max_exp), min_size=nvars, max_size=nvars)
+    return exps.map(lambda e: Monomial.make(enumerate(e)))
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
+
+
+def dense_elim_key(front, nvars, m):
+    """The block key of `Elim` before it read the sparse pairs: grevlex on
+    each block's dense exponent list, the front block first."""
+    d = dict(m.exps)
+    back = tuple(i for i in range(nvars) if i not in front)
+    keys = []
+    for block in (tuple(sorted(front)), back):
+        e = [d.get(i, 0) for i in reversed(block)]
+        keys.append((sum(e), tuple([-x for x in e])))
+    return tuple(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=monomials(), b=monomials(), extra=st.integers(0, 3))
+def test_cached_key_orders_as_the_dense_key(a, b, extra):
+    n = NVARS + extra
+    assert sign(a.grevlex(), b.grevlex()) == sign(grevlex_key(a, n), grevlex_key(b, n))
+    assert Grevlex.key(a) is a.grevlex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=monomials(),
+    b=monomials(),
+    front=st.frozensets(st.integers(0, NVARS - 1), min_size=1, max_size=NVARS - 1),
+)
+def test_elim_key_orders_as_the_dense_block_key(a, b, front):
+    order = Elim(VarTable(tuple(f"x{i}" for i in range(NVARS))), front)
+    assert sign(order.key(a), order.key(b)) == sign(
+        dense_elim_key(front, NVARS, a), dense_elim_key(front, NVARS, b)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=monomials(-2, 2), b=monomials(-2, 2))
+def test_product_and_quotient_match_dicts_on_laurent_exponents(a, b):
+    da, db = dict(a.exps), dict(b.exps)
+    keys = set(da) | set(db)
+    assert a * b == Monomial.make({i: da.get(i, 0) + db.get(i, 0) for i in keys})
+    assert a.divide(b) == Monomial.make({i: da.get(i, 0) - db.get(i, 0) for i in keys})
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=monomials(), b=monomials())
+def test_merges_match_dicts(a, b):
+    da, db = dict(a.exps), dict(b.exps)
+    keys = set(da) | set(db)
+    assert a.lcm(b) == Monomial.make({i: max(da.get(i, 0), db.get(i, 0)) for i in keys})
+    assert a.gcd(b) == Monomial.make({i: min(da.get(i, 0), db.get(i, 0)) for i in keys})
+    assert a.divides(b) == all(e <= db.get(i, 0) for i, e in da.items())
+    assert a.is_coprime(b) == set(da).isdisjoint(db)
+    assert a.mask() == sum(1 << i for i in da)
+    # the mask test rejects only non-divisors
+    if a.mask() & ~b.mask():
+        assert not a.divides(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=monomials(-2, 2))
+def test_hash_and_pickle_see_the_exponents_alone(a):
+    assert hash(a) == hash((a.exps,))
+    fresh = pickle.loads(pickle.dumps(a))
+    assert fresh == a and hash(fresh) == hash(a)
+    a.grevlex(), a.mask()  # fill both cached slots
+    warm = pickle.loads(pickle.dumps(a))
+    assert warm == a and hash(warm) == hash(a)
+    assert warm.grevlex() == a.grevlex() and warm.mask() == a.mask()
+
+
+LAURENT = VarTable(("a", "X", "y"), (False, True, False))
+PLAIN = VarTable(("a", "X", "y"))
+
+
+def test_re_context_shares_terms_across_prefix_and_extension():
+    f = parse("a*X^2 - X", PLAIN)
+    up = PLAIN.extend(("t",))
+    down = PLAIN.restrict(2)
+    for ctx in (up, down):
+        g = re_context(f, ctx)
+        assert g.ctx is ctx and g.terms is f.terms
+        assert re_context(g, PLAIN) == f
+
+
+def test_re_context_refuses_negative_exponent_on_polynomial_variable():
+    # one that the public constructor let in is refused too
+    with pytest.raises(PcglError, match="negative exponent on non-Laurent variable 'X'"):
+        re_context(Polynomial(PLAIN, {Monomial(((1, -1),)): 1}), PLAIN.extend(("t",)))
+    # the same index and name, but X loses its Laurent flag
+    f = parse("a*X^-1", LAURENT)
+    with pytest.raises(PcglError, match="negative exponent on non-Laurent variable 'X'"):
+        re_context(f, PLAIN)
+    # a Laurent variable that keeps its flag keeps its negative exponent
+    assert re_context(f, LAURENT.restrict(2)) == parse("a*X^-1", LAURENT.restrict(2))
+
+
+def test_re_context_refuses_to_drop_a_variable_in_use():
+    f = parse("a*y + X", PLAIN)
+    with pytest.raises(PcglError, match="unknown variable 'y'"):
+        re_context(f, PLAIN.restrict(2))
+    # an unused variable may go
+    assert re_context(parse("a + X", PLAIN), PLAIN.restrict(2)) == parse("a + X", PLAIN.restrict(2))
+
