@@ -43,7 +43,6 @@ from .ideals import (
     leading_monomial,
     primality,
     saturate,
-    variable_support,
 )
 from .pbracket import BracketTable, bracket, generator_brackets, is_poisson_normal
 from .qpoly import (
@@ -732,8 +731,7 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     may be 0: the element is a normal element of the coefficient ideal of P
     when P is larger than P0 R, and otherwise theta(a) x_N^s for a normal
     element a of Q cap A or of the coefficient ideal of Q, or x_N itself in
-    the delta = 0 case.  A contraction generated by variables is removed by
-    passing to the quotient presentation first.
+    the delta = 0 case.
 
     A sweep over many pairs repeats most of the work of one pair, so each
     piece is computed once per presentation and kept in its cache, keyed by
@@ -741,10 +739,9 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     element in R modulo P (`_certificate`), each candidate's verdict in A
     (`_normal_atoms`), each contraction (`_contraction`), each coefficient
     ideal (`_coefficient_ideal`) and each sorted candidate list
-    (`_normal_candidates`), in the quotient presentations too.  A search
-    that raises, its step budget run out, stores nothing it has not
-    finished.  Ideals or nodes over another variable table than P's raise
-    ContextMismatch.
+    (`_normal_candidates`).  A search that raises, its step budget run out,
+    stores nothing it has not finished.  Ideals or nodes over another
+    variable table than P's raise ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -754,13 +751,13 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
         raise PreconditionError("ideals are not nested")
     if contains(P_I, Q_I):
         raise PreconditionError("ideals are equal")
-    result = _separating_normal_inner(P, P_I, Q_I)
+    N = P.nvars
+    if N == 0:
+        return None
+    result = _separating_normal_mod(P, P_I, Q_I, _contraction(P, P_I, N - 1))
     if result is None:
         return None
     u, case, cert = result
-    if cert is None:
-        # certified in a quotient presentation, not yet in R
-        cert = _certificate(P, u, P_I)
     if not cert.ok:
         raise PcglError("separating element failed the normality check")
     if not Q_I.member(u)[0] or P_I.member(u)[0]:
@@ -794,43 +791,6 @@ def _memo(cache: dict, key, compute):
     return cache[key]
 
 
-def _separating_normal_inner(P, P_I, Q_I):
-    """(element, case, certificate) or None.  The certificate is the
-    normality check of the element in P, or None when the element was
-    certified only in a quotient presentation."""
-    N = P.nvars
-    if N == 0:
-        return None
-    P0 = _contraction(P, P_I, N - 1)
-    gone = variable_support(P0)
-    if not gone:
-        return _separating_normal_mod(P, P_I, Q_I, P0)
-    quotient = P.drop_variables(gone)
-    P_down = _project(P_I, gone, quotient.ctx)
-    Q_down = _project(Q_I, gone, quotient.ctx)
-    result = _separating_normal_inner(quotient, P_down, Q_down)
-    if result is None:
-        return None
-    u_down, case, _ = result
-    return re_context(u_down, P.ctx), case + " (in quotient)", None
-
-
-def _project(I: Ideal, gone, ctx: VarTable) -> Ideal:
-    """The image of I, which contains the variables `gone`, in the quotient
-    presentation on the other variables.  A reduced basis of I holds each
-    dropped x_g itself and its other elements are free of them, so those
-    others are the reduced basis of the image, in grevlex and, when I has
-    it cached, in the order eliminating the top variable."""
-
-    def project(basis):
-        return [re_context(g, ctx) for g in basis if gone.isdisjoint(g.support())]
-
-    top_elim = I._gb.get(Elim(I.ctx, {len(I.ctx) - 1}).tag)
-    return Ideal._with_basis(
-        ctx, project(I.groebner()), None if top_elim is None else project(top_elim)
-    )
-
-
 def _separating_normal_mod(P, P_I, Q_I, P0):
     """The case analysis over A/P0 for a delta-stable, Poisson-stable
     contraction P0 = P cap A, which may be 0: computations in A with every
@@ -844,18 +804,6 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     theta(a) x_N^s returned is checked against {u, x_N} = -eta u x_N modulo
     P, with eta = <h_N, weight of a>.  Case labels carry " (mod
     contraction)" when P0 is not 0.
-
-    A contraction generated by variables could come here too, with the same
-    elements, but `_separating_normal_inner` passes it to the quotient
-    presentation instead: that route serves 321 of the 508 nested pairs of
-    weyl, pplane, m2 and the 2x3 tower.  Sending every contraction here
-    gives the same elements under other case labels.  With each check and
-    contraction computed once per presentation, the two routes take the
-    same time on the benchmark's sweep over the 447 pairs of the 2x3 tower
-    (separate-2x3): median 0.336 s here against 0.325 s by the quotient,
-    faster in 6 of 10 alternating pairs, with a 4 % lower memory peak
-    (Python 3.11 on a shared 2-core VM).  The quotient route stays because
-    its case labels are pinned output.
     """
     N = P.nvars
     L = level_data(P, N)

@@ -10,9 +10,8 @@ Each level's sigma_k, delta_k and h_k are derived once, by `_level_maps`
 and `_lie_vector`: `verify_cgl` reports their problems as notes and
 `level_data` raises the first one.  A presentation is immutable, so the
 tower data derived from it is computed once per presentation object:
-`level_data` keeps each level's Ore data, and `drop_variables` each quotient
-by a set of variables, in a private cache that lives and dies with the
-object.
+`level_data` keeps each level's Ore data in a private cache that lives and
+dies with the object, and the separation search keeps its memos there too.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ class PoissonPresentation:
     grading: GradingData
     h: tuple[LieVector, ...] | None = None
     nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
-    # level data, variable quotients and the normality certificates of
-    # separating elements, computed once per object
+    # level data and the memos of the separation search (contractions,
+    # coefficient ideals, normality certificates), computed once per object
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -97,43 +96,6 @@ class PoissonPresentation:
             h=self.h[:k] if self.h is not None else None,
             nilpotency_bound=self.nilpotency_bound,
         )
-
-    def drop_variables(self, gone):
-        """The quotient presentation by the Poisson-stable variable ideal
-        <gone>.  The same set of variables always gives the same object."""
-        gone = frozenset(gone)
-        key = ("drop", gone)
-        if key not in self._cache:
-            self._cache[key] = self._build_quotient(gone)
-        return self._cache[key]
-
-    def _build_quotient(self, gone: frozenset):
-        keep = tuple(i for i in range(self.nvars) if i not in gone)
-        sub = VarTable(tuple(self.ctx.names[i] for i in keep))
-        kept = frozenset(keep)
-        entries = {}
-        for (i, j), p in self.table.pairs():
-            if i in gone or j in gone:
-                continue
-            q = _keep_terms(kept, sub, p)
-            if not q.is_zero():
-                entries[(keep.index(i), keep.index(j))] = q
-        return PoissonPresentation(
-            ctx=sub,
-            table=BracketTable(sub, entries),
-            grading=GradingData(
-                self.grading.rank, tuple(self.grading.weights[i] for i in keep)
-            ),
-            h=tuple(self.h[i] for i in keep) if self.h is not None else None,
-            nilpotency_bound=self.nilpotency_bound,
-        )
-
-
-def _keep_terms(keep: frozenset, sub: VarTable, f: Polynomial) -> Polynomial:
-    """The image of f in the quotient on the variables `keep`: the terms
-    that involve a dropped variable vanish."""
-    kept = {m: c for m, c in f.terms.items() if keep.issuperset(m.support())}
-    return re_context(Polynomial(f.ctx, kept), sub)
 
 
 def split_bracket(P: PoissonPresentation, k: int):

@@ -11,7 +11,8 @@ by `_qdiv` alone, since `/` on two ints gives a float.
 
 Polynomials are immutable after construction and hashable, so two equal
 polynomials always have identical term maps (canonical form).  The
-public `Polynomial(ctx, terms)` copies its input, brings every
+public `Polynomial(ctx, terms)` refuses a negative exponent on a
+variable without the Laurent flag, copies its input, brings every
 coefficient to canonical form and drops zeros.  Results that are
 canonical by construction (sums, products, derivatives, division
 results) go through the private `_trusted(ctx, terms)` instead, which
@@ -274,6 +275,7 @@ class Polynomial:
         object.__setattr__(self, "ctx", ctx)
         clean = {}
         if terms:
+            _refuse_negative(ctx, terms)
             for m, c in terms.items():
                 if c.__class__ is not int:
                     c = _canon(Fraction(c))
@@ -304,11 +306,6 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, ctx: VarTable, m: Monomial, c=1) -> "Polynomial":
-        for i, e in m.exps:
-            if e < 0 and not ctx.is_laurent(i):
-                raise PcglError(
-                    f"negative exponent on non-Laurent variable {ctx.names[i]!r}"
-                )
         return cls(ctx, {m: c})
 
     # -- ring operations -------------------------------------------------
@@ -524,6 +521,16 @@ def _add_into(terms: dict, other: dict, negate: bool = False) -> dict:
     return terms
 
 
+def _refuse_negative(ctx: VarTable, terms) -> None:
+    """Raise PcglError when a monomial of `terms` has a negative exponent on
+    a variable of ctx without the Laurent flag."""
+    laurent = ctx.laurent
+    for m in terms:
+        for i, e in m.exps:
+            if e < 0 and not laurent[i]:
+                raise PcglError(f"negative exponent on non-Laurent variable {ctx.names[i]!r}")
+
+
 def _trusted(ctx: VarTable, terms: dict) -> Polynomial:
     """The private constructor: wraps `terms` as it is, with no copy, no
     coercion and no zero filter; its values must be canonical coefficients
@@ -563,15 +570,8 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
     ):
         return _trusted(ctx, f.terms)
     mapping = {i: ctx.index(src.names[i]) for i in support}
-    terms = {}
-    for m, c in f.terms.items():
-        for i, e in m.exps:
-            if e < 0 and not ctx.is_laurent(mapping[i]):
-                raise PcglError(
-                    f"negative exponent on non-Laurent variable "
-                    f"{ctx.names[mapping[i]]!r}"
-                )
-        terms[Monomial.make({mapping[i]: e for i, e in m.exps})] = c
+    terms = {Monomial.make({mapping[i]: e for i, e in m.exps}): c for m, c in f.terms.items()}
+    _refuse_negative(ctx, terms)
     return _trusted(ctx, terms)
 
 

@@ -464,12 +464,12 @@ class TestSeparatingNormal:
         res = separating_normal(pplane, by_label["0"], by_label["<X>"])
         assert res.element == parse("X", pplane.ctx)
 
-    def test_pplane_quotient_case(self, pplane):
+    def test_pplane_variable_contraction_case(self, pplane):
         tree = enumerate_hprimes(pplane)
         by_label = {n.label(): n for n in tree.leaves()}
         res = separating_normal(pplane, by_label["<a>"], by_label["<X, a>"])
         assert res.element == parse("X", pplane.ctx)
-        assert "quotient" in res.case
+        assert res.case == "x_N (delta = 0) (mod contraction)"
 
     def test_pplane_zero_to_a(self, pplane):
         tree = enumerate_hprimes(pplane)

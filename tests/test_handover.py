@@ -1,9 +1,8 @@
 """Differential test of every reduced basis an ideal operation hands over.
 
-Contractions, saturations, intersections, torus cores, induced and second
-lifts and quotient projections return ideals built by `Ideal._with_basis`,
-which caches the given basis as the reduced grevlex basis without computing
-it.
+Contractions, saturations, intersections, torus cores and induced and
+second lifts return ideals built by `Ideal._with_basis`, which caches the
+given basis as the reduced grevlex basis without computing it.
 Here that constructor is wrapped so that every basis it receives is also
 computed by `buchberger` from scratch and must equal it element for element,
 order included; so must a carried basis for the elimination of the top
@@ -127,8 +126,12 @@ def test_m2_separation(handovers):
     handovers.clear()
     for a, b in pairs:
         assert separating_normal(m2, a, b) is not None
-    # the quotient route projects both ideals, with their elimination bases
-    assert SEPARATION_SITES | {"_project", "carried elim"} <= set(handovers)
+    # every contraction is taken modulo P0 in the ring below the top
+    # variable: the sweep hands over contractions, extensions and
+    # intersections, and carries no elimination basis
+    assert SEPARATION_SITES <= set(handovers)
+    direct = {site for site in handovers if not site.startswith("in ")}
+    assert direct == {"eliminate", "contract_to_prefix", "extend", "reduced"}
 
 
 @pytest.mark.parametrize(

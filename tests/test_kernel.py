@@ -45,7 +45,10 @@ coefficients = st.one_of(
 
 
 def polynomials(ctx=CTX, max_exp=2, max_terms=4, min_exp=0):
-    exps = st.tuples(*[st.integers(min_exp, max_exp)] * len(ctx))
+    """Exponents in [min_exp, max_exp] on Laurent variables, [0, max_exp] elsewhere."""
+    exps = st.tuples(
+        *[st.integers(min_exp if ctx.is_laurent(i) else 0, max_exp) for i in range(len(ctx))]
+    )
     terms = st.dictionaries(exps, coefficients, max_size=max_terms)
     return terms.map(
         lambda d: Polynomial(ctx, {Monomial.make(enumerate(e)): c for e, c in d.items()})

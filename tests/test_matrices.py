@@ -253,9 +253,9 @@ def separation_rows(P, pairs=None):
 
 def test_two_by_three_separation():
     # Poisson-normal separation across all 447 nested pairs of the
-    # 46-element poset, including the pairs whose smaller member contracts
-    # to a non-variable ideal (the 2x2 minor), which exercise the
-    # quotient-tower route; every element and case as in the golden file
+    # 46-element poset, every contraction taken modulo P0 in the ring
+    # below the top variable, whether generated by variables or not (the
+    # 2x2 minor); every element and case as in the golden file
     rows = separation_rows(matrix_presentation(2, 3))
     assert len(rows) == 447
     assert all(element is not None for _, _, element, _ in rows)
@@ -361,7 +361,7 @@ def test_three_by_three_cover_separation(three_by_three, three_by_three_covers):
     rows.sort()
     digest = hashlib.sha256(json.dumps(rows).encode())
     assert digest.hexdigest() == (
-        "aface88cf8041c064ed5a71e6cb497aeff534aad63aee83707b3501662f06334"
+        "d297b42c9784297de290ad89f5a00866fb8d3a66d0fdcf5f8a6f673a0c21d160"
     )
 
 
@@ -456,22 +456,12 @@ def test_level_data_is_cached_per_presentation(name):
         assert plain(L)["pres_R"] == plain(P.restrict(k))
 
 
-def test_variable_quotient_is_cached_per_presentation():
+def test_separation_sweep_builds_no_derived_presentation():
+    # every contraction is taken modulo P0 in the ring below the top
+    # variable, so a full sweep caches no other presentation on P
     P = matrix_presentation(2, 3)
-    quotient = P.drop_variables({2, 5})
-    assert P.drop_variables([5, 2]) is quotient
-    assert plain(quotient) == plain(dataclasses.replace(P).drop_variables({2, 5}))
-    # 2x3 modulo <x13, x23> is the 2x2 matrix algebra, with the weights of
-    # the kept generators in the rank-5 grading
-    square = matrix_presentation(2, 2)
-    assert quotient.ctx == square.ctx
-    assert plain(quotient.table) == plain(square.table)
-    assert quotient.grading == GradingData(5, tuple(P.grading.weights[i] for i in (0, 1, 3, 4)))
-    f = parse("x13*x22 - x12*x23 + x11*x22 - x12*x21", P.ctx)
-    kept = frozenset((0, 1, 3, 4))
-    assert cgl._keep_terms(kept, quotient.ctx, f) == parse("x11*x22 - x12*x21", quotient.ctx)
-    # the quotient's own level data is cached on the quotient
-    assert level_data(quotient, 4) is level_data(P.drop_variables({5, 2}), 4)
+    assert len(separation_rows(P)) == 447
+    assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
 
 
 def test_warm_presentation_pickles():
@@ -489,7 +479,7 @@ def test_warm_presentation_pickles():
 
 @pytest.mark.parametrize("label_P,route", [
     ("<x12*x21 - x11*x22>", " (mod contraction)"),
-    ("<x13, x12, x11>", " (in quotient)"),
+    ("<x13, x12, x11>", " (mod contraction)"),
 ])
 def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
     P = matrix_presentation(2, 3)
@@ -516,15 +506,12 @@ MEMO_KINDS = {"normal", "atom", "contract"}
 
 
 def separation_memo(P, path=()):
-    """The separation memo of P, of the ring below each of its cached levels
-    and of its cached variable quotients, keyed by the path of cache keys
-    that leads to the entry."""
+    """The separation memo of P and of the ring below each of its cached
+    levels, keyed by the path of cache keys that leads to the entry."""
     memo = {}
     for key, value in P._cache.items():
         if key[0] in MEMO_KINDS:
             memo[path + (key,)] = value
-        elif isinstance(value, PoissonPresentation):
-            memo.update(separation_memo(value, path + (key,)))
         elif isinstance(value, cgl.LevelData):
             memo.update(separation_memo(value.pres_A, path + (key, "A")))
     return memo

@@ -114,8 +114,18 @@ def test_re_context_shares_terms_across_prefix_and_extension():
         assert re_context(g, PLAIN) == f
 
 
+def test_constructor_refuses_negative_exponent_on_polynomial_variable():
+    x_inverse = {Monomial(((1, -1),)): 1}
+    with pytest.raises(PcglError, match="negative exponent on non-Laurent variable 'X'"):
+        Polynomial(PLAIN, x_inverse)
+    with pytest.raises(PcglError, match="negative exponent on non-Laurent variable 'X'"):
+        Polynomial.monomial(PLAIN, Monomial(((0, 1), (1, -1))))
+    # on the Laurent variable it is X^-1
+    assert Polynomial(LAURENT, x_inverse) == parse("X^-1", LAURENT)
+
+
 def test_re_context_refuses_negative_exponent_on_polynomial_variable():
-    # one that the public constructor let in is refused too
+    # the public constructor refuses one before re_context sees it
     with pytest.raises(PcglError, match="negative exponent on non-Laurent variable 'X'"):
         re_context(Polynomial(PLAIN, {Monomial(((1, -1),)): 1}), PLAIN.extend(("t",)))
     # the same index and name, but X loses its Laurent flag
