@@ -32,7 +32,6 @@ from .ideals import (
     Elim,
     Grevlex,
     Ideal,
-    buchberger,
     contains,
     contract_to_prefix,
     extend,
@@ -400,28 +399,20 @@ def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
     """The second Poisson H-prime over P0: the contraction of (X - d),
     computed as the saturation ((c x_k - b) + P0 R : c^infinity).
 
-    P0 is a Poisson ideal of A, by an earlier exact check.  The result
-    contains P0 R by construction, and P0's reduced basis is a Groebner
-    basis of P0 R for the order eliminating x_k (its elements are free of
-    x_k).  So the result's elimination basis is computed from that start,
-    adding the result's basis elements outside P0 R, and carried with the
-    result; the contraction check reads it.  The contraction is checked
-    before Poisson stability, which then tests only the brackets that the
-    check of P0 in A does not already cover (`is_poisson_stable`, base=).
+    P0 is a Poisson ideal of A, by an earlier exact check.  The contraction
+    is checked before Poisson stability, which then tests only the brackets
+    that the check of P0 in A does not already cover (`is_poisson_stable`,
+    base=).
     """
     ctx_R = L.pres_R.ctx
     X = L.x()
     c_R = re_context(d.denominator, ctx_R)
     b_R = re_context(d.numerator, ctx_R)
     below = extend(P0, ctx_R)
-    I = Ideal(ctx_R, [c_R * X - b_R, *below.generators])
-    if not d.denominator.is_constant():
-        I = saturate(I, c_R)
+    I = saturate(Ideal(ctx_R, [c_R * X - b_R, *below.generators]), c_R)
     if not I.is_proper():
         raise SecondLiftError("second lift is the unit ideal; invalid d")
-    outside = [g for g in I.groebner() if not below.member(g)[0]]
-    top_elim = buchberger(outside, Elim(ctx_R, {L.x_index}), start=below.generators)
-    result = Ideal._with_basis(ctx_R, I.groebner(), top_elim)
+    result = I.reduced()
     G_k = L.pres_R.grading
     if not is_h_stable(G_k, result):
         raise SecondLiftError("second lift is not torus-stable")

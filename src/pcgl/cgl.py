@@ -71,10 +71,10 @@ class PoissonPresentation:
                 raise TriangularityError(
                     f"bracket {{x_{i+1}, x_{j+1}}} involves a generator beyond x_{i+1}"
                 )
-            if p.degree_in(i) > 1:
-                raise TriangularityError(
-                    f"bracket {{x_{i+1}, x_{j+1}}} has degree >= 2 in x_{i+1}"
-                )
+            powers = {m.exponent(i) for m in p.terms}
+            if not powers <= {0, 1}:
+                shape = "degree >= 2 in" if max(powers) > 1 else "a negative power of"
+                raise TriangularityError(f"bracket {{x_{i+1}, x_{j+1}}} has {shape} x_{i+1}")
 
     @property
     def nvars(self) -> int:
@@ -102,7 +102,8 @@ def split_bracket(P: PoissonPresentation, k: int):
     """Write {x_k, x_j} = sigma(x_j) x_k + delta(x_j) for all j < k.
 
     Levels are 1-based.  Returns (sigma_images, delta_images) keyed by the
-    0-based generator index; the decomposition is unique by triangularity.
+    0-based generator index; the decomposition is unique by triangularity
+    (the constructor admits only the powers 0 and 1 of x_k in row k).
     """
     if not 1 <= k <= P.nvars:
         raise PcglError(f"level {k} out of range")
@@ -113,10 +114,6 @@ def split_bracket(P: PoissonPresentation, k: int):
     for j in range(i):
         p = P.table.entry(i, j)
         parts = p.split_by_degree_in(i)
-        if any(e not in (0, 1) for e in parts):
-            raise TriangularityError(
-                f"bracket {{x_{k}, x_{j+1}}} has degree >= 2 in x_{k}"
-            )
         sigma_images[j] = re_context(parts.get(1, Polynomial.zero(P.ctx)), sub)
         delta_images[j] = re_context(parts.get(0, Polynomial.zero(P.ctx)), sub)
     return sigma_images, delta_images
@@ -124,8 +121,8 @@ def split_bracket(P: PoissonPresentation, k: int):
 
 def _level_maps(P: PoissonPresentation, k: int):
     """sigma_k and delta_k as derivations of A = R_{k-1}, and the eigenvalues
-    mu_j with sigma_k(x_j) = mu_j x_j; raises TriangularityError, or
-    NonDiagonalSigma when some sigma_k(x_j) is not a multiple of x_j."""
+    mu_j with sigma_k(x_j) = mu_j x_j; raises NonDiagonalSigma when some
+    sigma_k(x_j) is not a multiple of x_j."""
     sigma_images, delta_images = split_bracket(P, k)
     sub = P.ctx.restrict(k - 1)
     mus = []
@@ -310,12 +307,10 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
         rep.graded_ok = not any(p[0] == i for p in graded_bad)
         try:
             sigma, delta, mus = _level_maps(P, k)
-        except (TriangularityError, NonDiagonalSigma) as exc:
+        except NonDiagonalSigma as exc:
             rep.notes.append(str(exc))
             rep.sigma_diagonal_ok = False
-            # no h_k realizes a non-diagonal sigma_k; a triangularity
-            # failure leaves h_k unchecked
-            rep.h_ok = isinstance(exc, TriangularityError)
+            rep.h_ok = False  # no h_k realizes a non-diagonal sigma_k
             continue
         for j in range(i):
             xj = Polynomial.variable(delta.ctx, j)

@@ -86,6 +86,8 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
             raise SchemaError(f"bad bracket key {key!r}; expected 'i,j'") from None
         if not (1 <= j < i <= n):
             raise SchemaError(f"bracket key {key!r} out of range (need i > j, 1-based)")
+        if (i - 1, j - 1) in entries:
+            raise SchemaError(f"bracket key {key!r} repeats the pair {i},{j}")
         entries[(i - 1, j - 1)] = parse(_expect(text, str, f"bracket {key!r}"), ctx)
     rows = _expect(data.get("grading", []), list, "'grading'")
     for row in rows:

@@ -54,11 +54,12 @@ def homogeneous_components(G: GradingData, f: Polynomial) -> dict[tuple[int, ...
 
 
 def weight_of(G: GradingData, f: Polynomial) -> tuple[int, ...] | None:
-    """The weight of a nonzero homogeneous polynomial, else None."""
-    comps = homogeneous_components(G, f)
-    if len(comps) != 1:
+    """The weight of a nonzero homogeneous polynomial, else None: the one
+    weight of its monomials."""
+    weights = {monomial_weight(G, m) for m in f.terms}
+    if len(weights) != 1:
         return None
-    return next(iter(comps))
+    return weights.pop()
 
 
 def pair(h: LieVector, w) -> Fraction:

@@ -323,16 +323,9 @@ def _minus_combination(rep, qs, reps):
     return rep
 
 
-def buchberger(generators, order, start=()):
-    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy.
-
-    `start`, when given, must be a Groebner basis in `order` of an ideal
-    contained in the result: the basis is then that of `start` plus the
-    generators, and the pairs inside `start` are never formed (see
-    `_buchberger_loop`).  The caller vouches for the premise; nothing here
-    checks it.
-    """
-    basis, _, _ = _buchberger_loop(generators, order, _Budget(), start=start)
+def buchberger(generators, order):
+    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
+    basis, _, _ = _buchberger_loop(generators, order, _Budget())
     return reduce_basis(basis, order)
 
 
@@ -446,15 +439,12 @@ class Ideal:
         return cls(ctx, [])
 
     @classmethod
-    def _with_basis(cls, ctx: VarTable, basis, top_elim=None) -> "Ideal":
+    def _with_basis(cls, ctx: VarTable, basis) -> "Ideal":
         """The ideal generated by `basis`, which the caller knows to be its
         reduced grevlex basis, in order: the generators and the cached basis
-        are the same tuple.  `top_elim`, when given, is its reduced basis for
-        the elimination of the last variable, cached too."""
+        are the same tuple."""
         ideal = cls(ctx, basis)
         ideal._gb[Grevlex.tag] = ideal.generators
-        if top_elim is not None:
-            ideal._gb[Elim(ctx, {len(ctx) - 1}).tag] = tuple(top_elim)
         return ideal
 
     def groebner(self, order=None):
@@ -645,10 +635,10 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
 
     Adjoins the nonzero normal forms of the brackets {x_i, g} of basis
     elements g until a fixpoint; terminates by noetherianity.  Each round
-    extends the previous basis (`buchberger` with `start`) and brackets
-    only the basis elements new to it: the brackets of an element checked
-    earlier already lie in the ideal.  With ``trace`` the list of adjoined
-    elements is returned as well.
+    takes the reduced basis of the previous basis and the new elements, and
+    brackets only the basis elements not checked before: the brackets of an
+    element checked earlier already lie in the ideal.  With ``trace`` the
+    list of adjoined elements is returned as well.
     """
     from .pbracket import bracket
 
@@ -670,7 +660,7 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
             break
         checked.update(current.generators)
         adjoined.extend(new)
-        current = Ideal._with_basis(ctx, buchberger(new, _GREVLEX, start=current.generators))
+        current = Ideal(ctx, [*current.generators, *new]).reduced()
     if trace:
         return current, adjoined
     return current
@@ -712,18 +702,17 @@ def is_poisson_stable(
 
 
 def is_h_stable(G, I: Ideal) -> bool:
-    """True iff I is graded: homogeneous components of basis elements stay in I."""
-    from .grading import homogeneous_components
+    """True iff I is graded, that is, iff its reduced basis is homogeneous.
 
-    if G.rank == 0:
-        return True
-    for g in I.groebner():
-        comps = homogeneous_components(G, g)
-        if len(comps) > 1:
-            for comp in comps.values():
-                if not I.member(comp)[0]:
-                    return False
-    return True
+    A homogeneous generating set makes I graded.  Conversely, let I be
+    graded and g an element of its reduced basis.  The component of g that
+    holds lm(g) lies in I and has the same leading term; the rest of g lies
+    in I too, and no term of it lies in the initial ideal, which holds the
+    leading term of every nonzero element of I, so it is 0.
+    """
+    from .grading import weight_of
+
+    return G.rank == 0 or all(weight_of(G, g) is not None for g in I.groebner())
 
 
 def h_core(G, I: Ideal) -> Ideal:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from pcgl.cgl import (
     split_bracket,
     verify_cgl,
 )
+from pcgl.cli import main
 from pcgl.errors import PcglError, TriangularityError
 from pcgl.grading import GradingData, lie_act, weight_of
 from pcgl.pbracket import BracketTable, check_delta_condition
@@ -43,6 +45,28 @@ class TestSplitBracket:
                 table=BracketTable(ctx, {(1, 0): parse("X^2", ctx)}),
                 grading=GradingData(0, ((), ())),
             )
+
+    def test_negative_power_rejected_at_construction(self):
+        # a Laurent top variable may not appear inverted in its own row
+        ctx = VarTable(("a", "X"), (False, True))
+        with pytest.raises(TriangularityError, match="negative power of x_2"):
+            PoissonPresentation(
+                ctx=ctx,
+                table=BracketTable(ctx, {(1, 0): parse("X^-1*a", ctx)}),
+                grading=GradingData(2, ((1, 0), (0, 1))),
+            )
+
+    def test_negative_power_refused_by_check(self, tmp_path, capsys):
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps({
+            "vars": ["a", "X"],
+            "laurent": [False, True],
+            "brackets": {"2,1": "X^-1*a"},
+            "grading": [[1, 0], [0, 1]],
+        }))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "negative power of x_2" in err
 
 
 class TestVerify:

@@ -109,3 +109,18 @@ def test_schema_errors(path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaError):
         load_presentation_data(data)
+
+
+@pytest.mark.parametrize("second", ["02,1", " 2,1", "2,01"])
+def test_repeated_bracket_key(tmp_path, second):
+    # two keys naming one pair: the later one must not replace the earlier
+    data = {
+        "vars": ["a", "X"],
+        "brackets": {"2,1": "X*a", second: "2*X*a"},
+        "grading": [[1, 0], [0, 1]],
+    }
+    with pytest.raises(SchemaError, match=repr(second)):
+        load_presentation_data(data)
+    code, out, err = run_check(tmp_path, data)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and repr(second) in err

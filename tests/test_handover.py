@@ -5,8 +5,7 @@ second lifts return ideals built by `Ideal._with_basis`, which caches the
 given basis as the reduced grevlex basis without computing it.
 Here that constructor is wrapped so that every basis it receives is also
 computed by `buchberger` from scratch and must equal it element for element,
-order included; so must a carried basis for the elimination of the top
-variable.  Each case also pins which handover sites it reaches.
+order included.  Each case also pins which handover sites it reaches.
 """
 
 import random
@@ -19,7 +18,6 @@ from pcgl.cauchon import enumerate_hprimes, separating_normal
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.grading import GradingData
 from pcgl.ideals import (
-    Elim,
     Grevlex,
     Ideal,
     buchberger,
@@ -36,10 +34,9 @@ from test_matrices import matrix_presentation, nested_pairs
 
 ENUMERATION_SITES = {
     "extend",
-    "second_lift",
+    "in second_lift",
     "eliminate",
     "contract_to_prefix",
-    "carried elim",
 }
 SEPARATION_SITES = {"eliminate", "contract_to_prefix", "extend", "in intersect"}
 
@@ -47,18 +44,14 @@ SEPARATION_SITES = {"eliminate", "contract_to_prefix", "extend", "in intersect"}
 @pytest.fixture
 def handovers(monkeypatch):
     """Check every handed-over basis against Buchberger's; count the
-    handovers by calling function, as 'in f' for each pcgl function f further
-    up the stack, and as 'carried elim' when they carry an elimination basis."""
+    handovers by calling function, and as 'in f' for each pcgl function f
+    further up the stack."""
     original = Ideal._with_basis.__func__
     sites = Counter()
 
-    def checked(cls, ctx, basis, top_elim=None):
-        ideal = original(cls, ctx, basis, top_elim)
+    def checked(cls, ctx, basis):
+        ideal = original(cls, ctx, basis)
         assert buchberger(ideal.generators, Grevlex(ctx)) == ideal.generators
-        if top_elim is not None:
-            order = Elim(ctx, {len(ctx) - 1})
-            assert buchberger(ideal.generators, order) == tuple(top_elim)
-            sites["carried elim"] += 1
         frame = sys._getframe(1)
         sites[frame.f_code.co_name] += 1
         frame = frame.f_back
@@ -128,7 +121,7 @@ def test_m2_separation(handovers):
         assert separating_normal(m2, a, b) is not None
     # every contraction is taken modulo P0 in the ring below the top
     # variable: the sweep hands over contractions, extensions and
-    # intersections, and carries no elimination basis
+    # intersections
     assert SEPARATION_SITES <= set(handovers)
     direct = {site for site in handovers if not site.startswith("in ")}
     assert direct == {"eliminate", "contract_to_prefix", "extend", "reduced"}

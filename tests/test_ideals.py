@@ -5,7 +5,8 @@ import pytest
 
 from pcgl import linalg
 from pcgl.errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
-from pcgl.grading import monomial_weight
+from pcgl.cauchon import enumerate_hprimes
+from pcgl.grading import homogeneous_components, monomial_weight
 from pcgl.ideals import (
     Grevlex,
     Ideal,
@@ -28,6 +29,7 @@ from pcgl.ideals import (
 )
 from pcgl.qpoly import Monomial, Polynomial, VarTable, parse
 from random_poly import random_polynomial
+from test_matrices import matrix_presentation
 
 CTX3 = VarTable(("x", "y", "z"))
 CTX4 = VarTable(("x", "y", "z", "w"))
@@ -360,6 +362,65 @@ class TestHCore:
             null = linalg.nullspace([list(r) for r in zip(*rows)], ncols=len(ms))
             dims += len(null)
         return dims
+
+
+def graded_by_components(G, I):
+    """The definition of a graded ideal, as a reference: every homogeneous
+    component of every basis element is a member."""
+    return all(
+        I.member(comp)[0]
+        for g in I.groebner()
+        for comp in homogeneous_components(G, g).values()
+    )
+
+
+def random_generator(rng, G, ctx):
+    """A random polynomial, or most often one of its nonconstant homogeneous
+    components."""
+    f = random_polynomial(rng, ctx, 2, 3)
+    comps = [c for c in homogeneous_components(G, f).values() if not c.is_constant()]
+    if not comps or rng.random() < 0.3:
+        return f
+    return rng.choice(comps)
+
+
+class TestGradedness:
+    """`is_h_stable` reads only the weights of the reduced basis, and must
+    agree with the definition on every ideal."""
+
+    def verdict(self, monkeypatch, G, I):
+        calls = []
+        member = Ideal.member
+
+        def counting(self, f):
+            calls.append(f)
+            return member(self, f)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Ideal, "member", counting)
+            verdict = is_h_stable(G, I)
+        assert calls == []
+        assert verdict == graded_by_components(G, I)
+        return verdict
+
+    @pytest.mark.parametrize("name", ["weyl", "m2", "2x3"])
+    def test_random_ideals(self, request, monkeypatch, name):
+        if name == "2x3":
+            P = matrix_presentation(2, 3)
+        else:
+            P = request.getfixturevalue(name)
+        rng = random.Random(name)
+        seen = set()
+        for _ in range(60):
+            gens = [random_generator(rng, P.grading, P.ctx) for _ in range(rng.randint(1, 3))]
+            seen.add(self.verdict(monkeypatch, P.grading, Ideal(P.ctx, gens)))
+        assert seen == {True, False}
+
+    def test_two_by_three_tree(self, monkeypatch):
+        P = matrix_presentation(2, 3)
+        for k, level in enumerate(enumerate_hprimes(P).levels):
+            for node in level:
+                assert self.verdict(monkeypatch, P.grading.restrict(k), node.ideal)
 
 
 class TestPrimality:

@@ -159,19 +159,6 @@ def test_lift_modulo_matches_the_full_lift(gens, mod_gens, cofs, extra):
     assert lifts[0] is not None and lifts[2] is not None
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    first=st.lists(polynomials(max_terms=2).filter(bool), min_size=1, max_size=2),
-    more=st.lists(polynomials(max_terms=2), max_size=2),
-    order=st.sampled_from(sorted(ORDERS)),
-)
-def test_buchberger_from_a_start_basis(first, more, order):
-    # adding generators to a Groebner basis gives the basis of the sum
-    order = ORDERS[order]
-    start = buchberger(first, order)
-    assert buchberger(more, order, start=start) == buchberger(first + more, order)
-
-
 def test_lift_modulo_on_the_nested_pairs_of_m2():
     # every element of the larger H-prime's basis outside the smaller one,
     # with its generator brackets as targets: the lifts of the normality

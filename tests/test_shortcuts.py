@@ -4,9 +4,9 @@
   variables after x_k at once; the long route saturates, then contracts.
 - `h_core` saturates and contracts in one elimination; the long route,
   written out here from public functions, does it in two.
-- `poisson_closure` extends the previous basis and brackets only new basis
-  elements; the naive loop here recomputes the basis from scratch and
-  brackets every element in every round.
+- `poisson_closure` brackets only the basis elements it has not checked
+  in an earlier round; the naive loop here brackets every element in every
+  round.
 - `chain_report` skips the basis elements of an entry that lie in the
   previous entry once that entry is Poisson; each flag must equal the
   full check of the entry alone.
