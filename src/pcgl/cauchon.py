@@ -729,10 +729,12 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     the reduced grevlex bases of the ideals involved: the certificate of an
     element in R modulo P (`_certificate`), each candidate's verdict in A
     (`_normal_atoms`), each contraction (`_contraction`), each coefficient
-    ideal (`_coefficient_ideal`) and each sorted candidate list
-    (`_normal_candidates`).  A search that raises, its step budget run out,
-    stores nothing it has not finished.  Ideals or nodes over another
-    variable table than P's raise ContextMismatch.
+    ideal (`_coefficient_ideal`), each sorted candidate list
+    (`_normal_candidates`), and in `_separating_normal_mod` the test
+    P = P0 R and each candidate's theta(a) x_N^s modulo P0.  A search that
+    raises, its step budget run out, stores nothing it has not finished.
+    Ideals or nodes over another variable table than P's raise
+    ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -802,7 +804,8 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
         return None
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
-    if not ideal_equal(P_I, extend(P0, ctx_R)):
+    key = ("extended", P_I.groebner())
+    if not _memo(P._cache, key, lambda: ideal_equal(P_I, extend(P0, ctx_R))):
         J = _coefficient_ideal(P, P_I, L.pres_A.ctx)
         W = intersect(J, _contraction(P, Q_I, N - 1))
         for cand in _normal_candidates(L, W, modulo=P0):
@@ -821,8 +824,9 @@ def _separating_normal_mod(P, P_I, Q_I, P0):
     G_A = L.pres_A.grading
     X = L.x()
     for cand in _normal_candidates(L, source, modulo=P0):
+        key = ("theta", cand, P0.groebner())
         try:
-            u = _theta_series(L, _delta_iterates(L, cand, P0))
+            u = _memo(P._cache, key, lambda: _theta_series(L, _delta_iterates(L, cand, P0)))
         except NotWithinBound:
             continue
         if u.is_zero():

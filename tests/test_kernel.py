@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from pcgl.cauchon import enumerate_hprimes
 from pcgl.cli import fixture_path, load_presentation
+from pcgl.errors import StepBudgetExceeded
 from pcgl.ideals import (
     Elim,
     Grevlex,
     Ideal,
     Lex,
+    _Budget,
     buchberger,
     eliminate,
     intersect,
@@ -101,6 +103,58 @@ def test_reduce_poly_is_a_division(f, basis, order):
     assert not any(lm.divides(m) for m in r.terms for lm in lms)
     for h in quotients + [r]:
         assert_canonical(h)
+
+
+def naive_division(f, basis, order):
+    """Quotients, remainder and step count of the textbook division, in
+    polynomial arithmetic: each step cancels the leading term of the
+    dividend by the first basis element whose leading monomial divides it,
+    or moves that term to the remainder."""
+    zero = Polynomial(f.ctx, {})
+    lms = [max(g.terms, key=order.key) for g in basis]
+    quotients, remainder, steps = [zero] * len(basis), zero, 0
+    while not f.is_zero():
+        steps += 1
+        lm = max(f.terms, key=order.key)
+        term = Polynomial(f.ctx, {lm: f.terms[lm]})
+        for i, (g, g_lm) in enumerate(zip(basis, lms)):
+            if g_lm.divides(lm):
+                t = Polynomial(f.ctx, {lm.divide(g_lm): Fraction(f.terms[lm]) / g.terms[g_lm]})
+                quotients[i] = quotients[i] + t
+                f = f - t * g
+                break
+        else:
+            remainder = remainder + term
+            f = f - term
+    return quotients, remainder, steps
+
+
+DIVIDENDS = {
+    "zero": st.just(Polynomial(CTX, {})),
+    "one term": polynomials(max_exp=3, max_terms=1).filter(bool),
+    "several terms": polynomials(max_exp=3, max_terms=6).filter(lambda f: len(f.terms) > 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIVIDENDS))
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    basis=st.lists(nonzero, max_size=4),
+    order=st.sampled_from([Grevlex(CTX), Elim(CTX, {0}), Elim(CTX, {0, 1})]),
+)
+def test_reduce_poly_matches_the_textbook_division(kind, data, basis, order):
+    # most dividends are zero or have one term; every kind divides as the
+    # textbook does, and the budget ticks once per step: the division
+    # passes a limit of its step count and runs out under one step fewer
+    f = data.draw(DIVIDENDS[kind])
+    quotients, r, steps = naive_division(f, basis, order)
+    assert reduce_poly(f, basis, order) == (quotients, r)
+    with step_limit(steps):
+        assert reduce_poly(f, basis, order, _Budget()) == (quotients, r)
+    if steps:
+        with step_limit(steps - 1), pytest.raises(StepBudgetExceeded):
+            reduce_poly(f, basis, order, _Budget())
 
 
 @settings(max_examples=60, deadline=None)

@@ -458,10 +458,13 @@ def test_level_data_is_cached_per_presentation(name):
 
 def test_separation_sweep_builds_no_derived_presentation():
     # every contraction is taken modulo P0 in the ring below the top
-    # variable, so a full sweep caches no other presentation on P
+    # variable, so a full sweep caches no other presentation on P.  Besides
+    # the level data it stores only the memo kinds (MEMO_KINDS below), every
+    # one of them, so the memo comparisons of the tests below see each entry
     P = matrix_presentation(2, 3)
     assert len(separation_rows(P)) == 447
     assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
+    assert cache_kinds(P) == MEMO_KINDS | {"level"}
 
 
 def test_warm_presentation_pickles():
@@ -501,8 +504,29 @@ def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
 
 
 # the kinds of entry the separation search memoizes: R-side certificates,
-# candidate verdicts in the ring below and contractions
-MEMO_KINDS = {"normal", "atom", "contract"}
+# contractions, coefficient ideals, whether P = P0 R, theta(a) x^s of a
+# candidate modulo P0, and in the ring below each candidate list and each
+# candidate's verdict
+MEMO_KINDS = {
+    "normal",
+    "contract",
+    "coefficient",
+    "extended",
+    "theta",
+    "candidates",
+    "atom",
+}
+
+
+def cache_kinds(P):
+    """The kinds of key in the cache of P and of the ring below each of its
+    cached levels."""
+    kinds = set()
+    for key, value in P._cache.items():
+        kinds.add(key[0])
+        if isinstance(value, cgl.LevelData):
+            kinds |= cache_kinds(value.pres_A)
+    return kinds
 
 
 def separation_memo(P, path=()):
@@ -524,10 +548,11 @@ def plain_memo(memo):
 
 @pytest.mark.parametrize("label_P", ["<x12*x21 - x11*x22>", "<x13, x12, x11>"])
 def test_separation_certificates_are_memoized(monkeypatch, label_P):
-    # a certificate, a candidate's verdict and a contraction are computed
-    # once per element and ideal, equal ideals held in different objects
-    # included: a repeated search checks no normality and contracts nothing.
-    # The enumeration stores no entry
+    # a certificate, a candidate's verdict, a contraction, the test
+    # P = P0 R and theta(a) x^s are computed once per element and ideal,
+    # equal ideals held in different objects included: a repeated search
+    # checks no normality, contracts nothing, extends nothing and takes no
+    # delta-iterates.  The enumeration stores no entry
     P = matrix_presentation(2, 3)
     leaves = enumerate_hprimes(P).leaves()
     assert separation_memo(P) == {}
@@ -535,9 +560,9 @@ def test_separation_certificates_are_memoized(monkeypatch, label_P):
     big = next(b for a, b in nested_pairs(leaves) if a is small)
     first = separating_normal(P, small, big)
     memo = separation_memo(P)
-    assert {path[-1][0] for path in memo} >= {"normal", "atom", "contract"}
+    assert {path[-1][0] for path in memo} == MEMO_KINDS
     calls = []
-    for name in ("is_poisson_normal", "contract_to_prefix"):
+    for name in ("is_poisson_normal", "contract_to_prefix", "extend", "_delta_iterates"):
         original = getattr(pcgl.cauchon, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
