@@ -32,6 +32,7 @@ from .ideals import (
     Elim,
     Grevlex,
     Ideal,
+    adjoin_variable,
     contains,
     contract_to_prefix,
     extend,
@@ -397,7 +398,10 @@ def d_element_search(
 
 def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
     """The second Poisson H-prime over P0: the contraction of (X - d),
-    computed as the saturation ((c x_k - b) + P0 R : c^infinity).
+    computed as the saturation ((c x_k - b) + P0 R : c^infinity).  For the
+    zero fraction (b = 0, c a nonzero constant) that is the x-node
+    P0 R + (x_k), built from P0's reduced basis with no Groebner run
+    (`adjoin_variable`), under the same checks.
 
     P0 is a Poisson ideal of A, by an earlier exact check.  The contraction
     is checked before Poisson stability, which then tests only the brackets
@@ -405,11 +409,14 @@ def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
     base=).
     """
     ctx_R = L.pres_R.ctx
-    X = L.x()
-    c_R = re_context(d.denominator, ctx_R)
-    b_R = re_context(d.numerator, ctx_R)
+    c = d.denominator
     below = extend(P0, ctx_R)
-    I = saturate(Ideal(ctx_R, [c_R * X - b_R, *below.generators]), c_R)
+    if d.is_zero() and c.is_constant() and c:
+        I = adjoin_variable(below, L.x_index)
+    else:
+        c_R = re_context(c, ctx_R)
+        b_R = re_context(d.numerator, ctx_R)
+        I = saturate(Ideal(ctx_R, [c_R * L.x() - b_R, *below.generators]), c_R)
     if not I.is_proper():
         raise SecondLiftError("second lift is the unit ideal; invalid d")
     result = I.reduced()
@@ -512,9 +519,11 @@ def enumerate_hprimes(P: PoissonPresentation) -> HPrimeTree:
     Starting from the zero ideal of the base field, every delta-stable node
     always lifts to the induced ideal, and additionally to the second lift
     when the d-element search succeeds; nodes that are not delta-stable have
-    no lifts.  Every emitted ideal is machine-checked to be torus-stable and
-    Poisson-stable; primality is asserted from the theory and verified where
-    cheap.  An inconclusive d-search, or a Groebner step budget that runs
+    no lifts.  A zero d gives the x-node P0 R + (x_k), built from P0's
+    reduced basis under the same checks (`second_lift`).  Every emitted
+    ideal is machine-checked to be torus-stable and Poisson-stable;
+    primality is asserted from the theory and verified where cheap.  An
+    inconclusive d-search, or a Groebner step budget that runs
     out while a node is lifted, annotates the node instead of halting; a
     child whose checks did not finish is not emitted, so the output can
     under- but never over-count.

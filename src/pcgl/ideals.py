@@ -15,6 +15,9 @@ Theorem, Cox-Little-O'Shea §3.1), handed over by `Ideal._with_basis`.
 Contractions, saturations and torus cores all end in one, and so does an
 intersection of two ideals neither of which contains the other; when one
 does, `intersect` returns the smaller one with its own reduced basis.
+`adjoin_variable` hands over both reduced bases of I + (x_i), in grevlex
+and in the elimination order of x_i, from I's basis alone; `reduced()`
+keeps every basis its ideal has cached.
 """
 
 from __future__ import annotations
@@ -456,8 +459,11 @@ class Ideal:
 
     def reduced(self) -> "Ideal":
         """This ideal with its reduced grevlex basis as generators and that
-        same basis already cached, since a reduced basis is its own."""
-        return Ideal._with_basis(self.ctx, self.groebner())
+        same basis already cached, since a reduced basis is its own; every
+        other cached basis is kept too, for it is a basis of the same ideal."""
+        ideal = Ideal._with_basis(self.ctx, self.groebner())
+        ideal._gb.update(self._gb)
+        return ideal
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The remainder of f on the reduced grevlex basis; f over another
@@ -507,6 +513,24 @@ def extend(I: Ideal, ctx: VarTable) -> Ideal:
     later ones, with I's reduced basis handed over: grevlex on the larger
     ring, restricted to the monomials of I's ring, is grevlex there."""
     return Ideal._with_basis(ctx, [re_context(g, ctx) for g in I.groebner()])
+
+
+def adjoin_variable(I: Ideal, i: int) -> Ideal:
+    """I + (x_i) for a proper I whose reduced basis does not involve x_i,
+    with two reduced bases handed over: in grevlex, I's basis with x_i
+    inserted at its place; in Elim(ctx, {i}), I's basis, then x_i.  x_i's
+    leading monomial is coprime to every other one (Buchberger's first
+    criterion) and divides no term of them, so both are exact."""
+    gb = I.groebner()
+    if not I.is_proper():
+        raise PcglError("cannot adjoin a variable to the unit ideal")
+    if any(i in g.support() for g in gb):
+        raise PcglError(f"the reduced basis involves {I.ctx.names[i]}")
+    elim = (*gb, Polynomial.variable(I.ctx, i))
+    grevlex = sorted(elim, key=lambda g: leading_monomial(g, _GREVLEX).grevlex())
+    ideal = Ideal._with_basis(I.ctx, grevlex)
+    ideal._gb[Elim(I.ctx, {i}).tag] = elim
+    return ideal
 
 
 def variable_support(I: Ideal):

@@ -20,10 +20,11 @@ from pcgl.cauchon import (
     validate_d_element,
 )
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
-from pcgl.errors import PreconditionError, SecondLiftError
-from pcgl.grading import GradingData
+from pcgl.errors import PcglError, PreconditionError, SecondLiftError
+from pcgl.grading import GradingData, weight_of
 from pcgl.ideals import (
     Ideal,
+    adjoin_variable,
     contract_to_prefix,
     ideal_equal,
     is_h_stable,
@@ -335,6 +336,42 @@ class TestSecondLift:
         bogus = DElement(base(weyl2, "1"), base(weyl2, "1"))
         with pytest.raises(SecondLiftError):
             second_lift(weyl2, Ideal.zero(weyl2.pres_A.ctx), bogus)
+
+    @pytest.mark.parametrize("level", ["weyl2", "m24"])
+    def test_zero_d_x_node_that_is_not_poisson(self, request, monkeypatch, level):
+        # (x_k) is graded and contracts to 0, but {a, X} = a*X - 1 on weyl
+        # and {a, d} = 2*b*c on m2 lie outside it: only the Poisson check
+        # refuses it
+        L = request.getfixturevalue(level)
+        adjoined = []
+
+        def spy(I, i):
+            adjoined.append(i)
+            return adjoin_variable(I, i)
+
+        monkeypatch.setattr(cauchon, "adjoin_variable", spy)
+        zero_d = DElement(Polynomial.zero(L.pres_A.ctx), Polynomial.constant(L.pres_A.ctx, 1))
+        with pytest.raises(SecondLiftError, match="not Poisson-stable"):
+            second_lift(L, Ideal.zero(L.pres_A.ctx), zero_d)
+        assert adjoined == [L.x_index]
+
+    def test_fraction_failing_only_the_delta_identity(self, weyl2):
+        # 2/a has the weight of X and passes the sigma identity; its delta
+        # identity leaves delta(2) a - 2 delta(a) + lambda 2^2 = 2
+        b, c = base(weyl2, "2"), base(weyl2, "a")
+        G_A, lam = weyl2.pres_A.grading, weyl2.lambda_k
+        w_b, w_c = weight_of(G_A, b), weight_of(G_A, c)
+        assert tuple(p - q for p, q in zip(w_b, w_c)) == weyl2.pres_R.grading.weights[1]
+        assert weyl2.sigma(b) * c - b * weyl2.sigma(c) - lam * b * c == 0
+        assert weyl2.delta(b) * c - b * weyl2.delta(c) + lam * b * b == 2
+        assert not validate_d_element(weyl2, DElement(b, c))
+
+    def test_adjoin_variable_refusals(self, weyl2):
+        ctx = weyl2.pres_R.ctx
+        with pytest.raises(PcglError, match="unit ideal"):
+            adjoin_variable(Ideal(ctx, [Polynomial.constant(ctx, 1)]), 1)
+        with pytest.raises(PcglError, match="involves X"):
+            adjoin_variable(Ideal(ctx, [parse("a*X - 1", ctx)]), 1)
 
 
 class TestEnumeration:

@@ -2,10 +2,13 @@
 
 Contractions, saturations, intersections, torus cores and induced and
 second lifts return ideals built by `Ideal._with_basis`, which caches the
-given basis as the reduced grevlex basis without computing it.
-Here that constructor is wrapped so that every basis it receives is also
-computed by `buchberger` from scratch and must equal it element for element,
-order included.  Each case also pins which handover sites it reaches.
+given basis as the reduced grevlex basis without computing it;
+`adjoin_variable` also seeds an elimination basis into the ideal's cache.
+Here that constructor is wrapped so that every basis it receives, and every
+elimination basis a caller seeds into the cache of the ideal it returns, is
+also computed by `buchberger` from scratch and must equal it element for
+element, order included.  Each case also pins which handover sites it
+reaches.
 """
 
 import random
@@ -14,12 +17,16 @@ from collections import Counter
 
 import pytest
 
+from pcgl import ideals
 from pcgl.cauchon import enumerate_hprimes, separating_normal
 from pcgl.cli import fixture_path, load_presentation
+from pcgl.errors import PcglError
 from pcgl.grading import GradingData
 from pcgl.ideals import (
+    Elim,
     Grevlex,
     Ideal,
+    adjoin_variable,
     buchberger,
     contract_to_prefix,
     eliminate,
@@ -27,13 +34,15 @@ from pcgl.ideals import (
     intersect,
     saturate,
 )
-from pcgl.qpoly import VarTable
+from pcgl.qpoly import VarTable, parse, re_context
 from random_poly import random_polynomial
 from test_cli import README_COMMANDS, run
 from test_matrices import matrix_presentation, nested_pairs
 
 ENUMERATION_SITES = {
     "extend",
+    "adjoin_variable",
+    "elim seeded in adjoin_variable",
     "in second_lift",
     "eliminate",
     "contract_to_prefix",
@@ -41,17 +50,39 @@ ENUMERATION_SITES = {
 SEPARATION_SITES = {"eliminate", "contract_to_prefix", "extend", "in intersect"}
 
 
+class SeededBases(dict):
+    """The cache of bases of a handed-over ideal: an elimination basis that a
+    caller seeds into it must equal Buchberger's; `groebner` stores the ones
+    it computes itself unchecked."""
+
+    def __init__(self, ideal, sites):
+        super().__init__(ideal._gb)
+        self.ideal = ideal
+        self.sites = sites
+
+    def __setitem__(self, tag, basis):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "groebner":
+            kind, front = tag
+            assert kind == "elim"
+            order = Elim(self.ideal.ctx, front)
+            assert buchberger(self.ideal.generators, order) == tuple(basis)
+            self.sites["elim seeded in " + caller] += 1
+        super().__setitem__(tag, basis)
+
+
 @pytest.fixture
 def handovers(monkeypatch):
-    """Check every handed-over basis against Buchberger's; count the
-    handovers by calling function, and as 'in f' for each pcgl function f
-    further up the stack."""
+    """Check every handed-over basis against Buchberger's, the seeded
+    elimination bases too; count the handovers by calling function, and as
+    'in f' for each pcgl function f further up the stack."""
     original = Ideal._with_basis.__func__
     sites = Counter()
 
     def checked(cls, ctx, basis):
         ideal = original(cls, ctx, basis)
         assert buchberger(ideal.generators, Grevlex(ctx)) == ideal.generators
+        ideal._gb = SeededBases(ideal, sites)
         frame = sys._getframe(1)
         sites[frame.f_code.co_name] += 1
         frame = frame.f_back
@@ -140,3 +171,51 @@ def test_readme_commands(capsys, handovers, name, sites):
     assert code == 0
     assert sites <= set(handovers)
     assert bool(handovers) == bool(sites)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adjoin_variable_to_random_ideals(handovers, seed):
+    # the middle variable y, whose grevlex place among the basis elements
+    # in x and z depends on their degrees
+    rng = random.Random(seed)
+    ctx = VarTable(("x", "y", "z"))
+    sub = VarTable(("x", "z"))
+    gens = [random_polynomial(rng, sub, 2, 3) for _ in range(2)]
+    I = Ideal(ctx, [re_context(g, ctx) for g in gens])
+    if not I.is_proper():
+        with pytest.raises(PcglError):
+            adjoin_variable(I, 1)
+        return
+    J = adjoin_variable(I, 1)
+    assert handovers["adjoin_variable"] == handovers["elim seeded in adjoin_variable"] == 1
+    assert set(J.groebner()) == {*I.groebner(), parse("y", ctx)}
+
+
+def test_a_wrong_seeded_basis_is_caught(handovers):
+    ctx = VarTable(("x", "y", "z"))
+    J = adjoin_variable(Ideal(ctx, [parse("x^2 - z", ctx)]), 1)
+    tag = Elim(ctx, {1}).tag
+    assert J._gb[tag] != J.groebner()  # the same elements in another order
+    with pytest.raises(AssertionError):
+        J._gb[tag] = J.groebner()
+
+
+def test_reduced_keeps_every_cached_basis(monkeypatch):
+    # the contraction reads the elimination basis cached before `reduced`
+    ctx = VarTable(("x", "y", "z"))
+    I = Ideal(ctx, [parse("x*y - z^2", ctx), parse("y^2 - x*z", ctx)])
+    I.groebner()
+    elim = I.groebner(Elim(ctx, {2}))
+    calls = Counter()
+    original = ideals.buchberger
+
+    def counted(generators, order):
+        calls[order.tag] += 1
+        return original(generators, order)
+
+    monkeypatch.setattr(ideals, "buchberger", counted)
+    J = I.reduced()
+    assert J.groebner(Elim(ctx, {2})) is elim
+    contraction = contract_to_prefix(J, 2)
+    assert [str(g) for g in contraction.generators] == ["x^3*y - y^4"]
+    assert calls == Counter()

@@ -209,11 +209,17 @@ def polynomials_in(obj, seen=None):
 
 def test_two_by_three_coefficients_are_canonical():
     # an int where integral and a Fraction elsewhere, never a float, in
-    # every polynomial of the tree, also after a pickle round trip
+    # every polynomial of the tree, also after a pickle round trip; the
+    # walk reaches every node's reduced basis and d-element
     tree = enumerate_hprimes(matrix_presentation(2, 3))
     for copy in (tree, pickle.loads(pickle.dumps(tree))):
-        coefficients = [c for f in polynomials_in(copy) for c in f.terms.values()]
-        assert len(coefficients) > 700
+        polynomials = list(polynomials_in(copy))
+        nodes = [node for level in copy.levels for node in level]
+        required = [g for node in nodes for g in node.ideal.groebner()]
+        required += [f for node in nodes if node.d for f in (node.d.numerator, node.d.denominator)]
+        reached = {id(f) for f in polynomials}
+        assert len(nodes) == 105 and [f for f in required if id(f) not in reached] == []
+        coefficients = [c for f in polynomials for c in f.terms.values()]
         assert all(type(c) in (int, Fraction) for c in coefficients)
         assert not any(type(c) is Fraction and c.denominator == 1 for c in coefficients)
 
