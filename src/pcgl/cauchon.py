@@ -27,7 +27,7 @@ from .errors import (
     SecondLiftError,
     StepBudgetExceeded,
 )
-from .grading import pair, weight_of
+from .grading import check_graded_bracket, pair, weight_of
 from .ideals import (
     Elim,
     Grevlex,
@@ -44,7 +44,7 @@ from .ideals import (
     primality,
     saturate,
 )
-from .pbracket import BracketTable, bracket, generator_brackets, is_poisson_normal
+from .pbracket import BracketTable, bracket, check_jacobi, generator_brackets, is_poisson_normal
 from .qpoly import (
     Monomial,
     Polynomial,
@@ -353,46 +353,42 @@ def _try_denominator(L: LevelData, Q: Ideal, guess: DElement):
     return d if validate_d_element(L, d, Q) else None
 
 
-def _candidates(L: LevelData, Q: Ideal, atoms):
-    """The zero fraction 0/1, then the closed form d* = delta(a) / (lambda s
-    a) (Goodearl-Launois 2011) of each Poisson-normal homogeneous atom a of
-    A/Q whose delta-iterates modulo Q reach index s >= 1, in the atoms'
-    order; each atom is examined only once every earlier guess has failed."""
+def d_element_search(
+    L: LevelData, modulo: Ideal | None = None, extra_normals=()
+) -> DElement | None:
+    """The d-element over A/modulo, by an exact check per candidate d.
+
+    The candidates are the zero fraction 0/1, then the closed form d* =
+    delta(a) / (lambda s a) (Goodearl-Launois 2011) of each Poisson-normal
+    homogeneous atom a of A/Q whose delta-iterates modulo Q reach index
+    s >= 1.  The atoms are the variables, then the extra normals (the
+    lineage's pool, which `enumerate_hprimes` passes), each moved into A
+    on use.  Each candidate b/c is checked against the defining property
+    {b/c, g} = sigma(g) b/c + delta(g), cross-multiplied, modulo the ideal
+    (`_try_denominator`).  The search stops at the first candidate that
+    passes, and examines an atom only once every earlier guess has
+    failed.  A returned d always passes `validate_d_element` and is the
+    unique d by the eigencondition; None means the atoms ran out, never
+    that no d exists.
+    """
     ctx_A = L.pres_A.ctx
-    yield DElement(Polynomial.zero(ctx_A), Polynomial.constant(ctx_A, 1))
+    Q = modulo if modulo is not None else Ideal.zero(ctx_A)
+    d = _try_denominator(L, Q, DElement(Polynomial.zero(ctx_A), Polynomial.constant(ctx_A, 1)))
+    if d is not None:
+        return d
+    atoms = itertools.chain(
+        (Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))),
+        (Q.normal_form(re_context(e, ctx_A)) for e in extra_normals),
+    )
     for a in _normal_atoms(L, Q, atoms):
         try:
             iterates = _delta_iterates(L, a, Q)
         except NotWithinBound:
             continue
         if len(iterates) > 1:
-            yield _closed_form_d(L, iterates)
-
-
-def d_element_search(
-    L: LevelData, modulo: Ideal | None = None, extra_normals=()
-) -> DElement | None:
-    """The d-element over A/modulo, by an exact check per candidate d.
-
-    The candidates are the zero fraction, then the closed form of each
-    normal atom (`_candidates`): the variables, then the extra normals (the
-    lineage's pool, which `enumerate_hprimes` passes).  Each candidate b/c
-    is checked against the defining property {b/c, g} = sigma(g) b/c +
-    delta(g), cross-multiplied, modulo the ideal (`_try_denominator`).  The
-    search stops at the first candidate that passes.  A returned d always
-    passes `validate_d_element` and is the unique d by the eigencondition;
-    None means the atoms ran out, never that no d exists.
-    """
-    ctx_A = L.pres_A.ctx
-    Q = modulo if modulo is not None else Ideal.zero(ctx_A)
-    atoms = itertools.chain(
-        (Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))),
-        (Q.normal_form(re_context(e, ctx_A)) for e in extra_normals),
-    )
-    for guess in _candidates(L, Q, atoms):
-        d = _try_denominator(L, Q, guess)
-        if d is not None:
-            return d
+            d = _try_denominator(L, Q, _closed_form_d(L, iterates))
+            if d is not None:
+                return d
     return None
 
 
@@ -446,7 +442,7 @@ class HPrimeNode:
     notes: list[str] = field(default_factory=list)
     prime: dict = field(default_factory=dict)
     # normal elements discovered along this lineage, used as denominator
-    # atoms for deeper d-searches
+    # atoms for deeper d-searches; each stays in the ring where it was found
     normal_pool: tuple = ()
 
     def label(self) -> str:
@@ -561,9 +557,8 @@ def _lift(L: LevelData, node: HPrimeNode, out: list) -> None:
         L.pres_R.table, induced, base=Q
     ):
         raise PcglError("induced lift failed stability checks")
-    pool_up = tuple(re_context(p, ctx_k) for p in node.normal_pool)
     child = HPrimeNode(
-        level=k, ideal=induced, parent=node, branch="induced", normal_pool=pool_up
+        level=k, ideal=induced, parent=node, branch="induced", normal_pool=node.normal_pool
     )
     child.prime = primality(induced)
     out.append(child)
@@ -573,7 +568,7 @@ def _lift(L: LevelData, node: HPrimeNode, out: list) -> None:
         return
     lifted = second_lift(L, Q, d)
     x_normal = re_context(d.denominator, ctx_k) * L.x() - re_context(d.numerator, ctx_k)
-    child.normal_pool = pool_up = pool_up + (x_normal,)
+    child.normal_pool = pool_up = node.normal_pool + (x_normal,)
     child2 = HPrimeNode(
         level=k, ideal=lifted, parent=node, branch="d-branch", d=d, normal_pool=pool_up
     )
@@ -624,9 +619,6 @@ def cauchon_step(P: PoissonPresentation, k: int) -> CauchonStep:
         h=source.h,
         nilpotency_bound=source.nilpotency_bound,
     )
-    from .pbracket import check_jacobi
-    from .grading import check_graded_bracket
-
     if not check_jacobi(target.table).ok:
         raise PcglError("deletion target fails the Jacobi identity")
     if not check_graded_bracket(target.grading, target.table):

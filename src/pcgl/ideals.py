@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
+from .grading import monomial_weight, weight_of
+from .pbracket import bracket, generator_brackets
 from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, re_context
 from .qpoly import _canon, _qdiv, _trusted
 
@@ -664,8 +666,6 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
     element checked earlier already lie in the ideal.  With ``trace`` the
     list of adjoined elements is returned as well.
     """
-    from .pbracket import bracket
-
     ctx = I.ctx
     gens = [Polynomial.variable(ctx, i) for i in range(len(ctx))]
     current = I.reduced()
@@ -711,8 +711,6 @@ def is_poisson_stable(
     Poisson (`chain_report` passes the previous entry of a chain).  A basis
     element of I that lies in it has its brackets in it, and is skipped.
     """
-    from .pbracket import generator_brackets
-
     m = 0 if base is None else len(base.ctx)
     new = frozenset(range(m, len(I.ctx)))
     for g in I.groebner():
@@ -734,8 +732,6 @@ def is_h_stable(G, I: Ideal) -> bool:
     in I too, and no term of it lies in the initial ideal, which holds the
     leading term of every nonzero element of I, so it is 0.
     """
-    from .grading import weight_of
-
     return G.rank == 0 or all(weight_of(G, g) is not None for g in I.groebner())
 
 
@@ -746,8 +742,6 @@ def h_core(G, I: Ideal) -> Ideal:
     the torus action, and saturates at the product of the parameters,
     eliminating them in the same Groebner basis (`saturate` with keep=n).
     """
-    from .grading import monomial_weight
-
     r = G.rank
     if r == 0 or not I.generators:
         return Ideal(I.ctx, I.generators)
@@ -765,12 +759,9 @@ def h_core(G, I: Ideal) -> Ideal:
         mins = [min(w[k] for w in shifts) for k in range(r)]
         new_terms = {}
         for m, c, w in terms:
-            exps = {i: e for i, e in m.exps}
-            for k in range(r):
-                e = w[k] - mins[k]
-                if e:
-                    exps[n + k] = e
-            new_terms[Monomial.make(exps)] = c
+            # t_k is x_(n+k), after every variable of m: the pairs stay sorted
+            shift = tuple((n + k, e) for k in range(r) if (e := w[k] - mins[k]))
+            new_terms[Monomial(m.exps + shift)] = c
         twisted.append(Polynomial(up, new_terms))
     J = Ideal(up, twisted)
     tprod = Polynomial.constant(up, 1)

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals and the integers.
 
-Small dense routines backing the grading solver, the d-element search and
-the torus-center kernel computation.  Matrices are lists of lists.
+Small dense routines backing the grading solver and the torus-center
+kernel computation.  Matrices are lists of lists.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ def rref(matrix):
     return rows, pivots
 
 
-def solve_affine(A, b, ncols=None):
-    """One exact solution of A x = b, or None if inconsistent.
+def solve_affine(A, b):
+    """One exact solution of A x = b, or None if inconsistent; A has at
+    least one row.
 
     Free variables are set to zero, which makes the result deterministic.
     """
-    if not A:
-        return [Fraction(0)] * (ncols or 0)
     ncols = len(A[0])
     aug = [list(row) + [val] for row, val in zip(A, b)]
     rows, pivots = rref(aug)

@@ -19,8 +19,9 @@ Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
 a candidate b/c).  The Poisson-stability check of an ideal sweeps, for a
 basis element free of the new variables, only the columns from the first
 new one on (`generator_brackets(B, f, start)`).  Callers that need one
-particular bracket use `bracket`: the Jacobi, derivation and delta checks,
-the theta and Cauchon checks, and the Poisson closure of an ideal.
+particular bracket use `bracket`: the Jacobi and delta checks (the
+derivation check is a delta check), the theta and Cauchon checks, and the
+Poisson closure of an ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Derivation, Polynomial, VarTable, _chain_rule, apply_derivation
+from .qpoly import Derivation, Polynomial, VarTable, _chain_rule, apply_derivation, re_context
 
 
 class BracketTable:
@@ -67,15 +68,11 @@ class BracketTable:
         return self._pairs
 
     def re_context(self, ctx: VarTable) -> "BracketTable":
-        from .qpoly import re_context
-
         return BracketTable(
             ctx, {k: re_context(p, ctx) for k, p in self._entries.items()}
         )
 
     def restrict(self, k: int) -> "BracketTable":
-        from .qpoly import re_context
-
         sub = self.ctx.restrict(k)
         entries = {}
         for (i, j), p in self._entries.items():
@@ -110,15 +107,6 @@ def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
 class JacobiReport:
     ok: bool
     failures: list[tuple[int, int, int, Polynomial]] = field(default_factory=list)
-
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "failures": [
-                {"triple": [i + 1, j + 1, k + 1], "residual": str(r)}
-                for i, j, k, r in self.failures
-            ],
-        }
 
 
 def jacobiator(B: BracketTable, i: int, j: int, k: int) -> Polynomial:
@@ -158,13 +146,6 @@ class NormalityCertificate:
     quotients: dict[int, Polynomial] = field(default_factory=dict)
     failures: dict[int, Polynomial] = field(default_factory=dict)
 
-    def to_json_dict(self):
-        return {
-            "ok": self.ok,
-            "quotients": {str(i + 1): str(q) for i, q in sorted(self.quotients.items())},
-            "failures": {str(i + 1): str(r) for i, r in sorted(self.failures.items())},
-        }
-
 
 def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityCertificate:
     """Check {c, x_i} in (c) + modulo for every generator, with quotients.
@@ -201,17 +182,10 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
 
 
 def check_poisson_derivation(B: BracketTable, S: Derivation) -> bool:
-    """True iff S({a,b}) = {S(a),b} + {a,S(b)} on all generator pairs."""
-    n = len(B.ctx)
-    for i in range(n):
-        for j in range(i):
-            xi = Polynomial.variable(B.ctx, i)
-            xj = Polynomial.variable(B.ctx, j)
-            lhs = apply_derivation(S, B.entry(i, j))
-            rhs = bracket(B, S(xi), xj) + bracket(B, xi, S(xj))
-            if lhs != rhs:
-                return False
-    return True
+    """True iff S({a,b}) = {S(a),b} + {a,S(b)} on all generator pairs: the
+    delta condition of `check_delta_condition` with the zero twist."""
+    zero = Derivation(B.ctx, {i: Polynomial.zero(B.ctx) for i in range(len(B.ctx))})
+    return check_delta_condition(B, zero, S)
 
 
 def check_delta_condition(B_A: BracketTable, S: Derivation, D: Derivation) -> bool:

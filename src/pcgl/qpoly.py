@@ -451,10 +451,8 @@ class Polynomial:
         that variable divided out)."""
         parts: dict[int, dict] = {}
         for m, c in self.terms.items():
-            e = m.exponent(i)
-            d = dict(m.exps)
-            d.pop(i, None)
-            parts.setdefault(e, {})[Monomial.make(d)] = c
+            rest = Monomial.make((j, e) for j, e in m.exps if j != i)
+            parts.setdefault(m.exponent(i), {})[rest] = c
         return {e: _trusted(self.ctx, t) for e, t in parts.items()}
 
     def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
@@ -570,7 +568,7 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
     ):
         return _trusted(ctx, f.terms)
     mapping = {i: ctx.index(src.names[i]) for i in support}
-    terms = {Monomial.make({mapping[i]: e for i, e in m.exps}): c for m, c in f.terms.items()}
+    terms = {Monomial.make((mapping[i], e) for i, e in m.exps): c for m, c in f.terms.items()}
     _refuse_negative(ctx, terms)
     return _trusted(ctx, terms)
 

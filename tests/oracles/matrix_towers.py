@@ -4,9 +4,9 @@ Enumerates the torus-stable Poisson primes of both towers and checks, for
 each, the count against the poly-Bernoulli closed form (1,066) and the
 SHA-256 of the tree's sorted JSON against the digest first recorded for
 it.  Their d-searches try the zero fraction, then the closed form of each
-normal atom from the variables and the lineage's pool, and solve for a
-numerator of at most the candidate's own numerator degree.  Prints one
-line per tower and exits 1 on any mismatch.
+normal atom from the variables and the lineage's pool, each checked
+exactly against the defining property of d.  Prints one line per tower
+and exits 1 on any mismatch.
 
     PYTHONPATH=src python tests/oracles/matrix_towers.py
 """

@@ -1,11 +1,16 @@
 """Every private helper of the package has a caller: a private module-level
 name, or a private method, that is defined in src/pcgl but read nowhere
-there is dead code and fails this test."""
+there is dead code and fails this test.  And every import of a sibling
+module sits at the top of its module, except in the functions that break
+a real import cycle (`CYCLE_BREAKERS`)."""
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "pcgl").glob("*.py"))
+
+# ideals imports pbracket at its top, so pbracket reaches ideals at call time
+CYCLE_BREAKERS = {"pbracket.is_poisson_normal"}
 
 
 def is_private(name):
@@ -89,3 +94,38 @@ def test_the_guard_sees_helpers_and_their_references():
     defined = {name for name, _ in private_definitions(tree, "m.py")}
     assert defined == {"_LIMIT", "_dead", "_alive", "_gone", "_kept", "_self_only"}
     assert defined - set(references(tree)) == {"_dead", "_gone", "_self_only"}
+
+
+def function_level_imports(node, name, in_function=False):
+    """The qualified name of the function around each relative import
+    (`from .x import y`) that runs in a function body, once per import."""
+    for child in ast.iter_child_nodes(node):
+        if in_function and isinstance(child, ast.ImportFrom) and child.level:
+            yield name
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = in_function or not isinstance(child, ast.ClassDef)
+            yield from function_level_imports(child, f"{name}.{child.name}", inside)
+        else:
+            yield from function_level_imports(child, name, in_function)
+
+
+def test_sibling_imports_are_at_module_top():
+    found = []
+    for path in SOURCES:
+        found += function_level_imports(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert sorted(found) == sorted(CYCLE_BREAKERS)
+
+
+def test_the_import_guard_sees_function_level_imports():
+    tree = ast.parse(
+        "from .a import top\n"
+        "import json\n"
+        "def f():\n    from .b import g\n    return g\n"
+        "def h(x):\n"
+        "    import os\n    from os import path\n"
+        "    def inner():\n        if x:\n            from . import c\n"
+        "class C:\n"
+        "    from .d import at_class_level\n"
+        "    def m(self):\n        from ..e import k\n"
+    )
+    assert list(function_level_imports(tree, "mod")) == ["mod.f", "mod.h.inner", "mod.C.m"]

@@ -86,6 +86,17 @@ def test_ring_operations_are_canonical(f, g, i, c):
 
 
 @settings(max_examples=100, deadline=None)
+@given(f=laurent, i=st.integers(0, 2))
+def test_split_by_degree_in_recombines(f, i):
+    # the sum over e of parts[e] * x_i^e is f, Laurent exponents included
+    total = Polynomial.zero(f.ctx)
+    for e, part in f.split_by_degree_in(i).items():
+        assert i not in part.support()
+        total = total + part * Polynomial.monomial(f.ctx, Monomial.make({i: e}))
+    assert total == f
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     f=polynomials(max_exp=3, max_terms=6),
     basis=st.lists(nonzero, min_size=1, max_size=3),

@@ -6,10 +6,12 @@ sparse block keys of `Elim` with the dense ones they replaced, kept here as
 a reference.  The merge-based monomial operations are compared with dict
 references, on Laurent exponents where they are defined for them.  The
 shared-dict fast path of `re_context` must still refuse what the general
-path refuses.
+path refuses, and the general path, which maps each index by name, must
+agree with parsing the printed polynomial in the target table.
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -143,3 +145,22 @@ def test_re_context_refuses_to_drop_a_variable_in_use():
     # an unused variable may go
     assert re_context(parse("a + X", PLAIN), PLAIN.restrict(2)) == parse("a + X", PLAIN.restrict(2))
 
+
+
+laurent_polynomials = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    max_size=4,
+).map(lambda d: Polynomial(LAURENT, {Monomial.make(enumerate(e)): c for e, c in d.items()}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=laurent_polynomials, seed=st.integers(0, 2**16), extra=st.integers(0, 2))
+def test_re_context_onto_a_permuted_table_matches_parsing(f, seed, extra):
+    names = [*LAURENT.names, *(f"t{k}" for k in range(extra))]
+    random.Random(seed).shuffle(names)
+    flags = tuple(n in LAURENT.names and LAURENT.is_laurent(LAURENT.index(n)) for n in names)
+    target = VarTable(tuple(names), flags)
+    g = re_context(f, target)
+    assert g == parse(str(f), target)
+    assert re_context(g, LAURENT) == f
