@@ -48,7 +48,6 @@ from .pbracket import BracketTable, bracket, check_jacobi, generator_brackets, i
 from .qpoly import (
     Monomial,
     Polynomial,
-    VarTable,
     _qdiv,
     re_context,
 )
@@ -306,7 +305,7 @@ def _normal_atoms(L: LevelData, Q: Ideal, candidates, memo: dict | None = None):
     candidates after it, and `d_element_search` asks for its atoms only
     once its zero guess has failed.
 
-    With a `memo` dict (the separation search passes L.pres_A._cache), each
+    With a `memo` dict (the separation search passes L.pres_R._cache), each
     candidate's verdict is kept in it under the candidate and the reduced
     grevlex basis of Q, `_certificate`'s keying rule, so the pairs of a
     sweep that share a contraction check each candidate once.  The
@@ -669,34 +668,14 @@ class SeparationResult:
         return str(self.element)
 
 
-def _coefficient_ideal(P: PoissonPresentation, T: Ideal, ctx_A: VarTable) -> Ideal:
-    """J = {a in A : a x_N + e in T for some e in A}, from an elimination-order
-    basis: degree <= 1 elements contribute their leading x_N-coefficients.
-    Computed once per ideal: memoized in P._cache under T's reduced
-    grevlex basis, as `_contraction` is."""
-    x = len(ctx_A)
-
-    def compute():
-        gens = []
-        for g in T.groebner(Elim(T.ctx, {x})):
-            dx = g.degree_in(x)
-            if dx == 0:
-                gens.append(re_context(g, ctx_A))
-            elif dx == 1:
-                gens.append(re_context(g.split_by_degree_in(x)[1], ctx_A))
-        return Ideal(ctx_A, gens)
-
-    return _memo(P._cache, ("coefficient", T.groebner()), compute)
-
-
 def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
     """Yield the homogeneous elements of the ideal W of A that are
     Poisson-normal modulo the ideal `modulo` of A (which may be 0);
     heuristic: basis elements and their bounded pairwise products, in a
     fixed order.  Normality is checked lazily, so the candidates after the
     first one a caller accepts are never examined.  The sorted candidate
-    list is built once per ideal W: memoized in L.pres_A._cache under W's
-    reduced grevlex basis."""
+    list is built once per ideal W: memoized in L.pres_R._cache, the
+    presentation's own at the top level, under W's reduced grevlex basis."""
     G_A = L.pres_A.grading
 
     def compute():
@@ -705,7 +684,7 @@ def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
         products = [p for a, b in pairs if (p := a * b).total_degree() <= SEPARATION_DEGREE_BOUND]
         return tuple(sorted(singles + products, key=lambda p: (p.total_degree(), str(p))))
 
-    cache = L.pres_A._cache
+    cache = L.pres_R._cache
     candidates = _memo(cache, ("candidates", W.groebner()), compute)
     yield from _normal_atoms(L, modulo, candidates, memo=cache)
 
@@ -714,28 +693,59 @@ def _delta_stable(P0: Ideal, delta) -> bool:
     return all(P0.member(delta(g))[0] for g in P0.groebner())
 
 
+def _split(P: PoissonPresentation, I: Ideal):
+    """(I0, J, I == I0 R, I0 delta_N-stable) for an ideal I of R, with
+    I0 = I cap A its contraction and J = {a in A : a x_N + e in I for some
+    e in A} its coefficient ideal, computed once per ideal: memoized in
+    P._cache under I's reduced grevlex basis.  All four are read off I's
+    basis in the order Elim({x_N}) (the Elimination Theorem, Cox-Little-
+    O'Shea §3.1), which `contract_to_prefix` computes and caches on I: I0 is
+    its part free of x_N; J is generated by its elements of x_N-degree 0
+    and the x_N-coefficients of those of degree 1, in basis order; and
+    I = I0 R exactly when no element involves x_N."""
+    x = P.nvars - 1
+
+    def compute():
+        I0 = contract_to_prefix(I, x)
+        basis = I.groebner(Elim(I.ctx, {x}))
+        gens = []
+        for g in basis:
+            e = g.degree_in(x)
+            if e <= 1:
+                gens.append(re_context(g.split_by_degree_in(x)[1] if e else g, I0.ctx))
+        extended = all(x not in g.support() for g in basis)
+        return I0, Ideal(I0.ctx, gens), extended, _delta_stable(I0, level_data(P, P.nvars).delta)
+
+    return _memo(P._cache, ("split", I.groebner()), compute)
+
+
 def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationResult | None:
     """A Poisson-normal eigenvector of R/P lying in Q/P, or None when the
     heuristic search is inconclusive (nonexistence is never claimed).
 
-    Follows the top-level case analysis over A/P0, where A is the ring
-    below the top variable x_N and P0 = P cap A is the contraction, which
-    may be 0: the element is a normal element of the coefficient ideal of P
-    when P is larger than P0 R, and otherwise theta(a) x_N^s for a normal
-    element a of Q cap A or of the coefficient ideal of Q, or x_N itself in
-    the delta = 0 case.
+    The case analysis runs over A/P0, where A is the ring below the top
+    variable x_N and P0 = P cap A is the contraction, which may be 0.  It
+    needs P0 delta_N-stable, and takes every reduction in A modulo P0
+    rather than in a literal quotient presentation.  When P is larger than
+    P0 R, a normal element of J cap Q separates, with J the coefficient
+    ideal of P.  Otherwise R/P is a tower over A/P0 and the element is
+    theta(a) x_N^s, for a normal element a of Q cap A when that is larger
+    than P0, else of the coefficient ideal of Q; when s = 0 there, x_N
+    itself separates if delta vanishes modulo P0.  Every theta(a) x_N^s
+    returned is checked against {u, x_N} = -eta u x_N modulo P, with
+    eta = <h_N, weight of a>.  Case labels carry " (mod contraction)" when
+    P0 is not 0.
 
     A sweep over many pairs repeats most of the work of one pair, so each
-    piece is computed once per presentation and kept in its cache, keyed by
-    the reduced grevlex bases of the ideals involved: the certificate of an
-    element in R modulo P (`_certificate`), each candidate's verdict in A
-    (`_normal_atoms`), each contraction (`_contraction`), each coefficient
-    ideal (`_coefficient_ideal`), each sorted candidate list
-    (`_normal_candidates`), and in `_separating_normal_mod` the test
-    P = P0 R and each candidate's theta(a) x_N^s modulo P0.  A search that
-    raises, its step budget run out, stores nothing it has not finished.
-    Ideals or nodes over another variable table than P's raise
-    ContextMismatch.
+    piece is computed once per presentation and kept in P._cache, keyed by
+    the reduced grevlex bases of the ideals involved: each ideal's
+    contraction, coefficient ideal, test I = I0 R and delta-stability of
+    I0 (`_split`), the certificate of an element in R modulo P
+    (`_certificate`), each sorted candidate list (`_normal_candidates`),
+    each candidate's verdict in A (`_normal_atoms`), and each candidate's
+    theta(a) x_N^s modulo P0.  A search that raises, its step budget run
+    out, stores nothing it has not finished.  Ideals or nodes over another
+    variable table than P's raise ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -745,10 +755,9 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
         raise PreconditionError("ideals are not nested")
     if contains(P_I, Q_I):
         raise PreconditionError("ideals are equal")
-    N = P.nvars
-    if N == 0:
+    if P.nvars == 0:
         return None
-    result = _separating_normal_mod(P, P_I, Q_I, _contraction(P, P_I, N - 1))
+    result = _separating_normal_mod(P, P_I, Q_I)
     if result is None:
         return None
     u, case, cert = result
@@ -769,14 +778,6 @@ def _certificate(P: PoissonPresentation, u: Polynomial, modulus: Ideal):
     return _memo(P._cache, key, lambda: is_poisson_normal(P.table, u, modulo=modulus))
 
 
-def _contraction(P: PoissonPresentation, I: Ideal, k: int) -> Ideal:
-    """contract_to_prefix(I, k), computed once per ideal: memoized in
-    P._cache under k and the reduced grevlex basis of I, so that every pair
-    sharing the ideal gets the same object, with the bases and divisor
-    table it has cached."""
-    return _memo(P._cache, ("contract", k, I.groebner()), lambda: contract_to_prefix(I, k))
-
-
 def _memo(cache: dict, key, compute):
     """cache[key], from compute() on the first call.  A computation that
     raises, such as one whose step budget runs out, stores nothing."""
@@ -785,41 +786,26 @@ def _memo(cache: dict, key, compute):
     return cache[key]
 
 
-def _separating_normal_mod(P, P_I, Q_I, P0):
-    """The case analysis over A/P0 for a delta-stable, Poisson-stable
-    contraction P0 = P cap A, which may be 0: computations in A with every
-    reduction taken modulo P0 rather than a literal quotient presentation.
-
-    When P is larger than P0 R, a normal element of J cap Q separates, with
-    J the coefficient ideal of P.  Otherwise R/P is a tower over A/P0 and
-    the element is theta(a) x_N^s, for a normal element a of Q cap A when
-    that is larger than P0, else of the coefficient ideal of Q; when s = 0
-    there, x_N itself separates if delta vanishes modulo P0.  Every
-    theta(a) x_N^s returned is checked against {u, x_N} = -eta u x_N modulo
-    P, with eta = <h_N, weight of a>.  Case labels carry " (mod
-    contraction)" when P0 is not 0.
-    """
-    N = P.nvars
-    L = level_data(P, N)
-    if not _delta_stable(P0, L.delta):
+def _separating_normal_mod(P, P_I, Q_I):
+    """The case analysis of `separating_normal`: (u, case, certificate), or
+    None."""
+    L = level_data(P, P.nvars)
+    P0, J, extended, stable = _split(P, P_I)
+    if not stable:
         return None
+    Q0, J_Q, _, _ = _split(P, Q_I)
     suffix = "" if P0.is_zero() else " (mod contraction)"
     ctx_R = P.ctx
-    key = ("extended", P_I.groebner())
-    if not _memo(P._cache, key, lambda: ideal_equal(P_I, extend(P0, ctx_R))):
-        J = _coefficient_ideal(P, P_I, L.pres_A.ctx)
-        W = intersect(J, _contraction(P, Q_I, N - 1))
-        for cand in _normal_candidates(L, W, modulo=P0):
+    if not extended:
+        for cand in _normal_candidates(L, intersect(J, Q0), modulo=P0):
             u = re_context(cand, ctx_R)
             if Q_I.member(u)[0] and not P_I.member(u)[0]:
                 cert = _certificate(P, u, P_I)
                 if cert.ok:
                     return u, "normal element of J cap Q" + suffix, cert
         return None
-    Q0 = _contraction(P, Q_I, N - 1)
     if ideal_equal(Q0, P0):
-        source = _coefficient_ideal(P, Q_I, L.pres_A.ctx)
-        route = "theta(a) x^s from J"
+        source, route = J_Q, "theta(a) x^s from J"
     else:
         source, route = Q0, "theta(a) x^s from Q cap A"
     G_A = L.pres_A.grading

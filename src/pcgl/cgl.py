@@ -48,8 +48,8 @@ class PoissonPresentation:
     grading: GradingData
     h: tuple[LieVector, ...] | None = None
     nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
-    # level data and the memos of the separation search (contractions,
-    # coefficient ideals, normality certificates), computed once per object
+    # level data and every memo of the separation search (`_split`,
+    # certificates, candidates, verdicts, theta(a) x^s), once per object
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -47,7 +47,7 @@ ENUMERATION_SITES = {
     "eliminate",
     "contract_to_prefix",
 }
-SEPARATION_SITES = {"eliminate", "contract_to_prefix", "extend", "in intersect"}
+SEPARATION_SITES = {"eliminate", "contract_to_prefix", "in intersect"}
 
 
 class SeededBases(dict):
@@ -151,11 +151,11 @@ def test_m2_separation(handovers):
     for a, b in pairs:
         assert separating_normal(m2, a, b) is not None
     # every contraction is taken modulo P0 in the ring below the top
-    # variable: the sweep hands over contractions, extensions and
-    # intersections
+    # variable: the sweep hands over contractions and intersections, and
+    # extends no ideal
     assert SEPARATION_SITES <= set(handovers)
     direct = {site for site in handovers if not site.startswith("in ")}
-    assert direct == {"eliminate", "contract_to_prefix", "extend", "reduced"}
+    assert direct == {"eliminate", "contract_to_prefix", "reduced"}
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ enumeration pipeline well beyond the shipped fixtures.
 
 import dataclasses
 import hashlib
+import importlib
+import itertools
 import json
 import pickle
 import random
@@ -24,7 +26,7 @@ import pcgl.cauchon
 from pcgl import cgl
 from pcgl.cauchon import d_element_search, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
-from pcgl.cli import fixture_path, load_presentation
+from pcgl.cli import fixture_path, load_presentation, load_presentation_data
 from pcgl.errors import ContextMismatch, StepBudgetExceeded
 from pcgl.grading import GradingData
 from pcgl.ideals import (
@@ -88,6 +90,29 @@ def poly_bernoulli_neg(n: int, k: int) -> int:
         factorial(j) ** 2 * stirling2(n + 1, j + 1) * stirling2(k + 1, j + 1)
         for j in range(min(n, k) + 1)
     )
+
+
+@pytest.fixture
+def benchmark_towers(monkeypatch):
+    """perfbench/towers.py, the benchmark's matrix-tower builder and count
+    oracle, imported from the repository through sys.path."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    return importlib.import_module("towers")
+
+
+def test_benchmark_towers_are_the_tested_towers(benchmark_towers):
+    # the towers and counts that the benchmark times are the ones that the
+    # goldens pin: the same names, bracket pairs and grading, and the same
+    # closed-form counts
+    for m, n in itertools.product(range(1, 4), repeat=2):
+        ours = matrix_presentation(m, n)
+        theirs = load_presentation_data(benchmark_towers.matrix_data(m, n))[0]
+        assert theirs.ctx.names == ours.ctx.names
+        assert [(key, str(p)) for key, p in theirs.table.pairs()] == [
+            (key, str(p)) for key, p in ours.table.pairs()
+        ]
+        assert theirs.grading == ours.grading
+        assert benchmark_towers.hprime_count(m, n) == poly_bernoulli_neg(n, m)
 
 
 def test_count_oracle_sanity():
@@ -466,11 +491,15 @@ def test_separation_sweep_builds_no_derived_presentation():
     # every contraction is taken modulo P0 in the ring below the top
     # variable, so a full sweep caches no other presentation on P.  Besides
     # the level data it stores only the memo kinds (MEMO_KINDS below), every
-    # one of them, so the memo comparisons of the tests below see each entry
+    # one of them and all in P's own cache, so the memo comparisons of the
+    # tests below see each entry
     P = matrix_presentation(2, 3)
     assert len(separation_rows(P)) == 447
     assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
     assert cache_kinds(P) == MEMO_KINDS | {"level"}
+    for value in P._cache.values():
+        if isinstance(value, cgl.LevelData):
+            assert cache_kinds(value.pres_A) <= {"level"}
 
 
 def test_warm_presentation_pickles():
@@ -509,56 +538,45 @@ def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
     assert res.normality.ok
 
 
-# the kinds of entry the separation search memoizes: R-side certificates,
-# contractions, coefficient ideals, whether P = P0 R, theta(a) x^s of a
-# candidate modulo P0, and in the ring below each candidate list and each
+# the kinds of entry the separation search memoizes, all in the cache of
+# the presentation: each ideal's split (contraction, coefficient ideal,
+# whether it is P0 R, whether P0 is delta-stable), R-side certificates,
+# theta(a) x^s of a candidate modulo P0, each candidate list and each
 # candidate's verdict
-MEMO_KINDS = {
-    "normal",
-    "contract",
-    "coefficient",
-    "extended",
-    "theta",
-    "candidates",
-    "atom",
-}
+MEMO_KINDS = {"split", "normal", "theta", "candidates", "atom"}
 
 
 def cache_kinds(P):
-    """The kinds of key in the cache of P and of the ring below each of its
-    cached levels."""
-    kinds = set()
-    for key, value in P._cache.items():
-        kinds.add(key[0])
-        if isinstance(value, cgl.LevelData):
-            kinds |= cache_kinds(value.pres_A)
-    return kinds
+    """The kinds of key in the cache of P."""
+    return {key[0] for key in P._cache}
 
 
-def separation_memo(P, path=()):
-    """The separation memo of P and of the ring below each of its cached
-    levels, keyed by the path of cache keys that leads to the entry."""
-    memo = {}
-    for key, value in P._cache.items():
-        if key[0] in MEMO_KINDS:
-            memo[path + (key,)] = value
-        elif isinstance(value, cgl.LevelData):
-            memo.update(separation_memo(value.pres_A, path + (key, "A")))
-    return memo
+def separation_memo(P):
+    """The separation memo of P: its cache entries of the memo kinds."""
+    return {key: value for key, value in P._cache.items() if key[0] in MEMO_KINDS}
 
 
 def plain_memo(memo):
-    """The memo with each ideal replaced by its reduced basis."""
-    return {k: v.groebner() if isinstance(v, Ideal) else v for k, v in memo.items()}
+    """The memo with each ideal, also inside a tuple, replaced by its
+    reduced basis."""
+
+    def plain_value(v):
+        if isinstance(v, Ideal):
+            return v.groebner()
+        if isinstance(v, tuple):
+            return tuple(plain_value(x) for x in v)
+        return v
+
+    return {k: plain_value(v) for k, v in memo.items()}
 
 
 @pytest.mark.parametrize("label_P", ["<x12*x21 - x11*x22>", "<x13, x12, x11>"])
 def test_separation_certificates_are_memoized(monkeypatch, label_P):
-    # a certificate, a candidate's verdict, a contraction, the test
-    # P = P0 R and theta(a) x^s are computed once per element and ideal,
-    # equal ideals held in different objects included: a repeated search
-    # checks no normality, contracts nothing, extends nothing and takes no
-    # delta-iterates.  The enumeration stores no entry
+    # a certificate, a candidate's verdict, an ideal's split and theta(a)
+    # x^s are computed once per element and ideal, equal ideals held in
+    # different objects included: a repeated search checks no normality,
+    # contracts nothing, extends nothing, takes no delta-iterates and tests
+    # no delta-stability.  The enumeration stores no entry
     P = matrix_presentation(2, 3)
     leaves = enumerate_hprimes(P).leaves()
     assert separation_memo(P) == {}
@@ -566,9 +584,15 @@ def test_separation_certificates_are_memoized(monkeypatch, label_P):
     big = next(b for a, b in nested_pairs(leaves) if a is small)
     first = separating_normal(P, small, big)
     memo = separation_memo(P)
-    assert {path[-1][0] for path in memo} == MEMO_KINDS
+    assert {key[0] for key in memo} == MEMO_KINDS
     calls = []
-    for name in ("is_poisson_normal", "contract_to_prefix", "extend", "_delta_iterates"):
+    for name in (
+        "is_poisson_normal",
+        "contract_to_prefix",
+        "extend",
+        "_delta_iterates",
+        "_delta_stable",
+    ):
         original = getattr(pcgl.cauchon, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -586,6 +610,25 @@ def test_separation_certificates_are_memoized(monkeypatch, label_P):
             first.case,
             first.normality,
         )
+
+
+def test_a_sweep_tests_each_ideal_for_delta_stability_once(monkeypatch):
+    # the delta-stability of a contraction is part of the ideal's split, so
+    # a full 2x3 sweep tests it once per distinct ideal of its pairs, the
+    # upper ones included
+    P = matrix_presentation(2, 3)
+    pairs = nested_pairs(enumerate_hprimes(P).leaves())
+    calls = []
+    original = pcgl.cauchon._delta_stable
+
+    def counting(P0, delta):
+        calls.append(P0)
+        return original(P0, delta)
+
+    monkeypatch.setattr(pcgl.cauchon, "_delta_stable", counting)
+    assert separation_rows(P, pairs) == json.loads(SEPARATION_GOLDEN.read_text())["2x3"]
+    ideals = {node.ideal.groebner() for pair in pairs for node in pair}
+    assert len(calls) == len(ideals) == 46
 
 
 def test_separation_is_independent_of_the_pair_order():

@@ -12,6 +12,10 @@
   full check of the entry alone.
 - The Buchberger loop never forms a pair with coprime leading monomials,
   and the cofactors of a lift stay as first recorded.
+- The separation search reads an ideal's contraction, coefficient ideal,
+  test I = I0 R and delta-stability off one elimination basis
+  (`cauchon._split`); the long routes here contract, collect the
+  coefficient ideal and extend each on a fresh copy of the ideal.
 """
 
 import hashlib
@@ -21,23 +25,28 @@ from collections import Counter
 import pytest
 
 from pcgl import ideals
+from pcgl.cauchon import _delta_stable, _split, enumerate_hprimes
+from pcgl.cgl import level_data
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.errors import PcglError
 from pcgl.grading import monomial_weight
 from pcgl.ideals import (
+    Elim,
     Grevlex,
     Ideal,
     buchberger,
     chain_report,
     contract_to_prefix,
+    extend,
     h_core,
+    ideal_equal,
     is_poisson_stable,
     lift_through_ideal,
     poisson_closure,
     saturate,
 )
 from pcgl.pbracket import generator_brackets
-from pcgl.qpoly import Monomial, Polynomial, parse
+from pcgl.qpoly import Monomial, Polynomial, parse, re_context
 from random_poly import random_polynomial
 from test_matrices import matrix_presentation
 
@@ -263,3 +272,68 @@ def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
     assert sum(q is not None for q in lifts) == 9
     text = repr([None if q is None else [str(c) for c in q] for q in lifts])
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
+
+
+def long_split(P, I):
+    """`_split`'s four facts by the long routes, on a fresh copy of I: the
+    contraction; the coefficient ideal from a basis computed anew, its
+    elements of x_N-degree 0 in the order Elim({x_N}) and the
+    x_N-coefficients of those of degree 1; I == I0 R by extending I0; and
+    the delta-stability of I0."""
+    N = len(P.ctx)
+    x = N - 1
+    I = Ideal(I.ctx, I.generators)
+    I0 = contract_to_prefix(I, x)
+    gens = []
+    for g in buchberger(I.generators, Elim(I.ctx, {x})):
+        if g.degree_in(x) == 0:
+            gens.append(re_context(g, I0.ctx))
+        elif g.degree_in(x) == 1:
+            gens.append(re_context(g.split_by_degree_in(x)[1], I0.ctx))
+    J = Ideal(I0.ctx, gens)
+    extended = ideal_equal(I, extend(I0, I.ctx))
+    return I0, J, extended, _delta_stable(I0, level_data(P, N).delta)
+
+
+def assert_split_is_the_long_route(P, I):
+    I0, J, extended, stable = _split(P, I)
+    want = long_split(P, I)
+    assert I0.generators == want[0].generators
+    assert J.groebner() == want[1].groebner()
+    assert (extended, stable) == want[2:]
+    return extended, stable
+
+
+@pytest.mark.parametrize(
+    "name, stable", [("m2", {False, True}), ("2x2", {False, True}), ("1x3", {True})]
+)
+def test_split_of_random_ideals(name, stable):
+    # seeded random ideals in 4 and 3 variables; every other one is
+    # generated below x_N, with a multiple of a generator that involves
+    # x_N, so that both answers of I == I0 R are met.
+    # delta_3 is 0 on the 1x3 tower, so there every contraction is stable
+    if name == "m2":
+        P = tower(name)
+    else:
+        P = matrix_presentation(*map(int, name.split("x")))
+    ctx_A = P.ctx.restrict(len(P.ctx) - 1)
+    rng = random.Random(name)
+    flags = set()
+    for k in range(12):
+        if k % 2:
+            gens = [re_context(random_element(rng, ctx_A), P.ctx) for _ in range(2)]
+            gens.append(random_element(rng, P.ctx) * gens[0])
+        else:
+            gens = [random_element(rng, P.ctx) for _ in range(rng.randint(1, 3))]
+        flags.add(assert_split_is_the_long_route(P, Ideal(P.ctx, gens)))
+    assert {e for e, _ in flags} == {False, True}
+    assert {s for _, s in flags} == stable
+
+
+def test_split_of_the_two_by_three_leaves():
+    # every leaf of 2x3; both answers of I == I0 R are met, and every
+    # contraction of a torus-stable Poisson ideal is delta-stable
+    P = matrix_presentation(2, 3)
+    leaves = enumerate_hprimes(P).leaves()
+    flags = {assert_split_is_the_long_route(P, leaf.ideal) for leaf in leaves}
+    assert flags == {(False, True), (True, True)}
