@@ -259,14 +259,15 @@ def validate_d_element(L: LevelData, d: DElement, modulo: Ideal | None = None) -
     b, c = d.numerator, d.denominator
     if c.is_zero() or Q.member(c)[0]:
         return False
+    if d.is_zero():
+        return True  # both identities below are identically 0 at b = 0
     G_A = L.pres_A.grading
-    if not d.is_zero():
-        wb, wc = weight_of(G_A, b), weight_of(G_A, c)
-        if wb is None or wc is None:
-            return False
-        w_x = L.pres_R.grading.weights[L.x_index]
-        if tuple(p - q for p, q in zip(wb, wc)) != tuple(w_x):
-            return False
+    wb, wc = weight_of(G_A, b), weight_of(G_A, c)
+    if wb is None or wc is None:
+        return False
+    w_x = L.pres_R.grading.weights[L.x_index]
+    if tuple(p - q for p, q in zip(wb, wc)) != tuple(w_x):
+        return False
     lam = L.lambda_k
     sigma, delta = L.sigma, L.delta
     if not Q.member(sigma(b) * c - b * sigma(c) - lam * b * c)[0]:
@@ -338,16 +339,23 @@ def _try_denominator(L: LevelData, Q: Ideal, guess: DElement):
     Its defining property {d, x_j} = sigma(x_j) d + delta(x_j), times c^2,
     is checked exactly on every generator x_j of A, with sigma and delta on
     x_j their stored images: {b, x_j} c - b {c, x_j} - sigma(x_j) b c -
-    delta(x_j) c^2 in Q.  On the zero guess: delta(x_j) in Q for every x_j."""
+    delta(x_j) c^2 in Q.  When b is 0 modulo Q that is -delta(x_j) c^2 in Q,
+    tested with no bracket sweep; on the zero guess: delta(x_j) in Q for
+    every x_j."""
     b, c = Q.normal_form(guess.numerator), guess.denominator
-    table_A = L.pres_A.table
-    b_brs = generator_brackets(table_A, b)
-    c_brs = generator_brackets(table_A, c)
-    bc, cc = b * c, c * c
-    for j in range(len(L.pres_A.ctx)):
-        residual = b_brs[j] * c - b * c_brs[j] - L.sigma.images[j] * bc
-        if not Q.member(residual - L.delta.images[j] * cc)[0]:
-            return None
+    n, cc = len(L.pres_A.ctx), c * c
+    if b.is_zero():
+        residuals = (-(L.delta.images[j] * cc) for j in range(n))
+    else:
+        b_brs = generator_brackets(L.pres_A.table, b)
+        c_brs = generator_brackets(L.pres_A.table, c)
+        bc = b * c
+        residuals = (
+            b_brs[j] * c - b * c_brs[j] - L.sigma.images[j] * bc - L.delta.images[j] * cc
+            for j in range(n)
+        )
+    if not all(Q.member(r)[0] for r in residuals):
+        return None
     d = _normalize_fraction(b, c)
     return d if validate_d_element(L, d, Q) else None
 
@@ -362,13 +370,14 @@ def d_element_search(
     homogeneous atom a of A/Q whose delta-iterates modulo Q reach index
     s >= 1.  The atoms are the variables, then the extra normals (the
     lineage's pool, which `enumerate_hprimes` passes), each moved into A
-    on use.  Each candidate b/c is checked against the defining property
-    {b/c, g} = sigma(g) b/c + delta(g), cross-multiplied, modulo the ideal
-    (`_try_denominator`).  The search stops at the first candidate that
-    passes, and examines an atom only once every earlier guess has
-    failed.  A returned d always passes `validate_d_element` and is the
-    unique d by the eigencondition; None means the atoms ran out, never
-    that no d exists.
+    on use.  The delta-iterates come first: an atom that stops at s = 0
+    never has its normality certified.  Each candidate b/c is checked
+    against the defining property {b/c, g} = sigma(g) b/c + delta(g),
+    cross-multiplied, modulo the ideal (`_try_denominator`).  The search
+    stops at the first candidate that passes, and examines an atom only
+    once every earlier guess has failed.  A returned d always passes
+    `validate_d_element` and is the unique d by the eigencondition; None
+    means the atoms ran out, never that no d exists.
     """
     ctx_A = L.pres_A.ctx
     Q = modulo if modulo is not None else Ideal.zero(ctx_A)
@@ -379,15 +388,22 @@ def d_element_search(
         (Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))),
         (Q.normal_form(re_context(e, ctx_A)) for e in extra_normals),
     )
-    for a in _normal_atoms(L, Q, atoms):
-        try:
-            iterates = _delta_iterates(L, a, Q)
-        except NotWithinBound:
-            continue
-        if len(iterates) > 1:
-            d = _try_denominator(L, Q, _closed_form_d(L, iterates))
-            if d is not None:
-                return d
+    iterates = {}
+
+    def reaching_s1():
+        # the candidates whose delta-iterates modulo Q reach s >= 1, lazily
+        for a in atoms:
+            try:
+                iterates[a] = _delta_iterates(L, a, Q)
+            except NotWithinBound:
+                continue
+            if len(iterates[a]) > 1:
+                yield a
+
+    for a in _normal_atoms(L, Q, reaching_s1()):
+        d = _try_denominator(L, Q, _closed_form_d(L, iterates[a]))
+        if d is not None:
+            return d
     return None
 
 
@@ -723,18 +739,22 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     """A Poisson-normal eigenvector of R/P lying in Q/P, or None when the
     heuristic search is inconclusive (nonexistence is never claimed).
 
-    The case analysis runs over A/P0, where A is the ring below the top
-    variable x_N and P0 = P cap A is the contraction, which may be 0.  It
-    needs P0 delta_N-stable, and takes every reduction in A modulo P0
-    rather than in a literal quotient presentation.  When P is larger than
-    P0 R, a normal element of J cap Q separates, with J the coefficient
-    ideal of P.  Otherwise R/P is a tower over A/P0 and the element is
-    theta(a) x_N^s, for a normal element a of Q cap A when that is larger
-    than P0, else of the coefficient ideal of Q; when s = 0 there, x_N
-    itself separates if delta vanishes modulo P0.  Every theta(a) x_N^s
-    returned is checked against {u, x_N} = -eta u x_N modulo P, with
-    eta = <h_N, weight of a>.  Case labels carry " (mod contraction)" when
-    P0 is not 0.
+    Precondition: P0 = P cap A, the contraction to the ring A below the
+    top variable x_N, is delta_N-stable.  Every torus-stable Poisson P
+    meets it (sigma(a) x_N + delta(a) in P and sigma(a) in P0 give
+    delta(a) in P0); on other inputs, which are not checked to be Poisson
+    or torus-stable, the search returns None when it fails.
+
+    The case analysis runs over A/P0, where P0 may be 0, and takes every
+    reduction in A modulo P0 rather than in a literal quotient
+    presentation.  When P is larger than P0 R, a normal element of J cap Q
+    separates, with J the coefficient ideal of P.  Otherwise R/P is a
+    tower over A/P0 and the element is theta(a) x_N^s, for a normal
+    element a of Q cap A when that is larger than P0, else of the
+    coefficient ideal of Q; when s = 0 there, x_N itself separates if
+    delta vanishes modulo P0.  Every theta(a) x_N^s returned is checked
+    against {u, x_N} = -eta u x_N modulo P, with eta = <h_N, weight of a>.
+    Case labels carry " (mod contraction)" when P0 is not 0.
 
     A sweep over many pairs repeats most of the work of one pair, so each
     piece is computed once per presentation and kept in P._cache, keyed by

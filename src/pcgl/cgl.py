@@ -6,11 +6,12 @@ torus grading and an optional Lie vector per level.  Triangularity
 construction; the nilpotency, grading and realizability axioms are checked
 by `verify_cgl` and reported rather than raised.
 
-Each level's sigma_k, delta_k and h_k are derived once, by `_level_maps`
-and `_lie_vector`: `verify_cgl` reports their problems as notes and
-`level_data` raises the first one.  A presentation is immutable, so the
+Each level's sigma_k, delta_k and h_k are derived once per presentation
+object, by `_level_maps` and `_lie_vector`, and kept in the object's
+private cache (`_derived`): `verify_cgl` reports their problems as notes
+and `level_data` raises the first one.  A presentation is immutable, so the
 tower data derived from it is computed once per presentation object:
-`level_data` keeps each level's Ore data in a private cache that lives and
+`level_data` keeps each level's Ore data in the same cache, which lives and
 dies with the object, and the separation search keeps its memos there too.
 """
 
@@ -48,8 +49,9 @@ class PoissonPresentation:
     grading: GradingData
     h: tuple[LieVector, ...] | None = None
     nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
-    # level data and every memo of the separation search (`_split`,
-    # certificates, candidates, verdicts, theta(a) x^s), once per object
+    # each level's derived maps (`_derived`), its level data and every memo
+    # of the separation search (`_split`, certificates, candidates,
+    # verdicts, theta(a) x^s), once per object
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -162,6 +164,18 @@ def _lie_vector(P: PoissonPresentation, k: int, mus):
     return h_k, lam, problems
 
 
+def _derived(P: PoissonPresentation, k: int):
+    """(sigma_k, delta_k, mu, h_k, lambda_k, problems) of level k, from
+    `_level_maps` and `_lie_vector` once per presentation object: memoized
+    in P._cache.  A NonDiagonalSigma is raised, not stored, on every call."""
+    key = ("derived", k)
+    if key not in P._cache:
+        sigma, delta, mus = _level_maps(P, k)
+        h_k, lam, problems = _lie_vector(P, k, mus)
+        P._cache[key] = (sigma, delta, tuple(mus), h_k, lam, tuple(problems))
+    return P._cache[key]
+
+
 @dataclass(frozen=True)
 class LevelData:
     """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p.
@@ -196,8 +210,7 @@ def level_data(P: PoissonPresentation, k: int) -> LevelData:
 
 
 def _build_level_data(P: PoissonPresentation, k: int) -> LevelData:
-    sigma, delta, mus = _level_maps(P, k)
-    h_k, lam, problems = _lie_vector(P, k, mus)
+    sigma, delta, _, h_k, lam, problems = _derived(P, k)
     if problems:
         raise PcglError(problems[0])
     pres_R = P.restrict(k)
@@ -306,7 +319,7 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
         rep.jacobi_ok = check_jacobi(P.table, max_index=i).ok
         rep.graded_ok = not any(p[0] == i for p in graded_bad)
         try:
-            sigma, delta, mus = _level_maps(P, k)
+            sigma, delta, _, rep.h, rep.lambda_k, problems = _derived(P, k)
         except NonDiagonalSigma as exc:
             rep.notes.append(str(exc))
             rep.sigma_diagonal_ok = False
@@ -324,7 +337,6 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
                         f"delta_{k} iterates on x_{j+1} grow in degree; "
                         "likely not nilpotent"
                     )
-        rep.h, rep.lambda_k, problems = _lie_vector(P, k, mus)
         rep.h_ok = not problems
         rep.notes.extend(problems)
         if i > 0:

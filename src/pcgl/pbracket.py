@@ -15,13 +15,15 @@ brackets to the same kernel as a one-row table and sweeps the terms of g:
 {f, g} = sum_j {f, x_j} * dg/dx_j.
 
 Callers that need all n brackets of one element use `generator_brackets`:
-Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
-a candidate b/c).  The Poisson-stability check of an ideal sweeps, for a
-basis element free of the new variables, only the columns from the first
-new one on (`generator_brackets(B, f, start)`).  Callers that need one
-particular bracket use `bracket`: the Jacobi and delta checks (the
-derivation check is a delta check), the theta and Cauchon checks, and the
-Poisson closure of an ideal.
+Poisson-normality of c, the d-element check ({b, x_j} and {c, x_j} of a
+candidate b/c) and the delta check ({D(x_i), x_j} for every j, one sweep
+per i; the derivation check is a delta check).  The Poisson-stability
+check of an ideal sweeps, for a basis element free of the new variables,
+only the columns from the first new one on (`generator_brackets(B, f,
+start)`).  Callers that need one particular bracket use `bracket`: the
+Jacobi check (the outer bracket {x_i, {x_j, x_k}}; the inner one is a
+table entry), the theta and Cauchon checks, and the Poisson closure of an
+ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -114,9 +116,9 @@ def jacobiator(B: BracketTable, i: int, j: int, k: int) -> Polynomial:
     xj = Polynomial.variable(B.ctx, j)
     xk = Polynomial.variable(B.ctx, k)
     return (
-        bracket(B, xi, bracket(B, xj, xk))
-        + bracket(B, xj, bracket(B, xk, xi))
-        + bracket(B, xk, bracket(B, xi, xj))
+        bracket(B, xi, B.entry(j, k))
+        + bracket(B, xj, B.entry(k, i))
+        + bracket(B, xk, B.entry(i, j))
     )
 
 
@@ -194,20 +196,16 @@ def check_delta_condition(B_A: BracketTable, S: Derivation, D: Derivation) -> bo
         D({a,b}) = {D(a),b} + {a,D(b)} + S(a)D(b) - D(a)S(b)
 
     on all generator pairs of A, which suffices since both sides are
-    biderivations in (a, b).
+    biderivations in (a, b).  Row i of one `generator_brackets` sweep of
+    D(x_i) gives every {D(x_i), x_j}, and {x_i, D(x_j)} = -{D(x_j), x_i}.
     """
-    n = len(B_A.ctx)
-    for i in range(n):
+    gens = [Polynomial.variable(B_A.ctx, i) for i in range(len(B_A.ctx))]
+    Ds, Ss = [D(x) for x in gens], [S(x) for x in gens]
+    rows = [generator_brackets(B_A, p) for p in Ds]
+    for i in range(len(gens)):
         for j in range(i):
-            a = Polynomial.variable(B_A.ctx, i)
-            b = Polynomial.variable(B_A.ctx, j)
             lhs = apply_derivation(D, B_A.entry(i, j))
-            rhs = (
-                bracket(B_A, D(a), b)
-                + bracket(B_A, a, D(b))
-                + S(a) * D(b)
-                - D(a) * S(b)
-            )
+            rhs = rows[i][j] - rows[j][i] + Ss[i] * Ds[j] - Ds[i] * Ss[j]
             if lhs != rhs:
                 return False
     return True

@@ -1,31 +1,59 @@
-"""Oracles for the one-pass chain-rule kernel, the atom walk of the d-search
-and `Ideal.reduced`.
+"""Oracles for the one-pass chain-rule kernel, the tower checks, the atom
+walk of the d-search and `Ideal.reduced`.
 
 `generator_brackets` and `bracket` are compared with the partial-derivative
 formula {f, g} = sum_{i>j} {x_i, x_j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
 and `apply_derivation` with D(f) = sum_i D(x_i) df/dx_i, both kept here as
 independent references, on random polynomials over the shipped tables and
-a Laurent table from the theta checks.  The atom walk of the d-element
-search is compared with an eager reference list, and `Ideal.reduced` with a
-recomputed basis.
+a Laurent table from the theta checks.  `check_jacobi`, which reads
+{x_j, x_k} off the table, and `check_delta_condition`, which sweeps each
+D(x_i) once, are compared with the nested- and pairwise-bracket checks
+written out here.  The atom walk of the d-element search is compared with
+an eager reference list, and `Ideal.reduced` with a recomputed basis.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcgl import ideals
-from pcgl.cauchon import _normal_atoms
+from pcgl import cauchon, ideals
+from pcgl.cauchon import (
+    DElement,
+    _closed_form_d,
+    _delta_iterates,
+    _normal_atoms,
+    _try_denominator,
+    d_element_search,
+    enumerate_hprimes,
+)
 from pcgl.cgl import level_data
 from pcgl.cli import fixture_path, load_presentation
-from pcgl.errors import ContextMismatch, MissingImage
+from pcgl.errors import ContextMismatch, MissingImage, NotWithinBound
 from pcgl.grading import weight_of
 from pcgl.ideals import Ideal
-from pcgl.pbracket import bracket, generator_brackets, is_poisson_normal
-from pcgl.qpoly import Derivation, Monomial, Polynomial, VarTable, apply_derivation, parse
+from pcgl.pbracket import (
+    BracketTable,
+    bracket,
+    check_delta_condition,
+    check_jacobi,
+    generator_brackets,
+    is_poisson_normal,
+)
+from pcgl.qpoly import (
+    Derivation,
+    Monomial,
+    Polynomial,
+    VarTable,
+    apply_derivation,
+    parse,
+    re_context,
+)
+from random_poly import random_polynomial
+from test_matrices import matrix_presentation
 
 PRES = {name: load_presentation(fixture_path(name))[0] for name in ("m2", "weyl", "bellsig")}
 TABLES = {name: P.table for name, P in PRES.items()}
@@ -169,6 +197,111 @@ def test_kernel_matches_partial_derivative_derivation(args):
 
 
 # ---------------------------------------------------------------------------
+# The tower checks
+# ---------------------------------------------------------------------------
+
+
+def nested_jacobi_failures(B, max_index=None):
+    """`check_jacobi`'s failure list from the nested-bracket Jacobiator
+    {x_i, {x_j, x_k}} + {x_j, {x_k, x_i}} + {x_k, {x_i, x_j}}, every
+    bracket by the partial-derivative reference."""
+    x = [Polynomial.variable(B.ctx, i) for i in range(len(B.ctx))]
+    failures = []
+    for i in range(len(x)) if max_index is None else [max_index]:
+        for j in range(i):
+            for k in range(j):
+                r = (
+                    reference_bracket(B, x[i], reference_bracket(B, x[j], x[k]))
+                    + reference_bracket(B, x[j], reference_bracket(B, x[k], x[i]))
+                    + reference_bracket(B, x[k], reference_bracket(B, x[i], x[j]))
+                )
+                if not r.is_zero():
+                    failures.append((i, j, k, r))
+    return failures
+
+
+def pairwise_delta_condition(B_A, S, D):
+    """`check_delta_condition` one bracket at a time: D({a,b}) = {D(a),b} +
+    {a,D(b)} + S(a)D(b) - D(a)S(b) on every generator pair, brackets and
+    derivations by the partial-derivative references."""
+    x = [Polynomial.variable(B_A.ctx, i) for i in range(len(B_A.ctx))]
+    for i, a in enumerate(x):
+        for b in x[:i]:
+            Da, Db = reference_derivation(D, a), reference_derivation(D, b)
+            Sa, Sb = reference_derivation(S, a), reference_derivation(S, b)
+            lhs = reference_derivation(D, reference_bracket(B_A, a, b))
+            rhs = reference_bracket(B_A, Da, b) + reference_bracket(B_A, a, Db) + Sa * Db - Da * Sb
+            if lhs != rhs:
+                return False
+    return True
+
+
+def broken_tables():
+    """Each table of at least three generators with one entry changed by a
+    seeded random polynomial, three times over."""
+    rng = random.Random("broken tables")
+    for name, B in sorted(TABLES.items()):
+        n = len(B.ctx)
+        for t in range(3 if n >= 3 else 0):
+            i = rng.randrange(1, n)
+            j = rng.randrange(i)
+            entries = dict(B.pairs())
+            entries[(i, j)] = B.entry(i, j) + random_polynomial(rng, B.ctx, 2, 2)
+            yield f"{name}-broken{t}", BracketTable(B.ctx, entries)
+
+
+JACOBI_CASES = dict([*TABLES.items(), *broken_tables()])
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_CASES))
+def test_jacobi_matches_the_nested_brackets(name):
+    B = JACOBI_CASES[name]
+    for max_index in (None, *range(len(B.ctx))):
+        report = check_jacobi(B, max_index=max_index)
+        want = nested_jacobi_failures(B, max_index)
+        assert report.failures == want
+        assert report.ok == (not want)
+
+
+def test_jacobi_cases_meet_both_verdicts():
+    assert {check_jacobi(B).ok for B in JACOBI_CASES.values()} == {False, True}
+
+
+def delta_cases():
+    """(S, D) of every level of m2 and 2x3 over its base table, then each
+    with one image of sigma or delta changed by a seeded random polynomial."""
+    rng = random.Random("broken derivations")
+    for name, P in (("m2", PRES["m2"]), ("2x3", matrix_presentation(2, 3))):
+        for k in range(1, len(P.ctx) + 1):
+            L = level_data(P, k)
+            B_A, S, D = L.pres_A.table, L.sigma, L.delta
+            yield f"{name}-{k}", (B_A, S, D)
+            if k < 3:
+                continue
+            for which in ("sigma", "delta"):
+                images = dict((S if which == "sigma" else D).images)
+                j = rng.randrange(len(images))
+                images[j] = images[j] + random_polynomial(rng, B_A.ctx, 2, 2)
+                broken = Derivation(B_A.ctx, images)
+                pair = (B_A, broken, D) if which == "sigma" else (B_A, S, broken)
+                yield f"{name}-{k}-{which}", pair
+
+
+DELTA_CASES = dict(delta_cases())
+
+
+@pytest.mark.parametrize("name", sorted(DELTA_CASES))
+def test_delta_condition_matches_the_pairwise_brackets(name):
+    B_A, S, D = DELTA_CASES[name]
+    assert check_delta_condition(B_A, S, D) == pairwise_delta_condition(B_A, S, D)
+
+
+def test_delta_cases_meet_both_verdicts():
+    verdicts = {check_delta_condition(*case) for case in DELTA_CASES.values()}
+    assert verdicts == {False, True}
+
+
+# ---------------------------------------------------------------------------
 # The atom walk of the d-element search
 # ---------------------------------------------------------------------------
 
@@ -227,6 +360,65 @@ def test_two_groups_match_the_two_phase_order(first, second, modulus):
     got += list(stream)
     assert asked == ["second"]
     assert got == want
+
+
+def certify_first_search(L, Q, extra_normals):
+    """`d_element_search` with each atom certified before its
+    delta-iterates: the zero guess, then the closed form of each
+    Poisson-normal atom in order whose iterates modulo Q reach s >= 1."""
+    ctx_A = L.pres_A.ctx
+    d = _try_denominator(L, Q, DElement(Polynomial.zero(ctx_A), Polynomial.constant(ctx_A, 1)))
+    if d is not None:
+        return d
+    atoms = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
+    atoms += [Q.normal_form(re_context(e, ctx_A)) for e in extra_normals]
+    for a in eager_normal_atoms(L, Q, atoms):
+        try:
+            iterates = _delta_iterates(L, a, Q)
+        except NotWithinBound:
+            continue
+        if len(iterates) > 1:
+            d = _try_denominator(L, Q, _closed_form_d(L, iterates))
+            if d is not None:
+                return d
+    return None
+
+
+def d_search_cases(name):
+    """(L, Q, extra normals): on m2, every modulus with every atom set;
+    on 2x3, the search of every node of the tree, with its pool."""
+    if name == "m2":
+        for gens, atoms in itertools.product(MODULI, ATOM_SETS):
+            Q = Ideal(CTX_A, [parse(g, CTX_A) for g in gens])
+            yield M2_LEVEL, Q, [parse(a, CTX_A) for a in atoms]
+        return
+    P = matrix_presentation(2, 3)
+    tree = enumerate_hprimes(P)
+    for k in range(1, len(P.ctx) + 1):
+        for node in tree.levels[k - 1]:
+            yield level_data(P, k), node.ideal, node.normal_pool
+
+
+@pytest.mark.parametrize("name", ["m2", "2x3"])
+def test_d_search_matches_the_certify_first_order(name, monkeypatch):
+    # the same d, and a certificate only for atoms that reach s >= 1; on
+    # 2x3 the nodes that are not delta-stable give the searches with no d
+    certified = []
+    original = cauchon.is_poisson_normal
+
+    def counting(B, c, modulo=None):
+        certified.append(c)
+        return original(B, c, modulo=modulo)
+
+    monkeypatch.setattr(cauchon, "is_poisson_normal", counting)
+    found = set()
+    for L, Q, extra in d_search_cases(name):
+        want = certify_first_search(L, Q, extra)
+        certified.clear()
+        assert d_element_search(L, modulo=Q, extra_normals=extra) == want
+        assert all(len(_delta_iterates(L, a, Q)) > 1 for a in certified)
+        found.add("none" if want is None else "zero" if want.is_zero() else "closed form")
+    assert found == {"none", "zero", "closed form"}
 
 
 # ---------------------------------------------------------------------------

@@ -545,3 +545,10 @@ class TestSeparatingNormal:
         z = Ideal.zero(weyl.ctx)
         with pytest.raises(PreconditionError):
             separating_normal(weyl, z, z)
+
+    def test_contraction_not_delta_stable(self, weyl):
+        # (a) is not Poisson: its contraction (a) has delta(a) = 1 outside
+        # it, so the search declines instead of raising
+        P_I = Ideal(weyl.ctx, [parse("a", weyl.ctx)])
+        Q_I = Ideal(weyl.ctx, [parse("a", weyl.ctx), parse("X", weyl.ctx)])
+        assert separating_normal(weyl, P_I, Q_I) is None

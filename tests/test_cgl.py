@@ -141,6 +141,39 @@ class TestSharedDerivation:
             level_data(P, 2)
         assert str(exc.value) == notes[0]
 
+    def test_non_diagonal_sigma_is_reported_on_every_call(self):
+        # {X, a} = (a + 1) X: sigma(a) = a + 1 is not a multiple of a.  The
+        # error is not cached, so each call derives the level anew and
+        # reports it again
+        ctx = VarTable(("a", "X"))
+        P = PoissonPresentation(
+            ctx=ctx,
+            table=BracketTable(ctx, {(1, 0): parse("a*X + X", ctx)}),
+            grading=GradingData(1, ((0,), (1,))),
+        )
+        for _ in range(2):
+            level = verify_cgl(P).level(2)
+            assert not level.sigma_diagonal_ok and not level.h_ok
+            assert level.notes == ["sigma(x_1) = a + 1 is not a scalar multiple of x_1"]
+            with pytest.raises(PcglError, match="not a scalar multiple"):
+                level_data(P, 2)
+        assert ("derived", 2) not in P._cache
+
+    def test_each_report_is_a_fresh_object(self, weyl):
+        # the derived maps are cached, the report handed out is not: a
+        # caller that edits one report changes no later one
+        P = PoissonPresentation(
+            ctx=weyl.ctx,
+            table=weyl.table,
+            grading=weyl.grading,
+            h=((Fraction(1),), (Fraction(2),)),
+        )
+        first = verify_cgl(P)
+        first.level(2).notes.append("edited")
+        second = verify_cgl(P)
+        assert second is not first
+        assert second.level(2).notes == ["supplied h_2 does not realize sigma_2"]
+
 
 class TestRestrict:
     def test_full_restriction_is_identity(self, weyl):

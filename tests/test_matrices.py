@@ -24,7 +24,7 @@ import pytest
 
 import pcgl.cauchon
 from pcgl import cgl
-from pcgl.cauchon import d_element_search, enumerate_hprimes, separating_normal
+from pcgl.cauchon import d_element_search, delete_all, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation, load_presentation_data
 from pcgl.errors import ContextMismatch, StepBudgetExceeded
@@ -180,7 +180,9 @@ def test_two_by_three_hasse_diagram():
 
 def test_two_by_three_normality_checks(monkeypatch):
     # the d-search checks its atoms only once the zero guess has failed, and
-    # stops at the first atom that gives a closed form whose solve succeeds
+    # stops at the first atom that gives a closed form whose solve succeeds;
+    # an atom whose delta-iterates modulo Q stop at s = 0 gives no closed
+    # form and is dropped before its certificate
     calls = []
     original = pcgl.cauchon.is_poisson_normal
 
@@ -190,7 +192,26 @@ def test_two_by_three_normality_checks(monkeypatch):
 
     monkeypatch.setattr(pcgl.cauchon, "is_poisson_normal", counting)
     enumerate_hprimes(matrix_presentation(2, 3))
-    assert len(calls) == 9
+    assert len(calls) == 8
+
+
+def test_each_level_is_derived_once(monkeypatch):
+    # verify_cgl and every level_data call, in the enumeration, the full
+    # deletion and a second verification, share one derivation per level
+    calls = Counter()
+    for name in ("_level_maps", "_lie_vector"):
+        original = getattr(cgl, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cgl, name, counted)
+    P = matrix_presentation(2, 3)
+    enumerate_hprimes(P)
+    delete_all(P)
+    assert verify_cgl(P).ok
+    assert calls == {"_level_maps": 6, "_lie_vector": 6}
 
 
 def test_two_by_three_nodes_pass_the_full_checks():
@@ -303,10 +324,11 @@ def test_fixture_separation(name):
 
 
 def counting_searches(mp):
-    """Count the d-searches and the denominators solved for, in a Counter
-    keyed by function name, while the monkeypatch context `mp` lasts."""
+    """Count the d-searches, the denominators solved for and the normality
+    certificates, in a Counter keyed by function name, while the
+    monkeypatch context `mp` lasts."""
     calls = Counter()
-    for name in ("d_element_search", "_try_denominator"):
+    for name in ("d_element_search", "_try_denominator", "is_poisson_normal"):
         original = getattr(pcgl.cauchon, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -320,7 +342,8 @@ def counting_searches(mp):
 @pytest.fixture(scope="module")
 def three_by_three():
     """The 3x3 tower and its tree, enumerated once for the module, with the
-    number of d-searches and of denominators they solved for.
+    number of d-searches, of denominators they solved for and of normality
+    certificates.
 
     The enumeration runs under a step limit of 50, the least under which
     no node is flagged (under 49 one second lift runs out, and the tree
@@ -446,6 +469,13 @@ def test_one_solve_per_closed_form(three_by_three, monkeypatch):
         assert (calls["d_element_search"], calls["_try_denominator"]) == want
 
 
+def test_three_by_three_normality_certificates(three_by_three):
+    # the d-search certifies only the atoms whose delta-iterates modulo Q
+    # reach s >= 1, the only ones that give a closed form
+    _, _, calls = three_by_three
+    assert calls["is_poisson_normal"] == 88
+
+
 # ---------------------------------------------------------------------------
 # Tower data computed once per presentation object
 # ---------------------------------------------------------------------------
@@ -490,13 +520,13 @@ def test_level_data_is_cached_per_presentation(name):
 def test_separation_sweep_builds_no_derived_presentation():
     # every contraction is taken modulo P0 in the ring below the top
     # variable, so a full sweep caches no other presentation on P.  Besides
-    # the level data it stores only the memo kinds (MEMO_KINDS below), every
-    # one of them and all in P's own cache, so the memo comparisons of the
-    # tests below see each entry
+    # the level data and each level's derived maps it stores only the memo
+    # kinds (MEMO_KINDS below), every one of them and all in P's own cache,
+    # so the memo comparisons of the tests below see each entry
     P = matrix_presentation(2, 3)
     assert len(separation_rows(P)) == 447
     assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
-    assert cache_kinds(P) == MEMO_KINDS | {"level"}
+    assert cache_kinds(P) == MEMO_KINDS | {"level", "derived"}
     for value in P._cache.values():
         if isinstance(value, cgl.LevelData):
             assert cache_kinds(value.pres_A) <= {"level"}

@@ -16,6 +16,9 @@
   test I = I0 R and delta-stability off one elimination basis
   (`cauchon._split`); the long routes here contract, collect the
   coefficient ideal and extend each on a fresh copy of the ideal.
+- The d-search tests a guess b/c whose b is 0 modulo Q with no bracket
+  sweep, and `validate_d_element` skips the two identities of a zero d;
+  the general cross-multiplied formula here brackets every b and c.
 """
 
 import hashlib
@@ -25,11 +28,19 @@ from collections import Counter
 import pytest
 
 from pcgl import ideals
-from pcgl.cauchon import _delta_stable, _split, enumerate_hprimes
+from pcgl.cauchon import (
+    DElement,
+    _delta_stable,
+    _normalize_fraction,
+    _split,
+    _try_denominator,
+    enumerate_hprimes,
+    validate_d_element,
+)
 from pcgl.cgl import level_data
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.errors import PcglError
-from pcgl.grading import monomial_weight
+from pcgl.grading import monomial_weight, weight_of
 from pcgl.ideals import (
     Elim,
     Grevlex,
@@ -45,7 +56,7 @@ from pcgl.ideals import (
     poisson_closure,
     saturate,
 )
-from pcgl.pbracket import generator_brackets
+from pcgl.pbracket import bracket, generator_brackets
 from pcgl.qpoly import Monomial, Polynomial, parse, re_context
 from random_poly import random_polynomial
 from test_matrices import matrix_presentation
@@ -337,3 +348,84 @@ def test_split_of_the_two_by_three_leaves():
     leaves = enumerate_hprimes(P).leaves()
     flags = {assert_split_is_the_long_route(P, leaf.ideal) for leaf in leaves}
     assert flags == {(False, True), (True, True)}
+
+
+def cross_multiplied(L, Q, guess):
+    """`_try_denominator` by the general formula: b reduced modulo Q,
+    {b, x_j} c - b {c, x_j} - sigma(x_j) b c - delta(x_j) c^2 in Q for every
+    generator x_j of A, each bracket taken on its own; then the normalized
+    fraction b/c, its denominator outside Q, its weight that of x_k when b
+    is not 0, and sigma(b) c - b sigma(c) - lambda b c and delta(b) c -
+    b delta(c) + lambda b^2 in Q."""
+    ctx_A = L.pres_A.ctx
+    b, c = Q.normal_form(guess.numerator), guess.denominator
+    for j in range(len(ctx_A)):
+        x = Polynomial.variable(ctx_A, j)
+        r = (
+            bracket(L.pres_A.table, b, x) * c
+            - b * bracket(L.pres_A.table, c, x)
+            - L.sigma(x) * b * c
+            - L.delta(x) * c * c
+        )
+        if not Q.member(r)[0]:
+            return None
+    d = _normalize_fraction(b, c)
+    b, c, lam = d.numerator, d.denominator, L.lambda_k
+    if c.is_zero() or Q.member(c)[0]:
+        return None
+    if not b.is_zero():
+        wb, wc = weight_of(L.pres_A.grading, b), weight_of(L.pres_A.grading, c)
+        w_x = L.pres_R.grading.weights[L.x_index]
+        if wb is None or wc is None or tuple(p - q for p, q in zip(wb, wc)) != w_x:
+            return None
+    if not Q.member(L.sigma(b) * c - b * L.sigma(c) - lam * b * c)[0]:
+        return None
+    if not Q.member(L.delta(b) * c - b * L.delta(c) + lam * b * b)[0]:
+        return None
+    return d
+
+
+def zero_numerator_cases(name, k):
+    """Seeded ideals Q of A at level k, and guesses b/c with b 0 modulo Q:
+    the zero guess, 0/c and g/c with g in Q, for c not constant both in Q
+    and outside it.  Q is 0, random, or random plus the delta-images, so
+    that the zero guess passes on some of them."""
+    L = level_data(tower(name), k)
+    ctx_A = L.pres_A.ctx
+    rng = random.Random(f"{name}-{k}")
+    deltas = [p for p in L.delta.images.values() if not p.is_zero()]
+    one, zero = Polynomial.constant(ctx_A, 1), Polynomial.zero(ctx_A)
+    with_deltas = Ideal(ctx_A, [*deltas, random_element(rng, ctx_A)])
+    for Q in (Ideal.zero(ctx_A), random_ideal(rng, ctx_A, 1), with_deltas):
+        outside = random_element(rng, ctx_A)
+        guesses = [DElement(zero, one), DElement(zero, outside)]
+        for g in Q.generators:
+            guesses += [DElement(zero, g), DElement(g * outside, outside), DElement(g, g)]
+        yield L, Q, guesses
+
+
+@pytest.mark.parametrize("name, k, verdicts", [
+    ("weyl", 2, {False, True}),
+    ("m2", 3, {True}),
+    ("m2", 4, {False, True}),
+    ("2x3", 3, {True}),
+    ("2x3", 5, {False, True}),
+    ("2x3", 6, {False, True}),
+])
+def test_zero_numerator_verdicts(name, k, verdicts):
+    # delta_k is 0 on the levels where every guess passes
+    seen, zero_d_valid = set(), set()
+    for L, Q, guesses in zero_numerator_cases(name, k):
+        for guess in guesses:
+            want = cross_multiplied(L, Q, guess)
+            assert _try_denominator(L, Q, guess) == want
+            seen.add(want is not None)
+            # a zero d is valid exactly when its denominator is outside Q
+            c = guess.denominator
+            zero_d = DElement(Polynomial.zero(L.pres_A.ctx), c)
+            valid = validate_d_element(L, zero_d, Q)
+            assert valid == (not Q.member(c)[0])
+            zero_d_valid.add(valid)
+    assert seen == verdicts
+    assert zero_d_valid == {False, True}
+    assert (False in seen) == any(not p.is_zero() for p in L.delta.images.values())
