@@ -6,13 +6,13 @@ torus grading and an optional Lie vector per level.  Triangularity
 construction; the nilpotency, grading and realizability axioms are checked
 by `verify_cgl` and reported rather than raised.
 
-Each level's sigma_k, delta_k and h_k are derived once per presentation
-object, by `_level_maps` and `_lie_vector`, and kept in the object's
-private cache (`_derived`): `verify_cgl` reports their problems as notes
-and `level_data` raises the first one.  A presentation is immutable, so the
-tower data derived from it is computed once per presentation object:
-`level_data` keeps each level's Ore data in the same cache, which lives and
-dies with the object, and the separation search keeps its memos there too.
+Each level's Ore data (sigma_k, delta_k, h_k, lambda_k and the
+restricted rings) is derived once per presentation object into one
+`LevelData` record, kept in the object's private cache with the problems
+that keep h_k from realizing sigma_k: `verify_cgl` reports them as notes
+and `level_data` raises the first.  A presentation is immutable, so the
+cache lives and dies with the object; the separation search keeps its
+memos there too.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class PoissonPresentation:
     grading: GradingData
     h: tuple[LieVector, ...] | None = None
     nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
-    # each level's derived maps (`_derived`), its level data and every memo
-    # of the separation search (`_split`, certificates, candidates,
-    # verdicts, theta(a) x^s), once per object
+    # each level's record (`LevelData`) and every memo of the separation
+    # search (`_split`, certificates, candidates, verdicts, theta(a) x^s),
+    # once per object
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -164,33 +164,25 @@ def _lie_vector(P: PoissonPresentation, k: int, mus):
     return h_k, lam, problems
 
 
-def _derived(P: PoissonPresentation, k: int):
-    """(sigma_k, delta_k, mu, h_k, lambda_k, problems) of level k, from
-    `_level_maps` and `_lie_vector` once per presentation object: memoized
-    in P._cache.  A NonDiagonalSigma is raised, not stored, on every call."""
-    key = ("derived", k)
-    if key not in P._cache:
-        sigma, delta, mus = _level_maps(P, k)
-        h_k, lam, problems = _lie_vector(P, k, mus)
-        P._cache[key] = (sigma, delta, tuple(mus), h_k, lam, tuple(problems))
-    return P._cache[key]
-
-
 @dataclass(frozen=True)
 class LevelData:
-    """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p.
+    """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p, and
+    the problems that keep h_k from realizing sigma_k (empty on a good
+    level).
 
-    Shared by every caller of `level_data` on the same presentation."""
+    Shared by `verify_cgl` and every caller of `level_data` on the same
+    presentation."""
 
     k: int
     pres_R: PoissonPresentation
     pres_A: PoissonPresentation
     sigma: Derivation
     delta: Derivation
-    h_k: LieVector
-    lambda_k: Fraction
+    h_k: LieVector | None
+    lambda_k: Fraction | None
     hat_ctx: VarTable
     hat_table: BracketTable
+    problems: tuple[str, ...]
 
     @property
     def x_index(self) -> int:
@@ -200,32 +192,37 @@ class LevelData:
         return Polynomial.variable(self.pres_R.ctx, self.x_index)
 
 
-def level_data(P: PoissonPresentation, k: int) -> LevelData:
-    """The level-k Ore data, solving for h_k when not supplied; assembled
-    and checked once per presentation object and level."""
+def _level_record(P: PoissonPresentation, k: int) -> LevelData:
+    """The level-k record, built once per presentation object and kept in
+    P._cache; a NonDiagonalSigma is raised, not stored, on every call."""
     key = ("level", k)
     if key not in P._cache:
-        P._cache[key] = _build_level_data(P, k)
+        sigma, delta, mus = _level_maps(P, k)
+        h_k, lam, problems = _lie_vector(P, k, mus)
+        pres_R = P.restrict(k)
+        hat_ctx = pres_R.ctx.with_laurent(k - 1)
+        P._cache[key] = LevelData(
+            k=k,
+            pres_R=pres_R,
+            pres_A=P.restrict(k - 1),
+            sigma=sigma,
+            delta=delta,
+            h_k=h_k,
+            lambda_k=lam,
+            hat_ctx=hat_ctx,
+            hat_table=pres_R.table.re_context(hat_ctx),
+            problems=tuple(problems),
+        )
     return P._cache[key]
 
 
-def _build_level_data(P: PoissonPresentation, k: int) -> LevelData:
-    sigma, delta, _, h_k, lam, problems = _derived(P, k)
-    if problems:
-        raise PcglError(problems[0])
-    pres_R = P.restrict(k)
-    hat_ctx = pres_R.ctx.with_laurent(k - 1)
-    return LevelData(
-        k=k,
-        pres_R=pres_R,
-        pres_A=P.restrict(k - 1),
-        sigma=sigma,
-        delta=delta,
-        h_k=h_k,
-        lambda_k=lam,
-        hat_ctx=hat_ctx,
-        hat_table=pres_R.table.re_context(hat_ctx),
-    )
+def level_data(P: PoissonPresentation, k: int) -> LevelData:
+    """The level-k Ore data, solving for h_k when not supplied; raises the
+    first problem of the level on every call."""
+    L = _level_record(P, k)
+    if L.problems:
+        raise PcglError(L.problems[0])
+    return L
 
 
 @dataclass
@@ -319,15 +316,16 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
         rep.jacobi_ok = check_jacobi(P.table, max_index=i).ok
         rep.graded_ok = not any(p[0] == i for p in graded_bad)
         try:
-            sigma, delta, _, rep.h, rep.lambda_k, problems = _derived(P, k)
+            L = _level_record(P, k)
         except NonDiagonalSigma as exc:
             rep.notes.append(str(exc))
             rep.sigma_diagonal_ok = False
             rep.h_ok = False  # no h_k realizes a non-diagonal sigma_k
             continue
+        rep.h, rep.lambda_k = L.h_k, L.lambda_k
         for j in range(i):
-            xj = Polynomial.variable(delta.ctx, j)
-            powers, idx = iterate_derivation(delta, xj, P.nilpotency_bound)
+            xj = Polynomial.variable(L.delta.ctx, j)
+            powers, idx = iterate_derivation(L.delta, xj, P.nilpotency_bound)
             rep.nilpotency[j] = idx
             if idx is None:
                 rep.nilpotency_ok = False
@@ -337,10 +335,8 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
                         f"delta_{k} iterates on x_{j+1} grow in degree; "
                         "likely not nilpotent"
                     )
-        rep.h_ok = not problems
-        rep.notes.extend(problems)
+        rep.h_ok = not L.problems
+        rep.notes.extend(L.problems)
         if i > 0:
-            rep.delta_condition_ok = check_delta_condition(
-                P.table.restrict(i), sigma, delta
-            )
+            rep.delta_condition_ok = check_delta_condition(L.pres_A.table, L.sigma, L.delta)
     return CGLReport(levels=reports)

@@ -126,9 +126,11 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
     return pres, bounds
 
 
-def _check_level(pres: PoissonPresentation, level: int):
+def _level_data(pres: PoissonPresentation, level: int):
+    """The level's Ore data; a level outside 1..N is a SchemaError."""
     if not 1 <= level <= pres.nvars:
         raise SchemaError(f"level {level} out of range 1..{pres.nvars}")
+    return level_data(pres, level)
 
 
 def load_presentation(path: str) -> tuple[PoissonPresentation, dict]:
@@ -157,16 +159,14 @@ def cmd_check(args, pres) -> int:
 
 
 def cmd_theta(args, pres) -> int:
-    _check_level(pres, args.level)
-    L = level_data(pres, args.level)
+    L = _level_data(pres, args.level)
     a = parse(args.expr, L.pres_A.ctx)
     print(theta(L, a))
     return 0
 
 
 def cmd_normal(args, pres) -> int:
-    _check_level(pres, args.level)
-    L = level_data(pres, args.level)
+    L = _level_data(pres, args.level)
     a = parse(args.expr, L.pres_A.ctx)
     result = normal_element(L, a)
     print(result.element)
@@ -176,8 +176,7 @@ def cmd_normal(args, pres) -> int:
 
 
 def cmd_d(args, pres) -> int:
-    _check_level(pres, args.level)
-    L = level_data(pres, args.level)
+    L = _level_data(pres, args.level)
     modulo = None
     if args.modulo:
         modulo = Ideal(L.pres_A.ctx, _parse_gens(args.modulo.split(";"), L.pres_A.ctx))

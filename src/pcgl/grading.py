@@ -119,13 +119,9 @@ def solve_h(G: GradingData, level: int, sigma_eigenvalues) -> LieVector | None:
         particular = linalg.solve_affine(rows, mus)
         if particular is None:
             return None
-        null = linalg.nullspace(rows, ncols=G.rank)
     else:
         particular = [Fraction(0)] * G.rank
-        null = [
-            [Fraction(1) if j == i else Fraction(0) for j in range(G.rank)]
-            for i in range(G.rank)
-        ]
+    null = linalg.nullspace(rows, ncols=G.rank)
     h = list(particular)
     if pair(tuple(h), wk) == 0:
         for v in null:

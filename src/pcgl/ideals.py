@@ -26,7 +26,7 @@ import contextlib
 import contextvars
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .grading import monomial_weight, weight_of
@@ -638,9 +638,9 @@ def dimension(I: Ideal) -> int:
     The dimension is the largest size of a variable subset S such that no
     Groebner leading monomial is supported entirely inside S.
     """
-    gb = I.groebner()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
+    if not I.is_proper():
         raise UnitIdeal("dimension of the unit ideal is undefined")
+    gb = I.groebner()
     n = len(I.ctx)
     supports = [set(leading_monomial(g, _GREVLEX).support()) for g in gb]
     for size in range(n, -1, -1):
@@ -827,15 +827,6 @@ class ChainEntry:
     dimension: int
     primality: dict
 
-    def to_json_dict(self):
-        return {
-            "generators": self.generators,
-            "poisson": self.poisson,
-            "h_stable": self.h_stable,
-            "dimension": self.dimension,
-            "primality": self.primality,
-        }
-
 
 @dataclass
 class ChainReport:
@@ -846,7 +837,7 @@ class ChainReport:
 
     def to_json_dict(self):
         return {
-            "ideals": [e.to_json_dict() for e in self.entries],
+            "ideals": [asdict(e) for e in self.entries],
             "dimension_drops": self.drops,
             "length": self.length,
             "all_drops_one": self.saturated_in_spec,

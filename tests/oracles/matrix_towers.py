@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_matrices import matrix_presentation, poly_bernoulli_neg  # noqa: E402
+from test_matrices import matrix_presentation, towers  # noqa: E402
 
 from pcgl.cauchon import enumerate_hprimes  # noqa: E402
 
@@ -39,7 +39,7 @@ def main() -> int:
         digest = hashlib.sha256(
             json.dumps(tree.to_json_dict(), sort_keys=True).encode()
         ).hexdigest()
-        ok = count == poly_bernoulli_neg(n, m) and not tree.inconclusive and digest == want
+        ok = count == towers.hprime_count(m, n) and not tree.inconclusive and digest == want
         failed |= not ok
         print(
             f"{m}x{n}: {count} H-primes, sha256 {digest[:16]}, "

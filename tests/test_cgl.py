@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from pcgl.errors import PcglError, TriangularityError
 from pcgl.grading import GradingData, lie_act, weight_of
 from pcgl.pbracket import BracketTable, check_delta_condition
 from pcgl.qpoly import Polynomial, VarTable, parse
+from test_matrices import matrix_presentation
 
 
 class TestSplitBracket:
@@ -118,8 +120,38 @@ class TestVerify:
 
 
 class TestSharedDerivation:
-    """`verify_cgl` and `level_data` read one derivation of each level: the
-    report's notes are the problems, and `level_data` raises the first."""
+    """`verify_cgl` and `level_data` read one record of each level: the
+    report's notes are its problems, and `level_data` raises the first."""
+
+    @pytest.mark.parametrize("name", ["weyl", "pplane", "m2", "bellsig", "2x3"])
+    def test_one_record_per_level(self, request, name):
+        # a fresh object, so that the cache holds only what these calls put
+        # there: one record per level, the same one on every call
+        if name == "2x3":
+            P = matrix_presentation(2, 3)
+        else:
+            P = dataclasses.replace(request.getfixturevalue(name))
+        records = {}
+        for _ in range(2):
+            report = verify_cgl(P)
+            for k in range(1, P.nvars + 1):
+                L = P._cache[("level", k)]
+                assert L.k == k
+                # bellsig has no h_k at any level; the other towers are good
+                assert bool(L.problems) == (name == "bellsig")
+                if L.problems:
+                    with pytest.raises(PcglError) as exc:
+                        level_data(P, k)
+                    assert str(exc.value) == L.problems[0]
+                else:
+                    assert level_data(P, k) is L
+                rep = report.level(k)
+                assert (rep.h, rep.lambda_k) == (L.h_k, L.lambda_k)
+                assert rep.notes[len(rep.likely_not_nilpotent):] == list(L.problems)
+                assert rep.h_ok == (not L.problems)
+            assert set(P._cache) == {("level", k) for k in range(1, P.nvars + 1)}
+            assert all(P._cache[key] is L for key, L in records.items())
+            records = dict(P._cache)
 
     @pytest.mark.parametrize("h2,lam,notes", [
         ("0", "0", ["supplied h_2 does not realize sigma_2",
@@ -137,9 +169,11 @@ class TestSharedDerivation:
         assert level["h_exists"] is False and level["ok"] is False
         assert level["h"] == [h2] and level["lambda"] == lam
         assert level["notes"] == notes
-        with pytest.raises(PcglError) as exc:
-            level_data(P, 2)
-        assert str(exc.value) == notes[0]
+        assert P._cache[("level", 2)].problems == tuple(notes)
+        for _ in range(2):
+            with pytest.raises(PcglError) as exc:
+                level_data(P, 2)
+            assert str(exc.value) == notes[0]
 
     def test_non_diagonal_sigma_is_reported_on_every_call(self):
         # {X, a} = (a + 1) X: sigma(a) = a + 1 is not a multiple of a.  The
@@ -157,10 +191,10 @@ class TestSharedDerivation:
             assert level.notes == ["sigma(x_1) = a + 1 is not a scalar multiple of x_1"]
             with pytest.raises(PcglError, match="not a scalar multiple"):
                 level_data(P, 2)
-        assert ("derived", 2) not in P._cache
+        assert ("level", 2) not in P._cache
 
     def test_each_report_is_a_fresh_object(self, weyl):
-        # the derived maps are cached, the report handed out is not: a
+        # the level records are cached, the report handed out is not: a
         # caller that edits one report changes no later one
         P = PoissonPresentation(
             ctx=weyl.ctx,

@@ -18,21 +18,15 @@ from pcgl.cli import main
 from pcgl.ideals import Ideal, contains
 from pcgl.qpoly import VarTable, parse
 
-from test_matrices import matrix_presentation
+from test_matrices import towers
 
 TREE = Path(__file__).parent / "golden" / "hprimes_2x3.json"
 DIGEST = "0ccd102fa2179e3fdf88433c0008d1e76e984c550aef4e6014e6ccd505fba489"
 
 
 def presentation_file(tmp_path) -> str:
-    P = matrix_presentation(2, 3)
-    data = {
-        "vars": list(P.ctx.names),
-        "brackets": {f"{i + 1},{j + 1}": str(p) for (i, j), p in P.table.pairs()},
-        "grading": [[w[r] for w in P.grading.weights] for r in range(P.grading.rank)],
-    }
     path = tmp_path / "m2x3.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(towers.matrix_data(2, 3)))
     return str(path)
 
 

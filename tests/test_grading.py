@@ -131,6 +131,31 @@ class TestSolveH:
         # canonical output is a primitive integer vector
         assert all(x.denominator == 1 for x in h)
 
+    def test_level_one_exact(self):
+        # nothing constrains h_1, so the particular solution is 0 and the
+        # correction takes the first unit vector e_i that pairs nonzero with
+        # deg x_1: e_i for the first nonzero coordinate i of deg x_1
+        cases = {
+            (3,): (1,),
+            (-2,): (1,),
+            (0, 5): (0, 1),
+            (0, -1): (0, 1),
+            (2, 7): (1, 0),
+            (0, 0, 4): (0, 0, 1),
+            (0, 3, -1): (0, 1, 0),
+        }
+        rng = random.Random(31)
+        while len(cases) < 40:
+            w = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+            if any(w):
+                first = next(i for i, x in enumerate(w) if x)
+                cases[w] = tuple(int(i == first) for i in range(len(w)))
+        for w, want in cases.items():
+            G = GradingData(len(w), (w, w))
+            assert solve_h(G, 1, []) == tuple(Fraction(x) for x in want), w
+        for r in (1, 2, 3):
+            assert solve_h(GradingData(r, ((0,) * r,)), 1, []) is None
+
     def test_rank_zero_infeasible(self):
         G = GradingData(0, ((), ()))
         assert solve_h(G, 1, []) is None

@@ -8,8 +8,7 @@ enumeration pipeline well beyond the shipped fixtures.
 
 import dataclasses
 import hashlib
-import importlib
-import itertools
+import importlib.util
 import json
 import pickle
 import random
@@ -17,7 +16,6 @@ import re
 import traceback
 from collections import Counter
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -28,7 +26,6 @@ from pcgl.cauchon import d_element_search, delete_all, enumerate_hprimes, separa
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation, load_presentation_data
 from pcgl.errors import ContextMismatch, StepBudgetExceeded
-from pcgl.grading import GradingData
 from pcgl.ideals import (
     Ideal,
     contains,
@@ -40,88 +37,37 @@ from pcgl.ideals import (
     step_limit,
 )
 from pcgl.pbracket import BracketTable
-from pcgl.qpoly import Derivation, Polynomial, VarTable, parse
+from pcgl.qpoly import Derivation, Polynomial, parse
+
+
+def _load_towers():
+    """perfbench/towers.py, loaded by file path: the one builder of the
+    matrix towers and their closed-form count, shared with the benchmark.
+    The perfbench directory is not put on sys.path, where its other modules
+    would shadow names."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "towers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_towers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+towers = _load_towers()
 
 
 def matrix_presentation(m: int, n: int) -> PoissonPresentation:
-    """Semiclassical m x n matrix algebra: row brackets x_ij x_il (j < l),
-    column brackets x_ij x_kj (i < k), diagonal pairs {x_ij, x_kl} =
-    2 x_il x_kj (i < k, j < l), anti-diagonal pairs commute.  The torus is
-    (K*)^(m+n) scaling rows and columns."""
-    names = tuple(f"x{i + 1}{j + 1}" for i in range(m) for j in range(n))
-    ctx = VarTable(names)
-
-    def idx(i, j):
-        return i * n + j
-
-    entries = {}
-    for a in range(m * n):
-        for b in range(a):
-            i, j = divmod(a, n)
-            k, l = divmod(b, n)
-            if i == k or j == l:
-                entries[(a, b)] = parse(f"-1*{names[a]}*{names[b]}", ctx)
-            elif j > l:
-                entries[(a, b)] = parse(
-                    f"-2*{names[idx(k, j)]}*{names[idx(i, l)]}", ctx
-                )
-    rows = []
-    for r in range(m):
-        rows.append([1 if divmod(g, n)[0] == r else 0 for g in range(m * n)])
-    for c in range(n):
-        rows.append([1 if divmod(g, n)[1] == c else 0 for g in range(m * n)])
-    weights = tuple(tuple(row[g] for row in rows) for g in range(m * n))
-    return PoissonPresentation(
-        ctx=ctx, table=BracketTable(ctx, entries), grading=GradingData(m + n, weights)
-    )
-
-
-def stirling2(n: int, k: int) -> int:
-    if k > n or k < 0:
-        return 0
-    if k in (0, n):
-        return 1 if k == n or n == 0 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
-def poly_bernoulli_neg(n: int, k: int) -> int:
-    """B_n^(-k): the closed-form count of the m x n branching diagrams."""
-    return sum(
-        factorial(j) ** 2 * stirling2(n + 1, j + 1) * stirling2(k + 1, j + 1)
-        for j in range(min(n, k) + 1)
-    )
-
-
-@pytest.fixture
-def benchmark_towers(monkeypatch):
-    """perfbench/towers.py, the benchmark's matrix-tower builder and count
-    oracle, imported from the repository through sys.path."""
-    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
-    return importlib.import_module("towers")
-
-
-def test_benchmark_towers_are_the_tested_towers(benchmark_towers):
-    # the towers and counts that the benchmark times are the ones that the
-    # goldens pin: the same names, bracket pairs and grading, and the same
-    # closed-form counts
-    for m, n in itertools.product(range(1, 4), repeat=2):
-        ours = matrix_presentation(m, n)
-        theirs = load_presentation_data(benchmark_towers.matrix_data(m, n))[0]
-        assert theirs.ctx.names == ours.ctx.names
-        assert [(key, str(p)) for key, p in theirs.table.pairs()] == [
-            (key, str(p)) for key, p in ours.table.pairs()
-        ]
-        assert theirs.grading == ours.grading
-        assert benchmark_towers.hprime_count(m, n) == poly_bernoulli_neg(n, m)
+    """The semiclassical m x n matrix tower, read from its presentation file
+    contents as the command line and the benchmark read it."""
+    return load_presentation_data(towers.matrix_data(m, n))[0]
 
 
 def test_count_oracle_sanity():
-    assert poly_bernoulli_neg(1, 1) == 2
-    assert poly_bernoulli_neg(2, 2) == 14
-    assert poly_bernoulli_neg(3, 2) == 46
-    assert poly_bernoulli_neg(4, 1) == 16
-    assert poly_bernoulli_neg(5, 1) == 32
-    assert poly_bernoulli_neg(4, 2) == 146
+    assert towers.hprime_count(1, 1) == 2
+    assert towers.hprime_count(2, 2) == 14
+    assert towers.hprime_count(2, 3) == 46
+    assert towers.hprime_count(1, 4) == 16
+    assert towers.hprime_count(1, 5) == 32
+    assert towers.hprime_count(2, 4) == 146
 
 
 @pytest.mark.parametrize(
@@ -131,7 +77,7 @@ def test_matrix_counts(m, n):
     P = matrix_presentation(m, n)
     assert verify_cgl(P).ok
     tree = enumerate_hprimes(P)
-    assert len(tree.leaves()) == poly_bernoulli_neg(n, m)
+    assert len(tree.leaves()) == towers.hprime_count(m, n)
     assert not tree.inconclusive
 
 
@@ -369,7 +315,7 @@ def test_three_by_three(three_by_three, three_by_three_covers):
     # the deep case: denominators of the d-elements are themselves 2x2
     # minors found earlier along the lineage
     P, tree, _ = three_by_three
-    assert len(tree.leaves()) == poly_bernoulli_neg(3, 3) == 230
+    assert len(tree.leaves()) == towers.hprime_count(3, 3) == 230
     assert not tree.inconclusive
     # the whole tree, as first recorded
     digest = hashlib.sha256(json.dumps(tree.to_json_dict(), sort_keys=True).encode())
@@ -520,13 +466,13 @@ def test_level_data_is_cached_per_presentation(name):
 def test_separation_sweep_builds_no_derived_presentation():
     # every contraction is taken modulo P0 in the ring below the top
     # variable, so a full sweep caches no other presentation on P.  Besides
-    # the level data and each level's derived maps it stores only the memo
-    # kinds (MEMO_KINDS below), every one of them and all in P's own cache,
-    # so the memo comparisons of the tests below see each entry
+    # the level records it stores only the memo kinds (MEMO_KINDS below),
+    # every one of them and all in P's own cache, so the memo comparisons of
+    # the tests below see each entry
     P = matrix_presentation(2, 3)
     assert len(separation_rows(P)) == 447
     assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
-    assert cache_kinds(P) == MEMO_KINDS | {"level", "derived"}
+    assert cache_kinds(P) == MEMO_KINDS | {"level"}
     for value in P._cache.values():
         if isinstance(value, cgl.LevelData):
             assert cache_kinds(value.pres_A) <= {"level"}
