@@ -147,15 +147,16 @@ def check_theta(L: LevelData) -> ThetaReport:
     gens = [Polynomial.variable(ctx_A, j) for j in range(len(ctx_A))]
     images = {j: theta(L, g) for j, g in enumerate(gens)}
     X = Polynomial.variable(L.hat_ctx, L.x_index)
+    hat_table = L.pres_R.table.re_context(L.hat_ctx)
     report = ThetaReport(images=images)
     for i, a in enumerate(gens):
         for j, b in enumerate(gens[: i + 1]):
             ta, tb = images[i], images[j]
             if theta(L, a * b) != ta * tb:
                 report.failures.append({"identity": "multiplicative", "a": str(a), "b": str(b)})
-            if j < i and theta(L, bracket(L.pres_A.table, a, b)) != bracket(L.hat_table, ta, tb):
+            if j < i and theta(L, bracket(L.pres_A.table, a, b)) != bracket(hat_table, ta, tb):
                 report.failures.append({"identity": "poisson", "a": str(a), "b": str(b)})
-        if bracket(L.hat_table, X, images[i]) != theta(L, L.sigma(a)) * X:
+        if bracket(hat_table, X, images[i]) != theta(L, L.sigma(a)) * X:
             report.failures.append({"identity": "sigma-twist", "a": str(a)})
     return report
 
@@ -177,9 +178,8 @@ def _normal_input(L: LevelData, a: Polynomial):
     wa = weight_of(L.pres_A.grading, a)
     if wa is None:
         raise PreconditionError("input is not homogeneous")
-    cert = is_poisson_normal(L.pres_A.table, a)
-    if not cert.ok:
-        raise PreconditionError("input is not Poisson-normal in the base ring", cert)
+    if not is_poisson_normal(L.pres_A.table, a).ok:
+        raise PreconditionError("input is not Poisson-normal in the base ring")
     return wa
 
 
@@ -246,8 +246,7 @@ def _normalize_fraction(b: Polynomial, c: Polynomial) -> DElement:
     if g.exps:
         b = Polynomial(b.ctx, {m.divide(g): x for m, x in b.terms.items()})
         c = Polynomial(c.ctx, {m.divide(g): x for m, x in c.terms.items()})
-    order = Grevlex(c.ctx)
-    inv = _qdiv(1, c.terms[leading_monomial(c, order)])
+    inv = _qdiv(1, c.terms[leading_monomial(c, Grevlex())])
     return DElement(b * inv, c * inv)
 
 
@@ -539,9 +538,8 @@ def enumerate_hprimes(P: PoissonPresentation) -> HPrimeTree:
     child whose checks did not finish is not emitted, so the output can
     under- but never over-count.
     """
-    report = verify_cgl(P)
-    if not report.ok:
-        raise PreconditionError("presentation fails the tower axioms", report)
+    if not verify_cgl(P).ok:
+        raise PreconditionError("presentation fails the tower axioms")
     root = HPrimeNode(level=0, ideal=Ideal.zero(P.ctx.restrict(0)))
     root.prime = primality(root.ideal)
     levels = [[root]]
@@ -648,9 +646,8 @@ def delete_all(P: PoissonPresentation) -> PoissonPresentation:
     """The fully deleted presentation: same generators, grading and Lie
     data, with every bracket reduced to its quadratic part
     {x_i, x_j} = <h_i, deg x_j> x_i x_j (all deltas vanish)."""
-    report = verify_cgl(P)
-    if not report.ok:
-        raise PreconditionError("presentation fails the tower axioms", report)
+    if not verify_cgl(P).ok:
+        raise PreconditionError("presentation fails the tower axioms")
     hs = tuple(level_data(P, k).h_k for k in range(1, P.nvars + 1))
     entries = {}
     for i in range(P.nvars):
@@ -723,7 +720,7 @@ def _split(P: PoissonPresentation, I: Ideal):
 
     def compute():
         I0 = contract_to_prefix(I, x)
-        basis = I.groebner(Elim(I.ctx, {x}))
+        basis = I.groebner(Elim({x}))
         gens = []
         for g in basis:
             e = g.degree_in(x)

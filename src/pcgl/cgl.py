@@ -6,13 +6,13 @@ torus grading and an optional Lie vector per level.  Triangularity
 construction; the nilpotency, grading and realizability axioms are checked
 by `verify_cgl` and reported rather than raised.
 
-Each level's Ore data (sigma_k, delta_k, h_k, lambda_k and the
-restricted rings) is derived once per presentation object into one
-`LevelData` record, kept in the object's private cache with the problems
-that keep h_k from realizing sigma_k: `verify_cgl` reports them as notes
-and `level_data` raises the first.  A presentation is immutable, so the
-cache lives and dies with the object; the separation search keeps its
-memos there too.
+Each level's Ore data (sigma_k, delta_k, h_k, lambda_k, the restricted
+rings and theta's Laurent variable table, but no bracket table over it)
+is derived once per presentation object into one `LevelData` record,
+kept in the object's private cache with the problems that keep h_k from
+realizing sigma_k: `verify_cgl` reports them as notes and `level_data`
+raises the first.  A presentation is immutable, so the cache lives and
+dies with the object; the separation search keeps its memos there too.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ def _lie_vector(P: PoissonPresentation, k: int, mus):
 
 @dataclass(frozen=True)
 class LevelData:
-    """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p, and
-    the problems that keep h_k from realizing sigma_k (empty on a good
-    level).
+    """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p, the
+    variable table of R_k with x_k Laurent (theta's target), and the
+    problems that keep h_k from realizing sigma_k (empty on a good level).
 
     Shared by `verify_cgl` and every caller of `level_data` on the same
     presentation."""
@@ -181,7 +181,6 @@ class LevelData:
     h_k: LieVector | None
     lambda_k: Fraction | None
     hat_ctx: VarTable
-    hat_table: BracketTable
     problems: tuple[str, ...]
 
     @property
@@ -200,7 +199,6 @@ def _level_record(P: PoissonPresentation, k: int) -> LevelData:
         sigma, delta, mus = _level_maps(P, k)
         h_k, lam, problems = _lie_vector(P, k, mus)
         pres_R = P.restrict(k)
-        hat_ctx = pres_R.ctx.with_laurent(k - 1)
         P._cache[key] = LevelData(
             k=k,
             pres_R=pres_R,
@@ -209,8 +207,7 @@ def _level_record(P: PoissonPresentation, k: int) -> LevelData:
             delta=delta,
             h_k=h_k,
             lambda_k=lam,
-            hat_ctx=hat_ctx,
-            hat_table=pres_R.table.re_context(hat_ctx),
+            hat_ctx=pres_R.ctx.with_laurent(k - 1),
             problems=tuple(problems),
         )
     return P._cache[key]

@@ -42,23 +42,11 @@ class NonDiagonalSigma(PcglError):
 
 
 class PreconditionError(PcglError):
-    """A documented operation precondition failed; carries certificates."""
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """A documented operation precondition failed."""
 
 
 class StepBudgetExceeded(PcglError):
-    """Groebner computation exceeded its reduction-step budget.
-
-    Carries the partial basis reached when the budget ran out, for
-    diagnostics.
-    """
-
-    def __init__(self, message, partial_basis=()):
-        super().__init__(message)
-        self.partial_basis = tuple(partial_basis)
+    """Groebner computation exceeded its reduction-step budget."""
 
 
 class UnitIdeal(PcglError):
@@ -67,10 +55,6 @@ class UnitIdeal(PcglError):
 
 class NotAPoissonAffineSpace(PcglError):
     """A bracket entry is not a scalar multiple of x_i * x_j."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
 
 
 class SecondLiftError(PcglError):

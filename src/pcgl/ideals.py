@@ -6,7 +6,9 @@ strategy and the coprime criterion serves both reduced bases
 the elements of bases that will be reduced are normalized to content-free
 integer coefficients; tracked elements keep their scale, so their
 cofactors need no rescaling.  A reduction-step budget guards both kinds of
-call against runaway computations; `step_limit` scopes it.
+call against runaway computations: `step_limit` scopes it, each division
+step ticks it, and an overrun raises `StepBudgetExceeded` with the limit
+in its message and nothing else.
 
 An elimination of trailing variables returns its reduced basis: the
 elements of a reduced elimination basis free of the eliminated variables
@@ -26,7 +28,7 @@ import contextlib
 import contextvars
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .grading import monomial_weight, weight_of
@@ -63,9 +65,6 @@ class Grevlex:
     tag = "grevlex"
     key = staticmethod(Monomial.grevlex)
 
-    def __init__(self, ctx: VarTable | None = None):
-        self.ctx = ctx
-
 
 _GREVLEX = Grevlex()
 
@@ -91,8 +90,7 @@ class Elim:
     `Monomial.grevlex` is from all of them, which it is on the back block
     of a monomial free of the front variables."""
 
-    def __init__(self, ctx: VarTable, front):
-        self.ctx = ctx
+    def __init__(self, front):
         self.front = frozenset(front)
         self.front_mask = sum(1 << i for i in self.front)
         self.tag = ("elim", tuple(sorted(self.front)))
@@ -142,12 +140,10 @@ class _Budget:
         self.limit = _STEP_LIMIT.get()
         self.steps = 0
 
-    def tick(self, basis=()):
+    def tick(self):
         self.steps += 1
         if self.steps > self.limit:
-            raise StepBudgetExceeded(
-                f"Groebner step budget of {self.limit} exceeded", basis
-            )
+            raise StepBudgetExceeded(f"Groebner step budget of {self.limit} exceeded")
 
 
 def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=None):
@@ -167,7 +163,7 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
     if lms is None:
         lms = [leading_monomial(g, order) for g in basis]
     quotients = {}
-    rem = _divide(f, _divisor_table(basis, lms), order, budget, basis, quotients)
+    rem = _divide(f, _divisor_table(basis, lms), order, budget, quotients)
     return _quotient_list(f.ctx, quotients, len(basis)), rem
 
 
@@ -183,11 +179,10 @@ def _divisor_table(basis, lms):
     return [(lm.mask(), lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
 
 
-def _divide(f: Polynomial, divisors, order, budget=None, basis=(), quotients=None):
+def _divide(f: Polynomial, divisors, order, budget=None, quotients=None):
     """The division loop of `reduce_poly` on a divisor table; returns the
     remainder.  The quotient terms are recorded, per divisor index, only
-    into a `quotients` dict the caller passes; `basis` goes with a budget
-    overrun."""
+    into a `quotients` dict the caller passes."""
     remainder = {}
     p = dict(f.terms)
     order_key = order.key
@@ -195,7 +190,7 @@ def _divide(f: Polynomial, divisors, order, budget=None, basis=(), quotients=Non
     key_of = keys.__getitem__
     while p:
         if budget is not None:
-            budget.tick(basis)
+            budget.tick()
         lm = max(p, key=key_of)
         lc = p[lm]
         # a divisor whose support is not inside lm's is rejected by its mask
@@ -294,7 +289,7 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
         tj, cj = l.divide(lmj), _qdiv(1, basis[j].terms[lmj])
         s = _times_term(basis[i], ti, ci) - _times_term(basis[j], tj, cj)
         quotients = {} if track else None
-        rem = _divide(s, divisors, order, budget, basis, quotients)
+        rem = _divide(s, divisors, order, budget, quotients)
         if rem.is_zero():
             continue
         if track:
@@ -520,7 +515,7 @@ def extend(I: Ideal, ctx: VarTable) -> Ideal:
 def adjoin_variable(I: Ideal, i: int) -> Ideal:
     """I + (x_i) for a proper I whose reduced basis does not involve x_i,
     with two reduced bases handed over: in grevlex, I's basis with x_i
-    inserted at its place; in Elim(ctx, {i}), I's basis, then x_i.  x_i's
+    inserted at its place; in Elim({i}), I's basis, then x_i.  x_i's
     leading monomial is coprime to every other one (Buchberger's first
     criterion) and divides no term of them, so both are exact."""
     gb = I.groebner()
@@ -531,7 +526,7 @@ def adjoin_variable(I: Ideal, i: int) -> Ideal:
     elim = (*gb, Polynomial.variable(I.ctx, i))
     grevlex = sorted(elim, key=lambda g: leading_monomial(g, _GREVLEX).grevlex())
     ideal = Ideal._with_basis(I.ctx, grevlex)
-    ideal._gb[Elim(I.ctx, {i}).tag] = elim
+    ideal._gb[Elim({i}).tag] = elim
     return ideal
 
 
@@ -601,7 +596,7 @@ def eliminate(I: Ideal, keep) -> Ideal:
     front = {i for i in range(len(I.ctx)) if i not in keep}
     if not front:
         return Ideal(I.ctx, I.generators)
-    gb = I.groebner(Elim(I.ctx, front))
+    gb = I.groebner(Elim(front))
     kept = [g for g in gb if g.support() <= keep]
     if min(front) == len(I.ctx) - len(front):
         return Ideal._with_basis(I.ctx, kept)
@@ -837,7 +832,7 @@ class ChainReport:
 
     def to_json_dict(self):
         return {
-            "ideals": [asdict(e) for e in self.entries],
+            "ideals": [dict(vars(e)) for e in self.entries],
             "dimension_drops": self.drops,
             "length": self.length,
             "all_drops_one": self.saturated_in_spec,

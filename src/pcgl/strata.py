@@ -55,8 +55,7 @@ def extract_log_matrix(P) -> LogBracketMatrix:
             if len(p.terms) != 1 or quad not in p.terms:
                 raise NotAPoissonAffineSpace(
                     f"bracket {{x_{i+1}, x_{j+1}}} = {p} is not a scalar multiple "
-                    f"of x_{i+1}*x_{j+1}",
-                    pair=(i, j),
+                    f"of x_{i+1}*x_{j+1}"
                 )
             lam = p.terms[quad]
             rows[i][j] = lam

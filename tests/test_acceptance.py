@@ -264,7 +264,7 @@ def test_criterion_10_groebner_suite(weyl, pplane, bellsig, m2):
     for node in enumerate_hprimes(m2).leaves():
         fixture_ideals.append(node.ideal)
     for I in fixture_ideals:
-        order = Grevlex(I.ctx)
+        order = Grevlex()
         gb = I.groebner()
         for f, g in itertools.combinations(gb, 2):
             _, rem = reduce_poly(s_polynomial(f, g, order), list(gb), order)

@@ -57,8 +57,9 @@ from test_matrices import matrix_presentation
 
 PRES = {name: load_presentation(fixture_path(name))[0] for name in ("m2", "weyl", "bellsig")}
 TABLES = {name: P.table for name, P in PRES.items()}
-TABLES["m2-hat"] = level_data(PRES["m2"], 4).hat_table
-TABLES["weyl-hat"] = level_data(PRES["weyl"], 2).hat_table
+for _name, _k in (("m2", 4), ("weyl", 2)):
+    _L = level_data(PRES[_name], _k)
+    TABLES[f"{_name}-hat"] = _L.pres_R.table.re_context(_L.hat_ctx)
 
 # canonical or not: plain ints and integral Fractions such as Fraction(4, 2) too
 coefficients = st.one_of(

@@ -19,7 +19,7 @@ from pcgl.cauchon import (
     theta,
     validate_d_element,
 )
-from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
+from pcgl.cgl import LevelData, PoissonPresentation, level_data, verify_cgl
 from pcgl.errors import PcglError, PreconditionError, SecondLiftError
 from pcgl.grading import GradingData, weight_of
 from pcgl.ideals import (
@@ -108,6 +108,16 @@ class TestTheta:
         assert kinds.count("multiplicative") == n * (n + 1) // 2
         assert kinds.count("poisson") == n * (n - 1) // 2
         assert kinds.count("sigma-twist") == n
+
+    @pytest.mark.parametrize("fix", ["weyl", "pplane", "m2", "2x3"])
+    def test_level_record_holds_no_laurent_table(self, request, fix):
+        # check_theta builds the bracket table over hat_ctx itself
+        assert "hat_table" not in {f.name for f in dataclasses.fields(LevelData)}
+        P = tower(request, fix)
+        for k in range(1, P.nvars + 1):
+            L = level_data(P, k)
+            assert check_theta(L).ok
+            assert level_data(P, k) is L
 
     def test_corrupted_lambda_fails(self, weyl2):
         broken = dataclasses.replace(weyl2, lambda_k=Fraction(2))
@@ -403,6 +413,13 @@ class TestEnumeration:
     def test_failing_presentation_rejected(self, bellsig):
         with pytest.raises(PreconditionError):
             enumerate_hprimes(bellsig)
+
+    def test_rejection_carries_only_its_message(self, bellsig):
+        for call in (enumerate_hprimes, delete_all):
+            with pytest.raises(PreconditionError) as err:
+                call(bellsig)
+            assert str(err.value) == "presentation fails the tower axioms"
+            assert vars(err.value) == {}
 
     def test_tree_consistency(self, m2):
         tree = enumerate_hprimes(m2)

@@ -287,6 +287,15 @@ def test_file_step_budget_is_scoped_to_its_command(capsys, tmp_path):
     assert basis_size() == 3
 
 
+def test_budget_overrun_is_one_error_line(capsys, tmp_path):
+    data = json.loads(Path(WEYL).read_text())
+    data["bounds"] = {"groebner_steps": 1}
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(data))
+    code, out, err = run(capsys, "hcore", str(tight), "-g", "a + X^2")
+    assert (code, out, err) == (1, "", "error: Groebner step budget of 1 exceeded\n")
+
+
 def test_hprimes_out_of_budget_is_inconclusive(capsys, tmp_path):
     # a step budget that runs out gives a flagged tree, not an error
     data = json.loads(Path(M2).read_text())

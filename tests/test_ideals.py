@@ -59,7 +59,7 @@ class TestGroebner:
         assert set(I.groebner()) == {p3("x"), p3("y*z")}
 
     def test_s_polynomials_reduce_to_zero(self):
-        order = Grevlex(CTX3)
+        order = Grevlex()
         gens = [p3("x^2 - y"), p3("x*y - z"), p3("x*z - y^2")]
         gb = Ideal(CTX3, gens).groebner()
         for f, g in itertools.combinations(gb, 2):
@@ -87,10 +87,26 @@ class TestGroebner:
 
     def test_step_budget(self):
         gens = [p3("x^2 - y"), p3("x*y - z"), p3("y^3 - x*z^2 + x")]
+        with pytest.raises(StepBudgetExceeded):
+            with step_limit(1):
+                Ideal(CTX3, gens).groebner()
+
+    def test_budget_overrun_carries_only_its_message(self):
+        gens = [p3("x^2 - y"), p3("x*y - z"), p3("y^3 - x*z^2 + x")]
         with pytest.raises(StepBudgetExceeded) as err:
             with step_limit(1):
                 Ideal(CTX3, gens).groebner()
-        assert err.value.partial_basis
+        assert str(err.value) == "Groebner step budget of 1 exceeded"
+        assert vars(err.value) == {}
+
+    def test_orders_hold_no_variable_table(self):
+        # one Grevlex serves every table; Elim needs only its front set
+        from pcgl.ideals import Elim, Grevlex
+
+        assert vars(Grevlex()) == {}
+        assert sorted(vars(Elim({0}))) == ["front", "front_mask", "tag"]
+        I = Ideal(CTX3, [p3("x^2 - y"), p3("x*y - z")])
+        assert I.groebner(Grevlex()) == I.groebner()
 
     def test_step_limit_restored_after_exceeded(self):
         # the limit in force before the `with` comes back when its body raises
@@ -468,6 +484,15 @@ class TestChainReport:
         assert rep.drops == [2, 1]
         assert rep.length == 2
         assert not rep.saturated_in_spec
+
+    def test_json_entries_are_shallow(self, bellsig):
+        # each JSON entry holds the entry's own field objects, not copies
+        rep = chain_report(bellsig, [Ideal.zero(CTX4), Ideal(CTX4, [p4("z")])])
+        out = rep.to_json_dict()["ideals"]
+        for e, d in zip(rep.entries, out):
+            assert d == vars(e) and d is not vars(e)
+            assert d["primality"] is e.primality
+            assert d["generators"] is e.generators
 
     def test_single_ideal(self, bellsig):
         rep = chain_report(bellsig, [Ideal(CTX4, [p4("z")])])

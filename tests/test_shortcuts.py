@@ -206,7 +206,7 @@ def test_poisson_closure_brackets_a_changed_tail(name, texts):
     bases, naive = naive_closure(P.table, I)
     assert closed.generators == bases[-1]
     assert adjoined == naive
-    order = Grevlex(P.ctx)
+    order = Grevlex()
     lms = [{ideals.leading_monomial(g, order): g for g in gb} for gb in bases]
     assert any(
         lms[k].get(lm, g) != g for k in range(len(bases) - 1) for lm, g in lms[k + 1].items()
@@ -278,7 +278,7 @@ def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
     targets = generator_brackets(P.table, gens[0]) + generator_brackets(P.table, gens[1])
     targets.append(p("x11*x23*x12 - x13*x21*x12"))
     lifts = lift_through_ideal(gens, targets, modulo=modulo)
-    buchberger(gens + list(modulo.generators), Grevlex(ctx))
+    buchberger(gens + list(modulo.generators), Grevlex())
     assert formed and not any(formed)
     assert sum(q is not None for q in lifts) == 9
     text = repr([None if q is None else [str(c) for c in q] for q in lifts])
@@ -296,7 +296,7 @@ def long_split(P, I):
     I = Ideal(I.ctx, I.generators)
     I0 = contract_to_prefix(I, x)
     gens = []
-    for g in buchberger(I.generators, Elim(I.ctx, {x})):
+    for g in buchberger(I.generators, Elim({x})):
         if g.degree_in(x) == 0:
             gens.append(re_context(g, I0.ctx))
         elif g.degree_in(x) == 1:
