@@ -73,7 +73,6 @@ class Lex:
     """Lexicographic order; earlier variables are greater."""
 
     def __init__(self, ctx: VarTable):
-        self.ctx = ctx
         self.nvars = len(ctx)
         self.tag = "lex"
 
@@ -733,36 +732,29 @@ def is_h_stable(G, I: Ideal) -> bool:
 def h_core(G, I: Ideal) -> Ideal:
     """Largest graded (torus-stable) ideal contained in I.
 
-    Adjoins one Laurent parameter per grading row, twists the generators by
-    the torus action, and saturates at the product of the parameters,
-    eliminating them in the same Groebner basis (`saturate` with keep=n).
+    A graded I (any I under a rank-0 grading) is its own core: when I's
+    reduced basis is homogeneous (`is_h_stable`), the result is I with that
+    basis.  Otherwise adjoins one Laurent parameter per grading row, twists
+    the generators by the torus action, and saturates at the product of
+    the parameters, eliminating them in the same Groebner basis
+    (`saturate` with keep=n).
     """
-    r = G.rank
-    if r == 0 or not I.generators:
-        return Ideal(I.ctx, I.generators)
-    n = len(I.ctx)
-    tnames = _fresh_names(I.ctx, tuple(f"t{k+1}" for k in range(r)))
-    up = I.ctx.extend(tnames)
+    if is_h_stable(G, I):
+        return I.reduced()
+    r, n = G.rank, len(I.ctx)
+    up = I.ctx.extend(_fresh_names(I.ctx, tuple(f"t{k+1}" for k in range(r))))
     twisted = []
     for g in I.generators:
-        shifts = []
-        terms = []
-        for m, c in g.terms.items():
-            w = monomial_weight(G, m)
-            terms.append((m, c, w))
-            shifts.append(w)
-        mins = [min(w[k] for w in shifts) for k in range(r)]
+        terms = [(m, c, monomial_weight(G, m)) for m, c in g.terms.items()]
+        mins = [min(w[k] for _, _, w in terms) for k in range(r)]
         new_terms = {}
         for m, c, w in terms:
             # t_k is x_(n+k), after every variable of m: the pairs stay sorted
             shift = tuple((n + k, e) for k in range(r) if (e := w[k] - mins[k]))
             new_terms[Monomial(m.exps + shift)] = c
         twisted.append(Polynomial(up, new_terms))
-    J = Ideal(up, twisted)
-    tprod = Polynomial.constant(up, 1)
-    for k in range(r):
-        tprod = tprod * Polynomial.variable(up, n + k)
-    core = saturate(J, tprod, keep=n)
+    tprod = Polynomial.monomial(up, Monomial(tuple((n + k, 1) for k in range(r))))
+    core = saturate(Ideal(up, twisted), tprod, keep=n)
     if not contains(I, core):
         raise PcglError("h_core post-condition failed: result not inside ideal")
     if not is_h_stable(G, core):

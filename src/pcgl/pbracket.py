@@ -12,7 +12,9 @@ applies every `Derivation`: `generator_brackets(B, f)` gives every
 against the table rows that `BracketTable` builds once ({x_i, x_j} for
 every j, with the mirrored sign).  `bracket(B, f, g)` hands those n
 brackets to the same kernel as a one-row table and sweeps the terms of g:
-{f, g} = sum_j {f, x_j} * dg/dx_j.
+{f, g} = sum_j {f, x_j} * dg/dx_j.  When f is a generator x_i (one term,
+coefficient 1, exponent pairs ((i, 1),)), those n brackets are row i of
+the table, read with no sweep.
 
 Callers that need all n brackets of one element use `generator_brackets`:
 Poisson-normality of c, the d-element check ({b, x_j} and {c, x_j} of a
@@ -98,9 +100,17 @@ def generator_brackets(B: BracketTable, f: Polynomial, start: int = 0) -> list[P
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
     """The biderivation extension of the generator table:
-    {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g."""
+    {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g.  For a
+    generator f = x_i the brackets {x_i, x_j} are row i of the table."""
     if g.ctx != B.ctx:
         raise ContextMismatch("bracket operands over wrong variable table")
+    if len(f.terms) == 1 and (f.ctx is B.ctx or f.ctx == B.ctx):
+        ((m, c),) = f.terms.items()
+        if c == 1 and len(m.exps) == 1 and m.exps[0][1] == 1:
+            rows = [()] * len(B._rows)
+            for j, terms in B._rows[m.exps[0][0]]:
+                rows[j] = ((0, terms),)
+            return _chain_rule(rows, g, 1)[0]
     rows = [((0, tuple(h.terms.items())),) if h else () for h in generator_brackets(B, f)]
     return _chain_rule(rows, g, 1)[0]
 

@@ -577,145 +577,142 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^()/])")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ctx: VarTable):
-        self.tokens = _tokenize(text)
-        self.ctx = ctx
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
-
-    def parse_sum(self) -> Polynomial:
-        result = self.parse_product()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.parse_product()
-                result = result + rhs if val == "+" else result - rhs
-            else:
-                return result
-
-    def parse_product(self) -> Polynomial:
-        result = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.advance()
-            f = self.parse_factor()
-            return f if val == "+" else -f
-        return self.parse_power()
-
-    def parse_power(self) -> Polynomial:
-        base, var_index = self.parse_atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            exp, pos = self.parse_signed_int()
-            if exp < 0:
-                if var_index is None or not self.ctx.is_laurent(var_index):
-                    raise NegativeExponent(
-                        "negative exponent allowed only on Laurent variables", pos
-                    )
-                m = Monomial.make({var_index: exp})
-                return Polynomial(self.ctx, {m: 1})
-            return base ** exp
-        return base
-
-    def parse_signed_int(self) -> tuple[int, int]:
-        kind, val, pos = self.peek()
-        sign = 1
-        if kind == "op" and val in "+-":
-            self.advance()
-            sign = -1 if val == "-" else 1
-            kind, val, pos = self.peek()
-        if kind != "int":
-            raise ParseError("expected integer exponent", pos)
-        self.advance()
-        return sign * int(val), pos
-
-    def parse_atom(self) -> tuple[Polynomial, int | None]:
-        kind, val, pos = self.advance()
-        if kind == "int":
-            num = int(val)
-            k, v, _ = self.peek()
-            if k == "op" and v == "/":
-                self.advance()
-                k2, v2, pos2 = self.peek()
-                if k2 != "int":
-                    raise ParseError("expected denominator digits", pos2)
-                self.advance()
-                if int(v2) == 0:
-                    raise ParseError("zero denominator in rational literal", pos2)
-                return Polynomial.constant(self.ctx, Fraction(num, int(v2))), None
-            return Polynomial.constant(self.ctx, num), None
-        if kind == "name":
-            try:
-                idx = self.ctx.index(val)
-            except PcglError:
-                raise UnknownVariable(f"unknown variable {val!r}", pos) from None
-            return Polynomial.variable(self.ctx, idx), idx
-        if kind == "op" and val == "(":
-            inner = self.parse_sum()
-            self.expect_op(")")
-            return inner, None
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+_TOKEN_RE = re.compile(r"(\s+)|(\d+|[A-Za-z_]\w*|[-+*^()/])|(.)", re.S)
 
 
 def parse(text: str, ctx: VarTable) -> Polynomial:
     """Parse an expression with rational literals, + - * ^ and parentheses.
 
     Division appears only inside rational literals `p/q`; negative exponents
-    are accepted only on Laurent-flagged variables.  Nesting deeper than
-    the interpreter's recursion limit allows is a ParseError.
+    are accepted only on Laurent-flagged variables.  The grammar:
+
+        sum     := product (("+" | "-") product)*
+        product := factor ("*" factor)*
+        factor  := ("+" | "-") factor | atom ("^" ["+" | "-"] digits)?
+        atom    := digits ["/" digits] | name | "(" sum ")"
+
+    One tokenizing pass comes first, so a character outside the grammar is
+    refused before any syntax error.  Each product then accumulates a
+    coefficient and an exponent per variable; only a parenthesized factor
+    is a `Polynomial` multiplied in.  Nesting, by parentheses or by a run
+    of unary signs, deeper than the interpreter's recursion limit allows
+    is a ParseError at the bracket or sign run where the limit was reached.
     """
-    p = _Parser(text, ctx)
+    toks, poss = [], []
+    pos = 0
+    for space, tok, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", pos)
+        if tok:
+            toks.append(tok)
+            poss.append(pos)
+        pos += len(space or tok)
+    toks.append("")
+    poss.append(pos)
+    reached = [0]
     try:
-        result = p.parse_sum()
+        result, i = _sum(toks, poss, 0, ctx, reached)
     except RecursionError:
-        pos = p.tokens[min(p.i, len(p.tokens) - 1)][2]
-        raise ParseError("expression nested too deeply", pos) from None
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing token {val!r}", pos)
+        raise ParseError("expression nested too deeply", poss[reached[0]]) from None
+    if toks[i]:
+        raise ParseError(f"unexpected trailing token {toks[i]!r}", poss[i])
     return result
+
+
+def _sum(toks, poss, i, ctx, reached):
+    """The sum starting at token i and the index of the token after it.
+    Recurses only at a parenthesized factor; `reached` holds the index of
+    the last bracket or unary sign that opened a level."""
+    names, laurent = ctx._pos, ctx.laurent
+    acc = {}
+    negate = False
+    while True:
+        coeff, exps, factors = 1, {}, []
+        while True:
+            tok = toks[i]
+            if tok == "-" or tok == "+":
+                reached[0] = i
+                odd, i = _signs(toks, i)
+                if odd:
+                    coeff = -coeff
+                tok = toks[i]
+            var = names.get(tok)
+            if var is None:
+                if tok[:1].isdecimal():
+                    value = int(tok)
+                    if toks[i + 1] == "/":
+                        i += 2
+                        if not toks[i][:1].isdecimal():
+                            raise ParseError("expected denominator digits", poss[i])
+                        den = int(toks[i])
+                        if not den:
+                            raise ParseError("zero denominator in rational literal", poss[i])
+                        value = Fraction(value, den)
+                elif tok == "(":
+                    reached[0] = i
+                    value, i = _sum(toks, poss, i + 1, ctx, reached)
+                    if toks[i] != ")":
+                        raise ParseError("expected ')'", poss[i])
+                elif tok and tok not in "-+*^()/":
+                    raise UnknownVariable(f"unknown variable {tok!r}", poss[i])
+                else:
+                    raise ParseError(
+                        f"unexpected token {tok!r}" if tok else "unexpected end of input", poss[i]
+                    )
+            i += 1
+            e = 1
+            if toks[i] == "^":
+                sign = toks[i + 1]
+                i += 2 if sign == "-" or sign == "+" else 1
+                if not toks[i][:1].isdecimal():
+                    raise ParseError("expected integer exponent", poss[i])
+                e = -int(toks[i]) if sign == "-" else int(toks[i])
+                if e < 0 and (var is None or not laurent[var]):
+                    raise NegativeExponent(
+                        "negative exponent allowed only on Laurent variables", poss[i]
+                    )
+                i += 1
+            if var is not None:
+                exps[var] = exps.get(var, 0) + e
+            elif value.__class__ is Polynomial:
+                factors.append(value if e == 1 else value ** e)
+            else:
+                coeff = coeff * value ** e
+            if toks[i] != "*":
+                break
+            i += 1
+        if coeff:
+            if coeff.__class__ is not int:
+                coeff = _canon(coeff)
+            if negate:
+                coeff = -coeff
+            m = Monomial.make(exps) if exps else MONO_ONE
+            if factors:
+                p = _trusted(ctx, {m: coeff})
+                for f in factors:
+                    p = p * f
+                _add_into(acc, p.terms)
+            else:
+                _add_term(acc, m, coeff)
+        tok = toks[i]
+        if tok == "+":
+            negate = False
+        elif tok == "-":
+            negate = True
+        else:
+            return _trusted(ctx, acc), i
+        i += 1
+
+
+def _signs(toks, i):
+    """Whether the run of unary signs from token i holds an odd number of
+    minus signs, and the index of the token after the run.  A sign nests
+    the factor after it (factor := sign factor), one level per sign."""
+    tok = toks[i]
+    if tok == "-" or tok == "+":
+        odd, i = _signs(toks, i + 1)
+        return odd ^ (tok == "-"), i
+    return False, i
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,22 @@ class TestTheta:
             assert check_theta(L).ok
             assert level_data(P, k) is L
 
+    @pytest.mark.parametrize("fix, level, pairs", [("m2", 3, 1), ("m2", 4, 2), ("2x3", 6, None)])
+    def test_doubled_base_table_breaks_only_the_brackets(self, request, fix, level, pairs):
+        # theta({a, b}) brackets on pres_A's table and {theta(a), theta(b)}
+        # on pres_R's, so doubling the first breaks the bracket identity of
+        # each nonzero pair of generators and nothing else
+        L = level_data(tower(request, fix), level)
+        A = L.pres_A
+        doubled = BracketTable(A.ctx, {k: 2 * p for k, p in A.table.pairs()})
+        report = check_theta(dataclasses.replace(L, pres_A=dataclasses.replace(A, table=doubled)))
+        names = A.ctx.names
+        assert report.failures == [
+            {"identity": "poisson", "a": names[i], "b": names[j]} for (i, j), _ in A.table.pairs()
+        ]
+        assert pairs is None or len(report.failures) == pairs
+        assert report.failures and check_theta(L).ok
+
     def test_corrupted_lambda_fails(self, weyl2):
         broken = dataclasses.replace(weyl2, lambda_k=Fraction(2))
         report = check_theta(broken)

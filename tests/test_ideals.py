@@ -100,11 +100,13 @@ class TestGroebner:
         assert vars(err.value) == {}
 
     def test_orders_hold_no_variable_table(self):
-        # one Grevlex serves every table; Elim needs only its front set
-        from pcgl.ideals import Elim, Grevlex
+        # one Grevlex serves every table; Elim needs only its front set and
+        # Lex only the variable count
+        from pcgl.ideals import Elim, Grevlex, Lex
 
         assert vars(Grevlex()) == {}
         assert sorted(vars(Elim({0}))) == ["front", "front_mask", "tag"]
+        assert vars(Lex(CTX3)) == {"nvars": 3, "tag": "lex"}
         I = Ideal(CTX3, [p3("x^2 - y"), p3("x*y - z")])
         assert I.groebner(Grevlex()) == I.groebner()
 

@@ -7,8 +7,8 @@ the characters "xyzw123+-*^()/ ." on the four-variable table of
 `tests/test_poly.py` and 1,000 over "aX12+-*^()/ " on its Laurent table.
 Half of each set are uniform character strings, which mostly fail, and
 half are random well-formed expressions, a third of them with one
-character edited.  An exponent of more
-than two digits is redrawn, so that no string asks for a huge power.
+character edited.  A string with an exponent of more than two digits is
+redrawn, so that no string asks for a huge power.
 
 Regenerate the golden file only on purpose, with
 `PYTHONPATH=src python tests/test_parse_corpus.py`.

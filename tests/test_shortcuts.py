@@ -4,6 +4,10 @@
   variables after x_k at once; the long route saturates, then contracts.
 - `h_core` saturates and contracts in one elimination; the long route,
   written out here from public functions, does it in two.
+- `h_core` returns a graded ideal with its reduced basis, with no
+  saturation; the long route twists and saturates every input.
+- `bracket(B, x_i, g)` reads the brackets of a generator x_i from row i of
+  the table; the long route sweeps x_i's one term for them.
 - `poisson_closure` brackets only the basis elements it has not checked
   in an earlier round; the naive loop here brackets every element in every
   round.
@@ -51,6 +55,7 @@ from pcgl.ideals import (
     extend,
     h_core,
     ideal_equal,
+    is_h_stable,
     is_poisson_stable,
     lift_through_ideal,
     poisson_closure,
@@ -132,15 +137,51 @@ def two_step_core(G, I):
 
 
 @pytest.mark.parametrize("name", TOWERS)
-def test_h_core_is_the_two_step_core(name):
+def test_h_core_is_the_two_step_core(name, monkeypatch):
     P = tower(name)
+    G = P.grading
     rng = random.Random(name)
     names = P.ctx.names
+    saturations = []
+    real_saturate = ideals.saturate
+
+    def counted(*args, **kwargs):
+        saturations.append(args)
+        return real_saturate(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "saturate", counted)
     for _ in range(4):
         a, b = rng.sample(names, 2)
         gens = [random_element(rng, P.ctx), parse(f"{a} + {rng.randint(1, 3)}*{b}", P.ctx)]
         I = Ideal(P.ctx, gens)
-        assert h_core(P.grading, I).generators == two_step_core(P.grading, I).generators
+        saturations.clear()
+        assert h_core(G, I).generators == two_step_core(G, I).generators
+        # a non-graded input is saturated, once
+        assert len(saturations) == (0 if is_h_stable(G, I) else 1)
+    assert not is_h_stable(G, I)
+    # graded inputs whose generators are not all homogeneous: an H-prime Q
+    # and a + c*b with a in Q and b of another weight outside it; h_core
+    # returns I itself and saturates nothing
+    graded = 0
+    for node in enumerate_hprimes(P).leaves():
+        Q = node.ideal
+        inside = [v for v in names if Q.member(parse(v, P.ctx))[0]]
+        if not inside or len(inside) == len(names):
+            continue
+        a = rng.choice(inside)
+        others = [v for v in names if v not in inside and weight_of(G, parse(f"{a} + {v}", P.ctx)) is None]
+        if not others:
+            continue
+        linear = parse(f"{a} + {rng.randint(1, 3)}*{rng.choice(others)}", P.ctx)
+        I = Ideal(P.ctx, [*Q.generators, linear])
+        assert is_h_stable(G, I) and weight_of(G, linear) is None
+        saturations.clear()
+        core = h_core(G, I)
+        assert not saturations
+        assert core.generators == two_step_core(G, I).generators == I.groebner()
+        graded += 1
+    # weyl's H-primes hold no variable
+    assert graded == {"m2": 11, "weyl": 0, "pplane": 2, "2x3": 41}[name]
 
 
 def naive_closure(B, I):
@@ -185,6 +226,64 @@ def test_poisson_closure_matches_the_naive_loop(name, rounds):
         most = max(most, len(bases) - 1)
     # from the second round on, the elements checked earlier are skipped
     assert most == rounds
+
+
+def swept_bracket(B, f, g):
+    """{f, g} = sum_j {f, x_j} * dg/dx_j, with every {f, x_j} from one
+    sweep over the terms of f."""
+    out = Polynomial.zero(g.ctx)
+    for j, h in enumerate(generator_brackets(B, f)):
+        out = out + h * g.partial(j)
+    return out
+
+
+def bracket_table(name):
+    """The tower's bracket table; pplane's over theta's Laurent table of
+    level 2, where X is Laurent."""
+    P = tower(name)
+    if name != "pplane":
+        return P.table
+    L = level_data(P, 2)
+    return L.pres_R.table.re_context(L.hat_ctx)
+
+
+def counted_sweeps(monkeypatch):
+    """A list that grows by one on each `generator_brackets` call made
+    inside `pbracket`."""
+    from pcgl import pbracket
+
+    calls = []
+    real = pbracket.generator_brackets
+    monkeypatch.setattr(pbracket, "generator_brackets", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["weyl", "pplane", "m2", "2x3"])
+def test_generator_bracket_is_the_table_row(name, monkeypatch):
+    B = bracket_table(name)
+    ctx = B.ctx
+    rng = random.Random(name)
+    sweeps = counted_sweeps(monkeypatch)
+    for i in range(len(ctx)):
+        x = Polynomial.variable(ctx, i)
+        for _ in range(4):
+            g = random_polynomial(rng, ctx)
+            for k in range(len(ctx)):
+                if ctx.is_laurent(k):
+                    g = g * Polynomial.monomial(ctx, Monomial.make({k: -rng.randint(0, 2)}))
+            assert bracket(B, x, g) == swept_bracket(B, x, g)
+    assert not sweeps
+
+
+@pytest.mark.parametrize("text", ["a^2*X^-1", "2*a", "a^2", "X^-1", "a*X"])
+def test_a_term_that_is_no_generator_is_swept(text, monkeypatch):
+    # a^2*X^-1 has degree 1 and coefficient 1, yet is no generator
+    B = bracket_table("pplane")
+    ctx = B.ctx
+    f, g = parse(text, ctx), parse("a^2*X - 3*a*X^-2 + X", ctx)
+    sweeps = counted_sweeps(monkeypatch)
+    assert bracket(B, f, g) == swept_bracket(B, f, g)
+    assert len(sweeps) == 1
 
 
 # closures in which a basis element checked in one round comes back with
