@@ -22,16 +22,9 @@ from .pbracket import (
     bracket,
     check_delta_condition,
     check_jacobi,
-    check_poisson_derivation,
     is_poisson_normal,
 )
-from .grading import (
-    GradingData,
-    check_graded_bracket,
-    homogeneous_components,
-    lie_act,
-    solve_h,
-)
+from .grading import GradingData, solve_h
 from .ideals import (
     Ideal,
     chain_report,
@@ -43,16 +36,13 @@ from .ideals import (
 )
 from .cgl import PoissonPresentation, level_data, split_bracket, verify_cgl
 from .cauchon import (
-    CauchonStep,
     DElement,
-    cauchon_step,
     check_theta,
     d_element_from_normal,
     d_element_search,
     delete_all,
     enumerate_hprimes,
     normal_element,
-    s_max,
     second_lift,
     separating_normal,
     theta,

@@ -27,7 +27,7 @@ from .errors import (
     SecondLiftError,
     StepBudgetExceeded,
 )
-from .grading import check_graded_bracket, pair, weight_of
+from .grading import pair, weight_of
 from .ideals import (
     Elim,
     Grevlex,
@@ -44,7 +44,7 @@ from .ideals import (
     primality,
     saturate,
 )
-from .pbracket import BracketTable, bracket, check_jacobi, generator_brackets, is_poisson_normal
+from .pbracket import BracketTable, bracket, generator_brackets, is_poisson_normal
 from .qpoly import (
     Monomial,
     Polynomial,
@@ -106,15 +106,6 @@ def theta(L: LevelData, a: Polynomial) -> Polynomial:
     return re_context(_theta_series(L, iterates), L.hat_ctx) * Polynomial.monomial(
         L.hat_ctx, x_minus_s
     )
-
-
-def s_max(L: LevelData, a: Polynomial) -> int:
-    """Largest l with delta^l(a) != 0; equivalently theta(a) x_k^s is the
-    minimal polynomial clearing of theta(a)."""
-    a = _to_base(L, a)
-    if a.is_zero():
-        raise PreconditionError("s_max is undefined for zero")
-    return len(_delta_iterates(L, a)) - 1
 
 
 @dataclass
@@ -218,11 +209,6 @@ class DElement:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def same_fraction(self, other: "DElement") -> bool:
-        return (
-            self.numerator * other.denominator == other.numerator * self.denominator
-        )
-
     def __str__(self):
         if self.denominator == 1:
             return str(self.numerator)
@@ -285,7 +271,7 @@ def _closed_form_d(L: LevelData, iterates) -> DElement:
 
 def d_element_from_normal(L: LevelData, a: Polynomial) -> DElement:
     """d = delta(a) / (lambda s a) from a Poisson-normal homogeneous a with
-    s = s_max(a) > 0."""
+    s = s_max(a) > 0, the largest l with delta^l(a) != 0."""
     a = _to_base(L, a)
     _normal_input(L, a)
     iterates = _delta_iterates(L, a)
@@ -590,56 +576,8 @@ def _lift(L: LevelData, node: HPrimeNode, out: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Deletion steps
+# Full deletion
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CauchonStep:
-    """One deletion step: R_k = A[x_k; sigma, delta]_p rewritten as the
-    twist-only extension A[y_k; sigma]_p, together with the embedding of A
-    given by the Cauchon map."""
-
-    level: int
-    source: PoissonPresentation
-    target: PoissonPresentation
-    theta_images: dict[int, Polynomial]
-
-
-def cauchon_step(P: PoissonPresentation, k: int) -> CauchonStep:
-    """Delete delta at level k of the restricted tower R_k.
-
-    The target bracket satisfies {y_k, a} = sigma(a) y_k by construction and
-    is re-checked (Jacobi, graded); the recorded theta images are those
-    of `check_theta`, whose exact identities on the generators of A
-    certify theta on all of A.
-    """
-    L = level_data(P, k)
-    source = L.pres_R
-    entries = {key: p for key, p in source.table.pairs()}
-    i = k - 1
-    for j in range(i):
-        img = L.sigma.images[j]
-        new = re_context(img, source.ctx) * Polynomial.variable(source.ctx, i)
-        if new.is_zero():
-            entries.pop((i, j), None)
-        else:
-            entries[(i, j)] = new
-    target = PoissonPresentation(
-        ctx=source.ctx,
-        table=BracketTable(source.ctx, entries),
-        grading=source.grading,
-        h=source.h,
-        nilpotency_bound=source.nilpotency_bound,
-    )
-    if not check_jacobi(target.table).ok:
-        raise PcglError("deletion target fails the Jacobi identity")
-    if not check_graded_bracket(target.grading, target.table):
-        raise PcglError("deletion target fails the graded-bracket check")
-    report = check_theta(L)
-    if not report.ok:
-        raise PcglError("Cauchon map identities failed on the generators")
-    return CauchonStep(level=k, source=source, target=target, theta_images=report.images)
 
 
 def delete_all(P: PoissonPresentation) -> PoissonPresentation:

@@ -45,14 +45,6 @@ def monomial_weight(G: GradingData, m: Monomial) -> tuple[int, ...]:
     return tuple(w)
 
 
-def homogeneous_components(G: GradingData, f: Polynomial) -> dict[tuple[int, ...], Polynomial]:
-    """Split f by total weight; the components sum back to f."""
-    buckets: dict[tuple[int, ...], dict] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(monomial_weight(G, m), {})[m] = c
-    return {w: Polynomial(f.ctx, t) for w, t in sorted(buckets.items())}
-
-
 def weight_of(G: GradingData, f: Polynomial) -> tuple[int, ...] | None:
     """The weight of a nonzero homogeneous polynomial, else None: the one
     weight of its monomials."""
@@ -66,18 +58,6 @@ def pair(h: LieVector, w) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(h, w)), Fraction(0))
 
 
-def lie_act(G: GradingData, h: LieVector, f: Polynomial) -> Polynomial:
-    """The diagonal derivation sending a weight-w element to <h,w> times it."""
-    if len(h) != G.rank:
-        raise PcglError("Lie vector length does not match grading rank")
-    result = Polynomial.zero(f.ctx)
-    for w, comp in homogeneous_components(G, f).items():
-        scale = pair(h, w)
-        if scale:
-            result = result + comp * scale
-    return result
-
-
 def graded_bracket_failures(G: GradingData, B) -> list[tuple[int, int]]:
     """Pairs (i, j) whose bracket entry is not homogeneous of weight w_i + w_j."""
     failures = []
@@ -88,12 +68,6 @@ def graded_bracket_failures(G: GradingData, B) -> list[tuple[int, int]]:
                 failures.append((i, j))
                 break
     return failures
-
-
-def check_graded_bracket(G: GradingData, B) -> bool:
-    """True iff the torus acts on the bracket by Poisson automorphisms,
-    i.e. every entry {x_i, x_j} is homogeneous of weight deg x_i + deg x_j."""
-    return not graded_bracket_failures(G, B)
 
 
 def solve_h(G: GradingData, level: int, sigma_eigenvalues) -> LieVector | None:

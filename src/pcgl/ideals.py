@@ -69,20 +69,6 @@ class Grevlex:
 _GREVLEX = Grevlex()
 
 
-class Lex:
-    """Lexicographic order; earlier variables are greater."""
-
-    def __init__(self, ctx: VarTable):
-        self.nvars = len(ctx)
-        self.tag = "lex"
-
-    def key(self, m: Monomial):
-        e = [0] * self.nvars
-        for i, x in m.exps:
-            e[i] = x
-        return tuple(e)
-
-
 class Elim:
     """Block order eliminating a front set of variables (grevlex per block).
     Each block key is built from the sparse pairs in that block, as
@@ -228,15 +214,6 @@ def _divide(f: Polynomial, divisors, order, budget=None, quotients=None):
             remainder[lm] = lc
             del p[lm]
     return _trusted(f.ctx, remainder)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    lmf = leading_monomial(f, order)
-    lmg = leading_monomial(g, order)
-    l = lmf.lcm(lmg)
-    return _times_term(f, l.divide(lmf), _qdiv(1, f.terms[lmf])) - _times_term(
-        g, l.divide(lmg), _qdiv(1, g.terms[lmg])
-    )
 
 
 def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):

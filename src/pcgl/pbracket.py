@@ -19,13 +19,12 @@ the table, read with no sweep.
 Callers that need all n brackets of one element use `generator_brackets`:
 Poisson-normality of c, the d-element check ({b, x_j} and {c, x_j} of a
 candidate b/c) and the delta check ({D(x_i), x_j} for every j, one sweep
-per i; the derivation check is a delta check).  The Poisson-stability
-check of an ideal sweeps, for a basis element free of the new variables,
-only the columns from the first new one on (`generator_brackets(B, f,
-start)`).  Callers that need one particular bracket use `bracket`: the
-Jacobi check (the outer bracket {x_i, {x_j, x_k}}; the inner one is a
-table entry), the theta and Cauchon checks, and the Poisson closure of an
-ideal.
+per i).  The Poisson-stability check of an ideal sweeps, for a basis
+element free of the new variables, only the columns from the first new one
+on (`generator_brackets(B, f, start)`).  Callers that need one particular
+bracket use `bracket`: the Jacobi check (the outer bracket
+{x_i, {x_j, x_k}}; the inner one is a table entry), the theta check, and
+the Poisson closure of an ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -191,13 +190,6 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
         if modulo is not None and not modulo.member(br - cofactors[0] * c)[0]:
             raise PcglError("certificate validation failed")
     return NormalityCertificate(ok=not failures, quotients=quotients, failures=failures)
-
-
-def check_poisson_derivation(B: BracketTable, S: Derivation) -> bool:
-    """True iff S({a,b}) = {S(a),b} + {a,S(b)} on all generator pairs: the
-    delta condition of `check_delta_condition` with the zero twist."""
-    zero = Derivation(B.ctx, {i: Polynomial.zero(B.ctx) for i in range(len(B.ctx))})
-    return check_delta_condition(B, zero, S)
 
 
 def check_delta_condition(B_A: BracketTable, S: Derivation, D: Derivation) -> bool:

@@ -379,14 +379,15 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise PcglError("negative polynomial powers are not defined")
-        result = Polynomial.constant(self.ctx, 1)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Polynomial.constant(self.ctx, 1) if result is None else result
 
     def __eq__(self, other):
         if other.__class__ is not Polynomial:
@@ -432,19 +433,6 @@ class Polynomial:
 
     def has_negative_exponent(self) -> bool:
         return any(e < 0 for m in self.terms for _, e in m.exps)
-
-    def coefficient(self, m: Monomial) -> int | Fraction:
-        return self.terms.get(m, 0)
-
-    def partial(self, i: int) -> "Polynomial":
-        """Partial derivative; valid on Laurent exponents as well."""
-        terms = {}
-        for m, c in self.terms.items():
-            for k, (j, e) in enumerate(m.exps):
-                if j == i:
-                    c = c * e
-                    terms[_drop_one(m.exps, k)] = c if c.__class__ is int else _canon(c)
-        return _trusted(self.ctx, terms)
 
     def split_by_degree_in(self, i: int) -> dict[int, "Polynomial"]:
         """Group terms by their exponent in variable i (as polynomials with

@@ -53,6 +53,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
+from reference import partial
 from test_matrices import matrix_presentation
 
 PRES = {name: load_presentation(fixture_path(name))[0] for name in ("m2", "weyl", "bellsig")}
@@ -73,7 +74,7 @@ def reference_bracket(B, f, g):
     """The partial-derivative bracket, one generator pair at a time."""
     result = Polynomial.zero(B.ctx)
     for (i, j), p in B.pairs():
-        result = result + p * (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i))
+        result = result + p * (partial(f, i) * partial(g, j) - partial(f, j) * partial(g, i))
     return result
 
 
@@ -163,7 +164,7 @@ def reference_derivation(D, f):
     """D(f) one variable at a time, by partial derivatives."""
     result = Polynomial.zero(f.ctx)
     for i in sorted(f.support()):
-        result = result + D.images[i] * f.partial(i)
+        result = result + D.images[i] * partial(f, i)
     return result
 
 

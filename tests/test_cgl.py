@@ -12,9 +12,10 @@ from pcgl.cgl import (
 )
 from pcgl.cli import main
 from pcgl.errors import PcglError, TriangularityError
-from pcgl.grading import GradingData, lie_act, weight_of
+from pcgl.grading import GradingData, weight_of
 from pcgl.pbracket import BracketTable, check_delta_condition
 from pcgl.qpoly import Polynomial, VarTable, parse
+from reference import lie_act
 from test_matrices import matrix_presentation
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -368,3 +370,29 @@ def test_readme_command_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *README_COMMANDS[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def library_example(readme):
+    """The fenced python block under the README's `## Library` heading, and
+    the value commented on each of its prints (`print(x)  # value`)."""
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    return code, [line.rsplit("#", 1)[1].strip() for line in prints]
+
+
+def run_library_example(code):
+    """The lines that the example prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    return out.getvalue().splitlines()
+
+
+def test_readme_library_example():
+    code, values = library_example(README.read_text())
+    assert values == ["True", "a - X^-1", "2"]
+    assert run_library_example(code) == values

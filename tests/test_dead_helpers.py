@@ -1,16 +1,39 @@
-"""Every private helper of the package has a caller: a private module-level
-name, or a private method, that is defined in src/pcgl but read nowhere
-there is dead code and fails this test.  And every import of a sibling
-module sits at the top of its module, except in the functions that break
-a real import cycle (`CYCLE_BREAKERS`)."""
+"""Every name of the package has a reader.
+
+- A private helper (a private module-level name, or a private method)
+  that is defined in src/pcgl but read nowhere there is dead code.
+- A public module-level function or class of src/pcgl, or a public method
+  of such a class, needs a reader in src/pcgl outside its own body, or in
+  the benchmark (`perfbench/*.py`).  Importing a name, as `__init__.py`
+  does to re-export it, does not read it.  A public name kept for a reader
+  that this test does not parse, the README or an open ROADMAP item, is
+  listed in `PUBLIC_READERS` with that reader.  A name that only tests
+  read is an oracle and lives in the test tree (`tests/reference.py`).
+
+And every import of a sibling module sits at the top of its module, except
+in the functions that break a real import cycle (`CYCLE_BREAKERS`)."""
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "pcgl").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "pcgl").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 # ideals imports pbracket at its top, so pbracket reaches ideals at call time
 CYCLE_BREAKERS = {"pbracket.is_poisson_normal"}
+
+# public names kept for a reader outside src/pcgl (the README, the
+# benchmark or an open ROADMAP item), each with that reader; an entry whose
+# name is no longer defined fails
+PUBLIC_READERS = {
+    "check_theta": "README; ROADMAP items 15, 16 and 19",
+    "d_element_from_normal": "ROADMAP item 14C",
+    "delete_all": "perfbench/workloads.py; ROADMAP item 2",
+    "stratum_summary": "ROADMAP item 2",
+    "separating_normal": "README; perfbench",
+    "fixture_path": "README; perfbench",
+}
 
 
 def is_private(name):
@@ -59,21 +82,29 @@ def reads(node, own=None):
 
 
 def references(tree):
+    """Every name read in tree outside the body that defines it: a
+    module-level function or class, or a method, that only reads itself
+    has no reader."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                yield from reads(item, getattr(item, "name", None))
+                for name in reads(item, getattr(item, "name", None)):
+                    if name != node.name:
+                        yield name
             for extra in node.bases + node.keywords + node.decorator_list:
                 yield from reads(extra)
         else:
             yield from reads(node, getattr(node, "name", None))
 
 
+def parsed(paths):
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
 def test_every_private_helper_is_referenced():
     defined, used = {}, set()
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for name, where in private_definitions(tree, path.name):
+    for module, tree in parsed(SOURCES).items():
+        for name, where in private_definitions(tree, module):
             defined.setdefault(name, where)
         used.update(references(tree))
     unused = {name: where for name, where in defined.items() if name not in used}
@@ -94,6 +125,68 @@ def test_the_guard_sees_helpers_and_their_references():
     defined = {name for name, _ in private_definitions(tree, "m.py")}
     assert defined == {"_LIMIT", "_dead", "_alive", "_gone", "_kept", "_self_only"}
     assert defined - set(references(tree)) == {"_dead", "_gone", "_self_only"}
+
+
+def public_definitions(tree, module):
+    """(name, where) for each public module-level function or class, and
+    each public method of a public module-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, f"{module}:{node.lineno}"
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield item.name, f"{module}:{node.name}.{item.name}"
+
+
+def public_surface_faults(modules, readers, allowlist):
+    """The public names of `modules` (file name -> tree) that nothing in
+    `modules` or `readers` reads and `allowlist` does not name, with where
+    each is defined; and the allowlist entries that name no public
+    definition."""
+    defined, used = {}, set()
+    for module, tree in modules.items():
+        for name, where in public_definitions(tree, module):
+            defined.setdefault(name, where)
+        used.update(references(tree))
+    for tree in readers:
+        used.update(references(tree))
+    kept = used | set(allowlist)
+    unread = {name: where for name, where in defined.items() if name not in kept}
+    return unread, sorted(set(allowlist) - set(defined))
+
+
+def test_every_public_name_has_a_reader():
+    unread, stale = public_surface_faults(
+        parsed(SOURCES), parsed(BENCHMARK).values(), PUBLIC_READERS
+    )
+    assert not unread, unread
+    assert not stale, stale
+
+
+def test_the_guard_sees_unread_public_names():
+    modules = {
+        "m.py": ast.parse(
+            "def used():\n    pass\n"
+            "def unread():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def exported():\n    pass\n"
+            "def kept():\n    pass\n"
+            "class Box:\n"
+            "    def read(self):\n        return used()\n"
+            "    def unread_method(self):\n        return self.read()\n"
+            "    def _private(self):\n        pass\n"
+            "class Lonely:\n"
+            "    def make(self):\n        return Lonely().make()\n"
+        ),
+        "__init__.py": ast.parse("from .m import exported, recursive\n"),
+    }
+    reader = ast.parse("import m\nm.Box().read()\n")
+    unread, stale = public_surface_faults(modules, [reader], {"kept": "a reader", "gone": "?"})
+    assert set(unread) == {"unread", "recursive", "exported", "unread_method", "Lonely", "make"}
+    assert unread["unread_method"] == "m.py:Box.unread_method"
+    assert stale == ["gone"]
+    assert public_surface_faults(modules, [reader], {})[0].keys() == set(unread) | {"kept"}
 
 
 def function_level_imports(node, name, in_function=False):

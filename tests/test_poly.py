@@ -29,6 +29,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
+from reference import partial
 
 CTX = VarTable(("x", "y", "z", "w"))
 LCTX = VarTable(("a", "X"), (False, True))
@@ -116,6 +117,22 @@ class TestArith:
         with pytest.raises(PcglError):
             poly("x") ** -1
 
+    @pytest.mark.parametrize("k,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (8, 3)])
+    def test_power_makes_only_the_binary_products(self, monkeypatch, k, products):
+        # one squaring per bit below the top one and one product per further
+        # set bit: no product by the constant 1, no square after the top bit
+        P = poly("x + y + z + w + 1")
+        calls = []
+        mul = Polynomial.__mul__
+        monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: calls.append(g) or mul(f, g))
+        power = P ** k
+        monkeypatch.undo()
+        assert len(calls) == products
+        expect = Polynomial.constant(CTX, 1)
+        for _ in range(k):
+            expect = brute_multiply(expect, P)
+        assert power == expect
+
 
 class TestDerivation:
     def delta(self):
@@ -200,11 +217,11 @@ class TestCoefficients:
         assert type(f.terms[x]) is int and type(f.terms[MONO_ONE]) is Fraction
         assert f == poly("2*x + 1/2") and hash(f) == hash(poly("2*x + 1/2"))
         assert str(f) == "2*x + 1/2"
-        results = (f * 2, f + f, f - poly("1/2"), f * Fraction(2, 3), f.partial(0))
+        results = (f * 2, f + f, f - poly("1/2"), f * Fraction(2, 3), partial(f, 0))
         for g in results + (Polynomial.constant(CTX, Fraction(3)), parse("6/3*x", CTX)):
             assert all(type(c) is int or c.denominator != 1 for c in g.terms.values())
-        assert type((f * 2).coefficient(MONO_ONE)) is int
-        assert poly("x").coefficient(MONO_ONE) == 0
+        assert type((f * 2).terms.get(MONO_ONE, 0)) is int
+        assert poly("x").terms.get(MONO_ONE, 0) == 0
 
     def test_exact_division(self):
         half = Fraction(1, 2)

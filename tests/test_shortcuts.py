@@ -64,6 +64,7 @@ from pcgl.ideals import (
 from pcgl.pbracket import bracket, generator_brackets
 from pcgl.qpoly import Monomial, Polynomial, parse, re_context
 from random_poly import random_polynomial
+from reference import partial
 from test_matrices import matrix_presentation
 
 TOWERS = ["m2", "weyl", "pplane", "2x3"]
@@ -80,7 +81,7 @@ def random_element(rng, ctx):
     so that the ideals it generates are proper; never zero."""
     while True:
         f = random_polynomial(rng, ctx, 2, 2)
-        f = f - Polynomial.constant(ctx, f.coefficient(Monomial.make({})))
+        f = f - Polynomial.constant(ctx, f.terms.get(Monomial.make({}), 0))
         if not f.is_zero():
             return f
 
@@ -233,7 +234,7 @@ def swept_bracket(B, f, g):
     sweep over the terms of f."""
     out = Polynomial.zero(g.ctx)
     for j, h in enumerate(generator_brackets(B, f)):
-        out = out + h * g.partial(j)
+        out = out + h * partial(g, j)
     return out
 
 
