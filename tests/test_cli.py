@@ -372,6 +372,19 @@ def test_readme_command_golden_stdout(capsys, name):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+# `pcgl check` on every fixture, with its exit code: bellsig fails at level
+# 4, whose bound overruns give its likely_not_nilpotent list and notes.
+# tests/golden/cli/check_<fixture>.out holds each one's stdout.
+CHECK_EXIT_CODES = {"weyl": 0, "pplane": 0, "bellsig": 1, "m2": 0}
+
+
+@pytest.mark.parametrize("fixture", sorted(CHECK_EXIT_CODES))
+def test_check_golden_stdout(capsys, fixture):
+    code, out, _ = run(capsys, "check", fixture_path(fixture))
+    assert code == CHECK_EXIT_CODES[fixture]
+    assert out == (GOLDEN / f"check_{fixture}.out").read_text()
+
+
 README = Path(__file__).parent.parent / "README.md"
 
 
