@@ -13,7 +13,6 @@ from .qpoly import (
     Polynomial,
     VarTable,
     apply_derivation,
-    iterate_derivation,
     parse,
     re_context,
 )

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cgl import LevelData, PoissonPresentation, level_data, verify_cgl
+from .cgl import LevelData, PoissonPresentation, _delta_iterates, level_data, verify_cgl
 from .errors import (
     ContextMismatch,
     NotWithinBound,
@@ -64,24 +64,6 @@ def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
     if L.x_index in a.support():
         raise PreconditionError(f"element involves x_{L.k}, not in the base ring")
     return re_context(a, L.pres_A.ctx)
-
-
-def _delta_iterates(L: LevelData, a: Polynomial, modulo: Ideal | None = None):
-    """[a, delta(a), ..., delta^s(a)] up to the last nonzero iterate, each
-    reduced modulo the given ideal at every step; empty when a is zero
-    there.  Raises NotWithinBound when the iterates do not vanish within
-    the nilpotency bound."""
-    iterates = []
-    p = a if modulo is None else modulo.normal_form(a)
-    while not p.is_zero():
-        if len(iterates) == L.pres_R.nilpotency_bound:
-            raise NotWithinBound(
-                f"delta_{L.k} iterates did not terminate within bound "
-                f"{L.pres_R.nilpotency_bound}"
-            )
-        iterates.append(p)
-        p = L.delta(p) if modulo is None else modulo.normal_form(L.delta(p))
-    return iterates
 
 
 def _theta_series(L: LevelData, iterates) -> Polynomial:

@@ -13,6 +13,10 @@ kept in the object's private cache with the problems that keep h_k from
 realizing sigma_k: `verify_cgl` reports them as notes and `level_data`
 raises the first.  A presentation is immutable, so the cache lives and
 dies with the object; the separation search keeps its memos there too.
+
+`_delta_iterates` is the one place that applies delta_k repeatedly, up to
+the presentation's nilpotency bound: `verify_cgl` reads nilpotency indices
+from it, and the Cauchon map, normal elements and the d-search the iterates.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NonDiagonalSigma, PcglError, TriangularityError
+from .errors import NonDiagonalSigma, NotWithinBound, PcglError, TriangularityError
 from .grading import (
     GradingData,
     LieVector,
@@ -28,14 +32,9 @@ from .grading import (
     pair,
     solve_h,
 )
-from .pbracket import BracketTable, bracket, check_delta_condition, check_jacobi
-from .qpoly import (
-    Derivation,
-    Polynomial,
-    VarTable,
-    iterate_derivation,
-    re_context,
-)
+from .ideals import Ideal
+from .pbracket import BracketTable, check_delta_condition, check_jacobi
+from .qpoly import Derivation, Polynomial, VarTable, re_context
 
 DEFAULT_NILPOTENCY_BOUND = 25
 
@@ -60,6 +59,8 @@ class PoissonPresentation:
             raise PcglError("bracket table over wrong variable table")
         if len(self.grading.weights) != n:
             raise PcglError("grading column count does not match generator count")
+        if self.nilpotency_bound < 1:
+            raise PcglError("nilpotency bound must be >= 1")
         if self.h is not None:
             h = tuple(tuple(Fraction(x) for x in v) for v in self.h)
             if len(h) != n:
@@ -81,9 +82,6 @@ class PoissonPresentation:
     @property
     def nvars(self) -> int:
         return len(self.ctx)
-
-    def bracket(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return bracket(self.table, f, g)
 
     def restrict(self, k: int) -> "PoissonPresentation":
         """The truncated presentation on x_1..x_k."""
@@ -222,6 +220,25 @@ def level_data(P: PoissonPresentation, k: int) -> LevelData:
     return L
 
 
+def _delta_iterates(L: LevelData, a: Polynomial, modulo: Ideal | None = None):
+    """[a, delta(a), ..., delta^s(a)] up to the last nonzero iterate, each
+    reduced modulo the given ideal at every step; empty when a is zero
+    there.  Raises NotWithinBound, with the iterates up to delta^bound(a),
+    when they do not vanish within the nilpotency bound."""
+    iterates = []
+    p = a if modulo is None else modulo.normal_form(a)
+    while not p.is_zero():
+        if len(iterates) == L.pres_R.nilpotency_bound:
+            raise NotWithinBound(
+                f"delta_{L.k} iterates did not terminate within bound "
+                f"{L.pres_R.nilpotency_bound}",
+                [*iterates, p],
+            )
+        iterates.append(p)
+        p = L.delta(p) if modulo is None else modulo.normal_form(L.delta(p))
+    return iterates
+
+
 @dataclass
 class LevelReport:
     level: int
@@ -277,9 +294,6 @@ class CGLReport:
     def ok(self) -> bool:
         return all(l.ok for l in self.levels)
 
-    def level(self, k: int) -> LevelReport:
-        return self.levels[k - 1]
-
     def to_json_dict(self):
         return {"ok": self.ok, "levels": [l.to_json_dict() for l in self.levels]}
 
@@ -322,11 +336,12 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
         rep.h, rep.lambda_k = L.h_k, L.lambda_k
         for j in range(i):
             xj = Polynomial.variable(L.delta.ctx, j)
-            powers, idx = iterate_derivation(L.delta, xj, P.nilpotency_bound)
-            rep.nilpotency[j] = idx
-            if idx is None:
+            try:
+                rep.nilpotency[j] = len(_delta_iterates(L, xj))
+            except NotWithinBound as exc:
+                rep.nilpotency[j] = None
                 rep.nilpotency_ok = False
-                if _degree_growth(powers):
+                if _degree_growth(exc.iterates):
                     rep.likely_not_nilpotent.append(j)
                     rep.notes.append(
                         f"delta_{k} iterates on x_{j+1} grow in degree; "

@@ -30,7 +30,12 @@ class MissingImage(PcglError):
 
 
 class NotWithinBound(PcglError):
-    """Derivation iterates did not reach zero within the iteration bound."""
+    """Derivation iterates did not reach zero within the iteration bound;
+    `iterates` holds a, delta(a), ..., delta^bound(a), the last one nonzero."""
+
+    def __init__(self, message, iterates):
+        super().__init__(message)
+        self.iterates = iterates
 
 
 class TriangularityError(PcglError):

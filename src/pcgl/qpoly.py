@@ -770,25 +770,3 @@ def apply_derivation(D: Derivation, f: Polynomial) -> Polynomial:
         names = ", ".join(D.ctx.names[i] for i in sorted(missing))
         raise MissingImage(f"no image for variable(s) {names}")
     return _chain_rule(D._rows, f, 1)[0]
-
-
-def iterate_derivation(D: Derivation, f: Polynomial, bound: int):
-    """Iterate D on f and look for nilpotency.
-
-    Returns (powers, index) where powers = [D^0(f), ..., D^m(f)] and index m
-    is minimal with D^m(f) = 0, provided m <= bound.  When the iterates do
-    not vanish within the bound, the full sequence up to the bound is
-    returned with index None.  A zero input reports index 1 with the
-    single-entry sequence (0,) by convention.
-    """
-    if bound < 1:
-        raise PcglError("iteration bound must be >= 1")
-    if f.is_zero():
-        return [f], 1
-    powers = [f]
-    for _ in range(bound):
-        nxt = apply_derivation(D, powers[-1])
-        powers.append(nxt)
-        if nxt.is_zero():
-            return powers, len(powers) - 1
-    return powers, None

@@ -37,10 +37,6 @@ class LogBracketMatrix:
                     raise PcglError("log-bracket matrix must be skew-symmetric")
         object.__setattr__(self, "entries", rows)
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
 
 def extract_log_matrix(P) -> LogBracketMatrix:
     """Read off lambda_ij from a presentation whose brackets are all quadratic."""

@@ -70,7 +70,7 @@ def test_criterion_2_cgl(weyl, pplane, bellsig):
         rw = verify_cgl(weyl)
         rp = verify_cgl(pplane)
         rb = verify_cgl(bellsig)
-    l4 = rb.level(4)
+    l4 = rb.levels[3]
     ok = (
         rw.ok
         and rp.ok
@@ -230,9 +230,9 @@ def test_criterion_9_torus_centers():
     cb3 = poisson_center_torus(M3)
     commute = True
     for M, cb in ((M1, cb1), (M2_, cb2), (M3, cb3)):
-        lctx = VarTable(M.ctx.names, (True,) * M.n)
+        lctx = VarTable(M.ctx.names, (True,) * len(M.entries))
         entries = {}
-        for i in range(M.n):
+        for i in range(len(M.entries)):
             for j in range(i):
                 if M.entries[i][j]:
                     entries[(i, j)] = Polynomial.monomial(
@@ -241,7 +241,7 @@ def test_criterion_9_torus_centers():
         table = BracketTable(lctx, entries)
         for vec in cb.kernel:
             mono = Polynomial.monomial(lctx, Monomial.make(dict(enumerate(vec))))
-            for i in range(M.n):
+            for i in range(len(M.entries)):
                 xi = Polynomial.variable(lctx, i)
                 commute = commute and bracket(table, mono, xi).is_zero()
     ok = (

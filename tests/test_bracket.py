@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from pcgl.errors import PreconditionError
-from pcgl.ideals import Ideal
+from pcgl.cgl import PoissonPresentation, _delta_iterates, _level_record
+from pcgl.errors import NotWithinBound, PreconditionError
+from pcgl.grading import GradingData
+from pcgl.ideals import Ideal, lift_through_ideal
 from pcgl.pbracket import (
     BracketTable,
     bracket,
@@ -11,7 +13,7 @@ from pcgl.pbracket import (
     check_jacobi,
     is_poisson_normal,
 )
-from pcgl.qpoly import Derivation, Polynomial, VarTable, parse
+from pcgl.qpoly import Derivation, Polynomial, VarTable, parse, re_context
 from random_poly import random_polynomial
 
 CTX = VarTable(("x", "y", "z", "w"))
@@ -223,36 +225,35 @@ class TestInvariants:
 
     def test_nilpotent_product_rule(self):
         """If delta(e) = e*f with e, f both delta-nilpotent, then delta(e) = 0."""
+        # delta is delta_5 of a tower on x1..x4, t whose only nonzero
+        # brackets are {t, x_i} = delta(x_i), a random polynomial in x_j, j < i
         rng = random.Random(21)
-        ctx = VarTable(("x1", "x2", "x3", "x4"))
+        tower = VarTable(("x1", "x2", "x3", "x4", "t"))
+        ctx = tower.restrict(4)
         qualifying = 0
         while qualifying < 50:
-            images = {0: Polynomial.zero(ctx)}
+            row = {}
             for i in range(1, 4):
-                images[i] = (
-                    random_polynomial(rng, VarTable(ctx.names[:i]), max_degree=2, max_terms=2)
-                    if rng.random() < 0.8
-                    else Polynomial.zero(VarTable(ctx.names[:i]))
-                )
-                from pcgl.qpoly import re_context
-
-                images[i] = re_context(images[i], ctx)
-            d = Derivation(ctx, images)
+                if rng.random() < 0.8:
+                    image = random_polynomial(
+                        rng, VarTable(ctx.names[:i]), max_degree=2, max_terms=2
+                    )
+                    row[(4, i)] = re_context(image, tower)
+            P = PoissonPresentation(tower, BracketTable(tower, row), GradingData(0, ((),) * 5))
+            L = _level_record(P, 5)
+            d = L.delta
             e = random_polynomial(rng, ctx, max_degree=2, max_terms=2)
             if e.is_zero():
                 continue
             de = d(e)
-            from pcgl.ideals import lift_through_ideal
-
             (cof,) = lift_through_ideal([e], [de])
             if cof is None:
                 continue
             f = cof[0]
-            from pcgl.qpoly import iterate_derivation
-
-            _, ie = iterate_derivation(d, e, 25)
-            _, jf = iterate_derivation(d, f, 25)
-            if ie is None or jf is None:
+            try:
+                _delta_iterates(L, e)
+                _delta_iterates(L, f)
+            except NotWithinBound:
                 continue
             qualifying += 1
             assert d(e).is_zero()

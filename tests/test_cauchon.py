@@ -18,7 +18,7 @@ from pcgl.cauchon import (
     theta,
     validate_d_element,
 )
-from pcgl.cgl import LevelData, PoissonPresentation, level_data, verify_cgl
+from pcgl.cgl import LevelData, PoissonPresentation, _delta_iterates, level_data, verify_cgl
 from pcgl.errors import PcglError, PreconditionError, SecondLiftError
 from pcgl.grading import GradingData, weight_of
 from pcgl.ideals import (
@@ -30,13 +30,12 @@ from pcgl.ideals import (
     is_poisson_stable,
     step_limit,
 )
-from pcgl.pbracket import BracketTable, is_poisson_normal
+from pcgl.pbracket import BracketTable, bracket, is_poisson_normal
 from pcgl.qpoly import (
     Derivation,
     Monomial,
     Polynomial,
     VarTable,
-    iterate_derivation,
     parse,
     re_context,
 )
@@ -181,19 +180,17 @@ def reference_theta(L, a):
     delta-iterate of a times x_k^(-l), and s, the index of the last nonzero
     iterate: a reference for the series that theta shares with
     normal_element."""
-    powers, idx = iterate_derivation(L.delta, a, L.pres_R.nilpotency_bound)
+    iterates = _delta_iterates(L, a)
     result = Polynomial.zero(L.hat_ctx)
     coeff = Fraction(1)
     factorial = 1
-    for l, p in enumerate(powers):
-        if p.is_zero():
-            break
+    for l, p in enumerate(iterates):
         if l:
             factorial *= l
             coeff *= Fraction(-1) / L.lambda_k
         xpow = Polynomial.monomial(L.hat_ctx, Monomial.make({L.x_index: -l}))
         result = result + re_context(p, L.hat_ctx) * (coeff / factorial) * xpow
-    return result, idx - 1
+    return result, len(iterates) - 1
 
 
 @pytest.mark.parametrize("name", ["weyl", "pplane", "m2", "2x3"])
@@ -237,7 +234,7 @@ class TestNormalElement:
         res = normal_element(weyl2, base(weyl2, "a"))
         x = res.element
         X = weyl2.x()
-        assert weyl2.pres_R.bracket(x, X) == x * X  # eta = -1
+        assert bracket(weyl2.pres_R.table, x, X) == x * X  # eta = -1
 
     def test_rejects_non_normal(self, m24):
         with pytest.raises(PreconditionError):

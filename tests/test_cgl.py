@@ -6,14 +6,16 @@ import pytest
 
 from pcgl.cgl import (
     PoissonPresentation,
+    _delta_iterates,
+    _level_record,
     level_data,
     split_bracket,
     verify_cgl,
 )
 from pcgl.cli import main
-from pcgl.errors import PcglError, TriangularityError
+from pcgl.errors import NotWithinBound, PcglError, TriangularityError
 from pcgl.grading import GradingData, weight_of
-from pcgl.pbracket import BracketTable, check_delta_condition
+from pcgl.pbracket import BracketTable, bracket, check_delta_condition
 from pcgl.qpoly import Polynomial, VarTable, parse
 from reference import lie_act
 from test_matrices import matrix_presentation
@@ -59,6 +61,12 @@ class TestSplitBracket:
                 grading=GradingData(2, ((1, 0), (0, 1))),
             )
 
+    def test_nilpotency_bound_below_one_rejected_at_construction(self, weyl):
+        with pytest.raises(PcglError, match="nilpotency bound must be >= 1"):
+            PoissonPresentation(
+                ctx=weyl.ctx, table=weyl.table, grading=weyl.grading, nilpotency_bound=0
+            )
+
     def test_negative_power_refused_by_check(self, tmp_path, capsys):
         path = tmp_path / "pres.json"
         path.write_text(json.dumps({
@@ -76,25 +84,37 @@ class TestVerify:
     def test_weyl_passes(self, weyl):
         report = verify_cgl(weyl)
         assert report.ok
-        assert report.level(2).lambda_k == 1
+        assert report.levels[1].lambda_k == 1
 
     def test_pplane_passes(self, pplane):
         report = verify_cgl(pplane)
         assert report.ok
-        assert report.level(2).nilpotency == {0: 1}
+        assert report.levels[1].nilpotency == {0: 1}
 
     def test_bellsig_fails(self, bellsig):
         report = verify_cgl(bellsig)
         assert not report.ok
-        l4 = report.level(4)
+        l4 = report.levels[3]
         assert l4.nilpotency[0] is None and l4.nilpotency[1] is None
         assert not l4.h_ok
         assert 0 in l4.likely_not_nilpotent and 1 in l4.likely_not_nilpotent
 
+    def test_bound_overrun_carries_the_iterates(self, bellsig):
+        # the iterates x_1, ..., delta^bound(x_1) that the degree-growth
+        # note of verify_cgl reads
+        L = _level_record(bellsig, 4)
+        with pytest.raises(NotWithinBound) as exc:
+            _delta_iterates(L, Polynomial.variable(L.delta.ctx, 0))
+        iterates = exc.value.iterates
+        assert len(iterates) == bellsig.nilpotency_bound + 1
+        assert iterates[0] == Polynomial.variable(L.delta.ctx, 0)
+        assert not iterates[-1].is_zero()
+        assert all(L.delta(p) == q for p, q in zip(iterates, iterates[1:]))
+
     def test_m2_passes(self, m2):
         report = verify_cgl(m2)
         assert report.ok
-        assert report.level(4).lambda_k == -2
+        assert report.levels[3].lambda_k == -2
 
     def test_supplied_h_is_validated(self, weyl):
         good = PoissonPresentation(
@@ -112,7 +132,7 @@ class TestVerify:
         )
         report = verify_cgl(bad)
         assert not report.ok
-        assert not report.level(2).h_ok
+        assert not report.levels[1].h_ok
 
     def test_report_serializes(self, weyl):
         d = verify_cgl(weyl).to_json_dict()
@@ -146,7 +166,7 @@ class TestSharedDerivation:
                     assert str(exc.value) == L.problems[0]
                 else:
                     assert level_data(P, k) is L
-                rep = report.level(k)
+                rep = report.levels[k - 1]
                 assert (rep.h, rep.lambda_k) == (L.h_k, L.lambda_k)
                 assert rep.notes[len(rep.likely_not_nilpotent):] == list(L.problems)
                 assert rep.h_ok == (not L.problems)
@@ -187,7 +207,7 @@ class TestSharedDerivation:
             grading=GradingData(1, ((0,), (1,))),
         )
         for _ in range(2):
-            level = verify_cgl(P).level(2)
+            level = verify_cgl(P).levels[1]
             assert not level.sigma_diagonal_ok and not level.h_ok
             assert level.notes == ["sigma(x_1) = a + 1 is not a scalar multiple of x_1"]
             with pytest.raises(PcglError, match="not a scalar multiple"):
@@ -204,10 +224,10 @@ class TestSharedDerivation:
             h=((Fraction(1),), (Fraction(2),)),
         )
         first = verify_cgl(P)
-        first.level(2).notes.append("edited")
+        first.levels[1].notes.append("edited")
         second = verify_cgl(P)
         assert second is not first
-        assert second.level(2).notes == ["supplied h_2 does not realize sigma_2"]
+        assert second.levels[1].notes == ["supplied h_2 does not realize sigma_2"]
 
 
 class TestRestrict:
@@ -230,7 +250,7 @@ class TestRestrict:
         for k in range(1, 4):
             sub = verify_cgl(m2.restrict(k))
             for lev in range(1, k + 1):
-                assert sub.level(lev).ok == full.level(lev).ok
+                assert sub.levels[lev - 1].ok == full.levels[lev - 1].ok
 
     def test_out_of_range(self, weyl):
         with pytest.raises(PcglError):
@@ -250,7 +270,7 @@ class TestLevelInvariants:
 
                 sig = re_context(L.sigma.images[j], L.pres_R.ctx)
                 dl = re_context(L.delta.images[j], L.pres_R.ctx)
-                assert L.pres_R.bracket(xk, a_R) == sig * xk + dl
+                assert bracket(L.pres_R.table, xk, a_R) == sig * xk + dl
 
     def test_lie_act_matches_sigma(self, m2):
         report = verify_cgl(m2)
@@ -260,7 +280,7 @@ class TestLevelInvariants:
             for j in range(k - 1):
                 xj = Polynomial.variable(L.pres_A.ctx, j)
                 assert lie_act(G_A, L.h_k, xj) == L.sigma(xj)
-            assert report.level(k).lambda_k == L.lambda_k
+            assert report.levels[k - 1].lambda_k == L.lambda_k
 
     def test_delta_condition_every_level(self, m2):
         for k in range(2, 5):
@@ -272,7 +292,6 @@ class TestLevelInvariants:
         # identity on random polynomial pairs as defense in depth
         import random
 
-        from pcgl.pbracket import bracket
         from random_poly import random_polynomial
 
         rng = random.Random(53)

@@ -4,8 +4,10 @@
   that is defined in src/pcgl but read nowhere there is dead code.
 - A public module-level function or class of src/pcgl, or a public method
   of such a class, needs a reader in src/pcgl outside its own body, or in
-  the benchmark (`perfbench/*.py`).  Importing a name, as `__init__.py`
-  does to re-export it, does not read it.  A public name kept for a reader
+  the benchmark (`perfbench/*.py`).  A method is read only as an attribute
+  (`x.name`): a function of the same name read as a variable does not
+  read the method.  Importing a name, as `__init__.py` does to re-export
+  it, does not read it.  A public name kept for a reader
   that this test does not parse, the README or an open ROADMAP item, is
   listed in `PUBLIC_READERS` with that reader.  A name that only tests
   read is an oracle and lives in the test tree (`tests/reference.py`).
@@ -68,23 +70,24 @@ def private_definitions(tree, module):
 
 
 def reads(node, own=None):
-    """Every name read under node as a variable or as an attribute, except
-    `own`, the name node defines: a helper calling only itself is dead."""
+    """Every name read under node, as a variable (`name`) or as an
+    attribute (`.name`), except `own`, the name node defines: a helper
+    calling only itself is dead."""
     for leaf in ast.walk(node):
         if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load):
-            name = leaf.id
+            name, read = leaf.id, leaf.id
         elif isinstance(leaf, ast.Attribute):
-            name = leaf.attr
+            name, read = leaf.attr, "." + leaf.attr
         else:
             continue
         if name != own:
-            yield name
+            yield read
 
 
 def references(tree):
-    """Every name read in tree outside the body that defines it: a
-    module-level function or class, or a method, that only reads itself
-    has no reader."""
+    """Every name read in tree outside the body that defines it, as
+    `reads` gives it: a module-level function or class, or a method, that
+    only reads itself has no reader."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -106,7 +109,7 @@ def test_every_private_helper_is_referenced():
     for module, tree in parsed(SOURCES).items():
         for name, where in private_definitions(tree, module):
             defined.setdefault(name, where)
-        used.update(references(tree))
+        used.update(name.lstrip(".") for name in references(tree))
     unused = {name: where for name, where in defined.items() if name not in used}
     assert not unused, unused
 
@@ -124,19 +127,21 @@ def test_the_guard_sees_helpers_and_their_references():
     )
     defined = {name for name, _ in private_definitions(tree, "m.py")}
     assert defined == {"_LIMIT", "_dead", "_alive", "_gone", "_kept", "_self_only"}
-    assert defined - set(references(tree)) == {"_dead", "_gone", "_self_only"}
+    used = {name.lstrip(".") for name in references(tree)}
+    assert defined - used == {"_dead", "_gone", "_self_only"}
 
 
 def public_definitions(tree, module):
-    """(name, where) for each public module-level function or class, and
-    each public method of a public module-level class."""
+    """(name, where, how it is read) for each public module-level function
+    or class, read as `name` or `.name`, and each public method of a public
+    module-level class, read only as `.name`."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, f"{module}:{node.lineno}"
+            yield node.name, f"{module}:{node.lineno}", {node.name, "." + node.name}
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, functions) and not item.name.startswith("_"):
-                    yield item.name, f"{module}:{node.name}.{item.name}"
+                    yield item.name, f"{module}:{node.name}.{item.name}", {"." + item.name}
 
 
 def public_surface_faults(modules, readers, allowlist):
@@ -144,16 +149,18 @@ def public_surface_faults(modules, readers, allowlist):
     `modules` or `readers` reads and `allowlist` does not name, with where
     each is defined; and the allowlist entries that name no public
     definition."""
-    defined, used = {}, set()
+    defined, used = [], set()
     for module, tree in modules.items():
-        for name, where in public_definitions(tree, module):
-            defined.setdefault(name, where)
+        defined += public_definitions(tree, module)
         used.update(references(tree))
     for tree in readers:
         used.update(references(tree))
-    kept = used | set(allowlist)
-    unread = {name: where for name, where in defined.items() if name not in kept}
-    return unread, sorted(set(allowlist) - set(defined))
+    unread = {
+        name: where
+        for name, where, read_as in defined
+        if not read_as & used and name not in allowlist
+    }
+    return unread, sorted(set(allowlist) - {name for name, _, _ in defined})
 
 
 def test_every_public_name_has_a_reader():
@@ -187,6 +194,25 @@ def test_the_guard_sees_unread_public_names():
     assert unread["unread_method"] == "m.py:Box.unread_method"
     assert stale == ["gone"]
     assert public_surface_faults(modules, [reader], {})[0].keys() == set(unread) | {"kept"}
+
+
+def test_a_function_read_does_not_read_a_method_of_its_name():
+    # a method is read only as an attribute, and a function also as one
+    modules = {
+        "m.py": ast.parse(
+            "def bracket(f, g):\n    return f\n"
+            "def helper():\n    pass\n"
+            "class Pres:\n"
+            "    def bracket(self, f, g):\n        return bracket(f, g)\n"
+            "    def size(self):\n        return 1\n"
+            "def use(p):\n    return bracket(p, p), p.size()\n"
+        )
+    }
+    reader = ast.parse("import m\nm.use(m.helper())\n")
+    unread, _ = public_surface_faults(modules, [reader], {})
+    assert unread == {"bracket": "m.py:Pres.bracket", "Pres": "m.py:5"}
+    reader = ast.parse("import m\nm.use(m.Pres().bracket(1, 2))\n")
+    assert public_surface_faults(modules, [reader], {}) == ({"helper": "m.py:3"}, [])
 
 
 def function_level_imports(node, name, in_function=False):

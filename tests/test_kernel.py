@@ -268,7 +268,8 @@ def sp():
 
 
 def to_sympy(sp, f: Polynomial):
-    syms = sp.symbols("x y z")
+    """f as a sympy expression in symbols named as its variables."""
+    syms = sp.symbols(f.ctx.names)
     expr = sp.Integer(0)
     for m, c in f.terms.items():
         term = sp.Rational(c.numerator, c.denominator)

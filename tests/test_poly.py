@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import pickle
 import random
@@ -6,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from pcgl.cgl import _delta_iterates, _level_record
 from pcgl.errors import (
     ContextMismatch,
     MissingImage,
     NegativeExponent,
+    NotWithinBound,
     ParseError,
     PcglError,
     UnknownVariable,
@@ -24,7 +27,6 @@ from pcgl.qpoly import (
     Polynomial,
     VarTable,
     _qdiv,
-    iterate_derivation,
     parse,
     re_context,
 )
@@ -159,27 +161,23 @@ class TestDerivation:
 
 
 class TestIterate:
-    def test_simple_nilpotent(self):
-        ctx = VarTable(("a",))
-        d = Derivation(ctx, {0: Polynomial.constant(ctx, 1)})
-        powers, idx = iterate_derivation(d, parse("a", ctx), 10)
-        assert idx == 2
-        assert [str(p) for p in powers] == ["a", "1", "0"]
+    def test_simple_nilpotent(self, weyl):
+        # delta_2(a) = 1 on the Weyl tower: the nonzero iterates a, 1
+        L = _level_record(weyl, 2)
+        iterates = _delta_iterates(L, parse("a", L.delta.ctx))
+        assert [str(p) for p in iterates] == ["a", "1"]
 
-    def test_zero_input_convention(self):
-        ctx = VarTable(("a",))
-        d = Derivation(ctx, {0: Polynomial.constant(ctx, 1)})
-        powers, idx = iterate_derivation(d, Polynomial.zero(ctx), 10)
-        assert idx == 1
-        assert len(powers) == 1 and powers[0].is_zero()
-
-    def test_not_within_bound_degrees_grow(self):
-        d = Derivation(CTX, {0: poly("2*y*z"), 1: poly("x + y^2"), 2: poly("0")})
-        powers, idx = iterate_derivation(d, poly("y"), 6)
-        assert idx is None
-        degs = [p.total_degree() for p in powers]
+    def test_not_within_bound_degrees_grow(self, bellsig):
+        # delta_4 of bellsig: x -> 2yz, y -> x + y^2, z -> 0
+        L = _level_record(dataclasses.replace(bellsig, nilpotency_bound=6), 4)
+        ctx = L.delta.ctx
+        with pytest.raises(NotWithinBound) as exc:
+            _delta_iterates(L, poly("y", ctx))
+        iterates = exc.value.iterates
+        assert len(iterates) == 7
+        degs = [p.total_degree() for p in iterates]
         # second iterate is 2yz + 2y(x + y^2) != 0 and degrees strictly grow
-        assert powers[2] == poly("2*y*z + 2*x*y + 2*y^3")
+        assert iterates[2] == poly("2*y*z + 2*x*y + 2*y^3", ctx)
         assert all(a < b for a, b in zip(degs[1:], degs[2:]))
 
 

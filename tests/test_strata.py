@@ -19,7 +19,7 @@ from pcgl.strata import (
 
 def laurent_presentation(M: LogBracketMatrix):
     """Torus presentation with brackets lambda_ij x_i x_j on Laurent variables."""
-    n = M.n
+    n = len(M.entries)
     ctx = VarTable(M.ctx.names, (True,) * n)
     entries = {}
     for i in range(n):
@@ -93,7 +93,7 @@ class TestCenter:
         ctx, table = laurent_presentation(M)
         for vec in cb.kernel:
             mono = Polynomial.monomial(ctx, Monomial.make(dict(enumerate(vec))))
-            for i in range(M.n):
+            for i in range(len(M.entries)):
                 xi = Polynomial.variable(ctx, i)
                 assert bracket(table, mono, xi).is_zero()
 
