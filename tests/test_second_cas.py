@@ -55,7 +55,7 @@ def leaf_faults(sp, P):
         ours = [monic(sp, to_sympy(sp, g), syms) for g in node.ideal.groebner()]
         gens = [to_sympy(sp, g) for g in node.ideal.generators]
         gb = sympy_groebner(sp, gens, syms, "grevlex") if gens else None
-        theirs = [monic(sp, g, syms) for g in gb.exprs] if gb else []
+        theirs = [monic(sp, g, syms) for g in gb.exprs] if gens else []
         if {g.as_expr() for g in ours} != {g.as_expr() for g in theirs}:
             faults.append((label, "basis"))
         for g in ours:
