@@ -37,6 +37,7 @@ from .ideals import (
     contract_to_prefix,
     extend,
     ideal_equal,
+    inclusion_order,
     intersect,
     is_h_stable,
     is_poisson_stable,
@@ -51,10 +52,6 @@ from .qpoly import (
     _qdiv,
     re_context,
 )
-
-# total-degree bound of the pairwise products among the separating element
-# candidates (`_normal_candidates`)
-SEPARATION_DEGREE_BOUND = 4
 
 
 def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
@@ -470,25 +467,13 @@ class HPrimeTree:
         }
 
     def to_dot(self) -> str:
-        """Hasse diagram of the top-level poset, ordered by inclusion."""
+        """Hasse diagram of the top-level poset: the covers of the inclusion
+        order of its leaves (`inclusion_order`)."""
         leaves = self.leaves()
-        names = [f"n{i}" for i in range(len(leaves))]
-        below = [
-            [i != j and contains(leaves[j].ideal, leaves[i].ideal) for j in range(len(leaves))]
-            for i in range(len(leaves))
-        ]
-        lines = ["digraph hprimes {", "  rankdir=BT;"]
-        for i, leaf in enumerate(leaves):
-            lines.append(f'  {names[i]} [label="{leaf.label()}"];')
-        for i in range(len(leaves)):
-            for j in range(len(leaves)):
-                if not below[i][j]:
-                    continue
-                if any(below[i][k] and below[k][j] for k in range(len(leaves))):
-                    continue
-                lines.append(f"  {names[i]} -> {names[j]};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        _, covers = inclusion_order([leaf.ideal for leaf in leaves])
+        nodes = [f'  n{i} [label="{leaf.label()}"];' for i, leaf in enumerate(leaves)]
+        edges = [f"  n{i} -> n{j};" for i, up in enumerate(covers) for j in up]
+        return "\n".join(["digraph hprimes {", "  rankdir=BT;", *nodes, *edges, "}"]) + "\n"
 
 
 def enumerate_hprimes(P: PoissonPresentation) -> HPrimeTree:
@@ -602,20 +587,17 @@ class SeparationResult:
 
 
 def _normal_candidates(L: LevelData, W: Ideal, modulo: Ideal):
-    """Yield the homogeneous elements of the ideal W of A that are
-    Poisson-normal modulo the ideal `modulo` of A (which may be 0);
-    heuristic: basis elements and their bounded pairwise products, in a
-    fixed order.  Normality is checked lazily, so the candidates after the
-    first one a caller accepts are never examined.  The sorted candidate
-    list is built once per ideal W: memoized in L.pres_R._cache, the
-    presentation's own at the top level, under W's reduced grevlex basis."""
-    G_A = L.pres_A.grading
+    """Yield the homogeneous elements of W's reduced grevlex basis, W an
+    ideal of A, that are Poisson-normal modulo the ideal `modulo` of A
+    (which may be 0), by total degree, then text.  Normality is checked
+    lazily, so the candidates after the first one a caller accepts are
+    never examined.  The sorted candidate list is built once per ideal W:
+    memoized in L.pres_R._cache, the presentation's own at the top level,
+    under W's reduced grevlex basis."""
 
     def compute():
-        singles = [g for g in W.groebner() if weight_of(G_A, g) is not None]
-        pairs = itertools.combinations_with_replacement(singles, 2)
-        products = [p for a, b in pairs if (p := a * b).total_degree() <= SEPARATION_DEGREE_BOUND]
-        return tuple(sorted(singles + products, key=lambda p: (p.total_degree(), str(p))))
+        homogeneous = [g for g in W.groebner() if weight_of(L.pres_A.grading, g) is not None]
+        return tuple(sorted(homogeneous, key=lambda g: (g.total_degree(), str(g))))
 
     cache = L.pres_R._cache
     candidates = _memo(cache, ("candidates", W.groebner()), compute)
@@ -653,8 +635,8 @@ def _split(P: PoissonPresentation, I: Ideal):
 
 
 def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationResult | None:
-    """A Poisson-normal eigenvector of R/P lying in Q/P, or None when the
-    heuristic search is inconclusive (nonexistence is never claimed).
+    """A Poisson-normal eigenvector of R/P lying in Q/P, or None when no
+    reduced-basis element tried is one (nonexistence is never claimed).
 
     Precondition: P0 = P cap A, the contraction to the ring A below the
     top variable x_N, is delta_N-stable.  Every torus-stable Poisson P

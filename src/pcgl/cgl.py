@@ -320,11 +320,12 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
     """
     reports = []
     graded_bad = set(graded_bracket_failures(P.grading, P.table))
+    jacobi_bad = {f[0] for f in check_jacobi(P.table).failures}
     for k in range(1, P.nvars + 1):
         rep = LevelReport(level=k)
         reports.append(rep)
         i = k - 1
-        rep.jacobi_ok = check_jacobi(P.table, max_index=i).ok
+        rep.jacobi_ok = i not in jacobi_bad
         rep.graded_ok = not any(p[0] == i for p in graded_bad)
         try:
             L = _level_record(P, k)

@@ -481,6 +481,19 @@ def contains(I: Ideal, J: Ideal) -> bool:
     return all(I.member(g)[0] for g in J.generators)
 
 
+def inclusion_order(ideals):
+    """(above, covers) for a list of ideals: above[i] lists the j with
+    ideals[i] strictly inside ideals[j], covers[i] those of them with no
+    ideal of the list strictly between, both in increasing order.  Equal
+    ideals held in different objects are not strictly inside each other."""
+    idx = range(len(ideals))
+    inside = [[i != j and contains(ideals[j], ideals[i]) for j in idx] for i in idx]
+    strict = [[inside[i][j] and not inside[j][i] for j in idx] for i in idx]
+    above = [[j for j in idx if strict[i][j]] for i in idx]
+    covers = [[j for j in up if not any(strict[k][j] for k in up)] for up in above]
+    return above, covers
+
+
 def extend(I: Ideal, ctx: VarTable) -> Ideal:
     """The ideal that I generates in a ring whose variables extend I's by
     later ones, with I's reduced basis handed over: grevlex on the larger

@@ -131,18 +131,17 @@ def jacobiator(B: BracketTable, i: int, j: int, k: int) -> Polynomial:
     )
 
 
-def check_jacobi(B: BracketTable, max_index: int | None = None) -> JacobiReport:
+def check_jacobi(B: BracketTable) -> JacobiReport:
     """Evaluate the Jacobiator on all generator triples i > j > k.
 
     This suffices for the full Jacobi identity: the Jacobiator of a
     biderivation extension is itself a derivation in each argument, hence
-    determined by its values on generator triples.  When ``max_index`` is
-    given, only triples with largest index equal to it are checked.
+    determined by its values on generator triples.  The failures are
+    (i, j, k, Jacobiator), in increasing order of i, then j, then k.
     """
     n = len(B.ctx)
     failures = []
-    tops = range(n) if max_index is None else [max_index]
-    for i in tops:
+    for i in range(n):
         for j in range(i):
             for k in range(j):
                 r = jacobiator(B, i, j, k)

@@ -116,6 +116,16 @@ class TestVerify:
         assert report.ok
         assert report.levels[3].lambda_k == -2
 
+    @pytest.mark.parametrize("entry, text", [((3, 1), "-2*b*d"), ((2, 0), "-2*a*c")])
+    def test_a_jacobi_failure_is_reported_at_its_level(self, m2, entry, text):
+        # either changed entry of m2, {d, b} or the level-3 entry {c, a},
+        # breaks the Jacobi identity only on triples whose top generator
+        # is d, so that level 4 alone reports it
+        entries = dict(m2.table.pairs())
+        entries[entry] = parse(text, m2.ctx)
+        P = dataclasses.replace(m2, table=BracketTable(m2.ctx, entries))
+        assert [level.jacobi_ok for level in verify_cgl(P).levels] == [True, True, True, False]
+
     def test_supplied_h_is_validated(self, weyl):
         good = PoissonPresentation(
             ctx=weyl.ctx,

@@ -12,10 +12,8 @@ import json
 import random
 from pathlib import Path
 
-import pytest
-
 from pcgl.cli import main
-from pcgl.ideals import Ideal, contains
+from pcgl.ideals import Ideal, inclusion_order
 from pcgl.qpoly import VarTable, parse
 
 from test_matrices import towers
@@ -46,11 +44,7 @@ def commands(path, rng):
     ctx = VarTable(tuple(f"x{i}{j}" for i in (1, 2) for j in (1, 2, 3)))
     names = ctx.names
     ideals = [Ideal(ctx, [parse(t, ctx) for t in gens]) for gens in leaves]
-    above = [
-        [j for j, J in enumerate(ideals) if contains(J, I) and not contains(I, J)]
-        for I in ideals
-    ]
-    covers = [[j for j in up if not any(j in above[k] for k in up)] for up in above]
+    _, covers = inclusion_order(ideals)
     cmds = []
     for k in range(10):
         i = rng.choice([i for i, gens in enumerate(leaves) if len(gens) < 2])

@@ -17,6 +17,7 @@ from pcgl.ideals import (
     eliminate,
     h_core,
     ideal_equal,
+    inclusion_order,
     is_h_stable,
     is_poisson_stable,
     lift_through_ideal,
@@ -139,6 +140,15 @@ class TestMember:
             with pytest.raises(ContextMismatch):
                 contains(I, Ideal(f.ctx, [f]))
         assert I.member(parse("a*b", VarTable(("a", "b"))))[0]
+
+    def test_inclusion_order(self):
+        # the chain (x) < (x, y) < (x, y, z), the side branch (x, z), and a
+        # second object equal to (x, y): equal ideals are not strictly
+        # inside each other, and both cover (x)
+        ideals = [Ideal(CTX3, [p3(t) for t in gens.split()]) for gens in ("x", "x y", "x y z", "x z", "y x")]
+        above, covers = inclusion_order(ideals)
+        assert above == [[1, 2, 3, 4], [2], [], [2], [2]]
+        assert covers == [[1, 3, 4], [2], [], [2], [2]]
 
     def test_lift_certificates(self):
         gens = [p3("x - y"), p3("y^2 - z")]

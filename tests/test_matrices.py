@@ -12,7 +12,6 @@ import importlib.util
 import json
 import pickle
 import random
-import re
 import traceback
 from collections import Counter
 from fractions import Fraction
@@ -28,10 +27,10 @@ from pcgl.cli import fixture_path, load_presentation, load_presentation_data
 from pcgl.errors import ContextMismatch, StepBudgetExceeded
 from pcgl.ideals import (
     Ideal,
-    contains,
     contract_to_prefix,
     dimension,
     ideal_equal,
+    inclusion_order,
     is_h_stable,
     is_poisson_stable,
     step_limit,
@@ -116,12 +115,11 @@ def test_two_by_three_minor_lifts():
 def test_two_by_three_hasse_diagram():
     # the 130 cover edges of the inclusion poset, each dropping dim R/J by
     # exactly one, as catenarity with a height formula predicts
-    tree = enumerate_hprimes(matrix_presentation(2, 3))
-    leaves, dot = tree.leaves(), tree.to_dot()
-    edges = re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M)
-    assert len(edges) == 130
+    leaves = enumerate_hprimes(matrix_presentation(2, 3)).leaves()
+    _, covers = inclusion_order([leaf.ideal for leaf in leaves])
+    assert sum(map(len, covers)) == 130
     dims = [dimension(leaf.ideal) for leaf in leaves]
-    assert all(dims[int(i)] - dims[int(j)] == 1 for i, j in edges)
+    assert all(dims[i] - dims[j] == 1 for i, up in enumerate(covers) for j in up)
 
 
 def test_two_by_three_normality_checks(monkeypatch):
@@ -221,12 +219,8 @@ SEPARATION_GOLDEN = Path(__file__).parent / "golden" / "separation.json"
 
 def nested_pairs(leaves):
     """The nested pairs P < Q of the leaves, in the order of the leaves."""
-    return [
-        (a, b)
-        for a in leaves
-        for b in leaves
-        if a is not b and contains(b.ideal, a.ideal) and not contains(a.ideal, b.ideal)
-    ]
+    above, _ = inclusion_order([leaf.ideal for leaf in leaves])
+    return [(leaves[i], leaves[j]) for i, up in enumerate(above) for j in up]
 
 
 def separation_rows(P, pairs=None):
@@ -304,11 +298,11 @@ def three_by_three():
 @pytest.fixture(scope="module")
 def three_by_three_covers(three_by_three):
     """The 937 cover edges of the 3x3 Hasse diagram as (P, Q) pairs of leaf
-    indices, P below Q, read once for the module from `to_dot`, which alone
-    takes about a second."""
+    indices, P below Q, computed once for the module by `inclusion_order`,
+    which alone takes about a second."""
     _, tree, _ = three_by_three
-    edges = re.findall(r"^  n(\d+) -> n(\d+);$", tree.to_dot(), re.M)
-    return [(int(i), int(j)) for i, j in edges]
+    _, covers = inclusion_order([leaf.ideal for leaf in tree.leaves()])
+    return [(i, j) for i, up in enumerate(covers) for j in up]
 
 
 def test_three_by_three(three_by_three, three_by_three_covers):

@@ -42,7 +42,6 @@ from pcgl.cauchon import (
     validate_d_element,
 )
 from pcgl.cgl import level_data
-from pcgl.cli import fixture_path, load_presentation
 from pcgl.errors import PcglError
 from pcgl.grading import monomial_weight, weight_of
 from pcgl.ideals import (
@@ -65,15 +64,9 @@ from pcgl.pbracket import bracket, generator_brackets
 from pcgl.qpoly import Monomial, Polynomial, parse, re_context
 from random_poly import random_polynomial
 from reference import partial
-from test_matrices import matrix_presentation
+from test_matrices import matrix_presentation, tower
 
 TOWERS = ["m2", "weyl", "pplane", "2x3"]
-
-
-def tower(name):
-    if name == "2x3":
-        return matrix_presentation(2, 3)
-    return load_presentation(fixture_path(name))[0]
 
 
 def random_element(rng, ctx):
@@ -215,7 +208,7 @@ def naive_closure(B, I):
     ("bellsig", 2), ("m2", 2), ("weyl", 2), ("pplane", 1), ("2x3", 2),
 ])
 def test_poisson_closure_matches_the_naive_loop(name, rounds):
-    P = tower(name) if name != "bellsig" else load_presentation(fixture_path(name))[0]
+    P = tower(name)
     rng = random.Random(name)
     most = 0
     for _ in range(8):
@@ -300,7 +293,7 @@ CHANGED_TAILS = [
 
 @pytest.mark.parametrize("name, texts", CHANGED_TAILS)
 def test_poisson_closure_brackets_a_changed_tail(name, texts):
-    P = tower(name) if name != "bellsig" else load_presentation(fixture_path(name))[0]
+    P = tower(name)
     I = Ideal(P.ctx, [parse(t, P.ctx) for t in texts])
     closed, adjoined = poisson_closure(P.table, I, trace=True)
     bases, naive = naive_closure(P.table, I)
