@@ -139,9 +139,8 @@ def check_jacobi(B: BracketTable) -> JacobiReport:
     determined by its values on generator triples.  The failures are
     (i, j, k, Jacobiator), in increasing order of i, then j, then k.
     """
-    n = len(B.ctx)
     failures = []
-    for i in range(n):
+    for i in range(len(B.ctx)):
         for j in range(i):
             for k in range(j):
                 r = jacobiator(B, i, j, k)

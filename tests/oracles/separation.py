@@ -5,8 +5,8 @@ For each tower it separates the 7,329 (3x3) and 3,239 (2x4) nested pairs
 P < Q and checks the number of pairs, the number the search misses
 (returns None for) and the SHA-256 of the sorted rows [P label, Q label,
 element, case], with None for a miss, against the values first recorded
-for them.  It prints the missed pairs, which are the work list of ROADMAP
-item 17, one line per tower, and exits 1 on any change; about 12 s.
+for them.  It prints each missed pair, the work list of ROADMAP item 17,
+then one line per tower, and exits 1 on any change; about 12 s.
 
 Item 17 will lower the miss counts (34 on 3x3, 12 on 2x4).  The change
 that does so updates these pins and lists each pair whose row changed.

@@ -145,7 +145,8 @@ class TestMember:
         # the chain (x) < (x, y) < (x, y, z), the side branch (x, z), and a
         # second object equal to (x, y): equal ideals are not strictly
         # inside each other, and both cover (x)
-        ideals = [Ideal(CTX3, [p3(t) for t in gens.split()]) for gens in ("x", "x y", "x y z", "x z", "y x")]
+        gens = ["x", "x y", "x y z", "x z", "y x"]
+        ideals = [Ideal(CTX3, [p3(t) for t in g.split()]) for g in gens]
         above, covers = inclusion_order(ideals)
         assert above == [[1, 2, 3, 4], [2], [], [2], [2]]
         assert covers == [[1, 3, 4], [2], [], [2], [2]]
