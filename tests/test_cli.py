@@ -361,6 +361,10 @@ README_COMMANDS = {
     "closure_bellsig": ("closure", BELLSIG, "-g", "x"),
     "hcore_weyl": ("hcore", WEYL, "-g", "a + X^2"),
     "chain_bellsig": ("chain", BELLSIG, "--ideal", "0", "--ideal", "x;y", "--ideal", "x;y;z"),
+    "chain_m2": (
+        "chain", M2, "--ideal", "0", "--ideal", "b*c - a*d", "--ideal", "c;d",
+        "--ideal", "b;c;d", "--ideal", "a;b;c;d",
+    ),
     "center_pplane": ("center", PPLANE),
 }
 
