@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -115,7 +114,7 @@ def make_primitive(f: Polynomial, order) -> Polynomial:
     scale = _qdiv(denom_lcm, content)
     if f.terms[leading_monomial(f, order)] < 0:
         scale = -scale
-    return f * scale
+    return f if scale == 1 else f * scale
 
 
 class _Budget:
@@ -301,8 +300,8 @@ def _minus_combination(rep, qs, reps):
 
 def buchberger(generators, order):
     """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
-    basis, _, _ = _buchberger_loop(generators, order, _Budget())
-    return reduce_basis(basis, order)
+    basis, lms, _ = _buchberger_loop(generators, order, _Budget())
+    return reduce_basis(basis, lms, order)
 
 
 def _add_pair(pairs, lms, sugars, i, j, order):
@@ -316,32 +315,28 @@ def _add_pair(pairs, lms, sugars, i, j, order):
     pairs[(i, j)] = (sugar, order.key(l))
 
 
-def reduce_basis(basis, order):
-    """Minimal, tail-reduced, monic basis (the unique reduced GB)."""
-    keyed = []  # (order key of the leading monomial, leading monomial, element)
-    for g in basis:
-        if not g.is_zero():
-            lm = leading_monomial(g, order)
-            keyed.append((order.key(lm), lm, g))
-    keyed.sort(key=lambda t: t[0])
+def reduce_basis(basis, lms, order):
+    """Minimal, tail-reduced, monic basis (the unique reduced GB) of a Groebner
+    basis with leading monomials `lms`.  A one-term element has no tail to
+    divide, and one with leading coefficient 1 is not rescaled."""
+    keyed = sorted(((order.key(lm), lm, g) for g, lm in zip(basis, lms)), key=lambda t: t[0])
     # minimalize: a leading monomial divisible by an earlier one is redundant;
     # the masks reject most earlier ones before any exponent comparison
     kept = []
-    for k, lm, g in keyed:
+    for _, lm, g in keyed:
         outside = ~lm.mask()
-        if not any(not other.mask() & outside and other.divides(lm) for _, other, _ in kept):
-            kept.append((k, lm, g))
+        if not any(not other.mask() & outside and other.divides(lm) for other, _ in kept):
+            kept.append((lm, g))
     # tail-reduce each element by the others and normalize to monic, on one
-    # divisor table for all of them
-    table = _divisor_table([t[2] for t in kept], [t[1] for t in kept])
+    # divisor table for all of them; the leading terms stay, and so does the order
+    table = _divisor_table([g for _, g in kept], [lm for lm, _ in kept])
     reduced = []
-    for i, (k, lm, g) in enumerate(kept):
-        if len(kept) > 1:
+    for i, (lm, g) in enumerate(kept):
+        if len(g.terms) > 1 and len(kept) > 1:
             g = _divide(g, table[:i] + table[i + 1 :], order)
-        if not g.is_zero():
-            reduced.append((k, g * _qdiv(1, g.terms[lm])))
-    reduced.sort(key=lambda t: t[0])
-    return tuple(g for _, g in reduced)
+        lc = g.terms[lm]
+        reduced.append(g if lc == 1 else g * _qdiv(1, lc))
+    return tuple(reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +403,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb: dict = {}
-        self._divisors = None  # divisor table of the grevlex basis
+        self._divisors = self._elements = None  # the grevlex basis's divisor table and set
 
     @classmethod
     def zero(cls, ctx: VarTable) -> "Ideal":
@@ -443,13 +438,21 @@ class Ideal:
         variable table raises ContextMismatch."""
         if f.ctx is not self.ctx and f.ctx != self.ctx:
             raise ContextMismatch("element over wrong variable table")
-        gb = self.groebner()
-        if not gb:
-            return f
+        table = self._grevlex_table()
+        return _divide(f, table, _GREVLEX) if table else f
+
+    def _grevlex_table(self):
+        """The divisor table of the reduced grevlex basis, built on first use."""
         if self._divisors is None:
-            lms = [leading_monomial(g, _GREVLEX) for g in gb]
-            self._divisors = _divisor_table(gb, lms)
-        return _divide(f, self._divisors, _GREVLEX)
+            gb = self.groebner()
+            self._divisors = _divisor_table(gb, [leading_monomial(g, _GREVLEX) for g in gb])
+        return self._divisors
+
+    def _basis_set(self) -> frozenset:
+        """The reduced grevlex basis as a set, built on first use."""
+        if self._elements is None:
+            self._elements = frozenset(self.groebner())
+        return self._elements
 
     def member(self, f: Polynomial):
         nf = self.normal_form(f)
@@ -459,8 +462,7 @@ class Ideal:
         return not self.groebner()
 
     def is_proper(self) -> bool:
-        gb = self.groebner()
-        return not any(g.is_constant() and not g.is_zero() for g in gb)
+        return not any(g.is_constant() for g in self.groebner())  # none is 0
 
     def generator_strings(self) -> list[str]:
         return [str(g) for g in self.groebner()]
@@ -477,17 +479,23 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def contains(I: Ideal, J: Ideal) -> bool:
-    """True iff J is inside I: every generator of J is a member of I."""
-    return all(I.member(g)[0] for g in J.generators)
+    """True iff J is inside I: every generator of J is an element of I's
+    reduced basis (a set lookup, no division) or else a member of I."""
+    basis = I._basis_set()
+    return all(g in basis or I.member(g)[0] for g in J.generators)
 
 
 def inclusion_order(ideals):
     """(above, covers) for a list of ideals: above[i] lists the j with
     ideals[i] strictly inside ideals[j], covers[i] those of them with no
     ideal of the list strictly between, both in increasing order.  Equal
-    ideals held in different objects are not strictly inside each other."""
+    ideals held in different objects are not strictly inside each other.
+    I inside J implies dim R/I >= dim R/J (-1 for the unit ideal), so only
+    such pairs are tested."""
     idx = range(len(ideals))
-    inside = [[i != j and contains(ideals[j], ideals[i]) for j in idx] for i in idx]
+    dim = [dimension(I) if I.is_proper() else -1 for I in ideals]
+    ok = [[i != j and dim[i] >= dim[j] for j in idx] for i in idx]
+    inside = [[ok[i][j] and contains(ideals[j], ideals[i]) for j in idx] for i in idx]
     strict = [[inside[i][j] and not inside[j][i] for j in idx] for i in idx]
     above = [[j for j in idx if strict[i][j]] for i in idx]
     covers = [[j for j in up if not any(strict[k][j] for k in up)] for up in above]
@@ -522,13 +530,16 @@ def adjoin_variable(I: Ideal, i: int) -> Ideal:
 def variable_support(I: Ideal):
     """The set of variable indices that generate I when its reduced basis
     consists of variables alone (empty for the zero ideal), else None."""
-    gone = set()
-    for g in I.groebner():
-        m = next(iter(g.terms))
-        if len(g.terms) != 1 or m.degree() != 1:
-            return None
-        gone.add(m.support()[0])
-    return gone
+    gb = I.groebner()
+    gone = _basis_variables(gb)
+    return gone if len(gone) == len(gb) else None
+
+
+def _basis_variables(gb) -> set:
+    """The variables among a reduced basis's elements, which are the ones in
+    its ideal: the tail of an element led by such an x_i is reduced and in it."""
+    ones = (next(iter(g.terms)) for g in gb if len(g.terms) == 1)
+    return {m.exps[0][0] for m in ones if m.degree() == 1}
 
 
 def contract_to_prefix(I: Ideal, k: int) -> Ideal:
@@ -617,22 +628,26 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def dimension(I: Ideal) -> int:
-    """Krull dimension of R/I, computed combinatorially from leading terms.
-
-    The dimension is the largest size of a variable subset S such that no
-    Groebner leading monomial is supported entirely inside S.
-    """
-    if not I.is_proper():
+    """Krull dimension of R/I (Cox-Little-O'Shea ch. 9 §3): the largest size
+    of a set of variables holding no leading-monomial support of the reduced
+    grevlex basis, so n minus the least size of a set that meets them all."""
+    masks = sorted((d[0] for d in I._grevlex_table()), key=int.bit_count)
+    if masks and not masks[0]:
         raise UnitIdeal("dimension of the unit ideal is undefined")
-    gb = I.groebner()
-    n = len(I.ctx)
-    supports = [set(leading_monomial(g, _GREVLEX).support()) for g in gb]
-    for size in range(n, -1, -1):
-        for subset in itertools.combinations(range(n), size):
-            s = set(subset)
-            if not any(sup <= s for sup in supports):
-                return size
-    raise PcglError("unreachable")
+    return len(I.ctx) - _transversal(masks)
+
+
+def _transversal(masks) -> int:
+    """The least number of variables that meet every nonzero mask of a list,
+    by branching on the first one's (sorted by bit count, a variable first)."""
+    if not masks:
+        return 0
+    least, bits = len(masks), masks[0]
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        least = min(least, 1 + _transversal([m for m in masks if not m & bit]))
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -690,19 +705,22 @@ def is_poisson_stable(
     tested against every generator.  The premise is the caller's: the
     enumeration passes the parent ideal for an induced lift, whose basis is
     the parent's, and for a second lift once its contraction is checked.
+    A zero bracket is not tested.
 
     `lower`, when given, must be an ideal inside I already known to be
-    Poisson (`chain_report` passes the previous entry of a chain).  A basis
-    element of I that lies in it has its brackets in it, and is skipped.
+    Poisson (`chain_report` passes the previous entry of a chain).  An
+    element of its reduced basis has its brackets in it, and is skipped
+    with no division; so is {g, x_i} = -{x_i, g} for a variable x_i in it.
     """
     m = 0 if base is None else len(base.ctx)
     new = frozenset(range(m, len(I.ctx)))
+    skip, known = (lower._basis_set(), _basis_variables(lower.groebner())) if lower else ((), ())
     for g in I.groebner():
-        if lower is not None and lower.member(g)[0]:
+        if g in skip:
             continue
         start = m if m and new.isdisjoint(g.support()) else 0
-        for h in generator_brackets(B, g, start):
-            if not I.member(h)[0]:
+        for i, h in enumerate(generator_brackets(B, g, start), start):
+            if h.terms and i not in known and not I.member(h)[0]:
                 return False
     return True
 
@@ -828,25 +846,25 @@ def chain_report(P, chain) -> ChainReport:
     primality tag; per link: the Krull dimension drop.  A chain whose drops
     are all 1 is saturated as a chain in Spec.  A unit-ideal entry or a
     link that is not a strict inclusion is refused with its 1-based index.
-    The basis elements of an entry that lie in the previous entry, once it
-    is verified Poisson, are not bracketed (`is_poisson_stable`'s `lower`).
+    A link a inside b with dim R/a > dim R/b is strict, so only one of equal
+    dimensions tests b inside a.  An entry verified Poisson lets the next
+    skip its basis elements and variables (`is_poisson_stable`'s `lower`).
     """
     if len(chain) < 1:
         raise PcglError("empty chain")
+    dims = []
     for k, I in enumerate(chain, 1):
         if not I.is_proper():
             raise UnitIdeal(f"chain entry {k} is the unit ideal")
+        dims.append(dimension(I))
     for k, (a, b) in enumerate(zip(chain, chain[1:]), 1):
         if not contains(b, a):
             raise PcglError(f"chain is not increasing: entry {k} is not inside entry {k + 1}")
-        if contains(a, b):
+        if dims[k - 1] == dims[k] and contains(a, b):
             raise PcglError(f"chain is not strictly increasing: entries {k} and {k + 1} are equal")
     entries = []
-    dims = []
     lower = None  # the previous entry, once it is verified Poisson
-    for I in chain:
-        dim = dimension(I)
-        dims.append(dim)
+    for I, dim in zip(chain, dims):
         poisson = is_poisson_stable(P.table, I, lower=lower)
         lower = I if poisson else None
         entries.append(

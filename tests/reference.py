@@ -1,6 +1,7 @@
 """Reference constructions that only the tests read, kept as oracles for
 the package's own routes: the Lie action of a grading, the lexicographic
-order, the S-polynomial of a Groebner pair and the partial derivative.
+order, the S-polynomial of a Groebner pair, the partial derivative and the
+Krull dimension by a subset search.
 
 - `lie_act` checks the sigma of each tower level and the grading of the
   bracket; `homogeneous_components` is its split by weight.
@@ -9,11 +10,15 @@ order, the S-polynomial of a Groebner pair and the partial derivative.
   reduces to 0.
 - `partial(f, i)` gives the partial-derivative bracket and derivation
   that the chain-rule kernel is compared with.
+- `subset_dimension` is the Krull dimension by a search over every set of
+  variables, the oracle of `ideals.dimension`'s least transversal.
 """
+
+import itertools
 
 from pcgl.errors import PcglError
 from pcgl.grading import GradingData, LieVector, monomial_weight, pair
-from pcgl.ideals import _times_term, leading_monomial
+from pcgl.ideals import Grevlex, _times_term, leading_monomial
 from pcgl.qpoly import Monomial, Polynomial, VarTable, _canon, _drop_one, _qdiv, _trusted
 
 
@@ -69,3 +74,16 @@ def partial(f: Polynomial, i: int) -> Polynomial:
                 c = c * e
                 terms[_drop_one(m.exps, k)] = c if c.__class__ is int else _canon(c)
     return _trusted(f.ctx, terms)
+
+
+def subset_dimension(I) -> int:
+    """Krull dimension of R/I: the largest set of variables that holds the
+    support of no leading monomial of the reduced grevlex basis, searched
+    over all subsets from the largest size down."""
+    n = len(I.ctx)
+    supports = [set(leading_monomial(g, Grevlex()).support()) for g in I.groebner()]
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if not any(sup <= set(subset) for sup in supports):
+                return size
+    raise PcglError("the unit ideal has no dimension")

@@ -11,9 +11,15 @@
 - `poisson_closure` brackets only the basis elements it has not checked
   in an earlier round; the naive loop here brackets every element in every
   round.
-- `chain_report` skips the basis elements of an entry that lie in the
-  previous entry once that entry is Poisson; each flag must equal the
-  full check of the entry alone.
+- `chain_report` skips the basis elements of an entry that are basis
+  elements of the previous entry once that entry is Poisson, and the
+  brackets with its variables; each flag must equal the full check of the
+  entry alone.  It tests strictness only on a link of equal dimensions,
+  and `contains` counts a basis element as a member with no division; the
+  long route divides for both inclusions of every link.
+- `dimension` is n minus the least transversal of the leading-monomial
+  supports; the long route searches every set of variables
+  (`reference.subset_dimension`).
 - The Buchberger loop never forms a pair with coprime leading monomials,
   and the cofactors of a lift stay as first recorded.
 - The separation search reads an ideal's contraction, coefficient ideal,
@@ -42,28 +48,33 @@ from pcgl.cauchon import (
     validate_d_element,
 )
 from pcgl.cgl import level_data
-from pcgl.errors import PcglError
+from pcgl.errors import PcglError, UnitIdeal
 from pcgl.grading import monomial_weight, weight_of
 from pcgl.ideals import (
+    ChainEntry,
+    ChainReport,
     Elim,
     Grevlex,
     Ideal,
     buchberger,
     chain_report,
     contract_to_prefix,
+    dimension,
     extend,
     h_core,
     ideal_equal,
+    inclusion_order,
     is_h_stable,
     is_poisson_stable,
     lift_through_ideal,
     poisson_closure,
+    primality,
     saturate,
 )
 from pcgl.pbracket import bracket, generator_brackets
 from pcgl.qpoly import Monomial, Polynomial, parse, re_context
 from random_poly import random_polynomial
-from reference import partial
+from reference import partial, subset_dimension
 from test_matrices import matrix_presentation, tower
 
 TOWERS = ["m2", "weyl", "pplane", "2x3"]
@@ -306,10 +317,36 @@ def test_poisson_closure_brackets_a_changed_tail(name, texts):
     )
 
 
+def long_contains(I, J):
+    """J inside I, every generator of J divided by I's basis."""
+    return all(I.member(g)[0] for g in J.generators)
+
+
+def long_chain_report(P, chain):
+    """`chain_report`'s JSON by the long route: both inclusions of every
+    link by division, each dimension by the subset search and each Poisson
+    flag by the full check of the entry alone."""
+    for a, b in zip(chain, chain[1:]):
+        assert long_contains(b, a) and not long_contains(a, b)
+    dims = [subset_dimension(I) for I in chain]
+    drops = [d - e for d, e in zip(dims, dims[1:])]
+    entries = [
+        ChainEntry(I.generator_strings(), is_poisson_stable(P.table, I),
+                   is_h_stable(P.grading, I), d, primality(I))
+        for I, d in zip(chain, dims)
+    ]
+    report = ChainReport(entries, drops, len(chain) - 1, bool(drops) and set(drops) == {1})
+    return report.to_json_dict()
+
+
 def test_chain_flags_are_the_full_checks(bellsig):
     # (x) is not Poisson: its bracket with w is -2*y*z.  (x, z^2) is not
     # Poisson either, and its only failing basis element x lies in (x), so
-    # a skip that also fired below a non-Poisson entry would call it Poisson
+    # a skip that also fired below a non-Poisson entry would call it Poisson.
+    # (x, w) holds x and w but is not Poisson, and (x, w, y^2) fails only on
+    # {w, x} = 2*y*z: a skip of the brackets with the variables of an entry
+    # that is not Poisson would call it Poisson.  (x*y) inside (x) is strict,
+    # though both have dimension 3
     ctx = bellsig.ctx
 
     def ideal(*texts):
@@ -320,14 +357,18 @@ def test_chain_flags_are_the_full_checks(bellsig):
         [ideal(), ideal("x"), ideal("x", "y*z"), ideal("x", "y*z", "z^2")],
         [ideal("z"), ideal("z", "x"), ideal("z", "x", "y"), ideal("z", "x", "y", "w")],
         [ideal("y*z"), ideal("y", "z"), ideal("x", "y", "z")],
+        [ideal(), ideal("x", "w"), ideal("x", "w", "y^2")],
+        [ideal("x*y"), ideal("x")],
     ]
     seen = Counter()
     for chain in chains:
         report = chain_report(bellsig, chain)
-        flags = [is_poisson_stable(bellsig.table, I) for I in chain]
-        assert [e.poisson for e in report.entries] == flags
+        assert report.to_json_dict() == long_chain_report(bellsig, chain)
+        flags = [e.poisson for e in report.entries]
         seen.update(zip(flags, flags[1:]))
+        seen.update(f"drop {d}" for d in report.drops)
     assert seen[(False, False)] and seen[(True, True)] and seen[(False, True)]
+    assert seen["drop 0"] and seen["drop 1"] and seen["drop 2"]
 
 
 @pytest.mark.parametrize("name", TOWERS)
@@ -345,6 +386,61 @@ def test_chain_flags_on_random_chains(name):
             chain.append(I)
         report = chain_report(P, chain)
         assert [e.poisson for e in report.entries] == [is_poisson_stable(P.table, I) for I in chain]
+
+
+def test_dimension_is_the_subset_search():
+    leaves = [leaf.ideal for P in (tower("2x3"), matrix_presentation(3, 3))
+              for leaf in enumerate_hprimes(P).leaves()]
+    assert len(leaves) == 46 + 230
+    for I in leaves:
+        assert dimension(I) == subset_dimension(I)
+    rng = random.Random("dimension")
+    proper = 0
+    for name in TOWERS + ["bellsig"]:
+        ctx = tower(name).ctx
+        for _ in range(25):
+            I = random_ideal(rng, ctx, rng.randint(1, 3))
+            if I.is_proper():
+                proper += 1
+                assert dimension(I) == subset_dimension(I)
+    assert proper > 100
+    # squarefree monomial ideals: their leading monomials are their minimal
+    # generators, so any antichain of supports on 8 variables can occur
+    ctx = tower("2x3").ctx.extend(("u", "v"))
+    dims = Counter()
+    for _ in range(300):
+        supports = [rng.sample(range(8), rng.randint(1, 3)) for _ in range(rng.randint(1, 10))]
+        I = Ideal(ctx, [Polynomial.monomial(ctx, Monomial.make(dict.fromkeys(s, 1)))
+                        for s in supports])
+        dims[dimension(I)] += 1
+        assert dimension(I) == subset_dimension(I)
+    assert len(dims) >= 6
+    unit = Ideal(ctx, [Polynomial.constant(ctx, 2)])
+    with pytest.raises(UnitIdeal):
+        dimension(unit)
+    with pytest.raises(PcglError):
+        subset_dimension(unit)
+
+
+@pytest.mark.parametrize("name", ["m2", "2x3"])
+def test_chain_report_is_the_long_route(name):
+    P = tower(name)
+    leaves = [leaf.ideal for leaf in enumerate_hprimes(P).leaves()]
+    _, covers = inclusion_order(leaves)
+    rng = random.Random(name)
+    lengths = Counter()
+    for _ in range(30):
+        i = rng.randrange(len(leaves))
+        path = [i]
+        while covers[i] and rng.random() < 0.8:
+            i = rng.choice(covers[i])
+            path.append(i)
+        # fresh entries compute their bases, as `pcgl chain` does
+        chain = [Ideal(P.ctx, leaves[i].generators) for i in path]
+        long = long_chain_report(P, [Ideal(P.ctx, leaves[i].generators) for i in path])
+        assert chain_report(P, chain).to_json_dict() == long
+        lengths[len(path) - 1] += 1
+    assert len(lengths) >= 3
 
 
 LIFT_DIGEST = "bbf4a6831f557733c75440c0ef18e0dbc043f0cd60bc503b47ec70be7ebf2e40"
