@@ -462,7 +462,7 @@ class Ideal:
         return not self.groebner()
 
     def is_proper(self) -> bool:
-        return not any(g.is_constant() for g in self.groebner())  # none is 0
+        return not any(g.is_constant() for g in self.groebner())  # no basis element is 0
 
     def generator_strings(self) -> list[str]:
         return [str(g) for g in self.groebner()]
@@ -536,8 +536,8 @@ def variable_support(I: Ideal):
 
 
 def _basis_variables(gb) -> set:
-    """The variables among a reduced basis's elements, which are the ones in
-    its ideal: the tail of an element led by such an x_i is reduced and in it."""
+    """The variables among the elements of a reduced basis: every variable x_i
+    of its ideal, for x_i leads a basis element whose reduced tail is in it, so 0."""
     ones = (next(iter(g.terms)) for g in gb if len(g.terms) == 1)
     return {m.exps[0][0] for m in ones if m.degree() == 1}
 
