@@ -1,7 +1,8 @@
 """Reference constructions that only the tests read, kept as oracles for
 the package's own routes: the Lie action of a grading, the lexicographic
-order, the S-polynomial of a Groebner pair, the partial derivative and the
-Krull dimension by a subset search.
+order, the S-polynomial of a Groebner pair, the partial derivative, the
+bracket, derivation and delta condition built on it, and the Krull
+dimension by a subset search.
 
 - `lie_act` checks the sigma of each tower level and the grading of the
   bracket; `homogeneous_components` is its split by weight.
@@ -9,7 +10,9 @@ Krull dimension by a subset search.
 - `s_polynomial` checks that a basis is Groebner: every S-polynomial
   reduces to 0.
 - `partial(f, i)` gives the partial-derivative bracket and derivation
-  that the chain-rule kernel is compared with.
+  (`reference_bracket`, `reference_derivation`) that the chain-rule
+  kernel is compared with, and `pairwise_delta_condition`, the oracle of
+  each tower level's delta-compatibility flag.
 - `subset_dimension` is the Krull dimension by a search over every set of
   variables, the oracle of `ideals.dimension`'s least transversal.
 """
@@ -74,6 +77,40 @@ def partial(f: Polynomial, i: int) -> Polynomial:
                 c = c * e
                 terms[_drop_one(m.exps, k)] = c if c.__class__ is int else _canon(c)
     return _trusted(f.ctx, terms)
+
+
+def reference_bracket(B, f, g):
+    """The partial-derivative bracket, one generator pair at a time."""
+    result = Polynomial.zero(B.ctx)
+    for (i, j), p in B.pairs():
+        result = result + p * (partial(f, i) * partial(g, j) - partial(f, j) * partial(g, i))
+    return result
+
+
+def reference_derivation(D, f):
+    """D(f) one variable at a time, by partial derivatives."""
+    result = Polynomial.zero(f.ctx)
+    for i in sorted(f.support()):
+        result = result + D.images[i] * partial(f, i)
+    return result
+
+
+def pairwise_delta_condition(B_A, S, D):
+    """The twisted Leibniz compatibility of (S, D) over the table B_A,
+    D({a,b}) = {D(a),b} + {a,D(b)} + S(a)D(b) - D(a)S(b), on every generator
+    pair, one bracket at a time, brackets and derivations by the
+    partial-derivative references.  By Oh's criterion this is the delta
+    half of the Poisson condition on A[x; S, D]_p."""
+    x = [Polynomial.variable(B_A.ctx, i) for i in range(len(B_A.ctx))]
+    for i, a in enumerate(x):
+        for b in x[:i]:
+            Da, Db = reference_derivation(D, a), reference_derivation(D, b)
+            Sa, Sb = reference_derivation(S, a), reference_derivation(S, b)
+            lhs = reference_derivation(D, reference_bracket(B_A, a, b))
+            rhs = reference_bracket(B_A, Da, b) + reference_bracket(B_A, a, Db) + Sa * Db - Da * Sb
+            if lhs != rhs:
+                return False
+    return True
 
 
 def subset_dimension(I) -> int:

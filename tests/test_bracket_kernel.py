@@ -53,7 +53,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
-from reference import partial
+from reference import pairwise_delta_condition, reference_bracket, reference_derivation
 from test_matrices import matrix_presentation
 
 PRES = {name: load_presentation(fixture_path(name))[0] for name in ("m2", "weyl", "bellsig")}
@@ -68,14 +68,6 @@ coefficients = st.one_of(
     st.integers(-4, 4),
     st.integers(-4, 4).map(lambda n: Fraction(2 * n, 2)),
 ).filter(bool)
-
-
-def reference_bracket(B, f, g):
-    """The partial-derivative bracket, one generator pair at a time."""
-    result = Polynomial.zero(B.ctx)
-    for (i, j), p in B.pairs():
-        result = result + p * (partial(f, i) * partial(g, j) - partial(f, j) * partial(g, i))
-    return result
 
 
 def polynomials(ctx, max_terms=4):
@@ -160,14 +152,6 @@ def test_context_mismatch():
         bracket(B, g, f)
 
 
-def reference_derivation(D, f):
-    """D(f) one variable at a time, by partial derivatives."""
-    result = Polynomial.zero(f.ctx)
-    for i in sorted(f.support()):
-        result = result + D.images[i] * partial(f, i)
-    return result
-
-
 @st.composite
 def derivation_and_operand(draw):
     ctx = TABLES[draw(st.sampled_from(sorted(TABLES)))].ctx
@@ -220,22 +204,6 @@ def nested_jacobi_failures(B):
                 if not r.is_zero():
                     failures.append((i, j, k, r))
     return failures
-
-
-def pairwise_delta_condition(B_A, S, D):
-    """`check_delta_condition` one bracket at a time: D({a,b}) = {D(a),b} +
-    {a,D(b)} + S(a)D(b) - D(a)S(b) on every generator pair, brackets and
-    derivations by the partial-derivative references."""
-    x = [Polynomial.variable(B_A.ctx, i) for i in range(len(B_A.ctx))]
-    for i, a in enumerate(x):
-        for b in x[:i]:
-            Da, Db = reference_derivation(D, a), reference_derivation(D, b)
-            Sa, Sb = reference_derivation(S, a), reference_derivation(S, b)
-            lhs = reference_derivation(D, reference_bracket(B_A, a, b))
-            rhs = reference_bracket(B_A, Da, b) + reference_bracket(B_A, a, Db) + Sa * Db - Da * Sb
-            if lhs != rhs:
-                return False
-    return True
 
 
 def broken_tables():

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,15 @@ from pcgl.cgl import (
     split_bracket,
     verify_cgl,
 )
-from pcgl.cli import main
+from pcgl.cli import fixture_path, load_presentation, main
 from pcgl.errors import NotWithinBound, PcglError, TriangularityError
 from pcgl.grading import GradingData, weight_of
 from pcgl.pbracket import BracketTable, bracket, check_delta_condition
-from pcgl.qpoly import Polynomial, VarTable, parse
-from reference import lie_act
+from pcgl.qpoly import Polynomial, VarTable, parse, re_context
+from random_poly import random_polynomial
+from reference import lie_act, pairwise_delta_condition
 from test_matrices import matrix_presentation
+from test_schubert_cells import b2
 
 
 class TestSplitBracket:
@@ -148,6 +152,56 @@ class TestVerify:
         d = verify_cgl(weyl).to_json_dict()
         assert d["ok"] is True
         assert d["levels"][1]["lambda"] == "1"
+
+
+def delta_corpus():
+    """(name, presentation): the four fixtures, 2x3 and B2 as given, then 30
+    seeded perturbations of each tower of three or more generators.  Each
+    changes one entry {x_k, x_j} of a row k >= 3 (1-based): its x_k-free
+    part by a random polynomial in x_1..x_(k-1), or, where the entry has an
+    x_k part, the eigenvalue mu_j of sigma_k rescaled.  Sigma stays
+    diagonal, so every level record builds.  The perturbed towers get a
+    nilpotency bound of 6, which keeps the delta iterates of a perturbed
+    level small."""
+    rng = random.Random("delta corpus")
+    towers = {name: load_presentation(fixture_path(name))[0]
+              for name in ("weyl", "pplane", "m2", "bellsig")}
+    towers["2x3"] = matrix_presentation(2, 3)
+    towers["b2"] = b2()
+    for name, P in sorted(towers.items()):
+        yield name, P
+        for t in range(30 if P.nvars >= 3 else 0):
+            i = rng.randrange(2, P.nvars)
+            j = rng.randrange(i)
+            entry = P.table.entry(i, j)
+            sigma_part = entry.split_by_degree_in(i).get(1)
+            if sigma_part is not None and rng.random() < 0.5:
+                scale = rng.choice((-3, -1, 2))
+                entry = entry + sigma_part * Polynomial.variable(P.ctx, i) * (scale - 1)
+            else:
+                entry = entry + re_context(random_polynomial(rng, P.ctx.restrict(i), 2, 2), P.ctx)
+            entries = dict(P.table.pairs())
+            entries[(i, j)] = entry
+            table = BracketTable(P.ctx, entries)
+            yield f"{name}-{t}", dataclasses.replace(P, table=table, nilpotency_bound=6)
+
+
+def test_delta_flags_match_the_pairwise_reference():
+    # every level's delta_condition against the pairwise reference on the
+    # level's own (sigma, delta); the reports are pinned whole
+    digest = hashlib.sha256()
+    flags = []
+    for name, P in delta_corpus():
+        report = verify_cgl(P)
+        for k in range(1, P.nvars + 1):
+            L = _level_record(P, k)
+            want = pairwise_delta_condition(L.pres_A.table, L.sigma, L.delta)
+            assert report.levels[k - 1].delta_condition_ok == want, (name, k)
+            flags.append(want)
+        digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode() + b"\n")
+    assert len(flags) == 562
+    assert flags.count(False) == 140
+    assert digest.hexdigest() == "7800dd7ad7a7bb1ab90c70da97e1caf254c1b1a8ffb936b33997470446fdc255"
 
 
 class TestSharedDerivation:
