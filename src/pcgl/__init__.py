@@ -19,7 +19,6 @@ from .qpoly import (
 from .pbracket import (
     BracketTable,
     bracket,
-    check_delta_condition,
     check_jacobi,
     is_poisson_normal,
 )

@@ -606,16 +606,15 @@ def eliminate(I: Ideal, keep) -> Ideal:
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J, with its reduced basis.
 
-    When one input contains the other, the result is the smaller one: each
-    element of its reduced grevlex basis, computed by the zero tests, is
-    divided by the other input's basis.  Otherwise the intersection comes
-    from the elimination of one homogenizing parameter, appended last."""
+    When one input contains the other (`contains`), the result is the
+    smaller one.  Otherwise the intersection comes from the elimination of
+    one homogenizing parameter, appended last."""
     if I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     if I.is_zero() or J.is_zero():
         return Ideal.zero(I.ctx)
     for big, small in ((I, J), (J, I)):
-        if all(big.member(g)[0] for g in small.groebner()):
+        if contains(big, small):
             return small.reduced()
     (tname,) = _fresh_names(I.ctx, ("t",))
     up = I.ctx.extend((tname,))

@@ -17,14 +17,14 @@ coefficient 1, exponent pairs ((i, 1),)), those n brackets are row i of
 the table, read with no sweep.
 
 Callers that need all n brackets of one element use `generator_brackets`:
-Poisson-normality of c, the d-element check ({b, x_j} and {c, x_j} of a
-candidate b/c) and the delta check ({D(x_i), x_j} for every j, one sweep
-per i).  The Poisson-stability check of an ideal sweeps, for a basis
-element free of the new variables, only the columns from the first new one
-on (`generator_brackets(B, f, start)`).  Callers that need one particular
-bracket use `bracket`: the Jacobi check (the outer bracket
-{x_i, {x_j, x_k}}; the inner one is a table entry), the theta check, and
-the Poisson closure of an ideal.
+Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
+a candidate b/c).  The Poisson-stability check of an ideal sweeps, for a
+basis element free of the new variables, only the columns from the first
+new one on (`generator_brackets(B, f, start)`).  Callers that need one
+particular bracket use `bracket`: the Jacobi check (the outer bracket
+{x_i, {x_j, x_k}}; the inner one is a table entry), whose Jacobiators
+also give each tower level's delta check, the theta check, and the
+Poisson closure of an ideal.
 
 Antisymmetry, bilinearity and the Leibniz rule in each slot are automatic;
 the Jacobi identity is a property of the table and is checked separately.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Derivation, Polynomial, VarTable, _chain_rule, apply_derivation, re_context
+from .qpoly import Polynomial, VarTable, _chain_rule, re_context
 
 
 class BracketTable:
@@ -189,23 +189,3 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
             raise PcglError("certificate validation failed")
     return NormalityCertificate(ok=not failures, quotients=quotients, failures=failures)
 
-
-def check_delta_condition(B_A: BracketTable, S: Derivation, D: Derivation) -> bool:
-    """Check the twisted Leibniz compatibility of (S, D) over A:
-
-        D({a,b}) = {D(a),b} + {a,D(b)} + S(a)D(b) - D(a)S(b)
-
-    on all generator pairs of A, which suffices since both sides are
-    biderivations in (a, b).  Row i of one `generator_brackets` sweep of
-    D(x_i) gives every {D(x_i), x_j}, and {x_i, D(x_j)} = -{D(x_j), x_i}.
-    """
-    gens = [Polynomial.variable(B_A.ctx, i) for i in range(len(B_A.ctx))]
-    Ds, Ss = [D(x) for x in gens], [S(x) for x in gens]
-    rows = [generator_brackets(B_A, p) for p in Ds]
-    for i in range(len(gens)):
-        for j in range(i):
-            lhs = apply_derivation(D, B_A.entry(i, j))
-            rhs = rows[i][j] - rows[j][i] + Ss[i] * Ds[j] - Ds[i] * Ss[j]
-            if lhs != rhs:
-                return False
-    return True

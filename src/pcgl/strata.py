@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import NotAPoissonAffineSpace, PcglError
-from .ideals import variable_support
+from .ideals import Ideal, variable_support
 from .qpoly import Monomial, Polynomial, VarTable
 
 
@@ -115,15 +115,14 @@ class StratumReport:
         }
 
 
-def stratum_summary(P, node) -> StratumReport:
-    """Center data of the stratum attached to one enumeration node.
+def stratum_summary(P, ideal: Ideal) -> StratumReport:
+    """Center data of the stratum attached to one H-prime ideal.
 
     The presentation must be fully deleted (all brackets quadratic), so the
-    node's ideal is generated by variables; the quotient is the smaller
-    Poisson affine space on the surviving variables and its torus center is
-    a Laurent polynomial ring whose rank is the stratum dimension.
+    ideal is generated by variables; the quotient is the smaller Poisson
+    affine space on the surviving variables and its torus center is a
+    Laurent polynomial ring whose rank is the stratum dimension.
     """
-    ideal = node.ideal if hasattr(node, "ideal") else node
     gone = variable_support(ideal)
     if gone is None:
         raise PcglError("stratum node ideal is not variable-generated")

@@ -3,15 +3,18 @@ walk of the d-search and `Ideal.reduced`.
 
 `generator_brackets` and `bracket` are compared with the partial-derivative
 formula {f, g} = sum_{i>j} {x_i, x_j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i),
-and `apply_derivation` with D(f) = sum_i D(x_i) df/dx_i, both kept here as
-independent references, on random polynomials over the shipped tables and
-a Laurent table from the theta checks.  `check_jacobi`, which reads
-{x_j, x_k} off the table, and `check_delta_condition`, which sweeps each
-D(x_i) once, are compared with the nested- and pairwise-bracket checks
-written out here.  The atom walk of the d-element search is compared with
-an eager reference list, and `Ideal.reduced` with a recomputed basis.
+and `apply_derivation` with D(f) = sum_i D(x_i) df/dx_i, both independent
+references of `tests/reference.py`, on random polynomials over the shipped
+tables and a Laurent table from the theta checks.  `check_jacobi`, which
+reads {x_j, x_k} off the table, is compared with the nested-bracket check
+written out here, and `verify_cgl`'s delta flag of each tower level,
+which it reads off the same Jacobiators, with the pairwise-bracket check
+`reference.pairwise_delta_condition`.  The atom walk of the d-element
+search is compared with an eager reference list, and `Ideal.reduced` with
+a recomputed basis.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -30,7 +33,7 @@ from pcgl.cauchon import (
     d_element_search,
     enumerate_hprimes,
 )
-from pcgl.cgl import level_data
+from pcgl.cgl import _level_record, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation
 from pcgl.errors import ContextMismatch, MissingImage, NotWithinBound
 from pcgl.grading import weight_of
@@ -38,7 +41,6 @@ from pcgl.ideals import Ideal
 from pcgl.pbracket import (
     BracketTable,
     bracket,
-    check_delta_condition,
     check_jacobi,
     generator_brackets,
     is_poisson_normal,
@@ -237,36 +239,48 @@ def test_jacobi_cases_meet_both_verdicts():
 
 
 def delta_cases():
-    """(S, D) of every level of m2 and 2x3 over its base table, then each
-    with one image of sigma or delta changed by a seeded random polynomial."""
+    """(tower, level): every level of m2 and 2x3, then for each level k >= 3
+    the tower with one entry {x_k, x_j} changed by a seeded random term:
+    sigma_k(x_j) = mu_j x_j with mu_j shifted, or delta_k(x_j) plus a random
+    polynomial in x_1..x_(k-1).  Sigma stays diagonal, so each level's
+    record builds and `verify_cgl` sets its delta flag."""
     rng = random.Random("broken derivations")
     for name, P in (("m2", PRES["m2"]), ("2x3", matrix_presentation(2, 3))):
         for k in range(1, len(P.ctx) + 1):
-            L = level_data(P, k)
-            B_A, S, D = L.pres_A.table, L.sigma, L.delta
-            yield f"{name}-{k}", (B_A, S, D)
+            yield f"{name}-{k}", (P, k)
             if k < 3:
                 continue
+            i = k - 1
             for which in ("sigma", "delta"):
-                images = dict((S if which == "sigma" else D).images)
-                j = rng.randrange(len(images))
-                images[j] = images[j] + random_polynomial(rng, B_A.ctx, 2, 2)
-                broken = Derivation(B_A.ctx, images)
-                pair = (B_A, broken, D) if which == "sigma" else (B_A, S, broken)
-                yield f"{name}-{k}-{which}", pair
+                j = rng.randrange(i)
+                if which == "sigma":
+                    change = Polynomial.variable(P.ctx, j) * Polynomial.variable(P.ctx, i)
+                    change = change * rng.choice((-2, -1, 1, 2))
+                else:
+                    change = re_context(random_polynomial(rng, P.ctx.restrict(i), 2, 2), P.ctx)
+                entries = dict(P.table.pairs())
+                entries[(i, j)] = P.table.entry(i, j) + change
+                broken = dataclasses.replace(P, table=BracketTable(P.ctx, entries))
+                yield f"{name}-{k}-{which}", (broken, k)
 
 
 DELTA_CASES = dict(delta_cases())
 
 
+def delta_flag(P, k):
+    return verify_cgl(P).levels[k - 1].delta_condition_ok
+
+
 @pytest.mark.parametrize("name", sorted(DELTA_CASES))
 def test_delta_condition_matches_the_pairwise_brackets(name):
-    B_A, S, D = DELTA_CASES[name]
-    assert check_delta_condition(B_A, S, D) == pairwise_delta_condition(B_A, S, D)
+    # verify_cgl reads the flag off the Jacobiators of the level
+    P, k = DELTA_CASES[name]
+    L = _level_record(P, k)
+    assert delta_flag(P, k) == pairwise_delta_condition(L.pres_A.table, L.sigma, L.delta)
 
 
 def test_delta_cases_meet_both_verdicts():
-    verdicts = {check_delta_condition(*case) for case in DELTA_CASES.values()}
+    verdicts = {delta_flag(*case) for case in DELTA_CASES.values()}
     assert verdicts == {False, True}
 
 

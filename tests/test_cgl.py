@@ -17,7 +17,7 @@ from pcgl.cgl import (
 from pcgl.cli import fixture_path, load_presentation, main
 from pcgl.errors import NotWithinBound, PcglError, TriangularityError
 from pcgl.grading import GradingData, weight_of
-from pcgl.pbracket import BracketTable, bracket, check_delta_condition
+from pcgl.pbracket import BracketTable, bracket
 from pcgl.qpoly import Polynomial, VarTable, parse, re_context
 from random_poly import random_polynomial
 from reference import lie_act, pairwise_delta_condition
@@ -347,19 +347,20 @@ class TestLevelInvariants:
             assert report.levels[k - 1].lambda_k == L.lambda_k
 
     def test_delta_condition_every_level(self, m2):
+        report = verify_cgl(m2)
         for k in range(2, 5):
             L = level_data(m2, k)
-            assert check_delta_condition(L.pres_A.table, L.sigma, L.delta)
+            assert report.levels[k - 1].delta_condition_ok
+            assert pairwise_delta_condition(L.pres_A.table, L.sigma, L.delta)
 
     def test_delta_condition_on_random_pairs(self, m2):
-        # the generator check suffices in principle; spot-check the full
-        # identity on random polynomial pairs as defense in depth
-        import random
-
-        from random_poly import random_polynomial
-
+        # the flag is read off generator triples, which suffices in
+        # principle; spot-check the full identity on random polynomial
+        # pairs as defense in depth
+        report = verify_cgl(m2)
         rng = random.Random(53)
         for k in (3, 4):
+            assert report.levels[k - 1].delta_condition_ok
             L = level_data(m2, k)
             table = L.pres_A.table
             S, D = L.sigma, L.delta

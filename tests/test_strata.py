@@ -116,20 +116,20 @@ class TestStratumSummary:
     def test_pplane_strata(self, pplane):
         tree = enumerate_hprimes(pplane)
         by_label = {n.label(): n for n in tree.leaves()}
-        rep0 = stratum_summary(pplane, by_label["0"])
+        rep0 = stratum_summary(pplane, by_label["0"].ideal)
         assert rep0.dimension == 0 and rep0.surviving == ["a", "X"]
-        rep_point = stratum_summary(pplane, by_label["<X, a>"])
+        rep_point = stratum_summary(pplane, by_label["<X, a>"].ideal)
         assert rep_point.dimension == 0 and rep_point.surviving == []
-        rep_a = stratum_summary(pplane, by_label["<a>"])
+        rep_a = stratum_summary(pplane, by_label["<a>"].ideal)
         assert rep_a.dimension == 1 and rep_a.surviving == ["X"]
-        rep_x = stratum_summary(pplane, by_label["<X>"])
+        rep_x = stratum_summary(pplane, by_label["<X>"].ideal)
         assert rep_x.dimension == 1 and rep_x.surviving == ["a"]
 
     def test_m2_deleted_strata(self, m2):
         deleted = delete_all(m2)
         tree = enumerate_hprimes(deleted)
         zero = next(n for n in tree.leaves() if n.ideal.is_zero())
-        rep = stratum_summary(deleted, zero)
+        rep = stratum_summary(deleted, zero.ideal)
         # the deleted 2x2 matrix torus has a rank-2 center (two independent
         # commuting monomials)
         assert rep.dimension == 2
@@ -138,11 +138,11 @@ class TestStratumSummary:
         tree = enumerate_hprimes(m2)
         det = next(n for n in tree.leaves() if n.branch == "d-branch" and n.parent.ideal.is_zero())
         with pytest.raises(PcglError):
-            stratum_summary(m2, det)
+            stratum_summary(m2, det.ideal)
 
     def test_json(self, pplane):
         tree = enumerate_hprimes(pplane)
         zero = next(n for n in tree.leaves() if n.ideal.is_zero())
-        d = stratum_summary(pplane, zero).to_json_dict()
+        d = stratum_summary(pplane, zero.ideal).to_json_dict()
         assert d["stratum_dimension"] == 0
         assert d["center"] == "QQ"
