@@ -10,10 +10,11 @@ call against runaway computations: `step_limit` scopes it, each division
 step ticks it, and an overrun raises `StepBudgetExceeded` with the limit
 in its message and nothing else.
 
-An elimination of trailing variables returns its reduced basis: the
-elements of a reduced elimination basis free of the eliminated variables
-are the reduced grevlex basis of the elimination ideal (Elimination
-Theorem, Cox-Little-O'Shea §3.1), handed over by `Ideal._with_basis`.
+Every elimination returns its reduced basis: the elements of a reduced
+elimination basis free of the eliminated variables, wherever those stand,
+are the reduced grevlex basis of the elimination ideal, in grevlex order
+(Elimination Theorem, Cox-Little-O'Shea §3.1), handed over by
+`Ideal._with_basis`; eliminating nothing returns the ideal's own.
 Contractions, saturations and torus cores all end in one, and so does an
 intersection of two ideals neither of which contains the other; when one
 does, `intersect` returns the smaller one with its own reduced basis.
@@ -505,7 +506,10 @@ def inclusion_order(ideals):
 def extend(I: Ideal, ctx: VarTable) -> Ideal:
     """The ideal that I generates in a ring whose variables extend I's by
     later ones, with I's reduced basis handed over: grevlex on the larger
-    ring, restricted to the monomials of I's ring, is grevlex there."""
+    ring, restricted to the monomials of I's ring, is grevlex there.  A
+    table whose first variables are not I's raises ContextMismatch."""
+    if ctx.names[: len(I.ctx)] != I.ctx.names:
+        raise ContextMismatch("the table does not extend the ideal's variables")
     return Ideal._with_basis(ctx, [re_context(g, ctx) for g in I.groebner()])
 
 
@@ -514,7 +518,10 @@ def adjoin_variable(I: Ideal, i: int) -> Ideal:
     with two reduced bases handed over: in grevlex, I's basis with x_i
     inserted at its place; in Elim({i}), I's basis, then x_i.  x_i's
     leading monomial is coprime to every other one (Buchberger's first
-    criterion) and divides no term of them, so both are exact."""
+    criterion) and divides no term of them, so both are exact.  An i
+    outside 0..n-1 raises PcglError."""
+    if not 0 <= i < len(I.ctx):
+        raise PcglError(f"variable index must lie in 0..{len(I.ctx) - 1}, got {i}")
     gb = I.groebner()
     if not I.is_proper():
         raise PcglError("cannot adjoin a variable to the unit ideal")
@@ -543,11 +550,13 @@ def _basis_variables(gb) -> set:
 
 
 def contract_to_prefix(I: Ideal, k: int) -> Ideal:
-    """I intersect K[x_1..x_k], returned over the prefix variable table with
-    its reduced basis: the variables eliminated are the trailing ones, and
-    grevlex on the prefix is grevlex restricted to it."""
-    keep = set(range(k))
-    J = eliminate(I, keep)
+    """I intersect K[x_1..x_k] for k in 0..n (else PcglError), over the
+    prefix variable table (I's own for k = n) with the reduced basis of
+    `eliminate`: the eliminated variables are the trailing ones, so its
+    elements keep their monomials on the prefix."""
+    if not 0 <= k <= len(I.ctx):
+        raise PcglError(f"k must lie in 0..{len(I.ctx)}, got {k}")
+    J = eliminate(I, range(k))
     sub = I.ctx.restrict(k)
     return Ideal._with_basis(sub, [re_context(g, sub) for g in J.generators])
 
@@ -569,7 +578,8 @@ def saturate(I: Ideal, f: Polynomial, keep: int | None = None) -> Ideal:
     default; `keep` outside 0..n raises PcglError), with its reduced basis.
     The Rabinowitsch variable t is appended last, and one elimination of t
     and x_(keep+1).. gives (I + (1 - t*f)) cap K[x_1..x_keep], the
-    contraction of the saturation (Cox-Little-O'Shea §3.1-3.2)."""
+    contraction of the saturation (Cox-Little-O'Shea §3.1-3.2); at a
+    constant f, the contraction of I."""
     n = len(I.ctx)
     if keep is None:
         keep = n
@@ -580,7 +590,7 @@ def saturate(I: Ideal, f: Polynomial, keep: int | None = None) -> Ideal:
     if f.is_zero():
         raise PcglError("cannot saturate at zero")
     if f.is_constant():
-        return Ideal(I.ctx, I.generators) if keep == n else contract_to_prefix(I, keep)
+        return contract_to_prefix(I, keep)
     (tname,) = _fresh_names(I.ctx, ("t",))
     up = I.ctx.extend((tname,))
     gens = [re_context(g, up) for g in I.generators]
@@ -591,28 +601,25 @@ def saturate(I: Ideal, f: Polynomial, keep: int | None = None) -> Ideal:
 
 def eliminate(I: Ideal, keep) -> Ideal:
     """I intersect K[keep], as an ideal over the same variable table, with
-    its reduced basis when the eliminated variables are the trailing ones."""
+    its reduced basis: I's own when nothing is eliminated, else the kept
+    part of the elimination basis, for the elimination order is grevlex on
+    the monomials free of the eliminated variables, wherever they stand."""
     keep = set(keep)
     front = {i for i in range(len(I.ctx)) if i not in keep}
     if not front:
-        return Ideal(I.ctx, I.generators)
+        return I.reduced()
     gb = I.groebner(Elim(front))
-    kept = [g for g in gb if g.support() <= keep]
-    if min(front) == len(I.ctx) - len(front):
-        return Ideal._with_basis(I.ctx, kept)
-    return Ideal(I.ctx, kept)
+    return Ideal._with_basis(I.ctx, [g for g in gb if g.support() <= keep])
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J, with its reduced basis.
 
-    When one input contains the other (`contains`), the result is the
-    smaller one.  Otherwise the intersection comes from the elimination of
-    one homogenizing parameter, appended last."""
+    When one input contains the other (`contains`), a zero one too, the
+    result is the smaller one.  Otherwise the intersection comes from the
+    elimination of one homogenizing parameter, appended last."""
     if I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
-    if I.is_zero() or J.is_zero():
-        return Ideal.zero(I.ctx)
     for big, small in ((I, J), (J, I)):
         if contains(big, small):
             return small.reduced()
@@ -699,27 +706,29 @@ def is_poisson_stable(
     already known to be a Poisson ideal there, by an earlier exact check.
     A basis element g free of x_(m+1).. then lies in `base`, and its
     brackets with x_1..x_m lie in `base`, inside I; only its brackets with
-    the new variables are computed, by a sweep over their columns alone,
-    and tested.  A g that involves a new variable is
-    tested against every generator.  The premise is the caller's: the
-    enumeration passes the parent ideal for an induced lift, whose basis is
-    the parent's, and for a second lift once its contraction is checked.
-    A zero bracket is not tested.
+    the new variables are computed and tested.  A g that involves a new
+    variable is tested against every generator.  The premise is the
+    caller's: the enumeration passes the parent ideal for an induced lift,
+    whose basis is the parent's, and for a second lift once its
+    contraction is checked.  A zero bracket is not tested.
 
     `lower`, when given, must be an ideal inside I already known to be
     Poisson (`chain_report` passes the previous entry of a chain).  An
     element of its reduced basis has its brackets in it, and is skipped
-    with no division; so is {g, x_i} = -{x_i, g} for a variable x_i in it.
+    with no division, and {g, x_i} = -{x_i, g} for a variable x_i in it
+    is not computed: each sweep cuts the table to the columns it tests.
     """
     m = 0 if base is None else len(base.ctx)
     new = frozenset(range(m, len(I.ctx)))
     skip, known = (lower._basis_set(), _basis_variables(lower.groebner())) if lower else ((), ())
+    every = tuple(i for i in range(len(I.ctx)) if i not in known)
+    fresh = tuple(i for i in every if i >= m)
     for g in I.groebner():
         if g in skip:
             continue
-        start = m if m and new.isdisjoint(g.support()) else 0
-        for i, h in enumerate(generator_brackets(B, g, start), start):
-            if h.terms and i not in known and not I.member(h)[0]:
+        columns = fresh if m and new.isdisjoint(g.support()) else every
+        for h in generator_brackets(B, g, columns):
+            if h.terms and not I.member(h)[0]:
                 return False
     return True
 

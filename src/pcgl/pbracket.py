@@ -16,12 +16,11 @@ brackets to the same kernel as a one-row table and sweeps the terms of g:
 coefficient 1, exponent pairs ((i, 1),)), those n brackets are row i of
 the table, read with no sweep.
 
-Callers that need all n brackets of one element use `generator_brackets`:
+Callers that need many brackets of one element use `generator_brackets`:
 Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
-a candidate b/c).  The Poisson-stability check of an ideal sweeps, for a
-basis element free of the new variables, only the columns from the first
-new one on (`generator_brackets(B, f, start)`).  Callers that need one
-particular bracket use `bracket`: the Jacobi check (the outer bracket
+a candidate b/c), and the Poisson-stability check of an ideal, which cuts
+the table to the columns it tests.  Callers that need one particular
+bracket use `bracket`: the Jacobi check (the outer bracket
 {x_i, {x_j, x_k}}; the inner one is a table entry), whose Jacobiators
 also give each tower level's delta check, the theta check, and the
 Poisson closure of an ideal.
@@ -57,7 +56,8 @@ class BracketTable:
             rows[i].append((j, tuple(p.terms.items())))
             rows[j].append((i, tuple((m, -c) for m, c in p.terms.items())))
         self._rows = tuple(tuple(r) for r in rows)
-        self._columns = {0: self._rows}  # start -> the rows cut to columns start..
+        # a tuple of columns -> the rows cut to them, renumbered in its order
+        self._columns = {tuple(range(len(ctx))): self._rows}
 
     def entry(self, i: int, j: int) -> Polynomial:
         """{x_i, x_j} for any i, j, derived by antisymmetry where needed."""
@@ -84,17 +84,20 @@ class BracketTable:
         return BracketTable(sub, entries)
 
 
-def generator_brackets(B: BracketTable, f: Polynomial, start: int = 0) -> list[Polynomial]:
-    """[{f, x_start}, ..., {f, x_(n-1)}] from one sweep over the terms of f,
-    against the table rows cut to those columns (kept per start)."""
+def generator_brackets(B: BracketTable, f: Polynomial, columns=None) -> list[Polynomial]:
+    """[{f, x_j} for j in columns], every j by default, from one sweep over
+    the terms of f against the table rows cut to those columns (per tuple)."""
     if f.ctx != B.ctx:
         raise ContextMismatch("bracket operand over wrong variable table")
-    rows = B._columns.get(start)
+    if columns is None:
+        return _chain_rule(B._rows, f, len(B._rows))
+    rows = B._columns.get(columns)
     if rows is None:
-        rows = B._columns[start] = tuple(
-            tuple((j - start, terms) for j, terms in row if j >= start) for row in B._rows
+        place = {j: p for p, j in enumerate(columns)}
+        rows = B._columns[columns] = tuple(
+            tuple((place[j], terms) for j, terms in row if j in place) for row in B._rows
         )
-    return _chain_rule(rows, f, len(B._rows) - start)
+    return _chain_rule(rows, f, len(columns))
 
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:

@@ -93,7 +93,10 @@ class VarTable:
         return VarTable(self.names, tuple(flags))
 
     def restrict(self, k: int) -> "VarTable":
-        """The first k variables; the same object on every call."""
+        """The first k variables; the same object on every call, this table
+        itself when k is its length."""
+        if k == len(self.names):
+            return self
         key = ("restrict", k)
         if key not in self._derived:
             self._derived[key] = VarTable(self.names[:k], self.laurent[:k])

@@ -105,6 +105,13 @@ class TestPoissonNormal:
         assert cert.ok
 
 
+PLANE = VarTable(("a", "b"))
+
+
+def poisson_plane():
+    return BracketTable(PLANE, {(1, 0): parse("a*b", PLANE)})
+
+
 def zero_twist(ctx):
     return Derivation(ctx, {i: Polynomial.zero(ctx) for i in range(len(ctx))})
 
@@ -133,11 +140,13 @@ class TestDerivationChecks:
         S = zero_twist(CTX)
         assert top_delta_flag(bell_table(), zero_twist(CTX), S)
 
-    def test_scaling_on_abelian_ring(self):
-        ctx = VarTable(("a",))
-        B = BracketTable(ctx, {})
-        S = Derivation(ctx, {0: -Polynomial.variable(ctx, 0)})
-        assert top_delta_flag(B, zero_twist(ctx), S)
+    def test_scaling_on_a_poisson_plane(self):
+        # {b, a} = a*b: a scaling respects it, a -> -a, b -> a does not
+        B = poisson_plane()
+        a = v("a", PLANE)
+        S = Derivation(PLANE, {0: -a, 1: Polynomial.zero(PLANE)})
+        assert top_delta_flag(B, zero_twist(PLANE), S)
+        assert not top_delta_flag(B, zero_twist(PLANE), Derivation(PLANE, {0: -a, 1: a}))
 
     def test_failing_derivation(self):
         S = Derivation(
@@ -156,11 +165,13 @@ class TestDerivationChecks:
         assert top_delta_flag(B, S, D)
 
     def test_delta_condition_one_generator(self):
-        ctx = VarTable(("a",))
-        B = BracketTable(ctx, {})
-        S = Derivation(ctx, {0: -Polynomial.variable(ctx, 0)})
-        D = Derivation(ctx, {0: Polynomial.constant(ctx, 1)})
-        assert top_delta_flag(B, S, D)
+        # D is nonzero on one generator: D(a) = 1, D(b) = 0.  On {b, a} = a*b
+        # the condition reads D(a)*b = {b, D(a)} + S(b)*D(a), so S(b) = b
+        B = poisson_plane()
+        a, b = v("a", PLANE), v("b", PLANE)
+        D = Derivation(PLANE, {0: Polynomial.constant(PLANE, 1), 1: Polynomial.zero(PLANE)})
+        assert top_delta_flag(B, Derivation(PLANE, {0: -a, 1: b}), D)
+        assert not top_delta_flag(B, Derivation(PLANE, {0: -a, 1: Polynomial.zero(PLANE)}), D)
 
     def test_delta_condition_fails(self):
         ctx = VarTable(("a", "b"))

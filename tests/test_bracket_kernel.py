@@ -122,14 +122,18 @@ def test_kernel_matches_partial_derivative_bracket(args):
 @settings(max_examples=100, deadline=None)
 @given(args=table_and_operands())
 def test_column_sweep_matches_the_full_sweep(args):
-    # the sweep from column s gives the same brackets as the tail of the
-    # full sweep, term dicts in the same order, on every column s
+    # a sweep over a tuple of columns gives the full sweep's brackets on
+    # those columns, term dicts in the same order: on every tail s..n-1,
+    # every subset of the columns, and the columns in reverse
     B, f, _ = args
     full = generator_brackets(B, f)
-    for start in range(len(B.ctx) + 1):
-        tail = generator_brackets(B, f, start)
-        assert tail == full[start:]
-        assert [list(h.terms) for h in tail] == [list(h.terms) for h in full[start:]]
+    n = len(B.ctx)
+    tails = [tuple(range(s, n)) for s in range(n + 1)]
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    for columns in tails + subsets + [tuple(reversed(range(n)))]:
+        cut = generator_brackets(B, f, columns)
+        assert cut == [full[j] for j in columns]
+        assert [list(h.terms) for h in cut] == [list(full[j].terms) for j in columns]
 
 
 def test_kernel_on_a_laurent_monomial():

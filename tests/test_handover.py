@@ -1,8 +1,8 @@
 """Differential test of every reduced basis an ideal operation hands over.
 
-Contractions, saturations, intersections, torus cores and induced and
-second lifts return ideals built by `Ideal._with_basis`, which caches the
-given basis as the reduced grevlex basis without computing it;
+Eliminations, contractions, saturations, intersections, torus cores and
+induced and second lifts return ideals built by `Ideal._with_basis`, which
+caches the given basis as the reduced grevlex basis without computing it;
 `adjoin_variable` also seeds an elimination basis into the ideal's cache.
 Here that constructor is wrapped so that every basis it receives, and every
 elimination basis a caller seeds into the cache of the ideal it returns, is
@@ -14,6 +14,7 @@ reaches.
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -34,7 +35,7 @@ from pcgl.ideals import (
     intersect,
     saturate,
 )
-from pcgl.qpoly import VarTable, parse, re_context
+from pcgl.qpoly import Polynomial, VarTable, parse, re_context
 from random_poly import random_polynomial
 from test_cli import README_COMMANDS, run
 from test_matrices import matrix_presentation, nested_pairs
@@ -119,9 +120,25 @@ def test_eliminations_of_random_ideals(handovers, seed):
     contract_to_prefix(I, 2)
     eliminate(J, {0, 1})
     h_core(GradingData(1, ((1,), (1,), (2,))), I)
-    handed = sum(handovers.values())
-    eliminate(J, {1, 2})  # x is not trailing: nothing is handed over
-    assert sum(handovers.values()) == handed
+    # every keep set hands over one basis, whether the eliminated variables
+    # are trailing or not; with none eliminated it is J's own, by `reduced`
+    for size in range(4):
+        for keep in combinations(range(3), size):
+            before = handovers.copy()
+            K = eliminate(J, keep)
+            site = {"eliminate": 1} if size < 3 else {"reduced": 1, "in eliminate": 1}
+            assert handovers - before == Counter(site)
+            assert all(g.support() <= set(keep) for g in K.generators)
+    # the full contraction and a saturation at a constant hand over I's basis
+    # over I's own table
+    one = Polynomial.constant(ctx, 2)
+    for K in (contract_to_prefix(I, 3), saturate(I, one), saturate(I, one, keep=3)):
+        assert K.ctx is ctx and K.generators == I.groebner()
+    before = handovers.copy()
+    saturate(I, one, keep=2)
+    assert handovers - before == Counter(
+        {"eliminate": 1, "contract_to_prefix": 1, "in contract_to_prefix": 1, "in saturate": 2}
+    )
 
 
 @pytest.mark.parametrize("name", ["weyl", "pplane", "m2"])

@@ -10,11 +10,13 @@ from pcgl.grading import monomial_weight
 from pcgl.ideals import (
     Grevlex,
     Ideal,
+    adjoin_variable,
     chain_report,
     contains,
     contract_to_prefix,
     dimension,
     eliminate,
+    extend,
     h_core,
     ideal_equal,
     inclusion_order,
@@ -238,6 +240,37 @@ class TestEliminate:
         J = contract_to_prefix(I, 2)
         assert J.ctx.names == ("x", "y")
         assert set(J.groebner()) == {parse("x", J.ctx)}
+
+    def test_full_contraction_is_the_reduced_ideal(self):
+        # k = n eliminates nothing: I's reduced basis, over I's own table
+        ctx = VarTable(("x", "y"))
+        I = Ideal(ctx, [parse("x^2 - y", ctx), parse("x*y - 1", ctx)])
+        J = contract_to_prefix(I, 2)
+        assert J.ctx is ctx
+        assert [str(g) for g in J.generators] == ["y^2 - x", "x*y - 1", "x^2 - y"]
+        assert J.member(parse("y^3 - 1", ctx))[0]
+
+    def test_contraction_width_out_of_range_refused(self):
+        I = Ideal(CTX3, [p3("x"), p3("y*z")])
+        for k in (-1, 4):
+            with pytest.raises(PcglError, match=r"k must lie in 0\.\.3"):
+                contract_to_prefix(I, k)
+
+
+class TestHandoverPremises:
+    def test_extend_refuses_a_table_that_does_not_extend(self):
+        # (y, x, z) would move x - y to -y + x, not monic in grevlex
+        ctx = VarTable(("x", "y"))
+        I = Ideal(ctx, [parse("x - y", ctx)])
+        with pytest.raises(ContextMismatch):
+            extend(I, VarTable(("y", "x", "z")))
+        assert [str(g) for g in extend(I, CTX3).generators] == ["x - y"]
+
+    def test_adjoin_variable_refuses_an_index_out_of_range(self):
+        I = Ideal(CTX3, [p3("x^2 - z")])
+        for i in (-1, 3):
+            with pytest.raises(PcglError, match=r"0\.\.2, got"):
+                adjoin_variable(I, i)
 
 
 class TestDimension:

@@ -333,6 +333,7 @@ def test_derived_tables_are_built_once():
     assert ctx.extend(("t",)) is ctx.extend(["t"])
     assert ctx.extend(("t",)) == VarTable(("x", "y", "z", "t"), (False, True, False, False))
     assert ctx.restrict(1) is not ctx.restrict(2)
+    assert ctx.restrict(3) is ctx
     # the cache is not part of the value
     assert pickle.loads(pickle.dumps(ctx)) == ctx
     assert pickle.dumps(ctx) == pickle.dumps(VarTable(ctx.names, ctx.laurent))
