@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cgl import LevelData, PoissonPresentation, _delta_iterates, level_data, verify_cgl
@@ -87,10 +86,10 @@ def theta(L: LevelData, a: Polynomial) -> Polynomial:
     )
 
 
-@dataclass
 class ThetaReport:
-    images: dict[int, Polynomial]  # theta(x_j) for the generators x_j of A
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, images: dict[int, Polynomial], failures: list[dict] | None = None):
+        self.images = images  # theta(x_j) for the generators x_j of A
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -131,12 +130,12 @@ def check_theta(L: LevelData) -> ThetaReport:
     return report
 
 
-@dataclass
 class NormalElementResult:
-    element: Polynomial
-    s: int
-    eta: Fraction
-    normality: object
+    def __init__(self, element: Polynomial, s: int, eta: Fraction, normality: object):
+        self.element = element
+        self.s = s
+        self.eta = eta
+        self.normality = normality
 
     def __str__(self):
         return str(self.element)
@@ -177,13 +176,25 @@ def normal_element(L: LevelData, a: Polynomial) -> NormalElementResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DElement:
     """A fraction b/c over the base ring A with sigma(d) = lambda d and
-    delta(d) = -lambda d^2 (held as cross-multiplied identities)."""
+    delta(d) = -lambda d^2 (held as cross-multiplied identities); immutable,
+    compared and hashed by (numerator, denominator), not as a fraction."""
 
-    numerator: Polynomial
-    denominator: Polynomial
+    def __init__(self, numerator: Polynomial, denominator: Polynomial):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DElement is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not DElement:
+            return NotImplemented
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __hash__(self):
+        return hash((self.numerator, self.denominator))
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -410,28 +421,39 @@ def second_lift(L: LevelData, P0: Ideal, d: DElement) -> Ideal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HPrimeNode:
-    level: int
-    ideal: Ideal
-    parent: "HPrimeNode | None" = None
-    branch: str = "root"
-    d: DElement | None = None
-    flags: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    prime: dict = field(default_factory=dict)
-    # normal elements discovered along this lineage, used as denominator
-    # atoms for deeper d-searches; each stays in the ring where it was found
-    normal_pool: tuple = ()
+    def __init__(
+        self,
+        level: int,
+        ideal: Ideal,
+        parent: HPrimeNode | None = None,
+        branch: str = "root",
+        d: DElement | None = None,
+        flags: list[str] | None = None,
+        notes: list[str] | None = None,
+        prime: dict | None = None,
+        normal_pool: tuple = (),
+    ):
+        self.level = level
+        self.ideal = ideal
+        self.parent = parent
+        self.branch = branch
+        self.d = d
+        self.flags = [] if flags is None else flags
+        self.notes = [] if notes is None else notes
+        self.prime = {} if prime is None else prime
+        # normal elements discovered along this lineage, used as denominator
+        # atoms for deeper d-searches; each stays in the ring where it was found
+        self.normal_pool = normal_pool
 
     def label(self) -> str:
         gens = self.ideal.generator_strings()
         return "<" + ", ".join(gens) + ">" if gens else "0"
 
 
-@dataclass
 class HPrimeTree:
-    levels: list[list[HPrimeNode]]
+    def __init__(self, levels: list[list[HPrimeNode]]):
+        self.levels = levels
 
     def leaves(self) -> list[HPrimeNode]:
         return self.levels[-1]
@@ -576,11 +598,11 @@ def delete_all(P: PoissonPresentation) -> PoissonPresentation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SeparationResult:
-    element: Polynomial
-    case: str
-    normality: object
+    def __init__(self, element: Polynomial, case: str, normality: object):
+        self.element = element
+        self.case = case
+        self.normality = normality
 
     def __str__(self):
         return str(self.element)

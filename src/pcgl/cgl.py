@@ -21,7 +21,6 @@ from it, and the Cauchon map, normal elements and the d-search the iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonDiagonalSigma, NotWithinBound, PcglError, TriangularityError
@@ -39,37 +38,34 @@ from .qpoly import Derivation, Polynomial, VarTable, re_context
 DEFAULT_NILPOTENCY_BOUND = 25
 
 
-@dataclass(frozen=True)
 class PoissonPresentation:
-    """Generators, bracket table, grading and optional per-level Lie vectors."""
+    """Generators, bracket table, grading and optional per-level Lie vectors;
+    immutable, compared and hashed by (ctx, table, grading, h,
+    nilpotency_bound).  The bracket table compares by identity."""
 
-    ctx: VarTable
-    table: BracketTable
-    grading: GradingData
-    h: tuple[LieVector, ...] | None = None
-    nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND
-    # each level's record (`LevelData`) and every memo of the separation
-    # search (`_split`, certificates, candidates, verdicts, theta(a) x^s),
-    # once per object
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        n = len(self.ctx)
-        if self.table.ctx != self.ctx:
+    def __init__(
+        self,
+        ctx: VarTable,
+        table: BracketTable,
+        grading: GradingData,
+        h: tuple[LieVector, ...] | None = None,
+        nilpotency_bound: int = DEFAULT_NILPOTENCY_BOUND,
+    ):
+        n = len(ctx)
+        if table.ctx != ctx:
             raise PcglError("bracket table over wrong variable table")
-        if len(self.grading.weights) != n:
+        if len(grading.weights) != n:
             raise PcglError("grading column count does not match generator count")
-        if self.nilpotency_bound < 1:
+        if nilpotency_bound < 1:
             raise PcglError("nilpotency bound must be >= 1")
-        if self.h is not None:
-            h = tuple(tuple(Fraction(x) for x in v) for v in self.h)
+        if h is not None:
+            h = tuple(tuple(Fraction(x) for x in v) for v in h)
             if len(h) != n:
                 raise PcglError("expected one Lie vector per generator")
             for v in h:
-                if len(v) != self.grading.rank:
+                if len(v) != grading.rank:
                     raise PcglError("Lie vector length does not match grading rank")
-            object.__setattr__(self, "h", h)
-        for (i, j), p in self.table.pairs():
+        for (i, j), p in table.pairs():
             if any(v > i for v in p.support()):
                 raise TriangularityError(
                     f"bracket {{x_{i+1}, x_{j+1}}} involves a generator beyond x_{i+1}"
@@ -78,6 +74,31 @@ class PoissonPresentation:
             if not powers <= {0, 1}:
                 shape = "degree >= 2 in" if max(powers) > 1 else "a negative power of"
                 raise TriangularityError(f"bracket {{x_{i+1}, x_{j+1}}} has {shape} x_{i+1}")
+        vars(self).update(
+            ctx=ctx,
+            table=table,
+            grading=grading,
+            h=h,
+            nilpotency_bound=nilpotency_bound,
+            # each level's record (`LevelData`) and every memo of the separation
+            # search (`_split`, certificates, candidates, verdicts, theta(a) x^s),
+            # once per object; not part of the value
+            _cache={},
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PoissonPresentation is immutable")
+
+    def _fields(self):
+        return (self.ctx, self.table, self.grading, self.h, self.nilpotency_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not PoissonPresentation:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def nvars(self) -> int:
@@ -162,24 +183,62 @@ def _lie_vector(P: PoissonPresentation, k: int, mus):
     return h_k, lam, problems
 
 
-@dataclass(frozen=True)
 class LevelData:
     """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p, the
     variable table of R_k with x_k Laurent (theta's target), and the
     problems that keep h_k from realizing sigma_k (empty on a good level).
 
     Shared by `verify_cgl` and every caller of `level_data` on the same
-    presentation."""
+    presentation.  Immutable, compared and hashed by its nine fields; the
+    derivations compare by identity."""
 
-    k: int
-    pres_R: PoissonPresentation
-    pres_A: PoissonPresentation
-    sigma: Derivation
-    delta: Derivation
-    h_k: LieVector | None
-    lambda_k: Fraction | None
-    hat_ctx: VarTable
-    problems: tuple[str, ...]
+    def __init__(
+        self,
+        k: int,
+        pres_R: PoissonPresentation,
+        pres_A: PoissonPresentation,
+        sigma: Derivation,
+        delta: Derivation,
+        h_k: LieVector | None,
+        lambda_k: Fraction | None,
+        hat_ctx: VarTable,
+        problems: tuple[str, ...],
+    ):
+        vars(self).update(
+            k=k,
+            pres_R=pres_R,
+            pres_A=pres_A,
+            sigma=sigma,
+            delta=delta,
+            h_k=h_k,
+            lambda_k=lambda_k,
+            hat_ctx=hat_ctx,
+            problems=problems,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LevelData is immutable")
+
+    def _fields(self):
+        return (
+            self.k,
+            self.pres_R,
+            self.pres_A,
+            self.sigma,
+            self.delta,
+            self.h_k,
+            self.lambda_k,
+            self.hat_ctx,
+            self.problems,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not LevelData:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @property
     def x_index(self) -> int:
@@ -239,20 +298,34 @@ def _delta_iterates(L: LevelData, a: Polynomial, modulo: Ideal | None = None):
     return iterates
 
 
-@dataclass
 class LevelReport:
-    level: int
-    sigma_diagonal_ok: bool = True
-    nilpotency: dict[int, int | None] = field(default_factory=dict)
-    nilpotency_ok: bool = True
-    likely_not_nilpotent: list[int] = field(default_factory=list)
-    h: LieVector | None = None
-    lambda_k: Fraction | None = None
-    h_ok: bool = True
-    jacobi_ok: bool = True
-    graded_ok: bool = True
-    delta_condition_ok: bool = True
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        level: int,
+        sigma_diagonal_ok: bool = True,
+        nilpotency: dict[int, int | None] | None = None,
+        nilpotency_ok: bool = True,
+        likely_not_nilpotent: list[int] | None = None,
+        h: LieVector | None = None,
+        lambda_k: Fraction | None = None,
+        h_ok: bool = True,
+        jacobi_ok: bool = True,
+        graded_ok: bool = True,
+        delta_condition_ok: bool = True,
+        notes: list[str] | None = None,
+    ):
+        self.level = level
+        self.sigma_diagonal_ok = sigma_diagonal_ok
+        self.nilpotency = {} if nilpotency is None else nilpotency
+        self.nilpotency_ok = nilpotency_ok
+        self.likely_not_nilpotent = [] if likely_not_nilpotent is None else likely_not_nilpotent
+        self.h = h
+        self.lambda_k = lambda_k
+        self.h_ok = h_ok
+        self.jacobi_ok = jacobi_ok
+        self.graded_ok = graded_ok
+        self.delta_condition_ok = delta_condition_ok
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self) -> bool:
@@ -286,9 +359,9 @@ class LevelReport:
         }
 
 
-@dataclass
 class CGLReport:
-    levels: list[LevelReport]
+    def __init__(self, levels: list[LevelReport]):
+        self.levels = levels
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,6 @@ components through the pairing <h, weight>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -18,19 +17,28 @@ from .qpoly import Monomial, Polynomial
 LieVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class GradingData:
-    """Weight vectors deg(x_i) in Z^r, one per generator."""
+    """Weight vectors deg(x_i) in Z^r, one per generator; immutable,
+    compared and hashed by (rank, weights)."""
 
-    rank: int
-    weights: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        weights = tuple(tuple(int(x) for x in w) for w in self.weights)
+    def __init__(self, rank: int, weights: tuple[tuple[int, ...], ...]):
+        weights = tuple(tuple(int(x) for x in w) for w in weights)
         for w in weights:
-            if len(w) != self.rank:
+            if len(w) != rank:
                 raise PcglError("weight vector length does not match grading rank")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradingData is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not GradingData:
+            return NotImplemented
+        return self.rank == other.rank and self.weights == other.weights
+
+    def __hash__(self):
+        return hash((self.rank, self.weights))
 
     def restrict(self, k: int) -> "GradingData":
         return GradingData(self.rank, self.weights[:k])

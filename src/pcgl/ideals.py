@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .grading import monomial_weight, weight_of
@@ -557,6 +556,8 @@ def contract_to_prefix(I: Ideal, k: int) -> Ideal:
     if not 0 <= k <= len(I.ctx):
         raise PcglError(f"k must lie in 0..{len(I.ctx)}, got {k}")
     J = eliminate(I, range(k))
+    if k == len(I.ctx):
+        return J
     sub = I.ctx.restrict(k)
     return Ideal._with_basis(sub, [re_context(g, sub) for g in J.generators])
 
@@ -822,21 +823,25 @@ def _obviously_coprime(a: Polynomial, b: Polynomial) -> bool:
     return False
 
 
-@dataclass
 class ChainEntry:
-    generators: list[str]
-    poisson: bool
-    h_stable: bool
-    dimension: int
-    primality: dict
+    def __init__(
+        self, generators: list[str], poisson: bool, h_stable: bool, dimension: int, primality: dict
+    ):
+        self.generators = generators
+        self.poisson = poisson
+        self.h_stable = h_stable
+        self.dimension = dimension
+        self.primality = primality
 
 
-@dataclass
 class ChainReport:
-    entries: list[ChainEntry]
-    drops: list[int]
-    length: int
-    saturated_in_spec: bool
+    def __init__(
+        self, entries: list[ChainEntry], drops: list[int], length: int, saturated_in_spec: bool
+    ):
+        self.entries = entries
+        self.drops = drops
+        self.length = length
+        self.saturated_in_spec = saturated_in_spec
 
     def to_json_dict(self):
         return {

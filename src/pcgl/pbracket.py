@@ -31,7 +31,6 @@ the Jacobi identity is a property of the table and is checked separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from .errors import ContextMismatch, PcglError, PreconditionError
 from .qpoly import Polynomial, VarTable, _chain_rule, re_context
 
@@ -117,10 +116,10 @@ def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
     return _chain_rule(rows, g, 1)[0]
 
 
-@dataclass
 class JacobiReport:
-    ok: bool
-    failures: list[tuple[int, int, int, Polynomial]] = field(default_factory=list)
+    def __init__(self, ok: bool, failures: list[tuple[int, int, int, Polynomial]] | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
 
 def jacobiator(B: BracketTable, i: int, j: int, k: int) -> Polynomial:
@@ -152,11 +151,28 @@ def check_jacobi(B: BracketTable) -> JacobiReport:
     return JacobiReport(ok=not failures, failures=failures)
 
 
-@dataclass
 class NormalityCertificate:
-    ok: bool
-    quotients: dict[int, Polynomial] = field(default_factory=dict)
-    failures: dict[int, Polynomial] = field(default_factory=dict)
+    """Compared by value, as the separation memos that hold certificates
+    are compared."""
+
+    def __init__(
+        self,
+        ok: bool,
+        quotients: dict[int, Polynomial] | None = None,
+        failures: dict[int, Polynomial] | None = None,
+    ):
+        self.ok = ok
+        self.quotients = {} if quotients is None else quotients
+        self.failures = {} if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not NormalityCertificate:
+            return NotImplemented
+        return (
+            self.ok == other.ok
+            and self.quotients == other.quotients
+            and self.failures == other.failures
+        )
 
 
 def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityCertificate:

@@ -37,7 +37,6 @@ Poisson brackets of `pbracket`, each handing it rows of generator images.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -52,16 +51,13 @@ from .errors import (
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
-@dataclass(frozen=True)
 class VarTable:
-    """Ordered variable names with per-variable Laurent flags."""
+    """Ordered variable names with per-variable Laurent flags; immutable,
+    compared and hashed by (names, laurent)."""
 
-    names: tuple[str, ...]
-    laurent: tuple[bool, ...] = ()
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        laurent = tuple(self.laurent) if self.laurent else (False,) * len(names)
+    def __init__(self, names: tuple[str, ...], laurent: tuple[bool, ...] = ()):
+        names = tuple(names)
+        laurent = tuple(laurent) if laurent else (False,) * len(names)
         if len(laurent) != len(names):
             raise PcglError("laurent flag list does not match variable count")
         for name in names:
@@ -74,6 +70,17 @@ class VarTable:
         object.__setattr__(self, "_pos", {n: i for i, n in enumerate(names)})
         # the tables derived by `restrict` and `extend`, one per argument
         object.__setattr__(self, "_derived", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VarTable is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not VarTable:
+            return NotImplemented
+        return self.names == other.names and self.laurent == other.laurent
+
+    def __hash__(self):
+        return hash((self.names, self.laurent))
 
     def __len__(self):
         return len(self.names)

@@ -8,7 +8,6 @@ the log-bracket matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -17,16 +16,13 @@ from .ideals import Ideal, variable_support
 from .qpoly import Monomial, Polynomial, VarTable
 
 
-@dataclass(frozen=True)
 class LogBracketMatrix:
-    """Skew matrix of the coefficients lambda_ij in {x_i, x_j} = lambda_ij x_i x_j."""
+    """Skew matrix of the coefficients lambda_ij in {x_i, x_j} = lambda_ij x_i x_j;
+    immutable, compared and hashed by (ctx, entries)."""
 
-    ctx: VarTable
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+    def __init__(self, ctx: VarTable, entries: tuple[tuple[Fraction, ...], ...]):
+        n = len(entries)
+        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise PcglError("log-bracket matrix must be square")
@@ -35,7 +31,19 @@ class LogBracketMatrix:
             for j in range(n):
                 if rows[i][j] != -rows[j][i]:
                     raise PcglError("log-bracket matrix must be skew-symmetric")
+        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LogBracketMatrix is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not LogBracketMatrix:
+            return NotImplemented
+        return self.ctx == other.ctx and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.ctx, self.entries))
 
 
 def extract_log_matrix(P) -> LogBracketMatrix:
@@ -59,10 +67,10 @@ def extract_log_matrix(P) -> LogBracketMatrix:
     return LogBracketMatrix(P.ctx, tuple(tuple(r) for r in rows))
 
 
-@dataclass
 class CenterBasis:
-    ctx: VarTable
-    kernel: tuple[tuple[int, ...], ...]
+    def __init__(self, ctx: VarTable, kernel: tuple[tuple[int, ...], ...]):
+        self.ctx = ctx
+        self.kernel = kernel
 
     @property
     def rank(self) -> int:
@@ -98,12 +106,14 @@ def poisson_center_torus(M: LogBracketMatrix) -> CenterBasis:
     return CenterBasis(M.ctx, tuple(tuple(v) for v in kernel))
 
 
-@dataclass
 class StratumReport:
-    node_generators: list[str]
-    surviving: list[str]
-    center: CenterBasis
-    dimension: int
+    def __init__(
+        self, node_generators: list[str], surviving: list[str], center: CenterBasis, dimension: int
+    ):
+        self.node_generators = node_generators
+        self.surviving = surviving
+        self.center = center
+        self.dimension = dimension
 
     def to_json_dict(self):
         return {

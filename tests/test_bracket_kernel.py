@@ -14,7 +14,6 @@ search is compared with an eager reference list, and `Ideal.reduced` with
 a recomputed basis.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -55,6 +54,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
+from records import rebuild
 from reference import pairwise_delta_condition, reference_bracket, reference_derivation
 from test_matrices import matrix_presentation
 
@@ -264,7 +264,7 @@ def delta_cases():
                     change = re_context(random_polynomial(rng, P.ctx.restrict(i), 2, 2), P.ctx)
                 entries = dict(P.table.pairs())
                 entries[(i, j)] = P.table.entry(i, j) + change
-                broken = dataclasses.replace(P, table=BracketTable(P.ctx, entries))
+                broken = rebuild(P, table=BracketTable(P.ctx, entries))
                 yield f"{name}-{k}-{which}", (broken, k)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -40,6 +39,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
+from records import fields, rebuild
 from test_matrices import matrix_presentation
 
 
@@ -110,7 +110,7 @@ class TestTheta:
     @pytest.mark.parametrize("fix", ["weyl", "pplane", "m2", "2x3"])
     def test_level_record_holds_no_laurent_table(self, request, fix):
         # check_theta builds the bracket table over hat_ctx itself
-        assert "hat_table" not in {f.name for f in dataclasses.fields(LevelData)}
+        assert "hat_table" not in fields(LevelData)
         P = tower(request, fix)
         for k in range(1, P.nvars + 1):
             L = level_data(P, k)
@@ -125,7 +125,7 @@ class TestTheta:
         L = level_data(tower(request, fix), level)
         A = L.pres_A
         doubled = BracketTable(A.ctx, {k: 2 * p for k, p in A.table.pairs()})
-        report = check_theta(dataclasses.replace(L, pres_A=dataclasses.replace(A, table=doubled)))
+        report = check_theta(rebuild(L, pres_A=rebuild(A, table=doubled)))
         names = A.ctx.names
         assert report.failures == [
             {"identity": "poisson", "a": names[i], "b": names[j]} for (i, j), _ in A.table.pairs()
@@ -134,7 +134,7 @@ class TestTheta:
         assert report.failures and check_theta(L).ok
 
     def test_corrupted_lambda_fails(self, weyl2):
-        broken = dataclasses.replace(weyl2, lambda_k=Fraction(2))
+        broken = rebuild(weyl2, lambda_k=Fraction(2))
         report = check_theta(broken)
         assert not report.ok
         assert any(f["identity"] == "sigma-twist" for f in report.failures)
@@ -156,7 +156,7 @@ def doubled_sigma_image(L):
     images = dict(L.sigma.images)
     j = min(j for j, img in images.items() if not img.is_zero())
     images[j] = images[j] * 2
-    return dataclasses.replace(L, sigma=Derivation(L.sigma.ctx, images))
+    return rebuild(L, sigma=Derivation(L.sigma.ctx, images))
 
 
 @pytest.mark.parametrize("fix,level", [("weyl", 2), ("m2", 4), ("2x3", 5)])
@@ -167,7 +167,7 @@ def test_exact_check_catches_mutations(request, monkeypatch, fix, level, mutatio
     L = level_data(tower(request, fix), level)
     assert check_theta(L).ok
     if mutation == "lambda doubled":
-        L = dataclasses.replace(L, lambda_k=2 * L.lambda_k)
+        L = rebuild(L, lambda_k=2 * L.lambda_k)
     elif mutation == "sigma image doubled":
         L = doubled_sigma_image(L)
     else:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -20,6 +19,7 @@ from pcgl.grading import GradingData, weight_of
 from pcgl.pbracket import BracketTable, bracket
 from pcgl.qpoly import Polynomial, VarTable, parse, re_context
 from random_poly import random_polynomial
+from records import rebuild
 from reference import lie_act, pairwise_delta_condition
 from test_matrices import matrix_presentation
 from test_schubert_cells import b2
@@ -127,7 +127,7 @@ class TestVerify:
         # is d, so that level 4 alone reports it
         entries = dict(m2.table.pairs())
         entries[entry] = parse(text, m2.ctx)
-        P = dataclasses.replace(m2, table=BracketTable(m2.ctx, entries))
+        P = rebuild(m2, table=BracketTable(m2.ctx, entries))
         assert [level.jacobi_ok for level in verify_cgl(P).levels] == [True, True, True, False]
 
     def test_supplied_h_is_validated(self, weyl):
@@ -183,7 +183,7 @@ def delta_corpus():
             entries = dict(P.table.pairs())
             entries[(i, j)] = entry
             table = BracketTable(P.ctx, entries)
-            yield f"{name}-{t}", dataclasses.replace(P, table=table, nilpotency_bound=6)
+            yield f"{name}-{t}", rebuild(P, table=table, nilpotency_bound=6)
 
 
 def test_delta_flags_match_the_pairwise_reference():
@@ -215,7 +215,7 @@ class TestSharedDerivation:
         if name == "2x3":
             P = matrix_presentation(2, 3)
         else:
-            P = dataclasses.replace(request.getfixturevalue(name))
+            P = rebuild(request.getfixturevalue(name))
         records = {}
         for _ in range(2):
             report = verify_cgl(P)

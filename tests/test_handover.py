@@ -130,9 +130,17 @@ def test_eliminations_of_random_ideals(handovers, seed):
             assert handovers - before == Counter(site)
             assert all(g.support() <= set(keep) for g in K.generators)
     # the full contraction and a saturation at a constant hand over I's basis
-    # over I's own table
+    # over I's own table once, by `reduced` inside `eliminate`
     one = Polynomial.constant(ctx, 2)
-    for K in (contract_to_prefix(I, 3), saturate(I, one), saturate(I, one, keep=3)):
+    once = Counter({"reduced": 1, "in eliminate": 1, "in contract_to_prefix": 1})
+    for call, outer in [
+        (lambda: contract_to_prefix(I, 3), {}),
+        (lambda: saturate(I, one), {"in saturate": 1}),
+        (lambda: saturate(I, one, keep=3), {"in saturate": 1}),
+    ]:
+        before = handovers.copy()
+        K = call()
+        assert handovers - before == once + Counter(outer)
         assert K.ctx is ctx and K.generators == I.groebner()
     before = handovers.copy()
     saturate(I, one, keep=2)

@@ -6,7 +6,6 @@ poly-Bernoulli number), which gives an independent oracle for the whole
 enumeration pipeline well beyond the shipped fixtures.
 """
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -35,8 +34,8 @@ from pcgl.ideals import (
     is_poisson_stable,
     step_limit,
 )
-from pcgl.pbracket import BracketTable
-from pcgl.qpoly import Derivation, Polynomial, parse
+from pcgl.qpoly import Polynomial, parse
+from records import plain, rebuild
 
 
 def _load_towers():
@@ -421,22 +420,6 @@ def test_three_by_three_normality_certificates(three_by_three):
 # ---------------------------------------------------------------------------
 
 
-def plain(value):
-    """A presentation, table or derivation as comparable plain data, field
-    by field; polynomials as strings, tables by their pairs()."""
-    if isinstance(value, BracketTable):
-        return [(key, str(p)) for key, p in value.pairs()]
-    if isinstance(value, Derivation):
-        return {j: str(p) for j, p in value.images.items()}
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.compare
-        }
-    return value
-
-
 def tower(name):
     if name == "2x3":
         return matrix_presentation(2, 3)
@@ -450,7 +433,7 @@ def test_level_data_is_cached_per_presentation(name):
     cached = {k: level_data(P, k) for k in range(P.nvars, 0, -1)}
     for k, L in cached.items():
         assert level_data(P, k) is L
-        fresh = dataclasses.replace(P)
+        fresh = rebuild(P)
         L_fresh = level_data(fresh, k)
         assert L_fresh is not L
         assert plain(L) == plain(L_fresh)
@@ -610,7 +593,7 @@ def test_separation_is_independent_of_the_pair_order():
     golden = json.loads(SEPARATION_GOLDEN.read_text())["2x3"]
     assert separation_rows(P, pairs) == golden
     assert separation_rows(P, pairs[::-1]) == golden
-    assert separation_rows(dataclasses.replace(P), pairs[::-1]) == golden
+    assert separation_rows(rebuild(P), pairs[::-1]) == golden
 
 
 @pytest.mark.parametrize(
@@ -643,7 +626,7 @@ def test_step_budget_in_a_sweep_leaves_no_memo_entry(limit, caller, callee):
     inner = len(frames) - 1 - frames[::-1].index("_memo")
     assert frames[inner - 1] == caller and callee in frames[inner + 1 :]
     assert separation_rows(P, pairs[k:]) == golden[k:]
-    fresh = dataclasses.replace(P)
+    fresh = rebuild(P)
     assert separation_rows(fresh, pairs) == golden
     assert plain_memo(separation_memo(P)) == plain_memo(separation_memo(fresh))
 

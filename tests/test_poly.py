@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import pickle
 import random
@@ -31,6 +30,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
+from records import rebuild
 from reference import partial
 
 CTX = VarTable(("x", "y", "z", "w"))
@@ -169,7 +169,7 @@ class TestIterate:
 
     def test_not_within_bound_degrees_grow(self, bellsig):
         # delta_4 of bellsig: x -> 2yz, y -> x + y^2, z -> 0
-        L = _level_record(dataclasses.replace(bellsig, nilpotency_bound=6), 4)
+        L = _level_record(rebuild(bellsig, nilpotency_bound=6), 4)
         ctx = L.delta.ctx
         with pytest.raises(NotWithinBound) as exc:
             _delta_iterates(L, poly("y", ctx))
