@@ -38,12 +38,29 @@ class TestCheck:
         assert level4["delta_nilpotent"] is False
         assert level4["h_exists"] is False
 
-    def test_malformed_json(self, capsys, tmp_path):
+    @pytest.mark.parametrize("content,message", [
+        (b"{not json",
+         "malformed JSON: Expecting property name enclosed in double quotes:"
+         " line 1 column 2 (char 1)"),
+        (b'\xef\xbb\xbf{"vars": ["a"]}',
+         "malformed JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+         " line 1 column 1 (char 0)"),
+        (b'{"vars": ["\xff"]}',
+         "malformed JSON: 'utf-8' codec can't decode byte 0xff in position 11:"
+         " invalid start byte"),
+        # the offset counts each CRLF as one character, as text mode reads it
+        (b'{\r\n"vars": ["a"],\r\n "h" 1\r\n}\r\n',
+         "malformed JSON: Expecting ':' delimiter: line 3 column 6 (char 22)"),
+        (b'["a"]\n', "presentation file must be a JSON object"),
+    ], ids=["not_json", "bom", "invalid_utf8", "crlf", "array"])
+    def test_malformed_json(self, capsys, tmp_path, content, message):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run(capsys, "check", str(bad))
-        assert code == 2
-        assert "error" in err
+        bad.write_bytes(content)
+        assert run(capsys, "check", str(bad)) == (2, "", f"error: {message}\n")
+        # a failed load is not kept: the file mended in place loads
+        bad.write_text(Path(WEYL).read_text())
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 0 and json.loads(out)["ok"] and not err
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/nope.json")
