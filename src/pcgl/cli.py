@@ -134,11 +134,37 @@ def _level_data(pres: PoissonPresentation, level: int):
 
 
 def load_presentation(path: str) -> tuple[PoissonPresentation, dict]:
+    """The presentation and the `bounds` of a presentation file.  The file
+    is read on every call, and the bounds are a new dict each time.
+
+    Loads of the same file text share one presentation, built once and
+    kept for the most recently loaded texts (`functools.lru_cache`'s default
+    size); a load that fails keeps nothing.  Sharing is sound because
+    every memo that a presentation carries into a later command depends on
+    the immutable presentation alone and none holds a Groebner result that
+    a command reads: the tables derived by `VarTable.extend` and `restrict`,
+    the column cuts of `BracketTable`, and the level records in P._cache.
+    The separation memos in P._cache are Groebner-derived, but only
+    `separating_normal` reads them, and no command calls it.  So each
+    command's Groebner steps, budget verdict, exit code and output do not
+    depend on earlier calls.
+    """
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
             raise SchemaError(f"malformed JSON: {exc}") from None
+    pres, bounds = _load_text(text)
+    return pres, dict(bounds)
+
+
+@functools.lru_cache
+def _load_text(text: str) -> tuple[PoissonPresentation, dict]:
+    """The checked presentation and bounds of a file text, kept per text."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"malformed JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError("presentation file must be a JSON object")
     return load_presentation_data(data)

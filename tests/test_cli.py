@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from pcgl import cli, ideals
 from pcgl.cli import build_parser, fixture_path, load_presentation, load_presentation_data, main
 from pcgl.ideals import Ideal
 from pcgl.qpoly import VarTable, parse
@@ -20,6 +22,26 @@ WEYL = fixture_path("weyl")
 PPLANE = fixture_path("pplane")
 BELLSIG = fixture_path("bellsig")
 M2 = fixture_path("m2")
+
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
+# The README commands; tests/golden/cli/<name>.out holds each one's stdout.
+README_COMMANDS = {
+    "check_weyl": ("check", WEYL),
+    "theta_weyl": ("theta", WEYL, "--level", "2", "a"),
+    "normal_weyl": ("normal", WEYL, "--level", "2", "a"),
+    "d_weyl": ("d", WEYL, "--level", "2"),
+    "hprimes_m2": ("hprimes", M2),
+    "hprimes_m2_dot": ("hprimes", M2, "--format", "dot"),
+    "closure_bellsig": ("closure", BELLSIG, "-g", "x"),
+    "hcore_weyl": ("hcore", WEYL, "-g", "a + X^2"),
+    "chain_bellsig": ("chain", BELLSIG, "--ideal", "0", "--ideal", "x;y", "--ideal", "x;y;z"),
+    "chain_m2": (
+        "chain", M2, "--ideal", "0", "--ideal", "b*c - a*d", "--ideal", "c;d",
+        "--ideal", "b;c;d", "--ideal", "a;b;c;d",
+    ),
+    "center_pplane": ("center", PPLANE),
+}
 
 
 class TestCheck:
@@ -259,6 +281,16 @@ class TestReports:
         assert code == 1
 
 
+def budgeted(tmp_path, path, steps):
+    """A copy of the presentation file at `path` whose bounds.groebner_steps
+    is `steps`."""
+    data = json.loads(Path(path).read_text())
+    data["bounds"] = {"groebner_steps": steps}
+    copy = tmp_path / f"steps{steps}-{Path(path).name}"
+    copy.write_text(json.dumps(data))
+    return str(copy)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -268,12 +300,42 @@ class TestDeterminism:
             ("closure", BELLSIG, "-g", "x"),
             ("center", PPLANE),
             ("chain", BELLSIG, "--ideal", "0", "--ideal", "z"),
+            *(pytest.param(argv, id=name) for name, argv in README_COMMANDS.items()),
+            # the budgeted commands of the step-budget tests below; a
+            # (file, steps) entry runs on `budgeted(tmp_path, file, steps)`
+            pytest.param(("hcore", (WEYL, 1), "-g", "a + X^2"), id="hcore_weyl_steps1"),
+            pytest.param(("hprimes", (M2, 1)), id="hprimes_m2_steps1"),
         ],
     )
-    def test_byte_identical_reruns(self, capsys, argv):
-        _, out1, _ = run(capsys, *argv)
-        _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
+    def test_byte_identical_reruns(self, capsys, tmp_path, argv):
+        # the first run builds the presentation, the second reuses it
+        argv = [budgeted(tmp_path, *a) if isinstance(a, tuple) else a for a in argv]
+        cli._load_text.cache_clear()
+        assert run(capsys, *argv) == run(capsys, *argv)
+
+
+class TestLoadKeepsThePresentation:
+    def test_one_text_gives_one_presentation(self, tmp_path):
+        copy = tmp_path / "m2.json"
+        copy.write_text(Path(M2).read_text())
+        pres, _ = load_presentation(M2)
+        assert load_presentation(M2)[0] is pres
+        assert load_presentation(str(copy))[0] is pres
+
+    def test_rewritten_file_is_read_afresh(self, capsys, tmp_path):
+        path = tmp_path / "tower.json"
+        path.write_text(Path(WEYL).read_text())
+        assert load_presentation(str(path))[0] is load_presentation(WEYL)[0]
+        path.write_text(Path(PPLANE).read_text())
+        assert load_presentation(str(path))[0] is load_presentation(PPLANE)[0]
+        assert run(capsys, "center", str(path)) == run(capsys, "center", PPLANE)
+
+    def test_each_load_returns_fresh_bounds(self, tmp_path):
+        path = budgeted(tmp_path, WEYL, 5)
+        bounds = load_presentation(path)[1]
+        bounds["groebner_steps"] = 1
+        again = load_presentation(path)[1]
+        assert again == {"groebner_steps": 5} and again is not bounds
 
 
 def test_parser_built_once():
@@ -294,37 +356,95 @@ def test_file_step_budget_is_scoped_to_its_command(capsys, tmp_path):
     def basis_size():
         return len(Ideal(ctx, [parse("x^2 - y", ctx), parse("x*y - z", ctx)]).groebner())
 
-    data = json.loads(Path(WEYL).read_text())
-    data["bounds"] = {"groebner_steps": 1}
-    tight = tmp_path / "tight.json"
-    tight.write_text(json.dumps(data))
-    load_presentation_data(data)
+    tight = budgeted(tmp_path, WEYL, 1)
+    load_presentation_data(json.loads(Path(tight).read_text()))
     assert basis_size() == 3
     # main runs the command in a `with step_limit(1):` block
-    code, out, err = run(capsys, "hcore", str(tight), "-g", "a + X^2")
+    code, out, err = run(capsys, "hcore", tight, "-g", "a + X^2")
     assert code == 1 and not out and "budget of 1 exceeded" in err
     assert basis_size() == 3
 
 
 def test_budget_overrun_is_one_error_line(capsys, tmp_path):
-    data = json.loads(Path(WEYL).read_text())
-    data["bounds"] = {"groebner_steps": 1}
-    tight = tmp_path / "tight.json"
-    tight.write_text(json.dumps(data))
-    code, out, err = run(capsys, "hcore", str(tight), "-g", "a + X^2")
+    code, out, err = run(capsys, "hcore", budgeted(tmp_path, WEYL, 1), "-g", "a + X^2")
     assert (code, out, err) == (1, "", "error: Groebner step budget of 1 exceeded\n")
 
 
 def test_hprimes_out_of_budget_is_inconclusive(capsys, tmp_path):
     # a step budget that runs out gives a flagged tree, not an error
-    data = json.loads(Path(M2).read_text())
-    data["bounds"] = {"groebner_steps": 1}
-    tight = tmp_path / "tight.json"
-    tight.write_text(json.dumps(data))
-    code, out, err = run(capsys, "hprimes", str(tight))
+    code, out, err = run(capsys, "hprimes", budgeted(tmp_path, M2, 1))
     assert code == 0 and not err
     tree = json.loads(out)
     assert tree["inconclusive"] is True and 0 < tree["count"] < 14
+
+
+def command_mix(rng, count):
+    """`count` seeded commands: chain, hcore, closure and center on the
+    fixtures, and check, hprimes, d and theta on m2."""
+    paths = (WEYL, PPLANE, M2, BELLSIG)
+    names = {path: load_presentation(path)[0].ctx.names for path in paths}
+
+    def element(path):
+        u, v, w, x = (rng.choice(names[path]) for _ in range(4))
+        c = rng.randint(1, 3)
+        return rng.choice((u, f"{u} + {c}*{v}", f"{u}*{v} - {c}*{w}^2", f"{u}*{v} - {w}*{x}"))
+
+    def draw(kind):
+        path = rng.choice(paths)
+        if kind == "chain":
+            # 0, two drawn elements, then one more variable per entry
+            gens = [element(path), element(path)]
+            order = rng.sample(names[path], len(names[path]))
+            argv = ["chain", path, "--ideal", "0"]
+            for k in range(rng.randint(1, len(order))):
+                argv += ["--ideal", ";".join(gens + order[:k])]
+            return argv
+        if kind in ("hcore", "closure"):
+            argv = [kind, path]
+            for _ in range(rng.randint(1, 2)):
+                argv += ["-g", element(path)]
+            return argv
+        if kind == "center":
+            return ["center", path]
+        if kind == "d":
+            level = rng.randint(2, 4)
+            modulo = rng.choice(([], ["--modulo", "b;c"]))
+            return ["d", M2, "--level", str(level), *(modulo if level == 4 else [])]
+        if kind == "theta":
+            level = rng.randint(2, 4)
+            return ["theta", M2, "--level", str(level), rng.choice("abc"[: level - 1])]
+        return [kind, M2]
+
+    kinds = ("chain", "hcore", "closure", "center", "check", "hprimes", "d", "theta")
+    # the fixture commands twice as often as those on m2 alone
+    return [draw(rng.choice(kinds[:4] * 2 + kinds[4:])) for _ in range(count)]
+
+
+def test_step_counts_do_not_depend_on_earlier_commands(capsys, monkeypatch):
+    # each command takes as many Groebner steps, with the same output, on a
+    # presentation built for it as on one that earlier commands have used
+    ticks = [0]
+    tick = ideals._Budget.tick
+
+    def counted(self):
+        ticks[0] += 1
+        return tick(self)
+
+    monkeypatch.setattr(ideals._Budget, "tick", counted)
+
+    def steps(argv, cold):
+        if cold:
+            cli._load_text.cache_clear()
+        ticks[0] = 0
+        return run(capsys, *argv), ticks[0]
+
+    mix = command_mix(random.Random(7), 60)
+    cold = [steps(argv, cold=True) for argv in mix]
+    assert sum(n for _, n in cold) > 0
+    # in the second warm pass every command runs on a presentation that the
+    # whole mix has used before
+    for _ in range(2):
+        assert [steps(argv, cold=False) for argv in mix] == cold
 
 
 @pytest.mark.parametrize("command", [("d", WEYL, "--level", "2"), ("hprimes", M2)])
@@ -363,27 +483,6 @@ def test_deeply_nested_bracket_entry(capsys, tmp_path, entry):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2 and not out
     assert err.startswith("error: expression nested too deeply") and len(err.splitlines()) == 1
-
-
-GOLDEN = Path(__file__).parent / "golden" / "cli"
-
-# The README commands; tests/golden/cli/<name>.out holds each one's stdout.
-README_COMMANDS = {
-    "check_weyl": ("check", WEYL),
-    "theta_weyl": ("theta", WEYL, "--level", "2", "a"),
-    "normal_weyl": ("normal", WEYL, "--level", "2", "a"),
-    "d_weyl": ("d", WEYL, "--level", "2"),
-    "hprimes_m2": ("hprimes", M2),
-    "hprimes_m2_dot": ("hprimes", M2, "--format", "dot"),
-    "closure_bellsig": ("closure", BELLSIG, "-g", "x"),
-    "hcore_weyl": ("hcore", WEYL, "-g", "a + X^2"),
-    "chain_bellsig": ("chain", BELLSIG, "--ideal", "0", "--ideal", "x;y", "--ideal", "x;y;z"),
-    "chain_m2": (
-        "chain", M2, "--ideal", "0", "--ideal", "b*c - a*d", "--ideal", "c;d",
-        "--ideal", "b;c;d", "--ideal", "a;b;c;d",
-    ),
-    "center_pplane": ("center", PPLANE),
-}
 
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))

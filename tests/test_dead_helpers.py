@@ -6,11 +6,16 @@
   of such a class, needs a reader in src/pcgl outside its own body, or in
   the benchmark (`perfbench/*.py`).  A method is read only as an attribute
   (`x.name`): a function of the same name read as a variable does not
-  read the method.  Importing a name, as `__init__.py` does to re-export
-  it, does not read it.  A public name kept for a reader
-  that this test does not parse, the README or an open ROADMAP item, is
-  listed in `PUBLIC_READERS` with that reader.  A name that only tests
-  read is an oracle and lives in the test tree (`tests/reference.py`).
+  read the method.  Nor does any `.name` when `name` is also a data
+  attribute of some class there (set as `self.name`, in
+  `vars(self).update(name=...)` or in `object.__setattr__(self, "name",
+  ...)`): without the receiver's type the walk cannot tell the two reads
+  apart, so such a method needs a `PUBLIC_READERS` entry.  Importing a
+  name, as `__init__.py` does to re-export it, does not read it.  A public
+  name kept for a reader that this test does not parse, the README or an
+  open ROADMAP item, is listed in `PUBLIC_READERS` with that reader, a
+  method as `Class.method`.  A name that only tests read is an oracle and
+  lives in the test tree (`tests/reference.py`).
 
 And every import of a sibling module sits at the top of its module, except
 in the functions that break a real import cycle (`CYCLE_BREAKERS`)."""
@@ -26,8 +31,9 @@ BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 CYCLE_BREAKERS = {"pbracket.is_poisson_normal"}
 
 # public names kept for a reader outside src/pcgl (the README, the
-# benchmark or an open ROADMAP item), each with that reader; an entry whose
-# name is no longer defined fails
+# benchmark or an open ROADMAP item), or read as an attribute that is also
+# a data attribute of another class, each with that reader; a method is
+# listed as Class.method, and an entry whose name is no longer defined fails
 PUBLIC_READERS = {
     "check_theta": "README; ROADMAP items 15, 16 and 19",
     "d_element_from_normal": "ROADMAP item 14C",
@@ -35,6 +41,12 @@ PUBLIC_READERS = {
     "stratum_summary": "ROADMAP item 2",
     "separating_normal": "README; perfbench",
     "fixture_path": "README; perfbench",
+    # properties whose name is also a data attribute (JacobiReport.ok and
+    # NormalityCertificate.ok; GradingData.rank)
+    "CGLReport.ok": "cli.cmd_check, cauchon.enumerate_hprimes",
+    "LevelReport.ok": "CGLReport.ok, LevelReport.to_json_dict",
+    "ThetaReport.ok": "the verdict of check_theta, kept with it",
+    "CenterBasis.rank": "CenterBasis.to_json_dict",
 }
 
 
@@ -144,23 +156,50 @@ def public_definitions(tree, module):
                     yield item.name, f"{module}:{node.name}.{item.name}", {"." + item.name}
 
 
+def data_attributes(tree):
+    """The names set as data attributes of an instance in tree: as
+    `self.name`, in `vars(self).update(name=...)` or in
+    `object.__setattr__(self, "name", ...)`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                names.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner, args = node.func.value, node.args
+            if (node.func.attr == "update" and isinstance(owner, ast.Call)
+                    and ast.unparse(owner) == "vars(self)"):
+                names.update(k.arg for k in node.keywords if k.arg)
+            elif (ast.unparse(node.func) == "object.__setattr__" and len(args) > 1
+                    and ast.unparse(args[0]) == "self" and isinstance(args[1], ast.Constant)):
+                names.add(args[1].value)
+    return names
+
+
 def public_surface_faults(modules, readers, allowlist):
     """The public names of `modules` (file name -> tree) that nothing in
     `modules` or `readers` reads and `allowlist` does not name, with where
     each is defined; and the allowlist entries that name no public
-    definition."""
-    defined, used = [], set()
+    definition.  A method that shares its name with a data attribute of
+    either has no reader the walk can see."""
+    defined, used, attributes = [], set(), set()
     for module, tree in modules.items():
         defined += public_definitions(tree, module)
+    for tree in [*modules.values(), *readers]:
         used.update(references(tree))
-    for tree in readers:
-        used.update(references(tree))
+        attributes |= data_attributes(tree)
+
+    def listed_as(name, where, read_as):
+        # a module-level name by itself, a method as Class.method
+        return name if name in read_as else where.split(":", 1)[1]
+
     unread = {
         name: where
         for name, where, read_as in defined
-        if not read_as & used and name not in allowlist
+        if listed_as(name, where, read_as) not in allowlist
+        and (not read_as & used or name not in read_as and name in attributes)
     }
-    return unread, sorted(set(allowlist) - {name for name, _, _ in defined})
+    return unread, sorted(set(allowlist) - {listed_as(*d) for d in defined})
 
 
 def test_every_public_name_has_a_reader():
@@ -213,6 +252,66 @@ def test_a_function_read_does_not_read_a_method_of_its_name():
     assert unread == {"bracket": "m.py:Pres.bracket", "Pres": "m.py:5"}
     reader = ast.parse("import m\nm.use(m.Pres().bracket(1, 2))\n")
     assert public_surface_faults(modules, [reader], {}) == ({"helper": "m.py:3"}, [])
+
+
+def test_a_data_attribute_read_does_not_read_a_method_of_its_name():
+    # CGLReport.level was read through HPrimeNode.level, and
+    # LogBracketMatrix.n through the benchmark's EnumTower.n
+    modules = {
+        "cgl.py": ast.parse(
+            "class CGLReport:\n"
+            "    def level(self, k):\n        return k\n"
+            "def verify_cgl():\n    return CGLReport()\n"
+        ),
+        "cauchon.py": ast.parse(
+            "class HPrimeNode:\n"
+            "    def __init__(self, level):\n        self.level = level\n"
+            "def depth(node):\n    return node.level\n"
+        ),
+        "strata.py": ast.parse(
+            "class LogBracketMatrix:\n"
+            "    def __init__(self, rows):\n        object.__setattr__(self, 'rows', rows)\n"
+            "    def n(self):\n        return len(self.rows)\n"
+            "    def size(self):\n        return self.n()\n"
+            "def extract_log_matrix(rows):\n    return LogBracketMatrix(rows).size()\n"
+        ),
+    }
+    reader = ast.parse(
+        "import cgl, cauchon, strata\n"
+        "class EnumTower:\n"
+        "    def __init__(self, m, n):\n        self.m, self.n = m, n\n"
+        "cgl.verify_cgl(), cauchon.depth(cauchon.HPrimeNode(1))\n"
+        "strata.extract_log_matrix(EnumTower(2, 3).n)\n"
+    )
+    unread, _ = public_surface_faults(modules, [reader], {})
+    assert unread == {"level": "cgl.py:CGLReport.level", "n": "strata.py:LogBracketMatrix.n"}
+    listed = {"CGLReport.level": "?", "LogBracketMatrix.n": "?"}
+    assert public_surface_faults(modules, [reader], listed) == ({}, [])
+    # a bare method name lists nothing
+    assert public_surface_faults(modules, [reader], {"level": "?"}) == (unread, ["level"])
+    # without the colliding data attributes both methods have readers
+    modules.pop("cauchon.py")
+    reader = ast.parse("import cgl, strata\ncgl.verify_cgl().level(1), strata.extract_log_matrix([])\n")
+    assert public_surface_faults(modules, [reader], {}) == ({}, [])
+
+
+def test_the_guard_sees_each_way_of_setting_a_data_attribute():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self.plain = 1\n"
+        "        self.first, self.second = 2, 3\n"
+        "        self.counter += 1\n"
+        "        vars(self).update(via_vars=4, **{'hidden': 5})\n"
+        "        object.__setattr__(self, 'via_setattr', 6)\n"
+        "        other.elsewhere = 7\n"
+        "        object.__setattr__(other, 'not_self', 8)\n"
+        "        vars(other).update(not_mine=9)\n"
+        "        return self.read_only\n"
+    )
+    assert data_attributes(tree) == {
+        "plain", "first", "second", "counter", "via_vars", "via_setattr"
+    }
 
 
 def function_level_imports(node, name, in_function=False):
