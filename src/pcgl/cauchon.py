@@ -49,6 +49,7 @@ from .qpoly import (
     Monomial,
     Polynomial,
     _qdiv,
+    _Value,
     re_context,
 )
 
@@ -176,7 +177,7 @@ def normal_element(L: LevelData, a: Polynomial) -> NormalElementResult:
 # ---------------------------------------------------------------------------
 
 
-class DElement:
+class DElement(_Value):
     """A fraction b/c over the base ring A with sigma(d) = lambda d and
     delta(d) = -lambda d^2 (held as cross-multiplied identities); immutable,
     compared and hashed by (numerator, denominator), not as a fraction."""
@@ -184,17 +185,6 @@ class DElement:
     def __init__(self, numerator: Polynomial, denominator: Polynomial):
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DElement is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not DElement:
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()

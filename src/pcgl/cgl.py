@@ -33,12 +33,12 @@ from .grading import (
 )
 from .ideals import Ideal
 from .pbracket import BracketTable, check_jacobi
-from .qpoly import Derivation, Polynomial, VarTable, re_context
+from .qpoly import Derivation, Polynomial, VarTable, _Value, re_context
 
 DEFAULT_NILPOTENCY_BOUND = 25
 
 
-class PoissonPresentation:
+class PoissonPresentation(_Value):
     """Generators, bracket table, grading and optional per-level Lie vectors;
     immutable, compared and hashed by (ctx, table, grading, h,
     nilpotency_bound).  The bracket table compares by identity."""
@@ -86,19 +86,8 @@ class PoissonPresentation:
             _cache={},
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PoissonPresentation is immutable")
-
     def _fields(self):
         return (self.ctx, self.table, self.grading, self.h, self.nilpotency_bound)
-
-    def __eq__(self, other):
-        if other.__class__ is not PoissonPresentation:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def nvars(self) -> int:
@@ -183,7 +172,7 @@ def _lie_vector(P: PoissonPresentation, k: int, mus):
     return h_k, lam, problems
 
 
-class LevelData:
+class LevelData(_Value):
     """The Ore data of one tower level: R_k = A[x_k; sigma, delta]_p, the
     variable table of R_k with x_k Laurent (theta's target), and the
     problems that keep h_k from realizing sigma_k (empty on a good level).
@@ -215,30 +204,6 @@ class LevelData:
             hat_ctx=hat_ctx,
             problems=problems,
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LevelData is immutable")
-
-    def _fields(self):
-        return (
-            self.k,
-            self.pres_R,
-            self.pres_A,
-            self.sigma,
-            self.delta,
-            self.h_k,
-            self.lambda_k,
-            self.hat_ctx,
-            self.problems,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not LevelData:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     @property
     def x_index(self) -> int:
@@ -304,7 +269,6 @@ class LevelReport:
         level: int,
         sigma_diagonal_ok: bool = True,
         nilpotency: dict[int, int | None] | None = None,
-        nilpotency_ok: bool = True,
         likely_not_nilpotent: list[int] | None = None,
         h: LieVector | None = None,
         lambda_k: Fraction | None = None,
@@ -317,7 +281,6 @@ class LevelReport:
         self.level = level
         self.sigma_diagonal_ok = sigma_diagonal_ok
         self.nilpotency = {} if nilpotency is None else nilpotency
-        self.nilpotency_ok = nilpotency_ok
         self.likely_not_nilpotent = [] if likely_not_nilpotent is None else likely_not_nilpotent
         self.h = h
         self.lambda_k = lambda_k
@@ -326,6 +289,11 @@ class LevelReport:
         self.graded_ok = graded_ok
         self.delta_condition_ok = delta_condition_ok
         self.notes = [] if notes is None else notes
+
+    @property
+    def nilpotency_ok(self) -> bool:
+        # an index is None where the delta iterates outlast the bound
+        return None not in self.nilpotency.values()
 
     @property
     def ok(self) -> bool:
@@ -424,7 +392,6 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
                 rep.nilpotency[j] = len(_delta_iterates(L, xj))
             except NotWithinBound as exc:
                 rep.nilpotency[j] = None
-                rep.nilpotency_ok = False
                 if _degree_growth(exc.iterates):
                     rep.likely_not_nilpotent.append(j)
                     rep.notes.append(

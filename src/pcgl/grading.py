@@ -12,12 +12,12 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PcglError
-from .qpoly import Monomial, Polynomial
+from .qpoly import Monomial, Polynomial, _Value
 
 LieVector = tuple[Fraction, ...]
 
 
-class GradingData:
+class GradingData(_Value):
     """Weight vectors deg(x_i) in Z^r, one per generator; immutable,
     compared and hashed by (rank, weights)."""
 
@@ -28,17 +28,6 @@ class GradingData:
                 raise PcglError("weight vector length does not match grading rank")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "weights", weights)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradingData is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not GradingData:
-            return NotImplemented
-        return self.rank == other.rank and self.weights == other.weights
-
-    def __hash__(self):
-        return hash((self.rank, self.weights))
 
     def restrict(self, k: int) -> "GradingData":
         return GradingData(self.rank, self.weights[:k])

@@ -117,9 +117,12 @@ def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 class JacobiReport:
-    def __init__(self, ok: bool, failures: list[tuple[int, int, int, Polynomial]] | None = None):
-        self.ok = ok
+    def __init__(self, failures: list[tuple[int, int, int, Polynomial]] | None = None):
         self.failures = [] if failures is None else failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def jacobiator(B: BracketTable, i: int, j: int, k: int) -> Polynomial:
@@ -148,7 +151,7 @@ def check_jacobi(B: BracketTable) -> JacobiReport:
                 r = jacobiator(B, i, j, k)
                 if not r.is_zero():
                     failures.append((i, j, k, r))
-    return JacobiReport(ok=not failures, failures=failures)
+    return JacobiReport(failures=failures)
 
 
 class NormalityCertificate:
@@ -157,22 +160,20 @@ class NormalityCertificate:
 
     def __init__(
         self,
-        ok: bool,
         quotients: dict[int, Polynomial] | None = None,
         failures: dict[int, Polynomial] | None = None,
     ):
-        self.ok = ok
         self.quotients = {} if quotients is None else quotients
         self.failures = {} if failures is None else failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def __eq__(self, other):
         if other.__class__ is not NormalityCertificate:
             return NotImplemented
-        return (
-            self.ok == other.ok
-            and self.quotients == other.quotients
-            and self.failures == other.failures
-        )
+        return self.quotients == other.quotients and self.failures == other.failures
 
 
 def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityCertificate:
@@ -206,5 +207,5 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
         quotients[i] = cofactors[0]
         if modulo is not None and not modulo.member(br - cofactors[0] * c)[0]:
             raise PcglError("certificate validation failed")
-    return NormalityCertificate(ok=not failures, quotients=quotients, failures=failures)
+    return NormalityCertificate(quotients=quotients, failures=failures)
 

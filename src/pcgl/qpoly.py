@@ -51,13 +51,35 @@ from .errors import (
 _NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
 
-class VarTable:
-    """Ordered variable names with per-variable Laurent flags; immutable,
-    compared and hashed by (names, laurent)."""
+class _Value:
+    """An immutable record, compared and hashed by its fields: by default
+    the values of its instance dict, in the order the constructor set
+    them.  `hash` is that of the field tuple, so that set and dict orders
+    follow the fields alone."""
 
-    def __init__(self, names: tuple[str, ...], laurent: tuple[bool, ...] = ()):
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(vars(self).values())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class VarTable(_Value):
+    """Ordered variable names with per-variable Laurent flags; immutable,
+    compared and hashed by (names, laurent).  The flags default to all
+    False; a given flag tuple must have one flag per name."""
+
+    def __init__(self, names: tuple[str, ...], laurent: tuple[bool, ...] | None = None):
         names = tuple(names)
-        laurent = tuple(laurent) if laurent else (False,) * len(names)
+        laurent = (False,) * len(names) if laurent is None else tuple(laurent)
         if len(laurent) != len(names):
             raise PcglError("laurent flag list does not match variable count")
         for name in names:
@@ -71,16 +93,8 @@ class VarTable:
         # the tables derived by `restrict` and `extend`, one per argument
         object.__setattr__(self, "_derived", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VarTable is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not VarTable:
-            return NotImplemented
-        return self.names == other.names and self.laurent == other.laurent
-
-    def __hash__(self):
-        return hash((self.names, self.laurent))
+    def _fields(self):
+        return (self.names, self.laurent)
 
     def __len__(self):
         return len(self.names)

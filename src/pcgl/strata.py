@@ -13,10 +13,10 @@ from fractions import Fraction
 from . import linalg
 from .errors import NotAPoissonAffineSpace, PcglError
 from .ideals import Ideal, variable_support
-from .qpoly import Monomial, Polynomial, VarTable
+from .qpoly import Monomial, Polynomial, VarTable, _Value
 
 
-class LogBracketMatrix:
+class LogBracketMatrix(_Value):
     """Skew matrix of the coefficients lambda_ij in {x_i, x_j} = lambda_ij x_i x_j;
     immutable, compared and hashed by (ctx, entries)."""
 
@@ -33,17 +33,6 @@ class LogBracketMatrix:
                     raise PcglError("log-bracket matrix must be skew-symmetric")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogBracketMatrix is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not LogBracketMatrix:
-            return NotImplemented
-        return self.ctx == other.ctx and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.ctx, self.entries))
 
 
 def extract_log_matrix(P) -> LogBracketMatrix:

@@ -99,6 +99,7 @@ def test_fuzzed_field(scratch, path, value):
         (("vars", 1), "a"),
         (("bounds", "groebner_step"), 1000),
         (("bounds", "degree"), 4),
+        (("laurent",), []),
     ],
 )
 def test_schema_errors(path, value):

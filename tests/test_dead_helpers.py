@@ -41,11 +41,7 @@ PUBLIC_READERS = {
     "stratum_summary": "ROADMAP item 2",
     "separating_normal": "README; perfbench",
     "fixture_path": "README; perfbench",
-    # properties whose name is also a data attribute (JacobiReport.ok and
-    # NormalityCertificate.ok; GradingData.rank)
-    "CGLReport.ok": "cli.cmd_check, cauchon.enumerate_hprimes",
-    "LevelReport.ok": "CGLReport.ok, LevelReport.to_json_dict",
-    "ThetaReport.ok": "the verdict of check_theta, kept with it",
+    # a property whose name is also a data attribute (GradingData.rank)
     "CenterBasis.rank": "CenterBasis.to_json_dict",
 }
 

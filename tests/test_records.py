@@ -1,15 +1,17 @@
 """Value semantics of the immutable records, as the frozen dataclasses they
 replace had them: `==` over their fields in order, a hash equal to the hash
 of the tuple of those fields, so that set and dict orders stay as they
-were, no assignment, and pickling."""
+were, no assignment, and pickling.  And the verdicts of the reports,
+which are read off their witnesses rather than stored next to them."""
 
 import pickle
 
 import pytest
 
 from pcgl.cauchon import DElement
-from pcgl.cgl import LevelData, PoissonPresentation, level_data
+from pcgl.cgl import LevelData, LevelReport, PoissonPresentation, level_data, verify_cgl
 from pcgl.grading import GradingData
+from pcgl.pbracket import BracketTable, JacobiReport, NormalityCertificate, check_jacobi
 from pcgl.qpoly import VarTable, parse
 from pcgl.strata import LogBracketMatrix
 from records import VALUE_RECORDS, fields, plain, rebuild
@@ -46,7 +48,7 @@ def test_value_semantics(weyl, cls):
     thawed = pickle.loads(pickle.dumps(record))
     assert type(thawed) is cls and plain(thawed) == plain(record)
     for r in (record, thawed):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(r, fields(r)[0], values[0])
 
 
@@ -57,3 +59,21 @@ def test_presentation_cache_is_not_part_of_the_value(weyl):
     assert P._cache and not Q._cache
     assert P == Q and hash(P) == hash(Q)
     assert "_cache" not in fields(P)
+
+
+def test_each_verdict_follows_its_failures(m2, bellsig):
+    x = parse("x", CTX)
+    assert JacobiReport().ok and not JacobiReport(failures=[(2, 1, 0, x)]).ok
+    assert NormalityCertificate(quotients={0: x}).ok
+    assert not NormalityCertificate(quotients={0: x}, failures={1: x}).ok
+    # the changed entry {d, b} of m2 breaks the Jacobi identity
+    entries = dict(m2.table.pairs())
+    entries[(3, 1)] = parse("-2*b*d", m2.ctx)
+    assert check_jacobi(m2.table).ok
+    assert not check_jacobi(BracketTable(m2.ctx, entries)).ok
+    # bellsig's delta_4 iterates on x_1 outlast its nilpotency bound
+    levels = verify_cgl(bellsig).levels
+    assert [None in level.nilpotency.values() for level in levels] == [False, False, False, True]
+    assert [level.nilpotency_ok for level in levels] == [True, True, True, False]
+    assert LevelReport(2, nilpotency={0: 2}).nilpotency_ok
+    assert not LevelReport(3, nilpotency={0: 2, 1: None}).nilpotency_ok
