@@ -28,8 +28,8 @@ from .errors import (
 )
 from .grading import pair, weight_of
 from .ideals import (
+    _GREVLEX,
     Elim,
-    Grevlex,
     Ideal,
     adjoin_variable,
     contains,
@@ -212,7 +212,7 @@ def _normalize_fraction(b: Polynomial, c: Polynomial) -> DElement:
     if g.exps:
         b = Polynomial(b.ctx, {m.divide(g): x for m, x in b.terms.items()})
         c = Polynomial(c.ctx, {m.divide(g): x for m, x in c.terms.items()})
-    inv = _qdiv(1, c.terms[leading_monomial(c, Grevlex())])
+    inv = _qdiv(1, c.terms[leading_monomial(c, _GREVLEX)])
     return DElement(b * inv, c * inv)
 
 

@@ -89,6 +89,10 @@ class PoissonPresentation(_Value):
     def _fields(self):
         return (self.ctx, self.table, self.grading, self.h, self.nilpotency_bound)
 
+    def __reduce__(self):
+        # the cache is not part of the value
+        return (PoissonPresentation, self._fields())
+
     @property
     def nvars(self) -> int:
         return len(self.ctx)

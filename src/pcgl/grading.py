@@ -87,13 +87,13 @@ def solve_h(G: GradingData, level: int, sigma_eigenvalues) -> LieVector | None:
     rows = [[Fraction(x) for x in G.weights[j]] for j in range(k - 1)]
     wk = G.weights[k - 1]
     if rows:
-        particular = linalg.solve_affine(rows, mus)
-        if particular is None:
+        solved = linalg.solve_affine(rows, mus)
+        if solved is None:
             return None
+        h, null = solved
     else:
-        particular = [Fraction(0)] * G.rank
-    null = linalg.nullspace(rows, ncols=G.rank)
-    h = list(particular)
+        h = [Fraction(0)] * G.rank
+        null = [[Fraction(int(i == j)) for j in range(G.rank)] for i in range(G.rank)]
     if pair(tuple(h), wk) == 0:
         for v in null:
             if pair(tuple(v), wk) != 0:

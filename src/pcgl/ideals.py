@@ -33,7 +33,7 @@ from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .grading import monomial_weight, weight_of
 from .pbracket import bracket, generator_brackets
 from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, re_context
-from .qpoly import _canon, _qdiv, _trusted
+from .qpoly import _canon, _grevlex_key, _qdiv, _trusted
 
 _STEP_LIMIT = contextvars.ContextVar("pcgl_step_limit", default=10 ** 6)
 
@@ -57,9 +57,8 @@ def step_limit(n: int):
 
 class Grevlex:
     """Graded reverse lexicographic order on the declared variable order.
-    Its key is the monomial's cached one, which needs no variable count, so
-    one order object serves every table; the engine sees only nonnegative
-    exponents, the premise of that key (see `qpoly`)."""
+    Its key is the monomial's cached one, grevlex on Z^n for any n (see
+    `qpoly`), so one order object serves every table."""
 
     tag = "grevlex"
     key = staticmethod(Monomial.grevlex)
@@ -70,9 +69,9 @@ _GREVLEX = Grevlex()
 
 class Elim:
     """Block order eliminating a front set of variables (grevlex per block).
-    Each block key is built from the sparse pairs in that block, as
-    `Monomial.grevlex` is from all of them, which it is on the back block
-    of a monomial free of the front variables."""
+    Each block key is `_grevlex_key` of the pairs in that block, the front
+    block first; a monomial free of the front variables has the empty
+    block's key there and its own cached key as the back block's."""
 
     def __init__(self, front):
         self.front = frozenset(front)
@@ -81,13 +80,14 @@ class Elim:
 
     def key(self, m: Monomial):
         if not m.mask() & self.front_mask:
-            return (0, ()), m.grevlex()
-        blocks = ([0, []], [0, []])  # front, back: degree and pairs
-        for i, e in reversed(m.exps):
-            block = blocks[i not in self.front]
-            block[0] += e
-            block[1].append((-i, -e))
-        return tuple((degree, tuple(pairs)) for degree, pairs in blocks)
+            return _EMPTY_BLOCK, m.grevlex()
+        blocks = ([], [])  # front, back
+        for pair in m.exps:
+            blocks[pair[0] not in self.front].append(pair)
+        return _grevlex_key(blocks[0]), _grevlex_key(blocks[1])
+
+
+_EMPTY_BLOCK = _grevlex_key(())
 
 
 def leading_monomial(f: Polynomial, order) -> Monomial:
@@ -665,12 +665,12 @@ def _transversal(masks) -> int:
 def poisson_closure(B, I: Ideal, trace: bool = False):
     """Smallest Poisson ideal containing I.
 
-    Adjoins the nonzero normal forms of the brackets {x_i, g} of basis
-    elements g until a fixpoint; terminates by noetherianity.  Each round
-    takes the reduced basis of the previous basis and the new elements, and
-    brackets only the basis elements not checked before: the brackets of an
-    element checked earlier already lie in the ideal.  With ``trace`` the
-    list of adjoined elements is returned as well.
+    Adjoins the nonzero normal forms of the nonzero brackets {x_i, g} of
+    basis elements g until a fixpoint; terminates by noetherianity.  Each
+    round takes the reduced basis of the previous basis and the new
+    elements, and brackets only the basis elements not checked before: the
+    brackets of an element checked earlier already lie in the ideal.  With
+    ``trace`` the list of adjoined elements is returned as well.
     """
     ctx = I.ctx
     gens = [Polynomial.variable(ctx, i) for i in range(len(ctx))]
@@ -683,8 +683,8 @@ def poisson_closure(B, I: Ideal, trace: bool = False):
             if g in checked:
                 continue
             for xi in gens:
-                r = current.normal_form(bracket(B, xi, g))
-                if not r.is_zero():
+                h = bracket(B, xi, g)
+                if h.terms and not (r := current.normal_form(h)).is_zero():
                     new.append(r)
         if not new:
             break

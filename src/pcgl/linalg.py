@@ -41,10 +41,13 @@ def rref(matrix):
 
 
 def solve_affine(A, b):
-    """One exact solution of A x = b, or None if inconsistent; A has at
-    least one row.
+    """(x, kernel) from one RREF of (A | b): an exact solution x of A x = b
+    and a basis of the kernel of A; None if the system is inconsistent.  A
+    has at least one row.
 
-    Free variables are set to zero, which makes the result deterministic.
+    Free variables are set to zero in x, which makes it deterministic.  On
+    a consistent system the RREF restricted to A's columns is RREF(A), so
+    the kernel basis is the RREF-canonical one: a vector per free column.
     """
     ncols = len(A[0])
     aug = [list(row) + [val] for row, val in zip(A, b)]
@@ -54,27 +57,15 @@ def solve_affine(A, b):
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
         x[c] = rows[r][ncols]
-    return x
-
-
-def nullspace(A, ncols=None):
-    """Basis of the kernel of A over the rationals (RREF-canonical)."""
-    if not A:
-        n = ncols if ncols is not None else 0
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    n = len(A[0])
-    rows, pivots = rref(A)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(v)
-    return basis
+    kernel = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -rows[r][free]
+            kernel.append(v)
+    return x, kernel
 
 
 def clear_denominators(vec):

@@ -69,6 +69,10 @@ class BracketTable:
     def pairs(self):
         return self._pairs
 
+    def __reduce__(self):
+        # the rows and their column cuts are derived from the entries
+        return (BracketTable, (self.ctx, self._entries))
+
     def re_context(self, ctx: VarTable) -> "BracketTable":
         return BracketTable(
             ctx, {k: re_context(p, ctx) for k, p in self._entries.items()}

@@ -23,10 +23,10 @@ polynomials may share one dict, as `re_context` does between tables that
 agree on every variable in use.
 
 A monomial caches its grevlex key and support bitmask, by which the
-Groebner engine of `ideals` orders and divides.  The key is grevlex on
-nonnegative exponents only; the engine never sees a Laurent one, since an
-`Ideal` refuses Laurent tables and negative generators.  Printing, which
-does, sorts by the dense `grevlex_key`.
+Groebner engine of `ideals` orders and divides and `str` sorts terms.  The
+key is grevlex on Z^n for any n and any exponent sign (`_grevlex_key`), so
+one key serves the engine, its elimination blocks and the printing of
+Laurent polynomials.
 
 A derivation fixed by its values on the generators is applied by the
 chain rule D(f) = sum_i D(x_i) * df/dx_i.  `_chain_rule` is the one
@@ -105,9 +105,6 @@ class VarTable(_Value):
         except KeyError:
             raise PcglError(f"unknown variable {name!r}") from None
 
-    def is_laurent(self, i: int) -> bool:
-        return self.laurent[i]
-
     def with_laurent(self, i: int) -> "VarTable":
         flags = list(self.laurent)
         flags[i] = True
@@ -144,10 +141,10 @@ class Monomial:
 
     `exps` is the tuple of (variable index, exponent) pairs in increasing
     index order.  Monomials are immutable and hash their exponents once.
-    Two slots are filled on first use: the grevlex key, for nonnegative
-    exponents (see the module docstring), and the support bitmask; `hash`,
-    `==` and pickling see `exps` alone.  `*`, `divide`, `lcm`, `gcd` and
-    `divides` merge the sorted pairs; `is_coprime` compares the masks.
+    Two slots are filled on first use: the grevlex key (see the module
+    docstring) and the support bitmask; `hash`, `==` and pickling see
+    `exps` alone.  `*`, `divide`, `lcm`, `gcd` and `divides` merge the
+    sorted pairs; `is_coprime` compares the masks.
     """
 
     __slots__ = ("exps", "_hash", "_key", "_mask")
@@ -181,16 +178,10 @@ class Monomial:
         return cls(tuple(sorted((i, e) for i, e in pairs if e != 0)))
 
     def grevlex(self):
-        """The cached grevlex key (degree, (-i, -e) from the last pair down),
-        which sorts nonnegative monomials as `grevlex_key(m, n)` for any n:
-        with equal degrees, a pair missing in one key implies more below."""
+        """The cached grevlex key, `_grevlex_key` of the exponent pairs."""
         k = self._key
         if k is None:
-            degree, pairs = 0, []
-            for i, e in reversed(self.exps):
-                degree += e
-                pairs.append((-i, -e))
-            k = (degree, tuple(pairs))
+            k = _grevlex_key(self.exps)
             _set_key(self, k)
         return k
 
@@ -280,13 +271,16 @@ _set_mask = Monomial._mask.__set__
 MONO_ONE = Monomial(())
 
 
-def grevlex_key(m: Monomial, nvars: int):
-    """Sort key for graded reverse lexicographic order (larger key = larger)."""
-    e = [0] * nvars
-    for i, x in m.exps:
-        e[i] = x
-    e.reverse()
-    return (sum(e), tuple([-x for x in e]))
+def _grevlex_key(pairs):
+    """The grevlex key of the sorted (i, e) pairs of a monomial in Z^n, for
+    any n (larger key = larger monomial): the degree, then per pair from
+    the last index down (-i-1, -e) if e > 0 and (i+1, -e) if e < 0, then
+    (0,), which stands for the zeros below and so sorts between the two."""
+    degree, entries = 0, []
+    for i, e in reversed(pairs):
+        degree += e
+        entries.append((-i - 1, -e) if e > 0 else (i + 1, -e))
+    return (degree, *entries, (0,))
 
 
 class Polynomial:
@@ -467,19 +461,13 @@ class Polynomial:
             parts.setdefault(m.exponent(i), {})[rest] = c
         return {e: _trusted(self.ctx, t) for e, t in parts.items()}
 
-    def sorted_terms(self) -> list[tuple[Monomial, int | Fraction]]:
-        n = len(self.ctx)
-        return sorted(
-            self.terms.items(), key=lambda t: grevlex_key(t[0], n), reverse=True
-        )
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
         if not self.terms:
             return "0"
         pieces = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda t: t[0].grevlex(), reverse=True):
             body = _term_string(self.ctx, m, abs(c))
             if not pieces:
                 pieces.append(("-" if c < 0 else "") + body)

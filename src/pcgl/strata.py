@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import NotAPoissonAffineSpace, PcglError
 from .ideals import Ideal, variable_support
-from .qpoly import Monomial, Polynomial, VarTable, _Value
+from .qpoly import Monomial, VarTable, _term_string, _Value
 
 
 class LogBracketMatrix(_Value):
@@ -66,15 +66,7 @@ class CenterBasis:
         return len(self.kernel)
 
     def monomial_strings(self) -> list[str]:
-        out = []
-        for vec in self.kernel:
-            m = Monomial.make({i: e for i, e in enumerate(vec)})
-            laurent = self.ctx
-            for i, e in m.exps:
-                if e < 0 and not laurent.is_laurent(i):
-                    laurent = laurent.with_laurent(i)
-            out.append(str(Polynomial.monomial(laurent, m)))
-        return out
+        return [_term_string(self.ctx, Monomial.make(enumerate(vec)), 1) for vec in self.kernel]
 
     def to_json_dict(self):
         return {

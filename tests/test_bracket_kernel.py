@@ -74,7 +74,7 @@ coefficients = st.one_of(
 
 def polynomials(ctx, max_terms=4):
     """Exponents in [-2, 2] on Laurent variables and [0, 2] elsewhere."""
-    exps = st.tuples(*[st.integers(-2 if ctx.is_laurent(i) else 0, 2) for i in range(len(ctx))])
+    exps = st.tuples(*[st.integers(-2 if ctx.laurent[i] else 0, 2) for i in range(len(ctx))])
     terms = st.dictionaries(exps, coefficients, max_size=max_terms)
     return terms.map(
         lambda d: Polynomial(ctx, {Monomial.make(enumerate(e)): c for e, c in d.items()})

@@ -401,9 +401,8 @@ class TestHCore:
         for m in monos:
             nf = I.normal_form(Polynomial.monomial(WCTX, m))
             rows.append([nf.terms.get(mm, 0) for mm in monos])
-        null = linalg.nullspace(rows and [list(r) for r in zip(*rows)] or rows, ncols=len(monos))
         # dimension of the kernel of the normal-form map on the span
-        return len(null)
+        return len(monos) - len(linalg.rref(list(zip(*rows)))[1])
 
     def _graded_subspace_dim(self, G, I, deg):
         monos = self._monomials(deg)
@@ -417,8 +416,7 @@ class TestHCore:
             for m in ms:
                 nf = I.normal_form(Polynomial.monomial(WCTX, m))
                 rows.append([nf.terms.get(mm, 0) for mm in monos])
-            null = linalg.nullspace([list(r) for r in zip(*rows)], ncols=len(ms))
-            dims += len(null)
+            dims += len(ms) - len(linalg.rref(list(zip(*rows)))[1])
         return dims
 
 

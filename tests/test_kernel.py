@@ -49,7 +49,7 @@ coefficients = st.one_of(
 def polynomials(ctx=CTX, max_exp=2, max_terms=4, min_exp=0):
     """Exponents in [min_exp, max_exp] on Laurent variables, [0, max_exp] elsewhere."""
     exps = st.tuples(
-        *[st.integers(min_exp if ctx.is_laurent(i) else 0, max_exp) for i in range(len(ctx))]
+        *[st.integers(min_exp if ctx.laurent[i] else 0, max_exp) for i in range(len(ctx))]
     )
     terms = st.dictionaries(exps, coefficients, max_size=max_terms)
     return terms.map(

@@ -468,6 +468,19 @@ def test_warm_presentation_pickles():
         assert (str(got.element), got.case) == (str(want.element), want.case)
 
 
+def test_presentation_pickles_its_value_alone():
+    # neither the presentation's cache nor the bracket table's rows and
+    # column cuts are pickled: after an enumeration fills the cache the
+    # pickle is the fresh one, byte for byte, and its copy starts cold
+    P = matrix_presentation(2, 3)
+    fresh = pickle.dumps(P)
+    tree = enumerate_hprimes(P)
+    assert P._cache and pickle.dumps(P) == fresh
+    copy = pickle.loads(fresh)
+    assert not copy._cache
+    assert enumerate_hprimes(copy).to_json_dict() == tree.to_json_dict()
+
+
 @pytest.mark.parametrize("label_P,route", [
     ("<x12*x21 - x11*x22>", " (mod contraction)"),
     ("<x13, x12, x11>", " (mod contraction)"),

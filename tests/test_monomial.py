@@ -1,13 +1,14 @@
 """Oracles for the monomial layer under the division kernel.
 
-The cached grevlex key of `Monomial.grevlex` needs no variable count; it
-is compared with the dense `grevlex_key(m, n)` for several n, and the
-sparse block keys of `Elim` with the dense ones they replaced, kept here as
-a reference.  The merge-based monomial operations are compared with dict
-references, on Laurent exponents where they are defined for them.  The
-shared-dict fast path of `re_context` must still refuse what the general
-path refuses, and the general path, which maps each index by name, must
-agree with parsing the printed polynomial in the target table.
+The cached grevlex key of `Monomial.grevlex` needs no variable count; on
+Laurent exponents it is compared with the dense key of grevlex on Z^n for
+several n, the sparse block keys of `Elim` with the dense block keys, and
+`str` with a printer that sorts terms by the dense key; the dense keys are
+kept here as the reference.  The merge-based monomial operations are
+compared with dict references, on Laurent exponents where they are defined
+for them.  The shared-dict fast path of `re_context` must still refuse what
+the general path refuses, and the general path, which maps each index by
+name, must agree with parsing the printed polynomial in the target table.
 """
 
 import pickle
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from pcgl.errors import PcglError
 from pcgl.ideals import Elim, Grevlex
-from pcgl.qpoly import Monomial, Polynomial, VarTable, grevlex_key, parse, re_context
+from pcgl.qpoly import Monomial, Polynomial, VarTable, parse, re_context
 
 NVARS = 6
 
@@ -31,6 +32,16 @@ def monomials(min_exp=0, max_exp=3, nvars=NVARS):
 
 def sign(a, b):
     return (a > b) - (a < b)
+
+
+def dense_grevlex_key(m, nvars):
+    """Grevlex on the dense exponent vector of m in Z^nvars (larger key =
+    larger): the degree, then the negated exponents from the last index down."""
+    e = [0] * nvars
+    for i, x in m.exps:
+        e[i] = x
+    e.reverse()
+    return (sum(e), tuple([-x for x in e]))
 
 
 def dense_elim_key(front, nvars, m):
@@ -46,17 +57,17 @@ def dense_elim_key(front, nvars, m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=monomials(), b=monomials(), extra=st.integers(0, 3))
+@given(a=monomials(-3, 3), b=monomials(-3, 3), extra=st.integers(0, 3))
 def test_cached_key_orders_as_the_dense_key(a, b, extra):
     n = NVARS + extra
-    assert sign(a.grevlex(), b.grevlex()) == sign(grevlex_key(a, n), grevlex_key(b, n))
+    assert sign(a.grevlex(), b.grevlex()) == sign(dense_grevlex_key(a, n), dense_grevlex_key(b, n))
     assert Grevlex.key(a) is a.grevlex()
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    a=monomials(),
-    b=monomials(),
+    a=monomials(-3, 3),
+    b=monomials(-3, 3),
     front=st.frozensets(st.integers(0, NVARS - 1), min_size=1, max_size=NVARS - 1),
 )
 def test_elim_key_orders_as_the_dense_block_key(a, b, front):
@@ -159,8 +170,36 @@ laurent_polynomials = st.dictionaries(
 def test_re_context_onto_a_permuted_table_matches_parsing(f, seed, extra):
     names = [*LAURENT.names, *(f"t{k}" for k in range(extra))]
     random.Random(seed).shuffle(names)
-    flags = tuple(n in LAURENT.names and LAURENT.is_laurent(LAURENT.index(n)) for n in names)
+    flags = tuple(n in LAURENT.names and LAURENT.laurent[LAURENT.index(n)] for n in names)
     target = VarTable(tuple(names), flags)
     g = re_context(f, target)
     assert g == parse(str(f), target)
     assert re_context(g, LAURENT) == f
+
+
+FLAGGED = VarTable(tuple(f"x{i}" for i in range(NVARS)), (True, False, True, True, False, True))
+
+flagged_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(-3 if flag else 0, 3) for flag in FLAGGED.laurent]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    max_size=6,
+).map(lambda d: Polynomial(FLAGGED, {Monomial.make(enumerate(e)): c for e, c in d.items()}))
+
+
+def reference_str(f):
+    """`str` of f by the dense key: terms largest first, each as
+    [|c|*]x^e*... (a unit coefficient shown only on the constant), with the
+    first sign shown only when negative."""
+    out = ""
+    n = len(f.ctx)
+    for m, c in sorted(f.terms.items(), key=lambda t: dense_grevlex_key(t[0], n), reverse=True):
+        factors = [f.ctx.names[i] + ("" if e == 1 else f"^{e}") for i, e in m.exps]
+        out += (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += "*".join(factors if abs(c) == 1 and factors else [str(abs(c)), *factors])
+    return out or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=flagged_polynomials)
+def test_str_sorts_terms_by_the_dense_key(f):
+    assert str(f) == reference_str(f)

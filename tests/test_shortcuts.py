@@ -274,7 +274,7 @@ def test_generator_bracket_is_the_table_row(name, monkeypatch):
         for _ in range(4):
             g = random_polynomial(rng, ctx)
             for k in range(len(ctx)):
-                if ctx.is_laurent(k):
+                if ctx.laurent[k]:
                     g = g * Polynomial.monomial(ctx, Monomial.make({k: -rng.randint(0, 2)}))
             assert bracket(B, x, g) == swept_bracket(B, x, g)
     assert not sweeps

@@ -86,6 +86,13 @@ class TestCenter:
         assert cb.kernel == ((0, 1, 1),)
         assert cb.monomial_strings() == ["x2*x3"]
 
+    def test_negative_center_exponent(self):
+        ctx = VarTable(("x1", "x2", "x3"))
+        M = LogBracketMatrix(ctx, ((0, 1, 1), (-1, 0, 0), (-1, 0, 0)))
+        cb = poisson_center_torus(M)
+        assert cb.kernel == ((0, 1, -1),)
+        assert cb.monomial_strings() == ["x2*x3^-1"]
+
     def test_center_monomials_commute(self, m2):
         deleted = delete_all(m2)
         M = extract_log_matrix(deleted)
