@@ -199,7 +199,7 @@ def reference_str(f):
     return out or "0"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(f=flagged_polynomials)
 def test_str_sorts_terms_by_the_dense_key(f):
     assert str(f) == reference_str(f)
