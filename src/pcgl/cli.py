@@ -149,7 +149,7 @@ def load_presentation(path: str) -> tuple[PoissonPresentation, dict]:
     command's Groebner steps, budget verdict, exit code and output do not
     depend on earlier calls.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

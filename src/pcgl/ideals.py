@@ -2,13 +2,16 @@
 
 One Groebner engine: a single Buchberger loop with the sugar selection
 strategy and the coprime criterion serves both reduced bases
-(`buchberger`) and cofactor-tracked lifts (`lift_through_ideal`).  Only
-the elements of bases that will be reduced are normalized to content-free
-integer coefficients; tracked elements keep their scale, so their
-cofactors need no rescaling.  A reduction-step budget guards both kinds of
-call against runaway computations: `step_limit` scopes it, each division
-step ticks it, and an overrun raises `StepBudgetExceeded` with the limit
-in its message and nothing else.
+(`buchberger`) and cofactor-tracked lifts (`lift_through_ideal`), which
+lift through one element c and track one cofactor, that of c, per basis
+element.  Only the elements of bases that will be reduced are normalized
+to content-free integer coefficients; tracked elements keep their scale,
+so their cofactors need no rescaling.  Every division step asks
+`Monomial.divides`, the one divisibility test, after a support-mask
+check.  A reduction-step budget guards both kinds of call against
+runaway computations: `step_limit` scopes it, each division step ticks
+it, and an overrun raises `StepBudgetExceeded` with the limit in its
+message and nothing else.
 
 Every elimination returns its reduced basis: the elements of a reduced
 elimination basis free of the eliminated variables, wherever those stand,
@@ -158,9 +161,10 @@ def _quotient_list(ctx, quotients, n):
 
 
 def _divisor_table(basis, lms):
-    """(support mask, exponents, leading monomial, leading coefficient,
-    terms) per divisor."""
-    return [(lm.mask(), lm.exps, lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
+    """(support mask, leading monomial, leading coefficient, terms) per
+    divisor.  `_divide` rejects most divisors by the mask before it asks
+    `Monomial.divides`, and `dimension` reads the mask column alone."""
+    return [(lm.mask(), lm, g.terms[lm], g.terms) for g, lm in zip(basis, lms)]
 
 
 def _divide(f: Polynomial, divisors, order, budget=None, quotients=None):
@@ -179,16 +183,8 @@ def _divide(f: Polynomial, divisors, order, budget=None, quotients=None):
         lc = p[lm]
         # a divisor whose support is not inside lm's is rejected by its mask
         outside = ~lm.mask()
-        exps = None
-        for idx, (g_mask, g_exps, g_lm, g_lc, g_terms) in enumerate(divisors):
-            if g_mask & outside:
-                continue
-            if exps is None:
-                exps = dict(lm.exps)
-            for i, e in g_exps:
-                if e > exps[i]:
-                    break
-            else:
+        for idx, (g_mask, g_lm, g_lc, g_terms) in enumerate(divisors):
+            if not g_mask & outside and g_lm.divides(lm):
                 t_mono = lm.divide(g_lm)
                 t_coeff = _qdiv(lc, g_lc)
                 if quotients is not None:
@@ -217,8 +213,8 @@ def _divide(f: Polynomial, divisors, order, budget=None, quotients=None):
 
 def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     """The one Buchberger loop: a Groebner basis of the generators, not
-    reduced, with its leading monomials and, with `track`, each element as
-    a list of cofactors over the generators (else no lists).
+    reduced, with its leading monomials and, with `track`, each element's
+    cofactor (else no cofactors).
 
     Pairs are selected by the sugar strategy and keyed by (sugar, order key
     of the lcm); pairs with coprime leading monomials are never formed
@@ -229,26 +225,23 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     rescaling.
 
     `start` is a Groebner basis (in `order`) of an ideal the loop adds the
-    generators to.  Its elements come first, with zero cofactors, and the
-    pairs among them are never formed: their S-polynomials already have
-    standard representations by `start` alone.
+    generators to.  Its elements come first, and the pairs among them are
+    never formed: their S-polynomials already have standard
+    representations by `start` alone.  A tracked run has one generator c,
+    and the cofactor of an element g is the polynomial q with g - q*c in
+    the ideal of `start`: 0 on `start`'s elements and 1 on c.
     """
-    gens = list(generators)
     basis = list(start)
     sugars = [g.total_degree() for g in basis]
-    reps = [[Polynomial.zero(g.ctx)] * len(gens) for g in basis] if track else []
     first = len(basis)
-    for i, g in enumerate(gens):
+    for g in generators:
         if g.is_zero():
             continue
         sugars.append(g.total_degree())
-        if track:
-            rep = [Polynomial.zero(g.ctx)] * len(gens)
-            rep[i] = Polynomial.constant(g.ctx, 1)
-            reps.append(rep)
-            basis.append(g)
-        else:
-            basis.append(make_primitive(g, order))
+        basis.append(g if track else make_primitive(g, order))
+    reps = []
+    if track:
+        reps = [Polynomial.constant(g.ctx, int(k >= first)) for k, g in enumerate(basis)]
     lms = [leading_monomial(g, order) for g in basis]
     divisors = _divisor_table(basis, lms)
     pairs = {}
@@ -268,11 +261,8 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
         if rem.is_zero():
             continue
         if track:
-            # rem = s - sum_k q_k*basis[k], and basis[k] = sum_i reps[k][i]*gens[i]
-            srep = [
-                _times_term(a, ti, ci) - _times_term(b, tj, cj)
-                for a, b in zip(reps[i], reps[j])
-            ]
+            # rem = s - sum_k q_k*basis[k], and basis[k] - reps[k]*c is in the ideal of start
+            srep = _times_term(reps[i], ti, ci) - _times_term(reps[j], tj, cj)
             qs = _quotient_list(s.ctx, quotients, len(basis))
             reps.append(_minus_combination(srep, qs, reps))
         else:
@@ -288,13 +278,10 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
 
 
 def _minus_combination(rep, qs, reps):
-    """rep - sum_k qs[k]*reps[k], entry by entry."""
-    rep = list(rep)
-    for q, grep in zip(qs, reps):
-        if q:
-            for i, gr in enumerate(grep):
-                if gr:
-                    rep[i] = rep[i] - q * gr
+    """rep - sum_k qs[k]*reps[k], skipping the zero products."""
+    for q, r in zip(qs, reps):
+        if q and r:
+            rep = rep - q * r
     return rep
 
 
@@ -344,35 +331,29 @@ def reduce_basis(basis, lms, order):
 # ---------------------------------------------------------------------------
 
 
-def lift_through_ideal(generators, targets, modulo: Ideal | None = None):
-    """For each target f, cofactors q with f - sum q[i]*generators[i] in
-    `modulo` (equal to 0 without one), or None if f is outside the ideal
-    generated by both.
+def lift_through_ideal(c: Polynomial, targets, modulo: Ideal | None = None):
+    """For each target f, a cofactor q with f - q*c in `modulo` (f = q*c
+    without one), or None if f is outside (c) + `modulo`.
 
     One cofactor-tracked run of the Buchberger loop (in grevlex, with the
     sugar strategy, not made primitive) serves all the targets; each target
     is then divided once by that basis, and the quotients q_k carry its
-    cofactors: sum_k q_k * rep_k.  The loop starts from the cached reduced
-    basis of `modulo`, whose elements carry zero cofactors, and adds the
-    generators to it; cofactors are tracked over the generators only.  The
-    cofactors are exact divisibility certificates modulo `modulo`.  One
-    step budget covers the whole lift, so a lift past the limit in scope
-    raises StepBudgetExceeded.
+    cofactor: sum_k q_k * rep_k.  The loop starts from the cached reduced
+    basis of `modulo`, whose elements carry the cofactor 0, and adds c to
+    it.  The cofactors are exact divisibility certificates modulo
+    `modulo`.  One step budget covers the whole lift, so a lift past the
+    limit in scope raises StepBudgetExceeded.
     """
-    gens = list(generators)
     start = modulo.groebner() if modulo is not None else ()
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero and not start:
-        return [[f] * len(gens) if f.is_zero() else None for f in targets]
-    ctx = modulo.ctx if modulo is not None else nonzero[0].ctx
-    order = _GREVLEX
+    if c.is_zero() and not start:
+        return [f if f.is_zero() else None for f in targets]
     budget = _Budget()
-    basis, lms, reps = _buchberger_loop(gens, order, budget, track=True, start=start)
-    zero_rep = [Polynomial.zero(ctx)] * len(gens)
+    basis, lms, reps = _buchberger_loop([c], _GREVLEX, budget, track=True, start=start)
+    zero = Polynomial.zero(c.ctx)
     lifts = []
     for f in targets:
-        qs, rem = reduce_poly(f, basis, order, budget, lms)
-        lifts.append(None if rem else [-r for r in _minus_combination(zero_rep, qs, reps)])
+        qs, rem = reduce_poly(f, basis, _GREVLEX, budget, lms)
+        lifts.append(None if rem else -_minus_combination(zero, qs, reps))
     return lifts
 
 

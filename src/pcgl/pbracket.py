@@ -201,15 +201,15 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
         if inside:
             raise PreconditionError("element lies in the modulus ideal")
     brackets = generator_brackets(B, c)
-    lifts = lift_through_ideal([c], brackets, modulo=modulo)
+    lifts = lift_through_ideal(c, brackets, modulo=modulo)
     quotients = {}
     failures = {}
-    for i, (br, cofactors) in enumerate(zip(brackets, lifts)):
-        if cofactors is None:
+    for i, (br, q) in enumerate(zip(brackets, lifts)):
+        if q is None:
             failures[i] = br
             continue
-        quotients[i] = cofactors[0]
-        if modulo is not None and not modulo.member(br - cofactors[0] * c)[0]:
+        quotients[i] = q
+        if modulo is not None and not modulo.member(br - q * c)[0]:
             raise PcglError("certificate validation failed")
     return NormalityCertificate(quotients=quotients, failures=failures)
 

@@ -48,14 +48,15 @@ from .errors import (
     UnknownVariable,
 )
 
-_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z")
+_NAME_RE = re.compile(r"[A-Za-z_]\w*\Z", re.ASCII)
 
 
 class _Value:
-    """An immutable record, compared and hashed by its fields: by default
-    the values of its instance dict, in the order the constructor set
-    them.  `hash` is that of the field tuple, so that set and dict orders
-    follow the fields alone."""
+    """An immutable record, compared, hashed and pickled by its fields: by
+    default the values of its instance dict, in the order the constructor
+    set them.  `hash` is that of the field tuple, so that set and dict
+    orders follow the fields alone.  A pickle calls the constructor on the
+    fields, so a record whose fields leave out a cache pickles no cache."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -71,6 +72,9 @@ class _Value:
     def __hash__(self):
         return hash(self._fields())
 
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
 
 class VarTable(_Value):
     """Ordered variable names with per-variable Laurent flags; immutable,
@@ -84,7 +88,7 @@ class VarTable(_Value):
             raise PcglError("laurent flag list does not match variable count")
         for name in names:
             if not _NAME_RE.match(name):
-                raise PcglError(f"invalid variable name {name!r}")
+                raise PcglError(f"invalid variable name {name!a}")
         if len(set(names)) != len(names):
             raise PcglError("duplicate variable names")
         object.__setattr__(self, "names", names)
@@ -130,10 +134,6 @@ class VarTable(_Value):
                 self.names + extra, self.laurent + (False,) * len(extra)
             )
         return self._derived[key]
-
-    def __reduce__(self):
-        # the derived tables are a cache, not part of the value
-        return (VarTable, (self.names, self.laurent))
 
 
 class Monomial:
@@ -228,7 +228,22 @@ class Monomial:
         return Monomial(tuple(out))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(e <= f for _, e, f in _aligned(self.exps, other.exps))
+        """Whether each exponent of self is at most other's (0 where absent):
+        the package's one divisibility test, one pass over the pairs."""
+        b = other.exps
+        j, nb = 0, len(b)
+        for i, e in self.exps:
+            while j < nb and b[j][0] < i:
+                if b[j][1] < 0:
+                    return False
+                j += 1
+            if j < nb and b[j][0] == i:
+                if e > b[j][1]:
+                    return False
+                j += 1
+            elif e > 0:
+                return False
+        return all(f >= 0 for _, f in b[j:])
 
     def divide(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple((i, e - f) for i, e, f in _aligned(self.exps, other.exps) if e != f))
@@ -577,7 +592,7 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\s+)|(\d+|[A-Za-z_]\w*|[-+*^()/])|(.)", re.S)
+_TOKEN_RE = re.compile(r"(\s+)|(\d+|[A-Za-z_]\w*|[-+*^()/])|(.)", re.S | re.ASCII)
 
 
 def parse(text: str, ctx: VarTable) -> Polynomial:

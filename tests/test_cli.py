@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -529,3 +532,39 @@ def test_readme_library_example():
     code, values = library_example(README.read_text())
     assert values == ["True", "a - X^-1", "2"]
     assert run_library_example(code) == values
+
+
+def run_under_locale(locale, *argv):
+    """(exit code, stdout, stderr) of the pcgl command in a fresh interpreter
+    under the locale, with Python's UTF-8 mode and locale coercion off."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+    env.update(
+        LC_ALL=locale,
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pcgl.cli", *argv], env=env, capture_output=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_files_load_and_print_alike_under_every_locale(tmp_path):
+    # a UTF-8 file whose only non-ASCII text is an unread key is read as
+    # UTF-8, not in the locale's encoding; a variable name outside ASCII,
+    # here escaped in an ASCII file, is refused with one error line instead
+    # of failing to print
+    weyl = json.loads(Path(WEYL).read_text())
+    note = tmp_path / "note.json"
+    note.write_bytes(json.dumps({**weyl, "note": "caf\u00e9"}, ensure_ascii=False).encode())
+    name = tmp_path / "name.json"
+    name.write_text(
+        json.dumps({**weyl, "vars": ["a\u00e9", "X"], "brackets": {"2,1": "-a\u00e9*X + 1"}})
+    )
+    want = (GOLDEN / "check_weyl.out").read_bytes()
+    for locale in ("C", "C.UTF-8"):
+        assert run_under_locale(locale, "check", str(note)) == (0, want, b"")
+        code, out, err = run_under_locale(locale, "hprimes", str(name), "--format", "dot")
+        assert (code, out) == (2, b"")
+        assert err == b"error: invalid variable name 'a\\xe9'\n"

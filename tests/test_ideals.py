@@ -154,22 +154,26 @@ class TestMember:
         assert covers == [[1, 3, 4], [2], [], [2], [2]]
 
     def test_lift_certificates(self):
-        gens = [p3("x - y"), p3("y^2 - z")]
+        # through c = x - y, modulo (y^2 - z): x^2 - z = (x + y) c + (y^2 - z);
+        # without the modulus, exact division by c
+        c = p3("x - y")
+        M = Ideal(CTX3, [p3("y^2 - z")])
         f = p3("x^2 - z")
-        (cof,) = lift_through_ideal(gens, [f])
-        assert cof is not None
-        total = Polynomial.zero(CTX3)
-        for q, g in zip(cof, gens):
-            total = total + q * g
-        assert total == f
-        assert lift_through_ideal(gens, [p3("x + 1")]) == [None]
+        (q,) = lift_through_ideal(c, [f], modulo=M)
+        assert q is not None
+        assert M.member(f - q * c)[0]
+        assert lift_through_ideal(c, [p3("x + 1")], modulo=M) == [None]
+        (q,) = lift_through_ideal(c, [p3("x^2 - y^2")])
+        assert q * c == p3("x^2 - y^2")
+        assert lift_through_ideal(c, [f]) == [None]
 
     def test_lift_many_targets(self):
-        # one shared basis: every cofactor list is an exact certificate, the
-        # targets outside the ideal give None, and each entry matches a
-        # single-target lift
+        # one shared basis: every cofactor is an exact certificate modulo
+        # the rest of the generators, the targets outside the ideal give
+        # None, and each entry matches a single-target lift
         rng = random.Random(11)
         gens = [p3("x*y - z"), p3("y^2 - x"), p3("0"), p3("x*z - y")]
+        c, M = gens[0], Ideal(CTX3, gens[1:])
         I = Ideal(CTX3, gens)
         targets = [p3("0"), p3("1"), p3("x + 1"), p3("z^3 - y")]
         for _ in range(6):
@@ -177,25 +181,29 @@ class TestMember:
             for g in gens:
                 f = f + random_polynomial(rng, CTX3, max_degree=2, max_terms=3) * g
             targets.append(f)
-        lifts = lift_through_ideal(gens, targets)
+        lifts = lift_through_ideal(c, targets, modulo=M)
         assert len(lifts) == len(targets)
-        for f, cof in zip(targets, lifts):
-            assert (cof is not None) == I.member(f)[0]
-            assert lift_through_ideal(gens, [f]) == [cof]
-            if cof is not None:
-                assert len(cof) == len(gens)
-                assert sum((q * g for q, g in zip(cof, gens)), p3("0")) == f
+        for f, q in zip(targets, lifts):
+            assert (q is not None) == I.member(f)[0]
+            assert lift_through_ideal(c, [f], modulo=M) == [q]
+            if q is not None:
+                assert M.member(f - q * c)[0]
         assert lifts[0] is not None and lifts[1] is None and lifts[2] is None
 
     def test_lift_step_budget(self):
         # lifts run in the budgeted Buchberger loop, under the limit in scope
+        M = Ideal(CTX3, [p3("x*y - z")])
+        M.groebner()
         with pytest.raises(StepBudgetExceeded):
             with step_limit(1):
-                lift_through_ideal([p3("x^2 - y"), p3("x*y - z")], [p3("x*z - y^2")])
+                lift_through_ideal(p3("x^2 - y"), [p3("x*z - y^2")], modulo=M)
 
     def test_lift_without_generators(self):
-        assert lift_through_ideal([], [p3("0"), p3("x")]) == [[], None]
-        assert lift_through_ideal([p3("0")], [p3("0"), p3("x")]) == [[p3("0")], None]
+        # through c = 0, only the targets in the modulus lift, with q = 0
+        assert lift_through_ideal(p3("0"), [p3("0"), p3("x")]) == [p3("0"), None]
+        M = Ideal(CTX3, [p3("x")])
+        lifts = lift_through_ideal(p3("0"), [p3("0"), p3("x*y"), p3("y")], modulo=M)
+        assert lifts == [p3("0"), p3("0"), None]
 
 
 class TestSaturate:

@@ -175,36 +175,37 @@ def test_reduce_poly_matches_the_textbook_division(kind, data, basis, order):
     extra=polynomials(max_terms=3),
 )
 def test_lift_cofactors_are_exact(gens, cofs, extra):
+    # through c = the first generator, modulo the others: exact division by
+    # c when there are none
     inside = Polynomial.zero(CTX)
     for a, g in zip(cofs, gens):
         inside = inside + a * g
-    lifts = lift_through_ideal(gens, [inside, extra])
+    c = gens[0]
+    M = Ideal(CTX, gens[1:]) if len(gens) > 1 else None
+    lifts = lift_through_ideal(c, [inside, extra], modulo=M)
     I = Ideal(CTX, gens)
-    for target, lift in zip([inside, extra], lifts):
-        if lift is None:
+    for target, q in zip([inside, extra], lifts):
+        assert lift_through_ideal(c, [target], modulo=M) == [q]
+        if q is None:
             assert not I.member(target)[0]
-            continue
-        assert len(lift) == len(gens)
-        total = Polynomial.zero(CTX)
-        for q, g in zip(lift, gens):
-            total = total + q * g
-        assert total == target
+        elif M is None:
+            assert q * c == target
+        else:
+            assert M.member(target - q * c)[0]
     assert lifts[0] is not None
 
 
-def check_lift_modulo(gens, targets, Q):
-    """The lift modulo Q answers as the full lift of gens + the generators
-    of Q, and each of its cofactor lists leaves a rest inside Q."""
-    lifts = lift_through_ideal(gens, targets, modulo=Q)
-    full = lift_through_ideal(list(gens) + list(Q.generators), targets)
-    for target, lift, want in zip(targets, lifts, full):
-        assert (lift is None) == (want is None)
-        if lift is not None:
-            assert len(lift) == len(gens)
-            rest = target
-            for q, g in zip(lift, gens):
-                rest = rest - q * g
-            assert Q.member(rest)[0]
+def check_lift_modulo(c, targets, Q):
+    """The lift through c modulo Q answers as membership in the full ideal
+    (c) + Q, each target alone as in the batch, and each cofactor leaves a
+    rest inside Q."""
+    lifts = lift_through_ideal(c, targets, modulo=Q)
+    full = Ideal(Q.ctx, [c, *Q.generators])
+    for target, q in zip(targets, lifts):
+        assert (q is None) == (not full.member(target)[0])
+        assert lift_through_ideal(c, [target], modulo=Q) == [q]
+        if q is not None:
+            assert Q.member(target - q * c)[0]
     return lifts
 
 
@@ -216,11 +217,12 @@ def check_lift_modulo(gens, targets, Q):
     extra=polynomials(max_terms=3),
 )
 def test_lift_modulo_matches_the_full_lift(gens, mod_gens, cofs, extra):
-    Q = Ideal(CTX, mod_gens)
+    # through c = the first generator, modulo the others and mod_gens
     inside = Polynomial.zero(CTX)
     for a, g in zip(cofs, gens + mod_gens):
         inside = inside + a * g
-    lifts = check_lift_modulo(gens, [inside, extra, extra * mod_gens[0]], Q)
+    Q = Ideal(CTX, gens[1:] + mod_gens)
+    lifts = check_lift_modulo(gens[0], [inside, extra, extra * mod_gens[0]], Q)
     assert lifts[0] is not None and lifts[2] is not None
 
 
@@ -238,7 +240,7 @@ def test_lift_modulo_on_the_nested_pairs_of_m2():
             for c in b.ideal.groebner():
                 if a.ideal.member(c)[0]:
                     continue
-                lifts = check_lift_modulo([c], generator_brackets(P.table, c), a.ideal)
+                lifts = check_lift_modulo(c, generator_brackets(P.table, c), a.ideal)
                 checks += 1
                 lifted += all(lift is not None for lift in lifts)
     assert (checks, lifted) == (101, 89)

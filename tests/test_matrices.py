@@ -440,12 +440,36 @@ def test_level_data_is_cached_per_presentation(name):
         assert plain(L)["pres_R"] == plain(P.restrict(k))
 
 
+# sha256 of the sorted lines (element, modulus basis, quotients, failures)
+# of the 122 normality certificates that the 2x3 separation sweep caches
+CERTIFICATE_DIGEST = "0000b9d821ccbff21988dcdfc32d9881b95c740b25bb3447bb96c0839c88151a"
+
+
+def certificate_digest(P):
+    """The digest of every normality certificate cached on P, one line each."""
+    lines = sorted(
+        repr(
+            (
+                str(key[1]),
+                [str(g) for g in key[2]],
+                sorted((i, str(q)) for i, q in cert.quotients.items()),
+                sorted((i, str(f)) for i, f in cert.failures.items()),
+            )
+        )
+        for key, cert in P._cache.items()
+        if key[0] == "normal"
+    )
+    assert len(lines) == 122
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_separation_sweep_builds_no_derived_presentation():
     # every contraction is taken modulo P0 in the ring below the top
     # variable, so a full sweep caches no other presentation on P.  Besides
     # the level records it stores only the memo kinds (MEMO_KINDS below),
     # every one of them and all in P's own cache, so the memo comparisons of
-    # the tests below see each entry
+    # the tests below see each entry; the cached certificates, quotients
+    # included, are pinned by their digest
     P = matrix_presentation(2, 3)
     assert len(separation_rows(P)) == 447
     assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
@@ -453,6 +477,7 @@ def test_separation_sweep_builds_no_derived_presentation():
     for value in P._cache.values():
         if isinstance(value, cgl.LevelData):
             assert cache_kinds(value.pres_A) <= {"level"}
+    assert certificate_digest(P) == CERTIFICATE_DIGEST
 
 
 def test_warm_presentation_pickles():

@@ -443,7 +443,7 @@ def test_chain_report_is_the_long_route(name):
     assert len(lengths) >= 3
 
 
-LIFT_DIGEST = "bbf4a6831f557733c75440c0ef18e0dbc043f0cd60bc503b47ec70be7ebf2e40"
+LIFT_DIGEST = "f2c6e51786ff8ff54fbaf8d92b315ed3a8d3fb266e6b56c23533ad7f1f24c8c4"
 
 
 def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
@@ -466,11 +466,19 @@ def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
     modulo = Ideal(ctx, [p("x13*x21 - x11*x23"), p("x23^2")])
     targets = generator_brackets(P.table, gens[0]) + generator_brackets(P.table, gens[1])
     targets.append(p("x11*x23*x12 - x13*x21*x12"))
-    lifts = lift_through_ideal(gens, targets, modulo=modulo)
+    # through c = gens[0], with gens[1] joined to the modulus
+    c, M = gens[0], Ideal(ctx, [gens[1], *modulo.generators])
+    lifts = lift_through_ideal(c, targets, modulo=M)
     buchberger(gens + list(modulo.generators), Grevlex())
     assert formed and not any(formed)
+    full = Ideal(ctx, [c, *M.generators])
+    for f, q in zip(targets, lifts):
+        assert (q is None) == (not full.member(f)[0])
+        assert lift_through_ideal(c, [f], modulo=M) == [q]
+        if q is not None:
+            assert M.member(f - q * c)[0]
     assert sum(q is not None for q in lifts) == 9
-    text = repr([None if q is None else [str(c) for c in q] for q in lifts])
+    text = repr([None if q is None else str(q) for q in lifts])
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
 
 
