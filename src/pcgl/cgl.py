@@ -41,7 +41,7 @@ DEFAULT_NILPOTENCY_BOUND = 25
 class PoissonPresentation(_Value):
     """Generators, bracket table, grading and optional per-level Lie vectors;
     immutable, compared and hashed by (ctx, table, grading, h,
-    nilpotency_bound).  The bracket table compares by identity."""
+    nilpotency_bound)."""
 
     def __init__(
         self,
@@ -178,8 +178,8 @@ class LevelData(_Value):
     problems that keep h_k from realizing sigma_k (empty on a good level).
 
     Shared by `verify_cgl` and every caller of `level_data` on the same
-    presentation.  Immutable, compared and hashed by its nine fields; the
-    derivations compare by identity."""
+    presentation.  Immutable, compared and hashed by its nine fields, so a
+    pickled copy equals its original."""
 
     def __init__(
         self,

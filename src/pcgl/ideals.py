@@ -8,7 +8,11 @@ element.  Only the elements of bases that will be reduced are normalized
 to content-free integer coefficients; tracked elements keep their scale,
 so their cofactors need no rescaling.  Every division step asks
 `Monomial.divides`, the one divisibility test, after a support-mask
-check.  A reduction-step budget guards both kinds of call against
+check.  The division loop, `_divide`, takes three exact fast paths: a zero
+dividend is returned as it is, order keys are computed only once the
+dividend holds two terms, and a one-term divisor, such as a variable of a
+torus-invariant prime, deletes the leading term with no product formed.
+A reduction-step budget guards both kinds of call against
 runaway computations: `step_limit` scopes it, each division step ticks
 it, and an overrun raises `StepBudgetExceeded` with the limit in its
 message and nothing else.
@@ -36,7 +40,7 @@ from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .grading import monomial_weight, weight_of
 from .pbracket import bracket, generator_brackets
 from .qpoly import MONO_ONE, Monomial, Polynomial, VarTable, re_context
-from .qpoly import _canon, _grevlex_key, _qdiv, _trusted
+from .qpoly import _canon, _grevlex_key, _qdiv, _trusted, _variable_index
 
 _STEP_LIMIT = contextvars.ContextVar("pcgl_step_limit", default=10 ** 6)
 
@@ -94,7 +98,10 @@ _EMPTY_BLOCK = _grevlex_key(())
 
 
 def leading_monomial(f: Polynomial, order) -> Monomial:
-    return max(f.terms, key=order.key)
+    terms = f.terms
+    if len(terms) == 1:
+        return next(iter(terms))
+    return max(terms, key=order.key)
 
 
 def _times_term(f: Polynomial, m: Monomial, c) -> Polynomial:
@@ -142,10 +149,11 @@ def reduce_poly(f: Polynomial, basis, order, budget: _Budget | None = None, lms=
     dividend by the first basis element whose leading monomial divides it,
     or moves that term to the remainder, and ticks the budget once.  The
     dividend is a term dict updated in place; the order keys of its
-    monomials are cached for the call only.  `lms` are the basis's leading
-    monomials, when the caller already has them.  Callers that keep their
-    own divisor table (`Ideal.normal_form`, `reduce_basis`, the Buchberger
-    loop) call `_divide` directly.
+    monomials are cached for the call only, from its first step with two
+    terms.  `lms` are the basis's leading monomials, when the caller
+    already has them.  Callers that keep their own divisor table
+    (`Ideal.normal_form`, `reduce_basis`, the Buchberger loop) call
+    `_divide` directly.
     """
     if lms is None:
         lms = [leading_monomial(g, order) for g in basis]
@@ -170,21 +178,42 @@ def _divisor_table(basis, lms):
 def _divide(f: Polynomial, divisors, order, budget=None, quotients=None):
     """The division loop of `reduce_poly` on a divisor table; returns the
     remainder.  The quotient terms are recorded, per divisor index, only
-    into a `quotients` dict the caller passes."""
+    into a `quotients` dict the caller passes.
+
+    Three fast paths leave out only arithmetic that cannot change the
+    answer.  A zero dividend is its own remainder.  The order keys of the
+    dividend's monomials are computed only once it holds two terms, for a
+    lone term is its own leading term.  A one-term divisor c*u cancels the
+    leading term a*m outright: its multiple (a/c)*(m/u)*c*u is exactly
+    a*m, so the term is deleted with no product formed, its quotient term
+    still recorded.  Every step still ticks the budget once."""
+    if not f.terms:
+        return f
     remainder = {}
     p = dict(f.terms)
     order_key = order.key
-    keys = {m: order_key(m) for m in p}
+    # filled on the first step with two terms, then kept for every new monomial
+    keys = {}
     key_of = keys.__getitem__
     while p:
         if budget is not None:
             budget.tick()
-        lm = max(p, key=key_of)
+        if len(p) == 1:
+            lm = next(iter(p))
+        else:
+            if not keys:
+                keys.update({m: order_key(m) for m in p})
+            lm = max(p, key=key_of)
         lc = p[lm]
         # a divisor whose support is not inside lm's is rejected by its mask
         outside = ~lm.mask()
         for idx, (g_mask, g_lm, g_lc, g_terms) in enumerate(divisors):
             if not g_mask & outside and g_lm.divides(lm):
+                if len(g_terms) == 1:
+                    if quotients is not None:
+                        quotients.setdefault(idx, {})[lm.divide(g_lm)] = _qdiv(lc, g_lc)
+                    del p[lm]
+                    break
                 t_mono = lm.divide(g_lm)
                 t_coeff = _qdiv(lc, g_lc)
                 if quotients is not None:
@@ -376,7 +405,7 @@ class Ideal:
         self.ctx = ctx
         gens = []
         for g in generators:
-            if g.ctx != ctx:
+            if g.ctx is not ctx and g.ctx != ctx:
                 raise ContextMismatch("generator over wrong variable table")
             if g.has_negative_exponent():
                 raise PcglError("ideal generators must be exponent-nonnegative")
@@ -454,7 +483,7 @@ class Ideal:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    if I.ctx != J.ctx:
+    if I.ctx is not J.ctx and I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     return set(I.groebner()) == set(J.groebner())
 
@@ -525,8 +554,7 @@ def variable_support(I: Ideal):
 def _basis_variables(gb) -> set:
     """The variables among the elements of a reduced basis: every variable x_i
     of its ideal, for x_i leads a basis element whose reduced tail is in it, so 0."""
-    ones = (next(iter(g.terms)) for g in gb if len(g.terms) == 1)
-    return {m.exps[0][0] for m in ones if m.degree() == 1}
+    return {i for g in gb if (i := _variable_index(g)) is not None}
 
 
 def contract_to_prefix(I: Ideal, k: int) -> Ideal:
@@ -567,7 +595,7 @@ def saturate(I: Ideal, f: Polynomial, keep: int | None = None) -> Ideal:
         keep = n
     elif not 0 <= keep <= n:
         raise PcglError(f"keep must lie in 0..{n}, got {keep}")
-    if f.ctx != I.ctx:
+    if f.ctx is not I.ctx and f.ctx != I.ctx:
         raise ContextMismatch("saturation element over wrong variable table")
     if f.is_zero():
         raise PcglError("cannot saturate at zero")
@@ -600,7 +628,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     When one input contains the other (`contains`), a zero one too, the
     result is the smaller one.  Otherwise the intersection comes from the
     elimination of one homogenizing parameter, appended last."""
-    if I.ctx != J.ctx:
+    if I.ctx is not J.ctx and I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     for big, small in ((I, J), (J, I)):
         if contains(big, small):
@@ -699,19 +727,28 @@ def is_poisson_stable(
     element of its reduced basis has its brackets in it, and is skipped
     with no division, and {g, x_i} = -{x_i, g} for a variable x_i in it
     is not computed: each sweep cuts the table to the columns it tests.
+
+    Two basis variables x_i and x_j are tested once: {x_j, x_i} =
+    -{x_i, x_j}, so once the sweep of x_i has tested column j, the sweep of
+    x_j does not test column i.  A pair that no earlier sweep tested, as
+    under `base` or `lower`, is tested as usual.
     """
     m = 0 if base is None else len(base.ctx)
     new = frozenset(range(m, len(I.ctx)))
     skip, known = (lower._basis_set(), _basis_variables(lower.groebner())) if lower else ((), ())
     every = tuple(i for i in range(len(I.ctx)) if i not in known)
     fresh = tuple(i for i in every if i >= m)
+    swept = {}  # j -> the columns tested in the sweep of the basis variable x_j
     for g in I.groebner():
         if g in skip:
             continue
         columns = fresh if m and new.isdisjoint(g.support()) else every
-        for h in generator_brackets(B, g, columns):
-            if h.terms and not I.member(h)[0]:
+        j = _variable_index(g)
+        for i, h in zip(columns, generator_brackets(B, g, columns)):
+            if h.terms and j not in swept.get(i, ()) and not I.member(h)[0]:
                 return False
+        if j is not None:
+            swept[j] = columns
     return True
 
 

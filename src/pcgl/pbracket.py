@@ -32,11 +32,12 @@ the Jacobi identity is a property of the table and is checked separately.
 from __future__ import annotations
 
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Polynomial, VarTable, _chain_rule, re_context
+from .qpoly import Polynomial, VarTable, _chain_rule, _variable_index, re_context
 
 
 class BracketTable:
-    """Pairwise generator brackets {x_i, x_j} for i > j (0-based indices)."""
+    """Pairwise generator brackets {x_i, x_j} for i > j (0-based indices);
+    compared and hashed by (ctx, the nonzero entries)."""
 
     def __init__(self, ctx: VarTable, entries: dict[tuple[int, int], Polynomial]):
         self.ctx = ctx
@@ -44,7 +45,7 @@ class BracketTable:
         for (i, j), p in entries.items():
             if not i > j:
                 raise PcglError(f"bracket table keys must have i > j, got ({i}, {j})")
-            if p.ctx != ctx:
+            if p.ctx is not ctx and p.ctx != ctx:
                 raise ContextMismatch("bracket entry over wrong variable table")
             if not p.is_zero():
                 self._entries[(i, j)] = p
@@ -65,6 +66,14 @@ class BracketTable:
         if i > j:
             return self._entries.get((i, j), Polynomial.zero(self.ctx))
         return -self._entries.get((j, i), Polynomial.zero(self.ctx))
+
+    def __eq__(self, other):
+        if other.__class__ is not BracketTable:
+            return NotImplemented
+        return self.ctx == other.ctx and self._pairs == other._pairs
+
+    def __hash__(self):
+        return hash((self.ctx, self._pairs))
 
     def pairs(self):
         return self._pairs
@@ -90,7 +99,7 @@ class BracketTable:
 def generator_brackets(B: BracketTable, f: Polynomial, columns=None) -> list[Polynomial]:
     """[{f, x_j} for j in columns], every j by default, from one sweep over
     the terms of f against the table rows cut to those columns (per tuple)."""
-    if f.ctx != B.ctx:
+    if f.ctx is not B.ctx and f.ctx != B.ctx:
         raise ContextMismatch("bracket operand over wrong variable table")
     if columns is None:
         return _chain_rule(B._rows, f, len(B._rows))
@@ -107,15 +116,14 @@ def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:
     """The biderivation extension of the generator table:
     {f, g} = sum_j {f, x_j} * dg/dx_j, over the terms of g.  For a
     generator f = x_i the brackets {x_i, x_j} are row i of the table."""
-    if g.ctx != B.ctx:
+    if g.ctx is not B.ctx and g.ctx != B.ctx:
         raise ContextMismatch("bracket operands over wrong variable table")
-    if len(f.terms) == 1 and (f.ctx is B.ctx or f.ctx == B.ctx):
-        ((m, c),) = f.terms.items()
-        if c == 1 and len(m.exps) == 1 and m.exps[0][1] == 1:
-            rows = [()] * len(B._rows)
-            for j, terms in B._rows[m.exps[0][0]]:
-                rows[j] = ((0, terms),)
-            return _chain_rule(rows, g, 1)[0]
+    i = _variable_index(f)
+    if i is not None and (f.ctx is B.ctx or f.ctx == B.ctx):
+        rows = [()] * len(B._rows)
+        for j, terms in B._rows[i]:
+            rows[j] = ((0, terms),)
+        return _chain_rule(rows, g, 1)[0]
     rows = [((0, tuple(h.terms.items())),) if h else () for h in generator_brackets(B, f)]
     return _chain_rule(rows, g, 1)[0]
 
@@ -192,7 +200,7 @@ def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityC
     """
     from .ideals import lift_through_ideal
 
-    if c.ctx != B.ctx:
+    if c.ctx is not B.ctx and c.ctx != B.ctx:
         raise ContextMismatch("element over wrong variable table")
     if c.is_zero():
         raise PreconditionError("Poisson-normality is only defined for nonzero elements")

@@ -65,6 +65,8 @@ class _Value:
         return tuple(vars(self).values())
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
@@ -246,7 +248,24 @@ class Monomial:
         return all(f >= 0 for _, f in b[j:])
 
     def divide(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple((i, e - f) for i, e, f in _aligned(self.exps, other.exps) if e != f))
+        # the merge of `*` with other's exponents negated
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        out = []
+        j, nb = 0, len(b)
+        for i, e in a:
+            while j < nb and b[j][0] < i:
+                out.append((b[j][0], -b[j][1]))
+                j += 1
+            if j < nb and b[j][0] == i:
+                e -= b[j][1]
+                j += 1
+                if not e:
+                    continue
+            out.append((i, e))
+        out.extend([(i, -f) for i, f in b[j:]])
+        return Monomial(tuple(out))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple((i, max(e, f)) for i, e, f in _aligned(self.exps, other.exps)))
@@ -555,6 +574,15 @@ def _trusted(ctx: VarTable, terms: dict) -> Polynomial:
     return p
 
 
+def _variable_index(f: Polynomial) -> int | None:
+    """i when f is the generator x_i (one term, coefficient 1), else None."""
+    if len(f.terms) == 1:
+        ((m, c),) = f.terms.items()
+        if c == 1 and len(m.exps) == 1 and m.exps[0][1] == 1:
+            return m.exps[0][0]
+    return None
+
+
 def _term_string(ctx: VarTable, m: Monomial, c) -> str:
     if m == MONO_ONE:
         return str(c)
@@ -736,19 +764,28 @@ def _signs(toks, i):
 
 
 class Derivation:
-    """A derivation given by generator images, extended by the Leibniz rule."""
+    """A derivation given by generator images, extended by the Leibniz rule;
+    compared and hashed by (ctx, images)."""
 
     def __init__(self, ctx: VarTable, images: dict[int, Polynomial]):
         self.ctx = ctx
         self.images = dict(images)
         for i, img in self.images.items():
-            if img.ctx != ctx:
+            if img.ctx is not ctx and img.ctx != ctx:
                 raise ContextMismatch("derivation image over wrong variable table")
         # the one-row table of `_chain_rule`: row i is D(x_i), if nonzero
         self._rows = tuple(
             ((0, tuple(img.terms.items())),) if (img := self.images.get(i)) else ()
             for i in range(len(ctx))
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        return self.ctx == other.ctx and self.images == other.images
+
+    def __hash__(self):
+        return hash((self.ctx, frozenset(self.images.items())))
 
     def domain(self) -> set[int]:
         return set(self.images)
@@ -790,7 +827,7 @@ def _chain_rule(rows, f: Polynomial, width: int) -> list[Polynomial]:
 
 def apply_derivation(D: Derivation, f: Polynomial) -> Polynomial:
     """D(f) = sum_i D(x_i) * df/dx_i, computed exactly."""
-    if f.ctx != D.ctx:
+    if f.ctx is not D.ctx and f.ctx != D.ctx:
         raise ContextMismatch("polynomial over a different variable table")
     missing = f.support() - D.domain()
     if missing:

@@ -11,8 +11,9 @@ dimension by a subset search.
   reduces to 0.
 - `partial(f, i)` gives the partial-derivative bracket and derivation
   (`reference_bracket`, `reference_derivation`) that the chain-rule
-  kernel is compared with, and `pairwise_delta_condition`, the oracle of
-  each tower level's delta-compatibility flag.
+  kernel is compared with, `pairwise_delta_condition`, the oracle of
+  each tower level's delta-compatibility flag, and
+  `reference_poisson_stable`, the oracle of `ideals.is_poisson_stable`.
 - `subset_dimension` is the Krull dimension by a search over every set of
   variables, the oracle of `ideals.dimension`'s least transversal.
 """
@@ -85,6 +86,17 @@ def reference_bracket(B, f, g):
     for (i, j), p in B.pairs():
         result = result + p * (partial(f, i) * partial(g, j) - partial(f, j) * partial(g, i))
     return result
+
+
+def reference_poisson_stable(B, I) -> bool:
+    """Whether {x_i, g} lies in I for every generator x_i and every element
+    g of I's reduced basis, each bracket by partial derivatives: no pair is
+    skipped."""
+    for g in I.groebner():
+        for i in range(len(I.ctx)):
+            if not I.member(reference_bracket(B, Polynomial.variable(I.ctx, i), g))[0]:
+                return False
+    return True
 
 
 def reference_derivation(D, f):

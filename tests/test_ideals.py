@@ -7,6 +7,7 @@ from pcgl import linalg
 from pcgl.errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from pcgl.cauchon import enumerate_hprimes
 from pcgl.grading import monomial_weight
+from pcgl.pbracket import BracketTable
 from pcgl.ideals import (
     Grevlex,
     Ideal,
@@ -31,7 +32,7 @@ from pcgl.ideals import (
 )
 from pcgl.qpoly import Monomial, Polynomial, VarTable, parse
 from random_poly import random_polynomial
-from reference import Lex, homogeneous_components, s_polynomial
+from reference import Lex, homogeneous_components, reference_poisson_stable, s_polynomial
 from test_matrices import matrix_presentation
 
 CTX3 = VarTable(("x", "y", "z"))
@@ -322,6 +323,55 @@ class TestStabilityOverBase:
             base = contract_to_prefix(I, 1)
             assert is_poisson_stable(pplane.table, I) is stable
             assert is_poisson_stable(pplane.table, I, base=base) is stable
+
+
+def assert_stability_agrees(B, I, base=None, lowers=()):
+    """`is_poisson_stable`, plain, with `base` and with each of `lowers`,
+    alone and with `base`, answers as the reference, which brackets every
+    generator with every basis element; each premise is the caller's."""
+    expected = reference_poisson_stable(B, I)
+    assert is_poisson_stable(B, I) is expected
+    for J in (None, *lowers):
+        if J is not None:
+            assert is_poisson_stable(B, I, lower=J) is expected
+        if base is not None:
+            assert is_poisson_stable(B, I, base=base, lower=J) is expected
+    return expected
+
+
+class TestStabilityReference:
+    def test_two_by_three_tree(self):
+        # every node is a Poisson H-prime of its level: the parent is the
+        # contraction, and the nodes of the level inside a node are Poisson
+        P = matrix_presentation(2, 3)
+        for k, level in enumerate(enumerate_hprimes(P).levels):
+            table_k = P.restrict(k).table
+            for node in level:
+                I = node.ideal
+                parent = node.parent.ideal if node.parent is not None else None
+                lowers = [J.ideal for J in level if contains(I, J.ideal)]
+                assert assert_stability_agrees(table_k, I, parent, lowers)
+
+    def test_not_poisson(self, pplane, bellsig):
+        # (X - 1) and (a*X - 1) contract to 0 in K[a] and the trimmed
+        # closure of (x) to (x) in K[x]: all three contractions are Poisson
+        cases = [(pplane, Ideal(pplane.ctx, [parse(g, pplane.ctx)])) for g in ("X - 1", "a*X - 1")]
+        _, adjoined = poisson_closure(bellsig.table, Ideal(CTX4, [p4("x")]), trace=True)
+        cases.append((bellsig, Ideal(CTX4, [p4("x")] + adjoined[:-1])))
+        for P, I in cases:
+            base = contract_to_prefix(I, 1)
+            assert reference_poisson_stable(P.restrict(1).table, base)
+            assert not assert_stability_agrees(P.table, I, base, [Ideal.zero(I.ctx)])
+
+    def test_only_a_variable_pair_leaves_the_ideal(self):
+        # {x2, x1} = x3, which is central: of the brackets of I = (x1, x2),
+        # only {x1, x2} = -x3 and {x2, x1} = x3 leave I, so one of the two
+        # must be tested; (x1) is Poisson in K[x1]
+        ctx = VarTable(("x1", "x2", "x3"))
+        B = BracketTable(ctx, {(1, 0): parse("x3", ctx)})
+        I = Ideal(ctx, [parse("x1", ctx), parse("x2", ctx)])
+        base = Ideal(ctx.restrict(1), [parse("x1", ctx.restrict(1))])
+        assert not assert_stability_agrees(B, I, base, [Ideal.zero(ctx)])
 
 
 class TestPoissonClosure:

@@ -21,6 +21,8 @@ from pcgl.ideals import (
     Grevlex,
     Ideal,
     _Budget,
+    _divide,
+    _divisor_table,
     buchberger,
     eliminate,
     intersect,
@@ -31,7 +33,7 @@ from pcgl.ideals import (
     step_limit,
 )
 from pcgl.pbracket import generator_brackets
-from pcgl.qpoly import Monomial, Polynomial, VarTable
+from pcgl.qpoly import Monomial, Polynomial, VarTable, parse
 from reference import Lex, partial
 
 CTX = VarTable(("x", "y", "z"))
@@ -147,6 +149,28 @@ DIVIDENDS = {
 }
 
 
+def check_division(f, basis, order):
+    """Both calls of the kernel divide f as the textbook does, and the
+    budget ticks once per step: each passes a limit of the step count and
+    runs out under one step fewer.  The tracked call, `reduce_poly`, gives
+    the quotients and the remainder; the untracked one, `_divide` on a
+    divisor table with no quotient record (as `Ideal.normal_form`,
+    `buchberger` and `reduce_basis` call it), the remainder."""
+    quotients, r, steps = naive_division(f, basis, order)
+    table = _divisor_table(basis, [leading_monomial(g, order) for g in basis])
+    calls = (
+        (lambda budget=None: reduce_poly(f, basis, order, budget), (quotients, r)),
+        (lambda budget=None: _divide(f, table, order, budget), r),
+    )
+    for call, expected in calls:
+        assert call() == expected
+        with step_limit(steps):
+            assert call(_Budget()) == expected
+        if steps:
+            with step_limit(steps - 1), pytest.raises(StepBudgetExceeded):
+                call(_Budget())
+
+
 @pytest.mark.parametrize("kind", sorted(DIVIDENDS))
 @settings(max_examples=60, deadline=None)
 @given(
@@ -156,16 +180,45 @@ DIVIDENDS = {
 )
 def test_reduce_poly_matches_the_textbook_division(kind, data, basis, order):
     # most dividends are zero or have one term; every kind divides as the
-    # textbook does, and the budget ticks once per step: the division
-    # passes a limit of its step count and runs out under one step fewer
-    f = data.draw(DIVIDENDS[kind])
-    quotients, r, steps = naive_division(f, basis, order)
-    assert reduce_poly(f, basis, order) == (quotients, r)
-    with step_limit(steps):
-        assert reduce_poly(f, basis, order, _Budget()) == (quotients, r)
-    if steps:
-        with step_limit(steps - 1), pytest.raises(StepBudgetExceeded):
-            reduce_poly(f, basis, order, _Budget())
+    # textbook does
+    check_division(data.draw(DIVIDENDS[kind]), basis, order)
+
+
+# One-term elements with coefficients other than 1, which the kernel
+# cancels with no product, and binomials ahead of one-term elements, with
+# leading monomials that both divide x*y (x*y - z^2 and 3*x*y) or x^2
+# (x^2 + 1/2*y and x) in all three orders: there the binomial divides,
+# as the first divisor
+MONOMIAL_BASES = (
+    ("3*x*y", "-2*z^2"),
+    ("x*y - z^2", "3*x*y"),
+    ("x^2 + 1/2*y", "x", "5*y*z"),
+    ("-1/3*x", "x*y - z", "x*y"),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(DIVIDENDS))
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    fixed=st.sampled_from(MONOMIAL_BASES),
+    more=st.lists(nonzero, max_size=2),
+    order=st.sampled_from([Grevlex(), Elim({0}), Elim({0, 1})]),
+)
+def test_monomial_divisors_match_the_textbook_division(kind, data, fixed, more, order):
+    basis = [parse(g, CTX) for g in fixed] + more
+    check_division(data.draw(DIVIDENDS[kind]), basis, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    b=st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+)
+def test_monomial_quotient_matches_the_dense_difference(a, b):
+    quotient = Monomial.make(enumerate(a)).divide(Monomial.make(enumerate(b)))
+    assert quotient == Monomial.make(enumerate(x - y for x, y in zip(a, b)))
+    assert all(e for _, e in quotient.exps)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
 """Value semantics of the immutable records, as the frozen dataclasses they
 replace had them: `==` over their fields in order, a hash equal to the hash
 of the tuple of those fields, so that set and dict orders stay as they
-were, no assignment, and pickling.  And the verdicts of the reports,
-which are read off their witnesses rather than stored next to them."""
+were, no assignment, and pickling to a copy equal to its original, the
+bracket tables and derivations in it compared by value too.  And the
+verdicts of the reports, which are read off their witnesses rather than
+stored next to them."""
 
 import pickle
 
@@ -12,9 +14,10 @@ from pcgl.cauchon import DElement
 from pcgl.cgl import LevelData, LevelReport, PoissonPresentation, level_data, verify_cgl
 from pcgl.grading import GradingData
 from pcgl.pbracket import BracketTable, JacobiReport, NormalityCertificate, check_jacobi
-from pcgl.qpoly import VarTable, parse
+from pcgl.qpoly import Derivation, VarTable, parse
 from pcgl.strata import LogBracketMatrix
 from records import VALUE_RECORDS, fields, plain, rebuild
+from test_matrices import matrix_presentation
 
 CTX = VarTable(("x", "y"))
 
@@ -43,13 +46,27 @@ def test_value_semantics(weyl, cls):
     assert copy is not record and copy == record and record != rebuild(record, **change)
     assert record != values
     assert hash(copy) == hash(record) == hash(values)
-    # the copy of a pickle round trip is immutable too; the bracket table
-    # and the derivations compare by identity, so it is compared in plain form
+    # the copy of a pickle round trip equals its original, field by field
+    # too, and is immutable
     thawed = pickle.loads(pickle.dumps(record))
     assert type(thawed) is cls and plain(thawed) == plain(record)
+    assert thawed == record and hash(thawed) == hash(record)
     for r in (record, thawed):
         with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
             setattr(r, fields(r)[0], values[0])
+
+
+def test_pickled_level_record_equals_its_original():
+    # its presentations hold bracket tables and its sigma and delta are
+    # derivations: all three compare and hash by value
+    L = level_data(matrix_presentation(2, 3), 6)
+    thawed = pickle.loads(pickle.dumps(L))
+    assert thawed == L and hash(thawed) == hash(L)
+    table, sigma = L.pres_R.table, L.sigma
+    assert BracketTable(table.ctx, dict(table.pairs())) == table
+    assert Derivation(sigma.ctx, sigma.images) == sigma
+    assert hash(Derivation(sigma.ctx, sigma.images)) == hash(sigma)
+    assert L.delta != sigma and L.pres_A.table != table
 
 
 def test_presentation_cache_is_not_part_of_the_value(weyl):
