@@ -12,7 +12,6 @@ from .qpoly import (
     Monomial,
     Polynomial,
     VarTable,
-    apply_derivation,
     parse,
     re_context,
 )
@@ -32,7 +31,7 @@ from .ideals import (
     poisson_closure,
     saturate,
 )
-from .cgl import PoissonPresentation, level_data, split_bracket, verify_cgl
+from .cgl import PoissonPresentation, level_data, verify_cgl
 from .cauchon import (
     DElement,
     check_theta,

@@ -6,13 +6,15 @@ torus grading and an optional Lie vector per level.  Triangularity
 construction; the nilpotency, grading and realizability axioms are checked
 by `verify_cgl` and reported rather than raised.
 
-Each level's Ore data (sigma_k, delta_k, h_k, lambda_k, the restricted
-rings and theta's Laurent variable table, but no bracket table over it)
-is derived once per presentation object into one `LevelData` record,
-kept in the object's private cache with the problems that keep h_k from
-realizing sigma_k: `verify_cgl` reports them as notes and `level_data`
-raises the first.  A presentation is immutable, so the cache lives and
-dies with the object; the separation search keeps its memos there too.
+Each level's Ore data (sigma_k and delta_k read off row k of the table
+in one walk, h_k, lambda_k, the restricted rings and theta's Laurent
+variable table, but no bracket table over it) is derived once per
+presentation object into one `LevelData` record, kept in the object's
+private cache with the problems that keep h_k from realizing sigma_k:
+`verify_cgl` reports them as notes and `level_data` raises the first.
+The restricted presentations are kept per k, so level k's R_{k-1} is
+level k-1's R_k.  A presentation is immutable, so the caches live and
+die with the object; the separation search keeps its memos there too.
 
 `_delta_iterates` is the one place that applies delta_k repeatedly, up to
 the presentation's nilpotency bound: `verify_cgl` reads nilpotency indices
@@ -33,7 +35,7 @@ from .grading import (
 )
 from .ideals import Ideal
 from .pbracket import BracketTable, check_jacobi
-from .qpoly import Derivation, Polynomial, VarTable, _Value, re_context
+from .qpoly import Derivation, Monomial, Polynomial, VarTable, _Value, re_context
 
 DEFAULT_NILPOTENCY_BOUND = 25
 
@@ -84,6 +86,8 @@ class PoissonPresentation(_Value):
             # search (`_split`, certificates, candidates, verdicts, theta(a) x^s),
             # once per object; not part of the value
             _cache={},
+            # the presentations derived by `restrict`, one per k
+            _restricted={},
         )
 
     def _fields(self):
@@ -94,61 +98,45 @@ class PoissonPresentation(_Value):
         return len(self.ctx)
 
     def restrict(self, k: int) -> "PoissonPresentation":
-        """The truncated presentation on x_1..x_k."""
+        """The truncated presentation on x_1..x_k; the same object on every
+        call, this presentation itself when k is N."""
         if not 0 <= k <= self.nvars:
             raise PcglError(f"level {k} out of range")
         if k == self.nvars:
             return self
-        return PoissonPresentation(
-            ctx=self.ctx.restrict(k),
-            table=self.table.restrict(k),
-            grading=self.grading.restrict(k),
-            h=self.h[:k] if self.h is not None else None,
-            nilpotency_bound=self.nilpotency_bound,
-        )
-
-
-def split_bracket(P: PoissonPresentation, k: int):
-    """Write {x_k, x_j} = sigma(x_j) x_k + delta(x_j) for all j < k.
-
-    Levels are 1-based.  Returns (sigma_images, delta_images) keyed by the
-    0-based generator index; the decomposition is unique by triangularity
-    (the constructor admits only the powers 0 and 1 of x_k in row k).
-    """
-    if not 1 <= k <= P.nvars:
-        raise PcglError(f"level {k} out of range")
-    i = k - 1
-    sub = P.ctx.restrict(i)
-    sigma_images: dict[int, Polynomial] = {}
-    delta_images: dict[int, Polynomial] = {}
-    for j in range(i):
-        p = P.table.entry(i, j)
-        parts = p.split_by_degree_in(i)
-        sigma_images[j] = re_context(parts.get(1, Polynomial.zero(P.ctx)), sub)
-        delta_images[j] = re_context(parts.get(0, Polynomial.zero(P.ctx)), sub)
-    return sigma_images, delta_images
+        if k not in self._restricted:
+            self._restricted[k] = PoissonPresentation(
+                ctx=self.ctx.restrict(k),
+                table=self.table.restrict(k),
+                grading=self.grading.restrict(k),
+                h=self.h[:k] if self.h is not None else None,
+                nilpotency_bound=self.nilpotency_bound,
+            )
+        return self._restricted[k]
 
 
 def _level_maps(P: PoissonPresentation, k: int):
     """sigma_k and delta_k as derivations of A = R_{k-1}, and the eigenvalues
-    mu_j with sigma_k(x_j) = mu_j x_j; raises NonDiagonalSigma when some
-    sigma_k(x_j) is not a multiple of x_j."""
-    sigma_images, delta_images = split_bracket(P, k)
-    sub = P.ctx.restrict(k - 1)
-    mus = []
-    for j in range(k - 1):
-        img = sigma_images[j]
-        if img.is_zero():
-            mus.append(Fraction(0))
-            continue
-        if len(img.terms) == 1:
-            m, c = next(iter(img.terms.items()))
-            if Polynomial.monomial(sub, m) == Polynomial.variable(sub, j):
-                mus.append(Fraction(c))
-                continue
-        raise NonDiagonalSigma(
-            f"sigma(x_{j+1}) = {img} is not a scalar multiple of x_{j+1}"
-        )
+    mu_j, from one walk over row k (1-based) of the table: each {x_k, x_j}
+    splits by its degree in x_k, 0 or 1 by triangularity, as
+    sigma(x_j) x_k + delta(x_j), and mu_j is the coefficient of x_j in
+    sigma(x_j).  Raises NonDiagonalSigma when sigma(x_j) has another term."""
+    if not 1 <= k <= P.nvars:
+        raise PcglError(f"level {k} out of range")
+    i = k - 1
+    sub = P.ctx.restrict(i)
+    zero = Polynomial.zero(sub)
+    sigma_images, delta_images, mus = {}, {}, []
+    for j in range(i):
+        parts = P.table.entry(i, j).split_by_degree_in(i)
+        img = sigma_images[j] = re_context(parts.get(1, zero), sub)
+        delta_images[j] = re_context(parts.get(0, zero), sub)
+        mu = img.terms.get(Monomial(((j, 1),)), 0)
+        if len(img.terms) != (mu != 0):
+            raise NonDiagonalSigma(
+                f"sigma(x_{j+1}) = {img} is not a scalar multiple of x_{j+1}"
+            )
+        mus.append(Fraction(mu))
     return Derivation(sub, sigma_images), Derivation(sub, delta_images), mus
 
 

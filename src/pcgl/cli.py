@@ -158,13 +158,26 @@ def load_presentation(path: str) -> tuple[PoissonPresentation, dict]:
     return pres, dict(bounds)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key, which
+    `json` would let the later value replace, is a SchemaError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 @functools.lru_cache
 def _load_text(text: str) -> tuple[PoissonPresentation, dict]:
     """The checked presentation and bounds of a file text, kept per text."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("malformed JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("presentation file must be a JSON object")
     return load_presentation_data(data)

@@ -247,7 +247,9 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
 
     Pairs are selected by the sugar strategy and keyed by (sugar, order key
     of the lcm); pairs with coprime leading monomials are never formed
-    (Buchberger's first criterion); every division step ticks the budget.
+    (Buchberger's first criterion), and a pair of two one-term elements,
+    whose S-polynomial is 0, is dropped where it is popped; every division
+    step ticks the budget.
     S-polynomials are divided on a divisor table kept as the basis grows,
     with a quotient record only when tracked.  Untracked elements are made
     primitive; tracked ones stay unscaled, so their cofactors need no
@@ -280,6 +282,8 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
         sugar, _ = pairs.pop((i, j))
+        if len(basis[i].terms) == 1 and len(basis[j].terms) == 1:
+            continue
         lmi, lmj = lms[i], lms[j]
         l = lmi.lcm(lmj)
         ti, ci = l.divide(lmi), _qdiv(1, basis[i].terms[lmi])

@@ -32,16 +32,15 @@ the Jacobi identity is a property of the table and is checked separately.
 from __future__ import annotations
 
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Polynomial, VarTable, _chain_rule, _variable_index, re_context
+from .qpoly import Polynomial, VarTable, _chain_rule, _Value, _variable_index, re_context
 
 
-class BracketTable:
+class BracketTable(_Value):
     """Pairwise generator brackets {x_i, x_j} for i > j (0-based indices);
-    compared and hashed by (ctx, the nonzero entries)."""
+    immutable, compared and hashed by (ctx, the nonzero entries)."""
 
     def __init__(self, ctx: VarTable, entries: dict[tuple[int, int], Polynomial]):
-        self.ctx = ctx
-        self._entries = {}
+        vars(self).update(ctx=ctx, _entries={})
         for (i, j), p in entries.items():
             if not i > j:
                 raise PcglError(f"bracket table keys must have i > j, got ({i}, {j})")
@@ -49,15 +48,18 @@ class BracketTable:
                 raise ContextMismatch("bracket entry over wrong variable table")
             if not p.is_zero():
                 self._entries[(i, j)] = p
-        self._pairs = tuple(sorted(self._entries.items()))
+        pairs = tuple(sorted(self._entries.items()))
         # row i: (j, terms of {x_i, x_j}) for every nonzero entry, both signs
         rows = [[] for _ in range(len(ctx))]
-        for (i, j), p in self._pairs:
+        for (i, j), p in pairs:
             rows[i].append((j, tuple(p.terms.items())))
             rows[j].append((i, tuple((m, -c) for m, c in p.terms.items())))
-        self._rows = tuple(tuple(r) for r in rows)
-        # a tuple of columns -> the rows cut to them, renumbered in its order
-        self._columns = {tuple(range(len(ctx))): self._rows}
+        rows = tuple(tuple(r) for r in rows)
+        # _columns: a tuple of columns -> the rows cut to them, renumbered in its order
+        vars(self).update(_pairs=pairs, _rows=rows, _columns={tuple(range(len(ctx))): rows})
+
+    def _fields(self):
+        return (self.ctx, self._pairs)
 
     def entry(self, i: int, j: int) -> Polynomial:
         """{x_i, x_j} for any i, j, derived by antisymmetry where needed."""
@@ -67,19 +69,11 @@ class BracketTable:
             return self._entries.get((i, j), Polynomial.zero(self.ctx))
         return -self._entries.get((j, i), Polynomial.zero(self.ctx))
 
-    def __eq__(self, other):
-        if other.__class__ is not BracketTable:
-            return NotImplemented
-        return self.ctx == other.ctx and self._pairs == other._pairs
-
-    def __hash__(self):
-        return hash((self.ctx, self._pairs))
-
     def pairs(self):
         return self._pairs
 
     def __reduce__(self):
-        # the rows and their column cuts are derived from the entries
+        # the constructor takes the entries as a dict
         return (BracketTable, (self.ctx, self._entries))
 
     def re_context(self, ctx: VarTable) -> "BracketTable":
@@ -166,26 +160,23 @@ def check_jacobi(B: BracketTable) -> JacobiReport:
     return JacobiReport(failures=failures)
 
 
-class NormalityCertificate:
-    """Compared by value, as the separation memos that hold certificates
-    are compared."""
+class NormalityCertificate(_Value):
+    """Immutable and compared by value, as the separation memos that hold
+    certificates are compared; unhashable, for its fields are dicts."""
 
     def __init__(
         self,
         quotients: dict[int, Polynomial] | None = None,
         failures: dict[int, Polynomial] | None = None,
     ):
-        self.quotients = {} if quotients is None else quotients
-        self.failures = {} if failures is None else failures
+        vars(self).update(
+            quotients={} if quotients is None else quotients,
+            failures={} if failures is None else failures,
+        )
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def __eq__(self, other):
-        if other.__class__ is not NormalityCertificate:
-            return NotImplemented
-        return self.quotients == other.quotients and self.failures == other.failures
 
 
 def is_poisson_normal(B: BracketTable, c: Polynomial, modulo=None) -> NormalityCertificate:

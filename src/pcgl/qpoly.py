@@ -30,8 +30,9 @@ Laurent polynomials.
 
 A derivation fixed by its values on the generators is applied by the
 chain rule D(f) = sum_i D(x_i) * df/dx_i.  `_chain_rule` is the one
-kernel for it: it serves `apply_derivation` (sigma_k, delta_k) and the
-Poisson brackets of `pbracket`, each handing it rows of generator images.
+kernel for it: it serves `Derivation.__call__` (sigma_k, delta_k) and
+the Poisson brackets of `pbracket`, each handing it rows of generator
+images.
 """
 
 from __future__ import annotations
@@ -763,35 +764,37 @@ def _signs(toks, i):
 # ---------------------------------------------------------------------------
 
 
-class Derivation:
+class Derivation(_Value):
     """A derivation given by generator images, extended by the Leibniz rule;
-    compared and hashed by (ctx, images)."""
+    immutable, compared and hashed by (ctx, the images as a frozenset)."""
 
     def __init__(self, ctx: VarTable, images: dict[int, Polynomial]):
-        self.ctx = ctx
-        self.images = dict(images)
-        for i, img in self.images.items():
+        images = dict(images)
+        for img in images.values():
             if img.ctx is not ctx and img.ctx != ctx:
                 raise ContextMismatch("derivation image over wrong variable table")
-        # the one-row table of `_chain_rule`: row i is D(x_i), if nonzero
-        self._rows = tuple(
-            ((0, tuple(img.terms.items())),) if (img := self.images.get(i)) else ()
-            for i in range(len(ctx))
+        vars(self).update(
+            ctx=ctx,
+            images=images,
+            # the one-row table of `_chain_rule`: row i is D(x_i), if nonzero
+            _rows=tuple(
+                ((0, tuple(img.terms.items())),) if (img := images.get(i)) else ()
+                for i in range(len(ctx))
+            ),
         )
 
-    def __eq__(self, other):
-        if other.__class__ is not Derivation:
-            return NotImplemented
-        return self.ctx == other.ctx and self.images == other.images
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.images.items())))
-
-    def domain(self) -> set[int]:
-        return set(self.images)
+    def _fields(self):
+        return (self.ctx, frozenset(self.images.items()))
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        return apply_derivation(self, f)
+        """D(f) = sum_i D(x_i) * df/dx_i, computed exactly."""
+        if f.ctx is not self.ctx and f.ctx != self.ctx:
+            raise ContextMismatch("polynomial over a different variable table")
+        missing = f.support().difference(self.images)
+        if missing:
+            names = ", ".join(self.ctx.names[i] for i in sorted(missing))
+            raise MissingImage(f"no image for variable(s) {names}")
+        return _chain_rule(self._rows, f, 1)[0]
 
 
 def _drop_one(exps, k: int) -> Monomial:
@@ -823,14 +826,3 @@ def _chain_rule(rows, f: Polynomial, width: int) -> list[Polynomial]:
                 for t, c in terms:
                     _add_term(acc, rest * t, ae * c)
     return [_trusted(f.ctx, acc) for acc in out]
-
-
-def apply_derivation(D: Derivation, f: Polynomial) -> Polynomial:
-    """D(f) = sum_i D(x_i) * df/dx_i, computed exactly."""
-    if f.ctx is not D.ctx and f.ctx != D.ctx:
-        raise ContextMismatch("polynomial over a different variable table")
-    missing = f.support() - D.domain()
-    if missing:
-        names = ", ".join(D.ctx.names[i] for i in sorted(missing))
-        raise MissingImage(f"no image for variable(s) {names}")
-    return _chain_rule(D._rows, f, 1)[0]

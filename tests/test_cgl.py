@@ -8,13 +8,13 @@ import pytest
 from pcgl.cgl import (
     PoissonPresentation,
     _delta_iterates,
+    _level_maps,
     _level_record,
     level_data,
-    split_bracket,
     verify_cgl,
 )
 from pcgl.cli import fixture_path, load_presentation, main
-from pcgl.errors import NotWithinBound, PcglError, TriangularityError
+from pcgl.errors import NonDiagonalSigma, NotWithinBound, PcglError, TriangularityError
 from pcgl.grading import GradingData, weight_of
 from pcgl.pbracket import BracketTable, bracket
 from pcgl.qpoly import Polynomial, VarTable, parse, re_context
@@ -25,26 +25,63 @@ from test_matrices import matrix_presentation
 from test_schubert_cells import b2
 
 
+def level_maps(P, k):
+    """The sigma and delta images and the eigenvalues of level k."""
+    sigma, delta, mus = _level_maps(P, k)
+    return sigma.images, delta.images, mus
+
+
+def one_row(bracket_text):
+    """A presentation on a, b, X whose one nonzero entry is {X, b}."""
+    ctx = VarTable(("a", "b", "X"))
+    return PoissonPresentation(
+        ctx=ctx,
+        table=BracketTable(ctx, {(2, 1): parse(bracket_text, ctx)}),
+        grading=GradingData(0, ((), (), ())),
+    )
+
+
 class TestSplitBracket:
     def test_weyl(self, weyl):
-        sigma, delta = split_bracket(weyl, 2)
+        sigma, delta, mus = level_maps(weyl, 2)
         ctx_a = weyl.ctx.restrict(1)
         assert sigma[0] == parse("-a", ctx_a)
         assert delta[0] == parse("1", ctx_a)
+        assert mus == [-1]
 
     def test_pplane(self, pplane):
-        sigma, delta = split_bracket(pplane, 2)
+        sigma, delta, mus = level_maps(pplane, 2)
         ctx_a = pplane.ctx.restrict(1)
         assert sigma[0] == parse("a", ctx_a)
         assert delta[0].is_zero()
+        assert mus == [1]
 
     def test_bellsig_level_four(self, bellsig):
-        sigma, delta = split_bracket(bellsig, 4)
+        sigma, delta, mus = level_maps(bellsig, 4)
         ctx_a = bellsig.ctx.restrict(3)
         assert sigma[0].is_zero()
         assert delta[0] == parse("2*y*z", ctx_a)
         assert sigma[1].is_zero()
         assert delta[1] == parse("x + y^2", ctx_a)
+        assert mus[:2] == [0, 0]
+
+    @pytest.mark.parametrize("text,sigma", [("2*b*X + a*X", "a + 2*b"), ("a*X", "a")])
+    def test_non_diagonal_sigma_names_the_image(self, text, sigma):
+        # sigma(x_2) = c*x_2 + x_1 and sigma(x_2) = x_1 are no multiple of x_2
+        with pytest.raises(NonDiagonalSigma) as exc:
+            _level_maps(one_row(text), 3)
+        assert str(exc.value) == f"sigma(x_2) = {sigma} is not a scalar multiple of x_2"
+
+    def test_zero_sigma_has_eigenvalue_zero(self):
+        sigma, delta, mus = level_maps(one_row("b + a^2"), 3)
+        assert sigma[0].is_zero() and sigma[1].is_zero()
+        assert delta[1] == parse("b + a^2", VarTable(("a", "b")))
+        assert mus == [0, 0] and all(type(mu) is Fraction for mu in mus)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_level_out_of_range(self, weyl, k):
+        with pytest.raises(PcglError, match=f"^level {k} out of range$"):
+            _level_maps(weyl, k)
 
     def test_triangularity_rejected_at_construction(self):
         ctx = VarTable(("a", "X"))
@@ -319,6 +356,20 @@ class TestRestrict:
     def test_out_of_range(self, weyl):
         with pytest.raises(PcglError):
             weyl.restrict(3)
+
+    def test_one_restriction_per_level(self):
+        # a tower builds N restricted presentations, not 2N - 1: level k's
+        # R_(k-1) is level k-1's R_k, and each is kept outside the cache
+        P = matrix_presentation(2, 3)
+        assert all(P.restrict(k) is P.restrict(k) for k in range(P.nvars + 1))
+        verify_cgl(P)
+        levels = [_level_record(P, k) for k in range(1, P.nvars + 1)]
+        assert [L.pres_R for L in levels] == [P.restrict(k) for k in range(1, P.nvars + 1)]
+        assert all(L.pres_R is P.restrict(L.k) for L in levels)
+        assert levels[0].pres_A is P.restrict(0)
+        assert all(M.pres_A is L.pres_R for L, M in zip(levels, levels[1:]))
+        assert set(P._cache) == {("level", k) for k in range(1, P.nvars + 1)}
+        assert rebuild(P) == P and not rebuild(P)._restricted
 
 
 class TestLevelInvariants:

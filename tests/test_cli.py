@@ -488,6 +488,17 @@ def test_deeply_nested_bracket_entry(capsys, tmp_path, entry):
     assert err.startswith("error: expression nested too deeply") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("where", ["top", "brackets"])
+def test_json_nested_too_deeply(capsys, tmp_path, where):
+    # 100,000 levels of JSON arrays reach the decoder's recursion limit
+    deep = "[" * 100_000 + "]" * 100_000
+    text = deep if where == "top" else '{"vars": ["a", "X"], "brackets": %s}' % deep
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "error: malformed JSON: nested too deeply\n")
+
+
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
 def test_readme_command_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *README_COMMANDS[name])

@@ -48,8 +48,13 @@ JSON = st.recursive(
 
 
 def run_check(tmp_path, data):
+    return run_check_text(tmp_path, json.dumps(data))
+
+
+def run_check_text(tmp_path, text):
+    """Exit code, stdout and stderr of `pcgl check` on a file of the text."""
     path = tmp_path / "pres.json"
-    path.write_text(json.dumps(data))
+    path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", str(path)])
@@ -125,3 +130,20 @@ def test_repeated_bracket_key(tmp_path, second):
     code, out, err = run_check(tmp_path, data)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and repr(second) in err
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"vars": ["a", "X"], "brackets": {"2,1": "X*a", "2,1": "2*X*a"},'
+         ' "grading": [[1, 0], [0, 1]]}', "2,1"),
+        ('{"vars": ["a", "X"], "vars": ["b", "Y"], "brackets": {"2,1": "Y*b"},'
+         ' "grading": [[1, 0], [0, 1]]}', "vars"),
+    ],
+    ids=["bracket", "vars"],
+)
+def test_repeated_key_in_the_file_text(tmp_path, text, key):
+    # `json` alone keeps the later of two equal keys, and the file with only
+    # that value is valid; the file is refused before either value can
+    # replace the other
+    assert run_check_text(tmp_path, text) == (2, "", f"error: repeated key {key!r}\n")

@@ -69,6 +69,26 @@ def test_pickled_level_record_equals_its_original():
     assert L.delta != sigma and L.pres_A.table != table
 
 
+def test_table_derivation_and_certificate_are_values(weyl):
+    x = parse("x", CTX)
+    table, delta = weyl.table, level_data(weyl, 2).delta
+    certificate = NormalityCertificate(quotients={0: x}, failures={1: x})
+    for record in (table, delta, certificate):
+        thawed = pickle.loads(pickle.dumps(record))
+        assert thawed is not record and type(thawed) is type(record) and thawed == record
+        for r in (record, thawed):
+            for name in ("ctx", "images", "quotients", "_rows"):
+                with pytest.raises(AttributeError, match=f"^{type(r).__name__} is immutable$"):
+                    setattr(r, name, None)
+    # the hashes of the hand-written methods they replace, so that no set
+    # order or digest moves
+    assert hash(delta) == hash((delta.ctx, frozenset(delta.images.items())))
+    assert hash(table) == hash((table.ctx, table.pairs()))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(certificate)
+    assert certificate != NormalityCertificate(quotients=certificate.quotients)
+
+
 def test_presentation_cache_is_not_part_of_the_value(weyl):
     P = rebuild(weyl)
     level_data(P, 2)

@@ -482,6 +482,45 @@ def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
 
 
+def test_no_pair_of_one_term_elements_is_divided(monkeypatch):
+    # the S-polynomial of two one-term basis elements is 0, so their pair
+    # is dropped where it is popped: no zero dividend reaches `_divide`, and
+    # the reduced basis, the lift's cofactors and the step count are those
+    # of a loop that divides it
+    ctx = matrix_presentation(2, 3).ctx
+
+    def p(text):
+        return parse(text, ctx)
+
+    zero_dividends, ticks = [], [0]
+    divide, tick = ideals._divide, ideals._Budget.tick
+
+    def spy_divide(f, *args):
+        zero_dividends.append(f.is_zero())
+        return divide(f, *args)
+
+    def spy_tick(budget):
+        ticks[0] += 1
+        tick(budget)
+
+    monkeypatch.setattr(ideals, "_divide", spy_divide)
+    monkeypatch.setattr(ideals._Budget, "tick", spy_tick)
+    gens = [p("x11*x22"), p("x11*x23"), p("x12*x22 - x13*x21"), p("x21^2*x13 - x11*x12")]
+    assert [str(g) for g in buchberger(gens, Grevlex())] == [
+        "x11*x23", "x11*x22", "x13*x21 - x12*x22", "x12*x21*x22 - x11*x12",
+        "x11^2*x12", "x12^2*x22^2 - x11*x12*x13",
+    ]
+    assert ticks == [10]
+    c = p("x12*x23 - x13*x22")
+    M = Ideal(ctx, [p("x11*x22"), p("x13*x21"), p("x11*x23 - x12*x21")])
+    targets = [p("x11*x13*x22"), p("x12*x21*x23"), p("x11*x12*x23 - x12^2*x21")]
+    targets += [p(text) for text in ("x11*x12*x23 - x11*x13*x22", "x12*x21*x23 - x13*x21*x22")]
+    lifts = lift_through_ideal(c, targets, modulo=M)
+    assert [None if q is None else str(q) for q in lifts] == ["0", "x21", "0", "x11", "x21"]
+    assert ticks == [25]
+    assert zero_dividends and not any(zero_dividends)
+
+
 def long_split(P, I):
     """`_split`'s four facts by the long routes, on a fresh copy of I: the
     contraction; the coefficient ideal from a basis computed anew, its
