@@ -60,9 +60,18 @@ def _rational(value, what: str) -> Fraction:
 def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
     """The presentation and the `bounds` of a parsed presentation file.
 
-    Every malformed field raises SchemaError (exit code 2 on the command
-    line); a bracket entry of the wrong Ore shape raises TriangularityError.
+    Every malformed field and every unknown key, at the top level or in
+    `bounds`, raises SchemaError (exit code 2 on the command line); a
+    bracket entry of the wrong Ore shape raises TriangularityError.
     """
+    fields = ("field", "vars", "laurent", "brackets", "grading", "h", "bounds")
+    known = ("nilpotency", "groebner_steps")
+    bounds = dict(_expect(data.get("bounds", {}), dict, "'bounds'"))
+    for where, obj, keys in (("", data, fields), ("bounds.", bounds, known)):
+        for name in obj:
+            if name not in keys:
+                name = ascii(name)[1:-1]  # as the file spells it, in ASCII
+                raise SchemaError(f"unknown key {where}{name}; expected one of {', '.join(keys)}")
     if data.get("field", "QQ") != "QQ":
         raise SchemaError("only field QQ is supported")
     if "vars" not in data:
@@ -103,11 +112,6 @@ def load_presentation_data(data: dict) -> tuple[PoissonPresentation, dict]:
             tuple(_rational(x, "each 'h' entry") for x in _expect(vec, list, "each 'h' vector"))
             for vec in _expect(data["h"], list, "'h'")
         )
-    bounds = dict(_expect(data.get("bounds", {}), dict, "'bounds'"))
-    known = ("nilpotency", "groebner_steps")
-    for name in bounds:
-        if name not in known:
-            raise SchemaError(f"unknown key bounds.{name}; expected one of {', '.join(known)}")
     for name in known:
         if name in bounds and _expect(bounds[name], int, f"bounds.{name}") < 1:
             raise SchemaError(f"bounds.{name} must be positive")

@@ -98,10 +98,7 @@ _EMPTY_BLOCK = _grevlex_key(())
 
 
 def leading_monomial(f: Polynomial, order) -> Monomial:
-    terms = f.terms
-    if len(terms) == 1:
-        return next(iter(terms))
-    return max(terms, key=order.key)
+    return max(f.terms, key=order.key)
 
 
 def _times_term(f: Polynomial, m: Monomial, c) -> Polynomial:
@@ -378,8 +375,6 @@ def lift_through_ideal(c: Polynomial, targets, modulo: Ideal | None = None):
     limit in scope raises StepBudgetExceeded.
     """
     start = modulo.groebner() if modulo is not None else ()
-    if c.is_zero() and not start:
-        return [f if f.is_zero() else None for f in targets]
     budget = _Budget()
     basis, lms, reps = _buchberger_loop([c], _GREVLEX, budget, track=True, start=start)
     zero = Polynomial.zero(c.ctx)
@@ -731,28 +726,19 @@ def is_poisson_stable(
     element of its reduced basis has its brackets in it, and is skipped
     with no division, and {g, x_i} = -{x_i, g} for a variable x_i in it
     is not computed: each sweep cuts the table to the columns it tests.
-
-    Two basis variables x_i and x_j are tested once: {x_j, x_i} =
-    -{x_i, x_j}, so once the sweep of x_i has tested column j, the sweep of
-    x_j does not test column i.  A pair that no earlier sweep tested, as
-    under `base` or `lower`, is tested as usual.
     """
     m = 0 if base is None else len(base.ctx)
     new = frozenset(range(m, len(I.ctx)))
     skip, known = (lower._basis_set(), _basis_variables(lower.groebner())) if lower else ((), ())
     every = tuple(i for i in range(len(I.ctx)) if i not in known)
     fresh = tuple(i for i in every if i >= m)
-    swept = {}  # j -> the columns tested in the sweep of the basis variable x_j
     for g in I.groebner():
         if g in skip:
             continue
         columns = fresh if m and new.isdisjoint(g.support()) else every
-        j = _variable_index(g)
-        for i, h in zip(columns, generator_brackets(B, g, columns)):
-            if h.terms and j not in swept.get(i, ()) and not I.member(h)[0]:
+        for h in generator_brackets(B, g, columns):
+            if h.terms and not I.member(h)[0]:
                 return False
-        if j is not None:
-            swept[j] = columns
     return True
 
 

@@ -146,8 +146,9 @@ class Monomial:
     index order.  Monomials are immutable and hash their exponents once.
     Two slots are filled on first use: the grevlex key (see the module
     docstring) and the support bitmask; `hash`, `==` and pickling see
-    `exps` alone.  `*`, `divide`, `lcm`, `gcd` and `divides` merge the
-    sorted pairs; `is_coprime` compares the masks.
+    `exps` alone.  `*` and `divides` merge the sorted pairs in one pass;
+    `divide`, `lcm` and `gcd` walk them through `_aligned`; `is_coprime`
+    compares the masks.
     """
 
     __slots__ = ("exps", "_hash", "_key", "_mask")
@@ -249,24 +250,7 @@ class Monomial:
         return all(f >= 0 for _, f in b[j:])
 
     def divide(self, other: "Monomial") -> "Monomial":
-        # the merge of `*` with other's exponents negated
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        out = []
-        j, nb = 0, len(b)
-        for i, e in a:
-            while j < nb and b[j][0] < i:
-                out.append((b[j][0], -b[j][1]))
-                j += 1
-            if j < nb and b[j][0] == i:
-                e -= b[j][1]
-                j += 1
-                if not e:
-                    continue
-            out.append((i, e))
-        out.extend([(i, -f) for i, f in b[j:]])
-        return Monomial(tuple(out))
+        return Monomial(tuple((i, e - f) for i, e, f in _aligned(self.exps, other.exps) if e != f))
 
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple((i, max(e, f)) for i, e, f in _aligned(self.exps, other.exps)))

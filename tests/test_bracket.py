@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pcgl.cgl import PoissonPresentation, _delta_iterates, _level_record, verify_cgl
-from pcgl.errors import NotWithinBound, PreconditionError
+from pcgl.errors import ContextMismatch, NotWithinBound, PreconditionError
 from pcgl.grading import GradingData
 from pcgl.ideals import Ideal, lift_through_ideal
 from pcgl.pbracket import (
@@ -83,6 +83,11 @@ class TestPoissonNormal:
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
             is_poisson_normal(bell_table(), Polynomial.zero(CTX))
+
+    def test_other_table_rejected(self):
+        other = VarTable(("x", "y", "z", "v"))
+        with pytest.raises(ContextMismatch, match="^element over wrong variable table$"):
+            is_poisson_normal(bell_table(), Polynomial.variable(other, 0))
 
     def test_quotient_membership(self, pplane):
         ctx = pplane.ctx

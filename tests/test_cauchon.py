@@ -237,8 +237,26 @@ class TestNormalElement:
         assert bracket(weyl2.pres_R.table, x, X) == x * X  # eta = -1
 
     def test_rejects_non_normal(self, m24):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^input is not homogeneous$"):
             normal_element(m24, base(m24, "a + b"))
+        # homogeneous, but {x12, x11*x22 + x12*x21} is no multiple of it
+        L = level_data(matrix_presentation(2, 3), 6)
+        cases = [
+            ("x11*x22 + x12*x21", "^input is not Poisson-normal in the base ring$"),
+            ("0", "^input must be nonzero$"),
+        ]
+        for text, message in cases:
+            with pytest.raises(PreconditionError, match=message):
+                normal_element(L, base(L, text))
+
+    def test_to_base(self, weyl2):
+        # an element of R free of x_k moves into A; one that involves x_k is refused
+        a = parse("a^2 + 1", weyl2.pres_R.ctx)
+        moved = cauchon._to_base(weyl2, a)
+        assert moved.ctx == weyl2.pres_A.ctx and moved == base(weyl2, "a^2 + 1")
+        message = "^element involves x_2, not in the base ring$"
+        with pytest.raises(PreconditionError, match=message):
+            cauchon._to_base(weyl2, parse("a*X", weyl2.pres_R.ctx))
 
     def test_m2_determinant(self, m24, m2):
         res = normal_element(m24, base(m24, "a"))
@@ -524,8 +542,15 @@ class TestSeparatingNormal:
 
     def test_equal_ideals_rejected(self, weyl):
         z = Ideal.zero(weyl.ctx)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="^ideals are equal$"):
             separating_normal(weyl, z, z)
+        # two leaves of 2x3, neither inside the other, in either order
+        P = matrix_presentation(2, 3)
+        I = Ideal(P.ctx, [parse("x13*x22 - x12*x23", P.ctx)])
+        J = Ideal(P.ctx, [parse("x12*x21 - x11*x22", P.ctx)])
+        for pair in ((I, J), (J, I)):
+            with pytest.raises(PreconditionError, match="^ideals are not nested$"):
+                separating_normal(P, *pair)
 
     def test_contraction_not_delta_stable(self, weyl):
         # (a) is not Poisson: its contraction (a) has delta(a) = 1 outside

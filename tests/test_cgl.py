@@ -108,6 +108,20 @@ class TestSplitBracket:
                 ctx=weyl.ctx, table=weyl.table, grading=weyl.grading, nilpotency_bound=0
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("table", BracketTable(VarTable(("b", "Y")), {}),
+             "bracket table over wrong variable table"),
+            ("grading", GradingData(1, ((1,),)),
+             "grading column count does not match generator count"),
+        ],
+        ids=["table", "grading"],
+    )
+    def test_mismatched_part_rejected_at_construction(self, weyl, field, value, message):
+        with pytest.raises(PcglError, match=f"^{message}$"):
+            rebuild(weyl, **{field: value})
+
     def test_negative_power_refused_by_check(self, tmp_path, capsys):
         path = tmp_path / "pres.json"
         path.write_text(json.dumps({

@@ -562,20 +562,25 @@ def run_under_locale(locale, *argv):
 
 
 def test_files_load_and_print_alike_under_every_locale(tmp_path):
-    # a UTF-8 file whose only non-ASCII text is an unread key is read as
-    # UTF-8, not in the locale's encoding; a variable name outside ASCII,
-    # here escaped in an ASCII file, is refused with one error line instead
-    # of failing to print
+    # a UTF-8 file whose only non-ASCII text is an unknown key is read as
+    # UTF-8, not in the locale's encoding, and refused for that key, spelled
+    # in ASCII; a variable name outside ASCII, here escaped in an ASCII
+    # file, is refused with one error line instead of failing to print
     weyl = json.loads(Path(WEYL).read_text())
     note = tmp_path / "note.json"
-    note.write_bytes(json.dumps({**weyl, "note": "caf\u00e9"}, ensure_ascii=False).encode())
+    note.write_bytes(json.dumps({**weyl, "caf\u00e9": "note"}, ensure_ascii=False).encode())
     name = tmp_path / "name.json"
     name.write_text(
         json.dumps({**weyl, "vars": ["a\u00e9", "X"], "brackets": {"2,1": "-a\u00e9*X + 1"}})
     )
     want = (GOLDEN / "check_weyl.out").read_bytes()
+    refused = (
+        b"error: unknown key caf\\xe9; expected one of"
+        b" field, vars, laurent, brackets, grading, h, bounds\n"
+    )
     for locale in ("C", "C.UTF-8"):
-        assert run_under_locale(locale, "check", str(note)) == (0, want, b"")
+        assert run_under_locale(locale, "check", WEYL) == (0, want, b"")
+        assert run_under_locale(locale, "check", str(note)) == (2, b"", refused)
         code, out, err = run_under_locale(locale, "hprimes", str(name), "--format", "dot")
         assert (code, out) == (2, b"")
         assert err == b"error: invalid variable name 'a\\xe9'\n"

@@ -29,11 +29,12 @@ BASE = {
 }
 
 # Where a random value goes: a top-level field or an entry inside one.
-# ("bounds", "degree") is an unknown key, so every value there is refused.
+# ("bracket",) and ("bounds", "degree") are unknown keys, so every value
+# there is refused.
 PATHS = [
     ("field",), ("vars",), ("vars", 0), ("laurent",), ("laurent", 1),
-    ("brackets",), ("brackets", "2,1"), ("brackets", "2, 1"), ("grading",),
-    ("grading", 0), ("grading", 0, 1), ("h",), ("h", 0), ("h", 1, 0),
+    ("brackets",), ("brackets", "2,1"), ("brackets", "2, 1"), ("bracket",),
+    ("grading",), ("grading", 0), ("grading", 0, 1), ("h",), ("h", 0), ("h", 1, 0),
     ("bounds",), ("bounds", "nilpotency"), ("bounds", "degree"),
     ("bounds", "groebner_steps"),
 ]
@@ -115,6 +116,24 @@ def test_schema_errors(path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaError):
         load_presentation_data(data)
+
+
+def test_unknown_top_level_key(tmp_path):
+    # a misspelled "brackets" would leave a commuting algebra, whose center
+    # is the whole ring; the file is refused instead
+    data = {"vars": ["a", "b"], "bracket": {"2,1": "a*b"}, "grading": [[1, 0], [0, 1]]}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["center", str(path)])
+    message = (
+        "unknown key bracket; expected one of field, vars, laurent, brackets, grading, h, bounds"
+    )
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+    with pytest.raises(SchemaError) as exc:
+        load_presentation_data(data)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("second", ["02,1", " 2,1", "2,01"])

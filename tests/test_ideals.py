@@ -21,6 +21,7 @@ from pcgl.ideals import (
     h_core,
     ideal_equal,
     inclusion_order,
+    intersect,
     is_h_stable,
     is_poisson_stable,
     lift_through_ideal,
@@ -142,6 +143,13 @@ class TestMember:
                 I.normal_form(f)
             with pytest.raises(ContextMismatch):
                 contains(I, Ideal(f.ctx, [f]))
+            for op in (ideal_equal, intersect):
+                message = "^ideals over different variable tables$"
+                with pytest.raises(ContextMismatch, match=message):
+                    op(I, Ideal(f.ctx, [f]))
+            message = "^saturation element over wrong variable table$"
+            with pytest.raises(ContextMismatch, match=message):
+                saturate(I, f)
         assert I.member(parse("a*b", VarTable(("a", "b"))))[0]
 
     def test_inclusion_order(self):
@@ -598,6 +606,8 @@ class TestChainReport:
         assert rep.drops == []
 
     def test_non_chain_rejected(self, bellsig):
+        with pytest.raises(PcglError, match="^empty chain$"):
+            chain_report(bellsig, [])
         with pytest.raises(PcglError):
             chain_report(bellsig, [Ideal(CTX4, [p4("x")]), Ideal(CTX4, [p4("y")])])
         with pytest.raises(PcglError):

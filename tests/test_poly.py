@@ -106,6 +106,10 @@ class TestArith:
     def test_additive_inverse(self):
         assert poly("x + y") + poly("-x - y") == 0
 
+    def test_number_minus_polynomial(self):
+        assert 3 - poly("x - 2*y") == poly("3 - x + 2*y")
+        assert 3 - poly("3") == 0
+
     def test_term_by_term(self):
         f = parse("a*X - 1", LCTX) * parse("X", LCTX)
         assert f == parse("a*X^2 - X", LCTX)

@@ -116,6 +116,8 @@ def test_saturate_refuses_keep_out_of_range(m2):
     for keep in (-1, n + 1):
         with pytest.raises(PcglError, match=f"keep must lie in 0..{n}"):
             saturate(I, parse("a", m2.ctx), keep=keep)
+    with pytest.raises(PcglError, match="^cannot saturate at zero$"):
+        saturate(I, Polynomial.zero(m2.ctx))
 
 
 def two_step_core(G, I):
