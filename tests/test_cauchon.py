@@ -239,7 +239,7 @@ class TestNormalElement:
     def test_rejects_non_normal(self, m24):
         with pytest.raises(PreconditionError, match="^input is not homogeneous$"):
             normal_element(m24, base(m24, "a + b"))
-        # homogeneous, but {x12, x11*x22 + x12*x21} is no multiple of it
+        # homogeneous, but its brackets with x11 and x22 are no multiples of it
         L = level_data(matrix_presentation(2, 3), 6)
         cases = [
             ("x11*x22 + x12*x21", "^input is not Poisson-normal in the base ring$"),
