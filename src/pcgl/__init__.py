@@ -35,7 +35,6 @@ from .cgl import PoissonPresentation, level_data, verify_cgl
 from .cauchon import (
     DElement,
     check_theta,
-    d_element_from_normal,
     d_element_search,
     delete_all,
     enumerate_hprimes,

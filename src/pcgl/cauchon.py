@@ -56,8 +56,6 @@ from .qpoly import (
 
 def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
     """Coerce an element into the base ring A of the level."""
-    if a.ctx == L.pres_A.ctx:
-        return a
     if L.x_index in a.support():
         raise PreconditionError(f"element involves x_{L.k}, not in the base ring")
     return re_context(a, L.pres_A.ctx)
@@ -247,20 +245,6 @@ def _closed_form_d(L: LevelData, iterates) -> DElement:
     (Goodearl-Launois 2011)."""
     s = len(iterates) - 1
     return _normalize_fraction(iterates[1], (L.lambda_k * s) * iterates[0])
-
-
-def d_element_from_normal(L: LevelData, a: Polynomial) -> DElement:
-    """d = delta(a) / (lambda s a) from a Poisson-normal homogeneous a with
-    s = s_max(a) > 0, the largest l with delta^l(a) != 0."""
-    a = _to_base(L, a)
-    _normal_input(L, a)
-    iterates = _delta_iterates(L, a)
-    if len(iterates) == 1:
-        raise PreconditionError("s_max(a) = 0: no d-element from this recipe")
-    d = _closed_form_d(L, iterates)
-    if not validate_d_element(L, d):
-        raise PcglError("d-element invariants failed")
-    return d
 
 
 def _normal_atoms(L: LevelData, Q: Ideal, candidates, memo: dict | None = None):

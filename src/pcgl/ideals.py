@@ -4,10 +4,10 @@ One Groebner engine: a single Buchberger loop with the sugar selection
 strategy and the coprime criterion serves both reduced bases
 (`buchberger`) and cofactor-tracked lifts (`lift_through_ideal`), which
 lift through one element c and track one cofactor, that of c, per basis
-element.  Only the elements of bases that will be reduced are normalized
-to content-free integer coefficients; tracked elements keep their scale,
-so their cofactors need no rescaling.  Every division step asks
-`Monomial.divides`, the one divisibility test, after a support-mask
+element.  The loop keeps every element at the scale it was formed with,
+since a scale changes no step of it; the reduced basis is made monic at
+the end, and a lift's cofactors need no rescaling.  Every division step
+asks `Monomial.divides`, the one divisibility test, after a support-mask
 check.  The division loop, `_divide`, takes three exact fast paths: a zero
 dividend is returned as it is, order keys are computed only once the
 dividend holds two terms, and a one-term divisor, such as a variable of a
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 
 from .errors import ContextMismatch, PcglError, StepBudgetExceeded, UnitIdeal
 from .grading import monomial_weight, weight_of
@@ -110,18 +109,6 @@ def _times_term(f: Polynomial, m: Monomial, c) -> Polynomial:
             cc = _canon(cc)
         terms[mm * m] = cc
     return _trusted(f.ctx, terms)
-
-
-def make_primitive(f: Polynomial, order) -> Polynomial:
-    """Scale to integer coefficients with content 1 and positive leading one."""
-    if f.is_zero():
-        return f
-    denom_lcm = math.lcm(*(c.denominator for c in f.terms.values()))
-    content = math.gcd(*(int(c * denom_lcm) for c in f.terms.values()))
-    scale = _qdiv(denom_lcm, content)
-    if f.terms[leading_monomial(f, order)] < 0:
-        scale = -scale
-    return f if scale == 1 else f * scale
 
 
 class _Budget:
@@ -244,13 +231,13 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
 
     Pairs are selected by the sugar strategy and keyed by (sugar, order key
     of the lcm); pairs with coprime leading monomials are never formed
-    (Buchberger's first criterion), and a pair of two one-term elements,
-    whose S-polynomial is 0, is dropped where it is popped; every division
-    step ticks the budget.
-    S-polynomials are divided on a divisor table kept as the basis grows,
-    with a quotient record only when tracked.  Untracked elements are made
-    primitive; tracked ones stay unscaled, so their cofactors need no
-    rescaling.
+    (Buchberger's first criterion); every division step ticks the budget,
+    and a zero S-polynomial, such as that of two one-term elements, takes
+    none.  S-polynomials are divided on a divisor table kept as the basis
+    grows, with a quotient record only when tracked.  No element is
+    rescaled, tracked or not: a scale changes no leading monomial, pair,
+    sugar or division step, `reduce_basis` makes the returned basis monic,
+    and the cofactors need no rescaling.
 
     `start` is a Groebner basis (in `order`) of an ideal the loop adds the
     generators to.  Its elements come first, and the pairs among them are
@@ -259,14 +246,9 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     and the cofactor of an element g is the polynomial q with g - q*c in
     the ideal of `start`: 0 on `start`'s elements and 1 on c.
     """
-    basis = list(start)
+    first = len(start)
+    basis = [*start, *(g for g in generators if not g.is_zero())]
     sugars = [g.total_degree() for g in basis]
-    first = len(basis)
-    for g in generators:
-        if g.is_zero():
-            continue
-        sugars.append(g.total_degree())
-        basis.append(g if track else make_primitive(g, order))
     reps = []
     if track:
         reps = [Polynomial.constant(g.ctx, int(k >= first)) for k, g in enumerate(basis)]
@@ -279,8 +261,6 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
         sugar, _ = pairs.pop((i, j))
-        if len(basis[i].terms) == 1 and len(basis[j].terms) == 1:
-            continue
         lmi, lmj = lms[i], lms[j]
         l = lmi.lcm(lmj)
         ti, ci = l.divide(lmi), _qdiv(1, basis[i].terms[lmi])
@@ -295,8 +275,6 @@ def _buchberger_loop(generators, order, budget: _Budget, track=False, start=()):
             srep = _times_term(reps[i], ti, ci) - _times_term(reps[j], tj, cj)
             qs = _quotient_list(s.ctx, quotients, len(basis))
             reps.append(_minus_combination(srep, qs, reps))
-        else:
-            rem = make_primitive(rem, order)
         basis.append(rem)
         lms.append(leading_monomial(rem, order))
         divisors += _divisor_table(basis[-1:], lms[-1:])
@@ -366,7 +344,7 @@ def lift_through_ideal(c: Polynomial, targets, modulo: Ideal | None = None):
     without one), or None if f is outside (c) + `modulo`.
 
     One cofactor-tracked run of the Buchberger loop (in grevlex, with the
-    sugar strategy, not made primitive) serves all the targets; each target
+    sugar strategy, no element rescaled) serves all the targets; each target
     is then divided once by that basis, and the quotients q_k carry its
     cofactor: sum_k q_k * rep_k.  The loop starts from the cached reduced
     basis of `modulo`, whose elements carry the cofactor 0, and adds c to

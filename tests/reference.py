@@ -1,8 +1,9 @@
 """Reference constructions that only the tests read, kept as oracles for
 the package's own routes: the Lie action of a grading, the lexicographic
 order, the S-polynomial of a Groebner pair, the partial derivative, the
-bracket, derivation and delta condition built on it, and the Krull
-dimension by a subset search.
+bracket, derivation and delta condition built on it, the Krull
+dimension by a subset search, and the closed-form d-element of one
+Poisson-normal element.
 
 - `lie_act` checks the sigma of each tower level and the grading of the
   bracket; `homogeneous_components` is its split by weight.
@@ -16,11 +17,16 @@ dimension by a subset search.
   `reference_poisson_stable`, the oracle of `ideals.is_poisson_stable`.
 - `subset_dimension` is the Krull dimension by a search over every set of
   variables, the oracle of `ideals.dimension`'s least transversal.
+- `d_element_from_normal` is d = delta(a) / (lambda s a) from one
+  Poisson-normal element a, which `d_element_search`'s results are
+  compared with.
 """
 
 import itertools
 
-from pcgl.errors import PcglError
+from pcgl.cauchon import DElement, _closed_form_d, _normal_input, _to_base, validate_d_element
+from pcgl.cgl import LevelData, _delta_iterates
+from pcgl.errors import PcglError, PreconditionError
 from pcgl.grading import GradingData, LieVector, monomial_weight, pair
 from pcgl.ideals import Grevlex, _times_term, leading_monomial
 from pcgl.qpoly import Monomial, Polynomial, VarTable, _canon, _drop_one, _qdiv, _trusted
@@ -136,3 +142,17 @@ def subset_dimension(I) -> int:
             if not any(sup <= set(subset) for sup in supports):
                 return size
     raise PcglError("the unit ideal has no dimension")
+
+
+def d_element_from_normal(L: LevelData, a: Polynomial) -> DElement:
+    """d = delta(a) / (lambda s a) from a Poisson-normal homogeneous a with
+    s = s_max(a) > 0, the largest l with delta^l(a) != 0."""
+    a = _to_base(L, a)
+    _normal_input(L, a)
+    iterates = _delta_iterates(L, a)
+    if len(iterates) == 1:
+        raise PreconditionError("s_max(a) = 0: no d-element from this recipe")
+    d = _closed_form_d(L, iterates)
+    if not validate_d_element(L, d):
+        raise PcglError("d-element invariants failed")
+    return d

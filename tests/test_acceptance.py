@@ -7,7 +7,6 @@ zero).  Stated runtime limits are asserted with wall-clock timers.
 import itertools
 import time
 from pcgl.cauchon import (
-    d_element_from_normal,
     d_element_search,
     check_theta,
     enumerate_hprimes,
@@ -31,7 +30,7 @@ from pcgl.ideals import (
 from pcgl.pbracket import BracketTable, bracket, check_jacobi, is_poisson_normal
 from pcgl.qpoly import Monomial, Polynomial, VarTable, parse
 from pcgl.strata import LogBracketMatrix, poisson_center_torus
-from reference import s_polynomial
+from reference import d_element_from_normal, s_polynomial
 
 
 def report(number, description, ok):

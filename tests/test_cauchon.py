@@ -7,7 +7,6 @@ from pcgl import cauchon
 from pcgl.cauchon import (
     DElement,
     check_theta,
-    d_element_from_normal,
     d_element_search,
     delete_all,
     enumerate_hprimes,
@@ -39,6 +38,7 @@ from pcgl.qpoly import (
     re_context,
 )
 from random_poly import random_polynomial
+from reference import d_element_from_normal
 from records import fields, rebuild
 from test_matrices import matrix_presentation
 

@@ -35,10 +35,9 @@ CYCLE_BREAKERS = {"pbracket.is_poisson_normal"}
 # a data attribute of another class, each with that reader; a method is
 # listed as Class.method, and an entry whose name is no longer defined fails
 PUBLIC_READERS = {
-    "check_theta": "README; ROADMAP items 15, 16 and 19",
-    "d_element_from_normal": "ROADMAP item 14C",
-    "delete_all": "perfbench/workloads.py; ROADMAP item 2",
-    "stratum_summary": "ROADMAP item 2",
+    "check_theta": "README; ROADMAP items 15, 16 and 29",
+    "delete_all": "perfbench/workloads.py; ROADMAP item 29",
+    "stratum_summary": "ROADMAP item 29",
     "separating_normal": "README; perfbench",
     "fixture_path": "README; perfbench",
     # a property whose name is also a data attribute (GradingData.rank)

@@ -299,6 +299,54 @@ def test_lift_modulo_on_the_nested_pairs_of_m2():
     assert (checks, lifted) == (101, 89)
 
 
+def counting_ticks(mp):
+    """Count the `_Budget.tick` calls from here on, through a MonkeyPatch."""
+    count = [0]
+    tick = _Budget.tick
+
+    def counted(budget):
+        count[0] += 1
+        tick(budget)
+
+    mp.setattr(_Budget, "tick", counted)
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(polynomials(max_terms=3), min_size=1, max_size=3),
+    scales=st.lists(coefficients, min_size=3, max_size=3),
+    extra=polynomials(max_terms=3),
+)
+def test_scaling_the_generators_changes_nothing(gens, scales, extra):
+    # a reduced basis is unique, and a scale moves no leading monomial, pair,
+    # sugar or division step: the basis and the step count of each order stay,
+    # and a lift through s*c answers as through c, with its cofactors over s
+    scaled = [g * s for g, s in zip(gens, scales)]
+    for order in (Grevlex(), Elim({0})):
+        bases, steps = [], []
+        for generators in (gens, scaled):
+            with pytest.MonkeyPatch.context() as mp:
+                count = counting_ticks(mp)
+                bases.append(buchberger(generators, order))
+            steps.append(count[0])
+        assert bases[0] == bases[1]
+        assert steps[0] == steps[1]
+    targets = [extra, gens[0] * extra, extra * extra]
+    lifts, steps = [], []
+    for generators in (gens, scaled):
+        M = Ideal(CTX, generators[1:]) if len(generators) > 1 else None
+        with pytest.MonkeyPatch.context() as mp:
+            count = counting_ticks(mp)
+            lifts.append(lift_through_ideal(generators[0], targets, modulo=M))
+        steps.append(count[0])
+    assert [q is None for q in lifts[0]] == [q is None for q in lifts[1]]
+    assert lifts[1][1] is not None
+    for q, q_scaled in zip(*lifts):
+        assert q is None or q_scaled * scales[0] == q
+    assert steps[0] == steps[1]
+
+
 # ---------------------------------------------------------------------------
 # Differential tests against sympy
 # ---------------------------------------------------------------------------

@@ -484,22 +484,24 @@ def test_no_coprime_pair_and_the_same_cofactors(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == LIFT_DIGEST
 
 
-def test_no_pair_of_one_term_elements_is_divided(monkeypatch):
-    # the S-polynomial of two one-term basis elements is 0, so their pair
-    # is dropped where it is popped: no zero dividend reaches `_divide`, and
-    # the reduced basis, the lift's cofactors and the step count are those
-    # of a loop that divides it
+def test_a_pair_of_one_term_elements_takes_no_step(monkeypatch):
+    # the S-polynomial of two one-term basis elements is 0, and `_divide`
+    # returns a zero dividend with no step: the reduced basis, the lift's
+    # cofactors and the step count are those of a loop that skips the pair
     ctx = matrix_presentation(2, 3).ctx
 
     def p(text):
         return parse(text, ctx)
 
-    zero_dividends, ticks = [], [0]
+    zero_dividend_steps, ticks = [], [0]
     divide, tick = ideals._divide, ideals._Budget.tick
 
     def spy_divide(f, *args):
-        zero_dividends.append(f.is_zero())
-        return divide(f, *args)
+        before = ticks[0]
+        rem = divide(f, *args)
+        if f.is_zero():
+            zero_dividend_steps.append(ticks[0] - before)
+        return rem
 
     def spy_tick(budget):
         ticks[0] += 1
@@ -520,7 +522,7 @@ def test_no_pair_of_one_term_elements_is_divided(monkeypatch):
     lifts = lift_through_ideal(c, targets, modulo=M)
     assert [None if q is None else str(q) for q in lifts] == ["0", "x21", "0", "x11", "x21"]
     assert ticks == [25]
-    assert zero_dividends and not any(zero_dividends)
+    assert zero_dividend_steps and not any(zero_dividend_steps)
 
 
 def long_split(P, I):
