@@ -6,6 +6,7 @@ compare Groebner bases, elimination, saturation, intersection and
 membership with sympy's independent implementation on small random ideals.
 """
 
+import contextlib
 import signal
 from fractions import Fraction
 
@@ -299,8 +300,9 @@ def test_lift_modulo_on_the_nested_pairs_of_m2():
     assert (checks, lifted) == (101, 89)
 
 
-def counting_ticks(mp):
-    """Count the `_Budget.tick` calls from here on, through a MonkeyPatch."""
+@contextlib.contextmanager
+def counted_ticks():
+    """A one-item list that counts the `_Budget.tick` calls in the body."""
     count = [0]
     tick = _Budget.tick
 
@@ -308,8 +310,9 @@ def counting_ticks(mp):
         count[0] += 1
         tick(budget)
 
-    mp.setattr(_Budget, "tick", counted)
-    return count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Budget, "tick", counted)
+        yield count
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,8 +329,7 @@ def test_scaling_the_generators_changes_nothing(gens, scales, extra):
     for order in (Grevlex(), Elim({0})):
         bases, steps = [], []
         for generators in (gens, scaled):
-            with pytest.MonkeyPatch.context() as mp:
-                count = counting_ticks(mp)
+            with counted_ticks() as count:
                 bases.append(buchberger(generators, order))
             steps.append(count[0])
         assert bases[0] == bases[1]
@@ -336,8 +338,7 @@ def test_scaling_the_generators_changes_nothing(gens, scales, extra):
     lifts, steps = [], []
     for generators in (gens, scaled):
         M = Ideal(CTX, generators[1:]) if len(generators) > 1 else None
-        with pytest.MonkeyPatch.context() as mp:
-            count = counting_ticks(mp)
+        with counted_ticks() as count:
             lifts.append(lift_through_ideal(generators[0], targets, modulo=M))
         steps.append(count[0])
     assert [q is None for q in lifts[0]] == [q is None for q in lifts[1]]
