@@ -23,8 +23,9 @@ are the reduced grevlex basis of the elimination ideal, in grevlex order
 (Elimination Theorem, Cox-Little-O'Shea §3.1), handed over by
 `Ideal._with_basis`; eliminating nothing returns the ideal's own.
 Contractions, saturations and torus cores all end in one, and so does an
-intersection of two ideals neither of which contains the other; when one
-does, `intersect` returns the smaller one with its own reduced basis.
+intersection of two ideals, except when one holds the other (the smaller
+is returned) or both are monomial: the pairwise lcms, one-term like every
+monomial basis, go to `reduce_basis` with no Buchberger loop and no step.
 `adjoin_variable` hands over both reduced bases of I + (x_i), in grevlex
 and in the elimination order of x_i, from I's basis alone; `reduced()`
 keeps every basis its ideal has cached.
@@ -294,8 +295,13 @@ def _minus_combination(rep, qs, reps):
 
 
 def buchberger(generators, order):
-    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
-    basis, lms, _ = _buchberger_loop(generators, order, _Budget())
+    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy.
+    One-term generators go to `reduce_basis` as they are: every S-polynomial of
+    two monomials is 0, so the loop would add no element and take no step."""
+    basis = [g for g in generators if not g.is_zero()]
+    if all(len(g.terms) == 1 for g in basis):
+        return reduce_basis(basis, [next(iter(g.terms)) for g in basis], order)
+    basis, lms, _ = _buchberger_loop(basis, order, _Budget())
     return reduce_basis(basis, lms, order)
 
 
@@ -603,13 +609,19 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J, with its reduced basis.
 
     When one input contains the other (`contains`), a zero one too, the
-    result is the smaller one.  Otherwise the intersection comes from the
-    elimination of one homogenizing parameter, appended last."""
+    result is the smaller one.  When both reduced bases are monomials, the
+    pairwise lcms generate it (Cox-Little-O'Shea ch. 4 §3) and `buchberger`
+    reduces them with no reduction step.  Otherwise the intersection comes
+    from the elimination of one homogenizing parameter, appended last."""
     if I.ctx is not J.ctx and I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     for big, small in ((I, J), (J, I)):
         if contains(big, small):
             return small.reduced()
+    gi, gj = I.groebner(), J.groebner()
+    if all(len(g.terms) == 1 for g in (*gi, *gj)):
+        lcms = [next(iter(a.terms)).lcm(next(iter(b.terms))) for a in gi for b in gj]
+        return Ideal(I.ctx, [_trusted(I.ctx, {m: 1}) for m in lcms]).reduced()
     (tname,) = _fresh_names(I.ctx, ("t",))
     up = I.ctx.extend((tname,))
     n = len(I.ctx)

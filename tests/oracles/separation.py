@@ -6,7 +6,7 @@ P < Q and checks the number of pairs, the number the search misses
 (returns None for) and the SHA-256 of the sorted rows [P label, Q label,
 element, case], with None for a miss, against the values first recorded
 for them.  It prints each missed pair, the work list of ROADMAP item 17,
-then one line per tower, and exits 1 on any change; about 12 s.
+then one line per tower, and exits 1 on any change; about 5 s.
 
 Item 17 will lower the miss counts (34 on 3x3, 12 on 2x4).  The change
 that does so updates these pins and lists each pair whose row changed.

@@ -11,7 +11,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcgl.cauchon import enumerate_hprimes
@@ -22,6 +22,7 @@ from pcgl.ideals import (
     Grevlex,
     Ideal,
     _Budget,
+    _buchberger_loop,
     _divide,
     _divisor_table,
     buchberger,
@@ -29,6 +30,7 @@ from pcgl.ideals import (
     intersect,
     leading_monomial,
     lift_through_ideal,
+    reduce_basis,
     reduce_poly,
     saturate,
     step_limit,
@@ -348,6 +350,30 @@ def test_scaling_the_generators_changes_nothing(gens, scales, extra):
     assert steps[0] == steps[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=st.lists(polynomials(max_terms=1), max_size=4),
+    scales=st.lists(coefficients, max_size=4),
+)
+def test_one_term_generators_skip_the_loop(gens, scales):
+    # every S-polynomial of two monomials is 0, so the loop adds no element
+    # and takes no step: `buchberger` reduces the generators as they are, and
+    # never enters it, with zero, repeated and scaled generators among them
+    gens = [*gens, Polynomial.zero(CTX), *gens[:1], *(g * s for g, s in zip(gens, scales))]
+    for order in (Grevlex(), Elim({0})):
+        with counted_ticks() as count:
+            basis, lms, _ = _buchberger_loop(gens, order, _Budget())
+        assert basis == [g for g in gens if g] and count[0] == 0
+
+        def entered(*args, **kwargs):
+            raise AssertionError("the Buchberger loop was entered")
+
+        with counted_ticks() as count, pytest.MonkeyPatch.context() as mp:
+            mp.setattr("pcgl.ideals._buchberger_loop", entered)
+            assert buchberger(gens, order) == reduce_basis(basis, lms, order)
+        assert count[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # Differential tests against sympy
 # ---------------------------------------------------------------------------
@@ -525,6 +551,41 @@ def test_intersect_matches_sympy(sp, gens_i, gens_j, shape):
     with step_limit(PCGL_STEPS):
         basis = intersect(Ideal(CTX, gens_i), Ideal(CTX, gens_j)).groebner()
     assert ours(basis) == theirs(sp, expected, "grevlex")
+
+
+X, Y, Z = (Polynomial.variable(CTX, i) for i in range(3))
+# proper monomial ideals: one-term generators, none of them a constant
+one_terms = st.builds(
+    lambda e, c: Polynomial(CTX, {Monomial.make(enumerate(e)): c}),
+    st.tuples(*[st.integers(0, 2)] * 3).filter(any),
+    coefficients,
+)
+monomial_ideals = st.lists(one_terms, min_size=1, max_size=3)
+binomials = st.tuples(one_terms, one_terms).map(sum).filter(lambda f: len(f.terms) == 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gens_i=monomial_ideals,
+    gens_j=monomial_ideals,
+    binomial=st.one_of(st.none(), binomials),
+)
+@example(gens_i=[X, Y], gens_j=[Y, Z], binomial=None)  # (y, x*z)
+@example(gens_i=[X, Y], gens_j=[Z], binomial=X - Y)  # J's basis is not monomial
+def test_monomial_intersect_matches_sympy(sp, gens_i, gens_j, binomial):
+    # one-term generators on both sides: unless one ideal holds the other, the
+    # pairwise lcms of the two bases, reduced with no step; a binomial drawn
+    # for J usually leaves its basis not monomial, and the elimination runs
+    if binomial is not None:
+        gens_j = gens_j + [binomial]
+    t = sp.Symbol("t")
+    exprs = [t * to_sympy(sp, g) for g in gens_i] + [(1 - t) * to_sympy(sp, g) for g in gens_j]
+    expected = lex_free_of(sp, exprs, [t], sp.symbols("x y z"))
+    with step_limit(PCGL_STEPS), counted_ticks() as count:
+        basis = intersect(Ideal(CTX, gens_i), Ideal(CTX, gens_j)).groebner()
+    assert ours(basis) == theirs(sp, expected, "grevlex")
+    if binomial is None:
+        assert count[0] == 0
 
 
 @settings(max_examples=40, deadline=None)
