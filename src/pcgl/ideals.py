@@ -24,8 +24,8 @@ are the reduced grevlex basis of the elimination ideal, in grevlex order
 `Ideal._with_basis`; eliminating nothing returns the ideal's own.
 Contractions, saturations and torus cores all end in one, and so does an
 intersection of two ideals, except when one holds the other (the smaller
-is returned) or both are monomial: the pairwise lcms, one-term like every
-monomial basis, go to `reduce_basis` with no Buchberger loop and no step.
+is returned) or both are monomial (their pairwise lcms generate it); and
+one-term generators go to `reduce_basis` with no Buchberger loop or step.
 `adjoin_variable` hands over both reduced bases of I + (x_i), in grevlex
 and in the elimination order of x_i, from I's basis alone; `reduced()`
 keeps every basis its ideal has cached.

@@ -360,14 +360,14 @@ def test_one_term_generators_skip_the_loop(gens, scales):
     # and takes no step: `buchberger` reduces the generators as they are, and
     # never enters it, with zero, repeated and scaled generators among them
     gens = [*gens, Polynomial.zero(CTX), *gens[:1], *(g * s for g, s in zip(gens, scales))]
+
+    def entered(*args, **kwargs):
+        raise AssertionError("the Buchberger loop was entered")
+
     for order in (Grevlex(), Elim({0})):
         with counted_ticks() as count:
             basis, lms, _ = _buchberger_loop(gens, order, _Budget())
         assert basis == [g for g in gens if g] and count[0] == 0
-
-        def entered(*args, **kwargs):
-            raise AssertionError("the Buchberger loop was entered")
-
         with counted_ticks() as count, pytest.MonkeyPatch.context() as mp:
             mp.setattr("pcgl.ideals._buchberger_loop", entered)
             assert buchberger(gens, order) == reduce_basis(basis, lms, order)
