@@ -24,8 +24,8 @@ are the reduced grevlex basis of the elimination ideal, in grevlex order
 `Ideal._with_basis`; eliminating nothing returns the ideal's own.
 Contractions, saturations and torus cores all end in one, and so does an
 intersection of two ideals, except when one holds the other (the smaller
-is returned) or both are monomial (their pairwise lcms generate it); and
-one-term generators go to `reduce_basis` with no Buchberger loop or step.
+is returned) or both are monomial: their pairwise lcms generate it and,
+being monomials, are a Groebner basis that `reduce_basis` only reduces.
 `adjoin_variable` hands over both reduced bases of I + (x_i), in grevlex
 and in the elimination order of x_i, from I's basis alone; `reduced()`
 keeps every basis its ideal has cached.
@@ -295,13 +295,8 @@ def _minus_combination(rep, qs, reps):
 
 
 def buchberger(generators, order):
-    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy.
-    One-term generators go to `reduce_basis` as they are: every S-polynomial of
-    two monomials is 0, so the loop would add no element and take no step."""
-    basis = [g for g in generators if not g.is_zero()]
-    if all(len(g.terms) == 1 for g in basis):
-        return reduce_basis(basis, [next(iter(g.terms)) for g in basis], order)
-    basis, lms, _ = _buchberger_loop(basis, order, _Budget())
+    """Reduced Groebner basis by Buchberger's algorithm with the sugar strategy."""
+    basis, lms, _ = _buchberger_loop(generators, order, _Budget())
     return reduce_basis(basis, lms, order)
 
 
@@ -610,9 +605,10 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
     When one input contains the other (`contains`), a zero one too, the
     result is the smaller one.  When both reduced bases are monomials, the
-    pairwise lcms generate it (Cox-Little-O'Shea ch. 4 §3) and `buchberger`
-    reduces them with no reduction step.  Otherwise the intersection comes
-    from the elimination of one homogenizing parameter, appended last."""
+    pairwise lcms generate it (Cox-Little-O'Shea ch. 4 §3); monomials are a
+    Groebner basis in every order, so they are reduced with no Buchberger run
+    and no reduction step.  Otherwise the intersection comes from the
+    elimination of one homogenizing parameter, appended last."""
     if I.ctx is not J.ctx and I.ctx != J.ctx:
         raise ContextMismatch("ideals over different variable tables")
     for big, small in ((I, J), (J, I)):
@@ -621,7 +617,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     gi, gj = I.groebner(), J.groebner()
     if all(len(g.terms) == 1 for g in (*gi, *gj)):
         lcms = [next(iter(a.terms)).lcm(next(iter(b.terms))) for a in gi for b in gj]
-        return Ideal(I.ctx, [_trusted(I.ctx, {m: 1}) for m in lcms]).reduced()
+        monomials = [_trusted(I.ctx, {m: 1}) for m in lcms]
+        return Ideal._with_basis(I.ctx, reduce_basis(monomials, lcms, _GREVLEX))
     (tname,) = _fresh_names(I.ctx, ("t",))
     up = I.ctx.extend((tname,))
     n = len(I.ctx)

@@ -176,11 +176,11 @@ def test_m2_separation(handovers):
     for a, b in pairs:
         assert separating_normal(m2, a, b) is not None
     # every contraction is taken modulo P0 in the ring below the top
-    # variable: the sweep hands over contractions and intersections, and
-    # extends no ideal
+    # variable: the sweep hands over contractions and intersections, monomial
+    # ones among them, and extends no ideal
     assert SEPARATION_SITES <= set(handovers)
     direct = {site for site in handovers if not site.startswith("in ")}
-    assert direct == {"eliminate", "contract_to_prefix", "reduced"}
+    assert direct == {"eliminate", "contract_to_prefix", "reduced", "intersect"}
 
 
 @pytest.mark.parametrize(

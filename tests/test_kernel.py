@@ -22,7 +22,6 @@ from pcgl.ideals import (
     Grevlex,
     Ideal,
     _Budget,
-    _buchberger_loop,
     _divide,
     _divisor_table,
     buchberger,
@@ -30,7 +29,6 @@ from pcgl.ideals import (
     intersect,
     leading_monomial,
     lift_through_ideal,
-    reduce_basis,
     reduce_poly,
     saturate,
     step_limit,
@@ -348,30 +346,6 @@ def test_scaling_the_generators_changes_nothing(gens, scales, extra):
     for q, q_scaled in zip(*lifts):
         assert q is None or q_scaled * scales[0] == q
     assert steps[0] == steps[1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    gens=st.lists(polynomials(max_terms=1), max_size=4),
-    scales=st.lists(coefficients, max_size=4),
-)
-def test_one_term_generators_skip_the_loop(gens, scales):
-    # every S-polynomial of two monomials is 0, so the loop adds no element
-    # and takes no step: `buchberger` reduces the generators as they are, and
-    # never enters it, with zero, repeated and scaled generators among them
-    gens = [*gens, Polynomial.zero(CTX), *gens[:1], *(g * s for g, s in zip(gens, scales))]
-
-    def entered(*args, **kwargs):
-        raise AssertionError("the Buchberger loop was entered")
-
-    for order in (Grevlex(), Elim({0})):
-        with counted_ticks() as count:
-            basis, lms, _ = _buchberger_loop(gens, order, _Budget())
-        assert basis == [g for g in gens if g] and count[0] == 0
-        with counted_ticks() as count, pytest.MonkeyPatch.context() as mp:
-            mp.setattr("pcgl.ideals._buchberger_loop", entered)
-            assert buchberger(gens, order) == reduce_basis(basis, lms, order)
-        assert count[0] == 0
 
 
 # ---------------------------------------------------------------------------
