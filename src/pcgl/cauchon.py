@@ -657,8 +657,9 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     contraction, coefficient ideal, test I = I0 R and delta-stability of
     I0 (`_split`), the certificate of an element in R modulo P
     (`_certificate`), each sorted candidate list (`_normal_candidates`),
-    each candidate's verdict in A (`_normal_atoms`), and each candidate's
-    theta(a) x_N^s modulo P0.  A search that raises, its step budget run
+    each candidate's verdict in A (`_normal_atoms`), each candidate's
+    theta(a) x_N^s modulo P0, and the verdict of the twist identity of
+    each theta(a) x_N^s found.  A search that raises, its step budget run
     out, stores nothing it has not finished.  Ideals or nodes over another
     variable table than P's raise ContextMismatch.
     """
@@ -745,8 +746,11 @@ def _separating_normal_mod(P, P_I, Q_I):
         if not cert.ok:
             continue
         if case == route:
-            eta = pair(L.h_k, weight_of(G_A, cand))
-            if not P_I.member(bracket(P.table, u, X) + eta * u * X)[0]:
+            def twisted():
+                eta = pair(L.h_k, weight_of(G_A, cand))
+                return P_I.member(bracket(P.table, u, X) + eta * u * X)[0]
+
+            if not _memo(P._cache, ("twist", u, cand, P_I.groebner()), twisted):
                 raise PcglError("constructed element failed {x, x_k} = -eta x x_k")
         return u, case + suffix, cert
     return None

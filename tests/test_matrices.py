@@ -23,7 +23,8 @@ from pcgl import cgl
 from pcgl.cauchon import d_element_search, delete_all, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation, load_presentation_data
-from pcgl.errors import ContextMismatch, StepBudgetExceeded
+from pcgl.errors import ContextMismatch, PcglError, StepBudgetExceeded
+from pcgl.grading import pair, weight_of
 from pcgl.ideals import (
     Ideal,
     contract_to_prefix,
@@ -34,6 +35,7 @@ from pcgl.ideals import (
     is_poisson_stable,
     step_limit,
 )
+from pcgl.pbracket import bracket
 from pcgl.qpoly import Polynomial, parse
 from records import plain, rebuild
 
@@ -532,9 +534,10 @@ def test_separating_element_certified_once_in_R(monkeypatch, label_P, route):
 # the kinds of entry the separation search memoizes, all in the cache of
 # the presentation: each ideal's split (contraction, coefficient ideal,
 # whether it is P0 R, whether P0 is delta-stable), R-side certificates,
-# theta(a) x^s of a candidate modulo P0, each candidate list and each
-# candidate's verdict
-MEMO_KINDS = {"split", "normal", "theta", "candidates", "atom"}
+# theta(a) x^s of a candidate modulo P0, each candidate list, each
+# candidate's verdict and the verdict of the twist identity {u, x_N} =
+# -eta u x_N modulo P of each theta(a) x^s found
+MEMO_KINDS = {"split", "normal", "theta", "candidates", "atom", "twist"}
 
 
 def cache_kinds(P):
@@ -561,13 +564,22 @@ def plain_memo(memo):
     return {k: plain_value(v) for k, v in memo.items()}
 
 
-@pytest.mark.parametrize("label_P", ["<x12*x21 - x11*x22>", "<x13, x12, x11>"])
+# the memo kinds a single search from P stores: where x_N itself
+# separates, no twist identity is checked
+SEARCH_KINDS = {
+    "<x12*x21 - x11*x22>": MEMO_KINDS,
+    "<x13, x12, x11>": MEMO_KINDS - {"twist"},
+}
+
+
+@pytest.mark.parametrize("label_P", list(SEARCH_KINDS))
 def test_separation_certificates_are_memoized(monkeypatch, label_P):
-    # a certificate, a candidate's verdict, an ideal's split and theta(a)
-    # x^s are computed once per element and ideal, equal ideals held in
-    # different objects included: a repeated search checks no normality,
-    # contracts nothing, extends nothing, takes no delta-iterates and tests
-    # no delta-stability.  The enumeration stores no entry
+    # a certificate, a candidate's verdict, an ideal's split, theta(a) x^s
+    # and its twist identity are computed once per element and ideal, equal
+    # ideals held in different objects included: a repeated search checks
+    # no normality, contracts nothing, extends nothing, takes no
+    # delta-iterates, tests no delta-stability and takes no bracket or
+    # eta.  The enumeration stores no entry
     P = matrix_presentation(2, 3)
     leaves = enumerate_hprimes(P).leaves()
     assert separation_memo(P) == {}
@@ -575,7 +587,7 @@ def test_separation_certificates_are_memoized(monkeypatch, label_P):
     big = next(b for a, b in nested_pairs(leaves) if a is small)
     first = separating_normal(P, small, big)
     memo = separation_memo(P)
-    assert {key[0] for key in memo} == MEMO_KINDS
+    assert {key[0] for key in memo} == SEARCH_KINDS[label_P]
     calls = []
     for name in (
         "is_poisson_normal",
@@ -583,6 +595,8 @@ def test_separation_certificates_are_memoized(monkeypatch, label_P):
         "extend",
         "_delta_iterates",
         "_delta_stable",
+        "bracket",
+        "pair",
     ):
         original = getattr(pcgl.cauchon, name)
 
@@ -601,6 +615,38 @@ def test_separation_certificates_are_memoized(monkeypatch, label_P):
             first.case,
             first.normality,
         )
+
+
+def test_twist_memo_matches_a_fresh_check():
+    # a full 2x3 sweep checks the twist identity of each theta(a) x^s once
+    # per element, candidate and ideal; every stored verdict is True, as a
+    # fresh membership test of {u, x_N} + eta u x_N in P finds
+    P = matrix_presentation(2, 3)
+    separation_rows(P)
+    twists = {key: ok for key, ok in P._cache.items() if key[0] == "twist"}
+    assert len(twists) == 52
+    L = level_data(P, P.nvars)
+    X = L.x()
+    for (_, u, cand, basis), ok in twists.items():
+        eta = pair(L.h_k, weight_of(L.pres_A.grading, cand))
+        assert ok is True
+        assert Ideal(P.ctx, basis).member(bracket(P.table, u, X) + eta * u * X)[0] is ok
+
+
+def test_a_failed_twist_is_never_returned(monkeypatch):
+    # with a wrong eta the twist identity fails; the False verdict is
+    # memoized, and the first search and a repeated one both raise, so a
+    # cached failure never becomes a returned separator
+    P = matrix_presentation(2, 3)
+    leaves = enumerate_hprimes(P).leaves()
+    small = next(node for node in leaves if node.label() == "<x12*x21 - x11*x22>")
+    big = next(b for a, b in nested_pairs(leaves) if a is small)
+    original = pcgl.cauchon.pair
+    monkeypatch.setattr(pcgl.cauchon, "pair", lambda h, w: original(h, w) + 1)
+    for _ in range(2):
+        with pytest.raises(PcglError, match="eta"):
+            separating_normal(P, small, big)
+    assert [ok for key, ok in P._cache.items() if key[0] == "twist"] == [False]
 
 
 def test_a_sweep_tests_each_ideal_for_delta_stability_once(monkeypatch):
