@@ -14,7 +14,8 @@ every j, with the mirrored sign).  `bracket(B, f, g)` hands those n
 brackets to the same kernel as a one-row table and sweeps the terms of g:
 {f, g} = sum_j {f, x_j} * dg/dx_j.  When f is a generator x_i (one term,
 coefficient 1, exponent pairs ((i, 1),)), those n brackets are row i of
-the table, read with no sweep.
+the table, read with no sweep.  The table keeps each sweep of f, per
+tuple of columns; `bracket` itself sweeps g on every call.
 
 Callers that need many brackets of one element use `generator_brackets`:
 Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
@@ -55,8 +56,11 @@ class BracketTable(_Value):
             rows[i].append((j, tuple(p.terms.items())))
             rows[j].append((i, tuple((m, -c) for m, c in p.terms.items())))
         rows = tuple(tuple(r) for r in rows)
-        # _columns: a tuple of columns -> the rows cut to them, renumbered in its order
-        vars(self).update(_pairs=pairs, _rows=rows, _columns={tuple(range(len(ctx))): rows})
+        # _columns: a tuple of columns -> the rows cut to them, renumbered in its order;
+        # _sweeps: (f, columns) -> generator_brackets(self, f, columns)
+        vars(self).update(
+            _pairs=pairs, _rows=rows, _columns={tuple(range(len(ctx))): rows}, _sweeps={}
+        )
 
     def _fields(self):
         return (self.ctx, self._pairs)
@@ -92,18 +96,21 @@ class BracketTable(_Value):
 
 def generator_brackets(B: BracketTable, f: Polynomial, columns=None) -> list[Polynomial]:
     """[{f, x_j} for j in columns], every j by default, from one sweep over
-    the terms of f against the table rows cut to those columns (per tuple)."""
+    the terms of f against the table rows cut to those columns (per tuple).
+    The table keeps each sweep; every call returns a list of its own."""
     if f.ctx is not B.ctx and f.ctx != B.ctx:
         raise ContextMismatch("bracket operand over wrong variable table")
-    if columns is None:
-        return _chain_rule(B._rows, f, len(B._rows))
-    rows = B._columns.get(columns)
-    if rows is None:
-        place = {j: p for p, j in enumerate(columns)}
-        rows = B._columns[columns] = tuple(
-            tuple((place[j], terms) for j, terms in row if j in place) for row in B._rows
-        )
-    return _chain_rule(rows, f, len(columns))
+    brackets = B._sweeps.get((f, columns))
+    if brackets is None:
+        cut = tuple(range(len(B._rows))) if columns is None else columns
+        rows = B._columns.get(cut)
+        if rows is None:
+            place = {j: p for p, j in enumerate(cut)}
+            rows = B._columns[cut] = tuple(
+                tuple((place[j], terms) for j, terms in row if j in place) for row in B._rows
+            )
+        brackets = B._sweeps[(f, columns)] = _chain_rule(rows, f, len(cut))
+    return list(brackets)
 
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:

@@ -33,6 +33,10 @@ chain rule D(f) = sum_i D(x_i) * df/dx_i.  `_chain_rule` is the one
 kernel for it: it serves `Derivation.__call__` (sigma_k, delta_k) and
 the Poisson brackets of `pbracket`, each handing it rows of generator
 images.
+
+A `Derivation` keeps its image of each polynomial, and a `VarTable` each
+polynomial moved to it, in private dicts outside the fields: `==`, `hash`,
+pickles and step budgets never see them.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ class VarTable(_Value):
         object.__setattr__(self, "_pos", {n: i for i, n in enumerate(names)})
         # the tables derived by `restrict` and `extend`, one per argument
         object.__setattr__(self, "_derived", {})
+        # `re_context`'s moves to this table, keyed by the polynomial moved
+        object.__setattr__(self, "_moved", {})
 
     def _fields(self):
         return (self.names, self.laurent)
@@ -585,10 +591,19 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
     When f has no negative exponent and every variable it uses keeps its
     index (a move to a prefix or an extension of the table), the monomials
     are the same and the new polynomial shares f's term dict, which nobody
-    mutates."""
-    src = f.ctx
-    if src is ctx or src == ctx:
+    mutates.  The target table keeps each move, keyed by f, whose own table
+    is part of its value."""
+    if f.ctx is ctx or f.ctx == ctx:
         return f
+    moved = ctx._moved.get(f)
+    if moved is None:
+        moved = ctx._moved[f] = _move(f, ctx)
+    return moved
+
+
+def _move(f: Polynomial, ctx: VarTable) -> Polynomial:
+    """The move of `re_context`, made afresh."""
+    src = f.ctx
     n = len(ctx)
     support = f.support()
     if not f.has_negative_exponent() and all(
@@ -750,7 +765,8 @@ def _signs(toks, i):
 
 class Derivation(_Value):
     """A derivation given by generator images, extended by the Leibniz rule;
-    immutable, compared and hashed by (ctx, the images as a frozenset)."""
+    immutable, compared and hashed by (ctx, the images as a frozenset).
+    It keeps the image of each polynomial it is applied to."""
 
     def __init__(self, ctx: VarTable, images: dict[int, Polynomial]):
         images = dict(images)
@@ -765,20 +781,25 @@ class Derivation(_Value):
                 ((0, tuple(img.terms.items())),) if (img := images.get(i)) else ()
                 for i in range(len(ctx))
             ),
+            # f -> D(f), one chain-rule sweep per polynomial
+            _applied={},
         )
 
     def _fields(self):
         return (self.ctx, frozenset(self.images.items()))
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        """D(f) = sum_i D(x_i) * df/dx_i, computed exactly."""
+        """D(f) = sum_i D(x_i) * df/dx_i, computed exactly, once per f."""
         if f.ctx is not self.ctx and f.ctx != self.ctx:
             raise ContextMismatch("polynomial over a different variable table")
         missing = f.support().difference(self.images)
         if missing:
             names = ", ".join(self.ctx.names[i] for i in sorted(missing))
             raise MissingImage(f"no image for variable(s) {names}")
-        return _chain_rule(self._rows, f, 1)[0]
+        image = self._applied.get(f)
+        if image is None:
+            image = self._applied[f] = _chain_rule(self._rows, f, 1)[0]
+        return image
 
 
 def _drop_one(exps, k: int) -> Monomial:

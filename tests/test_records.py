@@ -12,9 +12,15 @@ import pytest
 
 from pcgl.cauchon import DElement
 from pcgl.cgl import LevelData, LevelReport, PoissonPresentation, level_data, verify_cgl
-from pcgl.grading import GradingData
-from pcgl.pbracket import BracketTable, JacobiReport, NormalityCertificate, check_jacobi
-from pcgl.qpoly import Derivation, VarTable, parse
+from pcgl.grading import GradingData, weight_of
+from pcgl.pbracket import (
+    BracketTable,
+    JacobiReport,
+    NormalityCertificate,
+    check_jacobi,
+    generator_brackets,
+)
+from pcgl.qpoly import Derivation, VarTable, parse, re_context
 from pcgl.strata import LogBracketMatrix
 from records import VALUE_RECORDS, fields, plain, rebuild
 from test_matrices import matrix_presentation
@@ -96,6 +102,31 @@ def test_presentation_cache_is_not_part_of_the_value(weyl):
     assert P._cache and not Q._cache
     assert P == Q and hash(P) == hash(Q)
     assert "_cache" not in fields(P)
+
+
+def test_a_warm_memo_is_not_part_of_the_value(weyl):
+    # a table, derivation, grading or variable table that has applied its
+    # map equals a cold copy, hashes like it and pickles as it does, to a
+    # copy whose memo is empty
+    L = level_data(weyl, 2)
+    ctx, f = L.pres_R.ctx, parse("a*X + X^2", L.pres_R.ctx)
+    table, delta, grading = L.pres_R.table, L.delta, L.pres_R.grading
+    moved_to = ctx.extend(("t",))
+    generator_brackets(table, f, (1,))
+    delta(parse("a^2", delta.ctx))
+    weight_of(grading, f)
+    re_context(f, moved_to)
+    for warm, cold, memo in [
+        (table, BracketTable(table.ctx, dict(table.pairs())), "_sweeps"),
+        (delta, Derivation(delta.ctx, delta.images), "_applied"),
+        (grading, GradingData(grading.rank, grading.weights), "_weighed"),
+        (moved_to, VarTable(moved_to.names, moved_to.laurent), "_moved"),
+    ]:
+        assert getattr(warm, memo) and not getattr(cold, memo)
+        assert warm == cold and cold == warm and hash(warm) == hash(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        thawed = pickle.loads(pickle.dumps(warm))
+        assert thawed == warm and not getattr(thawed, memo)
 
 
 def test_each_verdict_follows_its_failures(m2, bellsig):
