@@ -19,8 +19,7 @@ LieVector = tuple[Fraction, ...]
 
 class GradingData(_Value):
     """Weight vectors deg(x_i) in Z^r, one per generator; immutable,
-    compared, hashed and pickled by (rank, weights) alone, without the
-    weights `weight_of` keeps."""
+    compared and hashed by (rank, weights)."""
 
     def __init__(self, rank: int, weights: tuple[tuple[int, ...], ...]):
         weights = tuple(tuple(int(x) for x in w) for w in weights)
@@ -29,11 +28,6 @@ class GradingData(_Value):
                 raise PcglError("weight vector length does not match grading rank")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "weights", weights)
-        # f -> weight_of(self, f)
-        object.__setattr__(self, "_weighed", {})
-
-    def _fields(self):
-        return (self.rank, self.weights)
 
     def restrict(self, k: int) -> "GradingData":
         return GradingData(self.rank, self.weights[:k])
@@ -50,12 +44,11 @@ def monomial_weight(G: GradingData, m: Monomial) -> tuple[int, ...]:
 
 def weight_of(G: GradingData, f: Polynomial) -> tuple[int, ...] | None:
     """The weight of a nonzero homogeneous polynomial, else None: the one
-    weight of its monomials.  The grading keeps the answer for each f."""
-    memo = G._weighed
-    if f not in memo:
-        weights = {monomial_weight(G, m) for m in f.terms}
-        memo[f] = weights.pop() if len(weights) == 1 else None
-    return memo[f]
+    weight of its monomials."""
+    weights = {monomial_weight(G, m) for m in f.terms}
+    if len(weights) != 1:
+        return None
+    return weights.pop()
 
 
 def pair(h: LieVector, w) -> Fraction:
@@ -66,8 +59,11 @@ def graded_bracket_failures(G: GradingData, B) -> list[tuple[int, int]]:
     """Pairs (i, j) whose bracket entry is not homogeneous of weight w_i + w_j."""
     failures = []
     for (i, j), p in B.pairs():
-        if weight_of(G, p) != tuple(a + b for a, b in zip(G.weights[i], G.weights[j])):
-            failures.append((i, j))
+        target = tuple(a + b for a, b in zip(G.weights[i], G.weights[j]))
+        for m in p.terms:
+            if monomial_weight(G, m) != target:
+                failures.append((i, j))
+                break
     return failures
 
 

@@ -34,9 +34,9 @@ kernel for it: it serves `Derivation.__call__` (sigma_k, delta_k) and
 the Poisson brackets of `pbracket`, each handing it rows of generator
 images.
 
-A `Derivation` keeps its image of each polynomial, and a `VarTable` each
-polynomial moved to it, in private dicts outside the fields: `==`, `hash`,
-pickles and step budgets never see them.
+A `VarTable` keeps each polynomial that `re_context` moved to it, in a
+private dict outside its fields: `==`, `hash`, pickles and step budgets
+never see it.
 """
 
 from __future__ import annotations
@@ -765,8 +765,7 @@ def _signs(toks, i):
 
 class Derivation(_Value):
     """A derivation given by generator images, extended by the Leibniz rule;
-    immutable, compared and hashed by (ctx, the images as a frozenset).
-    It keeps the image of each polynomial it is applied to."""
+    immutable, compared and hashed by (ctx, the images as a frozenset)."""
 
     def __init__(self, ctx: VarTable, images: dict[int, Polynomial]):
         images = dict(images)
@@ -781,25 +780,20 @@ class Derivation(_Value):
                 ((0, tuple(img.terms.items())),) if (img := images.get(i)) else ()
                 for i in range(len(ctx))
             ),
-            # f -> D(f), one chain-rule sweep per polynomial
-            _applied={},
         )
 
     def _fields(self):
         return (self.ctx, frozenset(self.images.items()))
 
     def __call__(self, f: Polynomial) -> Polynomial:
-        """D(f) = sum_i D(x_i) * df/dx_i, computed exactly, once per f."""
+        """D(f) = sum_i D(x_i) * df/dx_i, computed exactly."""
         if f.ctx is not self.ctx and f.ctx != self.ctx:
             raise ContextMismatch("polynomial over a different variable table")
         missing = f.support().difference(self.images)
         if missing:
             names = ", ".join(self.ctx.names[i] for i in sorted(missing))
             raise MissingImage(f"no image for variable(s) {names}")
-        image = self._applied.get(f)
-        if image is None:
-            image = self._applied[f] = _chain_rule(self._rows, f, 1)[0]
-        return image
+        return _chain_rule(self._rows, f, 1)[0]
 
 
 def _drop_one(exps, k: int) -> Monomial:

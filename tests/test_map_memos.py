@@ -1,35 +1,25 @@
-"""The memos of the maps that the tables define: the bracket sweeps of a
-`BracketTable`, the images of a `Derivation`, the weights of a
-`GradingData` and the polynomials moved to a `VarTable`.  Each entry
+"""The memos of two maps that the tables define: the bracket sweeps of a
+`BracketTable` and the polynomials moved to a `VarTable`.  Each entry
 equals its map applied afresh, a warm presentation enumerates as a fresh
 one does, and each map runs once per distinct input."""
 
 import gc
 from collections import Counter
 
-from pcgl import cauchon, grading, ideals, pbracket, qpoly
+from pcgl import pbracket, qpoly
 from pcgl.cauchon import enumerate_hprimes
-from pcgl.grading import GradingData, monomial_weight
 from pcgl.pbracket import BracketTable
-from pcgl.qpoly import Derivation, VarTable, _chain_rule, _move
+from pcgl.qpoly import VarTable, _chain_rule, _move
 from test_matrices import matrix_presentation, separation_rows
 
 
 def memos():
     """(table, memo) for every live table with a nonempty memo."""
     for obj in gc.get_objects():
-        if isinstance(obj, BracketTable):
-            memo = obj._sweeps
-        elif isinstance(obj, Derivation):
-            memo = obj._applied
-        elif isinstance(obj, GradingData):
-            memo = obj._weighed
-        elif isinstance(obj, VarTable):
-            memo = obj._moved
-        else:
-            continue
-        if memo:
-            yield obj, memo
+        if isinstance(obj, BracketTable) and obj._sweeps:
+            yield obj, obj._sweeps
+        elif isinstance(obj, VarTable) and obj._moved:
+            yield obj, obj._moved
 
 
 def recomputed(table, key):
@@ -38,18 +28,13 @@ def recomputed(table, key):
         f, columns = key
         full = _chain_rule(table._rows, f, len(table._rows))
         return full if columns is None else [full[j] for j in columns]
-    if isinstance(table, Derivation):
-        return _chain_rule(table._rows, key, 1)[0]
-    if isinstance(table, GradingData):
-        weights = {monomial_weight(table, m) for m in key.terms}
-        return weights.pop() if len(weights) == 1 else None
     return _move(key, table)
 
 
 def test_every_memo_entry_equals_its_map():
-    # a 2x3 and a 3x3 enumeration, then a 2x3 separation sweep, fill all
-    # four memos; every entry alive then equals its map run afresh, over
-    # the table itself for a moved polynomial
+    # a 2x3 and a 3x3 enumeration, then a 2x3 separation sweep, fill both
+    # memos; every entry alive then equals its map run afresh, over the
+    # table itself for a moved polynomial
     P = matrix_presentation(2, 3)
     fresh = enumerate_hprimes(P).to_json_dict()
     enumerate_hprimes(matrix_presentation(3, 3))
@@ -61,20 +46,19 @@ def test_every_memo_entry_equals_its_map():
             if isinstance(table, VarTable):
                 assert value.ctx is table
         entries[type(table)] += len(memo)
-    assert set(entries) == {BracketTable, Derivation, GradingData, VarTable}
+    assert set(entries) == {BracketTable, VarTable}
     # the second enumeration on the warm presentation gives the tree of
     # the first, on the presentation fresh
     assert enumerate_hprimes(P).to_json_dict() == fresh
 
 
 def test_each_map_runs_once_per_input(monkeypatch):
-    # every chain-rule sweep of a 2x3 enumeration has rows and a polynomial
-    # that no earlier sweep had: rows held by the table or derivation that
-    # built them, or built for one `bracket` call.  Every monomial weight
-    # is one of a polynomial that its grading weighs for the first time,
-    # and every move takes a polynomial to a table for the first time.  A
-    # map that runs past its memo runs more often than this.
-    kept, sweeps, weighed, weights, moves = [], [], [], [], []
+    # every bracket sweep of a 2x3 enumeration has rows and a polynomial
+    # that no earlier sweep had: rows held by the table that cut them, or
+    # built for one `bracket` call.  Every move takes a polynomial to a
+    # table for the first time.  A map that runs past its memo runs more
+    # often than this.
+    kept, sweeps, moves = [], [], []
 
     def sweep(rows, f, width):
         kept.append(rows)  # alive, so that no other rows take its id
@@ -86,22 +70,8 @@ def test_each_map_runs_once_per_input(monkeypatch):
         moves.append((id(ctx), f))
         return _move(f, ctx)
 
-    def weight_of(G, f, _weight_of=grading.weight_of):
-        kept.append(G)
-        weighed.append((id(G), f))
-        return _weight_of(G, f)
-
-    def weigh(G, m):
-        weights.append(m)
-        return monomial_weight(G, m)
-
-    for module in (qpoly, pbracket):
-        monkeypatch.setattr(module, "_chain_rule", sweep)
-    for module in (grading, ideals, cauchon):
-        monkeypatch.setattr(module, "weight_of", weight_of)
-    monkeypatch.setattr(grading, "monomial_weight", weigh)
+    monkeypatch.setattr(pbracket, "_chain_rule", sweep)
     monkeypatch.setattr(qpoly, "_move", move)
     assert len(enumerate_hprimes(matrix_presentation(2, 3)).leaves()) == 46
-    assert len(sweeps) == len(set(sweeps)) == 119
-    assert len(weights) == sum(len(f.terms) for _, f in set(weighed)) == 44
+    assert len(sweeps) == len(set(sweeps)) == 91
     assert len(moves) == len(set(moves)) == 99

@@ -12,7 +12,7 @@ import pytest
 
 from pcgl.cauchon import DElement
 from pcgl.cgl import LevelData, LevelReport, PoissonPresentation, level_data, verify_cgl
-from pcgl.grading import GradingData, weight_of
+from pcgl.grading import GradingData
 from pcgl.pbracket import (
     BracketTable,
     JacobiReport,
@@ -105,21 +105,16 @@ def test_presentation_cache_is_not_part_of_the_value(weyl):
 
 
 def test_a_warm_memo_is_not_part_of_the_value(weyl):
-    # a table, derivation, grading or variable table that has applied its
-    # map equals a cold copy, hashes like it and pickles as it does, to a
-    # copy whose memo is empty
+    # a bracket table that has swept an element, and a variable table that
+    # a polynomial was moved to, equal a cold copy, hash like it and pickle
+    # as it does, to a copy whose memo is empty
     L = level_data(weyl, 2)
     ctx, f = L.pres_R.ctx, parse("a*X + X^2", L.pres_R.ctx)
-    table, delta, grading = L.pres_R.table, L.delta, L.pres_R.grading
-    moved_to = ctx.extend(("t",))
+    table, moved_to = L.pres_R.table, ctx.extend(("t",))
     generator_brackets(table, f, (1,))
-    delta(parse("a^2", delta.ctx))
-    weight_of(grading, f)
     re_context(f, moved_to)
     for warm, cold, memo in [
         (table, BracketTable(table.ctx, dict(table.pairs())), "_sweeps"),
-        (delta, Derivation(delta.ctx, delta.images), "_applied"),
-        (grading, GradingData(grading.rank, grading.weights), "_weighed"),
         (moved_to, VarTable(moved_to.names, moved_to.laurent), "_moved"),
     ]:
         assert getattr(warm, memo) and not getattr(cold, memo)
