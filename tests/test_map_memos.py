@@ -8,8 +8,8 @@ from collections import Counter
 
 from pcgl import pbracket, qpoly
 from pcgl.cauchon import enumerate_hprimes
-from pcgl.pbracket import BracketTable
-from pcgl.qpoly import VarTable, _chain_rule, _move
+from pcgl.pbracket import BracketTable, generator_brackets
+from pcgl.qpoly import VarTable, _chain_rule, _move, parse
 from test_matrices import matrix_presentation, separation_rows
 
 
@@ -75,3 +75,11 @@ def test_each_map_runs_once_per_input(monkeypatch):
     assert len(enumerate_hprimes(matrix_presentation(2, 3)).leaves()) == 46
     assert len(sweeps) == len(set(sweeps)) == 91
     assert len(moves) == len(set(moves)) == 99
+
+
+def test_each_sweep_returns_a_list_of_its_own(weyl):
+    # a caller may change the list it got; the table's memo stays as it was
+    f = parse("a*X + X^2", weyl.ctx)
+    cold = generator_brackets(BracketTable(weyl.ctx, dict(weyl.table.pairs())), f)
+    generator_brackets(weyl.table, f).clear()
+    assert generator_brackets(weyl.table, f) == cold != []
