@@ -10,7 +10,7 @@ computes its own bases.  Every report must have all dimension drops 1 and
 every entry Poisson and torus-stable.  Per poset it checks the number of
 reports, their lengths and the SHA-256 of the JSON of the reports, in
 order, against the values first recorded for them; it prints one line per
-poset and exits 1 on any change; about 5 s.
+poset and exits 1 on any change; about 2 s.
 
     PYTHONPATH=src python tests/oracles/chains.py
 """
