@@ -17,7 +17,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .cgl import LevelData, PoissonPresentation, _delta_iterates, level_data, verify_cgl
+from .cgl import LevelData, PoissonPresentation, _delta_iterates, level_data, require_cgl
 from .errors import (
     ContextMismatch,
     NotWithinBound,
@@ -45,13 +45,7 @@ from .ideals import (
     saturate,
 )
 from .pbracket import BracketTable, bracket, generator_brackets, is_poisson_normal
-from .qpoly import (
-    Monomial,
-    Polynomial,
-    _qdiv,
-    _Value,
-    re_context,
-)
+from .qpoly import Monomial, Polynomial, _memo, _qdiv, _Value, re_context
 
 
 def _to_base(L: LevelData, a: Polynomial) -> Polynomial:
@@ -487,8 +481,7 @@ def enumerate_hprimes(P: PoissonPresentation) -> HPrimeTree:
     child whose checks did not finish is not emitted, so the output can
     under- but never over-count.
     """
-    if not verify_cgl(P).ok:
-        raise PreconditionError("presentation fails the tower axioms")
+    require_cgl(P)
     root = HPrimeNode(level=0, ideal=Ideal.zero(P.ctx.restrict(0)))
     root.prime = primality(root.ideal)
     levels = [[root]]
@@ -547,8 +540,7 @@ def delete_all(P: PoissonPresentation) -> PoissonPresentation:
     """The fully deleted presentation: same generators, grading and Lie
     data, with every bracket reduced to its quadratic part
     {x_i, x_j} = <h_i, deg x_j> x_i x_j (all deltas vanish)."""
-    if not verify_cgl(P).ok:
-        raise PreconditionError("presentation fails the tower axioms")
+    require_cgl(P)
     hs = tuple(level_data(P, k).h_k for k in range(1, P.nvars + 1))
     entries = {}
     for i in range(P.nvars):
@@ -652,16 +644,10 @@ def separating_normal(P: PoissonPresentation, P_ideal, Q_ideal) -> SeparationRes
     Case labels carry " (mod contraction)" when P0 is not 0.
 
     A sweep over many pairs repeats most of the work of one pair, so each
-    piece is computed once per presentation and kept in P._cache, keyed by
-    the reduced grevlex bases of the ideals involved: each ideal's
-    contraction, coefficient ideal, test I = I0 R and delta-stability of
-    I0 (`_split`), the certificate of an element in R modulo P
-    (`_certificate`), each sorted candidate list (`_normal_candidates`),
-    each candidate's verdict in A (`_normal_atoms`), each candidate's
-    theta(a) x_N^s modulo P0, and the verdict of the twist identity of
-    each theta(a) x_N^s found.  A search that raises, its step budget run
-    out, stores nothing it has not finished.  Ideals or nodes over another
-    variable table than P's raise ContextMismatch.
+    piece is a memo of P (`qpoly._memo`), keyed by the reduced grevlex
+    bases of the ideals involved: `_split`, `_certificate`, the candidate
+    lists and verdicts, theta(a) x_N^s and its twist identity.  Ideals or
+    nodes over another variable table than P's raise ContextMismatch.
     """
     P_I = P_ideal.ideal if isinstance(P_ideal, HPrimeNode) else P_ideal
     Q_I = Q_ideal.ideal if isinstance(Q_ideal, HPrimeNode) else Q_ideal
@@ -692,14 +678,6 @@ def _certificate(P: PoissonPresentation, u: Polynomial, modulus: Ideal):
     separation search is keyed this way."""
     key = ("normal", u, modulus.groebner())
     return _memo(P._cache, key, lambda: is_poisson_normal(P.table, u, modulo=modulus))
-
-
-def _memo(cache: dict, key, compute):
-    """cache[key], from compute() on the first call.  A computation that
-    raises, such as one whose step budget runs out, stores nothing."""
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
 
 
 def _separating_normal_mod(P, P_I, Q_I):

@@ -9,12 +9,12 @@ by `verify_cgl` and reported rather than raised.
 Each level's Ore data (sigma_k and delta_k read off row k of the table
 in one walk, h_k, lambda_k, the restricted rings and theta's Laurent
 variable table, but no bracket table over it) is derived once per
-presentation object into one `LevelData` record, kept in the object's
-private cache with the problems that keep h_k from realizing sigma_k:
-`verify_cgl` reports them as notes and `level_data` raises the first.
-The restricted presentations are kept per k, so level k's R_{k-1} is
-level k-1's R_k.  A presentation is immutable, so the caches live and
-die with the object; the separation search keeps its memos there too.
+presentation object into one `LevelData` record, with the problems that
+keep h_k from realizing sigma_k: `verify_cgl` reports them as notes and
+`level_data` raises the first.  The restricted presentations are kept per
+k, so level k's R_{k-1} is level k-1's R_k.  `require_cgl` keeps the
+verdict of `verify_cgl`.  All of these are memos of the presentation
+(`qpoly._memo`), as are those of the separation search.
 
 `_delta_iterates` is the one place that applies delta_k repeatedly, up to
 the presentation's nilpotency bound: `verify_cgl` reads nilpotency indices
@@ -25,7 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NonDiagonalSigma, NotWithinBound, PcglError, TriangularityError
+from .errors import (
+    NonDiagonalSigma,
+    NotWithinBound,
+    PcglError,
+    PreconditionError,
+    TriangularityError,
+)
 from .grading import (
     GradingData,
     LieVector,
@@ -35,7 +41,7 @@ from .grading import (
 )
 from .ideals import Ideal
 from .pbracket import BracketTable, check_jacobi
-from .qpoly import Derivation, Monomial, Polynomial, VarTable, _Value, re_context
+from .qpoly import Derivation, Monomial, Polynomial, VarTable, _memo, _Value, re_context
 
 DEFAULT_NILPOTENCY_BOUND = 25
 
@@ -82,9 +88,8 @@ class PoissonPresentation(_Value):
             grading=grading,
             h=h,
             nilpotency_bound=nilpotency_bound,
-            # each level's record (`LevelData`) and every memo of the separation
-            # search (`_split`, certificates, candidates, verdicts, theta(a) x^s),
-            # once per object; not part of the value
+            # memos keyed by kind: each level's record (`LevelData`), the
+            # verdict of `verify_cgl`, and every memo of the separation search
             _cache={},
             # the presentations derived by `restrict`, one per k
             _restricted={},
@@ -104,15 +109,17 @@ class PoissonPresentation(_Value):
             raise PcglError(f"level {k} out of range")
         if k == self.nvars:
             return self
-        if k not in self._restricted:
-            self._restricted[k] = PoissonPresentation(
+        return _memo(
+            self._restricted,
+            k,
+            lambda: PoissonPresentation(
                 ctx=self.ctx.restrict(k),
                 table=self.table.restrict(k),
                 grading=self.grading.restrict(k),
                 h=self.h[:k] if self.h is not None else None,
                 nilpotency_bound=self.nilpotency_bound,
-            )
-        return self._restricted[k]
+            ),
+        )
 
 
 def _level_maps(P: PoissonPresentation, k: int):
@@ -202,25 +209,26 @@ class LevelData(_Value):
 
 
 def _level_record(P: PoissonPresentation, k: int) -> LevelData:
-    """The level-k record, built once per presentation object and kept in
-    P._cache; a NonDiagonalSigma is raised, not stored, on every call."""
-    key = ("level", k)
-    if key not in P._cache:
-        sigma, delta, mus = _level_maps(P, k)
-        h_k, lam, problems = _lie_vector(P, k, mus)
-        pres_R = P.restrict(k)
-        P._cache[key] = LevelData(
-            k=k,
-            pres_R=pres_R,
-            pres_A=P.restrict(k - 1),
-            sigma=sigma,
-            delta=delta,
-            h_k=h_k,
-            lambda_k=lam,
-            hat_ctx=pres_R.ctx.with_laurent(k - 1),
-            problems=tuple(problems),
-        )
-    return P._cache[key]
+    """The level-k record, built once per presentation object; a
+    NonDiagonalSigma is raised, not stored, on every call."""
+    return _memo(P._cache, ("level", k), _new_level_record, P, k)
+
+
+def _new_level_record(P: PoissonPresentation, k: int) -> LevelData:
+    sigma, delta, mus = _level_maps(P, k)
+    h_k, lam, problems = _lie_vector(P, k, mus)
+    pres_R = P.restrict(k)
+    return LevelData(
+        k=k,
+        pres_R=pres_R,
+        pres_A=P.restrict(k - 1),
+        sigma=sigma,
+        delta=delta,
+        h_k=h_k,
+        lambda_k=lam,
+        hat_ctx=pres_R.ctx.with_laurent(k - 1),
+        problems=tuple(problems),
+    )
 
 
 def level_data(P: PoissonPresentation, k: int) -> LevelData:
@@ -390,3 +398,10 @@ def verify_cgl(P: PoissonPresentation) -> CGLReport:
         rep.notes.extend(L.problems)
         rep.delta_condition_ok = i not in delta_bad
     return CGLReport(levels=reports)
+
+
+def require_cgl(P: PoissonPresentation) -> None:
+    """Raise PreconditionError unless P passes `verify_cgl`, which runs once
+    per presentation object: its verdict is a memo of P, of kind "cgl"."""
+    if not _memo(P._cache, ("cgl",), lambda: verify_cgl(P).ok):
+        raise PreconditionError("presentation fails the tower axioms")

@@ -143,15 +143,9 @@ def load_presentation(path: str) -> tuple[PoissonPresentation, dict]:
 
     Loads of the same file text share one presentation, built once and
     kept for the most recently loaded texts (`functools.lru_cache`'s default
-    size); a load that fails keeps nothing.  Sharing is sound because
-    every memo that a presentation carries into a later command depends on
-    the immutable presentation alone and none holds a Groebner result that
-    a command reads: the tables derived by `VarTable.extend` and `restrict`,
-    the column cuts of `BracketTable`, and the level records in P._cache.
-    The separation memos in P._cache are Groebner-derived, but only
-    `separating_normal` reads them, and no command calls it.  So each
-    command's Groebner steps, budget verdict, exit code and output do not
-    depend on earlier calls.
+    size); a load that fails keeps nothing.  Sharing is sound by the rule
+    of `qpoly._memo`, which every memo of a presentation and its tables
+    follows.
     """
     with open(path, encoding="utf-8") as fh:
         try:

@@ -14,8 +14,8 @@ every j, with the mirrored sign).  `bracket(B, f, g)` hands those n
 brackets to the same kernel as a one-row table and sweeps the terms of g:
 {f, g} = sum_j {f, x_j} * dg/dx_j.  When f is a generator x_i (one term,
 coefficient 1, exponent pairs ((i, 1),)), those n brackets are row i of
-the table, read with no sweep.  The table keeps each sweep of f, per
-tuple of columns; `bracket` itself sweeps g on every call.
+the table, read with no sweep.  The table memoizes each sweep of f, per
+tuple of columns (`qpoly._memo`); `bracket` sweeps g on every call.
 
 Callers that need many brackets of one element use `generator_brackets`:
 Poisson-normality of c and the d-element check ({b, x_j} and {c, x_j} of
@@ -33,7 +33,7 @@ the Jacobi identity is a property of the table and is checked separately.
 from __future__ import annotations
 
 from .errors import ContextMismatch, PcglError, PreconditionError
-from .qpoly import Polynomial, VarTable, _chain_rule, _Value, _variable_index, re_context
+from .qpoly import Polynomial, VarTable, _chain_rule, _memo, _Value, _variable_index, re_context
 
 
 class BracketTable(_Value):
@@ -56,8 +56,8 @@ class BracketTable(_Value):
             rows[i].append((j, tuple(p.terms.items())))
             rows[j].append((i, tuple((m, -c) for m, c in p.terms.items())))
         rows = tuple(tuple(r) for r in rows)
-        # _columns: a tuple of columns -> the rows cut to them, renumbered in its order;
-        # _sweeps: (f, columns) -> generator_brackets(self, f, columns)
+        # memos (`qpoly._memo`): _columns, a tuple of columns -> _cut_rows(rows, columns);
+        # _sweeps, (f, columns) -> generator_brackets(self, f, columns)
         vars(self).update(
             _pairs=pairs, _rows=rows, _columns={tuple(range(len(ctx))): rows}, _sweeps={}
         )
@@ -100,17 +100,19 @@ def generator_brackets(B: BracketTable, f: Polynomial, columns=None) -> list[Pol
     The table keeps each sweep; every call returns a list of its own."""
     if f.ctx is not B.ctx and f.ctx != B.ctx:
         raise ContextMismatch("bracket operand over wrong variable table")
-    brackets = B._sweeps.get((f, columns))
-    if brackets is None:
-        cut = tuple(range(len(B._rows))) if columns is None else columns
-        rows = B._columns.get(cut)
-        if rows is None:
-            place = {j: p for p, j in enumerate(cut)}
-            rows = B._columns[cut] = tuple(
-                tuple((place[j], terms) for j, terms in row if j in place) for row in B._rows
-            )
-        brackets = B._sweeps[(f, columns)] = _chain_rule(rows, f, len(cut))
-    return list(brackets)
+    return list(_memo(B._sweeps, (f, columns), _sweep, B, f, columns))
+
+
+def _sweep(B: BracketTable, f: Polynomial, columns) -> list[Polynomial]:
+    """The sweep of `generator_brackets`, made afresh."""
+    cut = tuple(range(len(B._rows))) if columns is None else columns
+    return _chain_rule(_memo(B._columns, cut, _cut_rows, B._rows, cut), f, len(cut))
+
+
+def _cut_rows(rows, cut):
+    """The rows cut to the columns `cut`, renumbered in its order."""
+    place = {j: p for p, j in enumerate(cut)}
+    return tuple(tuple((place[j], terms) for j, terms in row if j in place) for row in rows)
 
 
 def bracket(B: BracketTable, f: Polynomial, g: Polynomial) -> Polynomial:

@@ -34,9 +34,8 @@ kernel for it: it serves `Derivation.__call__` (sigma_k, delta_k) and
 the Poisson brackets of `pbracket`, each handing it rows of generator
 images.
 
-A `VarTable` keeps each polynomial that `re_context` moved to it, in a
-private dict outside its fields: `==`, `hash`, pickles and step budgets
-never see it.
+A `VarTable` keeps the tables derived from it and each polynomial that
+`re_context` moved to it, under the rule of `_memo`.
 """
 
 from __future__ import annotations
@@ -81,6 +80,24 @@ class _Value:
 
     def __reduce__(self):
         return (self.__class__, self._fields())
+
+
+_MISSING = object()
+
+
+def _memo(cache: dict, key, compute, *args):
+    """cache[key], from compute(*args) on a miss: every memo of a table or
+    a presentation, under one rule.  A computation that raises (a step
+    budget run out) stores nothing.  The dict is a private attribute of an
+    immutable owner, outside its fields, so `==`, `hash` and pickles never
+    see it.  A memo that a command can read, on a presentation that
+    `cli.load_presentation` shares, holds no Groebner result, so a command's
+    steps, budget verdict and output do not depend on earlier ones (the
+    separation memos hold such results, but no command reads them)."""
+    value = cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = cache[key] = compute(*args)
+    return value
 
 
 class VarTable(_Value):
@@ -128,21 +145,14 @@ class VarTable(_Value):
         itself when k is its length."""
         if k == len(self.names):
             return self
-        key = ("restrict", k)
-        if key not in self._derived:
-            self._derived[key] = VarTable(self.names[:k], self.laurent[:k])
-        return self._derived[key]
+        return _memo(self._derived, ("restrict", k), VarTable, self.names[:k], self.laurent[:k])
 
     def extend(self, extra: tuple[str, ...]) -> "VarTable":
         """This table followed by the polynomial variables `extra`; the
         same object on every call with the same names."""
         extra = tuple(extra)
-        key = ("extend", extra)
-        if key not in self._derived:
-            self._derived[key] = VarTable(
-                self.names + extra, self.laurent + (False,) * len(extra)
-            )
-        return self._derived[key]
+        flags = self.laurent + (False,) * len(extra)
+        return _memo(self._derived, ("extend", extra), VarTable, self.names + extra, flags)
 
 
 class Monomial:
@@ -595,10 +605,7 @@ def re_context(f: Polynomial, ctx: VarTable) -> Polynomial:
     is part of its value."""
     if f.ctx is ctx or f.ctx == ctx:
         return f
-    moved = ctx._moved.get(f)
-    if moved is None:
-        moved = ctx._moved[f] = _move(f, ctx)
-    return moved
+    return _memo(ctx._moved, f, _move, f, ctx)
 
 
 def _move(f: Polynomial, ctx: VarTable) -> Polynomial:

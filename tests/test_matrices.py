@@ -23,7 +23,7 @@ from pcgl import cgl
 from pcgl.cauchon import d_element_search, delete_all, enumerate_hprimes, separating_normal
 from pcgl.cgl import PoissonPresentation, level_data, verify_cgl
 from pcgl.cli import fixture_path, load_presentation, load_presentation_data
-from pcgl.errors import ContextMismatch, PcglError, StepBudgetExceeded
+from pcgl.errors import ContextMismatch, PcglError, PreconditionError, StepBudgetExceeded
 from pcgl.grading import pair, weight_of
 from pcgl.ideals import (
     Ideal,
@@ -157,6 +157,32 @@ def test_each_level_is_derived_once(monkeypatch):
     delete_all(P)
     assert verify_cgl(P).ok
     assert calls == {"_level_maps": 6, "_lie_vector": 6}
+
+
+def test_the_tower_axioms_are_checked_once_per_presentation(monkeypatch, bellsig):
+    # two enumerations and a full deletion run the Jacobi check once per
+    # presentation object; on bellsig, which fails the axioms, every call
+    # raises and the check still runs once
+    calls = []
+    original = cgl.check_jacobi
+
+    def counted(table):
+        calls.append(table)
+        return original(table)
+
+    monkeypatch.setattr(cgl, "check_jacobi", counted)
+    P = matrix_presentation(2, 3)
+    enumerate_hprimes(P)
+    enumerate_hprimes(P)
+    delete_all(P)
+    assert len(calls) == 1
+    enumerate_hprimes(matrix_presentation(2, 3))
+    assert len(calls) == 2
+    cold = rebuild(bellsig)
+    for run in (enumerate_hprimes, delete_all, enumerate_hprimes):
+        with pytest.raises(PreconditionError, match="tower axioms"):
+            run(cold)
+    assert len(calls) == 3
 
 
 def test_two_by_three_nodes_pass_the_full_checks():
@@ -468,14 +494,15 @@ def certificate_digest(P):
 def test_separation_sweep_builds_no_derived_presentation():
     # every contraction is taken modulo P0 in the ring below the top
     # variable, so a full sweep caches no other presentation on P.  Besides
-    # the level records it stores only the memo kinds (MEMO_KINDS below),
-    # every one of them and all in P's own cache, so the memo comparisons of
-    # the tests below see each entry; the cached certificates, quotients
-    # included, are pinned by their digest
+    # the level records and the verdict of `verify_cgl` ("cgl") it stores
+    # only the memo kinds (MEMO_KINDS below), every one of them and all in
+    # P's own cache, so the memo comparisons of the tests below see each
+    # entry; the cached certificates, quotients included, are pinned by
+    # their digest
     P = matrix_presentation(2, 3)
     assert len(separation_rows(P)) == 447
     assert not any(isinstance(value, PoissonPresentation) for value in P._cache.values())
-    assert cache_kinds(P) == MEMO_KINDS | {"level"}
+    assert cache_kinds(P) == MEMO_KINDS | {"level", "cgl"}
     for value in P._cache.values():
         if isinstance(value, cgl.LevelData):
             assert cache_kinds(value.pres_A) <= {"level"}

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from pcgl.cauchon import DElement
+from pcgl.cauchon import DElement, enumerate_hprimes, separating_normal
 from pcgl.cgl import LevelData, LevelReport, PoissonPresentation, level_data, verify_cgl
 from pcgl.grading import GradingData
 from pcgl.pbracket import (
@@ -23,7 +23,7 @@ from pcgl.pbracket import (
 from pcgl.qpoly import Derivation, VarTable, parse, re_context
 from pcgl.strata import LogBracketMatrix
 from records import VALUE_RECORDS, fields, plain, rebuild
-from test_matrices import matrix_presentation
+from test_matrices import MEMO_KINDS, cache_kinds, matrix_presentation, nested_pairs
 
 CTX = VarTable(("x", "y"))
 
@@ -105,17 +105,25 @@ def test_presentation_cache_is_not_part_of_the_value(weyl):
 
 
 def test_a_warm_memo_is_not_part_of_the_value(weyl):
-    # a bracket table that has swept an element, and a variable table that
-    # a polynomial was moved to, equal a cold copy, hash like it and pickle
-    # as it does, to a copy whose memo is empty
+    # a bracket table that has swept an element, a variable table that a
+    # polynomial was moved to, and a presentation whose cache holds level
+    # records, the verdict of `verify_cgl` and every separation kind, equal
+    # a cold copy, hash like it and pickle as it does, to a copy whose memo
+    # is empty
     L = level_data(weyl, 2)
     ctx, f = L.pres_R.ctx, parse("a*X + X^2", L.pres_R.ctx)
     table, moved_to = L.pres_R.table, ctx.extend(("t",))
     generator_brackets(table, f, (1,))
     re_context(f, moved_to)
+    P = matrix_presentation(2, 3)
+    leaves = enumerate_hprimes(P).leaves()
+    small = next(node for node in leaves if node.label() == "<x12*x21 - x11*x22>")
+    separating_normal(P, small, next(b for a, b in nested_pairs(leaves) if a is small))
+    assert cache_kinds(P) == MEMO_KINDS | {"level", "cgl"}
     for warm, cold, memo in [
         (table, BracketTable(table.ctx, dict(table.pairs())), "_sweeps"),
         (moved_to, VarTable(moved_to.names, moved_to.laurent), "_moved"),
+        (P, PoissonPresentation(P.ctx, P.table, P.grading, P.h, P.nilpotency_bound), "_cache"),
     ]:
         assert getattr(warm, memo) and not getattr(cold, memo)
         assert warm == cold and cold == warm and hash(warm) == hash(cold)
