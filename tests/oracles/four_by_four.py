@@ -4,7 +4,8 @@ Enumerates the torus-stable Poisson primes of the 4x4 matrix tower and
 prints, for each level k, the tree's count, the number of Cauchon diagrams
 of the first k boxes of the 4x4 grid in row-major order (the brute force of
 `tests/cauchon_diagrams.py`, which shares no code with the package), and
-the flags the tree raised at that level.  Exits 1 on any mismatch.  It takes
+the flags the tree raised at that level; then the SHA-256 of the leaves'
+sorted reduced bases.  Exits 1 on any mismatch of a count or a flag.  It takes
 about a minute, too slow for CI; it is not run there.
 
 The d-element search of the enumeration runs out of candidate atoms on the
@@ -15,6 +16,7 @@ d-search.
     PYTHONPATH=src python tests/oracles/four_by_four.py
 """
 
+import hashlib
 import sys
 import time
 from collections import Counter
@@ -41,7 +43,10 @@ def main() -> int:
               f"{'' if ok else '  MISMATCH'}")
         if not ok:
             failed.append(k)
-    print(f"4x4: {'ok' if not failed else f'MISMATCH at levels {failed}'} ({seconds:.1f} s)")
+    bases = sorted(repr([str(g) for g in leaf.ideal.groebner()]) for leaf in tree.leaves())
+    digest = hashlib.sha256("\n".join(bases).encode()).hexdigest()
+    verdict = "ok" if not failed else f"MISMATCH at levels {failed}"
+    print(f"4x4: {len(bases)} leaves, sha256 {digest[:16]}, {verdict} ({seconds:.1f} s)")
     return 1 if failed else 0
 
 

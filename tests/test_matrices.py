@@ -161,8 +161,8 @@ def test_each_level_is_derived_once(monkeypatch):
 
 def test_the_tower_axioms_are_checked_once_per_presentation(monkeypatch, bellsig):
     # two enumerations and a full deletion run the Jacobi check once per
-    # presentation object; on bellsig, which fails the axioms, every call
-    # raises and the check still runs once
+    # presentation object; on bellsig, which fails the axioms, every call,
+    # `require_cgl` itself included, raises and the check still runs once
     calls = []
     original = cgl.check_jacobi
 
@@ -179,7 +179,7 @@ def test_the_tower_axioms_are_checked_once_per_presentation(monkeypatch, bellsig
     enumerate_hprimes(matrix_presentation(2, 3))
     assert len(calls) == 2
     cold = rebuild(bellsig)
-    for run in (enumerate_hprimes, delete_all, enumerate_hprimes):
+    for run in (enumerate_hprimes, delete_all, cgl.require_cgl, enumerate_hprimes):
         with pytest.raises(PreconditionError, match="tower axioms"):
             run(cold)
     assert len(calls) == 3
